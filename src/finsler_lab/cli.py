@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -497,6 +498,12 @@ _VERBS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a list value such as -0.5,0,0.5 for an option; attach it with "="
+    for i in reversed(range(1, len(argv))):
+        option, value = argv[i - 1], argv[i]
+        if option in ("--start", "--velocity", "--levels") and re.match(r"-[\d.]", value):
+            argv[i - 1 : i + 1] = [f"{option}={value}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -4,7 +4,7 @@ The partition test operationalizes the defining property of a Finsler
 partition: geodesics launched orthogonally from a leaf must arrive
 orthogonally at every leaf they meet, in both the ascending (forward rays)
 and descending (backward rays) polarities. Orthogonality defects are the
-normalized g_v pairings measured at refined level crossings.
+normalized g_v pairings measured at located level crossings.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ LEVEL_PROJECTION_TOL = 1e-10
 NEWTON_PROJECTION_TOL = 1e-12
 NEWTON_PROJECTION_BUDGET = 25
 PARALLEL_PASS_TOL = 1e-4
-PARALLEL_FAIL_SEPARATION = 0.05
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,8 @@ M[i,k] = d^2F^2/dy^i dx^k the acceleration a satisfies
 a dense symmetric solve at the desk-scale dimensions used here. Integration
 is classical fixed-step 4th order with the running arc length carried as an
 extra state component, so the length converges at the same order as the
-trajectory.
+trajectory. A level crossing is located on the bracketing step's cubic
+Hermite dense output and reached by one 4th-order sub-step.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .calculus import ScalarField
 from .domains import Domain
@@ -25,7 +27,6 @@ from .metrics import Metric, TangentVector
 
 DEFAULT_STEP = 1e-3
 DEFAULT_TIME_BUDGET = 10.0
-BISECTION_STEPS = 80
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +55,7 @@ class GeodesicTrajectory:
 
 @dataclass(frozen=True, eq=False)
 class CrossingEvent:
-    """A refined level-set crossing along an integrated geodesic."""
+    """A located level-set crossing along an integrated curve."""
 
     time: float
     point: np.ndarray
@@ -62,6 +63,13 @@ class CrossingEvent:
     level_value: float
     orthogonality_defect: float
     arc_length: float
+
+    @classmethod
+    def measure(cls, metric, field, level, time, point, velocity, arc_length):
+        """The crossing of f = level at (point, velocity), with its defect in metric."""
+        basis = tangent_basis_from_differential(field.differential(point))
+        defect = orthogonality_defect(metric, TangentVector(point, velocity), basis)
+        return cls(float(time), point, velocity, float(level), float(defect), float(arc_length))
 
 
 def spray_coefficients(metric: Metric, v: TangentVector) -> np.ndarray:
@@ -184,6 +192,30 @@ def orthogonality_defect(metric: Metric, gamma_dot: TangentVector, tangent_basis
     return worst
 
 
+def _hermite_crossing_time(
+    field: ScalarField, target: float, x0, x1, dx0, dx1, h: float
+) -> float:
+    """Time in [0, h] at which f = target on one step's cubic Hermite interpolant.
+
+    The interpolant matches the step's endpoint positions x0, x1 and their
+    time derivatives dx0, dx1 (Hairer-Norsett-Wanner, Solving ODEs I, II.6),
+    so locating the crossing costs no right-hand-side evaluation. f - target
+    must change sign, or vanish, between the endpoints.
+    """
+    delta = x1 - x0
+    hdx0 = h * dx0
+    hdx1 = h * dx1
+
+    def phi(theta):
+        s = theta / h
+        p = (1.0 - s) * x0 + s * x1 + s * (s - 1.0) * (
+            (1.0 - 2.0 * s) * delta + (s - 1.0) * hdx0 + s * hdx1
+        )
+        return field.value(p) - target
+
+    return brentq(phi, 0.0, h, xtol=1e-12 * h)
+
+
 def integrate_to_level(
     metric: Metric,
     v0: TangentVector,
@@ -192,14 +224,13 @@ def integrate_to_level(
     step: float = DEFAULT_STEP,
     domain: Optional[Domain] = None,
     t_max: float = DEFAULT_TIME_BUDGET,
-    bisections: int = BISECTION_STEPS,
 ) -> CrossingEvent:
-    """March the geodesic until f crosses the target level, then bisect.
+    """March the geodesic until f crosses the target level.
 
-    The sign change is bracketed inside one integrator step and refined by
-    bisection on the sub-step length; each probe redoes a single 4th-order
-    step from the bracket's left state, so refinement inherits the
-    integrator's accuracy.
+    The sign change is bracketed inside one integrator step, and the crossing
+    time is found on that step's Hermite dense output. One 4th-order sub-step
+    from the bracket's left state then gives the reported point, velocity and
+    arc length, so they keep the integrator's accuracy.
     """
     if metric.norm(v0.base, v0.vector) <= 0.0:
         raise ZeroVector("cannot integrate a geodesic with zero initial velocity")
@@ -220,39 +251,11 @@ def integrate_to_level(
             )
         phi_new = field.value(x_new) - target
         if phi_new == 0.0 or (phi_new > 0.0) != (phi > 0.0):
-            # crossing inside (t, t_new]; bisect the sub-step length
-            lo, hi = 0.0, step
-            x_hi, y_hi, dlen_hi = x_new, y_new, dlen
-            for _ in range(bisections):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                x_mid, y_mid, dlen_mid = _rk4_step(metric, x, y, mid)
-                phi_mid = field.value(x_mid) - target
-                if phi_mid == 0.0:
-                    x_hi, y_hi, dlen_hi = x_mid, y_mid, dlen_mid
-                    hi = mid
-                    break
-                if (phi_mid > 0.0) == (phi > 0.0):
-                    lo = mid
-                else:
-                    hi = mid
-                    x_hi, y_hi, dlen_hi = x_mid, y_mid, dlen_mid
-            cross_x, cross_y = x_hi, y_hi
-            cross_t = t + hi
-            cross_len = arclen + dlen_hi
-            df = np.asarray(field.differential(cross_x), dtype=float)
-            basis = tangent_basis_from_differential(df)
-            defect = orthogonality_defect(
-                metric, TangentVector(base=cross_x, vector=cross_y), basis
-            )
-            return CrossingEvent(
-                time=float(cross_t),
-                point=cross_x,
-                velocity=cross_y,
-                level_value=target,
-                orthogonality_defect=defect,
-                arc_length=float(cross_len),
+            theta = _hermite_crossing_time(field, target, x, x_new, y, y_new, step)
+            if theta < step:
+                x_new, y_new, dlen = _rk4_step(metric, x, y, theta)
+            return CrossingEvent.measure(
+                metric, field, target, t + theta, x_new, y_new, arclen + dlen
             )
         x, y, t, phi = x_new, y_new, t_new, phi_new
         arclen += dlen

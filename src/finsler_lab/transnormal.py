@@ -31,12 +31,13 @@ from .errors import (
     EmptySample,
     IntervalContainsCriticalValue,
     LeftDomain,
+    LevelNotFound,
     NeverReached,
     NoCriticalPoint,
 )
 from .foliation import extract_level_set
 from .geodesics import CrossingEvent, GeodesicTrajectory, integrate_geodesic, spray_coefficients
-from .geodesics import tangent_basis_from_differential, orthogonality_defect
+from .geodesics import _hermite_crossing_time
 from .metrics import Metric, RiemannianMetric, TangentVector
 
 B_CRITICAL_THRESHOLD = 1e-10
@@ -295,7 +296,7 @@ def level_grid_b_report(
             sample = extract_level_set(
                 field, lvl, domain, probes_per_level, parametrization=parametrization
             )
-        except Exception:
+        except LevelNotFound:
             continue
         points.extend(sample.points)
     if not points:
@@ -324,7 +325,9 @@ def trace_f_segment(
 ) -> FSegment:
     """Arc-length gradient flow of f; forward ascends, backward descends.
 
-    The backward segment is the time reversal of the forward one (the
+    Level crossings and the f_stop point are located on the bracketing
+    step's Hermite dense output and reached by one 4th-order sub-step. The
+    backward segment is the time reversal of the forward one (the
     descending ray is unit for the reverse metric), and the traced curve is
     checked a posteriori against the spray equation of the appropriate
     metric.
@@ -342,78 +345,57 @@ def trace_f_segment(
     if domain is not None and not domain.contains(start):
         raise LeftDomain(f"start point {start} outside the domain", point=start)
     x = start.copy()
+    v = flow(x)
     t = 0.0
     times = [0.0]
     points = [x.copy()]
-    velocities = [flow(x)]
-    pending = sorted(set(float(v) for v in record_levels))
+    velocities = [v]
+    pending = sorted(set(float(lvl) for lvl in record_levels))
     crossings: List[CrossingEvent] = []
     f_prev = field.value(x)
-    stop_reached = False
     n_steps = int(np.ceil(t_max / step))
 
-    def rk4_flow(x0, h):
-        k1 = flow(x0)
+    def rk4_flow(x0, k1, h):
+        # k1 = flow(x0) is already known: the velocity recorded at x0
         k2 = flow(x0 + 0.5 * h * k1)
         k3 = flow(x0 + 0.5 * h * k2)
         k4 = flow(x0 + h * k3)
         return x0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def refine_crossing(x0, t0, h, target):
-        lo, hi = 0.0, h
-        x_hi = rk4_flow(x0, h)
-        phi0 = field.value(x0) - target
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            x_mid = rk4_flow(x0, mid)
-            phi_mid = field.value(x_mid) - target
-            if phi_mid == 0.0:
-                hi, x_hi = mid, x_mid
-                break
-            if (phi_mid > 0.0) == (phi0 > 0.0):
-                lo = mid
-            else:
-                hi, x_hi = mid, x_mid
-        vel = flow(x_hi)
-        df = np.asarray(field.differential(x_hi), dtype=float)
-        basis = tangent_basis_from_differential(df)
-        defect = orthogonality_defect(metric_eff, TangentVector(x_hi, vel), basis)
-        return CrossingEvent(
-            time=float(t0 + hi),
-            point=x_hi,
-            velocity=vel,
-            level_value=float(target),
-            orthogonality_defect=float(defect),
-            arc_length=float(t0 + hi),
-        )
+    def locate_crossing(x0, v0, x1, v1, t0, target):
+        theta = _hermite_crossing_time(field, target, x0, x1, v0, v1, step)
+        if theta < step:
+            x1 = rk4_flow(x0, v0, theta)
+            v1 = flow(x1)
+        # unit speed: arc length equals time
+        return CrossingEvent.measure(metric_eff, field, target, t0 + theta, x1, v1, t0 + theta)
 
     for _ in range(n_steps):
-        x_new = rk4_flow(x, step)
+        x_new = rk4_flow(x, v, step)
         t_new = t + step
         if domain is not None and not domain.contains(x_new):
             raise LeftDomain(
                 f"gradient flow left the domain at t = {t_new}", point=x_new, time=t_new
             )
+        v_new = flow(x_new)
         f_new = field.value(x_new)
         for lvl in list(pending):
             if (f_prev - lvl) == 0.0 or ((f_new - lvl > 0.0) != (f_prev - lvl > 0.0)):
-                crossings.append(refine_crossing(x, t, step, lvl))
+                crossings.append(locate_crossing(x, v, x_new, v_new, t, lvl))
                 pending.remove(lvl)
         if f_stop is not None and ((f_new - f_stop > 0.0) != (f_prev - f_stop > 0.0)):
-            ev = refine_crossing(x, t, step, f_stop)
+            ev = locate_crossing(x, v, x_new, v_new, t, f_stop)
             times.append(ev.time)
             points.append(ev.point)
             velocities.append(ev.velocity)
-            stop_reached = True
             break
-        x, t, f_prev = x_new, t_new, f_new
+        x, v, t, f_prev = x_new, v_new, t_new, f_new
         times.append(t)
         points.append(x.copy())
-        velocities.append(flow(x))
-    if f_stop is not None and not stop_reached:
-        raise NeverReached(f"gradient flow never reached f = {f_stop} within {t_max}")
+        velocities.append(v)
+    else:
+        if f_stop is not None:
+            raise NeverReached(f"gradient flow never reached f = {f_stop} within {t_max}")
 
     times_a = np.array(times)
     points_a = np.array(points)
@@ -435,8 +417,14 @@ def trace_f_segment(
     if m >= 3:
         stride = max(1, (m - 2) // residual_samples)
         for i in range(1, m - 1, stride):
-            dt_local = times_a[i + 1] - times_a[i - 1]
-            a_meas = (velocities_a[i + 1] - velocities_a[i - 1]) / dt_local
+            # three-point derivative on a non-uniform grid: the last step
+            # is shortened to the f_stop crossing
+            h1 = times_a[i] - times_a[i - 1]
+            h2 = times_a[i + 1] - times_a[i]
+            a_meas = (
+                h1 * h1 * (velocities_a[i + 1] - velocities_a[i])
+                + h2 * h2 * (velocities_a[i] - velocities_a[i - 1])
+            ) / (h1 * h2 * (h1 + h2))
             a_spray = spray_coefficients(
                 metric_eff, TangentVector(points_a[i], velocities_a[i])
             )

@@ -79,6 +79,41 @@ def test_trace_segment_csv(tmp_path):
     assert len(csv_lines) > 100
 
 
+@pytest.mark.parametrize("stop", ["0.1225", "0.13", "0.16", "0.19"])
+def test_trace_segment_stop_residual(tmp_path, stop):
+    # the sample before the shortened final step needs a non-uniform difference
+    code = run(
+        tmp_path, "trace-segment", "--example", "disc-radial",
+        "--start=0.3,0", "--stop", stop,
+    )
+    assert code == 0
+    report = read_report(tmp_path, "disc-radial", "trace-segment")
+    assert report["defects"]["geodesic_residual"] <= 1e-5
+
+
+@pytest.mark.parametrize(
+    "argv, lists",
+    [
+        (("dump-geodesic", "--example", "disc-radial", "--t-end", "0.05"),
+         (("--start", "-0.2,0.1"), ("--velocity", "-1,0"))),
+        (("trace-segment", "--example", "euclidean-linear", "--t-max", "0.2"),
+         (("--start", "-0.2,0.1"), ("--levels", "-0.15,-0.1"))),
+        (("check-partition", "--example", "euclidean-linear", "--probes", "2"),
+         (("--levels", "-0.5,0,0.5"),)),
+    ],
+)
+def test_negative_comma_lists(tmp_path, argv, lists):
+    # "--opt -0.2,0.1" parses as "--opt=-0.2,0.1"
+    split = [token for pair in lists for token in pair]
+    joined = [f"{opt}={value}" for opt, value in lists]
+    scenario, verb = argv[2], argv[0]
+    assert run(tmp_path / "split", *argv, *split) == 0
+    assert run(tmp_path / "joined", *argv, *joined) == 0
+    assert read_report(tmp_path / "split", scenario, verb) == read_report(
+        tmp_path / "joined", scenario, verb
+    )
+
+
 def test_check_parallel_forward_passes(tmp_path):
     code = run(
         tmp_path, "check-parallel", "--example", "minkowski-randers-distance",

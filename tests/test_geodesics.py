@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from finsler_lab import numdiff
+from finsler_lab import geodesics, numdiff
 from finsler_lab.calculus import finsler_gradient
 from finsler_lab.domains import DiscDomain
 from finsler_lab.errors import LeftDomain, NeverReached, ZeroVector
@@ -230,6 +230,89 @@ def test_crossing_never_reached(disc_scenario):
             chart.metric, ray, chart.field, 0.01, step=1e-3,
             domain=chart.domain, t_max=1.5,
         )
+
+
+def _bisected_crossing(metric, v0, field, target, step):
+    """Reference: fixed RK4 steps, then bisection of the bracketing step.
+
+    Returns the crossing time, point, arc length and orthogonality defect.
+    """
+    x, y = v0.base.copy(), v0.vector.copy()
+    t = arclen = 0.0
+    phi = field.value(x) - target
+    for _ in range(10000):
+        x_new, y_new, dlen = geodesics._rk4_step(metric, x, y, step)
+        phi_new = field.value(x_new) - target
+        if phi_new == 0.0 or (phi_new > 0.0) != (phi > 0.0):
+            break
+        x, y, t, phi, arclen = x_new, y_new, t + step, phi_new, arclen + dlen
+    else:
+        raise AssertionError(f"reference never reached f = {target}")
+    lo, hi = 0.0, step
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        x_mid, y_mid, dlen_mid = geodesics._rk4_step(metric, x, y, mid)
+        phi_mid = field.value(x_mid) - target
+        if phi_mid != 0.0 and (phi_mid > 0.0) == (phi > 0.0):
+            lo = mid
+        else:
+            hi, x_new, y_new, dlen = mid, x_mid, y_mid, dlen_mid
+    basis = tangent_basis_from_differential(field.differential(x_new))
+    defect = orthogonality_defect(metric, TangentVector(x_new, y_new), basis)
+    return t + hi, x_new, arclen + dlen, defect
+
+
+# (scenario fixture, chart, start, target level)
+CROSSING_CASES = [
+    ("disc_scenario", "main", [0.2, 0.0], 0.25),
+    ("disc_scenario", "main", [0.1, 0.15], 0.5),
+    ("sphere_scenario", "band", [1.2, 0.3], 0.7),
+    ("sphere_scenario", "band", [2.0, -0.4], -0.1),
+    ("minkowski_scenario", "main", [0.5, 1.0], 2.0),
+]
+
+
+def _unit_gradient_ray(chart, p):
+    res = finsler_gradient(chart.metric, chart.field, p)
+    return TangentVector(np.asarray(p, dtype=float), res.gradient.vector / res.finsler_norm)
+
+
+@pytest.mark.parametrize("fixture, chart_name, start, target", CROSSING_CASES)
+def test_crossing_matches_bisection(request, fixture, chart_name, start, target):
+    chart = request.getfixturevalue(fixture).charts[chart_name]
+    ray = _unit_gradient_ray(chart, start)
+    event = integrate_to_level(
+        chart.metric, ray, chart.field, target, step=1e-3, domain=chart.domain
+    )
+    time, point, arc, defect = _bisected_crossing(
+        chart.metric, ray, chart.field, target, 1e-3
+    )
+    assert abs(event.time - time) <= 1e-10
+    assert np.max(np.abs(event.point - point)) <= 1e-10
+    assert abs(event.arc_length - arc) <= 1e-10
+    assert abs(event.orthogonality_defect - defect) <= 1e-10
+    assert abs(chart.field.value(event.point) - target) <= 1e-13
+
+
+@pytest.mark.parametrize("fixture, chart_name, start, target", CROSSING_CASES)
+def test_crossing_takes_at_most_one_sub_step(
+    request, monkeypatch, fixture, chart_name, start, target
+):
+    chart = request.getfixturevalue(fixture).charts[chart_name]
+    ray = _unit_gradient_ray(chart, start)
+    step_lengths = []
+    rk4_step = geodesics._rk4_step
+
+    def counted(metric, x, y, dt):
+        step_lengths.append(dt)
+        return rk4_step(metric, x, y, dt)
+
+    monkeypatch.setattr(geodesics, "_rk4_step", counted)
+    integrate_to_level(chart.metric, ray, chart.field, target, step=1e-3, domain=chart.domain)
+    assert len(step_lengths) > 1
+    assert sum(dt != 1e-3 for dt in step_lengths) <= 1
 
 
 # ---------------------------------------------------------------------------

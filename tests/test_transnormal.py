@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from finsler_lab.calculus import ScalarField
+from finsler_lab import transnormal
+from finsler_lab.calculus import ScalarField, finsler_gradient
 from finsler_lab.errors import (
     EmptySample,
     IntervalContainsCriticalValue,
     NoCriticalPoint,
 )
 from finsler_lab.expressions import parse_expression
-from finsler_lab.metrics import CustomMetric, euclidean_metric
+from finsler_lab.geodesics import orthogonality_defect, tangent_basis_from_differential
+from finsler_lab.metrics import CustomMetric, TangentVector, euclidean_metric
 from finsler_lab.transnormal import (
     check_hat_metric_reduction,
     check_hessian_identity,
@@ -164,6 +166,100 @@ def test_sphere_meridian_segment(sphere_scenario):
     assert ev.arc_length == pytest.approx(math.pi / 2 - math.acos(0.5), abs=1e-6)
 
 
+def _bisected_flow_crossing(metric, field, start, target, step):
+    """Reference: forward RK4 gradient flow in fixed steps, bracketing step bisected.
+
+    Returns the crossing time (equal to its arc length), point and
+    orthogonality defect.
+    """
+
+    def flow(x):
+        res = finsler_gradient(metric, field, x)
+        return res.gradient.vector / res.finsler_norm
+
+    def rk4(x0, h):
+        k1 = flow(x0)
+        k2 = flow(x0 + 0.5 * h * k1)
+        k3 = flow(x0 + 0.5 * h * k2)
+        k4 = flow(x0 + h * k3)
+        return x0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    x, t = np.asarray(start, dtype=float), 0.0
+    phi = field.value(x) - target
+    for _ in range(10000):
+        x_new = rk4(x, step)
+        phi_new = field.value(x_new) - target
+        if phi_new == 0.0 or (phi_new > 0.0) != (phi > 0.0):
+            break
+        x, t, phi = x_new, t + step, phi_new
+    else:
+        raise AssertionError(f"reference never reached f = {target}")
+    lo, hi = 0.0, step
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        x_mid = rk4(x, mid)
+        phi_mid = field.value(x_mid) - target
+        if phi_mid != 0.0 and (phi_mid > 0.0) == (phi > 0.0):
+            lo = mid
+        else:
+            hi, x_new = mid, x_mid
+    basis = tangent_basis_from_differential(field.differential(x_new))
+    defect = orthogonality_defect(metric, TangentVector(x_new, flow(x_new)), basis)
+    return t + hi, x_new, defect
+
+
+@pytest.mark.parametrize(
+    "fixture, chart_name, start, levels, stop",
+    [
+        ("disc_scenario", "main", [0.2, 0.0], [0.09, 0.16], 0.25),
+        ("disc_scenario", "main", [0.3, 0.0], [], 0.16),
+        ("sphere_scenario", "band", [math.pi / 2, 0.3], [0.5], 0.8),
+        ("minkowski_scenario", "main", [0.5, 1.0], [1.5], 2.0),
+    ],
+)
+def test_segment_crossings_match_bisection(request, fixture, chart_name, start, levels, stop):
+    chart = request.getfixturevalue(fixture).charts[chart_name]
+    seg = trace_f_segment(
+        chart.metric, chart.field, start, "forward", domain=chart.domain,
+        step=1e-3, record_levels=levels, f_stop=stop,
+    )
+    assert [ev.level_value for ev in seg.level_crossings] == levels
+    for ev in seg.level_crossings:
+        time, point, defect = _bisected_flow_crossing(
+            chart.metric, chart.field, start, ev.level_value, 1e-3
+        )
+        assert abs(ev.time - time) <= 1e-10
+        assert abs(ev.arc_length - time) <= 1e-10
+        assert np.max(np.abs(ev.point - point)) <= 1e-10
+        assert abs(ev.orthogonality_defect - defect) <= 1e-10
+    traj = seg.trajectory
+    time, point, _ = _bisected_flow_crossing(chart.metric, chart.field, start, stop, 1e-3)
+    assert abs(traj.times[-1] - time) <= 1e-10
+    assert np.max(np.abs(traj.points[-1] - point)) <= 1e-10
+    assert abs(chart.field.value(traj.points[-1]) - stop) <= 1e-13
+
+
+def test_segment_step_costs_four_gradients(disc_scenario, monkeypatch):
+    chart = disc_scenario.chart
+    calls = []
+    gradient = transnormal.finsler_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return gradient(*args, **kwargs)
+
+    monkeypatch.setattr(transnormal, "finsler_gradient", counted)
+    seg = trace_f_segment(
+        chart.metric, chart.field, [0.2, 0.0], "forward",
+        domain=chart.domain, step=1e-3, t_max=0.1,
+    )
+    steps = len(seg.trajectory.times) - 1
+    assert steps == 100
+    assert len(calls) == 4 * steps + 1
+
+
 # ---------------------------------------------------------------------------
 # distance formula
 
@@ -225,6 +321,17 @@ def test_distance_formula_on_level_grid(
                     level_parametrization=param, step=2e-3,
                 )
                 assert check.defect <= 1e-4, (scenario.name, c, d, check.defect)
+
+
+def test_level_grid_propagates_parametrization_errors(disc_scenario):
+    # only a level that cannot be sampled is skipped; a fault in the
+    # parametrization itself must surface
+    chart = disc_scenario.chart
+    with pytest.raises(ZeroDivisionError):
+        level_grid_b_report(
+            chart.metric, chart.field, chart.domain, 0.04, 0.25,
+            parametrization=lambda t, s: 1 / 0,
+        )
 
 
 def test_interval_containing_critical_value_rejected():
