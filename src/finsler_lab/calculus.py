@@ -47,17 +47,14 @@ class ScalarField:
         """Build value/differential/hessian callables by symbolic derivation."""
         value = compile_expression(expr, dim)
         grads = [expr.diff(VARIABLES[i]) for i in range(dim)]
-        grad_fns = [compile_expression(g, dim) for g in grads]
-        hess_fns = [
-            [compile_expression(grads[i].diff(VARIABLES[j]), dim) for j in range(dim)]
-            for i in range(dim)
-        ]
+        grad_fn = compile_expression(grads, dim)
+        hess_fn = compile_expression([g.diff(VARIABLES[j]) for g in grads for j in range(dim)], dim)
 
         def differential(p):
-            return np.array([fn(p) for fn in grad_fns])
+            return np.array(grad_fn(p))
 
         def hessian(p):
-            H = np.array([[hess_fns[i][j](p) for j in range(dim)] for i in range(dim)])
+            H = np.array(hess_fn(p)).reshape(dim, dim)
             return 0.5 * (H + H.T)
 
         return cls(value=value, differential=differential, hessian=hessian, name=name)

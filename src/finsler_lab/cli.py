@@ -255,6 +255,26 @@ def _probes(args, chart):
     return args.probes if args.probes is not None else chart.numerics.probes
 
 
+def _coords(args, chart, option):
+    """A comma-list option such as --start, checked against the chart's dimension."""
+    values = _float_list(getattr(args, option))
+    if len(values) != chart.metric.dim:
+        raise ValidationError(
+            f"--{option} needs {chart.metric.dim} coordinates, got {len(values)}"
+        )
+    return values
+
+
+def _level_range(args, scenario):
+    """(c, d) from --from and --to, or the example's default range."""
+    rng = DISTANCE_RANGES.get(scenario.name)
+    c = args.level_from if args.level_from is not None else (rng[0] if rng else None)
+    d = args.level_to if args.level_to is not None else (rng[1] if rng else None)
+    if c is None or d is None:
+        raise ValidationError("--from and --to are required for this scenario")
+    return c, d
+
+
 # ---------------------------------------------------------------------------
 # verbs
 
@@ -297,7 +317,7 @@ def _run_trace_segment(args):
     scenario = _load(args)
     chart = _chart(scenario, args)
     emitter = Emitter(args, scenario.name)
-    start = _float_list(args.start)
+    start = _coords(args, chart, "start")
     seg = trace_f_segment(
         chart.metric, chart.field, start, args.direction,
         domain=chart.domain, step=_step(args, chart),
@@ -351,11 +371,9 @@ def _run_verify_distance(args):
     scenario = _load(args)
     chart = _chart(scenario, args)
     emitter = Emitter(args, scenario.name)
-    rng = DISTANCE_RANGES.get(scenario.name)
-    c = args.level_from if args.level_from is not None else (rng[0] if rng else None)
-    d = args.level_to if args.level_to is not None else (rng[1] if rng else None)
-    if c is None or d is None:
-        raise ValidationError("--from and --to are required for this scenario")
+    c, d = _level_range(args, scenario)
+    if not c < d:
+        raise ValidationError(f"--from must be below --to, got {c} and {d}")
     probes = args.probes if args.probes is not None else 8
     check = verify_distance_formula(
         chart.metric, chart.field, c, d, probes=probes, domain=chart.domain,
@@ -374,11 +392,7 @@ def _run_check_parallel(args):
     scenario = _load(args)
     chart = _chart(scenario, args)
     emitter = Emitter(args, scenario.name)
-    rng = DISTANCE_RANGES.get(scenario.name)
-    c = args.level_from if args.level_from is not None else (rng[0] if rng else None)
-    d = args.level_to if args.level_to is not None else (rng[1] if rng else None)
-    if c is None or d is None:
-        raise ValidationError("--from and --to are required for this scenario")
+    c, d = _level_range(args, scenario)
     tol = args.tol if args.tol is not None else 1e-4
     directions = ("forward", "backward") if args.direction == "both" else (args.direction,)
     reports = [
@@ -403,8 +417,8 @@ def _run_check_partition(args):
     chart = _chart(scenario, args)
     emitter = Emitter(args, scenario.name)
     levels = args.levels or PARTITION_LEVELS.get(scenario.name)
-    if not levels:
-        raise ValidationError("--levels is required for this scenario")
+    if len(levels or ()) < 2:
+        raise ValidationError("--levels needs at least two levels for this scenario")
     tol = args.tol if args.tol is not None else 1e-4
     report = check_finsler_partition(
         chart.metric, chart.field, levels, _probes(args, chart), chart.domain,
@@ -452,8 +466,8 @@ def _run_dump_geodesic(args):
     scenario = _load(args)
     chart = _chart(scenario, args)
     emitter = Emitter(args, scenario.name)
-    start = _float_list(args.start)
-    velocity = _float_list(args.velocity)
+    start = _coords(args, chart, "start")
+    velocity = _coords(args, chart, "velocity")
     traj = integrate_geodesic(
         chart.metric, TangentVector(start, velocity), args.t_end,
         step=_step(args, chart), domain=chart.domain,

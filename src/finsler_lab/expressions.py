@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EvalError, ParseError
 
 VARIABLES = ("x", "y", "z")
@@ -556,30 +558,33 @@ def _codegen(node):
 def compile_expression(node, dim):
     """Compile a tree to a fast ``f(coords) -> float`` callable.
 
-    The compiled form is used inside integrator loops; the tree-walking
+    A sequence of trees compiles to one generated function returning a tuple
+    of floats, one per tree, so a whole field costs one call per point. The
+    compiled form is used inside integrator loops; the tree-walking
     ``evaluate`` stays available as the slow reference implementation.
     """
-    used = node.variables()
-    allowed = set(VARIABLES[:dim])
-    extra = used - allowed
+    single = isinstance(node, Expr)
+    nodes = (node,) if single else tuple(node)
+    extra = set().union(*(e.variables() for e in nodes)) - set(VARIABLES[:dim])
     if extra:
         raise EvalError(f"expression uses {sorted(extra)} outside dimension {dim}")
     args = ", ".join(f"_c{i}" for i in range(dim))
-    source = f"def _expr_fn({args}):\n    return {_codegen(node)}\n"
+    body = "".join(f"{_codegen(e)}, " for e in nodes)
+    source = f"def _expr_fn({args}):\n    return ({body})\n"
     namespace = {f"_{name}": fn for name, fn in _MATH.items()}
     exec(source, namespace)  # noqa: S102 - generated from our own AST only
     raw = namespace["_expr_fn"]
-    text = str(node)
+    text = ", ".join(map(str, nodes))
 
     def wrapped(coords):
         try:
             # plain floats: numpy scalars turn 0/0 into nan-plus-warning
             # instead of raising, and are slower in the integrator loops
-            val = raw(*(float(c) for c in coords))
+            val = raw(*np.asarray(coords, dtype=float).tolist())
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise EvalError(f"cannot evaluate '{text}' at {tuple(coords)}: {exc}") from exc
-        if not math.isfinite(val):
+        if not all(map(math.isfinite, val)):
             raise EvalError(f"non-finite value for '{text}' at {tuple(coords)}")
-        return val
+        return val[0] if single else val
 
     return wrapped

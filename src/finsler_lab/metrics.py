@@ -10,14 +10,18 @@ through the equivalent alpha+beta representation
     lam = 1 - h(W,W),
 
 whose y-derivatives (fundamental tensor, Cartan tensor, spray right-hand
-sides) have closed forms. All operations are pure functions of their
-inputs; instances carry only immutable field callables plus a one-slot
-memo for the last queried base point.
+sides) have closed forms. The Randers spray stage works on plain floats,
+from one call per field (h, W and their derivatives) per point: at chart
+dimensions the per-call cost of numpy on 2-vectors would dominate. Norms
+and tensors keep a one-slot memo of the alpha/beta data at the last
+queried point, so an instance is not safe to share between threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -245,9 +249,7 @@ class RandersMetric(Metric):
             dwind = _fd_vector_derivative(wind, dim, fd_step)
         self._dh = dh
         self._dwind = dwind
-        self._memo0 = (None, None)
-        self._memo1 = (None, None)
-        self._memo2 = (None, None)
+        self._memo = (None, None)
 
     @classmethod
     def constant_wind(cls, wind):
@@ -270,44 +272,17 @@ class RandersMetric(Metric):
     def _alpha_beta(self, x):
         x = self._check_point(x)
         key = x.tobytes()
-        if key == self._memo0[0]:
-            return self._memo0[1]
+        if key == self._memo[0]:
+            return self._memo[1]
         H = np.asarray(self._h(x), dtype=float)
         W = np.asarray(self._wind(x), dtype=float)
-        Wl = H @ W
-        s = float(W @ Wl)
-        if s >= 1.0 - WIND_NORM_MARGIN:
-            raise NonConvexWind(f"h(W,W) = {s} at {x}; wind too strong for a Randers norm")
-        lam = 1.0 - s
+        Wl, lam = _zermelo_data(H.tolist(), W.tolist(), x)
+        Wl = np.array(Wl)
         A = H / lam + np.outer(Wl, Wl) / lam**2
         b = -Wl / lam
         data = _RandersPointData(H=H, W=W, Wl=Wl, lam=lam, A=A, b=b)
-        self._memo0 = (key, data)
+        self._memo = (key, data)
         return data
-
-    def _alpha_beta_derivatives(self, x):
-        x = self._check_point(x)
-        key = x.tobytes()
-        if key == self._memo1[0]:
-            return self._memo1[1]
-        pd = self._alpha_beta(x)
-        dH = np.asarray(self._dh(x), dtype=float)
-        dW = np.asarray(self._dwind(x), dtype=float)
-        lam, Wl, H = pd.lam, pd.Wl, pd.H
-        dWl = np.einsum("kij,j->ki", dH, pd.W) + dW @ H
-        dlam = -(np.einsum("kij,i,j->k", dH, pd.W, pd.W) + 2.0 * (dW @ Wl))
-        c1 = dlam / lam**2
-        dA = (
-            dH / lam
-            - H[None, :, :] * c1[:, None, None]
-            + (dWl[:, :, None] * Wl[None, None, :] + Wl[None, :, None] * dWl[:, None, :])
-            / lam**2
-            - np.outer(Wl, Wl)[None, :, :] * (2.0 * dlam / lam**3)[:, None, None]
-        )
-        db = -dWl / lam + Wl[None, :] * c1[:, None]
-        out = (dA, db)
-        self._memo1 = (key, out)
-        return out
 
     def _at(self, x, y):
         """alpha/beta quantities of a nonzero vector at a point."""
@@ -356,75 +331,61 @@ class RandersMetric(Metric):
         pd, alpha, beta, ell = self._at(x, y)
         return 2.0 * (alpha + beta) * (ell + pd.b)
 
-    def dF2_dx(self, x, y):
-        y = np.asarray(y, dtype=float)
-        pd, alpha, beta, ell = self._at(x, y)
-        dA, db = self._alpha_beta_derivatives(x)
-        dalpha = np.einsum("kij,i,j->k", dA, y, y) / (2.0 * alpha)
-        dbeta = db @ y
-        return 2.0 * (alpha + beta) * (dalpha + dbeta)
-
-    def d2F2_dydx(self, x, y):
-        y = np.asarray(y, dtype=float)
-        pd, alpha, beta, ell = self._at(x, y)
-        dA, db = self._alpha_beta_derivatives(x)
-        F = alpha + beta
-        m = ell + pd.b
-        dalpha = np.einsum("kij,i,j->k", dA, y, y) / (2.0 * alpha)
-        dbeta = db @ y
-        dF = dalpha + dbeta
-        # dl[k] = dA[k] y / alpha - l dalpha[k] / alpha
-        dl = np.einsum("kij,j->ki", dA, y) / alpha - np.outer(dalpha, ell) / alpha
-        dm = dl + db
-        return 2.0 * np.outer(m, dF) + 2.0 * F * dm.T
-
-    def _spray_data(self, x):
-        """Memoized per-point pieces for the fused stage; avoids the dA tensor."""
-        x = self._check_point(x)
-        key = x.tobytes()
-        if key == self._memo2[0]:
-            return self._memo2[1]
-        pd = self._alpha_beta(x)
-        dH = np.asarray(self._dh(x), dtype=float)
-        dW = np.asarray(self._dwind(x), dtype=float)
-        dWl = dH @ pd.W + dW @ pd.H
-        dlam = -((dH @ pd.W) @ pd.W + 2.0 * (dW @ pd.Wl))
-        data = (pd, dH if dH.any() else None, dWl, dlam)
-        self._memo2 = (key, data)
-        return data
-
     def geodesic_stage(self, x, y):
-        pd, dH, dWl, dlam = self._spray_data(x)
-        A, b, Wl, H, lam = pd.A, pd.b, pd.Wl, pd.H, pd.lam
-        ay = A @ y
-        alpha2 = float(y @ ay)
+        """(acceleration, F) from the Zermelo closed forms, in plain floats."""
+        x = self._check_point(x)
+        y = np.asarray(y, dtype=float)
+        if y.size != self.dim:
+            raise DimensionMismatch(f"vector dimension {y.size} != metric dimension {self.dim}")
+        H = np.asarray(self._h(x), dtype=float).tolist()
+        W = np.asarray(self._wind(x), dtype=float).tolist()
+        dH = np.asarray(self._dh(x), dtype=float).tolist()
+        dW = np.asarray(self._dwind(x), dtype=float).tolist()
+        ys = y.tolist()
+        Wl, lam = _zermelo_data(H, W, x)
+        lam2 = lam * lam
+        Hy = [_dot(row, ys) for row in H]
+        wly = _dot(Wl, ys)
+        ay = [hy / lam + wl * wly / lam2 for hy, wl in zip(Hy, Wl)]
+        alpha2 = _dot(ys, ay)
         if alpha2 <= 0.0:
             raise ZeroVector("spray undefined on the zero section")
-        alpha = np.sqrt(alpha2)
-        beta = float(b @ y)
-        F = alpha + beta
-        ell = ay / alpha
-        m = ell + b
-        g = m[:, None] * m[None, :] + (F / alpha) * (A - ell[:, None] * ell[None, :])
-        # q[k] = dA[k] @ y assembled from the Zermelo chain rule without
-        # materializing the dA tensor
-        c1 = dlam / lam**2
-        wly = float(Wl @ y)
-        dwly = dWl @ y
-        q = (
-            Wl[None, :] * (dwly / lam**2 - (2.0 * wly / lam**3) * dlam)[:, None]
-            + dWl * (wly / lam**2)
-        )
-        Hy = H @ y
-        q -= Hy[None, :] * c1[:, None]
-        if dH is not None:
-            q += (dH @ y) / lam
-        dalpha = (q @ y) / (2.0 * alpha)
-        dby = -dwly / lam + wly * c1
-        dF = dalpha + dby
-        sum_dl = (y @ q) / alpha - ell * (float(dalpha @ y) / alpha)
-        sum_dm = sum_dl - (y @ dWl) / lam + Wl * float(y @ c1)
-        rhs = F * dF - m * float(dF @ y) - F * sum_dm
+        alpha = math.sqrt(alpha2)
+        F = alpha - wly / lam
+        # ell = A y / alpha and m = ell + b, the y-gradient of F
+        ell = [a / alpha for a in ay]
+        m = [e - wl / lam for e, wl in zip(ell, Wl)]
+        # x-derivatives of the Zermelo data, k first: dWl[k] = d(HW)/dx_k,
+        # dlam[k] = dlam/dx_k, q[k] = dA[k] y without materializing dA
+        dHW = [[_dot(row, W) for row in dHk] for dHk in dH]
+        dWl = [[a + _dot(dWk, col) for a, col in zip(dHWk, zip(*H))]
+               for dHWk, dWk in zip(dHW, dW)]
+        dlam = [-(_dot(W, dHWk) + 2.0 * _dot(dWk, Wl)) for dHWk, dWk in zip(dHW, dW)]
+        c1 = [d / lam2 for d in dlam]
+        dwly = [_dot(row, ys) for row in dWl]
+        q = [
+            [wl * (dwlyk / lam2 - 2.0 * wly * dlamk / (lam2 * lam)) + dwl * wly / lam2
+             - hy * c1k + dhy / lam
+             for wl, dwl, hy, dhy in zip(Wl, dWlk, Hy, [_dot(row, ys) for row in dHk])]
+            for dwlyk, dlamk, c1k, dWlk, dHk in zip(dwly, dlam, c1, dWl, dH)
+        ]
+        # dF[k] = dF/dx_k; rhs = (1/2) dF2_dx - (1/2) (d2F2_dydx) y
+        dalpha = [_dot(qk, ys) / (2.0 * alpha) for qk in q]
+        dF = [da - dw / lam + wly * c for da, dw, c in zip(dalpha, dwly, c1)]
+        dalpha_y = _dot(dalpha, ys) / alpha
+        yc1 = _dot(ys, c1)
+        dFy = _dot(dF, ys)
+        rhs = [
+            F * dFi - mi * dFy
+            - F * (_dot(ys, qi) / alpha - ei * dalpha_y - _dot(ys, dwli) / lam + wl * yc1)
+            for dFi, mi, ei, wl, qi, dwli in zip(dF, m, ell, Wl, zip(*q), zip(*dWl))
+        ]
+        r = F / alpha
+        g = [
+            [mi * mj + r * (hij / lam + wi * wj / lam2 - ei * ej)
+             for mj, hij, wj, ej in zip(m, Hi, Wl, ell)]
+            for mi, Hi, wi, ei in zip(m, H, Wl, ell)
+        ]
         return _solve_spd(g, rhs), F
 
     def reverse(self):
@@ -554,20 +515,32 @@ class _RandersPointData:
     b: np.ndarray
 
 
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _zermelo_data(H, W, x):
+    """Wl = H W and lam = 1 - h(W,W) from nested lists; rejects h(W,W) near 1."""
+    Wl = [_dot(row, W) for row in H]
+    s = _dot(W, Wl)
+    if s >= 1.0 - WIND_NORM_MARGIN:
+        raise NonConvexWind(f"h(W,W) = {s} at {x}; wind too strong for a Randers norm")
+    return Wl, 1.0 - s
+
+
 def _solve_spd(g, rhs):
-    """Solve g a = rhs for the small symmetric positive-definite systems here."""
-    n = rhs.size
-    if n == 2:
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    """Solve g a = rhs for the small symmetric positive-definite systems here.
+
+    Takes nested lists or arrays; the 2x2 case is solved in closed form.
+    """
+    if len(rhs) == 2:
+        (g00, g01), (g10, g11) = g
+        r0, r1 = rhs
+        det = g00 * g11 - g01 * g10
         if det == 0.0:
             raise np.linalg.LinAlgError("singular 2x2 system")
-        return np.array(
-            [
-                (g[1, 1] * rhs[0] - g[0, 1] * rhs[1]) / det,
-                (g[0, 0] * rhs[1] - g[1, 0] * rhs[0]) / det,
-            ]
-        )
-    return np.linalg.solve(g, rhs)
+        return np.array([(g11 * r0 - g01 * r1) / det, (g00 * r1 - g10 * r0) / det])
+    return np.linalg.solve(np.asarray(g), np.asarray(rhs))
 
 
 def _negated_field(field):

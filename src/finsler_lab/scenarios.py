@@ -257,23 +257,21 @@ def _validate_config(config: ScenarioConfig):
             )
     domain = build_domain(config)
     samples = domain.sample_grid(_VALIDATION_GRID)
-    h_fns = [[compile_expression(e, config.dimension) for e in row] for row in config.h_entries]
-    wind_fns = None
-    if config.wind_entries:
-        wind_fns = [compile_expression(e, config.dimension) for e in config.wind_entries]
     n = config.dimension
+    h_fn = compile_expression([e for row in config.h_entries for e in row], n)
+    wind_fn = compile_expression(config.wind_entries, n) if config.wind_entries else None
     worst_wind = 0.0
     for p in samples:
-        H = np.array([[h_fns[i][j](p) for j in range(n)] for i in range(n)])
+        H = np.array(h_fn(p)).reshape(n, n)
         if np.max(np.abs(H - H.T)) != 0.0:
             raise ValidationError(f"h is not symmetric at {p}")
         eigs = np.linalg.eigvalsh(H)
         if eigs.min() <= 0.0:
             raise ValidationError(f"h is not positive definite at {p} (eigenvalues {eigs})")
-        if wind_fns is not None:
-            W = np.array([fn(p) for fn in wind_fns])
+        if wind_fn is not None:
+            W = np.array(wind_fn(p))
             worst_wind = max(worst_wind, float(W @ H @ W))
-    if wind_fns is not None and worst_wind > WIND_VALIDATION_LIMIT:
+    if wind_fn is not None and worst_wind > WIND_VALIDATION_LIMIT:
         raise ValidationError(
             f"wind norm exceeds 1: max sampled h(W,W) = {worst_wind}"
         )
@@ -327,60 +325,33 @@ def build_domain(config: ScenarioConfig) -> Domain:
     return DiscDomain(radius=radius, center=np.asarray(center, dtype=float))
 
 
-def _matrix_field(entries: List[List[Expr]], dim: int):
-    """Compile a matrix of expressions to (h, dh) callables."""
-    fns = [[compile_expression(e, dim) for e in row] for row in entries]
-    constant = all(not e.variables() for row in entries for e in row)
-    if constant:
-        origin = np.zeros(dim)
-        M = np.array([[fns[i][j](origin) for j in range(dim)] for i in range(dim)])
-        zero = np.zeros((dim, dim, dim))
-        return (lambda x: M), (lambda x: zero)
-    dfns = [
-        [[compile_expression(entries[i][j].diff(VARIABLES[k]), dim) for j in range(dim)]
-         for i in range(dim)]
-        for k in range(dim)
-    ]
+def _array_field(flat: List[Expr], shape):
+    """Compile row-major expression entries to (value, derivative) callables.
 
-    def h(x):
-        return np.array([[fns[i][j](x) for j in range(dim)] for i in range(dim)])
-
-    def dh(x):
-        return np.array(
-            [[[dfns[k][i][j](x) for j in range(dim)] for i in range(dim)] for k in range(dim)]
-        )
-
-    return h, dh
-
-
-def _vector_field(entries: List[Expr], dim: int):
-    fns = [compile_expression(e, dim) for e in entries]
-    constant = all(not e.variables() for e in entries)
-    if constant:
-        origin = np.zeros(dim)
-        V = np.array([fn(origin) for fn in fns])
-        zero = np.zeros((dim, dim))
-        return (lambda x: V), (lambda x: zero)
-    dfns = [
-        [compile_expression(entries[i].diff(VARIABLES[k]), dim) for i in range(dim)]
-        for k in range(dim)
-    ]
-
-    def w(x):
-        return np.array([fn(x) for fn in fns])
-
-    def dw(x):
-        return np.array([[dfns[k][i](x) for i in range(dim)] for k in range(dim)])
-
-    return w, dw
+    Each is one generated call per point; the derivative puts the
+    coordinate index first, ``d[k] = d(value)/dx_k``.
+    """
+    dim = shape[0]
+    fn = compile_expression(flat, dim)
+    dshape = (dim, *shape)
+    if not any(e.variables() for e in flat):
+        value = np.array(fn(np.zeros(dim))).reshape(shape)
+        zero = np.zeros(dshape)
+        return (lambda x: value), (lambda x: zero)
+    dfn = compile_expression([e.diff(VARIABLES[k]) for k in range(dim) for e in flat], dim)
+    return (
+        lambda x: np.array(fn(x)).reshape(shape),
+        lambda x: np.array(dfn(x)).reshape(dshape),
+    )
 
 
 def build_metric(config: ScenarioConfig) -> Metric:
-    h, dh = _matrix_field(config.h_entries, config.dimension)
+    n = config.dimension
+    h, dh = _array_field([e for row in config.h_entries for e in row], (n, n))
     if config.metric_kind == "riemannian":
-        return RiemannianMetric(h, config.dimension, dh)
-    w, dw = _vector_field(config.wind_entries, config.dimension)
-    return RandersMetric(h, w, config.dimension, dh=dh, dwind=dw)
+        return RiemannianMetric(h, n, dh)
+    w, dw = _array_field(config.wind_entries, (n,))
+    return RandersMetric(h, w, n, dh=dh, dwind=dw)
 
 
 def build_chart(config: ScenarioConfig, name: str = "main") -> Chart:

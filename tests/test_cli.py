@@ -187,3 +187,20 @@ def test_numerical_failure_exits_three(tmp_path):
 
 def test_missing_arguments_exit_two(tmp_path):
     assert run(tmp_path, "trace-segment", "--example", "disc-radial") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-partition", "--example", "euclidean-linear", "--levels", "0.5"),
+        ("verify-distance", "--example", "euclidean-linear", "--from", "0.5", "--to", "0.2"),
+        ("trace-segment", "--example", "disc-radial", "--start", "0.3", "--stop", "0.2"),
+        ("trace-segment", "--example", "disc-radial", "--start", "0.3,0,0", "--stop", "0.2"),
+        ("dump-geodesic", "--example", "disc-radial", "--start", "0.3,0", "--velocity", "1"),
+        ("dump-geodesic", "--example", "disc-radial", "--start", "0.3", "--velocity", "1,0"),
+    ],
+)
+def test_usage_errors_exit_two(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -123,3 +123,28 @@ def test_derivative_of_function_calls():
 def test_variables_collection():
     assert parse_expression("x^2 + y").variables() == {"x", "y"}
     assert parse_expression("3.5").variables() == set()
+
+
+def test_compiled_sequence_matches_entries(rng):
+    texts = ["x^2 + y^2", "sin(x) * cos(y)", "3.5", "sqrt(1 + x^2) / (2 - y)"]
+    trees = [parse_expression(t) for t in texts]
+    fused = compile_expression(trees, 2)
+    singles = [compile_expression(t, 2) for t in trees]
+    for _ in range(20):
+        p = rng.uniform(-1.0, 1.0, size=2)
+        values = fused(p)
+        assert isinstance(values, tuple)
+        assert values == tuple(fn(p) for fn in singles)
+
+
+def test_compiled_sequence_errors():
+    domain = compile_expression([parse_expression("1"), parse_expression("sqrt(1 - x^2)")], 1)
+    assert domain((0.5,))[1] == pytest.approx(math.sqrt(0.75))
+    with pytest.raises(EvalError):
+        domain((2.0,))
+    # float multiplication overflows to inf without raising; any entry counts
+    overflow = compile_expression([parse_expression("1"), parse_expression("x * 1e308")], 1)
+    with pytest.raises(EvalError, match="non-finite"):
+        overflow((10.0,))
+    with pytest.raises(EvalError):
+        compile_expression([parse_expression("x"), parse_expression("z")], 2)

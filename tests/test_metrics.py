@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsler_lab import numdiff
-from finsler_lab.errors import DimensionMismatch, NonConvexWind, ZeroVector
+from finsler_lab.errors import DimensionMismatch, EvalError, NonConvexWind, ZeroVector
+from finsler_lab.expressions import VARIABLES
+from finsler_lab.geodesics import integrate_geodesic
 from finsler_lab.metrics import (
     CustomMetric,
+    Metric,
     RandersMetric,
     ReverseMetric,
     RiemannianMetric,
@@ -19,6 +22,7 @@ from finsler_lab.metrics import (
     fundamental_tensor,
     reverse_metric,
 )
+from finsler_lab.scenarios import build_domain, build_metric, parse_scenario
 
 ORIGIN = np.zeros(2)
 
@@ -292,3 +296,184 @@ def test_custom_metric_matches_closed_forms(halfwind):
     assert np.max(
         np.abs(fallback.dF2_dy(ORIGIN, v) - halfwind.dF2_dy(ORIGIN, v))
     ) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# spray stage against the composed Euler-Lagrange reference
+
+
+def _alpha_beta_derivatives(metric, x):
+    """x-derivatives dA[k], db[k] of the alpha/beta data by the Zermelo chain rule."""
+    pd = metric._alpha_beta(x)
+    dH = np.asarray(metric._dh(x), dtype=float)
+    dW = np.asarray(metric._dwind(x), dtype=float)
+    lam, Wl, H = pd.lam, pd.Wl, pd.H
+    dWl = np.einsum("kij,j->ki", dH, pd.W) + dW @ H
+    dlam = -(np.einsum("kij,i,j->k", dH, pd.W, pd.W) + 2.0 * (dW @ Wl))
+    c1 = dlam / lam**2
+    dA = (
+        dH / lam
+        - H[None, :, :] * c1[:, None, None]
+        + (dWl[:, :, None] * Wl[None, None, :] + Wl[None, :, None] * dWl[:, None, :]) / lam**2
+        - np.outer(Wl, Wl)[None, :, :] * (2.0 * dlam / lam**3)[:, None, None]
+    )
+    db = -dWl / lam + Wl[None, :] * c1[:, None]
+    return dA, db
+
+
+def reference_stage(metric, x, y):
+    """Solve g a = (1/2) dF2_dx - (1/2) (d2F2_dydx) y, composed term by term."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    pd, alpha, beta, ell = metric._at(x, y)
+    dA, db = _alpha_beta_derivatives(metric, x)
+    F = alpha + beta
+    m = ell + pd.b
+    dalpha = np.einsum("kij,i,j->k", dA, y, y) / (2.0 * alpha)
+    dF = dalpha + db @ y
+    dF2_dx = 2.0 * F * dF
+    # dl[k] = dA[k] y / alpha - l dalpha[k] / alpha
+    dl = np.einsum("kij,j->ki", dA, y) / alpha - np.outer(dalpha, ell) / alpha
+    d2F2_dydx = 2.0 * np.outer(m, dF) + 2.0 * F * (dl + db).T
+    g = metric.fundamental_matrix(x, y)
+    return np.linalg.solve(g, 0.5 * dF2_dx - 0.5 * d2F2_dydx @ y), F
+
+
+def assert_stage_matches(metric, x, y, rtol):
+    a, F = metric.geodesic_stage(x, y)
+    ref_a, ref_F = reference_stage(metric, x, y)
+    assert np.linalg.norm(a - ref_a) <= rtol * np.linalg.norm(ref_a)
+    assert abs(F - ref_F) <= rtol * abs(ref_F)
+
+
+def test_randers_stage_matches_reference(disc_scenario, sphere_scenario, minkowski_scenario, rng):
+    charts = [
+        (sphere_scenario.charts["band"], lambda: [rng.uniform(0.3, 2.8), rng.uniform(-3, 3)]),
+        (sphere_scenario.charts["north-cap"], lambda: rng.uniform(-0.5, 0.5, size=2)),
+        (disc_scenario.chart, lambda: rng.uniform(-0.6, 0.6, size=2)),
+        (minkowski_scenario.chart, lambda: rng.uniform(-2.0, 2.0, size=2)),
+    ]
+    for chart, draw in charts:
+        for metric in (chart.metric, chart.metric.reverse()):
+            for _ in range(100):
+                assert_stage_matches(metric, np.array(draw()), rng.normal(size=2), 1e-12)
+
+
+def test_riemannian_stage_matches_generic_composition(rng):
+    config = parse_scenario(SCENARIO_3D.replace("kind = randers", "kind = riemannian")
+                            .replace(WIND_3D, ""))
+    metrics = [
+        (euclidean_metric(2), 2),
+        (RiemannianMetric.constant([[2.0, 0.3], [0.3, 1.0]]), 2),
+        (build_metric(config), 3),
+    ]
+    for metric, n in metrics:
+        for _ in range(50):
+            x = rng.uniform(-0.5, 0.5, size=n)
+            y = rng.normal(size=n)
+            a, F = metric.geodesic_stage(x, y)
+            ref_a, ref_F = Metric.geodesic_stage(metric, x, y)
+            assert np.linalg.norm(a - ref_a) <= 1e-12 * (1.0 + np.linalg.norm(ref_a))
+            assert F == pytest.approx(ref_F, rel=1e-14)
+
+
+@given(
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    wind=st.floats(0.0, 0.99),
+)
+@settings(max_examples=150, deadline=None)
+def test_stage_on_random_zermelo_data(n, seed, wind):
+    # constant SPD h and wind W at the base point, with random first derivatives
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, n))
+    h0 = B @ B.T + 0.5 * np.eye(n)
+    D = rng.normal(size=(n, n, n))
+    D = D + D.transpose(0, 2, 1)
+    w = rng.normal(size=n)
+    w *= math.sqrt(wind / float(w @ h0 @ w))
+    V = rng.normal(size=(n, n))
+    metric = RandersMetric(
+        lambda x: h0 + np.einsum("k,kij->ij", x, D),
+        lambda x: w + x @ V,
+        n,
+        dh=lambda x: D,
+        dwind=lambda x: V,
+    )
+    x = np.zeros(n)
+    y = rng.normal(size=n)
+    # the Zermelo terms cancel to order 1 / lam^3, lam = 1 - h(W, W)
+    assert_stage_matches(metric, x, y, 1e-12 / (1.0 - wind) ** 3)
+    # F solves the Zermelo equation h(y/F - W, y/F - W) = 1
+    _, F = metric.geodesic_stage(x, y)
+    u = y / F - w
+    assert float(u @ h0 @ u) == pytest.approx(1.0, abs=1e-9)
+
+
+WIND_3D = "wind = 0.2 * y, -0.2 * x, 0.1 * z * x\n"
+SCENARIO_3D = f"""\
+name = twisted-box
+dimension = 3
+
+[domain]
+kind = box
+lower = -0.5, -0.5, -0.5
+upper = 0.5, 0.5, 0.5
+
+[metric]
+kind = randers
+h = 1 + x^2, 0.1 * y, 0 ; 0.1 * y, 1 + z^2, 0.05 * x * z ; 0, 0.05 * x * z, 2 + sin(y)
+{WIND_3D}
+[field]
+f = z
+"""
+
+
+def test_three_dimensional_scenario_spray(rng):
+    config = parse_scenario(SCENARIO_3D)
+    metric = build_metric(config)
+    for _ in range(50):
+        x = rng.uniform(-0.5, 0.5, size=3)
+        # one fused call per field, k-first derivative layout
+        dH = metric._dh(x)
+        for k, var in enumerate(VARIABLES):
+            for i, row in enumerate(config.h_entries):
+                for j, entry in enumerate(row):
+                    assert dH[k, i, j] == pytest.approx(entry.diff(var).evaluate(x), abs=1e-15)
+        dW = metric._dwind(x)
+        for k, var in enumerate(VARIABLES):
+            for i, entry in enumerate(config.wind_entries):
+                assert dW[k, i] == pytest.approx(entry.diff(var).evaluate(x), abs=1e-15)
+        assert_stage_matches(metric, x, rng.normal(size=3), 1e-12)
+    traj = integrate_geodesic(
+        metric, TangentVector(np.zeros(3), [0.3, -0.2, 0.4]), 0.5, step=1e-2,
+        domain=build_domain(config),
+    )
+    assert traj.speed_drift() <= 1e-8
+
+
+def test_stage_rejects_wind_at_validation_margin():
+    # h(W, W) = h_00 exactly for W = e_0
+    edge = RandersMetric(lambda x: np.diag([1.0 - 1e-6, 1.0]), lambda x: np.array([1.0, 0.0]), 2)
+    with pytest.raises(NonConvexWind):
+        edge.geodesic_stage(ORIGIN, np.array([0.0, 1.0]))
+    inside = RandersMetric(lambda x: np.diag([1.0 - 2e-6, 1.0]), lambda x: np.array([1.0, 0.0]), 2)
+    a, F = inside.geodesic_stage(ORIGIN, np.array([0.0, 1.0]))
+    assert np.all(np.isfinite(a)) and F > 0.0
+
+
+def test_stage_dimension_and_zero_vector_checks(halfwind):
+    with pytest.raises(DimensionMismatch):
+        halfwind.geodesic_stage(np.zeros(3), np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        halfwind.geodesic_stage(ORIGIN, np.ones(3))
+    with pytest.raises(ZeroVector):
+        halfwind.geodesic_stage(ORIGIN, np.zeros(2))
+
+
+def test_stage_propagates_field_eval_error():
+    text = SCENARIO_3D.replace(WIND_3D, "wind = 0.3 * sqrt(1 - x^2), 0, 0\n")
+    metric = build_metric(parse_scenario(text))
+    metric.geodesic_stage(np.zeros(3), np.ones(3))
+    with pytest.raises(EvalError):
+        metric.geodesic_stage(np.array([2.0, 0.0, 0.0]), np.ones(3))
