@@ -1,9 +1,11 @@
 """Legendre transform, Finsler gradients and gradient-direction Hessians.
 
-The Legendre map L(v) = g_v(v, .) equals half the vertical gradient of F^2,
-and its Jacobian in v is exactly g_v (the Cartan correction term dies
-against the reference vector), so inversion is a plain damped Newton on a
-symmetric positive-definite system.
+The Legendre map L(v) = g_v(v, .) equals half the vertical gradient of F^2.
+Randers and Riemannian metrics invert it in closed form through the Zermelo
+co-metric F*(w) = |w|_h* + w(W) (Bao-Robles-Shen), so their gradients cost
+no iteration. Only custom norms use the damped Newton: the Jacobian of L in
+v is exactly g_v (the Cartan correction term dies against the reference
+vector), a symmetric positive-definite system.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from . import numdiff
 from .errors import CriticalPoint, NoConvergence, NotCritical, ZeroVector
 from .expressions import VARIABLES, compile_expression
-from .metrics import Covector, Metric, RandersMetric, ReverseMetric, RiemannianMetric, TangentVector
+from .metrics import Covector, Metric, RandersMetric, TangentVector
 
 # band below which a differential counts as critical for gradient solves
 GRADIENT_CRITICAL_NORM = 1e-12
@@ -24,7 +26,6 @@ GRADIENT_CRITICAL_NORM = 1e-12
 REGULAR_POINT_NORM = 1e-8
 
 NEWTON_BUDGET = 50
-NEWTON_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,32 +75,28 @@ def legendre(metric: Metric, v: TangentVector) -> Covector:
     return Covector(base=v.base, components=comps)
 
 
-def _initial_guess(metric, x, w):
-    if isinstance(metric, (RandersMetric, RiemannianMetric)):
-        return np.linalg.solve(metric.h_matrix(x), w)
-    if isinstance(metric, ReverseMetric):
-        return -_initial_guess(metric.inner, x, -w)
-    return np.array(w, dtype=float)
+def _legendre_inverse(metric, x, w):
+    """L(v) = w; returns (v, iterations), 0 iterations for a closed form."""
+    closed = metric.legendre_inverse(x, w)
+    if closed is not None:
+        return closed[0], 0
+    return _newton_inverse(metric, x, w)
 
 
-def _legendre_inverse(metric, x, w, tol=None, budget=NEWTON_BUDGET):
-    """Damped Newton for L(v) = w; returns (v, iterations)."""
-    if tol is None:
-        tol = getattr(metric, "newton_tolerance", NEWTON_TOL)
+def _newton_inverse(metric, x, w):
+    """Damped Newton for L(v) = w from v = w; returns (v, iterations)."""
     wnorm = float(np.linalg.norm(w))
     if wnorm == 0.0:
         raise ZeroVector("Legendre inverse undefined for the zero covector")
-    v = _initial_guess(metric, x, w)
-    if float(np.linalg.norm(v)) == 0.0:
-        v = np.array(w, dtype=float)
+    v = np.array(w, dtype=float)
 
     def residual(vec):
         return 0.5 * metric.dF2_dy(x, vec) - w
 
     r = residual(v)
     rnorm = float(np.linalg.norm(r))
-    target = tol * (1.0 + wnorm)
-    for it in range(budget):
+    target = metric.newton_tolerance * (1.0 + wnorm)
+    for it in range(NEWTON_BUDGET):
         if rnorm <= target:
             return v, it
         g = metric.fundamental_matrix(x, v)
@@ -120,14 +117,14 @@ def _legendre_inverse(metric, x, w, tol=None, budget=NEWTON_BUDGET):
         else:
             raise NoConvergence("line search stalled inverting the Legendre map")
     if rnorm <= target:
-        return v, budget
+        return v, NEWTON_BUDGET
     raise NoConvergence(
-        f"Legendre inversion did not reach tolerance {target} in {budget} iterations"
+        f"Legendre inversion did not reach tolerance {target} in {NEWTON_BUDGET} iterations"
     )
 
 
 def legendre_inverse(metric: Metric, omega: Covector) -> TangentVector:
-    """Unique v with g_v(v, .) = omega; damped Newton, budget 50 iterations."""
+    """Unique v with g_v(v, .) = omega; closed form, or damped Newton (50 iterations)."""
     v, _ = _legendre_inverse(metric, omega.base, omega.components)
     return TangentVector(base=omega.base, vector=v)
 
@@ -140,14 +137,17 @@ def finsler_gradient(
     df = np.asarray(field.differential(p), dtype=float)
     if float(np.linalg.norm(df)) < threshold:
         raise CriticalPoint(f"|df| = {np.linalg.norm(df)} below {threshold} at {p}")
-    v, iterations = _legendre_inverse(metric, p, df)
-    grad = TangentVector(base=p, vector=v)
-    riem = None
-    if isinstance(metric, RandersMetric):
-        riem = TangentVector(base=p, vector=np.linalg.solve(metric.h_matrix(p), df))
+    closed = metric.legendre_inverse(p, df)
+    if closed is None:
+        # _legendre_inverse is the one entry to Newton; perfbench counts iterations there
+        v, iterations = _legendre_inverse(metric, p, df)
+        norm, riem = metric.norm(p, v), None
+    else:
+        (v, norm, hw), iterations = closed, 0
+        riem = TangentVector(base=p, vector=hw)
     return GradientResult(
-        gradient=grad,
-        finsler_norm=metric.norm(p, v),
+        gradient=TangentVector(base=p, vector=v),
+        finsler_norm=norm,
         newton_iterations=iterations,
         riemannian_gradient=riem,
     )

@@ -275,6 +275,14 @@ def _level_range(args, scenario):
     return c, d
 
 
+def _write_trajectory(emitter, traj):
+    """The trajectory CSV: time, coordinates, velocity components, arc length."""
+    dim = traj.points.shape[1]
+    header = ["t", *(f"x{i}" for i in range(dim)), *(f"v{i}" for i in range(dim)), "arc_length"]
+    samples = zip(traj.times, traj.points, traj.velocities, traj.arc_lengths)
+    emitter.write_csv("trajectory", header, [(t, *p, *v, s) for t, p, v, s in samples])
+
+
 # ---------------------------------------------------------------------------
 # verbs
 
@@ -324,18 +332,7 @@ def _run_trace_segment(args):
         record_levels=args.levels, f_stop=args.stop, t_max=args.t_max,
     )
     traj = seg.trajectory
-    rows = [
-        (t, *p, *v, s)
-        for t, p, v, s in zip(traj.times, traj.points, traj.velocities, traj.arc_lengths)
-    ]
-    dim = traj.points.shape[1]
-    header = (
-        ["t"]
-        + [f"x{i}" for i in range(dim)]
-        + [f"v{i}" for i in range(dim)]
-        + ["arc_length"]
-    )
-    emitter.write_csv("trajectory", header, rows)
+    _write_trajectory(emitter, traj)
     tol = args.tol if args.tol is not None else 1e-5
     verdict = bool(
         seg.monotone
@@ -472,18 +469,7 @@ def _run_dump_geodesic(args):
         chart.metric, TangentVector(start, velocity), args.t_end,
         step=_step(args, chart), domain=chart.domain,
     )
-    dim = traj.points.shape[1]
-    rows = [
-        (t, *p, *v, s)
-        for t, p, v, s in zip(traj.times, traj.points, traj.velocities, traj.arc_lengths)
-    ]
-    header = (
-        ["t"]
-        + [f"x{i}" for i in range(dim)]
-        + [f"v{i}" for i in range(dim)]
-        + ["arc_length"]
-    )
-    emitter.write_csv("trajectory", header, rows)
+    _write_trajectory(emitter, traj)
     drift = traj.speed_drift()
     tol = args.tol if args.tol is not None else 1e-6
     verdict = bool(drift <= tol)

@@ -125,6 +125,10 @@ class Metric:
         """Mixed derivative M[i, k] = d^2 F^2 / dy^i dx^k."""
         raise NotImplementedError
 
+    def legendre_inverse(self, x, w):
+        """(v, F(v), h^-1 w) with L(v) = w in closed form; None without one."""
+        return None
+
     def reverse(self) -> "Metric":
         return ReverseMetric(self)
 
@@ -164,7 +168,7 @@ class RiemannianMetric(Metric):
         self.dim = dim
         self._h = matrix_field
         if d_matrix_field is None:
-            d_matrix_field = _fd_matrix_derivative(matrix_field, dim, fd_step)
+            d_matrix_field = _fd_derivative(matrix_field, fd_step)
         self._dh = d_matrix_field
         self._memo_key = None
         self._memo = None
@@ -230,6 +234,10 @@ class RiemannianMetric(Metric):
         rhs = 0.5 * (q @ y) - y @ q
         return _solve_spd(H, rhs), float(np.sqrt(f2))
 
+    def legendre_inverse(self, x, w):
+        H = self.h_matrix(x).tolist()
+        return _zermelo_inverse(H, [0.0] * self.dim, w)
+
     def reverse(self):
         return self
 
@@ -244,9 +252,9 @@ class RandersMetric(Metric):
         self._h = h
         self._wind = wind
         if dh is None:
-            dh = _fd_matrix_derivative(h, dim, fd_step)
+            dh = _fd_derivative(h, fd_step)
         if dwind is None:
-            dwind = _fd_vector_derivative(wind, dim, fd_step)
+            dwind = _fd_derivative(wind, fd_step)
         self._dh = dh
         self._dwind = dwind
         self._memo = (None, None)
@@ -388,6 +396,14 @@ class RandersMetric(Metric):
         ]
         return _solve_spd(g, rhs), F
 
+    def legendre_inverse(self, x, w):
+        """Closed form from the co-metric F*(w) = |w|_h* + w(W) (Bao-Robles-Shen)."""
+        x = self._check_point(x)
+        H = np.asarray(self._h(x), dtype=float).tolist()
+        W = np.asarray(self._wind(x), dtype=float).tolist()
+        _zermelo_data(H, W, x)
+        return _zermelo_inverse(H, W, w)
+
     def reverse(self):
         dwind = self._dwind
         return RandersMetric(
@@ -423,16 +439,15 @@ class ReverseMetric(Metric):
         y = self._require_nonzero(y)
         return -self.inner.dF2_dy(x, -y)
 
-    def dF2_dx(self, x, y):
-        return self.inner.dF2_dx(x, -np.asarray(y, dtype=float))
-
-    def d2F2_dydx(self, x, y):
-        return -self.inner.d2F2_dydx(x, -np.asarray(y, dtype=float))
-
     def geodesic_stage(self, x, y):
         # reverse geodesics are time-reversed originals: same acceleration
         # field evaluated at the flipped velocity
         return self.inner.geodesic_stage(x, -np.asarray(y, dtype=float))
+
+    def legendre_inverse(self, x, w):
+        # L^-(v) = -L(-v), so v = -L^-1(-w) with F^-(v) = F(-v)
+        closed = self.inner.legendre_inverse(x, -np.asarray(w, dtype=float))
+        return None if closed is None else (-closed[0], closed[1], -closed[2])
 
     def reverse(self):
         return self.inner
@@ -459,9 +474,6 @@ class CustomMetric(Metric):
 
     def _f2_y(self, x):
         return lambda y: self._norm(x, y) ** 2
-
-    def norm_squared(self, x, y):
-        return self.norm(x, y) ** 2
 
     def fundamental_matrix(self, x, y):
         y = self._require_nonzero(y)
@@ -528,6 +540,22 @@ def _zermelo_data(H, W, x):
     return Wl, 1.0 - s
 
 
+def _zermelo_inverse(H, W, w):
+    """(v, F*(w), h^-1 w) from lists H, W and covector w: v = F*(w) (h^-1 w / |w|_h* + W)."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (len(W),):
+        raise DimensionMismatch(f"covector shape {w.shape} != metric dimension {len(W)}")
+    w = w.tolist()
+    hw = _solve_spd(H, w)
+    hws = hw.tolist()
+    dual2 = _dot(w, hws)
+    if dual2 <= 0.0:
+        raise ZeroVector("Legendre inverse undefined for the zero covector")
+    dual = math.sqrt(dual2)
+    F = dual + _dot(w, W)
+    return np.array([F * (a / dual + b) for a, b in zip(hws, W)]), F, hw
+
+
 def _solve_spd(g, rhs):
     """Solve g a = rhs for the small symmetric positive-definite systems here.
 
@@ -547,30 +575,9 @@ def _negated_field(field):
     return lambda x: -np.asarray(field(x), dtype=float)
 
 
-def _fd_matrix_derivative(field, dim, step):
-    def d(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty((dim, dim, dim))
-        for k in range(dim):
-            e = np.zeros(dim)
-            e[k] = step
-            out[k] = (np.asarray(field(x + e)) - np.asarray(field(x - e))) / (2.0 * step)
-        return out
-
-    return d
-
-
-def _fd_vector_derivative(field, dim, step):
-    def d(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty((dim, dim))
-        for k in range(dim):
-            e = np.zeros(dim)
-            e[k] = step
-            out[k] = (np.asarray(field(x + e)) - np.asarray(field(x - e))) / (2.0 * step)
-        return out
-
-    return d
+def _fd_derivative(field, step):
+    """x-derivative of a field by central differences, index k first: [k, i, j] or [k, i]."""
+    return lambda x: np.moveaxis(numdiff.jacobian(field, x, step=step), -1, 0)
 
 
 def euclidean_metric(dim) -> RiemannianMetric:

@@ -39,16 +39,15 @@ def gradient(func, x, step=DEFAULT_STEP, richardson=True):
 
 
 def jacobian(func, x, step=DEFAULT_STEP):
-    """Jacobian of a vector-valued function, columns by central differences."""
+    """Jacobian of an array-valued function by central differences, derivative index last."""
     x = np.asarray(x, dtype=float)
-    f0 = np.asarray(func(x), dtype=float)
     n = x.size
-    jac = np.empty((f0.size, n))
+    columns = []
     for k in range(n):
         e = np.zeros(n)
         e[k] = step
-        jac[:, k] = (np.asarray(func(x + e)) - np.asarray(func(x - e))) / (2.0 * step)
-    return jac
+        columns.append((np.asarray(func(x + e)) - np.asarray(func(x - e))) / (2.0 * step))
+    return np.stack(columns, axis=-1)
 
 
 def hessian(func, x, step=1e-4):

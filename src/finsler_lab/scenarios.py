@@ -25,6 +25,14 @@ from .metrics import Metric, RandersMetric, RiemannianMetric
 
 WIND_VALIDATION_LIMIT = 1.0 - 1e-6
 _VALIDATION_GRID = 13
+# the keys each section takes ("" is the header); any other key is a ParseError
+_SECTION_KEYS = {
+    "": ("name", "dimension"),
+    "domain": ("kind", "lower", "upper", "radius", "center"),
+    "metric": ("kind", "h", "wind"),
+    "field": ("f",),
+    "numerics": ("step", "probes", "tolerance", "seed"),
+}
 
 
 @dataclass(frozen=True)
@@ -118,7 +126,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             if not line.endswith("]"):
                 raise ParseError("unterminated section header", lineno, len(line))
             current = line[1:-1].strip().lower()
-            if current not in ("domain", "metric", "field", "numerics"):
+            if not current or current not in _SECTION_KEYS:
                 raise ParseError(f"unknown section '[{current}]'", lineno, 1)
             sections.setdefault(current, {})
             continue
@@ -127,6 +135,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         key, value = line.split("=", 1)
         key = key.strip().lower()
         value = value.strip()
+        if key not in _SECTION_KEYS[current]:
+            raise ParseError(f"unknown key '{key}' in [{current or 'header'}]", lineno, 1)
         if not value:
             raise ParseError(f"empty value for '{key}'", lineno, len(raw))
         if key in sections[current]:
@@ -655,9 +665,3 @@ def example_texts(name: str) -> Dict[str, str]:
     if name not in _TEXTS:
         raise ValidationError(f"unknown example '{name}'")
     return dict(_TEXTS[name])
-
-
-def load_scenario_file(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return build_scenario(parse_scenario(text))

@@ -29,6 +29,7 @@ from .domains import Domain
 from .errors import (
     CriticalPoint,
     EmptySample,
+    EvalError,
     IntervalContainsCriticalValue,
     LeftDomain,
     LevelNotFound,
@@ -202,11 +203,14 @@ def regular_sampler(domain: Domain, field: ScalarField, n_target: int = 250,
                     threshold: float = REGULAR_POINT_NORM):
     """Deterministic grid points of the domain with |df| above threshold."""
     per_axis = max(6, int(np.ceil(np.sqrt(n_target * 1.3))))
-    pts = domain.sample_grid(per_axis)
-    keep = [
-        p for p in pts
-        if float(np.linalg.norm(np.asarray(field.differential(p)))) >= threshold
-    ]
+    keep = []
+    for p in domain.sample_grid(per_axis):
+        try:
+            df = np.asarray(field.differential(p))
+        except EvalError:  # df undefined there, as at the centre of a norm distance
+            continue
+        if float(np.linalg.norm(df)) >= threshold:
+            keep.append(p)
     if not keep:
         raise EmptySample("no regular sample points on the domain grid")
     return np.array(keep)

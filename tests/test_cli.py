@@ -114,6 +114,16 @@ def test_negative_comma_lists(tmp_path, argv, lists):
     )
 
 
+def test_check_transnormal_skips_non_differentiable_grid_point(tmp_path):
+    # the norm distance of minkowski-randers-distance has no differential at the origin,
+    # a point of the default sampling grid
+    code = run(tmp_path, "check-transnormal", "--example", "minkowski-randers-distance")
+    assert code == 0
+    report = read_report(tmp_path, "minkowski-randers-distance", "check-transnormal")
+    assert report["verdict"] is True
+    assert report["defects"]["spread_per_level"] <= 1e-12
+
+
 def test_check_parallel_forward_passes(tmp_path):
     code = run(
         tmp_path, "check-parallel", "--example", "minkowski-randers-distance",

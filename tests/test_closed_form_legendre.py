@@ -1,0 +1,201 @@
+"""The closed-form Legendre inverse against the damped Newton it replaces.
+
+Randers and Riemannian gradients come from the Zermelo co-metric
+F*(w) = |w|_h* + w(W) (Bao-Robles-Shen): v = F*(w) (h^-1 w / |w|_h* + W),
+with no iteration. Acceptance criterion 7 (`check_randers_gradient_lemma`)
+checks the same identity, so once the gradient is built from it that
+criterion is nearly tautological. These tests hold the closed form against
+an independent path instead: the damped Newton on the alpha/beta Legendre
+map (`_newton_inverse`, which custom norms still use), and the residual
+(1/2) dF2_dy(v) - w computed through the alpha/beta representation.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from finsler_lab.calculus import (
+    ScalarField,
+    _legendre_inverse,
+    _newton_inverse,
+    finsler_gradient,
+)
+from finsler_lab.errors import DimensionMismatch, NonConvexWind, ZeroVector
+from finsler_lab.metrics import (
+    CustomMetric,
+    RandersMetric,
+    ReverseMetric,
+    RiemannianMetric,
+    euclidean_metric,
+)
+
+ORIGIN = np.zeros(2)
+
+
+def chart_cases(disc_scenario, sphere_scenario, minkowski_scenario, rng):
+    """(metric, point draw) on four charts, each with its two reverses."""
+    charts = [
+        (sphere_scenario.charts["band"], lambda: [rng.uniform(0.3, 2.8), rng.uniform(-3, 3)]),
+        (sphere_scenario.charts["north-cap"], lambda: rng.uniform(-0.5, 0.5, size=2)),
+        (disc_scenario.chart, lambda: rng.uniform(-0.6, 0.6, size=2)),
+        (minkowski_scenario.chart, lambda: rng.uniform(-2.0, 2.0, size=2)),
+    ]
+    for chart, draw in charts:
+        # a RandersMetric reverses to a RandersMetric with the wind negated;
+        # ReverseMetric is the generic wrapper with sign flips
+        for metric in (chart.metric, chart.metric.reverse(), ReverseMetric(chart.metric)):
+            yield metric, draw
+
+
+def assert_matches_newton(metric, x, w, rtol):
+    v, F, hw = metric.legendre_inverse(x, w)
+    ref, _ = _newton_inverse(metric, x, w)
+    assert np.linalg.norm(v - ref) <= rtol * np.linalg.norm(ref)
+    assert abs(F - metric.norm(x, ref)) <= rtol * F
+    H = (metric.inner if isinstance(metric, ReverseMetric) else metric).h_matrix(x)
+    assert np.linalg.norm(hw - np.linalg.solve(H, w)) <= rtol * np.linalg.norm(hw)
+    return v
+
+
+def legendre_residual(metric, x, v, w):
+    return np.linalg.norm(0.5 * metric.dF2_dy(x, v) - w) / np.linalg.norm(w)
+
+
+def test_closed_form_matches_newton_on_charts(
+    disc_scenario, sphere_scenario, minkowski_scenario, rng
+):
+    for metric, draw in chart_cases(disc_scenario, sphere_scenario, minkowski_scenario, rng):
+        for _ in range(40):
+            assert_matches_newton(metric, np.array(draw()), rng.normal(size=2), 1e-10)
+
+
+def test_closed_form_residual_near_machine_precision(
+    disc_scenario, sphere_scenario, minkowski_scenario, rng
+):
+    for metric, draw in chart_cases(disc_scenario, sphere_scenario, minkowski_scenario, rng):
+        for _ in range(40):
+            x, w = np.array(draw()), rng.normal(size=2)
+            v, _, _ = metric.legendre_inverse(x, w)
+            # Newton stops at 1e-12 (1 + |w|); the closed form lands at rounding level
+            assert legendre_residual(metric, x, v, w) <= 5e-15
+
+
+def test_riemannian_closed_form(rng):
+    H = np.array([[2.0, 0.4], [0.4, 1.5]])
+    metric = RiemannianMetric.constant(H)
+    for _ in range(20):
+        w = rng.normal(size=2)
+        v, F, hw = metric.legendre_inverse(ORIGIN, w)
+        assert np.allclose(v, np.linalg.solve(H, w), rtol=1e-14, atol=0.0)
+        assert np.allclose(v, hw, rtol=1e-15, atol=0.0)
+        assert F == pytest.approx(math.sqrt(float(w @ np.linalg.solve(H, w))), rel=1e-14)
+        assert_matches_newton(metric, ORIGIN, w, 1e-10)
+
+
+@given(
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    wind=st.floats(0.0, 0.99),
+)
+@settings(max_examples=150, deadline=None)
+def test_closed_form_on_random_zermelo_data(n, seed, wind):
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, n))
+    h0 = B @ B.T + 0.5 * np.eye(n)
+    W = rng.normal(size=n)
+    W *= math.sqrt(wind / float(W @ h0 @ W))
+    metric = RandersMetric(
+        lambda x: h0, lambda x: W, n,
+        dh=lambda x: np.zeros((n, n, n)), dwind=lambda x: np.zeros((n, n)),
+    )
+    x = np.zeros(n)
+    w = rng.normal(size=n)
+    for m in (metric, metric.reverse(), ReverseMetric(metric)):
+        v = assert_matches_newton(m, x, w, 1e-10)
+        # the alpha/beta path is conditioned by 1 / lam, lam = 1 - h(W, W)
+        assert legendre_residual(m, x, v, w) <= 5e-14 / (1.0 - wind)
+    # the gradient solves the Zermelo equation h(v/F - W, v/F - W) = 1
+    v, F, _ = metric.legendre_inverse(x, w)
+    u = v / F - W
+    assert float(u @ h0 @ u) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_gradient_takes_norm_and_h_gradient_from_closed_form(disc_scenario):
+    metric = disc_scenario.chart.metric
+    field = disc_scenario.chart.field
+    p = np.array([0.3, -0.2])
+    res = finsler_gradient(metric, field, p)
+    v, F, hw = metric.legendre_inverse(p, field.differential(p))
+    assert res.newton_iterations == 0
+    assert np.array_equal(res.gradient.vector, v)
+    assert res.finsler_norm == F
+    assert np.array_equal(res.riemannian_gradient.vector, hw)
+    assert F == pytest.approx(metric.norm(p, v), rel=1e-14)
+
+
+@pytest.fixture(scope="module")
+def halfwind_custom():
+    exact = RandersMetric.constant_wind([0.5, 0.0])
+    return CustomMetric(exact.norm, 2)
+
+
+def test_newton_only_without_closed_form(halfwind_custom):
+    w = np.array([0.4, -0.7])
+    assert halfwind_custom.legendre_inverse(ORIGIN, w) is None
+    assert ReverseMetric(halfwind_custom).legendre_inverse(ORIGIN, w) is None
+    v, iterations = _legendre_inverse(halfwind_custom, ORIGIN, w)
+    assert iterations > 0
+    exact, _ = _legendre_inverse(RandersMetric.constant_wind([0.5, 0.0]), ORIGIN, w)
+    assert np.linalg.norm(v - exact) <= 1e-5
+    field = ScalarField.from_callable(lambda p: float(p @ w), lambda p: w)
+    res = finsler_gradient(halfwind_custom, field, ORIGIN)
+    assert res.newton_iterations > 0 and res.riemannian_gradient is None
+
+
+def test_legendre_inverse_reports_zero_iterations(disc_scenario):
+    p = np.array([0.3, 0.1])
+    for metric in (disc_scenario.chart.metric, euclidean_metric(2)):
+        _, iterations = _legendre_inverse(metric, p, np.array([0.6, 0.2]))
+        assert iterations == 0
+
+
+# ---------------------------------------------------------------------------
+# error cases
+
+
+def closed_form_metrics():
+    halfwind = RandersMetric.constant_wind([0.5, 0.0])
+    return [halfwind, halfwind.reverse(), ReverseMetric(halfwind), euclidean_metric(2)]
+
+
+@pytest.mark.parametrize("metric", closed_form_metrics(), ids=lambda m: m.kind)
+def test_zero_covector(metric):
+    with pytest.raises(ZeroVector):
+        metric.legendre_inverse(ORIGIN, np.zeros(2))
+    with pytest.raises(ZeroVector):
+        _legendre_inverse(metric, ORIGIN, np.zeros(2))
+
+
+@pytest.mark.parametrize("metric", closed_form_metrics(), ids=lambda m: m.kind)
+def test_wrong_length_point_or_covector(metric):
+    with pytest.raises(DimensionMismatch):
+        metric.legendre_inverse(ORIGIN, np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        metric.legendre_inverse(np.zeros(3), np.ones(2))
+    with pytest.raises(DimensionMismatch):
+        metric.legendre_inverse(ORIGIN, np.ones((2, 1)))
+
+
+def test_wind_at_validation_margin():
+    # h(W, W) = h_00 exactly for W = e_0
+    edge = RandersMetric(lambda x: np.diag([1.0 - 1e-6, 1.0]), lambda x: np.array([1.0, 0.0]), 2)
+    for metric in (edge, edge.reverse(), ReverseMetric(edge)):
+        with pytest.raises(NonConvexWind):
+            metric.legendre_inverse(ORIGIN, np.array([0.0, 1.0]))
+    inside = RandersMetric(lambda x: np.diag([1.0 - 2e-6, 1.0]), lambda x: np.array([1.0, 0.0]), 2)
+    v, F, _ = inside.legendre_inverse(ORIGIN, np.array([0.3, 1.0]))
+    assert np.all(np.isfinite(v)) and F > 0.0
+    assert legendre_residual(inside, ORIGIN, v, np.array([0.3, 1.0])) <= 1e-9

@@ -477,3 +477,25 @@ def test_stage_propagates_field_eval_error():
     metric.geodesic_stage(np.zeros(3), np.ones(3))
     with pytest.raises(EvalError):
         metric.geodesic_stage(np.array([2.0, 0.0, 0.0]), np.ones(3))
+
+
+def test_finite_difference_fallback_matches_symbolic_derivatives(
+    disc_scenario, sphere_scenario, rng
+):
+    # a metric built without dh/dW differences its fields through numdiff.jacobian
+    for chart in (disc_scenario.chart, sphere_scenario.charts["band"]):
+        exact = chart.metric
+        fallback = RandersMetric(exact._h, exact._wind, 2)
+        pts = chart.domain.sample_grid(9)
+        for x in pts[rng.choice(len(pts), size=20, replace=False)]:
+            assert fallback._dh(x).shape == (2, 2, 2)
+            assert fallback._dwind(x).shape == (2, 2)
+            assert np.allclose(fallback._dh(x), exact._dh(x), rtol=0.0, atol=1e-8)
+            assert np.allclose(fallback._dwind(x), exact._dwind(x), rtol=0.0, atol=1e-8)
+    config = parse_scenario(SCENARIO_3D.replace("kind = randers", "kind = riemannian")
+                            .replace(WIND_3D, ""))
+    exact = build_metric(config)
+    fallback = RiemannianMetric(exact._h, 3)
+    for _ in range(20):
+        x = rng.uniform(-0.5, 0.5, size=3)
+        assert np.allclose(fallback._dh(x), exact._dh(x), rtol=0.0, atol=1e-8)

@@ -83,6 +83,23 @@ def test_config_validation_errors(mutation, exc):
         parse_scenario(DISC_TEXT.replace(old, new))
 
 
+@pytest.mark.parametrize(
+    "old,new,section",
+    [
+        ("tolerance = 1e-6", "tolerence = 1e-9", "numerics"),
+        ("kind = disc", "kind = disc\ncentre = 0, 0", "domain"),
+        ("dimension = 2", "dimension = 2\nseed = 3", "header"),
+    ],
+)
+def test_unknown_key_rejected_at_its_line(old, new, section):
+    text = DISC_TEXT.replace(old, new)
+    bad_key = new.splitlines()[-1].split("=")[0].strip()
+    with pytest.raises(ParseError, match=f"unknown key '{bad_key}' in \\[{section}\\]") as err:
+        parse_scenario(text)
+    lines = text.splitlines()
+    assert lines[err.value.line - 1].startswith(bad_key)
+
+
 def test_asymmetric_h_rejected():
     bad = DISC_TEXT.replace("h = 1, 0 ; 0, 1", "h = 1, x ; 0, 1")
     with pytest.raises(ValidationError, match="symmetric"):
