@@ -45,6 +45,10 @@ class LeftDomain(FinslerError):
 class NeverReached(FinslerError):
     """Level-crossing target not attained within the integration budget."""
 
+    def __init__(self, message, march=None):
+        super().__init__(message)
+        self.march = march
+
 
 class EmptySample(FinslerError):
     """No usable sample points after filtering."""

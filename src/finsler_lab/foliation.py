@@ -9,7 +9,8 @@ normalized g_v pairings measured at located level crossings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -18,9 +19,11 @@ from .calculus import ScalarField, finsler_gradient, _legendre_inverse
 from .domains import Domain
 from .errors import LeftDomain, LevelNotFound, NeverReached
 from .geodesics import (
+    GeodesicTrajectory,
     integrate_geodesic,
     integrate_to_level,
     orthogonality_defect,
+    point_at_time,
     tangent_basis_from_differential,
 )
 from .metrics import Metric, TangentVector
@@ -61,6 +64,9 @@ class ParallelismReport:
     max_defect: float
     tolerance: float
     verdict: bool
+    # one recorded march per sampled probe, reached or not, up to the longest
+    # arrival; not part of the report
+    marches: Tuple[GeodesicTrajectory, ...] = dataclass_field(default=(), repr=False)
 
     def to_dict(self):
         return {
@@ -199,8 +205,14 @@ def orthogonal_cone(metric: Metric, field: ScalarField, p) -> OrthogonalCone:
     res = finsler_gradient(metric, field, p)
     forward = res.gradient.vector / res.finsler_norm
     df = np.asarray(field.differential(p), dtype=float)
-    w, _ = _legendre_inverse(metric, p, -df)
-    backward = w / metric.norm(p, w)
+    if res.riemannian_gradient is None:
+        w, _ = _legendre_inverse(metric, p, -df)
+        backward = w / metric.norm(p, w)
+    else:
+        # closed form: the F-unit rays along df and -df are W + h^-1 df / |df|_h*
+        # and W - h^-1 df / |df|_h*, so no second solve and no norm are needed
+        hw = res.riemannian_gradient.vector
+        backward = forward - 2.0 * hw / math.sqrt(float(df @ hw))
     basis = tangent_basis_from_differential(df)
     fwd_vec = TangentVector(base=p, vector=forward)
     bwd_vec = TangentVector(base=p, vector=backward)
@@ -251,8 +263,9 @@ def check_parallel(
     rays = _probe_rays(metric, field, sample, direction)
     defects: List[float] = []
     lengths: List[float] = []
+    marches: List[GeodesicTrajectory] = []
     unreached = 0
-    first_error: Optional[Exception] = None
+    first_error: Optional[str] = None
     for ray in rays:
         try:
             ev = integrate_to_level(
@@ -261,15 +274,22 @@ def check_parallel(
         except NeverReached as exc:
             unreached += 1
             if first_error is None:
-                first_error = exc
+                first_error = str(exc)
+            # a march is read at most at the median arc length (the cylinder
+            # radius), so an unreached probe that marched the whole time budget
+            # keeps its states up to the longest arrival so far only; a record
+            # cut short is continued with the same steps when read
+            marches.append(exc.march.up_to(max(lengths)) if lengths else exc.march)
             continue
         defects.append(ev.orthogonality_defect)
         lengths.append(ev.arc_length)
+        marches.append(ev.march)
     if not defects:
         raise NeverReached(
             f"no probe reached level {target} from {source}: {first_error}"
         )
     max_defect = float(np.max(defects))
+    horizon = max(lengths)
     return ParallelismReport(
         direction=direction,
         source_level=float(source),
@@ -280,6 +300,7 @@ def check_parallel(
         max_defect=max_defect,
         tolerance=tolerance,
         verdict=bool(max_defect <= tolerance),
+        marches=tuple(march.up_to(horizon) for march in marches),
     )
 
 
@@ -360,8 +381,13 @@ def check_finsler_partition(
     """Both-direction parallelism over adjacent level pairs plus cylinders.
 
     The cylinder check flows a subsample of each lower (resp. upper) leaf by
-    the median probe arc length and measures how far the image scatters from
-    the adjacent level.
+    the median probe arc length r and measures how far the images scatter
+    from the adjacent level. The images come from the probe marches of the
+    parallelism check, read at time r (``point_at_time``), so no ray is
+    marched twice. Of the m sampled probes, n = min(cylinder_probes, probes,
+    m) are used, at indices (j * m) // n for j < n: all of them when n = m.
+    A probe that leaves the domain before r is skipped; a cylinder with no
+    point left has defect inf.
     """
     levels = sorted(float(v) for v in levels)
     if len(levels) < 2:
@@ -370,35 +396,17 @@ def check_finsler_partition(
     backward_reports: List[ParallelismReport] = []
     cylinder_defects: List[float] = []
     for lo, hi in zip(levels[:-1], levels[1:]):
-        fwd = check_parallel(
-            metric, field, lo, hi, "forward", probes, domain,
-            level_parametrization=level_parametrization, step=step,
-            tolerance=tolerance, t_max=t_max,
-        )
-        bwd = check_parallel(
-            metric, field, lo, hi, "backward", probes, domain,
-            level_parametrization=level_parametrization, step=step,
-            tolerance=tolerance, t_max=t_max,
-        )
-        forward_reports.append(fwd)
-        backward_reports.append(bwd)
-        n_cyl = min(cylinder_probes, probes)
-        for report, direction in ((fwd, "forward"), (bwd, "backward")):
-            source = extract_level_set(
-                field, report.source_level, domain, n_cyl,
-                parametrization=level_parametrization,
+        for direction, reports in (("forward", forward_reports), ("backward", backward_reports)):
+            report = check_parallel(
+                metric, field, lo, hi, direction, probes, domain,
+                level_parametrization=level_parametrization, step=step,
+                tolerance=tolerance, t_max=t_max,
             )
-            radius = float(np.median(report.arc_lengths))
-            try:
-                images, _ = build_cylinder(
-                    metric, field, source, radius, direction=direction,
-                    step=step, domain=domain,
-                )
-            except LeftDomain:
-                cylinder_defects.append(float("inf"))
-                continue
-            fvals = np.array([field.value(p) for p in images])
-            cylinder_defects.append(float(np.max(np.abs(fvals - report.target_level))))
+            cylinder_defects.append(
+                _cylinder_defect(field, report, cylinder_probes, step, domain)
+            )
+            # the marches are read; the partition report does not keep them
+            reports.append(replace(report, marches=()))
     # cylinder defects are f-value mismatches; compare them on the tolerance
     # scale of the parallelism test
     all_parallel = all(r.verdict for r in forward_reports + backward_reports)
@@ -411,3 +419,18 @@ def check_finsler_partition(
         cylinder_tolerance=tolerance,
         finsler_partition_verdict=bool(all_parallel and cylinders_ok),
     )
+
+
+def _cylinder_defect(field, report: ParallelismReport, n_cyl, step, domain):
+    """Worst |f - target| over n_cyl probe marches read at the median arc length."""
+    m = len(report.marches)
+    n = min(n_cyl, m)
+    radius = float(np.median(report.arc_lengths))
+    mismatches = []
+    for j in range(n):
+        try:
+            p = point_at_time(report.marches[(j * m) // n], radius, step, domain)
+        except LeftDomain:
+            continue
+        mismatches.append(abs(field.value(p) - report.target_level))
+    return float(max(mismatches, default=float("inf")))

@@ -9,12 +9,14 @@ a dense symmetric solve at the desk-scale dimensions used here. Integration
 is classical fixed-step 4th order with the running arc length carried as an
 extra state component, so the length converges at the same order as the
 trajectory. A level crossing is located on the bracketing step's cubic
-Hermite dense output and reached by one 4th-order sub-step.
+Hermite dense output and reached by one 4th-order sub-step. A march to a
+level keeps its accepted states, so a later reading of the same geodesic at
+another time (`point_at_time`) costs one sub-step instead of a new march.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
@@ -39,6 +41,17 @@ class GeodesicTrajectory:
     arc_lengths: np.ndarray
     metric: Metric
 
+    def up_to(self, t: float) -> "GeodesicTrajectory":
+        """A compact copy of the samples at times <= t."""
+        k = int(np.searchsorted(self.times, t, side="right"))
+        return GeodesicTrajectory(
+            times=self.times[:k].copy(),
+            points=self.points[:k].copy(),
+            velocities=self.velocities[:k].copy(),
+            arc_lengths=self.arc_lengths[:k].copy(),
+            metric=self.metric,
+        )
+
     @property
     def endpoint(self) -> TangentVector:
         return TangentVector(base=self.points[-1], vector=self.velocities[-1])
@@ -53,6 +66,40 @@ class GeodesicTrajectory:
         return float(np.max(np.abs(s - s[0])) / s[0])
 
 
+class _StateRecord:
+    """States (t, arc length, x, y) of a march, as rows of one float array.
+
+    The array doubles when full, so a march of k steps holds O(k) floats and
+    no object per step.
+    """
+
+    def __init__(self, dim: int, capacity: int = 64):
+        self._dim = dim
+        self._rows = np.empty((capacity, 2 + 2 * dim))
+        self._n = 0
+
+    def append(self, t, arclen, x, y):
+        if self._n == len(self._rows):
+            self._rows = np.concatenate((self._rows, np.empty_like(self._rows)))
+        row = self._rows[self._n]
+        row[0] = t
+        row[1] = arclen
+        row[2 : 2 + self._dim] = x
+        row[2 + self._dim :] = y
+        self._n += 1
+
+    def trajectory(self, metric: Metric) -> GeodesicTrajectory:
+        rows = self._rows[: self._n].copy()
+        d = self._dim
+        return GeodesicTrajectory(
+            times=rows[:, 0],
+            points=rows[:, 2 : 2 + d],
+            velocities=rows[:, 2 + d :],
+            arc_lengths=rows[:, 1],
+            metric=metric,
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class CrossingEvent:
     """A located level-set crossing along an integrated curve."""
@@ -63,13 +110,17 @@ class CrossingEvent:
     level_value: float
     orthogonality_defect: float
     arc_length: float
+    # accepted steps of the march that found the crossing, when one did
+    march: Optional[GeodesicTrajectory] = dataclass_field(default=None, repr=False)
 
     @classmethod
-    def measure(cls, metric, field, level, time, point, velocity, arc_length):
+    def measure(cls, metric, field, level, time, point, velocity, arc_length, march=None):
         """The crossing of f = level at (point, velocity), with its defect in metric."""
         basis = tangent_basis_from_differential(field.differential(point))
         defect = orthogonality_defect(metric, TangentVector(point, velocity), basis)
-        return cls(float(time), point, velocity, float(level), float(defect), float(arc_length))
+        return cls(
+            float(time), point, velocity, float(level), float(defect), float(arc_length), march
+        )
 
 
 def spray_coefficients(metric: Metric, v: TangentVector) -> np.ndarray:
@@ -126,10 +177,8 @@ def integrate_geodesic(
     y = v0.vector.copy()
     if domain is not None and not domain.contains(x):
         raise LeftDomain(f"initial point {x} outside the chart domain", point=x, time=0.0)
-    times = [0.0]
-    points = [x.copy()]
-    velocities = [y.copy()]
-    lengths = [0.0]
+    states = _StateRecord(len(x), n_steps + 1)
+    states.append(0.0, 0.0, x, y)
     arclen = 0.0
     for k in range(n_steps):
         x, y, dlen = _rk4_step(metric, x, y, dt)
@@ -139,17 +188,8 @@ def integrate_geodesic(
             raise LeftDomain(
                 f"geodesic left the chart domain at t = {t}", point=x, time=t
             )
-        times.append(t)
-        points.append(x.copy())
-        velocities.append(y.copy())
-        lengths.append(arclen)
-    return GeodesicTrajectory(
-        times=np.array(times),
-        points=np.array(points),
-        velocities=np.array(velocities),
-        arc_lengths=np.array(lengths),
-        metric=metric,
-    )
+        states.append(t, arclen, x, y)
+    return states.trajectory(metric)
 
 
 def exp_map(
@@ -231,37 +271,80 @@ def integrate_to_level(
     time is found on that step's Hermite dense output. One 4th-order sub-step
     from the bracket's left state then gives the reported point, velocity and
     arc length, so they keep the integrator's accuracy.
+
+    The accepted steps, the bracketing one included, go on the event as its
+    ``march``; a ``NeverReached`` carries the steps taken before the march
+    gave up (none when the start lies outside the domain).
     """
     if metric.norm(v0.base, v0.vector) <= 0.0:
         raise ZeroVector("cannot integrate a geodesic with zero initial velocity")
     x = v0.base.copy()
     y = v0.vector.copy()
+    states = _StateRecord(len(x))
     if domain is not None and not domain.contains(x):
-        raise NeverReached(f"start point {x} outside the chart domain")
+        raise NeverReached(
+            f"start point {x} outside the chart domain", march=states.trajectory(metric)
+        )
     arclen = 0.0
     t = 0.0
     phi = field.value(x) - target
     n_steps = int(np.ceil(t_max / step))
     for _ in range(n_steps):
+        states.append(t, arclen, x, y)
         x_new, y_new, dlen = _rk4_step(metric, x, y, step)
         t_new = t + step
         if domain is not None and not domain.contains(x_new):
             raise NeverReached(
-                f"geodesic left the chart domain at t = {t_new} before reaching f = {target}"
+                f"geodesic left the chart domain at t = {t_new} before reaching f = {target}",
+                march=states.trajectory(metric),
             )
         phi_new = field.value(x_new) - target
         if phi_new == 0.0 or (phi_new > 0.0) != (phi > 0.0):
+            states.append(t_new, arclen + dlen, x_new, y_new)
             theta = _hermite_crossing_time(field, target, x, x_new, y, y_new, step)
             if theta < step:
                 x_new, y_new, dlen = _rk4_step(metric, x, y, theta)
             return CrossingEvent.measure(
-                metric, field, target, t + theta, x_new, y_new, arclen + dlen
+                metric, field, target, t + theta, x_new, y_new, arclen + dlen,
+                states.trajectory(metric),
             )
         x, y, t, phi = x_new, y_new, t_new, phi_new
         arclen += dlen
+    states.append(t, arclen, x, y)
     raise NeverReached(
-        f"f never reached {target} within time budget {t_max} (last f = {phi + target})"
+        f"f never reached {target} within time budget {t_max} (last f = {phi + target})",
+        march=states.trajectory(metric),
     )
+
+
+def point_at_time(
+    march: GeodesicTrajectory, r: float, step: float, domain: Optional[Domain] = None
+) -> np.ndarray:
+    """Point at time r of the geodesic whose fixed-step march is recorded.
+
+    Within the record this is one RK4 sub-step of length r - t_k from the
+    last state k at or before r; past its end the march continues with full
+    steps first. Every new state is checked against the domain, and a
+    ``LeftDomain`` is raised at the first one outside (also for an empty
+    record).
+    """
+    if r < 0.0:
+        raise ValueError("time must be nonnegative")
+    k = int(np.searchsorted(march.times, r, side="right")) - 1
+    if k < 0:
+        raise LeftDomain("the march holds no state inside the domain")
+    t, x, y = float(march.times[k]), march.points[k], march.velocities[k]
+    metric = march.metric
+    while r - t > step:
+        x, y, _ = _rk4_step(metric, x, y, step)
+        t += step
+        if domain is not None and not domain.contains(x):
+            raise LeftDomain(f"geodesic left the chart domain at t = {t}", point=x, time=t)
+    if r > t:
+        x, _, _ = _rk4_step(metric, x, y, r - t)
+        if domain is not None and not domain.contains(x):
+            raise LeftDomain(f"geodesic left the chart domain at t = {r}", point=x, time=r)
+    return x
 
 
 def polyline_length(metric: Metric, points, samples_per_segment: int = 32) -> float:

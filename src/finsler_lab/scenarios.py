@@ -25,10 +25,16 @@ from .metrics import Metric, RandersMetric, RiemannianMetric
 
 WIND_VALIDATION_LIMIT = 1.0 - 1e-6
 _VALIDATION_GRID = 13
+# the [domain] keys each domain kind takes
+_DOMAIN_KIND_KEYS = {
+    "box": ("kind", "lower", "upper"),
+    "disc": ("kind", "radius", "center"),
+    "sphere-chart": ("kind", "radius", "center"),
+}
 # the keys each section takes ("" is the header); any other key is a ParseError
 _SECTION_KEYS = {
     "": ("name", "dimension"),
-    "domain": ("kind", "lower", "upper", "radius", "center"),
+    "domain": tuple(dict.fromkeys(k for keys in _DOMAIN_KIND_KEYS.values() for k in keys)),
     "metric": ("kind", "h", "wind"),
     "field": ("f",),
     "numerics": ("step", "probes", "tolerance", "seed"),
@@ -181,6 +187,13 @@ def _config_from_sections(sections) -> ScenarioConfig:
         raise ValidationError(f"dimension must be 1, 2 or 3, got {dimension}")
 
     domain_kind = _take(sections, "domain", "kind", required=True).lower()
+    if domain_kind not in _DOMAIN_KIND_KEYS:
+        raise ValidationError(f"unknown domain kind '{domain_kind}'")
+    for key, (_, lineno) in sections["domain"].items():
+        if key not in _DOMAIN_KIND_KEYS[domain_kind]:
+            raise ParseError(
+                f"key '{key}' does not apply to domain kind '{domain_kind}'", lineno, 1
+            )
     params: Dict[str, Tuple[float, ...]] = {}
     if domain_kind == "box":
         lower = _take(sections, "domain", "lower", required=True)
@@ -191,7 +204,7 @@ def _config_from_sections(sections) -> ScenarioConfig:
             raise ValidationError("box bounds must match the dimension")
         if any(lo >= hi for lo, hi in zip(params["lower"], params["upper"])):
             raise ValidationError("box lower bounds must be below upper bounds")
-    elif domain_kind in ("disc", "sphere-chart"):
+    else:
         radius = float(_take(sections, "domain", "radius", required=True))
         if radius <= 0:
             raise ValidationError("domain radius must be positive")
@@ -204,8 +217,6 @@ def _config_from_sections(sections) -> ScenarioConfig:
             if len(cc) != dimension:
                 raise ValidationError("domain center must match the dimension")
             params["center"] = cc
-    else:
-        raise ValidationError(f"unknown domain kind '{domain_kind}'")
 
     metric_kind = _take(sections, "metric", "kind", required=True).lower()
     if metric_kind not in ("riemannian", "randers"):

@@ -123,6 +123,31 @@ def test_closed_form_on_random_zermelo_data(n, seed, wind):
     assert float(u @ h0 @ u) == pytest.approx(1.0, abs=1e-12)
 
 
+@given(
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    wind=st.floats(0.0, 0.99),
+)
+@settings(max_examples=150, deadline=None)
+def test_closed_form_inverts_legendre_map(n, seed, wind):
+    # L^-1(L(v)) = v, with L(v) = (1/2) dF2_dy(v) through the alpha/beta path
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, n))
+    h0 = B @ B.T + 0.5 * np.eye(n)
+    W = rng.normal(size=n)
+    W *= math.sqrt(wind / float(W @ h0 @ W))
+    metric = RandersMetric(
+        lambda x: h0, lambda x: W, n,
+        dh=lambda x: np.zeros((n, n, n)), dwind=lambda x: np.zeros((n, n)),
+    )
+    x = np.zeros(n)
+    v = rng.normal(size=n)
+    for m in (metric, metric.reverse(), ReverseMetric(metric)):
+        back, F, _ = m.legendre_inverse(x, 0.5 * m.dF2_dy(x, v))
+        assert np.linalg.norm(back - v) <= 5e-14 / (1.0 - wind) * np.linalg.norm(v)
+        assert abs(F - m.norm(x, v)) <= 5e-14 / (1.0 - wind) * F
+
+
 def test_gradient_takes_norm_and_h_gradient_from_closed_form(disc_scenario):
     metric = disc_scenario.chart.metric
     field = disc_scenario.chart.field

@@ -1,13 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from finsler_lab.calculus import ScalarField
+from finsler_lab import calculus, foliation, geodesics, scenarios
+from finsler_lab.calculus import ScalarField, _legendre_inverse, finsler_gradient
 from finsler_lab.domains import DiscDomain
-from finsler_lab.errors import LevelNotFound
-from finsler_lab.expressions import parse_expression
+from finsler_lab.errors import LeftDomain, LevelNotFound, NeverReached
+from finsler_lab.expressions import compile_expression, parse_expression
 from finsler_lab.foliation import (
+    ParallelismReport,
     build_cylinder,
     check_finsler_partition,
     check_parallel,
@@ -18,10 +21,17 @@ from finsler_lab.foliation import (
 from finsler_lab.geodesics import (
     exp_map,
     integrate_geodesic,
+    integrate_to_level,
     orthogonality_defect,
     tangent_basis_from_differential,
 )
-from finsler_lab.metrics import RandersMetric, TangentVector, euclidean_metric
+from finsler_lab.metrics import (
+    CustomMetric,
+    RandersMetric,
+    ReverseMetric,
+    TangentVector,
+    euclidean_metric,
+)
 
 LN125 = math.log(1.25)
 
@@ -113,6 +123,84 @@ def test_cone_rays_parallel_defect_shrinks_with_radius(minkowski_scenario):
     assert defects[1] < defects[0]
 
 
+def _reference_cone(metric, field, p):
+    """The cone by a second Legendre solve and a norm for the backward ray.
+
+    Returns the forward and backward F-unit rays and their defects.
+    """
+    res = finsler_gradient(metric, field, p)
+    df = np.asarray(field.differential(p), dtype=float)
+    w, _ = _legendre_inverse(metric, p, -df)
+    fwd, bwd = res.gradient.vector / res.finsler_norm, w / metric.norm(p, w)
+    basis = tangent_basis_from_differential(df)
+    defects = [orthogonality_defect(metric, TangentVector(p, v), basis) for v in (fwd, bwd)]
+    return fwd, bwd, defects[0], defects[1]
+
+
+def test_cone_backward_ray_matches_second_solve(
+    disc_scenario, sphere_scenario, minkowski_scenario, rng
+):
+    charts = [
+        (disc_scenario.chart, lambda: rng.uniform(-0.6, 0.6, size=2)),
+        (sphere_scenario.charts["band"], lambda: [rng.uniform(0.3, 2.8), rng.uniform(-3, 3)]),
+        (minkowski_scenario.chart, lambda: rng.uniform(0.5, 2.0, size=2)),
+    ]
+    for chart, draw in charts:
+        for metric in (chart.metric, chart.metric.reverse(), ReverseMetric(chart.metric)):
+            for _ in range(10):
+                p = np.array(draw(), dtype=float)
+                fwd, bwd, fwd_defect, bwd_defect = _reference_cone(metric, chart.field, p)
+                cone = orthogonal_cone(metric, chart.field, p)
+                for ray, ref in ((cone.forward_ray.vector, fwd), (cone.backward_ray.vector, bwd)):
+                    assert np.linalg.norm(ray - ref) <= 1e-12 * np.linalg.norm(ref)
+                # defects vanish here, so they agree at rounding level
+                assert abs(cone.forward_defect - fwd_defect) <= 1e-12 * fwd_defect + 1e-14
+                assert abs(cone.backward_defect - bwd_defect) <= 1e-12 * bwd_defect + 1e-14
+
+
+def test_cone_on_custom_norm_keeps_newton(circle_field):
+    exact = RandersMetric.constant_wind([0.5, 0.0])
+    custom = CustomMetric(exact.norm, 2)
+    p = np.array([0.5, 0.2])
+    cone = orthogonal_cone(custom, circle_field, p)
+    ref = orthogonal_cone(exact, circle_field, p)
+    assert np.linalg.norm(cone.backward_ray.vector - ref.backward_ray.vector) <= 1e-5
+    assert custom.norm(p, cone.backward_ray.vector) == pytest.approx(1.0, abs=1e-12)
+
+
+def _counting_disc_chart(monkeypatch):
+    """A fresh disc-radial chart whose compiled expressions count their calls."""
+    calls = [0]
+
+    def counted_compile(node, dim):
+        fn = compile_expression(node, dim)
+
+        def counted(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(scenarios, "compile_expression", counted_compile)
+    monkeypatch.setattr(calculus, "compile_expression", counted_compile)
+    return scenarios.load_example("disc-radial").chart, calls
+
+
+def test_cone_evaluates_fewer_expressions(monkeypatch):
+    p = np.array([0.3, -0.2])
+    chart, calls = _counting_disc_chart(monkeypatch)
+    calls[0] = 0
+    _reference_cone(chart.metric, chart.field, p)
+    before = calls[0]
+    chart, calls = _counting_disc_chart(monkeypatch)
+    calls[0] = 0
+    orthogonal_cone(chart.metric, chart.field, p)
+    # disc-radial has a constant h: df twice, the wind for the gradient and
+    # once more for the defects' tensors; the second solve and the norm
+    # evaluated the wind once each on top
+    assert (before, calls[0]) == (5, 4)
+
+
 # ---------------------------------------------------------------------------
 # parallelism
 
@@ -136,6 +224,20 @@ def test_minkowski_backward_parallel_fails(minkowski_scenario):
     )
     assert not report.verdict
     assert report.max_defect >= 0.05
+    # every probe keeps its march, reached or not, in the order of the sample
+    assert report.unreached > 0
+    sample = extract_level_set(
+        chart.field, 2.0, chart.domain, 32,
+        parametrization=minkowski_scenario.level_parametrization(),
+    )
+    assert len(report.marches) == len(report.arc_lengths) + report.unreached == len(sample)
+    for march, p in zip(report.marches, sample.points):
+        assert march.times[0] == 0.0 and np.array_equal(march.points[0], p)
+    # an unreached probe marched the whole budget, but keeps no state past the
+    # longest arrival, the farthest a cylinder reads
+    horizon = max(report.arc_lengths)
+    assert horizon < 3.5  # well inside the time budget of 4
+    assert max(march.times[-1] for march in report.marches) <= horizon
 
 
 def test_sphere_parallel_both_directions(sphere_scenario):
@@ -311,3 +413,162 @@ def test_foliated_radial_wind_with_linear_field_passes(disc_scenario, linear_sce
         t_max=4.0,
     )
     assert report.finsler_partition_verdict
+
+
+# ---------------------------------------------------------------------------
+# cylinders read off the probe marches
+
+
+def _remarched_cylinder_defects(chart, parametrization, report, n_cyl, step=1e-3):
+    """Cylinder defects by extracting each source leaf again and re-marching its rays."""
+    defects = []
+    for fwd, bwd in zip(report.forward, report.backward):
+        for r in (fwd, bwd):
+            source = extract_level_set(
+                chart.field, r.source_level, chart.domain, n_cyl, parametrization=parametrization
+            )
+            radius = float(np.median(r.arc_lengths))
+            try:
+                images, _ = build_cylinder(
+                    chart.metric, chart.field, source, radius, direction=r.direction,
+                    step=step, domain=chart.domain,
+                )
+            except LeftDomain:
+                defects.append(float("inf"))
+                continue
+            fvals = np.array([chart.field.value(p) for p in images])
+            defects.append(float(np.max(np.abs(fvals - r.target_level))))
+    return defects
+
+
+# (scenario fixture, chart, levels, probes, t_max)
+CYLINDER_CASES = [
+    ("disc_scenario", "main", [0.04, 0.16], 4, 4.0),
+    ("sphere_scenario", "band", [-0.5, 0.0], 3, 10.0),
+    ("minkowski_scenario", "main", [1.0, 1.5], 4, 4.0),
+]
+
+
+@pytest.mark.parametrize("fixture, chart_name, levels, probes, t_max", CYLINDER_CASES)
+def test_cylinder_defects_match_remarched_cylinders(
+    request, fixture, chart_name, levels, probes, t_max
+):
+    scenario = request.getfixturevalue(fixture)
+    chart = scenario.charts[chart_name]
+    parametrization = scenario.level_parametrization(chart_name)
+    report = check_finsler_partition(
+        chart.metric, chart.field, levels, probes, chart.domain,
+        level_parametrization=parametrization, t_max=t_max,
+    )
+    reference = _remarched_cylinder_defects(chart, parametrization, report, probes)
+    assert len(report.cylinder_match_defects) == len(reference) == 2
+    for new, old in zip(report.cylinder_match_defects, reference):
+        assert abs(new - old) <= 1e-10
+
+
+def test_cylinder_subset_when_probes_exceed_cylinder_probes(disc_scenario, monkeypatch):
+    chart = disc_scenario.chart
+    used = []
+    read = foliation.point_at_time
+
+    def recording(march, r, step, domain=None):
+        used.append(march)
+        return read(march, r, step, domain)
+
+    monkeypatch.setattr(foliation, "point_at_time", recording)
+    parallel_reports = []
+    check = foliation.check_parallel
+
+    def keeping(*args, **kwargs):
+        parallel_reports.append(check(*args, **kwargs))
+        return parallel_reports[-1]
+
+    monkeypatch.setattr(foliation, "check_parallel", keeping)
+    report = check_finsler_partition(
+        chart.metric, chart.field, [0.04, 0.16], 32, chart.domain,
+        level_parametrization=disc_scenario.level_parametrization(), t_max=4.0,
+        cylinder_probes=12,
+    )
+    assert report.finsler_partition_verdict
+    expected = [0, 2, 5, 8, 10, 13, 16, 18, 21, 24, 26, 29]  # (j * 32) // 12
+    assert len(used) == 24
+    for i, parallel in enumerate(parallel_reports):
+        assert len(parallel.marches) == 32
+        index = {id(m): k for k, m in enumerate(parallel.marches)}
+        assert [index[id(m)] for m in used[12 * i : 12 * (i + 1)]] == expected
+    # the partition report does not keep the marches once they are read
+    assert all(r.marches == () for r in report.forward + report.backward)
+
+
+def _unit_ray(chart, p):
+    res = finsler_gradient(chart.metric, chart.field, np.asarray(p, dtype=float))
+    return TangentVector(np.asarray(p, dtype=float), res.gradient.vector / res.finsler_norm)
+
+
+def test_cylinder_point_outside_the_chart_is_a_failure(disc_scenario):
+    chart = disc_scenario.chart
+    good = _unit_ray(chart, [0.2, 0.0])
+    event = integrate_to_level(chart.metric, good, chart.field, 0.25, domain=chart.domain)
+    with pytest.raises(NeverReached) as err:
+        # f <= 0.81 on the chart, so this ray leaves it
+        integrate_to_level(
+            chart.metric, _unit_ray(chart, [0.85, 0.0]), chart.field, 0.95, domain=chart.domain
+        )
+    report = ParallelismReport(
+        direction="forward", source_level=0.04, target_level=0.25,
+        per_probe_defects=[event.orthogonality_defect], arc_lengths=[event.arc_length],
+        unreached=1, max_defect=event.orthogonality_defect, tolerance=1e-4, verdict=True,
+        marches=(event.march, err.value.march),
+    )
+    defect = foliation._cylinder_defect(chart.field, report, 12, 1e-3, chart.domain)
+    assert defect <= 1e-12
+    only_failures = replace(report, marches=(err.value.march,))
+    defect = foliation._cylinder_defect(chart.field, only_failures, 12, 1e-3, chart.domain)
+    assert defect == float("inf")
+    assert "marches" not in report.to_dict()
+
+
+def test_partition_spends_stages_only_on_sub_steps(disc_scenario, monkeypatch):
+    chart = disc_scenario.chart
+    metric = chart.metric
+    counts = {"stages": 0, "parallel_stages": 0, "cylinder_steps": 0}
+    in_parallel = [False]
+    stage = metric.geodesic_stage
+
+    def counted_stage(x, y):
+        counts["stages"] += 1
+        counts["parallel_stages"] += in_parallel[0]
+        return stage(x, y)
+
+    rk4_step = geodesics._rk4_step
+
+    def counted_rk4(metric_, x, y, dt):
+        counts["cylinder_steps"] += not in_parallel[0]
+        return rk4_step(metric_, x, y, dt)
+
+    check = foliation.check_parallel
+
+    def parallel(*args, **kwargs):
+        in_parallel[0] = True
+        try:
+            return check(*args, **kwargs)
+        finally:
+            in_parallel[0] = False
+
+    def no_cylinder(*args, **kwargs):
+        raise AssertionError("build_cylinder called")
+
+    monkeypatch.setattr(metric, "geodesic_stage", counted_stage)
+    monkeypatch.setattr(geodesics, "_rk4_step", counted_rk4)
+    monkeypatch.setattr(foliation, "check_parallel", parallel)
+    monkeypatch.setattr(foliation, "build_cylinder", no_cylinder)
+    report = check_finsler_partition(
+        metric, chart.field, [0.04, 0.16, 0.36], 4, chart.domain,
+        level_parametrization=disc_scenario.level_parametrization(), t_max=4.0,
+    )
+    assert report.finsler_partition_verdict
+    cylinder_points = 4 * len(report.cylinder_match_defects)
+    # one sub-step per cylinder point, plus at most one full step where r
+    # lies past a probe's recorded march
+    assert 0 < counts["cylinder_steps"] <= 2 * cylinder_points
+    assert counts["stages"] - counts["parallel_stages"] == 4 * counts["cylinder_steps"]

@@ -12,6 +12,7 @@ from finsler_lab.geodesics import (
     integrate_geodesic,
     integrate_to_level,
     orthogonality_defect,
+    point_at_time,
     polyline_length,
     spray_coefficients,
     tangent_basis_from_differential,
@@ -313,6 +314,136 @@ def test_crossing_takes_at_most_one_sub_step(
     integrate_to_level(chart.metric, ray, chart.field, target, step=1e-3, domain=chart.domain)
     assert len(step_lengths) > 1
     assert sum(dt != 1e-3 for dt in step_lengths) <= 1
+
+
+# ---------------------------------------------------------------------------
+# reading a recorded march at another time
+
+
+def _counted_rk4_steps(monkeypatch):
+    step_lengths = []
+    rk4_step = geodesics._rk4_step
+
+    def counted(metric, x, y, dt):
+        step_lengths.append(dt)
+        return rk4_step(metric, x, y, dt)
+
+    monkeypatch.setattr(geodesics, "_rk4_step", counted)
+    return step_lengths
+
+
+def _geodesic_point(chart, ray, r):
+    return integrate_geodesic(chart.metric, ray, r, step=1e-3, domain=chart.domain).points[-1]
+
+
+def test_march_keeps_its_accepted_steps(disc_scenario):
+    chart = disc_scenario.chart
+    ray = _unit_gradient_ray(chart, [0.2, 0.0])
+    event = integrate_to_level(
+        chart.metric, ray, chart.field, 0.25, step=1e-3, domain=chart.domain
+    )
+    march = event.march
+    assert march.times[0] == 0.0 and np.array_equal(march.points[0], ray.base)
+    assert np.array_equal(march.velocities[0], ray.vector)
+    # the last state is the right end of the step that brackets the crossing
+    assert march.times[-2] <= event.time <= march.times[-1]
+    assert np.allclose(np.diff(march.times), 1e-3, rtol=1e-9, atol=0.0)
+    reference = integrate_geodesic(chart.metric, ray, march.times[-1], step=1e-3)
+    assert np.max(np.abs(march.points - reference.points)) <= 1e-12
+
+
+def test_point_past_the_crossing_continues_the_march(disc_scenario, monkeypatch):
+    chart = disc_scenario.chart
+    ray = _unit_gradient_ray(chart, [0.2, 0.0])
+    event = integrate_to_level(
+        chart.metric, ray, chart.field, 0.25, step=1e-3, domain=chart.domain
+    )
+    r = 0.35
+    assert event.march.times[-1] < r
+    steps = _counted_rk4_steps(monkeypatch)
+    point = point_at_time(event.march, r, 1e-3, chart.domain)
+    full = sum(dt == 1e-3 for dt in steps)
+    assert full == int((r - event.march.times[-1]) / 1e-3)
+    assert len(steps) - full <= 1
+    assert np.max(np.abs(point - _geodesic_point(chart, ray, r))) <= 1e-10
+
+
+def test_point_before_the_crossing_is_one_sub_step(disc_scenario, monkeypatch):
+    chart = disc_scenario.chart
+    ray = _unit_gradient_ray(chart, [0.2, 0.0])
+    event = integrate_to_level(
+        chart.metric, ray, chart.field, 0.25, step=1e-3, domain=chart.domain
+    )
+    r = 0.1005
+    assert r < event.time
+    steps = _counted_rk4_steps(monkeypatch)
+    point = point_at_time(event.march, r, 1e-3, chart.domain)
+    assert len(steps) == 1 and 0.0 < steps[0] < 1e-3
+    k = int(np.searchsorted(event.march.times, r)) - 1
+    assert steps[0] == pytest.approx(r - event.march.times[k], abs=1e-15)
+    assert np.max(np.abs(point - _geodesic_point(chart, ray, r))) <= 1e-10
+    # a time on the record costs nothing
+    steps.clear()
+    assert np.array_equal(point_at_time(event.march, 0.0, 1e-3), ray.base)
+    assert steps == []
+
+
+def test_point_past_a_chart_exit_left_domain(disc_scenario):
+    chart = disc_scenario.chart  # disc of radius 0.9, f = x^2 + y^2 <= 0.81
+    ray = _unit_gradient_ray(chart, [0.85, 0.0])
+    with pytest.raises(NeverReached) as err:
+        integrate_to_level(chart.metric, ray, chart.field, 0.95, step=1e-3, domain=chart.domain)
+    march = err.value.march
+    assert len(march.times) > 1
+    with pytest.raises(LeftDomain):
+        point_at_time(march, march.times[-1] + 0.1, 1e-3, chart.domain)
+    # the step after the record ends 6e-4 past the rim, so does 9/10 of it
+    with pytest.raises(LeftDomain):
+        point_at_time(march, march.times[-1] + 0.9e-3, 1e-3, chart.domain)
+    inside = point_at_time(march, 0.5 * march.times[-1], 1e-3, chart.domain)
+    assert chart.domain.contains(inside)
+
+
+def test_unreached_probe_gives_its_point(disc_scenario):
+    chart = disc_scenario.chart
+    ray = _unit_gradient_ray(chart, [0.2, 0.0])
+    with pytest.raises(NeverReached) as err:
+        integrate_to_level(
+            chart.metric, ray, chart.field, 0.25, step=1e-3, domain=chart.domain, t_max=0.1
+        )
+    march = err.value.march
+    assert march.times[-1] == pytest.approx(0.1, abs=1e-12)
+    for r in (0.0505, 0.15):
+        point = point_at_time(march, r, 1e-3, chart.domain)
+        assert np.max(np.abs(point - _geodesic_point(chart, ray, r))) <= 1e-10
+
+
+def test_march_cut_short_reads_the_same_points(disc_scenario):
+    # a record cut before r is continued with the steps the march took
+    chart = disc_scenario.chart
+    ray = _unit_gradient_ray(chart, [0.2, 0.0])
+    with pytest.raises(NeverReached) as err:
+        integrate_to_level(
+            chart.metric, ray, chart.field, 0.25, step=1e-3, domain=chart.domain, t_max=0.1
+        )
+    march = err.value.march
+    cut = march.up_to(0.03)
+    assert cut.times[-1] <= 0.03 < march.times[-1]
+    assert np.array_equal(cut.points, march.points[: len(cut.times)])
+    for r in (0.0205, 0.0505, 0.0995, 0.1205):
+        assert np.array_equal(
+            point_at_time(cut, r, 1e-3, chart.domain), point_at_time(march, r, 1e-3, chart.domain)
+        )
+
+
+def test_march_from_outside_the_domain_is_empty(disc_scenario):
+    chart = disc_scenario.chart
+    ray = TangentVector(np.array([0.95, 0.0]), np.array([1.0, 0.0]))
+    with pytest.raises(NeverReached) as err:
+        integrate_to_level(chart.metric, ray, chart.field, 0.5, domain=chart.domain)
+    assert len(err.value.march.times) == 0
+    with pytest.raises(LeftDomain):
+        point_at_time(err.value.march, 0.1, 1e-3, chart.domain)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,22 @@ def test_unknown_key_rejected_at_its_line(old, new, section):
     assert lines[err.value.line - 1].startswith(bad_key)
 
 
+@pytest.mark.parametrize(
+    "name,old,new,kind",
+    [
+        ("disc-radial", "kind = disc", "kind = disc\nlower = 5, 5", "disc"),
+        ("euclidean-linear", "kind = box", "kind = box\nradius = 1", "box"),
+    ],
+)
+def test_domain_key_of_another_kind_rejected_at_its_line(name, old, new, kind):
+    text = example_texts(name)["main"].replace(old, new)
+    bad_key = new.splitlines()[-1].split("=")[0].strip()
+    message = f"'{bad_key}' does not apply to domain kind '{kind}'"
+    with pytest.raises(ParseError, match=message) as err:
+        parse_scenario(text)
+    assert text.splitlines()[err.value.line - 1].startswith(bad_key)
+
+
 def test_asymmetric_h_rejected():
     bad = DISC_TEXT.replace("h = 1, 0 ; 0, 1", "h = 1, x ; 0, 1")
     with pytest.raises(ValidationError, match="symmetric"):

@@ -1,0 +1,227 @@
+"""Run every CLI verb on every built-in example, and compare two such runs.
+
+Two subcommands:
+
+    python tools/compare_reports.py run OUT [--src SRC]
+    python tools/compare_reports.py compare DIR_A DIR_B [--rtol R] [--atol A]
+                                            [--ignore KEY ...]
+
+``run`` calls ``finsler-lab`` (``python -m finsler_lab.cli``) from the source
+tree SRC (default: this checkout's ``src``), once per verb with default
+arguments on every built-in example, plus a fixed set of ``trace-segment``
+and ``dump-geodesic`` calls, which need a start point. Each call writes into
+its own subdirectory of OUT, run with ``--out .`` from there so that the
+command recorded in the report is the same whatever OUT is. The exit codes
+go to ``OUT/exit_codes.json``.
+
+``compare`` walks both directories, leaving out the ``*-manifest.json``
+sidecars (they hold wall times). It compares JSON reports and CSV files
+number by number: two numbers agree when |a - b| <= atol + rtol max(|a|, |b|),
+and two integers (counts, exit codes) only when equal.
+It prints the count of numbers out of tolerance and the worst of them
+(``WORST_SHOWN``), every change of a non-number (verdicts included), missing
+files and changed exit codes, and exits 1 if any of these is found. Numbers
+under a key named by ``--ignore`` are counted but do not fail the comparison.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+# how many of the numbers out of tolerance are printed, worst first
+WORST_SHOWN = 15
+
+# verbs that run on an example with default arguments
+DEFAULT_VERBS = (
+    "check-transnormal",
+    "verify-distance",
+    "check-parallel",
+    "check-partition",
+    "check-morse-bott",
+)
+# (label, arguments) of the calls that need more than an example
+EXTRA_CALLS = (
+    ("trace-segment-disc-stop", ["trace-segment", "--example", "disc-radial",
+                                 "--start=0.3,0", "--stop", "0.16"]),
+    ("trace-segment-disc-levels", ["trace-segment", "--example", "disc-radial",
+                                   "--start=0.2,0.1", "--levels", "0.1,0.2", "--t-max", "0.35"]),
+    ("check-transnormal-sphere-csv", ["check-transnormal", "--example",
+                                      "randers-sphere-height", "--format", "both"]),
+    ("dump-geodesic-disc", ["dump-geodesic", "--example", "disc-radial",
+                            "--start=0.2,0", "--velocity=0,1", "--t-end", "0.5"]),
+    ("dump-geodesic-sphere", ["dump-geodesic", "--example", "randers-sphere-height",
+                              "--start=1.2,0.3", "--velocity=0.1,1"]),
+)
+
+
+# ---------------------------------------------------------------------------
+# run
+
+
+def run_all(out: Path, src: Path) -> dict:
+    """Every call into its own subdirectory of out; returns {label: exit code}."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cli = [sys.executable, "-m", "finsler_lab.cli"]
+    listing = subprocess.run(
+        [*cli, "list-examples"], env=env, capture_output=True, text=True, check=True
+    )
+    examples = [line.split(":", 1)[0] for line in listing.stdout.splitlines() if ":" in line]
+    calls = [
+        (f"{verb}-{example}", [verb, "--example", example])
+        for example in examples
+        for verb in DEFAULT_VERBS
+    ] + list(EXTRA_CALLS)
+    codes = {}
+    for label, args in calls:
+        cwd = out / label
+        cwd.mkdir(parents=True, exist_ok=True)
+        done = subprocess.run(
+            [*cli, *args, "--out", "."], cwd=cwd, env=env, capture_output=True, text=True
+        )
+        codes[label] = done.returncode
+        print(f"{label}: exit {done.returncode}", flush=True)
+    (out / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    return codes
+
+
+# ---------------------------------------------------------------------------
+# compare
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_measurement(a, b):
+    """Two numbers compared with tolerance; integers (counts, exit codes) must be equal."""
+    return _is_number(a) and _is_number(b) and (isinstance(a, float) or isinstance(b, float))
+
+
+def _csv_value(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _walk(a, b, path, keys, out):
+    """Append (path, keys on the path, a, b) for every leaf pair that differs in kind or value."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b)):
+            if k not in a or k not in b:
+                missing = (a.get(k, "<missing>"), b.get(k, "<missing>"))
+                out.append((f"{path}/{k}", keys + (k,), *missing))
+            else:
+                _walk(a[k], b[k], f"{path}/{k}", keys + (k,), out)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            out.append((f"{path}/len", keys, len(a), len(b)))
+        for i, (x, y) in enumerate(zip(a, b)):
+            _walk(x, y, f"{path}[{i}]", keys, out)
+    else:
+        out.append((path, keys, a, b))
+
+
+def _load(path: Path):
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    with open(path, newline="") as fh:
+        return [[_csv_value(cell) for cell in row] for row in csv.reader(fh)]
+
+
+def _report_files(root: Path):
+    return {
+        str(p.relative_to(root))
+        for p in root.rglob("*")
+        if p.is_file() and p.suffix in (".json", ".csv") and not p.name.endswith("-manifest.json")
+    }
+
+
+def compare_dirs(dir_a, dir_b, rtol=1e-12, atol=0.0, ignore=()):
+    """Differences between two report directories.
+
+    Returns a dict with ``numbers`` (path, a, b, absolute and relative
+    difference, ignored?) for every pair of numbers out of tolerance, sorted
+    worst first by relative difference; ``changes`` (path, a, b) for every
+    other differing leaf, verdicts and exit codes included; and ``missing``,
+    the files found on one side only.
+    """
+    dir_a, dir_b = Path(dir_a), Path(dir_b)
+    files_a, files_b = _report_files(dir_a), _report_files(dir_b)
+    numbers, changes = [], []
+    for name in sorted(files_a & files_b):
+        leaves = []
+        _walk(_load(dir_a / name), _load(dir_b / name), name, (), leaves)
+        for path, keys, a, b in leaves:
+            if _is_measurement(a, b):
+                if a == b or (math.isnan(a) and math.isnan(b)):
+                    continue
+                diff = abs(a - b)
+                scale = max(abs(a), abs(b))
+                if diff <= atol + rtol * scale:
+                    continue
+                rel = diff / scale if scale and math.isfinite(diff) else math.inf
+                numbers.append((path, a, b, diff, rel, any(k in ignore for k in keys)))
+            elif a != b:
+                changes.append((path, a, b))
+    numbers.sort(key=lambda d: -d[4])
+    return {
+        "numbers": numbers,
+        "changes": changes,
+        "missing": sorted(files_a ^ files_b),
+    }
+
+
+def failures(result):
+    """The differences that fail a comparison: all but numbers under ignored keys."""
+    return (
+        [d for d in result["numbers"] if not d[5]] + result["changes"] + result["missing"]
+    )
+
+
+def _print(result):
+    numbers = result["numbers"]
+    print(f"{len(numbers)} numbers out of tolerance "
+          f"({sum(d[5] for d in numbers)} under ignored keys)")
+    for path, a, b, diff, rel, ignored in numbers[:WORST_SHOWN]:
+        tag = " (ignored)" if ignored else ""
+        print(f"  {path}: {a!r} -> {b!r}  abs {diff:.3g}  rel {rel:.3g}{tag}")
+    print(f"{len(result['changes'])} other changes (verdicts, exit codes, strings)")
+    for path, a, b in result["changes"]:
+        print(f"  {path}: {a!r} -> {b!r}")
+    print(f"{len(result['missing'])} files on one side only")
+    for name in result["missing"]:
+        print(f"  {name}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("run", help="run every verb on every example into OUT")
+    p.add_argument("out", type=Path)
+    p.add_argument("--src", type=Path, default=REPO / "src", help="source tree to run")
+    p = sub.add_parser("compare", help="compare two run directories")
+    p.add_argument("dir_a", type=Path)
+    p.add_argument("dir_b", type=Path)
+    p.add_argument("--rtol", type=float, default=1e-12)
+    p.add_argument("--atol", type=float, default=0.0)
+    p.add_argument("--ignore", nargs="*", default=[], help="keys whose numbers may differ")
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        run_all(args.out.resolve(), args.src.resolve())
+        return 0
+    result = compare_dirs(args.dir_a, args.dir_b, args.rtol, args.atol, tuple(args.ignore))
+    _print(result)
+    return 1 if failures(result) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
