@@ -103,7 +103,6 @@ def build_parser():
                            help="wind magnitude override (minkowski example only)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("json", "csv", "both"), default="json")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--probes", type=int, default=None)
         p.add_argument("--step", type=float, default=None)
         p.add_argument("--tol", type=float, default=None)
@@ -192,7 +191,6 @@ class Emitter:
             "scenario": self.scenario,
             "verb": self.verb,
             "command": " ".join(sys.argv[1:]) if sys.argv[1:] else self.verb,
-            "seed": args.seed,
             "versions": {
                 "finsler-lab": __version__,
                 "numpy": np.__version__,

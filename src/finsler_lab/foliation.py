@@ -249,9 +249,14 @@ def check_parallel(
     """Launch orthogonal geodesics between two levels, record arrival defects.
 
     Forward runs ascend from the lower level along forward rays; backward
-    runs descend from the upper level along backward rays. A probe that
-    never attains the target is recorded, and only fatal if no probe
-    arrives.
+    runs descend from the upper level along backward rays. Each probe is an
+    adaptive level march (``integrate_to_level``), in which ``step`` is the
+    resolution of a chart exit. A probe that never attains the target, by
+    leaving the chart or within ``t_max``, is recorded, and only fatal if no
+    probe arrives.
+
+    The report keeps every probe's march, up to its first state at or past
+    the longest arrival, for the cylinders of ``check_finsler_partition``.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -278,7 +283,7 @@ def check_parallel(
             # a march is read at most at the median arc length (the cylinder
             # radius), so an unreached probe that marched the whole time budget
             # keeps its states up to the longest arrival so far only; a record
-            # cut short is continued with the same steps when read
+            # cut short is continued with the steps the march took when read
             marches.append(exc.march.up_to(max(lengths)) if lengths else exc.march)
             continue
         defects.append(ev.orthogonality_defect)

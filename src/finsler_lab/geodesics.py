@@ -1,21 +1,33 @@
-"""Geodesic spray, fixed-step integration, exponential map, level crossings.
+"""Geodesic spray, integration, exponential map, level crossings.
 
 Geodesics solve the Euler-Lagrange system of the energy (1/2)F^2: with
 M[i,k] = d^2F^2/dy^i dx^k the acceleration a satisfies
 
     g_y a = (1/2) dF2_dx - (1/2) M ydot,
 
-a dense symmetric solve at the desk-scale dimensions used here. Integration
-is classical fixed-step 4th order with the running arc length carried as an
-extra state component, so the length converges at the same order as the
-trajectory. A level crossing is located on the bracketing step's cubic
-Hermite dense output and reached by one 4th-order sub-step. A march to a
-level keeps its accepted states, so a later reading of the same geodesic at
-another time (`point_at_time`) costs one sub-step instead of a new march.
+a dense symmetric solve at the desk-scale dimensions used here. The running
+arc length is carried as an extra state component, so the length converges
+at the same order as the trajectory.
+
+Two integrators share the spray stage (`Metric.geodesic_stage`):
+
+- `integrate_geodesic` takes classical fixed 4th-order steps. Its callers
+  need samples at uniform times (`dump-geodesic`'s CSV, the point-by-point
+  comparison of two trajectories), and the 4th-order convergence of its
+  speed drift in the step is an acceptance check.
+- A march to a level (`integrate_to_level`) takes adaptive Dormand-Prince
+  5(4) steps (Dormand & Prince 1980; Hairer-Norsett-Wanner, Solving ODEs I,
+  II.4-II.6) with error control on (x, y, arc length). A crossing is located
+  on the bracketing step's quintic Hermite interpolant and reached by one
+  Dormand-Prince sub-step. The march keeps its accepted states with the
+  controller's next trial step, so a later reading of the same geodesic at
+  another time (`point_at_time`) costs one sub-step, or replays the very
+  steps the march would have taken next.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
@@ -24,32 +36,67 @@ from scipy.optimize import brentq
 
 from .calculus import ScalarField
 from .domains import Domain
-from .errors import LeftDomain, NeverReached, SingularTensor, ZeroVector
+from .errors import FinslerError, LeftDomain, NeverReached, SingularTensor, ZeroVector
 from .metrics import Metric, TangentVector
 
 DEFAULT_STEP = 1e-3
 DEFAULT_TIME_BUDGET = 10.0
 
+# error control of the level march, per component of (x, y, arc length)
+MARCH_RTOL = 1e-12
+MARCH_ATOL = 1e-12
+MAX_STEP = 0.1
+# step-size controller (Hairer-Norsett-Wanner II.4): safety factor and the
+# bounds of one step's change
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+
+# Dormand-Prince 5(4): stage rows, 5th-order weights (b7 = 0, so the last
+# stage is the derivative at the new state, first-same-as-last) and the
+# difference of the 5th- and 4th-order weights
+_DP_A = (
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+)
+_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array(
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+)
+
 
 @dataclass(frozen=True, eq=False)
 class GeodesicTrajectory:
-    """Time-stamped geodesic samples with cumulative metric length."""
+    """Time-stamped geodesic samples with cumulative metric length.
+
+    ``next_steps`` holds, for a recorded march, the step its integrator
+    would try next from each state.
+    """
 
     times: np.ndarray
     points: np.ndarray
     velocities: np.ndarray
     arc_lengths: np.ndarray
     metric: Metric
+    next_steps: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
 
     def up_to(self, t: float) -> "GeodesicTrajectory":
-        """A compact copy of the samples at times <= t."""
-        k = int(np.searchsorted(self.times, t, side="right"))
+        """A compact copy of the samples up to the first at or past time t.
+
+        The kept samples enclose t, so a march read at any time <= t is read
+        inside the copy.
+        """
+        k = min(int(np.searchsorted(self.times, t, side="left")) + 1, len(self.times))
         return GeodesicTrajectory(
             times=self.times[:k].copy(),
             points=self.points[:k].copy(),
             velocities=self.velocities[:k].copy(),
             arc_lengths=self.arc_lengths[:k].copy(),
             metric=self.metric,
+            next_steps=None if self.next_steps is None else self.next_steps[:k].copy(),
         )
 
     @property
@@ -67,25 +114,27 @@ class GeodesicTrajectory:
 
 
 class _StateRecord:
-    """States (t, arc length, x, y) of a march, as rows of one float array.
+    """States (t, x, y, arc length, next step) of a march, as rows of one array.
 
     The array doubles when full, so a march of k steps holds O(k) floats and
     no object per step.
     """
 
-    def __init__(self, dim: int, capacity: int = 64):
+    def __init__(self, dim: int, capacity: int = 16):
         self._dim = dim
-        self._rows = np.empty((capacity, 2 + 2 * dim))
+        self._rows = np.empty((capacity, 3 + 2 * dim))
         self._n = 0
 
-    def append(self, t, arclen, x, y):
+    def append(self, t, x, y, arclen, next_step):
         if self._n == len(self._rows):
             self._rows = np.concatenate((self._rows, np.empty_like(self._rows)))
         row = self._rows[self._n]
+        d = self._dim
         row[0] = t
-        row[1] = arclen
-        row[2 : 2 + self._dim] = x
-        row[2 + self._dim :] = y
+        row[1 : 1 + d] = x
+        row[1 + d : 1 + 2 * d] = y
+        row[1 + 2 * d] = arclen
+        row[2 + 2 * d] = next_step
         self._n += 1
 
     def trajectory(self, metric: Metric) -> GeodesicTrajectory:
@@ -93,10 +142,11 @@ class _StateRecord:
         d = self._dim
         return GeodesicTrajectory(
             times=rows[:, 0],
-            points=rows[:, 2 : 2 + d],
-            velocities=rows[:, 2 + d :],
-            arc_lengths=rows[:, 1],
+            points=rows[:, 1 : 1 + d],
+            velocities=rows[:, 1 + d : 1 + 2 * d],
+            arc_lengths=rows[:, 1 + 2 * d],
             metric=metric,
+            next_steps=rows[:, 2 + 2 * d],
         )
 
 
@@ -178,7 +228,7 @@ def integrate_geodesic(
     if domain is not None and not domain.contains(x):
         raise LeftDomain(f"initial point {x} outside the chart domain", point=x, time=0.0)
     states = _StateRecord(len(x), n_steps + 1)
-    states.append(0.0, 0.0, x, y)
+    states.append(0.0, x, y, 0.0, dt)
     arclen = 0.0
     for k in range(n_steps):
         x, y, dlen = _rk4_step(metric, x, y, dt)
@@ -188,7 +238,7 @@ def integrate_geodesic(
             raise LeftDomain(
                 f"geodesic left the chart domain at t = {t}", point=x, time=t
             )
-        states.append(t, arclen, x, y)
+        states.append(t, x, y, arclen, dt)
     return states.trajectory(metric)
 
 
@@ -256,6 +306,137 @@ def _hermite_crossing_time(
     return brentq(phi, 0.0, h, xtol=1e-12 * h)
 
 
+def _rhs(stage, z, n, out):
+    """Write into out the derivative (y, a, F) of the march state z = (x, y, arc length)."""
+    try:
+        a, speed = stage(z[:n], z[n : 2 * n])
+    except np.linalg.LinAlgError as exc:
+        raise SingularTensor(f"fundamental tensor singular near {z[:n]}: {exc}") from exc
+    out[:n] = z[n : 2 * n]
+    out[n : 2 * n] = a
+    out[2 * n] = speed
+    return out
+
+
+def _dp5_stages(stage, z, k1, h):
+    """One Dormand-Prince step of length h from z, whose derivative is k1.
+
+    Returns the 5th-order state at t + h and the stage derivatives as rows of
+    a 7-row array; the last row is left for the derivative at the new state.
+    """
+    n = (z.size - 1) // 2
+    K = np.empty((7, z.size))
+    K[0] = k1
+    for i, a in enumerate(_DP_A, start=1):
+        _rhs(stage, z + h * (a @ K[:i]), n, K[i])
+    return z + h * (_DP_B @ K[:6]), K
+
+
+def _rms(v) -> float:
+    return math.sqrt(float(v @ v) / v.size)
+
+
+def _initial_step(stage, z, k1) -> float:
+    """First trial step of a march from z (Hairer-Norsett-Wanner II.4).
+
+    Costs one spray stage, at an explicit Euler step from z. Where that
+    stage fails (the Euler step left the region where the metric is
+    defined), the Euler step length itself is returned and the march
+    shortens it as it does any failing step.
+    """
+    n = (z.size - 1) // 2
+    scale = MARCH_ATOL + MARCH_RTOL * np.abs(z)
+    # the speed F > 0 is a component of k1, so d1 > 0
+    d1 = _rms(k1 / scale)
+    h0 = min(0.01 * _rms(z / scale) / d1, MAX_STEP)
+    try:
+        k2 = _rhs(stage, z + h0 * k1, n, np.empty_like(z))
+    except FinslerError:
+        return h0
+    d2 = _rms((k2 - k1) / scale) / h0
+    return min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.2, MAX_STEP)
+
+
+def _accepted_steps(stage, z, k1, t, h, step, domain):
+    """Accepted Dormand-Prince steps from the state z at time t, first trying h.
+
+    Yields (h, t_new, z_new, K, h_next) per accepted step: the step taken, the
+    new time and state, the stage derivatives (K[0] at z, K[6] at z_new) and
+    the step to try next. A step is rejected and shortened when its error
+    estimate exceeds the tolerance (MARCH_RTOL, MARCH_ATOL). A step whose end
+    leaves the domain, or one of whose stages raises a ``FinslerError``, is
+    halved; once such a step is no longer than ``step``, the ``LeftDomain``
+    or the error is final. Given the same (t, z, h), the steps are the same.
+    """
+    n = (z.size - 1) // 2
+    rejected = False
+    while True:
+        try:
+            z_new, K = _dp5_stages(stage, z, k1, h)
+            outside = domain is not None and not domain.contains(z_new[:n])
+            if not outside:
+                _rhs(stage, z_new, n, K[6])
+        except FinslerError:
+            if h <= step:
+                raise
+            h, rejected = 0.5 * h, True
+            continue
+        if outside:
+            if h <= step:
+                raise LeftDomain(
+                    f"geodesic left the chart domain at t = {t + h}", point=z_new[:n], time=t + h
+                )
+            h, rejected = 0.5 * h, True
+            continue
+        scale = MARCH_ATOL + MARCH_RTOL * np.maximum(np.abs(z), np.abs(z_new))
+        ratio = _rms(h * (_DP_E @ K) / scale)
+        if not ratio <= 1.0:
+            h, rejected = h * max(_MIN_FACTOR, _SAFETY * ratio ** -0.2), True
+            continue
+        factor = _MAX_FACTOR if ratio == 0.0 else min(_MAX_FACTOR, _SAFETY * ratio ** -0.2)
+        if rejected:
+            factor = min(factor, 1.0)
+        h_next = min(h * factor, MAX_STEP)
+        yield h, t + h, z_new, K, h_next
+        z, k1, t, h, rejected = z_new, K[6], t + h, h_next, False
+
+
+def _quintic_crossing_time(field: ScalarField, target: float, z0, z1, k0, k1, h: float) -> float:
+    """Time in [0, h] at which f = target on one march step's quintic Hermite interpolant.
+
+    The interpolant matches the positions, velocities and accelerations at
+    both ends of the step, which the march already has (its first and last
+    stage derivatives k0, k1), so locating the crossing costs no spray
+    stage. f - target must change sign, or vanish, between the endpoints.
+    """
+    n = (z0.size - 1) // 2
+    x0, x1 = z0[:n], z1[:n]
+    hv0, hv1 = h * k0[:n], h * k1[:n]
+    hha0, hha1 = h * h * k0[n : 2 * n], h * h * k1[n : 2 * n]
+
+    def phi(theta):
+        s = theta / h
+        s3 = s * s * s
+        p = (
+            (1.0 - s3 * (10.0 - 15.0 * s + 6.0 * s * s)) * x0
+            + s3 * (10.0 - 15.0 * s + 6.0 * s * s) * x1
+            + (s - s3 * (6.0 - 8.0 * s + 3.0 * s * s)) * hv0
+            - s3 * (4.0 - 7.0 * s + 3.0 * s * s) * hv1
+            + 0.5 * s * s * (1.0 - s) ** 3 * hha0
+            + 0.5 * s3 * (1.0 - s) ** 2 * hha1
+        )
+        return field.value(p) - target
+
+    return brentq(phi, 0.0, h, xtol=1e-12 * h)
+
+
+def _march_start(metric: Metric, x, y, arclen):
+    """Stage function, state vector and its derivative for a march from (x, y)."""
+    stage = metric.geodesic_stage
+    z = np.concatenate((x, y, (arclen,)))
+    return stage, z, _rhs(stage, z, len(x), np.empty_like(z))
+
+
 def integrate_to_level(
     metric: Metric,
     v0: TangentVector,
@@ -267,84 +448,101 @@ def integrate_to_level(
 ) -> CrossingEvent:
     """March the geodesic until f crosses the target level.
 
-    The sign change is bracketed inside one integrator step, and the crossing
-    time is found on that step's Hermite dense output. One 4th-order sub-step
-    from the bracket's left state then gives the reported point, velocity and
-    arc length, so they keep the integrator's accuracy.
+    The march takes adaptive Dormand-Prince 5(4) steps, the first one from
+    the Hairer-Norsett-Wanner starting-step estimate. The sign change is
+    bracketed inside one accepted step, and the crossing time is found on
+    that step's quintic Hermite interpolant. One Dormand-Prince sub-step
+    from the bracket's left state then gives the reported point, velocity
+    and arc length, so they keep the integrator's accuracy.
+
+    ``step`` is the resolution of a chart exit: a step that leaves the
+    domain, or one of whose stages fails, is halved until it is no longer
+    than ``step`` before the march gives up with ``NeverReached`` (or the
+    stage's error). The march also gives up after its first accepted step
+    ending at or past ``t_max``.
 
     The accepted steps, the bracketing one included, go on the event as its
     ``march``; a ``NeverReached`` carries the steps taken before the march
     gave up (none when the start lies outside the domain).
     """
+    if step <= 0.0:
+        raise ValueError("step must be positive")
     if metric.norm(v0.base, v0.vector) <= 0.0:
         raise ZeroVector("cannot integrate a geodesic with zero initial velocity")
     x = v0.base.copy()
-    y = v0.vector.copy()
-    states = _StateRecord(len(x))
+    n = len(x)
+    states = _StateRecord(n)
     if domain is not None and not domain.contains(x):
         raise NeverReached(
             f"start point {x} outside the chart domain", march=states.trajectory(metric)
         )
-    arclen = 0.0
+    stage, z, k1 = _march_start(metric, x, v0.vector, 0.0)
+    h = _initial_step(stage, z, k1)
+    states.append(0.0, x, v0.vector, 0.0, h)
     t = 0.0
     phi = field.value(x) - target
-    n_steps = int(np.ceil(t_max / step))
-    for _ in range(n_steps):
-        states.append(t, arclen, x, y)
-        x_new, y_new, dlen = _rk4_step(metric, x, y, step)
-        t_new = t + step
-        if domain is not None and not domain.contains(x_new):
-            raise NeverReached(
-                f"geodesic left the chart domain at t = {t_new} before reaching f = {target}",
-                march=states.trajectory(metric),
-            )
-        phi_new = field.value(x_new) - target
-        if phi_new == 0.0 or (phi_new > 0.0) != (phi > 0.0):
-            states.append(t_new, arclen + dlen, x_new, y_new)
-            theta = _hermite_crossing_time(field, target, x, x_new, y, y_new, step)
-            if theta < step:
-                x_new, y_new, dlen = _rk4_step(metric, x, y, theta)
-            return CrossingEvent.measure(
-                metric, field, target, t + theta, x_new, y_new, arclen + dlen,
-                states.trajectory(metric),
-            )
-        x, y, t, phi = x_new, y_new, t_new, phi_new
-        arclen += dlen
-    states.append(t, arclen, x, y)
-    raise NeverReached(
-        f"f never reached {target} within time budget {t_max} (last f = {phi + target})",
-        march=states.trajectory(metric),
-    )
+    try:
+        for h, t_new, z_new, K, h_next in _accepted_steps(stage, z, k1, t, h, step, domain):
+            states.append(t_new, z_new[:n], z_new[n : 2 * n], z_new[2 * n], h_next)
+            phi_new = field.value(z_new[:n]) - target
+            if phi_new == 0.0 or (phi_new > 0.0) != (phi > 0.0):
+                theta = _quintic_crossing_time(field, target, z, z_new, K[0], K[6], h)
+                if theta < h:
+                    z_new, _ = _dp5_stages(stage, z, K[0], theta)
+                return CrossingEvent.measure(
+                    metric, field, target, t + theta, z_new[:n], z_new[n : 2 * n],
+                    z_new[2 * n], states.trajectory(metric),
+                )
+            if t_new >= t_max:
+                raise NeverReached(
+                    f"f never reached {target} within time budget {t_max} "
+                    f"(last f = {phi_new + target})",
+                    march=states.trajectory(metric),
+                )
+            z, t, phi = z_new, t_new, phi_new
+    except LeftDomain as exc:
+        raise NeverReached(
+            f"geodesic left the chart domain at t = {exc.time} before reaching f = {target}",
+            march=states.trajectory(metric),
+        ) from exc
 
 
 def point_at_time(
     march: GeodesicTrajectory, r: float, step: float, domain: Optional[Domain] = None
 ) -> np.ndarray:
-    """Point at time r of the geodesic whose fixed-step march is recorded.
+    """Point at time r of the geodesic whose level march is recorded.
 
-    Within the record this is one RK4 sub-step of length r - t_k from the
-    last state k at or before r; past its end the march continues with full
-    steps first. Every new state is checked against the domain, and a
-    ``LeftDomain`` is raised at the first one outside (also for an empty
-    record).
+    Within the record this is one Dormand-Prince sub-step of length r - t_k
+    from the last state k at or before r. Past its end the march continues
+    from its last state with the steps it would have taken (its recorded
+    next trial step, then the same controller and the same ``step`` for a
+    chart exit), so a record cut short reads the same points as the whole
+    one. Every new state is checked against the domain, and a ``LeftDomain``
+    is raised at the first one outside (also for an empty record).
     """
     if r < 0.0:
         raise ValueError("time must be nonnegative")
     k = int(np.searchsorted(march.times, r, side="right")) - 1
     if k < 0:
         raise LeftDomain("the march holds no state inside the domain")
-    t, x, y = float(march.times[k]), march.points[k], march.velocities[k]
-    metric = march.metric
-    while r - t > step:
-        x, y, _ = _rk4_step(metric, x, y, step)
-        t += step
-        if domain is not None and not domain.contains(x):
-            raise LeftDomain(f"geodesic left the chart domain at t = {t}", point=x, time=t)
+    t = float(march.times[k])
+    if r == t:
+        return march.points[k]
+    stage, z, k1 = _march_start(
+        march.metric, march.points[k], march.velocities[k], march.arc_lengths[k]
+    )
+    n = march.points.shape[1]
+    if k == len(march.times) - 1:
+        steps = _accepted_steps(stage, z, k1, t, float(march.next_steps[k]), step, domain)
+        for _, t_new, z_new, K, _ in steps:
+            if t_new > r:
+                break
+            z, k1, t = z_new, K[6], t_new
     if r > t:
-        x, _, _ = _rk4_step(metric, x, y, r - t)
-        if domain is not None and not domain.contains(x):
-            raise LeftDomain(f"geodesic left the chart domain at t = {r}", point=x, time=r)
-    return x
+        z, _ = _dp5_stages(stage, z, k1, r - t)
+        if domain is not None and not domain.contains(z[:n]):
+            raise LeftDomain(f"geodesic left the chart domain at t = {r}", point=z[:n], time=r)
+    return z[:n]
 
 
 def polyline_length(metric: Metric, points, samples_per_segment: int = 32) -> float:

@@ -37,7 +37,7 @@ _SECTION_KEYS = {
     "domain": tuple(dict.fromkeys(k for keys in _DOMAIN_KIND_KEYS.values() for k in keys)),
     "metric": ("kind", "h", "wind"),
     "field": ("f",),
-    "numerics": ("step", "probes", "tolerance", "seed"),
+    "numerics": ("step", "probes", "tolerance"),
 }
 
 
@@ -46,7 +46,6 @@ class Numerics:
     step: float = 1e-3
     probes: int = 32
     tolerance: float = 1e-6
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -244,7 +243,6 @@ def _config_from_sections(sections) -> ScenarioConfig:
         step=float(_take(sections, "numerics", "step", default="1e-3")),
         probes=int(_take(sections, "numerics", "probes", default="32")),
         tolerance=float(_take(sections, "numerics", "tolerance", default="1e-6")),
-        seed=int(_take(sections, "numerics", "seed", default="0")),
     )
     if numerics.step <= 0 or numerics.probes < 1 or numerics.tolerance <= 0:
         raise ValidationError("numerics values must be positive")
@@ -328,7 +326,6 @@ def render_scenario(config: ScenarioConfig) -> str:
     lines.append(f"step = {config.numerics.step!r}")
     lines.append(f"probes = {config.numerics.probes}")
     lines.append(f"tolerance = {config.numerics.tolerance!r}")
-    lines.append(f"seed = {config.numerics.seed}")
     return "\n".join(lines) + "\n"
 
 

@@ -199,6 +199,12 @@ def test_missing_arguments_exit_two(tmp_path):
     assert run(tmp_path, "trace-segment", "--example", "disc-radial") == 2
 
 
+def test_seed_option_removed(tmp_path):
+    # every sampler is a deterministic grid, so there is no seed to set
+    assert run(tmp_path, "check-parallel", "--example", "disc-radial", "--seed", "3") == 2
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from finsler_lab import calculus, foliation, geodesics, scenarios
+from finsler_lab import calculus, foliation, scenarios
 from finsler_lab.calculus import ScalarField, _legendre_inverse, finsler_gradient
 from finsler_lab.domains import DiscDomain
 from finsler_lab.errors import LeftDomain, LevelNotFound, NeverReached
@@ -234,10 +234,34 @@ def test_minkowski_backward_parallel_fails(minkowski_scenario):
     for march, p in zip(report.marches, sample.points):
         assert march.times[0] == 0.0 and np.array_equal(march.points[0], p)
     # an unreached probe marched the whole budget, but keeps no state past the
-    # longest arrival, the farthest a cylinder reads
+    # first at or past the longest arrival, the farthest a cylinder reads
     horizon = max(report.arc_lengths)
     assert horizon < 3.5  # well inside the time budget of 4
-    assert max(march.times[-1] for march in report.marches) <= horizon
+    assert max(march.times[-2] for march in report.marches) < horizon
+    assert max(march.times[-1] for march in report.marches) >= horizon
+
+
+def test_minkowski_backward_matches_rk4_level_march(
+    minkowski_scenario, rk4_level_march, monkeypatch
+):
+    # probes that turn away from the target march the whole time budget
+    chart = minkowski_scenario.chart
+    args = (chart.metric, chart.field, 1.0, 2.0, "backward", 8, chart.domain)
+    kwargs = dict(level_parametrization=minkowski_scenario.level_parametrization(), t_max=4.0)
+    report = check_parallel(*args, **kwargs)
+
+    def reference_march(metric, ray, field, target, step, domain, t_max):
+        return rk4_level_march(metric, ray, field, target, step, domain=domain, t_max=t_max)
+
+    monkeypatch.setattr(foliation, "integrate_to_level", reference_march)
+    reference = check_parallel(*args, **kwargs)
+    assert 0 < report.unreached == reference.unreached < 8
+    assert len(report.per_probe_defects) == len(reference.per_probe_defects)
+    for new, old in zip(report.per_probe_defects, reference.per_probe_defects):
+        assert abs(new - old) <= 1e-10
+    for new, old in zip(report.arc_lengths, reference.arc_lengths):
+        assert abs(new - old) <= 1e-10
+    assert not report.verdict and not reference.verdict
 
 
 def test_sphere_parallel_both_directions(sphere_scenario):
@@ -531,7 +555,7 @@ def test_cylinder_point_outside_the_chart_is_a_failure(disc_scenario):
 def test_partition_spends_stages_only_on_sub_steps(disc_scenario, monkeypatch):
     chart = disc_scenario.chart
     metric = chart.metric
-    counts = {"stages": 0, "parallel_stages": 0, "cylinder_steps": 0}
+    counts = {"stages": 0, "parallel_stages": 0}
     in_parallel = [False]
     stage = metric.geodesic_stage
 
@@ -539,12 +563,6 @@ def test_partition_spends_stages_only_on_sub_steps(disc_scenario, monkeypatch):
         counts["stages"] += 1
         counts["parallel_stages"] += in_parallel[0]
         return stage(x, y)
-
-    rk4_step = geodesics._rk4_step
-
-    def counted_rk4(metric_, x, y, dt):
-        counts["cylinder_steps"] += not in_parallel[0]
-        return rk4_step(metric_, x, y, dt)
 
     check = foliation.check_parallel
 
@@ -559,7 +577,6 @@ def test_partition_spends_stages_only_on_sub_steps(disc_scenario, monkeypatch):
         raise AssertionError("build_cylinder called")
 
     monkeypatch.setattr(metric, "geodesic_stage", counted_stage)
-    monkeypatch.setattr(geodesics, "_rk4_step", counted_rk4)
     monkeypatch.setattr(foliation, "check_parallel", parallel)
     monkeypatch.setattr(foliation, "build_cylinder", no_cylinder)
     report = check_finsler_partition(
@@ -568,7 +585,6 @@ def test_partition_spends_stages_only_on_sub_steps(disc_scenario, monkeypatch):
     )
     assert report.finsler_partition_verdict
     cylinder_points = 4 * len(report.cylinder_match_defects)
-    # one sub-step per cylinder point, plus at most one full step where r
-    # lies past a probe's recorded march
-    assert 0 < counts["cylinder_steps"] <= 2 * cylinder_points
-    assert counts["stages"] - counts["parallel_stages"] == 4 * counts["cylinder_steps"]
+    # every cylinder point is read inside its probe's kept march: one
+    # Dormand-Prince sub-step, 6 stages with the one at the recorded state
+    assert counts["stages"] - counts["parallel_stages"] == 6 * cylinder_points

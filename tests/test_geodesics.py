@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from finsler_lab import geodesics, numdiff
-from finsler_lab.calculus import finsler_gradient
+from finsler_lab.calculus import ScalarField, finsler_gradient
 from finsler_lab.domains import DiscDomain
-from finsler_lab.errors import LeftDomain, NeverReached, ZeroVector
+from finsler_lab.errors import LeftDomain, NeverReached, NonConvexWind, ZeroVector
+from finsler_lab.expressions import parse_expression
 from finsler_lab.geodesics import (
     exp_map,
     integrate_geodesic,
@@ -298,38 +299,67 @@ def test_crossing_matches_bisection(request, fixture, chart_name, start, target)
 
 
 @pytest.mark.parametrize("fixture, chart_name, start, target", CROSSING_CASES)
-def test_crossing_takes_at_most_one_sub_step(
-    request, monkeypatch, fixture, chart_name, start, target
+def test_crossing_matches_rk4_level_march(
+    request, rk4_level_march, fixture, chart_name, start, target
 ):
     chart = request.getfixturevalue(fixture).charts[chart_name]
     ray = _unit_gradient_ray(chart, start)
-    step_lengths = []
-    rk4_step = geodesics._rk4_step
+    event = integrate_to_level(
+        chart.metric, ray, chart.field, target, step=1e-3, domain=chart.domain
+    )
+    reference = rk4_level_march(
+        chart.metric, ray, chart.field, target, 2.5e-4, domain=chart.domain
+    )
+    assert abs(event.time - reference.time) <= 1e-10
+    assert np.max(np.abs(event.point - reference.point)) <= 1e-10
+    assert abs(event.arc_length - reference.arc_length) <= 1e-10
+    assert abs(event.orthogonality_defect - reference.orthogonality_defect) <= 1e-10
 
-    def counted(metric, x, y, dt):
-        step_lengths.append(dt)
-        return rk4_step(metric, x, y, dt)
 
-    monkeypatch.setattr(geodesics, "_rk4_step", counted)
-    integrate_to_level(chart.metric, ray, chart.field, target, step=1e-3, domain=chart.domain)
-    assert len(step_lengths) > 1
-    assert sum(dt != 1e-3 for dt in step_lengths) <= 1
+def _counted_stages(monkeypatch, metric):
+    """Count the spray stages of metric from now on."""
+    calls = []
+    stage = metric.geodesic_stage
+
+    def counted(x, y):
+        calls.append(1)
+        return stage(x, y)
+
+    monkeypatch.setattr(metric, "geodesic_stage", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fixture, chart_name, start, target", CROSSING_CASES)
+def test_crossing_takes_at_most_one_sub_step(
+    request, monkeypatch, fixture, chart_name, start, target
+):
+    # the march to the bracketing step is the march of a probe that never
+    # reaches its level and stops there; locating the crossing then costs one
+    # Dormand-Prince sub-step (5 stages, its first is the step's own)
+    chart = request.getfixturevalue(fixture).charts[chart_name]
+    ray = _unit_gradient_ray(chart, start)
+    stages = _counted_stages(monkeypatch, chart.metric)
+    event = integrate_to_level(
+        chart.metric, ray, chart.field, target, step=1e-3, domain=chart.domain
+    )
+    crossing_stages = len(stages)
+    stages.clear()
+    below = chart.field.value(ray.base) - 1.0  # f rises along the ray
+    with pytest.raises(NeverReached) as err:
+        integrate_to_level(
+            chart.metric, ray, chart.field, below, step=1e-3, domain=chart.domain,
+            t_max=event.march.times[-1],
+        )
+    march = err.value.march
+    assert np.array_equal(march.times, event.march.times)
+    assert np.array_equal(march.points, event.march.points)
+    sub_step = 5 if event.time < march.times[-1] else 0
+    assert crossing_stages == len(stages) + sub_step
+    assert len(march.times) > 2
 
 
 # ---------------------------------------------------------------------------
 # reading a recorded march at another time
-
-
-def _counted_rk4_steps(monkeypatch):
-    step_lengths = []
-    rk4_step = geodesics._rk4_step
-
-    def counted(metric, x, y, dt):
-        step_lengths.append(dt)
-        return rk4_step(metric, x, y, dt)
-
-    monkeypatch.setattr(geodesics, "_rk4_step", counted)
-    return step_lengths
 
 
 def _geodesic_point(chart, ray, r):
@@ -347,12 +377,17 @@ def test_march_keeps_its_accepted_steps(disc_scenario):
     assert np.array_equal(march.velocities[0], ray.vector)
     # the last state is the right end of the step that brackets the crossing
     assert march.times[-2] <= event.time <= march.times[-1]
-    assert np.allclose(np.diff(march.times), 1e-3, rtol=1e-9, atol=0.0)
-    reference = integrate_geodesic(chart.metric, ray, march.times[-1], step=1e-3)
-    assert np.max(np.abs(march.points - reference.points)) <= 1e-12
+    assert np.all(np.diff(march.times) > 0.0)
+    assert np.all((march.next_steps > 0.0) & (march.next_steps <= geodesics.MAX_STEP))
+    # adaptive steps: far fewer states than fixed steps of length `step`
+    assert len(march.times) < 0.1 * march.times[-1] / 1e-3
+    for t, point, arc in zip(march.times[1:], march.points[1:], march.arc_lengths[1:]):
+        reference = integrate_geodesic(chart.metric, ray, t, step=1e-3)
+        assert np.max(np.abs(point - reference.points[-1])) <= 1e-10
+        assert abs(arc - reference.arc_lengths[-1]) <= 1e-10
 
 
-def test_point_past_the_crossing_continues_the_march(disc_scenario, monkeypatch):
+def test_point_past_the_crossing_continues_the_march(disc_scenario):
     chart = disc_scenario.chart
     ray = _unit_gradient_ray(chart, [0.2, 0.0])
     event = integrate_to_level(
@@ -360,12 +395,14 @@ def test_point_past_the_crossing_continues_the_march(disc_scenario, monkeypatch)
     )
     r = 0.35
     assert event.march.times[-1] < r
-    steps = _counted_rk4_steps(monkeypatch)
     point = point_at_time(event.march, r, 1e-3, chart.domain)
-    full = sum(dt == 1e-3 for dt in steps)
-    assert full == int((r - event.march.times[-1]) / 1e-3)
-    assert len(steps) - full <= 1
     assert np.max(np.abs(point - _geodesic_point(chart, ray, r))) <= 1e-10
+    # the continuation takes the steps a march to a farther level took
+    farther = integrate_to_level(
+        chart.metric, ray, chart.field, 0.6, step=1e-3, domain=chart.domain
+    )
+    assert farther.march.times[-1] > r
+    assert np.array_equal(point, point_at_time(farther.march, r, 1e-3, chart.domain))
 
 
 def test_point_before_the_crossing_is_one_sub_step(disc_scenario, monkeypatch):
@@ -375,33 +412,77 @@ def test_point_before_the_crossing_is_one_sub_step(disc_scenario, monkeypatch):
         chart.metric, ray, chart.field, 0.25, step=1e-3, domain=chart.domain
     )
     r = 0.1005
-    assert r < event.time
-    steps = _counted_rk4_steps(monkeypatch)
+    assert r < event.time and r not in event.march.times
+    stages = _counted_stages(monkeypatch, chart.metric)
     point = point_at_time(event.march, r, 1e-3, chart.domain)
-    assert len(steps) == 1 and 0.0 < steps[0] < 1e-3
-    k = int(np.searchsorted(event.march.times, r)) - 1
-    assert steps[0] == pytest.approx(r - event.march.times[k], abs=1e-15)
+    assert len(stages) == 6  # the first stage at the recorded state, then five
     assert np.max(np.abs(point - _geodesic_point(chart, ray, r))) <= 1e-10
     # a time on the record costs nothing
-    steps.clear()
+    stages.clear()
+    k = len(event.march.times) // 2
+    on_record = point_at_time(event.march, event.march.times[k], 1e-3)
+    assert np.array_equal(on_record, event.march.points[k])
     assert np.array_equal(point_at_time(event.march, 0.0, 1e-3), ray.base)
-    assert steps == []
+    assert stages == []
 
 
-def test_point_past_a_chart_exit_left_domain(disc_scenario):
+def test_point_past_a_chart_exit_left_domain(disc_scenario, monkeypatch):
     chart = disc_scenario.chart  # disc of radius 0.9, f = x^2 + y^2 <= 0.81
     ray = _unit_gradient_ray(chart, [0.85, 0.0])
     with pytest.raises(NeverReached) as err:
         integrate_to_level(chart.metric, ray, chart.field, 0.95, step=1e-3, domain=chart.domain)
     march = err.value.march
     assert len(march.times) > 1
+    # the exit is resolved to `step`: a step of that length from the last
+    # state leaves the chart
+    last = TangentVector(march.points[-1], march.velocities[-1])
     with pytest.raises(LeftDomain):
-        point_at_time(march, march.times[-1] + 0.1, 1e-3, chart.domain)
-    # the step after the record ends 6e-4 past the rim, so does 9/10 of it
-    with pytest.raises(LeftDomain):
-        point_at_time(march, march.times[-1] + 0.9e-3, 1e-3, chart.domain)
+        integrate_geodesic(chart.metric, last, 1e-3, step=1e-3, domain=chart.domain)
+    for past in (1e-9, 0.9e-3, 0.1):
+        with pytest.raises(LeftDomain):
+            point_at_time(march, march.times[-1] + past, 1e-3, chart.domain)
     inside = point_at_time(march, 0.5 * march.times[-1], 1e-3, chart.domain)
     assert chart.domain.contains(inside)
+
+
+def test_trial_stage_outside_the_metric_halves_the_step(disc_scenario, monkeypatch):
+    # the wind reaches h(W, W) = 1 at the unit circle; on a disc of radius
+    # 0.99 a trial stage lands past it and raises, and the march halves that
+    # step instead of failing
+    chart = disc_scenario.chart
+    ray = _unit_gradient_ray(chart, [0.85, 0.0])
+    raised = []
+    stage = chart.metric.geodesic_stage
+
+    def recording(x, y):
+        try:
+            return stage(x, y)
+        except NonConvexWind:
+            raised.append(np.linalg.norm(x))
+            raise
+
+    monkeypatch.setattr(chart.metric, "geodesic_stage", recording)
+    with pytest.raises(NeverReached) as err:
+        integrate_to_level(
+            chart.metric, ray, chart.field, 0.99, step=1e-3, domain=DiscDomain(0.99)
+        )
+    assert raised and min(raised) >= 0.999
+    assert np.linalg.norm(err.value.march.points[-1]) > 0.98
+    # from r = 0.99 even the starting-step estimate's Euler stage lands past
+    # the unit circle; its step is then tried, and halved, like any other
+    raised.clear()
+    with pytest.raises(NeverReached) as err:
+        integrate_to_level(
+            chart.metric, _unit_gradient_ray(chart, [0.99, 0.0]), chart.field, 0.9999,
+            step=1e-3, domain=DiscDomain(0.999),
+        )
+    assert raised and len(err.value.march.times) > 1
+    # where the chart reaches the wind margin, a step no longer than `step`
+    # still fails, and then the stage's error is final
+    with pytest.raises(NonConvexWind):
+        integrate_to_level(
+            chart.metric, ray, chart.field, 0.9999, step=1e-3, domain=DiscDomain(0.9999)
+        )
 
 
 def test_unreached_probe_gives_its_point(disc_scenario):
@@ -412,7 +493,8 @@ def test_unreached_probe_gives_its_point(disc_scenario):
             chart.metric, ray, chart.field, 0.25, step=1e-3, domain=chart.domain, t_max=0.1
         )
     march = err.value.march
-    assert march.times[-1] == pytest.approx(0.1, abs=1e-12)
+    # the march stops after its first step ending at or past the time budget
+    assert march.times[-2] < 0.1 <= march.times[-1]
     for r in (0.0505, 0.15):
         point = point_at_time(march, r, 1e-3, chart.domain)
         assert np.max(np.abs(point - _geodesic_point(chart, ray, r))) <= 1e-10
@@ -427,9 +509,10 @@ def test_march_cut_short_reads_the_same_points(disc_scenario):
             chart.metric, ray, chart.field, 0.25, step=1e-3, domain=chart.domain, t_max=0.1
         )
     march = err.value.march
-    cut = march.up_to(0.03)
-    assert cut.times[-1] <= 0.03 < march.times[-1]
+    cut = march.up_to(0.01)
+    assert cut.times[-2] < 0.01 <= cut.times[-1] < march.times[-1]
     assert np.array_equal(cut.points, march.points[: len(cut.times)])
+    assert np.array_equal(cut.next_steps, march.next_steps[: len(cut.times)])
     for r in (0.0205, 0.0505, 0.0995, 0.1205):
         assert np.array_equal(
             point_at_time(cut, r, 1e-3, chart.domain), point_at_time(march, r, 1e-3, chart.domain)
@@ -463,3 +546,35 @@ def test_gradient_geodesic_locally_minimizes(disc_scenario, rng):
         mids = np.linspace(p, event.point, 6)[1:-1] + rng.normal(scale=0.03, size=(4, 2))
         path = np.vstack([p, mids, event.point])
         assert polyline_length(chart.metric, path, 64) >= geo_len - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# dimensions other than 2
+
+
+@pytest.mark.parametrize(
+    "wind, expression, start, target",
+    [
+        ([0.3], "2*x", [0.1], 1.5),
+        ([-0.6], "-x", [0.4], 1.1),
+        ([0.2, 0.1, -0.3], "x - 2*y + 0.5*z", [0.1, -0.2, 0.3], 2.0),
+        ([0.0, 0.5, 0.4], "3*z", [0.0, 0.0, 0.0], 0.7),
+    ],
+)
+def test_level_march_in_dimensions_1_and_3(wind, expression, start, target):
+    # constant wind, linear f: the orthogonal geodesic is a straight line on
+    # which f grows at F*(df) = |df| + df(W) per unit of arc length
+    dim = len(start)
+    metric = RandersMetric.constant_wind(wind)
+    field = ScalarField.from_expression(parse_expression(expression), dim)
+    p = np.array(start, dtype=float)
+    res = finsler_gradient(metric, field, p)
+    ray = TangentVector(p, res.gradient.vector / res.finsler_norm)
+    df = field.differential(p)
+    expected = (target - field.value(p)) / (np.linalg.norm(df) + df @ np.array(wind))
+    event = integrate_to_level(metric, ray, field, target)
+    assert abs(event.arc_length - expected) <= 1e-10
+    assert abs(event.time - expected) <= 1e-10
+    assert abs(field.value(event.point) - target) <= 1e-12
+    assert event.orthogonality_defect <= 1e-12
+    assert event.point.shape == (dim,)

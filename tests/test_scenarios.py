@@ -87,6 +87,7 @@ def test_config_validation_errors(mutation, exc):
     "old,new,section",
     [
         ("tolerance = 1e-6", "tolerence = 1e-9", "numerics"),
+        ("tolerance = 1e-6", "tolerance = 1e-6\nseed = 3", "numerics"),
         ("kind = disc", "kind = disc\ncentre = 0, 0", "domain"),
         ("dimension = 2", "dimension = 2\nseed = 3", "header"),
     ],
