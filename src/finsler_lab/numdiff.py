@@ -12,7 +12,7 @@ import numpy as np
 DEFAULT_STEP = 1e-4
 
 
-def directional_derivative(func, x, direction, step=DEFAULT_STEP, richardson=True):
+def directional_derivative(func, x, direction, step=DEFAULT_STEP):
     """d/ds func(x + s*direction) at s=0 by central differences."""
     x = np.asarray(x, dtype=float)
     d = np.asarray(direction, dtype=float)
@@ -20,21 +20,19 @@ def directional_derivative(func, x, direction, step=DEFAULT_STEP, richardson=Tru
     def central(h):
         return (func(x + h * d) - func(x - h * d)) / (2.0 * h)
 
-    if not richardson:
-        return central(step)
     coarse = central(step)
     fine = central(step / 2.0)
     return (4.0 * fine - coarse) / 3.0
 
 
-def gradient(func, x, step=DEFAULT_STEP, richardson=True):
+def gradient(func, x, step=DEFAULT_STEP):
     """Gradient of a scalar function by per-coordinate central differences."""
     x = np.asarray(x, dtype=float)
     n = x.size
     out = np.empty(n)
     eye = np.eye(n)
     for i in range(n):
-        out[i] = directional_derivative(func, x, eye[i], step=step, richardson=richardson)
+        out[i] = directional_derivative(func, x, eye[i], step=step)
     return out
 
 
@@ -71,7 +69,7 @@ def hessian(func, x, step=1e-4):
     return out
 
 
-def second_directional(func, x, u, w, step=DEFAULT_STEP, richardson=True):
+def second_directional(func, x, u, w, step=DEFAULT_STEP):
     """Mixed second derivative d^2/dt ds func(x + t*u + s*w) at 0."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -85,14 +83,12 @@ def second_directional(func, x, u, w, step=DEFAULT_STEP, richardson=True):
             + func(x - h * u - h * w)
         ) / (4.0 * h * h)
 
-    if not richardson:
-        return central(step)
     coarse = central(step)
     fine = central(step / 2.0)
     return (4.0 * fine - coarse) / 3.0
 
 
-def third_directional(func, x, w1, w2, w3, step=1e-3, richardson=True):
+def third_directional(func, x, w1, w2, w3, step=1e-3):
     """Mixed third derivative d^3/ds3 ds2 ds1 func(x + sum s_i w_i) at 0."""
     x = np.asarray(x, dtype=float)
     dirs = [np.asarray(w, dtype=float) for w in (w1, w2, w3)]
@@ -106,8 +102,6 @@ def third_directional(func, x, w1, w2, w3, step=1e-3, richardson=True):
                     total += s1 * s2 * s3 * func(x + shift)
         return total / (8.0 * h**3)
 
-    if not richardson:
-        return central(step)
     coarse = central(step)
     fine = central(step / 2.0)
     # central third difference has O(h^2) error, same elimination weights

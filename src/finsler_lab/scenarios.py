@@ -84,6 +84,10 @@ class Scenario:
     critical_charts: Tuple[str, ...] = ()
     known_b: Optional[Callable[[float], float]] = None
     known_b_label: str = ""
+    # defaults of the level-based verbs: check-partition's levels, and the
+    # (from, to) range of verify-distance and check-parallel
+    partition_levels: Tuple[float, ...] = ()
+    distance_range: Tuple[Optional[float], Optional[float]] = (None, None)
     level_parametrizations: Dict[str, Callable[[float, float], np.ndarray]] = field(
         default_factory=dict
     )
@@ -244,7 +248,8 @@ def _config_from_sections(sections) -> ScenarioConfig:
         probes=int(_take(sections, "numerics", "probes", default="32")),
         tolerance=float(_take(sections, "numerics", "tolerance", default="1e-6")),
     )
-    if numerics.step <= 0 or numerics.probes < 1 or numerics.tolerance <= 0:
+    # `not value > 0` also rejects nan
+    if not numerics.step > 0 or numerics.probes < 1 or not numerics.tolerance > 0:
         raise ValidationError("numerics values must be positive")
 
     config = ScenarioConfig(
@@ -547,6 +552,8 @@ def _build_euclidean_linear() -> Scenario:
         default_chart="main",
         known_b=lambda t: 1.0,
         known_b_label="1",
+        partition_levels=(-0.5, 0.0, 0.5),
+        distance_range=(-0.5, 0.5),
         level_parametrizations={"main": level_param},
     )
 
@@ -569,6 +576,8 @@ def minkowski_randers_distance(wind_norm: float = 0.5) -> Scenario:
         default_chart="main",
         known_b=lambda t: 1.0,
         known_b_label="1",
+        partition_levels=(1.0, 1.5, 2.0),
+        distance_range=(1.0, 2.0),
         level_parametrizations={"main": level_param},
     )
 
@@ -593,6 +602,8 @@ def _build_disc_radial() -> Scenario:
         critical_charts=("main",),
         known_b=known_b,
         known_b_label="(2*sqrt(t) + 2*t)^2",
+        partition_levels=(0.04, 0.16, 0.36),
+        distance_range=(0.04, 0.25),
         level_parametrizations={"main": level_param},
     )
 
@@ -623,6 +634,8 @@ def _build_sphere_height() -> Scenario:
         critical_charts=("north-cap", "south-cap"),
         known_b=lambda t: 1.0 - t * t,
         known_b_label="1 - t^2",
+        partition_levels=(-0.5, 0.0, 0.5),
+        distance_range=(0.0, 1.0 - 1e-6),
         level_parametrizations={
             "band": level_param,
             "north-cap": cap_level_param_north,

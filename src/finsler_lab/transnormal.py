@@ -75,14 +75,6 @@ class BFit:
     def derivative(self, t):
         return float(self._deriv(t))
 
-    @property
-    def t_min(self):
-        return float(self.nodes[0])
-
-    @property
-    def t_max(self):
-        return float(self.nodes[-1])
-
 
 @dataclass(frozen=True, eq=False)
 class TransnormalityReport:

@@ -214,9 +214,53 @@ def test_seed_option_removed(tmp_path):
         ("trace-segment", "--example", "disc-radial", "--start", "0.3,0,0", "--stop", "0.2"),
         ("dump-geodesic", "--example", "disc-radial", "--start", "0.3,0", "--velocity", "1"),
         ("dump-geodesic", "--example", "disc-radial", "--start", "0.3", "--velocity", "1,0"),
+        ("check-morse-bott", "--example", "disc-radial", "--chart", "nope"),
+        # numeric options must be positive
+        ("trace-segment", "--example", "disc-radial", "--start", "0.3,0", "--step", "0"),
+        ("dump-geodesic", "--example", "disc-radial", "--start", "0.3,0", "--velocity", "1,0",
+         "--t-end", "-1"),
+        ("dump-geodesic", "--example", "disc-radial", "--start", "0.3,0", "--velocity", "1,0",
+         "--step", "0"),
+        ("check-transnormal", "--example", "disc-radial", "--samples", "-5"),
+        ("check-partition", "--example", "disc-radial", "--probes", "0"),
+        ("check-parallel", "--example", "disc-radial", "--t-max", "-1"),
+        ("verify-distance", "--example", "disc-radial", "--tol", "nan"),
+        # --wind sets the wind of minkowski-randers-distance only
+        ("check-transnormal", "--example", "disc-radial", "--wind", "0.3"),
     ],
 )
 def test_usage_errors_exit_two(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-morse-bott", "--example", "disc-radial", "--tol", "1e-3"),
+        ("check-transnormal", "--example", "disc-radial", "--step", "1e-3"),
+        ("dump-geodesic", "--example", "disc-radial", "--start", "0.3,0", "--velocity", "1,0",
+         "--t-max", "1"),
+        ("verify-distance", "--example", "disc-radial", "--format", "csv"),
+        ("dump-geodesic", "--example", "disc-radial", "--start", "0.3,0", "--velocity", "1,0",
+         "--format", "csv"),
+        ("list-examples", "--probes", "3"),
+    ],
+)
+def test_option_a_verb_does_not_read_exits_two(tmp_path, argv):
+    assert run(tmp_path, *argv) == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_scenario_file_has_no_level_defaults(tmp_path, capsys):
+    # the default levels and range belong to the built-in examples, not to a name:
+    # this file is named disc-radial but takes none of its defaults
+    path = tmp_path / "disc.scn"
+    path.write_text(example_texts("disc-radial")["main"])
+    out = tmp_path / "out"
+    assert run(out, "check-partition", "--scenario", str(path)) == 2
+    assert run(out, "verify-distance", "--scenario", str(path)) == 2
+    assert run(out, "check-parallel", "--scenario", str(path), "--from", "0.04") == 2
+    assert capsys.readouterr().err.count("configuration error") == 3
+    assert not out.exists()

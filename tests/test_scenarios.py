@@ -75,6 +75,8 @@ def test_dangling_operator_parse_error():
         (("f = x^2 + y^2", "f = x^2 + z^2"), ValidationError),
         (("wind = x, y", "wind = x"), ValidationError),
         (("[metric]", "[metrics]"), ParseError),
+        (("step = 1e-3", "step = nan"), ValidationError),
+        (("tolerance = 1e-6", "tolerance = nan"), ValidationError),
     ],
 )
 def test_config_validation_errors(mutation, exc):

@@ -59,6 +59,15 @@ EXTRA_CALLS = (
                             "--start=0.2,0", "--velocity=0,1", "--t-end", "0.5"]),
     ("dump-geodesic-sphere", ["dump-geodesic", "--example", "randers-sphere-height",
                               "--start=1.2,0.3", "--velocity=0.1,1"]),
+    ("check-morse-bott-sphere-north", ["check-morse-bott", "--example",
+                                       "randers-sphere-height", "--chart", "north-cap"]),
+    ("check-transnormal-sphere-south", ["check-transnormal", "--example",
+                                        "randers-sphere-height", "--chart", "south-cap"]),
+    ("check-parallel-disc-forward", ["check-parallel", "--example", "disc-radial",
+                                     "--direction", "forward", "--from", "0.09", "--to", "0.25"]),
+    ("check-partition-minkowski-wind", ["check-partition", "--example",
+                                        "minkowski-randers-distance", "--wind", "0.3",
+                                        "--t-max", "4", "--probes", "8"]),
 )
 
 
