@@ -23,6 +23,13 @@ Two integrators share the spray stage (`Metric.geodesic_stage`):
   controller's next trial step, so a later reading of the same geodesic at
   another time (`point_at_time`) costs one sub-step, or replays the very
   steps the march would have taken next.
+
+The Dormand-Prince step loop (`_accepted_steps`) is one loop with two
+right-hand sides ``rhs(z, out)``: the spray on (x, y, arc length) here, and
+the unit gradient flow on x in `transnormal.trace_f_segment`. Both march at
+the same error control and resolve a chart exit the same way. The step's
+continuous extension (`_dense_output`) gives the flow its crossings and its
+measured acceleration.
 """
 
 from __future__ import annotations
@@ -65,6 +72,14 @@ _DP_A = (
 _DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _DP_E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+)
+# weights of the 4th-degree term of the continuous extension (`_dense_output`)
+_DP_D = np.array(
+    [
+        -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+        -10690763975 / 1880347072, 701980252875 / 199316789632,
+        -1453857185 / 822651844, 69997945 / 29380423,
+    ]
 )
 
 
@@ -282,100 +297,109 @@ def orthogonality_defect(metric: Metric, gamma_dot: TangentVector, tangent_basis
     return worst
 
 
-def _hermite_crossing_time(
-    field: ScalarField, target: float, x0, x1, dx0, dx1, h: float
-) -> float:
-    """Time in [0, h] at which f = target on one step's cubic Hermite interpolant.
+def _spray_rhs(metric: Metric, n: int):
+    """Right-hand side ``rhs(z, out)`` of the spray on the march state z = (x, y, arc length).
 
-    The interpolant matches the step's endpoint positions x0, x1 and their
-    time derivatives dx0, dx1 (Hairer-Norsett-Wanner, Solving ODEs I, II.6),
-    so locating the crossing costs no right-hand-side evaluation. f - target
-    must change sign, or vanish, between the endpoints.
+    Writes the derivative (y, a, F) into out and returns it.
     """
-    delta = x1 - x0
-    hdx0 = h * dx0
-    hdx1 = h * dx1
+    stage = metric.geodesic_stage
 
-    def phi(theta):
-        s = theta / h
-        p = (1.0 - s) * x0 + s * x1 + s * (s - 1.0) * (
-            (1.0 - 2.0 * s) * delta + (s - 1.0) * hdx0 + s * hdx1
-        )
-        return field.value(p) - target
+    def rhs(z, out):
+        try:
+            a, speed = stage(z[:n], z[n : 2 * n])
+        except np.linalg.LinAlgError as exc:
+            raise SingularTensor(f"fundamental tensor singular near {z[:n]}: {exc}") from exc
+        out[:n] = z[n : 2 * n]
+        out[n : 2 * n] = a
+        out[2 * n] = speed
+        return out
 
-    return brentq(phi, 0.0, h, xtol=1e-12 * h)
-
-
-def _rhs(stage, z, n, out):
-    """Write into out the derivative (y, a, F) of the march state z = (x, y, arc length)."""
-    try:
-        a, speed = stage(z[:n], z[n : 2 * n])
-    except np.linalg.LinAlgError as exc:
-        raise SingularTensor(f"fundamental tensor singular near {z[:n]}: {exc}") from exc
-    out[:n] = z[n : 2 * n]
-    out[n : 2 * n] = a
-    out[2 * n] = speed
-    return out
+    return rhs
 
 
-def _dp5_stages(stage, z, k1, h):
+def _dp5_stages(rhs, z, k1, h):
     """One Dormand-Prince step of length h from z, whose derivative is k1.
 
     Returns the 5th-order state at t + h and the stage derivatives as rows of
     a 7-row array; the last row is left for the derivative at the new state.
     """
-    n = (z.size - 1) // 2
     K = np.empty((7, z.size))
     K[0] = k1
     for i, a in enumerate(_DP_A, start=1):
-        _rhs(stage, z + h * (a @ K[:i]), n, K[i])
+        rhs(z + h * (a @ K[:i]), K[i])
     return z + h * (_DP_B @ K[:6]), K
+
+
+def _dense_output(z0, z1, K, h):
+    """One Dormand-Prince step's continuous extension, as (z0, z1, r2, r3, r4).
+
+    The state at t + s h is (1 - s) z0 + s z1 + s (1 - s) (r2 + s (r3 + (1 - s) r4)),
+    a polynomial of degree 4 in s that matches the step's end states z0, z1
+    and their derivatives K[0], K[6] (Hairer-Norsett-Wanner II.6, the dense
+    output of DOPRI5). It costs no right-hand side beyond the step's seven,
+    and it reads the end states back exactly.
+    """
+    dz = z1 - z0
+    r2 = h * K[0] - dz
+    return z0, z1, r2, dz - h * K[6] - r2, h * (_DP_D @ K)
+
+
+def _dense_state(dense, s):
+    """The continuous extension ``dense`` at the step fraction s."""
+    z0, z1, r2, r3, r4 = dense
+    return (1.0 - s) * z0 + s * z1 + s * (1.0 - s) * (r2 + s * (r3 + (1.0 - s) * r4))
+
+
+def _dense_second_derivative(dense, s, h):
+    """Second time derivative of the continuous extension at the step fraction s."""
+    _, _, r2, r3, r4 = dense
+    return (-2.0 * r2 + (2.0 - 6.0 * s) * r3 + (2.0 - 12.0 * s * (1.0 - s)) * r4) / (h * h)
 
 
 def _rms(v) -> float:
     return math.sqrt(float(v @ v) / v.size)
 
 
-def _initial_step(stage, z, k1) -> float:
+def _initial_step(rhs, z, k1) -> float:
     """First trial step of a march from z (Hairer-Norsett-Wanner II.4).
 
-    Costs one spray stage, at an explicit Euler step from z. Where that
-    stage fails (the Euler step left the region where the metric is
+    Costs one right-hand side, at an explicit Euler step from z. Where that
+    fails (the Euler step left the region where the right-hand side is
     defined), the Euler step length itself is returned and the march
     shortens it as it does any failing step.
     """
-    n = (z.size - 1) // 2
     scale = MARCH_ATOL + MARCH_RTOL * np.abs(z)
-    # the speed F > 0 is a component of k1, so d1 > 0
-    d1 = _rms(k1 / scale)
-    h0 = min(0.01 * _rms(z / scale) / d1, MAX_STEP)
+    d0, d1 = _rms(z / scale), _rms(k1 / scale)
+    # a flow may start at the origin, where d0 = 0
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else min(0.01 * d0 / d1, MAX_STEP)
     try:
-        k2 = _rhs(stage, z + h0 * k1, n, np.empty_like(z))
+        k2 = rhs(z + h0 * k1, np.empty_like(z))
     except FinslerError:
         return h0
     d2 = _rms((k2 - k1) / scale) / h0
     return min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.2, MAX_STEP)
 
 
-def _accepted_steps(stage, z, k1, t, h, step, domain):
+def _accepted_steps(rhs, z, k1, t, h, step, domain, n):
     """Accepted Dormand-Prince steps from the state z at time t, first trying h.
 
-    Yields (h, t_new, z_new, K, h_next) per accepted step: the step taken, the
-    new time and state, the stage derivatives (K[0] at z, K[6] at z_new) and
-    the step to try next. A step is rejected and shortened when its error
-    estimate exceeds the tolerance (MARCH_RTOL, MARCH_ATOL). A step whose end
-    leaves the domain, or one of whose stages raises a ``FinslerError``, is
-    halved; once such a step is no longer than ``step``, the ``LeftDomain``
-    or the error is final. Given the same (t, z, h), the steps are the same.
+    The first n components of z are the position, which must stay in the
+    domain. Yields (h, t_new, z_new, K, h_next) per accepted step: the step
+    taken, the new time and state, the stage derivatives (K[0] at z, K[6] at
+    z_new) and the step to try next. A step is rejected and shortened when
+    its error estimate exceeds the tolerance (MARCH_RTOL, MARCH_ATOL). A step
+    whose end leaves the domain, or one of whose stages raises a
+    ``FinslerError``, is halved; once such a step is no longer than ``step``,
+    the ``LeftDomain`` or the error is final. Given the same (t, z, h), the
+    steps are the same.
     """
-    n = (z.size - 1) // 2
     rejected = False
     while True:
         try:
-            z_new, K = _dp5_stages(stage, z, k1, h)
+            z_new, K = _dp5_stages(rhs, z, k1, h)
             outside = domain is not None and not domain.contains(z_new[:n])
             if not outside:
-                _rhs(stage, z_new, n, K[6])
+                rhs(z_new, K[6])
         except FinslerError:
             if h <= step:
                 raise
@@ -384,7 +408,7 @@ def _accepted_steps(stage, z, k1, t, h, step, domain):
         if outside:
             if h <= step:
                 raise LeftDomain(
-                    f"geodesic left the chart domain at t = {t + h}", point=z_new[:n], time=t + h
+                    f"left the chart domain at t = {t + h}", point=z_new[:n], time=t + h
                 )
             h, rejected = 0.5 * h, True
             continue
@@ -431,10 +455,10 @@ def _quintic_crossing_time(field: ScalarField, target: float, z0, z1, k0, k1, h:
 
 
 def _march_start(metric: Metric, x, y, arclen):
-    """Stage function, state vector and its derivative for a march from (x, y)."""
-    stage = metric.geodesic_stage
+    """Right-hand side, state vector and its derivative for a march from (x, y)."""
+    rhs = _spray_rhs(metric, len(x))
     z = np.concatenate((x, y, (arclen,)))
-    return stage, z, _rhs(stage, z, len(x), np.empty_like(z))
+    return rhs, z, rhs(z, np.empty_like(z))
 
 
 def integrate_to_level(
@@ -476,19 +500,19 @@ def integrate_to_level(
         raise NeverReached(
             f"start point {x} outside the chart domain", march=states.trajectory(metric)
         )
-    stage, z, k1 = _march_start(metric, x, v0.vector, 0.0)
-    h = _initial_step(stage, z, k1)
+    rhs, z, k1 = _march_start(metric, x, v0.vector, 0.0)
+    h = _initial_step(rhs, z, k1)
     states.append(0.0, x, v0.vector, 0.0, h)
     t = 0.0
     phi = field.value(x) - target
     try:
-        for h, t_new, z_new, K, h_next in _accepted_steps(stage, z, k1, t, h, step, domain):
+        for h, t_new, z_new, K, h_next in _accepted_steps(rhs, z, k1, t, h, step, domain, n):
             states.append(t_new, z_new[:n], z_new[n : 2 * n], z_new[2 * n], h_next)
             phi_new = field.value(z_new[:n]) - target
             if phi_new == 0.0 or (phi_new > 0.0) != (phi > 0.0):
                 theta = _quintic_crossing_time(field, target, z, z_new, K[0], K[6], h)
                 if theta < h:
-                    z_new, _ = _dp5_stages(stage, z, K[0], theta)
+                    z_new, _ = _dp5_stages(rhs, z, K[0], theta)
                 return CrossingEvent.measure(
                     metric, field, target, t + theta, z_new[:n], z_new[n : 2 * n],
                     z_new[2 * n], states.trajectory(metric),
@@ -528,18 +552,18 @@ def point_at_time(
     t = float(march.times[k])
     if r == t:
         return march.points[k]
-    stage, z, k1 = _march_start(
+    rhs, z, k1 = _march_start(
         march.metric, march.points[k], march.velocities[k], march.arc_lengths[k]
     )
     n = march.points.shape[1]
     if k == len(march.times) - 1:
-        steps = _accepted_steps(stage, z, k1, t, float(march.next_steps[k]), step, domain)
+        steps = _accepted_steps(rhs, z, k1, t, float(march.next_steps[k]), step, domain, n)
         for _, t_new, z_new, K, _ in steps:
             if t_new > r:
                 break
             z, k1, t = z_new, K[6], t_new
     if r > t:
-        z, _ = _dp5_stages(stage, z, k1, r - t)
+        z, _ = _dp5_stages(rhs, z, k1, r - t)
         if domain is not None and not domain.contains(z[:n]):
             raise LeftDomain(f"geodesic left the chart domain at t = {r}", point=z[:n], time=r)
     return z[:n]

@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
 from scipy.interpolate import PchipInterpolator
 
 from .calculus import (
@@ -37,8 +38,18 @@ from .errors import (
     NoCriticalPoint,
 )
 from .foliation import extract_level_set
-from .geodesics import CrossingEvent, GeodesicTrajectory, integrate_geodesic, spray_coefficients
-from .geodesics import _hermite_crossing_time
+from .geodesics import (
+    CrossingEvent,
+    GeodesicTrajectory,
+    _accepted_steps,
+    _dense_output,
+    _dense_second_derivative,
+    _dense_state,
+    _dp5_stages,
+    _initial_step,
+    integrate_geodesic,
+    spray_coefficients,
+)
 from .metrics import Metric, RiemannianMetric, TangentVector
 
 B_CRITICAL_THRESHOLD = 1e-10
@@ -307,6 +318,11 @@ def level_grid_b_report(
 # f-segments
 
 
+def _brackets(phi0: float, phi1: float) -> bool:
+    """Whether f - level, phi0 at a step's start and phi1 at its end, crosses 0 in the step."""
+    return phi0 == 0.0 or (phi1 > 0.0) != (phi0 > 0.0)
+
+
 def trace_f_segment(
     metric: Metric,
     field: ScalarField,
@@ -317,86 +333,110 @@ def trace_f_segment(
     record_levels: Sequence[float] = (),
     f_stop: Optional[float] = None,
     t_max: float = 10.0,
-    residual_samples: int = 40,
 ) -> FSegment:
     """Arc-length gradient flow of f; forward ascends, backward descends.
 
-    Level crossings and the f_stop point are located on the bracketing
-    step's Hermite dense output and reached by one 4th-order sub-step. The
-    backward segment is the time reversal of the forward one (the
-    descending ray is unit for the reverse metric), and the traced curve is
-    checked a posteriori against the spray equation of the appropriate
-    metric.
+    The flow x' = +-grad f / F(grad f) is marched on x by the adaptive
+    Dormand-Prince 5(4) step loop of the level march
+    (`geodesics._accepted_steps`), at the same error control; ``step`` is
+    the resolution of a chart exit, as there. A level crossing or the
+    ``f_stop`` point is found on the bracketing step's continuous extension,
+    reached by one sub-step from the step's left state and refined by one
+    Newton correction in time and a second sub-step. Without ``f_stop`` the
+    segment ends at ``t_max``, one sub-step into the step that passes it.
+    The trajectory holds the accepted states and that end point, at strictly
+    increasing times.
+
+    The backward segment is the time reversal of the forward one (the
+    descending ray is unit for the reverse metric). The traced curve is
+    checked a posteriori against the spray of that metric: at every recorded
+    state, the acceleration is the second derivative of its step's
+    continuous extension, compared with `spray_coefficients`.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     sign = 1.0 if direction == "forward" else -1.0
     metric_eff = metric if direction == "forward" else metric.reverse()
 
-    def flow(x):
+    def flow(x, out):
         res = finsler_gradient(metric, field, x)
-        return sign * res.gradient.vector / res.finsler_norm
+        out[:] = sign * res.gradient.vector / res.finsler_norm
+        return out
 
     start = np.asarray(start, dtype=float)
     if domain is not None and not domain.contains(start):
         raise LeftDomain(f"start point {start} outside the domain", point=start)
-    x = start.copy()
-    v = flow(x)
-    t = 0.0
-    times = [0.0]
-    points = [x.copy()]
-    velocities = [v]
+    n = start.size
+    x, v, t = start, flow(start, np.empty(n)), 0.0
+    times, points, velocities, accelerations = [t], [x], [v], []
     pending = sorted(set(float(lvl) for lvl in record_levels))
     crossings: List[CrossingEvent] = []
     f_prev = field.value(x)
-    n_steps = int(np.ceil(t_max / step))
 
-    def rk4_flow(x0, k1, h):
-        # k1 = flow(x0) is already known: the velocity recorded at x0
-        k2 = flow(x0 + 0.5 * h * k1)
-        k3 = flow(x0 + 0.5 * h * k2)
-        k4 = flow(x0 + h * k3)
-        return x0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def locate(target, dense, h, theta_b, x_b, v_b):
+        """Time, point and velocity in [0, theta_b] of the step at which f = target."""
 
-    def locate_crossing(x0, v0, x1, v1, t0, target):
-        theta = _hermite_crossing_time(field, target, x0, x1, v0, v1, step)
-        if theta < step:
-            x1 = rk4_flow(x0, v0, theta)
-            v1 = flow(x1)
-        # unit speed: arc length equals time
-        return CrossingEvent.measure(metric_eff, field, target, t0 + theta, x1, v1, t0 + theta)
+        def phi(theta):
+            y = x_b if theta == theta_b else _dense_state(dense, theta / h)
+            return field.value(y) - target
 
-    for _ in range(n_steps):
-        x_new = rk4_flow(x, v, step)
-        t_new = t + step
-        if domain is not None and not domain.contains(x_new):
-            raise LeftDomain(
-                f"gradient flow left the domain at t = {t_new}", point=x_new, time=t_new
-            )
-        v_new = flow(x_new)
-        f_new = field.value(x_new)
+        theta = brentq(phi, 0.0, theta_b, xtol=1e-12 * h)
+        if theta == 0.0:
+            return 0.0, x, v
+        y = _dp5_stages(flow, x, v, theta)[0]
+        w = flow(y, np.empty(n))
+        # one Newton correction: f grows at df(w) along the flow
+        df_w = float(field.differential(y) @ w)
+        corrected = min(theta - (field.value(y) - target) / df_w, theta_b)
+        if corrected <= 0.0:
+            return 0.0, x, v
+        if corrected == theta_b:
+            return theta_b, x_b, v_b
+        if corrected != theta:
+            theta, y = corrected, _dp5_stages(flow, x, v, corrected)[0]
+            w = flow(y, np.empty(n))
+        return theta, y, w
+
+    h = _initial_step(flow, x, v)
+    for h, t_new, x_new, K, _ in _accepted_steps(flow, x, v, t, h, step, domain, n):
+        dense = _dense_output(x, x_new, K, h)
+        if not accelerations:
+            accelerations.append(_dense_second_derivative(dense, 0.0, h))
+        # the step's part within the time budget ends at theta_b, time t_b
+        theta_b, t_b, x_b, v_b = h, t_new, x_new, K[6]
+        if t_new > t_max:
+            theta_b, t_b = t_max - t, t_max
+            x_b = _dp5_stages(flow, x, v, theta_b)[0]
+            v_b = flow(x_b, np.empty(n))
+        f_b = field.value(x_b)
         for lvl in list(pending):
-            if (f_prev - lvl) == 0.0 or ((f_new - lvl > 0.0) != (f_prev - lvl > 0.0)):
-                crossings.append(locate_crossing(x, v, x_new, v_new, t, lvl))
+            if _brackets(f_prev - lvl, f_b - lvl):
+                theta, y, w = locate(lvl, dense, h, theta_b, x_b, v_b)
+                # unit speed: arc length equals time
+                crossings.append(
+                    CrossingEvent.measure(metric_eff, field, lvl, t + theta, y, w, t + theta)
+                )
                 pending.remove(lvl)
-        if f_stop is not None and ((f_new - f_stop > 0.0) != (f_prev - f_stop > 0.0)):
-            ev = locate_crossing(x, v, x_new, v_new, t, f_stop)
-            times.append(ev.time)
-            points.append(ev.point)
-            velocities.append(ev.velocity)
-            break
-        x, v, t, f_prev = x_new, v_new, t_new, f_new
-        times.append(t)
-        points.append(x.copy())
-        velocities.append(v)
-    else:
-        if f_stop is not None:
+        stop = f_stop is not None and _brackets(f_prev - f_stop, f_b - f_stop)
+        if stop:
+            theta, x_b, v_b = locate(f_stop, dense, h, theta_b, x_b, v_b)
+            if theta < theta_b:
+                theta_b, t_b = theta, t + theta
+        elif f_stop is not None and t_new >= t_max:
             raise NeverReached(f"gradient flow never reached f = {f_stop} within {t_max}")
+        if t_b > t:
+            times.append(t_b)
+            points.append(x_b)
+            velocities.append(v_b)
+            accelerations.append(_dense_second_derivative(dense, theta_b / h, h))
+        if stop or t_new >= t_max:
+            break
+        x, v, t, f_prev = x_new, K[6], t_new, f_b
 
     times_a = np.array(times)
     points_a = np.array(points)
     velocities_a = np.array(velocities)
-    speeds = np.array([metric_eff.norm(p, v) for p, v in zip(points_a, velocities_a)])
+    speeds = np.array([metric_eff.norm(p, w) for p, w in zip(points_a, velocities_a)])
     # unit-speed flow: arc length accumulates with time
     arcs = np.concatenate(
         ([0.0], np.cumsum(0.5 * (speeds[1:] + speeds[:-1]) * np.diff(times_a)))
@@ -406,25 +446,12 @@ def trace_f_segment(
         arc_lengths=arcs, metric=metric_eff,
     )
     reparam = float(np.max(np.abs(speeds - 1.0)))
-    # spray residual at interior samples: measured acceleration from the
-    # velocity samples vs. the geodesic spray of the effective metric
-    m = len(points_a)
-    geo_res = 0.0
-    if m >= 3:
-        stride = max(1, (m - 2) // residual_samples)
-        for i in range(1, m - 1, stride):
-            # three-point derivative on a non-uniform grid: the last step
-            # is shortened to the f_stop crossing
-            h1 = times_a[i] - times_a[i - 1]
-            h2 = times_a[i + 1] - times_a[i]
-            a_meas = (
-                h1 * h1 * (velocities_a[i + 1] - velocities_a[i])
-                + h2 * h2 * (velocities_a[i] - velocities_a[i - 1])
-            ) / (h1 * h2 * (h1 + h2))
-            a_spray = spray_coefficients(
-                metric_eff, TangentVector(points_a[i], velocities_a[i])
-            )
-            geo_res = max(geo_res, float(np.max(np.abs(a_meas - a_spray))))
+    # spray residual at every recorded state: the measured acceleration vs.
+    # the geodesic spray of the effective metric; a non-finite one stays so
+    geo_res = float(np.max([
+        np.max(np.abs(a - spray_coefficients(metric_eff, TangentVector(p, w))))
+        for p, w, a in zip(points_a, velocities_a, accelerations)
+    ]))
     fvals = np.array([field.value(p) for p in points_a])
     diffs = np.diff(fvals)
     monotone = bool(np.all(diffs > 0.0)) if direction == "forward" else bool(

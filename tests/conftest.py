@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from finsler_lab import geodesics
-from finsler_lab.errors import NeverReached
-from finsler_lab.geodesics import CrossingEvent, GeodesicTrajectory
+from finsler_lab.calculus import finsler_gradient
+from finsler_lab.errors import LeftDomain, NeverReached
+from finsler_lab.geodesics import (
+    CrossingEvent,
+    GeodesicTrajectory,
+    orthogonality_defect,
+    tangent_basis_from_differential,
+)
+from finsler_lab.metrics import TangentVector
 from finsler_lab.scenarios import load_example
 
 
@@ -30,6 +38,27 @@ def linear_scenario():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _hermite_crossing_time(field, target, x0, x1, dx0, dx1, h):
+    """Time in [0, h] at which f = target on one step's cubic Hermite interpolant.
+
+    The interpolant matches the step's endpoint positions x0, x1 and their
+    time derivatives dx0, dx1 (Hairer-Norsett-Wanner, Solving ODEs I, II.6).
+    f - target must change sign, or vanish, between the endpoints.
+    """
+    delta = x1 - x0
+    hdx0 = h * dx0
+    hdx1 = h * dx1
+
+    def phi(theta):
+        s = theta / h
+        p = (1.0 - s) * x0 + s * x1 + s * (s - 1.0) * (
+            (1.0 - 2.0 * s) * delta + (s - 1.0) * hdx0 + s * hdx1
+        )
+        return field.value(p) - target
+
+    return brentq(phi, 0.0, h, xtol=1e-12 * h)
 
 
 def _rk4_level_march(metric, v0, field, target, step, domain=None, t_max=10.0):
@@ -59,7 +88,7 @@ def _rk4_level_march(metric, v0, field, target, step, domain=None, t_max=10.0):
         phi_new = field.value(x_new) - target
         if phi_new == 0.0 or (phi_new > 0.0) != (phi > 0.0):
             rows.append((t + step, x_new, y_new, arclen + dlen))
-            theta = geodesics._hermite_crossing_time(field, target, x, x_new, y, y_new, step)
+            theta = _hermite_crossing_time(field, target, x, x_new, y, y_new, step)
             if theta < step:
                 x_new, y_new, dlen = geodesics._rk4_step(metric, x, y, theta)
             return CrossingEvent.measure(
@@ -73,3 +102,116 @@ def _rk4_level_march(metric, v0, field, target, step, domain=None, t_max=10.0):
 @pytest.fixture(scope="session")
 def rk4_level_march():
     return _rk4_level_march
+
+
+def _unit_flow(metric, field, sign=1.0):
+    def flow(x):
+        res = finsler_gradient(metric, field, x)
+        return sign * res.gradient.vector / res.finsler_norm
+
+    return flow
+
+
+def _rk4_flow(flow, x0, k1, h):
+    k2 = flow(x0 + 0.5 * h * k1)
+    k3 = flow(x0 + 0.5 * h * k2)
+    k4 = flow(x0 + h * k3)
+    return x0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_flow_segment(
+    metric, field, start, step, direction="forward", domain=None,
+    record_levels=(), f_stop=None, t_max=10.0,
+):
+    """Reference: the fixed-step RK4 gradient flow the adaptive segment replaced.
+
+    Fixed RK4 steps of length step of the unit flow +-grad f / F(grad f);
+    a level crossing and the f_stop point are located on the bracketing
+    step's cubic Hermite interpolant and reached by one RK4 sub-step from
+    its left state. Returns the crossings (with their defects in the
+    effective metric) and the times and points of the marched states, the
+    f_stop point last. The flow is unit, so arc length equals time.
+    """
+    sign = 1.0 if direction == "forward" else -1.0
+    metric_eff = metric if direction == "forward" else metric.reverse()
+    flow = _unit_flow(metric, field, sign)
+    x = np.asarray(start, dtype=float)
+    v, t = flow(x), 0.0
+    times, points = [t], [x]
+    pending = sorted(set(float(lvl) for lvl in record_levels))
+    crossings = []
+    f_prev = field.value(x)
+
+    def locate(x0, v0, x1, v1, target):
+        theta = _hermite_crossing_time(field, target, x0, x1, v0, v1, step)
+        if theta < step:
+            x1 = _rk4_flow(flow, x0, v0, theta)
+            v1 = flow(x1)
+        return t + theta, x1, v1
+
+    for _ in range(int(np.ceil(t_max / step))):
+        x_new = _rk4_flow(flow, x, v, step)
+        if domain is not None and not domain.contains(x_new):
+            raise LeftDomain(f"left the domain at t = {t + step}", point=x_new, time=t + step)
+        v_new = flow(x_new)
+        f_new = field.value(x_new)
+        for lvl in list(pending):
+            if (f_prev - lvl) == 0.0 or ((f_new - lvl > 0.0) != (f_prev - lvl > 0.0)):
+                time, p, w = locate(x, v, x_new, v_new, lvl)
+                crossings.append(CrossingEvent.measure(metric_eff, field, lvl, time, p, w, time))
+                pending.remove(lvl)
+        if f_stop is not None and ((f_new - f_stop > 0.0) != (f_prev - f_stop > 0.0)):
+            time, p, _ = locate(x, v, x_new, v_new, f_stop)
+            times.append(time)
+            points.append(p)
+            break
+        x, v, t, f_prev = x_new, v_new, t + step, f_new
+        times.append(t)
+        points.append(x)
+    else:
+        if f_stop is not None:
+            raise NeverReached(f"reference never reached f = {f_stop} within {t_max}")
+    return crossings, np.array(times), np.array(points)
+
+
+def _bisected_flow_crossing(metric, field, start, target, step):
+    """Reference: forward RK4 gradient flow in fixed steps, bracketing step bisected.
+
+    Returns the crossing time (equal to its arc length), point and
+    orthogonality defect.
+    """
+    flow = _unit_flow(metric, field)
+    x, t = np.asarray(start, dtype=float), 0.0
+    phi = field.value(x) - target
+    for _ in range(10000):
+        x_new = _rk4_flow(flow, x, flow(x), step)
+        phi_new = field.value(x_new) - target
+        if phi_new == 0.0 or (phi_new > 0.0) != (phi > 0.0):
+            break
+        x, t, phi = x_new, t + step, phi_new
+    else:
+        raise AssertionError(f"reference never reached f = {target}")
+    lo, hi = 0.0, step
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        x_mid = _rk4_flow(flow, x, flow(x), mid)
+        phi_mid = field.value(x_mid) - target
+        if phi_mid != 0.0 and (phi_mid > 0.0) == (phi > 0.0):
+            lo = mid
+        else:
+            hi, x_new = mid, x_mid
+    basis = tangent_basis_from_differential(field.differential(x_new))
+    defect = orthogonality_defect(metric, TangentVector(x_new, flow(x_new)), basis)
+    return t + hi, x_new, defect
+
+
+@pytest.fixture(scope="session")
+def rk4_flow_segment():
+    return _rk4_flow_segment
+
+
+@pytest.fixture(scope="session")
+def bisected_flow_crossing():
+    return _bisected_flow_crossing

@@ -4,7 +4,8 @@ import math
 import pytest
 
 from finsler_lab.cli import main
-from finsler_lab.scenarios import example_texts
+from finsler_lab.scenarios import example_texts, load_example
+from finsler_lab.transnormal import trace_f_segment
 
 
 def run(tmp_path, *argv):
@@ -76,7 +77,36 @@ def test_trace_segment_csv(tmp_path):
     assert len(report["data"]["crossings"]) == 2
     csv_lines = (tmp_path / "disc-radial-trace-segment-trajectory.csv").read_text().splitlines()
     assert csv_lines[0] == "t,x0,x1,v0,v1,arc_length"
-    assert len(csv_lines) > 100
+    # one row per state of the segment's trajectory
+    chart = load_example("disc-radial").chart
+    traj = trace_f_segment(
+        chart.metric, chart.field, [0.2, 0.0], domain=chart.domain, step=1e-3,
+        record_levels=[0.09, 0.16], f_stop=0.25,
+    ).trajectory
+    rows = [[float(v) for v in line.split(",")] for line in csv_lines[1:]]
+    assert rows == [
+        [t, *p, *v, s]
+        for t, p, v, s in zip(traj.times, traj.points, traj.velocities, traj.arc_lengths)
+    ]
+    assert rows[0][:3] == [0.0, 0.2, 0.0] and rows[0][-1] == 0.0
+    assert rows[-1][1:3] == report["data"]["endpoint"]
+    assert rows[-1][-1] == report["data"]["arc_length"]
+
+
+def test_trace_segment_fails_off_a_transnormal_function(tmp_path):
+    # f = x^2 + 2 y^2 is not transnormal for the Euclidean metric: its
+    # gradient lines bend, and the spray residual of a segment shows it
+    text = example_texts("euclidean-linear")["main"].replace("f = x", "f = x^2 + 2*y^2")
+    path = tmp_path / "bent.scn"
+    path.write_text(text)
+    code = run(
+        tmp_path, "trace-segment", "--scenario", str(path), "--start=0.5,0.3", "--t-max", "0.3",
+    )
+    assert code == 1
+    report = json.loads(next(tmp_path.glob("*-trace-segment.json")).read_text())
+    assert report["verdict"] is False
+    assert report["defects"]["geodesic_residual"] >= 0.1
+    assert report["data"]["arc_length"] == pytest.approx(0.3, abs=1e-12)
 
 
 @pytest.mark.parametrize("stop", ["0.1225", "0.13", "0.16", "0.19"])

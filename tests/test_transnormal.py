@@ -1,18 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from finsler_lab import transnormal
-from finsler_lab.calculus import ScalarField, finsler_gradient
+from finsler_lab import geodesics, transnormal
+from finsler_lab.calculus import ScalarField
 from finsler_lab.errors import (
     EmptySample,
     IntervalContainsCriticalValue,
     NoCriticalPoint,
 )
 from finsler_lab.expressions import parse_expression
-from finsler_lab.geodesics import orthogonality_defect, tangent_basis_from_differential
-from finsler_lab.metrics import CustomMetric, TangentVector, euclidean_metric
+from finsler_lab.foliation import extract_level_set
+from finsler_lab.metrics import CustomMetric, euclidean_metric
 from finsler_lab.transnormal import (
     check_hat_metric_reduction,
     check_hessian_identity,
@@ -166,50 +167,6 @@ def test_sphere_meridian_segment(sphere_scenario):
     assert ev.arc_length == pytest.approx(math.pi / 2 - math.acos(0.5), abs=1e-6)
 
 
-def _bisected_flow_crossing(metric, field, start, target, step):
-    """Reference: forward RK4 gradient flow in fixed steps, bracketing step bisected.
-
-    Returns the crossing time (equal to its arc length), point and
-    orthogonality defect.
-    """
-
-    def flow(x):
-        res = finsler_gradient(metric, field, x)
-        return res.gradient.vector / res.finsler_norm
-
-    def rk4(x0, h):
-        k1 = flow(x0)
-        k2 = flow(x0 + 0.5 * h * k1)
-        k3 = flow(x0 + 0.5 * h * k2)
-        k4 = flow(x0 + h * k3)
-        return x0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    x, t = np.asarray(start, dtype=float), 0.0
-    phi = field.value(x) - target
-    for _ in range(10000):
-        x_new = rk4(x, step)
-        phi_new = field.value(x_new) - target
-        if phi_new == 0.0 or (phi_new > 0.0) != (phi > 0.0):
-            break
-        x, t, phi = x_new, t + step, phi_new
-    else:
-        raise AssertionError(f"reference never reached f = {target}")
-    lo, hi = 0.0, step
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        x_mid = rk4(x, mid)
-        phi_mid = field.value(x_mid) - target
-        if phi_mid != 0.0 and (phi_mid > 0.0) == (phi > 0.0):
-            lo = mid
-        else:
-            hi, x_new = mid, x_mid
-    basis = tangent_basis_from_differential(field.differential(x_new))
-    defect = orthogonality_defect(metric, TangentVector(x_new, flow(x_new)), basis)
-    return t + hi, x_new, defect
-
-
 @pytest.mark.parametrize(
     "fixture, chart_name, start, levels, stop",
     [
@@ -219,7 +176,9 @@ def _bisected_flow_crossing(metric, field, start, target, step):
         ("minkowski_scenario", "main", [0.5, 1.0], [1.5], 2.0),
     ],
 )
-def test_segment_crossings_match_bisection(request, fixture, chart_name, start, levels, stop):
+def test_segment_crossings_match_bisection(
+    request, bisected_flow_crossing, fixture, chart_name, start, levels, stop
+):
     chart = request.getfixturevalue(fixture).charts[chart_name]
     seg = trace_f_segment(
         chart.metric, chart.field, start, "forward", domain=chart.domain,
@@ -227,7 +186,7 @@ def test_segment_crossings_match_bisection(request, fixture, chart_name, start, 
     )
     assert [ev.level_value for ev in seg.level_crossings] == levels
     for ev in seg.level_crossings:
-        time, point, defect = _bisected_flow_crossing(
+        time, point, defect = bisected_flow_crossing(
             chart.metric, chart.field, start, ev.level_value, 1e-3
         )
         assert abs(ev.time - time) <= 1e-10
@@ -235,29 +194,190 @@ def test_segment_crossings_match_bisection(request, fixture, chart_name, start, 
         assert np.max(np.abs(ev.point - point)) <= 1e-10
         assert abs(ev.orthogonality_defect - defect) <= 1e-10
     traj = seg.trajectory
-    time, point, _ = _bisected_flow_crossing(chart.metric, chart.field, start, stop, 1e-3)
+    time, point, _ = bisected_flow_crossing(chart.metric, chart.field, start, stop, 1e-3)
     assert abs(traj.times[-1] - time) <= 1e-10
     assert np.max(np.abs(traj.points[-1] - point)) <= 1e-10
     assert abs(chart.field.value(traj.points[-1]) - stop) <= 1e-13
 
 
 def test_segment_step_costs_four_gradients(disc_scenario, monkeypatch):
+    # one gradient at the start, one for the first trial step, and six per
+    # Dormand-Prince step (five stages and the derivative at its end), also
+    # per sub-step: here the one that ends the segment at t_max
     chart = disc_scenario.chart
-    calls = []
+    calls, steps = [], []
     gradient = transnormal.finsler_gradient
+    dp5_stages = geodesics._dp5_stages
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return gradient(*args, **kwargs)
 
+    def counted_steps(rhs, z, k1, h):
+        steps.append(h)
+        return dp5_stages(rhs, z, k1, h)
+
     monkeypatch.setattr(transnormal, "finsler_gradient", counted)
+    monkeypatch.setattr(transnormal, "_dp5_stages", counted_steps)
+    monkeypatch.setattr(geodesics, "_dp5_stages", counted_steps)
     seg = trace_f_segment(
         chart.metric, chart.field, [0.2, 0.0], "forward",
         domain=chart.domain, step=1e-3, t_max=0.1,
     )
-    steps = len(seg.trajectory.times) - 1
-    assert steps == 100
-    assert len(calls) == 4 * steps + 1
+    accepted = len(seg.trajectory.times) - 1
+    assert seg.trajectory.times[-1] == 0.1
+    # every step is accepted, the last one cut at t_max by a sub-step
+    assert len(steps) == accepted + 1
+    assert steps[-1] == pytest.approx(0.1 - seg.trajectory.times[-2], abs=1e-16)
+    assert len(calls) == 1 + 1 + 6 * len(steps)
+    assert accepted <= 10
+
+
+def test_segment_times_increase_at_a_stop_on_a_state(disc_scenario):
+    # a distance-disc pair on which the fixed-step flow stopped one state
+    # late, at a state 4.4e-16 below d: its stop crossing sat at theta = 0,
+    # the trajectory repeated its last time and the residual read 0/0
+    chart = disc_scenario.chart
+    c, d = 0.2792905856191666, 0.36826246026328546
+    source = extract_level_set(
+        chart.field, c, chart.domain, 4,
+        parametrization=disc_scenario.level_parametrization(),
+    )
+    assert np.allclose(source.points[0], [0.5284795, 0.0], atol=1e-7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        seg = trace_f_segment(
+            chart.metric, chart.field, source.points[0], "forward",
+            domain=chart.domain, step=1e-3, f_stop=d,
+        )
+    assert np.all(np.diff(seg.trajectory.times) > 0.0)
+    assert math.isfinite(seg.geodesic_residual)
+    assert seg.geodesic_residual <= 1e-5
+    assert abs(chart.field.value(seg.trajectory.points[-1]) - d) <= 1e-13
+    expected = math.log((1 + math.sqrt(d)) / (1 + math.sqrt(c)))
+    assert seg.trajectory.arc_lengths[-1] == pytest.approx(expected, abs=1e-10)
+
+
+def test_segment_residual_propagates_non_finite(disc_scenario, monkeypatch, tmp_path):
+    # a non-finite measured acceleration must fail the residual, and with it
+    # the trace-segment verdict, not vanish in a max
+    from finsler_lab.cli import main
+
+    chart = disc_scenario.chart
+    second = transnormal._dense_second_derivative
+
+    def poisoned(dense, s, h):
+        a = second(dense, s, h)
+        return a * np.nan if s == 1.0 else a
+
+    monkeypatch.setattr(transnormal, "_dense_second_derivative", poisoned)
+    seg = trace_f_segment(
+        chart.metric, chart.field, [0.3, 0.0], "forward", domain=chart.domain, f_stop=0.16,
+    )
+    assert math.isnan(seg.geodesic_residual)
+    argv = ["trace-segment", "--example", "disc-radial", "--start=0.3,0", "--stop", "0.16"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+
+
+# the seed-1 level pairs of the distance-disc benchmark workload
+DISC_PAIRS_SEED1 = [
+    (0.2190796068769033, 0.2952057725669186),
+    (0.39549446339676503, 0.5075111221542186),
+    (0.32980857573222244, 0.4290317887582087),
+    (0.10846785105160672, 0.158007467914826),
+]
+
+
+def _equivalence_cases(disc_scenario, sphere_scenario, minkowski_scenario):
+    """(chart, start, direction, levels, stop) of the segments checked against RK4."""
+    chart = disc_scenario.chart
+    cases = []
+    for c, d in DISC_PAIRS_SEED1:
+        source = extract_level_set(
+            chart.field, c, chart.domain, 4,
+            parametrization=disc_scenario.level_parametrization(),
+        )
+        cases += [(chart, p, "forward", [], d) for p in source.points]
+    cases.append((chart, [0.5, 0.0], "backward", [0.16], 0.04))
+    cases.append((sphere_scenario.charts["band"], [math.pi / 2, 0.3], "forward", [0.5], 0.8))
+    cases.append((minkowski_scenario.chart, [0.5, 1.0], "forward", [1.5], 2.0))
+    return cases
+
+
+def test_adaptive_segment_matches_rk4_flow(
+    disc_scenario, sphere_scenario, minkowski_scenario, rk4_flow_segment
+):
+    cases = _equivalence_cases(disc_scenario, sphere_scenario, minkowski_scenario)
+    assert len(cases) == 19
+    for chart, start, direction, levels, stop in cases:
+        seg = trace_f_segment(
+            chart.metric, chart.field, start, direction, domain=chart.domain,
+            step=1e-3, record_levels=levels, f_stop=stop,
+        )
+        crossings, times, points = rk4_flow_segment(
+            chart.metric, chart.field, start, 1e-3, direction=direction,
+            domain=chart.domain, record_levels=levels, f_stop=stop,
+        )
+        traj = seg.trajectory
+        assert abs(traj.arc_lengths[-1] - times[-1]) <= 1e-10
+        assert abs(traj.times[-1] - times[-1]) <= 1e-10
+        assert np.max(np.abs(traj.points[-1] - points[-1])) <= 1e-10
+        assert len(seg.level_crossings) == len(crossings) == len(levels)
+        for ev, ref in zip(seg.level_crossings, crossings):
+            assert abs(ev.time - ref.time) <= 1e-10
+            assert abs(ev.arc_length - ref.arc_length) <= 1e-10
+            assert np.max(np.abs(ev.point - ref.point)) <= 1e-10
+        # a few tens of accepted states instead of one per 1e-3 of time
+        assert len(traj.times) <= len(times) // 10 + 2
+
+
+def test_segment_residual_detects_curved_gradient_lines():
+    # f = x^2 + 2 y^2 is not transnormal for the Euclidean metric: its unit
+    # gradient lines bend, so they are no geodesics (straight lines)
+    from finsler_lab.domains import BoxDomain
+
+    field = ScalarField.from_expression(parse_expression("x^2 + 2*y^2"), 2)
+    seg = trace_f_segment(
+        euclidean_metric(2), field, [0.5, 0.3], "forward",
+        domain=BoxDomain([-2.0, -2.0], [2.0, 2.0]), t_max=0.3,
+    )
+    assert seg.trajectory.times[-1] == 0.3
+    assert seg.monotone
+    assert seg.reparametrization_residual <= 1e-12
+    assert seg.geodesic_residual >= 0.1
+
+
+@pytest.mark.parametrize(
+    "wind, expression, start, c, d",
+    [
+        ([0.3], "2*x", [0.1], 0.2, 1.5),
+        ([-0.6], "-x", [0.4], -0.4, 0.3),
+        ([0.2, 0.1, -0.3], "x - 2*y + 0.5*z", [0.1, -0.2, 0.3], 0.65, 2.0),
+        ([0.0, 0.5, 0.4], "3*z", [0.0, 0.0, 0.0], 0.0, 0.7),
+    ],
+)
+def test_segment_in_dimensions_1_and_3(wind, expression, start, c, d):
+    # constant wind, linear f = a.x: the unit gradient flow is a straight
+    # line on which f grows at F*(a) = |a| + a(W) per unit of arc length
+    from finsler_lab.metrics import RandersMetric
+
+    dim = len(start)
+    metric = RandersMetric.constant_wind(wind)
+    field = ScalarField.from_expression(parse_expression(expression), dim)
+    start = np.array(start, dtype=float)
+    assert field.value(start) == pytest.approx(c, abs=1e-15)
+    a = np.asarray(field.differential(start), dtype=float)
+    expected = (d - c) / (np.linalg.norm(a) + a @ np.array(wind))
+    seg = trace_f_segment(metric, field, start, "forward", f_stop=d)
+    traj = seg.trajectory
+    assert abs(traj.arc_lengths[-1] - expected) <= 1e-10
+    assert abs(field.value(traj.points[-1]) - d) <= 1e-12
+    assert traj.points.shape[1] == dim
+    direction = (traj.points[-1] - start) / np.linalg.norm(traj.points[-1] - start)
+    offsets = traj.points - start
+    off_line = offsets - np.outer(offsets @ direction, direction)
+    assert np.max(np.abs(off_line)) <= 1e-12
+    assert seg.geodesic_residual <= 1e-9
 
 
 # ---------------------------------------------------------------------------
