@@ -256,6 +256,15 @@ def test_segment_times_increase_at_a_stop_on_a_state(disc_scenario):
     assert abs(chart.field.value(seg.trajectory.points[-1]) - d) <= 1e-13
     expected = math.log((1 + math.sqrt(d)) / (1 + math.sqrt(c)))
     assert seg.trajectory.arc_lengths[-1] == pytest.approx(expected, abs=1e-10)
+    # a stop met on a state itself ends the segment on that state
+    start = source.points[0]
+    seg = trace_f_segment(
+        chart.metric, chart.field, start, "forward", domain=chart.domain,
+        f_stop=chart.field.value(start),
+    )
+    assert seg.trajectory.times.tolist() == [0.0]
+    assert seg.trajectory.arc_lengths.tolist() == [0.0]
+    assert math.isfinite(seg.geodesic_residual)
 
 
 def test_segment_residual_propagates_non_finite(disc_scenario, monkeypatch, tmp_path):
@@ -288,8 +297,11 @@ DISC_PAIRS_SEED1 = [
 ]
 
 
-def _equivalence_cases(disc_scenario, sphere_scenario, minkowski_scenario):
-    """(chart, start, direction, levels, stop) of the segments checked against RK4."""
+def test_adaptive_segment_matches_rk4_flow(
+    disc_scenario, sphere_scenario, minkowski_scenario, rk4_flow_segment
+):
+    # (chart, start, direction, levels, stop): the distance-disc probe
+    # segments of seed 1, then one backward, one sphere and one Minkowski
     chart = disc_scenario.chart
     cases = []
     for c, d in DISC_PAIRS_SEED1:
@@ -301,13 +313,6 @@ def _equivalence_cases(disc_scenario, sphere_scenario, minkowski_scenario):
     cases.append((chart, [0.5, 0.0], "backward", [0.16], 0.04))
     cases.append((sphere_scenario.charts["band"], [math.pi / 2, 0.3], "forward", [0.5], 0.8))
     cases.append((minkowski_scenario.chart, [0.5, 1.0], "forward", [1.5], 2.0))
-    return cases
-
-
-def test_adaptive_segment_matches_rk4_flow(
-    disc_scenario, sphere_scenario, minkowski_scenario, rk4_flow_segment
-):
-    cases = _equivalence_cases(disc_scenario, sphere_scenario, minkowski_scenario)
     assert len(cases) == 19
     for chart, start, direction, levels, stop in cases:
         seg = trace_f_segment(
