@@ -130,17 +130,18 @@ def _newton_project(field: ScalarField, p, c, domain=None):
     return None
 
 
-def extract_level_set(
+def level_points(
     field: ScalarField,
     c: float,
     domain: Domain,
     n: int,
     parametrization=None,
-) -> LevelSetSample:
-    """n points with |f - c| <= 1e-10 plus tangent bases from ker df.
+) -> np.ndarray:
+    """Up to n points of the domain with |f - c| <= 1e-10, as an (m, dim) array.
 
-    Built-in scenarios supply an analytic parametrization; otherwise seeds
-    come from a domain grid and are Newton-projected onto the level.
+    Built-in scenarios supply an analytic parametrization, sampled at s = i/n;
+    otherwise seeds come from a domain grid and a farthest-point subset of n
+    is kept. Seeds off the level are Newton-projected onto it.
     """
     points: List[np.ndarray] = []
     if parametrization is not None:
@@ -174,11 +175,18 @@ def extract_level_set(
         if not candidates:
             raise LevelNotFound(f"Newton projection found no points on level {c}")
         points = _spread_selection(candidates, n)
+    return np.array(points)
+
+
+def extract_level_set(field: ScalarField, c: float, domain: Domain, n: int,
+                      parametrization=None) -> LevelSetSample:
+    """The `level_points` of level c plus tangent bases from ker df."""
+    points = level_points(field, c, domain, n, parametrization)
     bases = tuple(
         tangent_basis_from_differential(np.asarray(field.differential(p), dtype=float))
         for p in points
     )
-    return LevelSetSample(level=float(c), points=np.array(points), tangent_bases=bases)
+    return LevelSetSample(level=float(c), points=points, tangent_bases=bases)
 
 
 def _spread_selection(candidates, n):

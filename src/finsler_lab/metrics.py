@@ -211,18 +211,6 @@ class RiemannianMetric(Metric):
         y = np.asarray(y, dtype=float)
         return 2.0 * self.h_matrix(x) @ y
 
-    def dF2_dx(self, x, y):
-        x = self._check_point(x)
-        y = np.asarray(y, dtype=float)
-        dH = np.asarray(self._dh(x), dtype=float)
-        return np.einsum("kij,i,j->k", dH, y, y)
-
-    def d2F2_dydx(self, x, y):
-        x = self._check_point(x)
-        y = np.asarray(y, dtype=float)
-        dH = np.asarray(self._dh(x), dtype=float)
-        return 2.0 * np.einsum("kij,j->ik", dH, y)
-
     def geodesic_stage(self, x, y):
         H = self.h_matrix(x)
         dH = np.asarray(self._dh(x), dtype=float)

@@ -37,7 +37,7 @@ from .errors import (
     NeverReached,
     NoCriticalPoint,
 )
-from .foliation import extract_level_set
+from .foliation import level_points
 from .geodesics import (
     CrossingEvent,
     GeodesicTrajectory,
@@ -82,6 +82,10 @@ class BFit:
 
     def __call__(self, t):
         return float(self._interp(t))
+
+    def at(self, ts):
+        """Fit values on an array of levels, in one call."""
+        return self._interp(np.asarray(ts, dtype=float))
 
     def derivative(self, t):
         return float(self._deriv(t))
@@ -236,39 +240,47 @@ def check_transnormal(
     bin_width: Optional[float] = None,
     threshold: float = REGULAR_POINT_NORM,
 ) -> TransnormalityReport:
-    """Bin F(grad f)^2 by f-value and measure the within-level spread."""
-    samples = []
+    """Bin F(grad f)^2 by f-value and measure the within-level spread.
+
+    A point with |df| >= ``threshold`` takes one differential and one closed-form
+    co-norm, b = F*(df)^2 = F(grad f)^2; custom norms take `finsler_gradient`
+    (Newton). Samples sorted by (f, b) fall into bins of ``bin_width`` from the
+    smallest f; a bin's level is its median f, its spread the range of its b,
+    and the fit runs through the bin medians of b.
+    """
+    ts, bs = [], []
     for p in np.asarray(points, dtype=float):
         df = np.asarray(field.differential(p), dtype=float)
         if float(np.linalg.norm(df)) < threshold:
             continue
-        samples.append((field.value(p), pointwise_b(metric, field, p)))
-    if not samples:
+        closed = metric.legendre_inverse(p, df)
+        ts.append(field.value(p))
+        bs.append(pointwise_b(metric, field, p) if closed is None else closed[1] ** 2)
+    if not ts:
         raise EmptySample("no regular points to sample the transnormality profile")
-    samples.sort()
-    ts = np.array([s[0] for s in samples])
-    bs = np.array([s[1] for s in samples])
+    order = np.lexsort((bs, ts))
+    ts, bs = np.array(ts)[order], np.array(bs)[order]
     t_range = float(ts[-1] - ts[0])
     if bin_width is None:
         bin_width = max(1e-3, t_range / 200.0) if t_range > 0 else 1e-3
     indices = np.floor((ts - ts[0]) / bin_width).astype(int)
-    table: List[Tuple[float, List[float]]] = []
-    max_spread = 0.0
-    for k in np.unique(indices):
-        mask = indices == k
-        level = float(np.median(ts[mask]))
-        values = [float(v) for v in bs[mask]]
-        table.append((level, values))
-        max_spread = max(max_spread, max(values) - min(values))
-    nodes = np.array([lvl for lvl, _ in table])
-    medians = np.array([float(np.median(vals)) for _, vals in table])
+    # bins are contiguous runs of the sorted samples; sort b within each run. A
+    # run's median is the mean of its two middle elements, one twice when odd
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(indices)) + 1))
+    ends = np.append(starts[1:], ts.size)
+    b_sorted = bs[np.lexsort((bs, indices))]
+    lo, hi = (starts + ends - 1) // 2, (starts + ends) // 2
+    levels = (ts[lo] + ts[hi]) / 2
+    medians = (b_sorted[lo] + b_sorted[hi]) / 2
+    max_spread = float(np.max(b_sorted[ends - 1] - b_sorted[starts]))
+    table = list(zip(levels.tolist(), (v.tolist() for v in np.split(bs, starts[1:]))))
     # defensive dedupe: PCHIP needs strictly increasing nodes
-    keep = np.concatenate(([True], np.diff(nodes) > 1e-12))
-    fit = BFit.from_table(nodes[keep], medians[keep])
+    keep = np.concatenate(([True], np.diff(levels) > 1e-12))
+    fit = BFit.from_table(levels[keep], medians[keep])
     return TransnormalityReport(
-        sample_count=len(samples),
+        sample_count=ts.size,
         b_table=table,
-        spread_per_level=float(max_spread),
+        spread_per_level=max_spread,
         b_fit=fit,
         tolerance=tolerance,
         verdict=bool(max_spread <= tolerance),
@@ -288,9 +300,11 @@ def level_grid_b_report(
 ) -> TransnormalityReport:
     """Transnormality report with b sampled on a level grid spanning [c, d].
 
-    The grid is uniform plus a geometric ladder toward both endpoints so the
-    fitted profile stays accurate where 1/sqrt(b) develops its integrable
-    singularity.
+    The grid is ``n_levels`` uniform levels plus a geometric ladder of 12
+    levels toward each endpoint (at span / 4^k from it), so the fitted profile
+    stays accurate where 1/sqrt(b) develops its integrable singularity. Each
+    level found gives its `level_points` (``probes_per_level``); they go to
+    `check_transnormal` with bins of span / (8 n_levels).
     """
     levels = set(np.linspace(c, d, n_levels))
     span = d - c
@@ -300,12 +314,11 @@ def level_grid_b_report(
     points = []
     for lvl in sorted(levels):
         try:
-            sample = extract_level_set(
+            points.extend(level_points(
                 field, lvl, domain, probes_per_level, parametrization=parametrization
-            )
+            ))
         except LevelNotFound:
             continue
-        points.extend(sample.points)
     if not points:
         raise EmptySample(f"no level-set points found in [{c}, {d}]")
     return check_transnormal(
@@ -536,19 +549,17 @@ def verify_distance_formula(
     # interior critical values invalidate the formula outright; scan the fit
     # plus its own nodes (where interpolation minima live)
     margin = 0.05 * (d_eff - c_eff)
-    scan = list(np.linspace(c_eff, d_eff, 513)[1:-1])
-    scan += [t for t in fit.nodes if c_eff < t < d_eff]
-    for t in scan:
-        if c_eff + margin < t < d_eff - margin and fit(t) <= B_CRITICAL_THRESHOLD:
-            raise IntervalContainsCriticalValue(
-                f"fitted b vanishes near t = {t} inside ({c}, {d})"
-            )
+    scan = np.concatenate((np.linspace(c_eff, d_eff, 513)[1:-1], fit.nodes))
+    critical = ((c_eff + margin < scan) & (scan < d_eff - margin)
+                & (fit.at(scan) <= B_CRITICAL_THRESHOLD))
+    if critical.any():
+        raise IntervalContainsCriticalValue(
+            f"fitted b vanishes near t = {scan[np.argmax(critical)]} inside ({c}, {d})"
+        )
 
-    source = extract_level_set(
-        field, c_eff, domain, probes, parametrization=level_parametrization
-    )
+    source = level_points(field, c_eff, domain, probes, parametrization=level_parametrization)
     lengths = []
-    for p in source.points:
+    for p in source:
         seg = trace_f_segment(
             metric, field, p, "forward", domain=domain, step=step,
             f_stop=d_eff, t_max=t_max,

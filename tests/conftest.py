@@ -3,16 +3,17 @@ import pytest
 from scipy.optimize import brentq
 
 from finsler_lab import geodesics
-from finsler_lab.calculus import finsler_gradient
-from finsler_lab.errors import LeftDomain, NeverReached
+from finsler_lab.calculus import REGULAR_POINT_NORM, finsler_gradient
+from finsler_lab.errors import EmptySample, LeftDomain, NeverReached
 from finsler_lab.geodesics import (
     CrossingEvent,
     GeodesicTrajectory,
     orthogonality_defect,
     tangent_basis_from_differential,
 )
-from finsler_lab.metrics import TangentVector
+from finsler_lab.metrics import RandersMetric, TangentVector
 from finsler_lab.scenarios import load_example
+from finsler_lab.transnormal import BFit, TransnormalityReport, pointwise_b
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +34,16 @@ def sphere_scenario():
 @pytest.fixture(scope="session")
 def linear_scenario():
     return load_example("euclidean-linear")
+
+
+@pytest.fixture(scope="session")
+def shear_metric():
+    """Euclidean h with the shear wind W = (0.8 y, 0): f = x is not transnormal."""
+    return RandersMetric(
+        lambda x: np.eye(2), lambda x: np.array([0.8 * x[1], 0.0]), 2,
+        dh=lambda x: np.zeros((2, 2, 2)),
+        dwind=lambda x: np.array([[0.0, 0.0], [0.8, 0.0]]),
+    )
 
 
 @pytest.fixture()
@@ -215,3 +226,52 @@ def rk4_flow_segment():
 @pytest.fixture(scope="session")
 def bisected_flow_crossing():
     return _bisected_flow_crossing
+
+
+def _pointwise_check_transnormal(
+    metric, field, points, tolerance=1e-6, bin_width=None, threshold=REGULAR_POINT_NORM
+):
+    """Reference: the per-point transnormality check the array binning replaced.
+
+    b from a full `finsler_gradient` per point (`pointwise_b`), samples
+    sorted as (f, b) tuples, and one ``np.median`` per bin.
+    """
+    samples = []
+    for p in np.asarray(points, dtype=float):
+        df = np.asarray(field.differential(p), dtype=float)
+        if float(np.linalg.norm(df)) < threshold:
+            continue
+        samples.append((field.value(p), pointwise_b(metric, field, p)))
+    if not samples:
+        raise EmptySample("no regular points to sample the transnormality profile")
+    samples.sort()
+    ts = np.array([s[0] for s in samples])
+    bs = np.array([s[1] for s in samples])
+    t_range = float(ts[-1] - ts[0])
+    if bin_width is None:
+        bin_width = max(1e-3, t_range / 200.0) if t_range > 0 else 1e-3
+    indices = np.floor((ts - ts[0]) / bin_width).astype(int)
+    table = []
+    max_spread = 0.0
+    for k in np.unique(indices):
+        mask = indices == k
+        level = float(np.median(ts[mask]))
+        values = [float(v) for v in bs[mask]]
+        table.append((level, values))
+        max_spread = max(max_spread, max(values) - min(values))
+    nodes = np.array([lvl for lvl, _ in table])
+    medians = np.array([float(np.median(vals)) for _, vals in table])
+    keep = np.concatenate(([True], np.diff(nodes) > 1e-12))
+    return TransnormalityReport(
+        sample_count=len(samples),
+        b_table=table,
+        spread_per_level=float(max_spread),
+        b_fit=BFit.from_table(nodes[keep], medians[keep]),
+        tolerance=tolerance,
+        verdict=bool(max_spread <= tolerance),
+    )
+
+
+@pytest.fixture(scope="session")
+def pointwise_check_transnormal():
+    return _pointwise_check_transnormal

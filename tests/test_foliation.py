@@ -41,15 +41,6 @@ def circle_field():
     return ScalarField.from_expression(parse_expression("x^2 + y^2"), 2)
 
 
-@pytest.fixture(scope="module")
-def shear_metric():
-    return RandersMetric(
-        lambda x: np.eye(2), lambda x: np.array([0.8 * x[1], 0.0]), 2,
-        dh=lambda x: np.zeros((2, 2, 2)),
-        dwind=lambda x: np.array([[0.0, 0.0], [0.8, 0.0]]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # level-set extraction
 
@@ -77,6 +68,23 @@ def test_extract_sphere_parallel(sphere_scenario):
 def test_level_not_found(circle_field):
     with pytest.raises(LevelNotFound):
         extract_level_set(circle_field, 5.0, DiscDomain(0.9), 8)
+    with pytest.raises(LevelNotFound):
+        foliation.level_points(circle_field, 5.0, DiscDomain(0.9), 8)
+
+
+def test_level_points_are_the_extracted_points():
+    # mid-range level of every built-in example, parametrized and by grid/Newton
+    for name in scenarios.list_examples():
+        scenario = scenarios.load_example(name)
+        chart = scenario.chart
+        level = 0.5 * sum(scenario.distance_range)
+        for param in (scenario.level_parametrization(), None):
+            args = (chart.field, level, chart.domain, 8)
+            points = foliation.level_points(*args, parametrization=param)
+            sample = extract_level_set(*args, parametrization=param)
+            assert points.dtype == sample.points.dtype
+            assert points.shape == sample.points.shape
+            assert points.tobytes() == sample.points.tobytes(), (name, param)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from finsler_lab.errors import (
 )
 from finsler_lab.expressions import parse_expression
 from finsler_lab.foliation import extract_level_set
-from finsler_lab.metrics import CustomMetric, euclidean_metric
+from finsler_lab.metrics import CustomMetric, ReverseMetric, euclidean_metric
+from finsler_lab.scenarios import list_examples, load_example
 from finsler_lab.transnormal import (
     check_hat_metric_reduction,
     check_hessian_identity,
@@ -50,7 +51,7 @@ def test_disc_fd_fallback_profile(disc_scenario):
     chart = disc_scenario.chart
     fallback = CustomMetric(lambda x, y: chart.metric.norm(x, y), 2)
     points = regular_sampler(chart.domain, chart.field, 60)
-    report = check_transnormal(chart.metric, chart.field, points, tolerance=1e-4)
+    report = check_transnormal(fallback, chart.field, points, tolerance=1e-4)
     worst = max(
         abs(pointwise_b(fallback, chart.field, p) - disc_scenario.known_b(chart.field.value(p)))
         for p in points[:25]
@@ -85,22 +86,108 @@ def test_empty_sample():
         check_transnormal(euclidean_metric(2), flat, np.array([[0.1, 0.2], [0.3, 0.4]]))
 
 
-def test_non_transnormal_detected(linear_scenario):
+def test_non_transnormal_detected(linear_scenario, shear_metric):
     # shear wind over vertical lines: F(grad f)^2 = (1 + 0.8 y)^2 varies on
     # each level, so the verdict must flip to false
-    from finsler_lab.metrics import RandersMetric
-
-    shear = RandersMetric(
-        lambda x: np.eye(2), lambda x: np.array([0.8 * x[1], 0.0]), 2,
-        dh=lambda x: np.zeros((2, 2, 2)),
-        dwind=lambda x: np.array([[0.0, 0.0], [0.8, 0.0]]),
-    )
     chart = linear_scenario.chart
     points = regular_sampler(chart.domain, chart.field, 150)
     keep = points[np.linalg.norm(points, axis=1) <= 0.9]
-    report = check_transnormal(shear, chart.field, keep)
+    report = check_transnormal(shear_metric, chart.field, keep)
     assert not report.verdict
     assert report.spread_per_level >= 0.05
+
+
+def _bits(report):
+    """Everything the array binning must reproduce, as exact bit patterns."""
+    fit = report.b_fit
+    return (
+        report.sample_count,
+        [(float.hex(lvl), [float.hex(v) for v in vals]) for lvl, vals in report.b_table],
+        float.hex(report.spread_per_level),
+        report.verdict,
+        fit.nodes.dtype, fit.nodes.tobytes(),
+        fit.values.dtype, fit.values.tobytes(),
+    )
+
+
+def test_level_grid_profiles_match_pointwise_reference(pointwise_check_transnormal, monkeypatch):
+    # every built-in example's level grid over its distance range, and the
+    # disc's from its critical centre, whose level-0 point has df = 0
+    cases = [(name, load_example(name).distance_range) for name in list_examples()]
+    for name, (c, d) in cases + [("disc-radial", (0.0, 0.04))]:
+        scenario = load_example(name)
+        chart = scenario.chart
+        args = (chart.metric, chart.field, chart.domain, c, d)
+        param = scenario.level_parametrization()
+        report = level_grid_b_report(*args, parametrization=param)
+        with monkeypatch.context() as patch:
+            patch.setattr(transnormal, "check_transnormal", pointwise_check_transnormal)
+            reference = level_grid_b_report(*args, parametrization=param)
+        assert _bits(report) == _bits(reference), name
+
+
+def test_sampled_profiles_match_pointwise_reference(pointwise_check_transnormal):
+    # the CLI's regular_sampler points of every built-in example
+    for name in list_examples():
+        chart = load_example(name).chart
+        points = regular_sampler(chart.domain, chart.field, 250)
+        report = check_transnormal(chart.metric, chart.field, points)
+        reference = pointwise_check_transnormal(chart.metric, chart.field, points)
+        assert _bits(report) == _bits(reference), name
+
+
+def test_custom_and_reverse_profiles_match_pointwise_reference(
+    disc_scenario, pointwise_check_transnormal
+):
+    # a norm without a closed-form co-norm takes the Newton solve; the
+    # generic reverse takes its inner metric's closed form
+    chart = disc_scenario.chart
+    custom = CustomMetric(lambda x, y: chart.metric.norm(x, y), 2)
+    points = regular_sampler(chart.domain, chart.field, 60)
+    for metric in (custom, ReverseMetric(chart.metric)):
+        report = check_transnormal(metric, chart.field, points, tolerance=1e-4)
+        reference = pointwise_check_transnormal(metric, chart.field, points, tolerance=1e-4)
+        assert _bits(report) == _bits(reference), metric.kind
+
+
+def test_tied_levels_bin_like_pointwise_reference(shear_metric, pointwise_check_transnormal):
+    # f = x under the shear wind: b = (1 + 0.8 y)^2 differs along each level;
+    # bins of 1, 2, 3 and 5 samples, shuffled, one sample repeated
+    field = ScalarField.from_expression(parse_expression("x"), 2)
+    points = [[0.1, 0.3], [0.2, -0.4], [0.2, 0.1], [0.3, 0.5], [0.3, -0.2], [0.3, 0.0],
+              [0.4, 0.2], [0.4, -0.3], [0.4, 0.6], [0.4, 0.2], [0.4, -0.1]]
+    points = np.array(points)[np.random.default_rng(7).permutation(len(points))]
+    report = check_transnormal(shear_metric, field, points)
+    reference = pointwise_check_transnormal(shear_metric, field, points)
+    assert _bits(report) == _bits(reference)
+    assert [len(vals) for _, vals in report.b_table] == [1, 2, 3, 5]
+    assert report.spread_per_level == pytest.approx(1.48**2 - 0.76**2, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "wind, expression",
+    [([0.4], "2*x"), ([0.3, 0.1, 0.0], "x + 2*y - z")],
+)
+def test_profile_in_dimensions_1_and_3(wind, expression):
+    # constant wind, linear f = a.x on a box with no parametrization (the
+    # grid/Newton level sampling): b = F*(a)^2 = (|a| + a(W))^2 everywhere,
+    # and levels c < d lie (d - c) / F*(a) apart
+    from finsler_lab.domains import BoxDomain
+    from finsler_lab.metrics import RandersMetric
+
+    dim = len(wind)
+    metric = RandersMetric.constant_wind(wind)
+    field = ScalarField.from_expression(parse_expression(expression), dim)
+    domain = BoxDomain([-1.0] * dim, [1.0] * dim)
+    a = np.asarray(field.differential(np.zeros(dim)), dtype=float)
+    co_norm = np.linalg.norm(a) + a @ np.array(wind)
+    c, d = -0.2, 0.2
+    report = level_grid_b_report(metric, field, domain, c, d)
+    assert report.spread_per_level == 0.0
+    assert all(abs(v - co_norm**2) <= 1e-12 for _, vals in report.b_table for v in vals)
+    check = verify_distance_formula(metric, field, c, d, probes=4, domain=domain)
+    assert abs(check.geodesic_distance - (d - c) / co_norm) <= 1e-10
+    assert abs(check.quadrature_distance - (d - c) / co_norm) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -459,21 +546,43 @@ def test_level_grid_propagates_parametrization_errors(disc_scenario):
         )
 
 
-def test_interval_containing_critical_value_rejected():
-    # f = x^3 has an interior critical value at 0: the profile 9 t^(4/3)
-    # vanishes inside (-0.5, 0.5) and the check must refuse the interval
+def _cubic_refused_on_uniform_scan(shift):
+    """Whether the refusal of (-0.5, 0.5) for f = x^3 + shift names a uniform scan point.
+
+    f has an interior critical value at shift: the profile 9 (t - shift)^(4/3)
+    vanishes inside the interval, and the check must refuse it.
+    """
     from finsler_lab.domains import BoxDomain
 
-    cubic = ScalarField.from_expression(parse_expression("x^3"), 2)
+    cubic = ScalarField.from_expression(parse_expression(f"x^3 + {shift}"), 2)
     metric = euclidean_metric(2)
     domain = BoxDomain([-1.0, -1.0], [1.0, 1.0])
     xs = np.concatenate([np.linspace(-0.9, 0.9, 41), [-1e-3, 1e-3]])
     points = np.column_stack([xs, np.zeros_like(xs)])
     report = check_transnormal(metric, cubic, points, tolerance=1e-6, bin_width=1e-10)
-    with pytest.raises(IntervalContainsCriticalValue):
+    with pytest.raises(IntervalContainsCriticalValue) as raised:
         verify_distance_formula(
             metric, cubic, -0.5, 0.5, probes=2, domain=domain, b_report=report
         )
+    # the array scan stops where the scalar scan it replaced did: the first
+    # interior uniform point, then fit node, with b at the threshold
+    fit = report.b_fit
+    uniform = list(np.linspace(-0.5, 0.5, 513)[1:-1])
+    scan = uniform + [t for t in fit.nodes if -0.5 < t < 0.5]
+    assert fit.at(scan).tobytes() == np.array([fit(t) for t in scan]).tobytes()
+    flagged = [t for t in scan if -0.45 < t < 0.45 and fit(t) <= transnormal.B_CRITICAL_THRESHOLD]
+    assert f"near t = {flagged[0]} inside" in str(raised.value)
+    return flagged[0] in uniform
+
+
+def test_interval_containing_critical_value_rejected():
+    assert _cubic_refused_on_uniform_scan(0.0)
+
+
+def test_critical_value_between_scan_points_rejected():
+    # the dip at 1e-3 falls between two points of the uniform scan, so only
+    # the fit's own nodes see it
+    assert not _cubic_refused_on_uniform_scan(1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,11 @@ EXTRA_CALLS = (
     ("check-partition-minkowski-wind", ["check-partition", "--example",
                                         "minkowski-randers-distance", "--wind", "0.3",
                                         "--t-max", "4", "--probes", "8"]),
+    # lower guard at the critical centre, where a grid level's |df| = 0 is filtered out
+    ("verify-distance-disc-centre", ["verify-distance", "--example", "disc-radial",
+                                     "--from", "0", "--to", "0.04"]),
+    ("check-transnormal-disc-csv", ["check-transnormal", "--example", "disc-radial",
+                                    "--format", "both"]),
 )
 
 
