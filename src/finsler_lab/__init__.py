@@ -30,6 +30,7 @@ from .geodesics import (
     CrossingEvent,
     GeodesicTrajectory,
     exp_map,
+    geodesic_at_times,
     integrate_geodesic,
     integrate_to_level,
     orthogonality_defect,

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import FinslerError, ParseError, ValidationError
 from .foliation import check_finsler_partition, check_parallel
-from .geodesics import integrate_geodesic
+from .geodesics import geodesic_at_times, uniform_times
 from .metrics import TangentVector
 from .scenarios import (
     Scenario,
@@ -319,8 +319,8 @@ def _dump_geodesic(args, scenario, chart, emitter):
     emitter.fmt = "both"  # the CSV is the point of this verb
     start = _coords(args, chart, "start")
     velocity = _coords(args, chart, "velocity")
-    traj = integrate_geodesic(
-        chart.metric, TangentVector(start, velocity), args.t_end,
+    traj = geodesic_at_times(
+        chart.metric, TangentVector(start, velocity), uniform_times(args.t_end, args.step),
         step=args.step, domain=chart.domain,
     )
     _write_trajectory(emitter, traj)

@@ -34,7 +34,7 @@ class BoxDomain(Domain):
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+        return bool(((x >= self.lower) & (x <= self.upper)).all())
 
     def sample_grid(self, per_axis):
         axes = [

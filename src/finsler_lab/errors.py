@@ -21,6 +21,10 @@ class SingularTensor(FinslerError):
     """Fundamental tensor numerically singular; linear solve aborted."""
 
 
+class NoSpray(FinslerError):
+    """Geodesic spray requested of a metric without a closed form for it."""
+
+
 class NoConvergence(FinslerError):
     """Newton iteration exhausted its budget without meeting tolerance."""
 

@@ -20,7 +20,7 @@ from .domains import Domain
 from .errors import LeftDomain, LevelNotFound, NeverReached
 from .geodesics import (
     GeodesicTrajectory,
-    integrate_geodesic,
+    geodesic_at_times,
     integrate_to_level,
     orthogonality_defect,
     point_at_time,
@@ -326,7 +326,7 @@ def build_cylinder(
     step: float = 1e-3,
     domain: Optional[Domain] = None,
 ):
-    """Exponential image of r times the chosen cone ray over the source.
+    """Exponential image of r times the chosen cone ray over the source (`geodesic_at_times`).
 
     Returns (points, failures); per-point domain exits are skipped and
     counted, and the call fails only if nothing survives.
@@ -340,7 +340,7 @@ def build_cylinder(
     failures = 0
     for ray in rays:
         try:
-            traj = integrate_geodesic(metric, ray, r, step=step, domain=domain)
+            traj = geodesic_at_times(metric, ray, [r], step=step, domain=domain)
         except LeftDomain:
             failures += 1
             continue
@@ -367,15 +367,12 @@ def end_point_map(
         metric, field, source, t, direction="forward", step=step, domain=domain
     )
     fvals = np.array([field.value(p) for p in images])
-    spread = float(fvals.max() - fvals.min()) if len(fvals) else float("nan")
-    min_dist = float("inf")
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            min_dist = min(min_dist, float(np.linalg.norm(images[i] - images[j])))
-    if len(images) < 2:
-        min_dist = float("nan")
+    gaps = np.linalg.norm(images[:, None] - images[None], axis=-1)
+    dists = gaps[np.triu_indices(len(images), 1)]
     return EndPointMapResult(
-        images=images, f_spread=spread, min_pairwise_distance=min_dist, failures=failures
+        images=images, f_spread=float(fvals.max() - fvals.min()),
+        min_pairwise_distance=float(dists.min()) if dists.size else float("nan"),
+        failures=failures,
     )
 
 

@@ -9,27 +9,25 @@ a dense symmetric solve at the desk-scale dimensions used here. The running
 arc length is carried as an extra state component, so the length converges
 at the same order as the trajectory.
 
-Two integrators share the spray stage (`Metric.geodesic_stage`):
+Curves take adaptive Dormand-Prince 5(4) steps (Dormand & Prince 1980;
+Hairer-Norsett-Wanner, Solving ODEs I, II.4-II.6) with error control on the
+state, from one step loop (`_accepted_steps`) with a right-hand side
+``rhs(z, out)``: the spray on (x, y, arc length) here, and the unit gradient
+flow on x in `transnormal.trace_f_segment`. The step's continuous extension
+(`_dense_output`) gives the flow its crossings and its measured
+acceleration, and `geodesic_at_times` its states between step ends: the
+uniform rows of `dump-geodesic` and the end points of `exp_map` and
+`build_cylinder`. A march to a level (`integrate_to_level`) locates a
+crossing on the bracketing step's quintic Hermite interpolant and reaches it
+by one sub-step; it keeps its accepted states with the controller's next
+trial step, so reading it at another time (`point_at_time`) costs one
+sub-step, or replays the very steps the march would have taken next.
 
-- `integrate_geodesic` takes classical fixed 4th-order steps. Its callers
-  need samples at uniform times (`dump-geodesic`'s CSV, the point-by-point
-  comparison of two trajectories), and the 4th-order convergence of its
-  speed drift in the step is an acceptance check.
-- A march to a level (`integrate_to_level`) takes adaptive Dormand-Prince
-  5(4) steps (Dormand & Prince 1980; Hairer-Norsett-Wanner, Solving ODEs I,
-  II.4-II.6) with error control on (x, y, arc length). A crossing is located
-  on the bracketing step's quintic Hermite interpolant and reached by one
-  Dormand-Prince sub-step. The march keeps its accepted states with the
-  controller's next trial step, so a later reading of the same geodesic at
-  another time (`point_at_time`) costs one sub-step, or replays the very
-  steps the march would have taken next.
-
-The Dormand-Prince step loop (`_accepted_steps`) is one loop with two
-right-hand sides ``rhs(z, out)``: the spray on (x, y, arc length) here, and
-the unit gradient flow on x in `transnormal.trace_f_segment`. Both march at
-the same error control and resolve a chart exit the same way. The step's
-continuous extension (`_dense_output`) gives the flow its crossings and its
-measured acceleration.
+`integrate_geodesic` takes classical fixed 4th-order steps on the same spray
+stage (`Metric.geodesic_stage`): it is the reference of the tests, the
+4th-order convergence of its speed drift in the step is an acceptance check,
+and the hat-metric spray of `transnormal.gradient_geodesic_deviation`, taken
+by central differences, is integrated with it.
 """
 
 from __future__ import annotations
@@ -222,6 +220,16 @@ def _rk4_step(metric, x, y, dt):
     return new_x, new_y, dlen
 
 
+def uniform_times(t_end: float, step: float) -> np.ndarray:
+    """The times k t_end / n, k = 0..n, of n = ceil(t_end / step) equal steps."""
+    if t_end <= 0.0:
+        raise ValueError("t_end must be positive")
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    n = max(1, int(np.ceil(t_end / step - 1e-12)))
+    return np.arange(n + 1) * (t_end / n)
+
+
 def integrate_geodesic(
     metric: Metric,
     v0: TangentVector,
@@ -229,32 +237,73 @@ def integrate_geodesic(
     step: float = DEFAULT_STEP,
     domain: Optional[Domain] = None,
 ) -> GeodesicTrajectory:
-    """Fixed-step 4th-order integration of the spray ODE up to t_end."""
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    """Fixed-step 4th-order integration of the spray ODE at `uniform_times` up to t_end."""
+    times = uniform_times(t_end, step)
     if metric.norm(v0.base, v0.vector) <= 0.0:
         raise ZeroVector("cannot integrate a geodesic with zero initial velocity")
-    n_steps = max(1, int(np.ceil(t_end / step - 1e-12)))
-    dt = t_end / n_steps
+    dt = times[1]
     x = v0.base.copy()
     y = v0.vector.copy()
     if domain is not None and not domain.contains(x):
         raise LeftDomain(f"initial point {x} outside the chart domain", point=x, time=0.0)
-    states = _StateRecord(len(x), n_steps + 1)
+    states = _StateRecord(len(x), len(times))
     states.append(0.0, x, y, 0.0, dt)
     arclen = 0.0
-    for k in range(n_steps):
+    for t in times[1:]:
         x, y, dlen = _rk4_step(metric, x, y, dt)
         arclen += dlen
-        t = (k + 1) * dt
         if domain is not None and not domain.contains(x):
             raise LeftDomain(
-                f"geodesic left the chart domain at t = {t}", point=x, time=t
+                f"geodesic left the chart domain at t = {t}", point=x, time=float(t)
             )
         states.append(t, x, y, arclen, dt)
     return states.trajectory(metric)
+
+
+def geodesic_at_times(
+    metric: Metric, v0: TangentVector, times, step: float = DEFAULT_STEP,
+    domain: Optional[Domain] = None,
+) -> GeodesicTrajectory:
+    """The geodesic with initial vector v0 at the increasing times ``times`` >= 0.
+
+    Adaptive Dormand-Prince steps march to times[-1], on which the last one
+    ends; a time inside a step is read off its continuous extension, one on a
+    step's end is that end state. ``step`` is the resolution of a chart exit;
+    ``LeftDomain`` is raised at the first returned state outside the domain.
+    """
+    times = np.array(times, dtype=float)
+    ok = times.ndim == 1 and times.size > 0 and times[0] >= 0.0 and times[-1] > 0.0
+    if not (ok and np.all(np.diff(times) > 0.0)):
+        raise ValueError("times must be increasing, nonnegative and end past 0")
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    if metric.norm(v0.base, v0.vector) <= 0.0:
+        raise ZeroVector("cannot integrate a geodesic with zero initial velocity")
+    x, n = v0.base, v0.dim
+    if domain is not None and not domain.contains(x):
+        raise LeftDomain(f"initial point {x} outside the chart domain", point=x, time=0.0)
+    rhs, z, k1 = _march_start(metric, x, v0.vector, 0.0)
+    rows = np.empty((times.size, z.size))
+    k = int(times[0] == 0.0)
+    rows[:k] = z
+    t, h = 0.0, _initial_step(rhs, z, k1)
+    for h, t_new, z_new, K, _ in _accepted_steps(rhs, z, k1, t, h, step, domain, n, times[-1]):
+        j = int(np.searchsorted(times, t_new))
+        if j > k:
+            s = (times[k:j] - t) / h
+            rows[k:j] = _dense_state(_dense_output(z, z_new, K, h), s[:, None])
+            for i in range(k, j):
+                if domain is not None and not domain.contains(rows[i, :n]):
+                    raise LeftDomain(
+                        f"geodesic left the chart domain at t = {times[i]}",
+                        point=rows[i, :n].copy(), time=float(times[i]),
+                    )
+        # a time on the step's end takes its end state; the last step ends on times[-1]
+        if times[j] == t_new:
+            rows[j] = z_new
+            j += 1
+        z, t, k = z_new, t_new, j
+    return GeodesicTrajectory(times, rows[:, :n], rows[:, n : 2 * n], rows[:, 2 * n], metric)
 
 
 def exp_map(
@@ -263,11 +312,10 @@ def exp_map(
     step: float = DEFAULT_STEP,
     domain: Optional[Domain] = None,
 ) -> np.ndarray:
-    """Endpoint of the unit-time geodesic with initial vector v."""
+    """Endpoint of the unit-time geodesic with initial vector v (`geodesic_at_times`)."""
     if float(v.vector @ v.vector) == 0.0:
         return v.base.copy()
-    traj = integrate_geodesic(metric, v, 1.0, step=step, domain=domain)
-    return traj.points[-1]
+    return geodesic_at_times(metric, v, [1.0], step=step, domain=domain).points[-1]
 
 
 def tangent_basis_from_differential(df) -> np.ndarray:
@@ -380,7 +428,7 @@ def _initial_step(rhs, z, k1) -> float:
     return min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.2, MAX_STEP)
 
 
-def _accepted_steps(rhs, z, k1, t, h, step, domain, n):
+def _accepted_steps(rhs, z, k1, t, h, step, domain, n, t_stop=math.inf):
     """Accepted Dormand-Prince steps from the state z at time t, first trying h.
 
     The first n components of z are the position, which must stay in the
@@ -390,11 +438,15 @@ def _accepted_steps(rhs, z, k1, t, h, step, domain, n):
     its error estimate exceeds the tolerance (MARCH_RTOL, MARCH_ATOL). A step
     whose end leaves the domain, or one of whose stages raises a
     ``FinslerError``, is halved; once such a step is no longer than ``step``,
-    the ``LeftDomain`` or the error is final. Given the same (t, z, h), the
-    steps are the same.
+    the ``LeftDomain`` or the error is final. A trial step reaching past
+    ``t_stop`` is cut to end exactly on it, and the steps end there. Given
+    the same (t, z, h), the steps are the same.
     """
     rejected = False
     while True:
+        t_new = t + h
+        if t_new >= t_stop:
+            h, t_new = t_stop - t, t_stop
         try:
             z_new, K = _dp5_stages(rhs, z, k1, h)
             outside = domain is not None and not domain.contains(z_new[:n])
@@ -408,7 +460,7 @@ def _accepted_steps(rhs, z, k1, t, h, step, domain, n):
         if outside:
             if h <= step:
                 raise LeftDomain(
-                    f"left the chart domain at t = {t + h}", point=z_new[:n], time=t + h
+                    f"left the chart domain at t = {t_new}", point=z_new[:n], time=t_new
                 )
             h, rejected = 0.5 * h, True
             continue
@@ -421,8 +473,10 @@ def _accepted_steps(rhs, z, k1, t, h, step, domain, n):
         if rejected:
             factor = min(factor, 1.0)
         h_next = min(h * factor, MAX_STEP)
-        yield h, t + h, z_new, K, h_next
-        z, k1, t, h, rejected = z_new, K[6], t + h, h_next, False
+        yield h, t_new, z_new, K, h_next
+        if t_new == t_stop:
+            return
+        z, k1, t, h, rejected = z_new, K[6], t_new, h_next, False
 
 
 def _quintic_crossing_time(field: ScalarField, target: float, z0, z1, k0, k1, h: float) -> float:

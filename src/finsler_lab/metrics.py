@@ -2,9 +2,9 @@
 
 Supported metrics: Riemannian (matrix field h), Randers built from Zermelo
 data (h, W) with h(W,W) < 1, the reverse of any metric, and a
-finite-difference fallback for custom norms. The Randers norm is the
-solution Z of h(v/Z - W, v/Z - W) = 1; internally everything is computed
-through the equivalent alpha+beta representation
+finite-difference fallback for custom norms, without a geodesic spray. The
+Randers norm is the solution Z of h(v/Z - W, v/Z - W) = 1; internally
+everything is computed through the equivalent alpha+beta representation
 
     a_ij = h_ij / lam + (HW)_i (HW)_j / lam^2,   b_i = -(HW)_i / lam,
     lam = 1 - h(W,W),
@@ -26,7 +26,7 @@ from operator import mul
 import numpy as np
 
 from . import numdiff
-from .errors import DimensionMismatch, NonConvexWind, ZeroVector
+from .errors import DimensionMismatch, NonConvexWind, NoSpray, ZeroVector
 
 # reject winds this close to unit norm; conditioning of g_v degrades as
 # 1/(1 - h(W,W)) and the Zermelo solution blows up
@@ -90,7 +90,7 @@ class FundamentalTensorValue:
 
 
 class Metric:
-    """Base interface; subclasses provide F and its y/x derivatives."""
+    """Base interface; subclasses provide F, its y-derivatives and, in closed form, a spray."""
 
     dim: int
     kind = "abstract"
@@ -116,15 +116,6 @@ class Metric:
         """Vertical gradient of F^2; equals twice the Legendre image of y."""
         raise NotImplementedError
 
-    # -- horizontal derivatives (geodesic spray inputs) ---------------------
-
-    def dF2_dx(self, x, y) -> np.ndarray:
-        raise NotImplementedError
-
-    def d2F2_dydx(self, x, y) -> np.ndarray:
-        """Mixed derivative M[i, k] = d^2 F^2 / dy^i dx^k."""
-        raise NotImplementedError
-
     def legendre_inverse(self, x, w):
         """(v, F(v), h^-1 w) with L(v) = w in closed form; None without one."""
         return None
@@ -133,14 +124,8 @@ class Metric:
         return ReverseMetric(self)
 
     def geodesic_stage(self, x, y):
-        """(acceleration, speed) in one call; overridden with fused kernels.
-
-        The generic path composes the public derivative methods and is what
-        fallback metrics use.
-        """
-        g = self.fundamental_matrix(x, y)
-        rhs = 0.5 * self.dF2_dx(x, y) - 0.5 * (self.d2F2_dydx(x, y) @ y)
-        return _solve_spd(g, rhs), self.norm(x, y)
+        """(acceleration, speed) of the geodesic spray at (x, y), from a closed form."""
+        raise NoSpray(f"a {self.kind} metric has no closed-form geodesic spray")
 
     # -- helpers -------------------------------------------------------------
 
@@ -442,10 +427,11 @@ class ReverseMetric(Metric):
 
 
 class CustomMetric(Metric):
-    """Metric defined only by a norm callable; derivatives by differencing.
+    """Metric defined only by a norm callable; y-derivatives by differencing.
 
     Exists for validation runs and user-supplied norms; roughly four digits
-    cheaper in accuracy than the closed-form classes.
+    cheaper in accuracy than the closed-form classes. It has no geodesic
+    spray: a geodesic on it raises ``NoSpray``.
     """
 
     kind = "custom"
@@ -491,18 +477,6 @@ class CustomMetric(Metric):
         x = self._check_point(x)
         f2 = self._f2_y(x)
         return numdiff.gradient(f2, y, step=self._step * float(np.linalg.norm(y)))
-
-    def dF2_dx(self, x, y):
-        x = self._check_point(x)
-        y = np.asarray(y, dtype=float)
-        scale = 1.0 + float(np.linalg.norm(x))
-        return numdiff.gradient(lambda q: self._norm(q, y) ** 2, x, step=self._step * scale)
-
-    def d2F2_dydx(self, x, y):
-        x = self._check_point(x)
-        y = np.asarray(y, dtype=float)
-        scale = 1.0 + float(np.linalg.norm(x))
-        return numdiff.jacobian(lambda q: self.dF2_dy(q, y), x, step=self._step * scale)
 
 
 @dataclass(frozen=True)

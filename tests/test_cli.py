@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from finsler_lab.cli import main
+from finsler_lab.geodesics import integrate_geodesic
+from finsler_lab.metrics import TangentVector
 from finsler_lab.scenarios import example_texts, load_example
 from finsler_lab.transnormal import trace_f_segment
 
@@ -193,6 +196,51 @@ def test_dump_geodesic(tmp_path):
     assert csv_path.exists()
     last = csv_path.read_text().splitlines()[-1].split(",")
     assert float(last[1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def _read_trajectory(tmp_path, scenario):
+    text = (tmp_path / f"{scenario}-dump-geodesic-trajectory.csv").read_text()
+    return [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
+
+
+@pytest.mark.parametrize(
+    "example, start, velocity, t_end",
+    [
+        ("randers-sphere-height", (1.2, 0.3), (0.1, 1.0), 0.25),
+        ("disc-radial", (0.2, 0.0), (0.0, 1.0), 0.2505),  # t_end not a multiple of --step
+    ],
+)
+def test_dump_geodesic_rows_at_the_rk4_times(tmp_path, example, start, velocity, t_end):
+    # rows at k t_end / n, n = ceil(t_end / step), read off the adaptive
+    # march; the RK4 path they replace gives the same times
+    chart = load_example(example).chart
+    code = run(
+        tmp_path, "dump-geodesic", "--example", example, f"--start={start[0]},{start[1]}",
+        f"--velocity={velocity[0]},{velocity[1]}", "--t-end", repr(t_end),
+    )
+    assert code == 0
+    report = read_report(tmp_path, example, "dump-geodesic")
+    rows = _read_trajectory(tmp_path, example)
+    reference = integrate_geodesic(
+        chart.metric, TangentVector(start, velocity), t_end, step=chart.numerics.step,
+        domain=chart.domain,
+    )
+    assert [row[0] for row in rows] == reference.times.tolist()
+    assert rows[-1][1:3] == report["data"]["endpoint"]
+    assert rows[-1][-1] == report["data"]["arc_length"]
+    for row, p, v, s in zip(rows, reference.points, reference.velocities, reference.arc_lengths):
+        assert np.max(np.abs(np.array(row[1:-1]) - np.concatenate((p, v)))) <= 1e-11
+        assert abs(row[-1] - s) <= 1e-11
+    assert report["defects"]["speed_drift"] <= 1e-10
+
+
+def test_dump_geodesic_leaving_the_chart_exits_three(tmp_path, capsys):
+    code = run(
+        tmp_path, "dump-geodesic", "--example", "disc-radial", "--start=0.8,0",
+        "--velocity=1.8,0", "--t-end", "0.5",
+    )
+    assert code == 3
+    assert "LeftDomain" in capsys.readouterr().err
 
 
 def test_scenario_file_input(tmp_path):

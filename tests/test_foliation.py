@@ -315,6 +315,34 @@ def test_minkowski_cylinder_unit_radius(minkowski_scenario):
         assert abs(chart.field.value(p) - 2.0) <= 1e-6
 
 
+# (scenario fixture, chart, level, cylinder radius)
+CYLINDER_RK4_CASES = [
+    ("disc_scenario", "main", 0.04, LN125),
+    ("sphere_scenario", "band", -0.5, 0.3),
+    ("minkowski_scenario", "main", 1.0, 0.5),
+]
+
+
+@pytest.mark.parametrize("fixture, chart_name, level, radius", CYLINDER_RK4_CASES)
+def test_cylinder_matches_rk4_endpoints(request, fixture, chart_name, level, radius):
+    scenario = request.getfixturevalue(fixture)
+    chart = scenario.charts[chart_name]
+    source = extract_level_set(
+        chart.field, level, chart.domain, 4,
+        parametrization=scenario.level_parametrization(chart_name),
+    )
+    for direction in ("forward", "backward"):
+        images, failures = build_cylinder(
+            chart.metric, chart.field, source, radius, direction, step=1e-3, domain=chart.domain
+        )
+        rays = foliation._probe_rays(chart.metric, chart.field, source, direction)
+        reference = [
+            integrate_geodesic(chart.metric, ray, radius, step=1e-3).points[-1] for ray in rays
+        ]
+        assert failures == 0
+        assert np.max(np.abs(images - np.array(reference))) <= 1e-11
+
+
 def test_cylinder_zero_radius_is_identity(minkowski_scenario):
     chart = minkowski_scenario.chart
     source = extract_level_set(
@@ -447,12 +475,32 @@ def test_foliated_radial_wind_with_linear_field_passes(disc_scenario, linear_sce
     assert report.finsler_partition_verdict
 
 
+def test_three_dimensional_partition_passes():
+    # constant wind and linear f on a box: the probe geodesics are straight
+    # lines along the unit gradient, and every leaf is a plane
+    from finsler_lab.domains import BoxDomain
+
+    metric = RandersMetric.constant_wind([0.3, 0.1, 0.0])
+    field = ScalarField.from_expression(parse_expression("x + 2*y - z"), 3)
+    domain = BoxDomain([-1.0] * 3, [1.0] * 3)
+    report = check_finsler_partition(metric, field, [-0.2, 0.0, 0.2], 8, domain)
+    assert report.finsler_partition_verdict
+    assert max(r.max_defect for r in report.forward + report.backward) <= 1e-12
+    assert max(report.cylinder_match_defects) <= 1e-12
+    assert all(r.unreached == 0 for r in report.forward + report.backward)
+
+
 # ---------------------------------------------------------------------------
 # cylinders read off the probe marches
 
 
 def _remarched_cylinder_defects(chart, parametrization, report, n_cyl, step=1e-3):
-    """Cylinder defects by extracting each source leaf again and re-marching its rays."""
+    """Cylinder defects by extracting each source leaf again and re-marching its rays.
+
+    The rays are marched by fixed RK4 steps, not by the adaptive march the
+    partition check reads its cylinders off; a ray leaving the chart is
+    skipped, and a cylinder with no point left has defect inf.
+    """
     defects = []
     for fwd, bwd in zip(report.forward, report.backward):
         for r in (fwd, bwd):
@@ -460,16 +508,16 @@ def _remarched_cylinder_defects(chart, parametrization, report, n_cyl, step=1e-3
                 chart.field, r.source_level, chart.domain, n_cyl, parametrization=parametrization
             )
             radius = float(np.median(r.arc_lengths))
-            try:
-                images, _ = build_cylinder(
-                    chart.metric, chart.field, source, radius, direction=r.direction,
-                    step=step, domain=chart.domain,
-                )
-            except LeftDomain:
-                defects.append(float("inf"))
-                continue
-            fvals = np.array([chart.field.value(p) for p in images])
-            defects.append(float(np.max(np.abs(fvals - r.target_level))))
+            mismatches = []
+            for ray in foliation._probe_rays(chart.metric, chart.field, source, r.direction):
+                try:
+                    traj = integrate_geodesic(
+                        chart.metric, ray, radius, step=step, domain=chart.domain
+                    )
+                except LeftDomain:
+                    continue
+                mismatches.append(abs(chart.field.value(traj.points[-1]) - r.target_level))
+            defects.append(float(max(mismatches, default=float("inf"))))
     return defects
 
 

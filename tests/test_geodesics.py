@@ -10,6 +10,7 @@ from finsler_lab.errors import LeftDomain, NeverReached, NonConvexWind, ZeroVect
 from finsler_lab.expressions import parse_expression
 from finsler_lab.geodesics import (
     exp_map,
+    geodesic_at_times,
     integrate_geodesic,
     integrate_to_level,
     orthogonality_defect,
@@ -17,6 +18,7 @@ from finsler_lab.geodesics import (
     polyline_length,
     spray_coefficients,
     tangent_basis_from_differential,
+    uniform_times,
 )
 from finsler_lab.metrics import (
     RandersMetric,
@@ -156,6 +158,135 @@ def test_exp_translates_in_minkowski():
         [1.3, 1.4],
         atol=1e-12,
     )
+
+
+# ---------------------------------------------------------------------------
+# geodesics at requested times: Dormand-Prince rows against the RK4 path
+
+
+def _random_unit_rays(chart, rng, lows, highs, count):
+    """F-unit rays at uniform random points of a box, with uniform random directions."""
+    rays = []
+    for _ in range(count):
+        x = rng.uniform(lows, highs)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        v = np.array([math.cos(angle), math.sin(angle)])
+        rays.append(TangentVector(x, v / chart.metric.norm(x, v)))
+    return rays
+
+
+# (scenario fixture, chart, box of start points); every ray stays in its chart
+# up to t = 0.5
+ROW_CASES = [
+    ("sphere_scenario", "band", [1.0, -0.5], [2.1, 0.5]),
+    ("disc_scenario", "main", [-0.2, -0.2], [0.2, 0.2]),
+    ("minkowski_scenario", "main", [-0.5, 0.5], [0.5, 1.5]),
+]
+
+
+@pytest.mark.parametrize("fixture, chart_name, lows, highs", ROW_CASES)
+def test_rows_match_the_rk4_path(request, rng, fixture, chart_name, lows, highs):
+    chart = request.getfixturevalue(fixture).charts[chart_name]
+    for ray in _random_unit_rays(chart, rng, lows, highs, 3):
+        t_end = rng.uniform(0.1, 0.5)
+        reference = integrate_geodesic(chart.metric, ray, t_end, step=1e-3, domain=chart.domain)
+        traj = geodesic_at_times(
+            chart.metric, ray, uniform_times(t_end, 1e-3), step=1e-3, domain=chart.domain
+        )
+        assert np.array_equal(traj.times, reference.times)
+        assert np.max(np.abs(traj.points - reference.points)) <= 1e-11
+        assert np.max(np.abs(traj.velocities - reference.velocities)) <= 1e-11
+        assert np.max(np.abs(traj.arc_lengths - reference.arc_lengths)) <= 1e-11
+        assert traj.speed_drift() <= 1e-10
+    # last ray: the unit-time geodesic of t_end v is the geodesic of v up to t_end
+    scaled = TangentVector(ray.base, t_end * ray.vector)
+    unit_time = integrate_geodesic(chart.metric, scaled, 1.0, step=1e-3, domain=chart.domain)
+    end = exp_map(chart.metric, scaled, step=1e-3, domain=chart.domain)
+    assert np.max(np.abs(end - unit_time.points[-1])) <= 1e-11
+
+
+def test_rows_read_off_the_steps(disc_scenario, monkeypatch):
+    # a time on a step's end is that step's end state; the rest cost no stage
+    chart = disc_scenario.chart
+    ray = _unit_gradient_ray(chart, [0.2, 0.1])
+    calls = _counted_stages(monkeypatch, chart.metric)
+    end = geodesic_at_times(chart.metric, ray, [0.3], domain=chart.domain)
+    end_stages = len(calls)
+    calls.clear()
+    rows = geodesic_at_times(chart.metric, ray, uniform_times(0.3, 1e-3), domain=chart.domain)
+    assert len(calls) == end_stages
+    assert end_stages < 0.1 * 4 * 300  # a tenth of the stages of 300 RK4 steps
+    assert np.array_equal(rows.points[-1], end.points[-1])
+    assert np.array_equal(rows.arc_lengths[-1:], end.arc_lengths)
+    assert rows.times[0] == 0.0 and np.array_equal(rows.points[0], ray.base)
+    # times need not start at 0, nor be uniform
+    some = geodesic_at_times(chart.metric, ray, [0.05, 0.1, 0.3], domain=chart.domain)
+    assert np.array_equal(some.points[-1], end.points[-1])
+    assert np.max(np.abs(some.points[:2] - rows.points[[50, 100]])) <= 1e-12
+    for bad in ([], [0.0], [0.2, 0.1], [-0.1, 0.3], [0.1, 0.1, 0.3]):
+        with pytest.raises(ValueError):
+            geodesic_at_times(chart.metric, ray, bad)
+
+
+def test_geodesic_ending_at_the_chart_edge_is_returned(disc_scenario):
+    # the unit radial ray of disc-radial runs at dr/dt = 1 + r, so
+    # r(t) = (1 + r0) e^t - 1; it ends 5e-5 inside the chart's radius 0.9,
+    # and a trial step past the end would leave the chart
+    chart = disc_scenario.chart
+    ray = _unit_gradient_ray(chart, [0.5, 0.0])
+    t_end = math.log((1.9 - 5e-5) / 1.5)
+    for times in ([t_end], uniform_times(t_end, 1e-3)):
+        traj = geodesic_at_times(chart.metric, ray, times, step=1e-3, domain=chart.domain)
+        assert traj.times[-1] == times[-1]
+        radius = 1.5 * math.exp(traj.times[-1]) - 1.0
+        assert abs(traj.points[-1][0] - radius) <= 1e-11 and radius > 0.9 - 1e-4
+    assert abs(exp_map(chart.metric, TangentVector(ray.base, t_end * ray.vector),
+                       domain=chart.domain)[0] - (0.9 - 5e-5)) <= 1e-11
+
+
+def test_geodesic_leaving_the_chart_left_domain(disc_scenario):
+    chart = disc_scenario.chart
+    ray = _unit_gradient_ray(chart, [0.8, 0.0])
+    t_exit = math.log(1.9 / 1.8)  # r(t) = 1.8 e^t - 1 reaches 0.9
+    for times in ([0.5], uniform_times(0.5, 1e-3)):
+        with pytest.raises(LeftDomain) as err:
+            geodesic_at_times(chart.metric, ray, times, step=1e-3, domain=chart.domain)
+        assert t_exit < err.value.time <= t_exit + 1e-3
+        assert not chart.domain.contains(err.value.point)
+
+
+def test_excursion_between_step_ends_left_domain(sphere_scenario):
+    # on the round sphere a geodesic launched slightly poleward reaches its
+    # least colatitude theta_min and turns back; by Clairaut's relation
+    # sin(theta_min) |v| = sin(theta)^2 phi' = sin(1). A box whose lower
+    # bound lies 1e-7 above theta_min is left for about 1e-3 in time, between
+    # the ends of one adaptive step, and the 1e-3 rows catch it as the RK4
+    # path does
+    from finsler_lab.domains import BoxDomain
+    from finsler_lab.metrics import RiemannianMetric
+
+    band = sphere_scenario.charts["band"]
+    metric = RiemannianMetric(band.metric.h_matrix, 2)
+    ray = TangentVector([1.0, 0.0], [-0.05, 1.0 / math.sin(1.0)])
+    theta_min = math.asin(math.sin(1.0) / math.sqrt(1.0025))
+    box = BoxDomain([theta_min + 1e-7, -1.0], [3.0, 1.0])
+    with pytest.raises(LeftDomain):
+        integrate_geodesic(metric, ray, 0.5, step=1e-3, domain=box)
+    with pytest.raises(LeftDomain) as err:
+        geodesic_at_times(metric, ray, uniform_times(0.5, 1e-3), domain=box)
+    assert err.value.point[0] < theta_min + 1e-7
+    # with only its end time requested, the excursion lies between step ends
+    assert geodesic_at_times(metric, ray, [0.5], domain=box).times[-1] == 0.5
+
+
+def test_zero_velocity_and_outside_start_are_refused(disc_scenario):
+    chart = disc_scenario.chart
+    with pytest.raises(ZeroVector):
+        geodesic_at_times(chart.metric, TangentVector([0.2, 0.0], [0.0, 0.0]), [0.5])
+    outside = TangentVector([0.95, 0.0], [1.0, 0.0])
+    with pytest.raises(LeftDomain) as err:
+        geodesic_at_times(chart.metric, outside, [0.5], domain=chart.domain)
+    assert err.value.time == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsler_lab import numdiff
-from finsler_lab.errors import DimensionMismatch, EvalError, NonConvexWind, ZeroVector
+from finsler_lab.errors import (
+    DimensionMismatch,
+    EvalError,
+    FinslerError,
+    NonConvexWind,
+    NoSpray,
+    ZeroVector,
+)
 from finsler_lab.expressions import VARIABLES
-from finsler_lab.geodesics import integrate_geodesic
+from finsler_lab.geodesics import (
+    exp_map,
+    geodesic_at_times,
+    integrate_geodesic,
+    integrate_to_level,
+)
 from finsler_lab.metrics import (
     CustomMetric,
     RandersMetric,
@@ -295,6 +307,28 @@ def test_custom_metric_matches_closed_forms(halfwind):
     assert np.max(
         np.abs(fallback.dF2_dy(ORIGIN, v) - halfwind.dF2_dy(ORIGIN, v))
     ) < 1e-7
+
+
+def test_custom_metric_has_no_spray(halfwind):
+    # a norm given only as a callable has no closed-form spray; every
+    # geodesic on it, or on its reverse, fails with a typed error (CLI exit 3)
+    from finsler_lab.calculus import ScalarField
+    from finsler_lab.expressions import parse_expression
+
+    fallback = CustomMetric(lambda x, y: halfwind.norm(x, y), 2)
+    field = ScalarField.from_expression(parse_expression("x"), 2)
+    ray = TangentVector([0.1, 0.2], [1.0, 0.0])
+    assert issubclass(NoSpray, FinslerError)
+    for metric in (fallback, fallback.reverse()):
+        for integrate in (
+            lambda: metric.geodesic_stage(ray.base, ray.vector),
+            lambda: integrate_geodesic(metric, ray, 0.1),
+            lambda: geodesic_at_times(metric, ray, [0.1]),
+            lambda: exp_map(metric, ray),
+            lambda: integrate_to_level(metric, ray, field, 0.5),
+        ):
+            with pytest.raises(NoSpray, match="custom"):
+                integrate()
 
 
 # ---------------------------------------------------------------------------

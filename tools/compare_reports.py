@@ -59,6 +59,9 @@ EXTRA_CALLS = (
                             "--start=0.2,0", "--velocity=0,1", "--t-end", "0.5"]),
     ("dump-geodesic-sphere", ["dump-geodesic", "--example", "randers-sphere-height",
                               "--start=1.2,0.3", "--velocity=0.1,1"]),
+    # t_end not a multiple of --step: the last row's time is n (t_end / n), not t_end
+    ("dump-geodesic-disc-offgrid", ["dump-geodesic", "--example", "disc-radial",
+                                    "--start=0.2,0", "--velocity=0,1", "--t-end", "0.2505"]),
     ("check-morse-bott-sphere-north", ["check-morse-bott", "--example",
                                        "randers-sphere-height", "--chart", "north-cap"]),
     ("check-transnormal-sphere-south", ["check-transnormal", "--example",
