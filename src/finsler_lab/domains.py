@@ -10,7 +10,8 @@ import numpy as np
 class Domain:
     kind = "abstract"
 
-    def contains(self, x) -> bool:
+    def contains(self, x):
+        """Whether the point x lies in the domain; a boolean per row of a (k, n) array."""
         raise NotImplementedError
 
     def sample_grid(self, per_axis):
@@ -34,7 +35,8 @@ class BoxDomain(Domain):
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return bool(((x >= self.lower) & (x <= self.upper)).all())
+        inside = (x >= self.lower) & (x <= self.upper)
+        return bool(inside.all()) if x.ndim == 1 else inside.all(axis=-1)
 
     def sample_grid(self, per_axis):
         axes = [
@@ -63,8 +65,12 @@ class DiscDomain(Domain):
         object.__setattr__(self, "dim", center.size)
 
     def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        return bool(np.linalg.norm(x - self.center) <= self.radius)
+        d = np.asarray(x, dtype=float) - self.center
+        if d.ndim == 1:
+            return bool(np.linalg.norm(d) <= self.radius)
+        # per row the same dot product and square root as np.linalg.norm
+        # of a vector, so the booleans match the one-point test bitwise
+        return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) <= self.radius
 
     def sample_grid(self, per_axis):
         lo = self.center - self.radius

@@ -117,9 +117,7 @@ class GeodesicTrajectory:
         return TangentVector(base=self.points[-1], vector=self.velocities[-1])
 
     def speeds(self):
-        return np.array(
-            [self.metric.norm(x, v) for x, v in zip(self.points, self.velocities)]
-        )
+        return self.metric.norms(self.points, self.velocities)
 
     def speed_drift(self):
         s = self.speeds()
@@ -292,8 +290,10 @@ def geodesic_at_times(
         if j > k:
             s = (times[k:j] - t) / h
             rows[k:j] = _dense_state(_dense_output(z, z_new, K, h), s[:, None])
-            for i in range(k, j):
-                if domain is not None and not domain.contains(rows[i, :n]):
+            if domain is not None:
+                outside = np.flatnonzero(~domain.contains(rows[k:j, :n]))
+                if outside.size:
+                    i = k + outside[0]
                     raise LeftDomain(
                         f"geodesic left the chart domain at t = {times[i]}",
                         point=rows[i, :n].copy(), time=float(times[i]),

@@ -26,7 +26,7 @@ from operator import mul
 import numpy as np
 
 from . import numdiff
-from .errors import DimensionMismatch, NonConvexWind, NoSpray, ZeroVector
+from .errors import DimensionMismatch, FinslerError, NonConvexWind, NoSpray, ZeroVector
 
 # reject winds this close to unit norm; conditioning of g_v degrades as
 # 1/(1 - h(W,W)) and the Zermelo solution blows up
@@ -103,6 +103,14 @@ class Metric:
     def norm(self, x, y) -> float:
         """F at base point x and vector y; 0 on the zero vector."""
         raise NotImplementedError
+
+    def norms(self, points, vectors) -> np.ndarray:
+        """F at each row pair of (k, n) arrays: ``norm(points[i], vectors[i])``.
+
+        Raises what ``norm`` raises at the first row where it fails.
+        """
+        points, vectors = _row_pairs(self.dim, points, vectors)
+        return np.array([self.norm(x, y) for x, y in zip(points, vectors)], dtype=float)
 
     def fundamental_matrix(self, x, y) -> np.ndarray:
         """Matrix of g_y = (1/2) d^2 F^2 in the vector slot; needs y != 0."""
@@ -183,6 +191,21 @@ class RiemannianMetric(Metric):
         if q < 0.0:
             raise NonConvexWind("matrix field is not positive definite at this point")
         return float(np.sqrt(q))
+
+    def norms(self, points, vectors):
+        points, Y = _row_pairs(self.dim, points, vectors)
+        (H,), undefined = _rows_of(points, (self._h, (self.dim, self.dim)))
+        q = (Y[: len(H), None, :] @ H @ Y[: len(H), :, None])[:, 0, 0]
+        # the checks of h_matrix and norm, in their order
+        asymmetric = ~np.isclose(H, H.transpose(0, 2, 1), atol=0.0).all(axis=(1, 2))
+        bad = np.flatnonzero(asymmetric | (q < 0.0))
+        if bad.size:
+            if asymmetric[bad[0]]:
+                raise DimensionMismatch("metric matrix field is not symmetric")
+            raise NonConvexWind("matrix field is not positive definite at this point")
+        if undefined is not None:
+            raise undefined
+        return np.sqrt(q)
 
     def fundamental_matrix(self, x, y):
         self._require_nonzero(y)
@@ -285,6 +308,37 @@ class RandersMetric(Metric):
         if alpha2 == 0.0:
             return 0.0
         return float(np.sqrt(alpha2) + pd.b @ y)
+
+    def norms(self, points, vectors):
+        """``norm`` row by row, from stacked (k, n, n) and (k, n) arrays.
+
+        Every float operation is the one ``_alpha_beta`` and ``norm`` make at
+        a single point, so each row is bitwise the same.
+        """
+        points, Y = _row_pairs(self.dim, points, vectors)
+        (H, W), undefined = _rows_of(
+            points, (self._h, (self.dim, self.dim)), (self._wind, (self.dim,))
+        )
+        H = H[: len(W)]
+        # _zermelo_data's running sums, left to right from 0.0
+        Wl = sum((H[:, :, j] * W[:, j, None] for j in range(self.dim)), 0.0)
+        s = sum((W[:, j] * Wl[:, j] for j in range(self.dim)), 0.0)
+        strong = np.flatnonzero(s >= 1.0 - WIND_NORM_MARGIN)
+        if strong.size:
+            i = strong[0]
+            raise NonConvexWind(
+                f"h(W,W) = {float(s[i])} at {points[i]}; wind too strong for a Randers norm"
+            )
+        if undefined is not None:
+            raise undefined
+        lam = (1.0 - s)[:, None]
+        # lam**2 as the Python float power of the single-point path
+        lam2 = np.array([v**2 for v in lam[:, 0].tolist()])[:, None, None]
+        A = H / lam[:, :, None] + (Wl[:, :, None] * Wl[:, None, :]) / lam2
+        b = -Wl / lam
+        alpha2 = (Y[:, None, :] @ A @ Y[:, :, None])[:, 0, 0]
+        beta = (b[:, None, :] @ Y[:, :, None])[:, 0, 0]
+        return np.where(alpha2 == 0.0, 0.0, np.sqrt(alpha2) + beta)
 
     def fundamental_matrix(self, x, y):
         y = self._require_nonzero(y)
@@ -400,6 +454,9 @@ class ReverseMetric(Metric):
     def norm(self, x, y):
         return self.inner.norm(x, -np.asarray(y, dtype=float))
 
+    def norms(self, points, vectors):
+        return self.inner.norms(points, -np.asarray(vectors, dtype=float))
+
     def fundamental_matrix(self, x, y):
         y = self._require_nonzero(y)
         return self.inner.fundamental_matrix(x, -y)
@@ -491,6 +548,40 @@ class _RandersPointData:
 
 def _dot(u, v):
     return sum(map(mul, u, v))
+
+
+def _row_pairs(dim, points, vectors):
+    """(k, n) float arrays of points and vectors, checked against the dimension."""
+    points = np.asarray(points, dtype=float)
+    vectors = np.asarray(vectors, dtype=float)
+    if points.ndim != 2 or points.shape[1] != dim or vectors.shape != points.shape:
+        raise DimensionMismatch(
+            f"points {points.shape} and vectors {vectors.shape} must be (k, {dim}) arrays"
+        )
+    return points, vectors
+
+
+def _rows_of(points, *fields):
+    """Each (field, shape) at each point, stacked into (k, *shape) arrays.
+
+    The fields are called point by point and in order, up to the first call
+    that raises a ``FinslerError``. That error is returned with the arrays
+    (else None), for the caller to raise after the checks that come before
+    it; a field called before the failing one holds that point's value too.
+    """
+    columns = [[] for _ in fields]
+    undefined = None
+    try:
+        for x in points:
+            for column, (fn, _) in zip(columns, fields):
+                column.append(fn(x))
+    except FinslerError as exc:
+        undefined = exc
+    stacked = tuple(
+        np.array(column, dtype=float).reshape(-1, *shape)
+        for column, (_, shape) in zip(columns, fields)
+    )
+    return stacked, undefined
 
 
 def _zermelo_data(H, W, x):

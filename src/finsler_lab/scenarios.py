@@ -19,7 +19,7 @@ import numpy as np
 
 from .calculus import ScalarField
 from .domains import BoxDomain, DiscDomain, Domain
-from .errors import ParseError, ValidationError
+from .errors import EvalError, ParseError, ValidationError
 from .expressions import VARIABLES, Expr, compile_expression, parse_expression
 from .metrics import Metric, RandersMetric, RiemannianMetric
 
@@ -284,21 +284,42 @@ def _validate_config(config: ScenarioConfig):
     n = config.dimension
     h_fn = compile_expression([e for row in config.h_entries for e in row], n)
     wind_fn = compile_expression(config.wind_entries, n) if config.wind_entries else None
-    worst_wind = 0.0
+    # one generated call per field per sample; the checks then take every
+    # sample at once. A sample fails at its first failing check, in the
+    # order: h undefined, h asymmetric, h not positive definite, wind
+    # undefined; the first failing sample is reported.
+    h_rows, w_rows, undefined = [], [], None
     for p in samples:
-        H = np.array(h_fn(p)).reshape(n, n)
-        if np.max(np.abs(H - H.T)) != 0.0:
-            raise ValidationError(f"h is not symmetric at {p}")
-        eigs = np.linalg.eigvalsh(H)
-        if eigs.min() <= 0.0:
-            raise ValidationError(f"h is not positive definite at {p} (eigenvalues {eigs})")
-        if wind_fn is not None:
-            W = np.array(wind_fn(p))
-            worst_wind = max(worst_wind, float(W @ H @ W))
-    if wind_fn is not None and worst_wind > WIND_VALIDATION_LIMIT:
+        try:
+            h_rows.append(h_fn(p))
+            if wind_fn is not None:
+                w_rows.append(wind_fn(p))
+        except EvalError as exc:
+            undefined = exc
+            break
+    H = np.array(h_rows, dtype=float).reshape(-1, n, n)
+    asymmetric = np.flatnonzero((H != H.transpose(0, 2, 1)).any(axis=(1, 2)))
+    symmetric = len(H) if asymmetric.size == 0 else asymmetric[0]
+    eigs = np.linalg.eigvalsh(H[:symmetric])
+    indefinite = np.flatnonzero(eigs.min(axis=1) <= 0.0)
+    if indefinite.size:
+        i = indefinite[0]
         raise ValidationError(
-            f"wind norm exceeds 1: max sampled h(W,W) = {worst_wind}"
+            f"h is not positive definite at {samples[i]} (eigenvalues {eigs[i]})"
         )
+    if asymmetric.size:
+        raise ValidationError(f"h is not symmetric at {samples[asymmetric[0]]}")
+    if undefined is not None:
+        raise undefined
+    if wind_fn is not None:
+        W = np.array(w_rows, dtype=float).reshape(-1, n)
+        hww = (W[:, None, :] @ H @ W[:, :, None])[:, 0, 0]
+        # fmax, like a running max(), passes over nan
+        worst_wind = float(np.fmax.reduce(hww, initial=0.0))
+        if worst_wind > WIND_VALIDATION_LIMIT:
+            raise ValidationError(
+                f"wind norm exceeds 1: max sampled h(W,W) = {worst_wind}"
+            )
 
 
 def render_scenario(config: ScenarioConfig) -> str:

@@ -449,7 +449,7 @@ def trace_f_segment(
     times_a = np.array(times)
     points_a = np.array(points)
     velocities_a = np.array(velocities)
-    speeds = np.array([metric_eff.norm(p, w) for p, w in zip(points_a, velocities_a)])
+    speeds = metric_eff.norms(points_a, velocities_a)
     # unit-speed flow: arc length accumulates with time
     arcs = np.concatenate(
         ([0.0], np.cumsum(0.5 * (speeds[1:] + speeds[:-1]) * np.diff(times_a)))

@@ -4,15 +4,21 @@ from scipy.optimize import brentq
 
 from finsler_lab import geodesics
 from finsler_lab.calculus import REGULAR_POINT_NORM, finsler_gradient
-from finsler_lab.errors import EmptySample, LeftDomain, NeverReached
+from finsler_lab.errors import EmptySample, LeftDomain, NeverReached, ValidationError
 from finsler_lab.geodesics import (
     CrossingEvent,
     GeodesicTrajectory,
     orthogonality_defect,
     tangent_basis_from_differential,
 )
+from finsler_lab.expressions import VARIABLES, compile_expression
 from finsler_lab.metrics import RandersMetric, TangentVector
-from finsler_lab.scenarios import load_example
+from finsler_lab.scenarios import (
+    _VALIDATION_GRID,
+    WIND_VALIDATION_LIMIT,
+    build_domain,
+    load_example,
+)
 from finsler_lab.transnormal import BFit, TransnormalityReport, pointwise_b
 
 
@@ -275,3 +281,44 @@ def _pointwise_check_transnormal(
 @pytest.fixture(scope="session")
 def pointwise_check_transnormal():
     return _pointwise_check_transnormal
+
+
+def _pointwise_validate_config(config):
+    """Reference: the per-point chart validation the stacked checks replaced.
+
+    At each sample of the grid in turn: h, its symmetry, one ``eigvalsh``
+    and the wind's h(W, W); the wind's largest h(W, W) is checked last.
+    """
+    allowed = set(VARIABLES[: config.dimension])
+    exprs = [e for row in config.h_entries for e in row] + [config.field_expr]
+    if config.wind_entries:
+        exprs += list(config.wind_entries)
+    for e in exprs:
+        extra = e.variables() - allowed
+        if extra:
+            raise ValidationError(
+                f"expression '{e}' uses variables {sorted(extra)} beyond dimension"
+                f" {config.dimension}"
+            )
+    samples = build_domain(config).sample_grid(_VALIDATION_GRID)
+    n = config.dimension
+    h_fn = compile_expression([e for row in config.h_entries for e in row], n)
+    wind_fn = compile_expression(config.wind_entries, n) if config.wind_entries else None
+    worst_wind = 0.0
+    for p in samples:
+        H = np.array(h_fn(p)).reshape(n, n)
+        if np.max(np.abs(H - H.T)) != 0.0:
+            raise ValidationError(f"h is not symmetric at {p}")
+        eigs = np.linalg.eigvalsh(H)
+        if eigs.min() <= 0.0:
+            raise ValidationError(f"h is not positive definite at {p} (eigenvalues {eigs})")
+        if wind_fn is not None:
+            W = np.array(wind_fn(p))
+            worst_wind = max(worst_wind, float(W @ H @ W))
+    if wind_fn is not None and worst_wind > WIND_VALIDATION_LIMIT:
+        raise ValidationError(f"wind norm exceeds 1: max sampled h(W,W) = {worst_wind}")
+
+
+@pytest.fixture(scope="session")
+def pointwise_validate_config():
+    return _pointwise_validate_config

@@ -120,6 +120,15 @@ def test_speed_drift_fourth_order(sphere_scenario):
     assert drifts[1] / drifts[2] >= 8.0
 
 
+def test_speeds_are_the_norms_row_by_row(sphere_scenario):
+    # a dump-geodesic of the sphere band: 251 rows, one stacked norm call
+    band = sphere_scenario.charts["band"]
+    ray = TangentVector([1.2, 0.3], [0.1, 1.0])
+    traj = geodesic_at_times(band.metric, ray, uniform_times(0.25, 1e-3), domain=band.domain)
+    rows = [band.metric.norm(p, v) for p, v in zip(traj.points, traj.velocities)]
+    assert len(rows) == 251 and np.array_equal(traj.speeds(), rows)
+
+
 def test_left_domain():
     metric = euclidean_metric(2)
     with pytest.raises(LeftDomain):
@@ -277,6 +286,51 @@ def test_excursion_between_step_ends_left_domain(sphere_scenario):
     assert err.value.point[0] < theta_min + 1e-7
     # with only its end time requested, the excursion lies between step ends
     assert geodesic_at_times(metric, ray, [0.5], domain=box).times[-1] == 0.5
+
+
+def test_left_domain_names_the_first_outside_row(sphere_scenario):
+    # the excursion of the test above: the rows' one domain test per step
+    # names the row, point and time that a test row by row of the same curve,
+    # marched without the domain, finds first outside
+    from finsler_lab.domains import BoxDomain
+    from finsler_lab.metrics import RiemannianMetric
+
+    metric = RiemannianMetric(sphere_scenario.charts["band"].metric.h_matrix, 2)
+    ray = TangentVector([1.0, 0.0], [-0.05, 1.0 / math.sin(1.0)])
+    theta_min = math.asin(math.sin(1.0) / math.sqrt(1.0025))
+    box = BoxDomain([theta_min + 1e-7, -1.0], [3.0, 1.0])
+    times = uniform_times(0.5, 1e-3)
+    with pytest.raises(LeftDomain) as err:
+        geodesic_at_times(metric, ray, times, domain=box)
+    free = geodesic_at_times(metric, ray, times)
+    first = next(i for i, p in enumerate(free.points) if not box.contains(p))
+    assert err.value.time == times[first]
+    assert np.array_equal(err.value.point, free.points[first])
+
+
+def test_contains_tests_rows_as_points(rng):
+    # a (k, n) array gives each row's boolean of the one-point test, on and
+    # one float off the boundary too
+    from finsler_lab.domains import BoxDomain
+
+    box = BoxDomain([-1.0, 0.5], [2.0, 3.0])
+    corners = np.array([[-1.0, 1.0], [2.0, 3.0], [0.0, 0.5], [2.0, 2.0]])
+    disc = DiscDomain(radius=0.9, center=np.array([0.1, -0.2]))
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=200)
+    ring = disc.center + 0.9 * np.column_stack((np.cos(angles), np.sin(angles)))
+    ball = DiscDomain(radius=0.7, center=np.zeros(3))
+    sphere = rng.normal(size=(200, 3))
+    sphere *= 0.7 / np.linalg.norm(sphere, axis=1)[:, None]
+    for domain, edge in ((box, corners), (disc, ring), (ball, sphere)):
+        points = np.concatenate(
+            (edge, np.nextafter(edge, math.inf), np.nextafter(edge, -math.inf),
+             rng.uniform(-2.0, 4.0, size=(50, edge.shape[1])))
+        )
+        inside = domain.contains(points)
+        assert inside.dtype == bool
+        assert np.array_equal(inside, [domain.contains(p) for p in points])
+        assert 0 < inside.sum() < len(points)
+    assert any(np.linalg.norm(p - disc.center) == 0.9 for p in ring)
 
 
 def test_zero_velocity_and_outside_start_are_refused(disc_scenario):

@@ -138,6 +138,96 @@ def test_dimension_mismatch(halfwind):
 
 
 # ---------------------------------------------------------------------------
+# stacked norms against the row-by-row norm
+
+
+def _norm_rows(metric, points, vectors):
+    return np.array([metric.norm(p, v) for p, v in zip(points, vectors)])
+
+
+def _raised(call):
+    with pytest.raises(FinslerError) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+def test_norms_match_norm_row_by_row(
+    disc_scenario, sphere_scenario, minkowski_scenario, linear_scenario, halfwind, rng
+):
+    metrics = []
+    for scenario in (disc_scenario, sphere_scenario, minkowski_scenario, linear_scenario):
+        for chart in scenario.charts.values():
+            box = chart.domain.sample_grid(9)
+            metrics += [(m, box) for m in (chart.metric, chart.metric.reverse())]
+            metrics.append((ReverseMetric(chart.metric), box))
+    box_3d = rng.uniform(-0.5, 0.5, size=(50, 3))
+    metrics += [
+        (halfwind, box_3d[:, :2]),
+        (RandersMetric.constant_wind([0.3, -0.5, 0.2]), box_3d),
+        (build_metric(parse_scenario(SCENARIO_3D)), box_3d),
+        (build_metric(parse_scenario(SCENARIO_3D.replace(WIND_3D, "")
+                                     .replace("kind = randers", "kind = riemannian"))), box_3d),
+        (CustomMetric(lambda x, y: halfwind.norm(x, y), 2), box_3d[:, :2]),
+    ]
+    for metric, box in metrics:
+        points = box[rng.choice(len(box), size=40)]
+        vectors = rng.normal(size=points.shape) * 10.0 ** rng.uniform(-4, 2, size=(40, 1))
+        vectors[::7] = 0.0
+        speeds = metric.norms(points, vectors)
+        assert np.array_equal(speeds, _norm_rows(metric, points, vectors))
+        assert np.all(speeds[::7] == 0.0)
+        assert metric.norms(points[:0], vectors[:0]).shape == (0,)
+        with pytest.raises(DimensionMismatch):
+            metric.norms(points, vectors[:, :1])
+    # the Zermelo data take Python's lam**2, which differs from lam * lam in
+    # the last bit for about one lam in a thousand: rows of disc-radial
+    # (wind (x, y), so lam = 1 - x^2 at (x, 0)) at such lam
+    x = rng.uniform(0.3, 0.89, size=100_000)
+    lam = 1.0 - x * x
+    x = x[[v**2 != v * v for v in lam.tolist()]]
+    points = np.column_stack((x, np.zeros_like(x)))
+    vectors = rng.normal(size=points.shape)
+    metric = disc_scenario.chart.metric
+    assert len(x) > 50
+    assert np.array_equal(metric.norms(points, vectors), _norm_rows(metric, points, vectors))
+
+
+def test_norms_raise_at_the_first_bad_row():
+    def wind(x):
+        if x[1] > 0.5:
+            raise EvalError(f"wind undefined at {x}")
+        return np.array([x[0], 0.0])
+
+    randers = RandersMetric(lambda x: np.eye(2), wind, 2)
+    strong_x = 1.0 - 1e-7  # h(W, W) past the margin
+    vectors = np.ones((6, 2))
+    # (points, error, its row): a strong wind at row 3 wins over an undefined
+    # one at row 5, and an undefined wind at row 2 over a strong one at row 3
+    for points, error, row in (
+        ([[0.1, 0], [0.2, 0], [0.3, 0], [strong_x, 0], [0.4, 0], [0.1, 1]], NonConvexWind, 3),
+        ([[0.1, 0], [0.2, 0], [0.3, 1], [strong_x, 0], [0.4, 0], [0.1, 0]], EvalError, 2),
+    ):
+        points = np.array(points, dtype=float)
+        raised = _raised(lambda: randers.norms(points, vectors))
+        assert raised == _raised(lambda: _norm_rows(randers, points, vectors))
+        assert raised[0] is error and str(points[row]) in raised[1]
+
+    def h(x):
+        if x[0] > 0.5:
+            return np.array([[1.0, 0.1], [0.0, 1.0]])  # asymmetric
+        return np.diag([1.0, np.sign(x[1])])  # indefinite where x[1] < 0
+
+    riemannian = RiemannianMetric(h, 2, lambda x: np.zeros((2, 2, 2)))
+    # rows 1 and 2 are indefinite, but only row 2's vector has h(v, v) < 0
+    points = np.array([[0.1, 1], [0.1, -1], [0.2, -1], [0.9, 1]])
+    vectors = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    for rows, error in ((slice(None), NonConvexWind), ([0, 1, 3, 2], DimensionMismatch)):
+        raised = _raised(lambda: riemannian.norms(points[rows], vectors[rows]))
+        assert raised == _raised(lambda: _norm_rows(riemannian, points[rows], vectors[rows]))
+        assert raised[0] is error
+
+
+# ---------------------------------------------------------------------------
 # fundamental tensor
 
 

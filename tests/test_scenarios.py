@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from finsler_lab import numdiff
+from finsler_lab import numdiff, scenarios
 from finsler_lab.calculus import finsler_gradient
-from finsler_lab.errors import ParseError, ValidationError
+from finsler_lab.domains import BoxDomain
+from finsler_lab.errors import EvalError, FinslerError, ParseError, ValidationError
 from finsler_lab.scenarios import (
+    WIND_VALIDATION_LIMIT,
     build_scenario,
     example_texts,
     list_examples,
@@ -66,19 +70,20 @@ def test_dangling_operator_parse_error():
     assert err.value.line is not None
 
 
-@pytest.mark.parametrize(
-    "mutation,exc",
-    [
-        (("dimension = 2", "dimension = 5"), ValidationError),
-        (("kind = disc", "kind = torus"), ValidationError),
-        (("h = 1, 0 ; 0, 1", "h = 1, 0 ; 0, 1 ; 0, 0"), ValidationError),
-        (("f = x^2 + y^2", "f = x^2 + z^2"), ValidationError),
-        (("wind = x, y", "wind = x"), ValidationError),
-        (("[metric]", "[metrics]"), ParseError),
-        (("step = 1e-3", "step = nan"), ValidationError),
-        (("tolerance = 1e-6", "tolerance = nan"), ValidationError),
-    ],
-)
+# (old, new) replacements in the disc-radial text, and the error each gives
+CONFIG_MUTATIONS = [
+    (("dimension = 2", "dimension = 5"), ValidationError),
+    (("kind = disc", "kind = torus"), ValidationError),
+    (("h = 1, 0 ; 0, 1", "h = 1, 0 ; 0, 1 ; 0, 0"), ValidationError),
+    (("f = x^2 + y^2", "f = x^2 + z^2"), ValidationError),
+    (("wind = x, y", "wind = x"), ValidationError),
+    (("[metric]", "[metrics]"), ParseError),
+    (("step = 1e-3", "step = nan"), ValidationError),
+    (("tolerance = 1e-6", "tolerance = nan"), ValidationError),
+]
+
+
+@pytest.mark.parametrize("mutation,exc", CONFIG_MUTATIONS)
 def test_config_validation_errors(mutation, exc):
     old, new = mutation
     with pytest.raises(exc):
@@ -117,6 +122,98 @@ def test_domain_key_of_another_kind_rejected_at_its_line(name, old, new, kind):
     with pytest.raises(ParseError, match=message) as err:
         parse_scenario(text)
     assert text.splitlines()[err.value.line - 1].startswith(bad_key)
+
+
+def _margin_wind_text(h_rows, direction, above):
+    """A constant wind on a box, with h(W, W) just above the limit or at most it.
+
+    W is the direction scaled to h(W, W) = WIND_VALIDATION_LIMIT, then moved
+    in its first component one float at a time to the requested side.
+    """
+    H = np.array(h_rows, dtype=float)
+    W = np.array(direction, dtype=float)
+    W *= math.sqrt(WIND_VALIDATION_LIMIT / float(W @ H @ W))
+    while (float(W @ H @ W) > WIND_VALIDATION_LIMIT) != above:
+        W[0] = np.nextafter(W[0], math.inf if above else -math.inf)
+    dim = len(W)
+    return (
+        f"name = margin\ndimension = {dim}\n\n[domain]\nkind = box\n"
+        f"lower = {', '.join(['-1.0'] * dim)}\nupper = {', '.join(['1.0'] * dim)}\n\n"
+        "[metric]\nkind = randers\n"
+        f"h = {' ; '.join(', '.join(map(repr, row)) for row in H.tolist())}\n"
+        f"wind = {', '.join(map(repr, W.tolist()))}\n\n[field]\nf = x\n"
+    )
+
+
+LINEAR_TEXT = example_texts("euclidean-linear")["main"]
+H_3D = [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]]
+# on the euclidean-linear box the first 13 samples run up y at the least x,
+# y_j = -2 + 4 (j + 1) / 14; (y + 1) + sqrt((y + 1) * (y + 1)) is exactly 0
+# for y < -1, so h turns asymmetric at sample 3, and sqrt(c - y) leaves its
+# domain past y = c: at sample 5 for c = -0.5, at sample 2 for c = -1.2
+_ASYMMETRIC_FROM_3 = "h = 1, 0 ; (y + 1) + sqrt((y + 1) * (y + 1)), 1 + sqrt({c} - y)"
+_LINEAR_GRID = BoxDomain([-2.0, -2.0], [2.0, 2.0]).sample_grid(13)
+
+# text, and the error it must give: (type, message part), or None for a pass
+VALIDATION_CASES = {
+    **{
+        f"{name}-{chart}": (text, None)
+        for name in list_examples()
+        for chart, text in example_texts(name).items()
+    },
+    **{
+        f"mutation{i}": (DISC_TEXT.replace(*mutation), (exc, ""))
+        for i, (mutation, exc) in enumerate(CONFIG_MUTATIONS)
+    },
+    "asymmetric": (DISC_TEXT.replace("h = 1, 0 ; 0, 1", "h = 1, x ; 0, 1"),
+                   (ValidationError, "not symmetric")),
+    "strong-wind": (DISC_TEXT.replace("wind = x, y", "wind = 2 * x, 0"),
+                    (ValidationError, "wind norm exceeds 1")),
+    "indefinite-somewhere": (DISC_TEXT.replace("h = 1, 0 ; 0, 1", "h = 1, 0 ; 0, x"),
+                             (ValidationError, "not positive definite")),
+    "indefinite-everywhere": (DISC_TEXT.replace("h = 1, 0 ; 0, 1", "h = 1, 2 ; 2, 1"),
+                              (ValidationError, "not positive definite")),
+    "wind-under-margin-2d": (_margin_wind_text([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], False),
+                             None),
+    "wind-over-margin-2d": (_margin_wind_text([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], True),
+                            (ValidationError, "wind norm exceeds 1")),
+    "wind-under-margin-3d": (_margin_wind_text(H_3D, [0.6, 0.5, 0.7], False), None),
+    "wind-over-margin-3d": (_margin_wind_text(H_3D, [0.6, 0.5, 0.7], True),
+                            (ValidationError, "wind norm exceeds 1")),
+    "asymmetric-before-undefined": (
+        LINEAR_TEXT.replace("h = 1, 0 ; 0, 1", _ASYMMETRIC_FROM_3.format(c=-0.5)),
+        (ValidationError, f"h is not symmetric at {_LINEAR_GRID[3]}"),
+    ),
+    "undefined-before-asymmetric": (
+        LINEAR_TEXT.replace("h = 1, 0 ; 0, 1", _ASYMMETRIC_FROM_3.format(c=-1.2)),
+        (EvalError, "cannot evaluate"),
+    ),
+    # at the first sample h is indefinite and the wind undefined
+    "indefinite-before-undefined-wind": (
+        LINEAR_TEXT.replace("kind = riemannian\nh = 1, 0 ; 0, 1",
+                            "kind = randers\nh = 1, 0 ; 0, y\nwind = sqrt(y), 0"),
+        (ValidationError, f"h is not positive definite at {_LINEAR_GRID[0]}"),
+    ),
+}
+
+
+def _validation_outcome(text):
+    try:
+        return render_scenario(parse_scenario(text))
+    except FinslerError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", VALIDATION_CASES)
+def test_validation_matches_pointwise_reference(monkeypatch, pointwise_validate_config, case):
+    text, expected = VALIDATION_CASES[case]
+    stacked = _validation_outcome(text)
+    if expected is None:
+        assert isinstance(stacked, str)
+    else:
+        assert stacked[0] is expected[0] and expected[1] in stacked[1]
+    monkeypatch.setattr(scenarios, "_validate_config", pointwise_validate_config)
+    assert _validation_outcome(text) == stacked
 
 
 def test_asymmetric_h_rejected():

@@ -62,6 +62,12 @@ EXTRA_CALLS = (
     # t_end not a multiple of --step: the last row's time is n (t_end / n), not t_end
     ("dump-geodesic-disc-offgrid", ["dump-geodesic", "--example", "disc-radial",
                                     "--start=0.2,0", "--velocity=0,1", "--t-end", "0.2505"]),
+    # the Riemannian and the constant-wind Randers speeds of a trajectory
+    ("dump-geodesic-linear", ["dump-geodesic", "--example", "euclidean-linear",
+                              "--start=0.1,-0.2", "--velocity=1,0.5"]),
+    ("dump-geodesic-minkowski-wind", ["dump-geodesic", "--example",
+                                      "minkowski-randers-distance", "--wind", "0.3",
+                                      "--start=1,0.5", "--velocity=0.3,-1"]),
     ("check-morse-bott-sphere-north", ["check-morse-bott", "--example",
                                        "randers-sphere-height", "--chart", "north-cap"]),
     ("check-transnormal-sphere-south", ["check-transnormal", "--example",
