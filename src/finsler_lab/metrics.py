@@ -192,21 +192,6 @@ class RiemannianMetric(Metric):
             raise NonConvexWind("matrix field is not positive definite at this point")
         return float(np.sqrt(q))
 
-    def norms(self, points, vectors):
-        points, Y = _row_pairs(self.dim, points, vectors)
-        (H,), undefined = _rows_of(points, (self._h, (self.dim, self.dim)))
-        q = (Y[: len(H), None, :] @ H @ Y[: len(H), :, None])[:, 0, 0]
-        # the checks of h_matrix and norm, in their order
-        asymmetric = ~np.isclose(H, H.transpose(0, 2, 1), atol=0.0).all(axis=(1, 2))
-        bad = np.flatnonzero(asymmetric | (q < 0.0))
-        if bad.size:
-            if asymmetric[bad[0]]:
-                raise DimensionMismatch("metric matrix field is not symmetric")
-            raise NonConvexWind("matrix field is not positive definite at this point")
-        if undefined is not None:
-            raise undefined
-        return np.sqrt(q)
-
     def fundamental_matrix(self, x, y):
         self._require_nonzero(y)
         return self.h_matrix(x).copy()
@@ -453,9 +438,6 @@ class ReverseMetric(Metric):
 
     def norm(self, x, y):
         return self.inner.norm(x, -np.asarray(y, dtype=float))
-
-    def norms(self, points, vectors):
-        return self.inner.norms(points, -np.asarray(vectors, dtype=float))
 
     def fundamental_matrix(self, x, y):
         y = self._require_nonzero(y)

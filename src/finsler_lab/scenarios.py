@@ -19,9 +19,9 @@ import numpy as np
 
 from .calculus import ScalarField
 from .domains import BoxDomain, DiscDomain, Domain
-from .errors import EvalError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .expressions import VARIABLES, Expr, compile_expression, parse_expression
-from .metrics import Metric, RandersMetric, RiemannianMetric
+from .metrics import Metric, RandersMetric, RiemannianMetric, _rows_of
 
 WIND_VALIDATION_LIMIT = 1.0 - 1e-6
 _VALIDATION_GRID = 13
@@ -288,16 +288,8 @@ def _validate_config(config: ScenarioConfig):
     # sample at once. A sample fails at its first failing check, in the
     # order: h undefined, h asymmetric, h not positive definite, wind
     # undefined; the first failing sample is reported.
-    h_rows, w_rows, undefined = [], [], None
-    for p in samples:
-        try:
-            h_rows.append(h_fn(p))
-            if wind_fn is not None:
-                w_rows.append(wind_fn(p))
-        except EvalError as exc:
-            undefined = exc
-            break
-    H = np.array(h_rows, dtype=float).reshape(-1, n, n)
+    fields = [(h_fn, (n, n))] + ([(wind_fn, (n,))] if wind_fn is not None else [])
+    (H, *wind), undefined = _rows_of(samples, *fields)
     asymmetric = np.flatnonzero((H != H.transpose(0, 2, 1)).any(axis=(1, 2)))
     symmetric = len(H) if asymmetric.size == 0 else asymmetric[0]
     eigs = np.linalg.eigvalsh(H[:symmetric])
@@ -312,7 +304,7 @@ def _validate_config(config: ScenarioConfig):
     if undefined is not None:
         raise undefined
     if wind_fn is not None:
-        W = np.array(w_rows, dtype=float).reshape(-1, n)
+        (W,) = wind
         hww = (W[:, None, :] @ H @ W[:, :, None])[:, 0, 0]
         # fmax, like a running max(), passes over nan
         worst_wind = float(np.fmax.reduce(hww, initial=0.0))

@@ -62,7 +62,8 @@ EXTRA_CALLS = (
     # t_end not a multiple of --step: the last row's time is n (t_end / n), not t_end
     ("dump-geodesic-disc-offgrid", ["dump-geodesic", "--example", "disc-radial",
                                     "--start=0.2,0", "--velocity=0,1", "--t-end", "0.2505"]),
-    # the Riemannian and the constant-wind Randers speeds of a trajectory
+    # the speeds of a Riemannian trajectory (row loop) and of a constant-wind
+    # Randers one (stacked)
     ("dump-geodesic-linear", ["dump-geodesic", "--example", "euclidean-linear",
                               "--start=0.1,-0.2", "--velocity=1,0.5"]),
     ("dump-geodesic-minkowski-wind", ["dump-geodesic", "--example",
