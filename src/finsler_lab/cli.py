@@ -9,6 +9,7 @@ wall time lives only in the sidecar manifest file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -375,7 +376,9 @@ VERBS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once; every option default is immutable, so parses share nothing."""
     parser = argparse.ArgumentParser(
         prog="finsler-lab",
         description="Numerical checks for Randers metrics, gradients, geodesics "
@@ -417,7 +420,6 @@ def _run(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse takes a list value such as -0.5,0,0.5 for an option; attach it with "="
     for i in reversed(range(1, len(argv))):
@@ -425,7 +427,7 @@ def main(argv=None) -> int:
         if option in ("--start", "--velocity", "--levels") and re.match(r"-[\d.]", value):
             argv[i - 1 : i + 1] = [f"{option}={value}"]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG_ERROR if exc.code not in (0, None) else 0
     try:

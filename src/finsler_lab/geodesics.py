@@ -14,14 +14,15 @@ Hairer-Norsett-Wanner, Solving ODEs I, II.4-II.6) with error control on the
 state, from one step loop (`_accepted_steps`) with a right-hand side
 ``rhs(z, out)``: the spray on (x, y, arc length) here, and the unit gradient
 flow on x in `transnormal.trace_f_segment`. The step's continuous extension
-(`_dense_output`) gives the flow its crossings and its measured
-acceleration, and `geodesic_at_times` its states between step ends: the
-uniform rows of `dump-geodesic` and the end points of `exp_map` and
-`build_cylinder`. A march to a level (`integrate_to_level`) locates a
-crossing on the bracketing step's quintic Hermite interpolant and reaches it
-by one sub-step; it keeps its accepted states with the controller's next
-trial step, so reading it at another time (`point_at_time`) costs one
-sub-step, or replays the very steps the march would have taken next.
+(`_dense_output`) gives `geodesic_at_times` its states between step ends
+(the uniform rows of `dump-geodesic`, the end points of `exp_map` and
+`build_cylinder`) and the flow its measured acceleration. Both the march to
+a level (`integrate_to_level`) and the flow locate a level crossing with one
+routine (`_locate`): the root of f on the bracketing step's extension, one
+sub-step to it and one Newton correction in time. The level march keeps its
+accepted states with the controller's next trial step, so reading it at
+another time (`point_at_time`) costs one sub-step, or replays the very steps
+the march would have taken next.
 
 `integrate_geodesic` takes classical fixed 4th-order steps on the same spray
 stage (`Metric.geodesic_stage`): it is the reference of the tests, the
@@ -398,6 +399,13 @@ def _dense_state(dense, s):
     return (1.0 - s) * z0 + s * z1 + s * (1.0 - s) * (r2 + s * (r3 + (1.0 - s) * r4))
 
 
+def _dense_derivative(dense, s, h):
+    """Time derivative of the continuous extension at the step fraction s."""
+    z0, z1, r2, r3, r4 = dense
+    return (z1 - z0 + (1.0 - 2.0 * s) * r2 + s * (2.0 - 3.0 * s) * r3
+            + 2.0 * s * (1.0 - s) * (1.0 - 2.0 * s) * r4) / h
+
+
 def _dense_second_derivative(dense, s, h):
     """Second time derivative of the continuous extension at the step fraction s."""
     _, _, r2, r3, r4 = dense
@@ -479,33 +487,35 @@ def _accepted_steps(rhs, z, k1, t, h, step, domain, n, t_stop=math.inf):
         z, k1, t, h, rejected = z_new, K[6], t_new, h_next, False
 
 
-def _quintic_crossing_time(field: ScalarField, target: float, z0, z1, k0, k1, h: float) -> float:
-    """Time in [0, h] at which f = target on one march step's quintic Hermite interpolant.
+def _brackets(phi0: float, phi1: float) -> bool:
+    """Whether f - level, phi0 at a step's start and phi1 at its end, meets 0 in the step."""
+    return phi0 == 0.0 or phi1 == 0.0 or (phi1 > 0.0) != (phi0 > 0.0)
 
-    The interpolant matches the positions, velocities and accelerations at
-    both ends of the step, which the march already has (its first and last
-    stage derivatives k0, k1), so locating the crossing costs no spray
-    stage. f - target must change sign, or vanish, between the endpoints.
+
+def _locate(rhs, field: ScalarField, target: float, z, k1, dense, h: float, z_new, n: int):
+    """Time theta in [0, h] and state of one accepted step at which f = target.
+
+    The step goes from z (derivative k1) to z_new in time h, ``dense`` is its
+    continuous extension, and the first n components of the state are the
+    position; f - target must bracket 0 on the step (`_brackets`). The root
+    of f on the extension is reached by one Dormand-Prince sub-step from z,
+    then corrected by one Newton step in time along the extension's time
+    derivative there, which costs no right-hand side. A corrected time
+    outside the step is clamped to the step's end states.
     """
-    n = (z0.size - 1) // 2
-    x0, x1 = z0[:n], z1[:n]
-    hv0, hv1 = h * k0[:n], h * k1[:n]
-    hha0, hha1 = h * h * k0[n : 2 * n], h * h * k1[n : 2 * n]
-
     def phi(theta):
-        s = theta / h
-        s3 = s * s * s
-        p = (
-            (1.0 - s3 * (10.0 - 15.0 * s + 6.0 * s * s)) * x0
-            + s3 * (10.0 - 15.0 * s + 6.0 * s * s) * x1
-            + (s - s3 * (6.0 - 8.0 * s + 3.0 * s * s)) * hv0
-            - s3 * (4.0 - 7.0 * s + 3.0 * s * s) * hv1
-            + 0.5 * s * s * (1.0 - s) ** 3 * hha0
-            + 0.5 * s3 * (1.0 - s) ** 2 * hha1
-        )
-        return field.value(p) - target
+        return field.value(_dense_state(dense, theta / h)[:n]) - target
 
-    return brentq(phi, 0.0, h, xtol=1e-12 * h)
+    theta = brentq(phi, 0.0, h, xtol=1e-12 * h)
+    y = z_new if theta == h else _dp5_stages(rhs, z, k1, theta)[0]
+    zdot = _dense_derivative(dense, theta / h, h)
+    slope = float(field.differential(y[:n]) @ zdot[:n])
+    d_theta = -(field.value(y[:n]) - target) / slope if slope else 0.0
+    if theta + d_theta <= 0.0:
+        return 0.0, z
+    if theta + d_theta >= h:
+        return h, z_new
+    return theta + d_theta, y + d_theta * zdot
 
 
 def _march_start(metric: Metric, x, y, arclen):
@@ -527,11 +537,12 @@ def integrate_to_level(
     """March the geodesic until f crosses the target level.
 
     The march takes adaptive Dormand-Prince 5(4) steps, the first one from
-    the Hairer-Norsett-Wanner starting-step estimate. The sign change is
-    bracketed inside one accepted step, and the crossing time is found on
-    that step's quintic Hermite interpolant. One Dormand-Prince sub-step
-    from the bracket's left state then gives the reported point, velocity
-    and arc length, so they keep the integrator's accuracy.
+    the Hairer-Norsett-Wanner starting-step estimate. The first accepted
+    step on which f - target meets 0 (`_brackets`; a start on the level is a
+    crossing at time 0) is handed to `_locate`: one Dormand-Prince sub-step
+    to the root on the step's continuous extension and one Newton correction
+    in time give the reported point, velocity and arc length, so they keep
+    the integrator's accuracy.
 
     ``step`` is the resolution of a chart exit: a step that leaves the
     domain, or one of whose stages fails, is halved until it is no longer
@@ -557,19 +568,17 @@ def integrate_to_level(
     rhs, z, k1 = _march_start(metric, x, v0.vector, 0.0)
     h = _initial_step(rhs, z, k1)
     states.append(0.0, x, v0.vector, 0.0, h)
-    t = 0.0
-    phi = field.value(x) - target
+    t, phi = 0.0, field.value(x) - target
     try:
         for h, t_new, z_new, K, h_next in _accepted_steps(rhs, z, k1, t, h, step, domain, n):
             states.append(t_new, z_new[:n], z_new[n : 2 * n], z_new[2 * n], h_next)
             phi_new = field.value(z_new[:n]) - target
-            if phi_new == 0.0 or (phi_new > 0.0) != (phi > 0.0):
-                theta = _quintic_crossing_time(field, target, z, z_new, K[0], K[6], h)
-                if theta < h:
-                    z_new, _ = _dp5_stages(rhs, z, K[0], theta)
+            if _brackets(phi, phi_new):
+                dense = _dense_output(z, z_new, K, h)
+                theta, y = _locate(rhs, field, target, z, K[0], dense, h, z_new, n)
                 return CrossingEvent.measure(
-                    metric, field, target, t + theta, z_new[:n], z_new[n : 2 * n],
-                    z_new[2 * n], states.trajectory(metric),
+                    metric, field, target, t + theta, y[:n], y[n : 2 * n], y[2 * n],
+                    states.trajectory(metric),
                 )
             if t_new >= t_max:
                 raise NeverReached(

@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 from scipy.interpolate import PchipInterpolator
 
 from .calculus import (
@@ -42,11 +41,11 @@ from .geodesics import (
     CrossingEvent,
     GeodesicTrajectory,
     _accepted_steps,
+    _brackets,
     _dense_output,
     _dense_second_derivative,
-    _dense_state,
-    _dp5_stages,
     _initial_step,
+    _locate,
     integrate_geodesic,
     spray_coefficients,
 )
@@ -331,11 +330,6 @@ def level_grid_b_report(
 # f-segments
 
 
-def _brackets(phi0: float, phi1: float) -> bool:
-    """Whether f - level, phi0 at a step's start and phi1 at its end, crosses 0 in the step."""
-    return phi0 == 0.0 or (phi1 > 0.0) != (phi0 > 0.0)
-
-
 def trace_f_segment(
     metric: Metric,
     field: ScalarField,
@@ -353,12 +347,11 @@ def trace_f_segment(
     Dormand-Prince 5(4) step loop of the level march
     (`geodesics._accepted_steps`), at the same error control; ``step`` is
     the resolution of a chart exit, as there. A level crossing or the
-    ``f_stop`` point is found on the bracketing step's continuous extension,
-    reached by one sub-step from the step's left state and refined by one
-    Newton correction in time and a second sub-step. Without ``f_stop`` the
-    segment ends at ``t_max``, one sub-step into the step that passes it.
-    The trajectory holds the accepted states and that end point, at strictly
-    increasing times.
+    ``f_stop`` point is located as the level march locates its crossing
+    (`geodesics._locate`), and its velocity is the flow at the located
+    point. Without ``f_stop`` the last step ends on ``t_max``. The
+    trajectory holds the accepted states and the ``f_stop`` point, at
+    strictly increasing times.
 
     The backward segment is the time reversal of the forward one (the
     descending ray is unit for the reverse metric). The traced curve is
@@ -368,6 +361,8 @@ def trace_f_segment(
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
+    if not t_max > 0.0:
+        raise ValueError("t_max must be positive")
     sign = 1.0 if direction == "forward" else -1.0
     metric_eff = metric if direction == "forward" else metric.reverse()
 
@@ -386,69 +381,38 @@ def trace_f_segment(
     crossings: List[CrossingEvent] = []
     f_prev = field.value(x)
 
-    def locate(target, dense, h, theta_b, x_b, v_b):
-        """Time, point and velocity in [0, theta_b] of the step at which f = target."""
-
-        def phi(theta):
-            y = x_b if theta == theta_b else _dense_state(dense, theta / h)
-            return field.value(y) - target
-
-        theta = brentq(phi, 0.0, theta_b, xtol=1e-12 * h)
-        if theta == 0.0:
-            return 0.0, x, v
-        y = _dp5_stages(flow, x, v, theta)[0]
-        w = flow(y, np.empty(n))
-        # one Newton correction: f grows at df(w) along the flow
-        df_w = float(field.differential(y) @ w)
-        corrected = min(theta - (field.value(y) - target) / df_w, theta_b)
-        if corrected <= 0.0:
-            return 0.0, x, v
-        if corrected == theta_b:
-            return theta_b, x_b, v_b
-        if corrected != theta:
-            theta, y = corrected, _dp5_stages(flow, x, v, corrected)[0]
-            w = flow(y, np.empty(n))
-        return theta, y, w
-
     h = _initial_step(flow, x, v)
-    for h, t_new, x_new, K, _ in _accepted_steps(flow, x, v, t, h, step, domain, n):
+    for h, t_new, x_new, K, _ in _accepted_steps(flow, x, v, t, h, step, domain, n, t_max):
         dense = _dense_output(x, x_new, K, h)
         if not accelerations:
             accelerations.append(_dense_second_derivative(dense, 0.0, h))
-        # the step's part within the time budget ends at theta_b, time t_b
-        theta_b, t_b, x_b, v_b = h, t_new, x_new, K[6]
-        if t_new > t_max:
-            theta_b, t_b = t_max - t, t_max
-            x_b = _dp5_stages(flow, x, v, theta_b)[0]
-            v_b = flow(x_b, np.empty(n))
-        f_b = field.value(x_b)
+        f_new = field.value(x_new)
         for lvl in list(pending):
-            if _brackets(f_prev - lvl, f_b - lvl):
-                theta, y, w = locate(lvl, dense, h, theta_b, x_b, v_b)
+            if _brackets(f_prev - lvl, f_new - lvl):
+                theta, y = _locate(flow, field, lvl, x, v, dense, h, x_new, n)
                 # unit speed: arc length equals time
-                crossings.append(
-                    CrossingEvent.measure(metric_eff, field, lvl, t + theta, y, w, t + theta)
-                )
+                crossings.append(CrossingEvent.measure(
+                    metric_eff, field, lvl, t + theta, y, flow(y, np.empty(n)), t + theta
+                ))
                 pending.remove(lvl)
-        stop = f_stop is not None and _brackets(f_prev - f_stop, f_b - f_stop)
+        theta, x_end, v_end = h, x_new, K[6]
+        stop = f_stop is not None and _brackets(f_prev - f_stop, f_new - f_stop)
         if stop:
-            theta, x_b, v_b = locate(f_stop, dense, h, theta_b, x_b, v_b)
-            if theta < theta_b:
-                theta_b, t_b = theta, t + theta
-        elif f_stop is not None and t_new >= t_max:
-            raise NeverReached(f"gradient flow never reached f = {f_stop} within {t_max}")
-        if t_b > t:
-            times.append(t_b)
-            points.append(x_b)
-            velocities.append(v_b)
-            accelerations.append(_dense_second_derivative(dense, theta_b / h, h))
-        if stop or t_new >= t_max:
+            theta, x_end = _locate(flow, field, f_stop, x, v, dense, h, x_new, n)
+            v_end = flow(x_end, np.empty(n))
+        if theta > 0.0:
+            times.append(t + theta)
+            points.append(x_end)
+            velocities.append(v_end)
+            accelerations.append(_dense_second_derivative(dense, theta / h, h))
+        if stop:
             break
-        x, v, t, f_prev = x_new, K[6], t_new, f_b
+        x, v, t, f_prev = x_new, K[6], t_new, f_new
+    else:
+        if f_stop is not None:
+            raise NeverReached(f"gradient flow never reached f = {f_stop} within {t_max}")
 
-    times_a = np.array(times)
-    points_a = np.array(points)
-    velocities_a = np.array(velocities)
+    times_a, points_a, velocities_a = (np.array(a) for a in (times, points, velocities))
     speeds = metric_eff.norms(points_a, velocities_a)
     # unit-speed flow: arc length accumulates with time
     arcs = np.concatenate(
@@ -465,18 +429,11 @@ def trace_f_segment(
         np.max(np.abs(a - spray_coefficients(metric_eff, TangentVector(p, w))))
         for p, w, a in zip(points_a, velocities_a, accelerations)
     ]))
-    fvals = np.array([field.value(p) for p in points_a])
-    diffs = np.diff(fvals)
-    monotone = bool(np.all(diffs > 0.0)) if direction == "forward" else bool(
-        np.all(diffs < 0.0)
-    )
+    # f rises along a forward segment and falls along a backward one
+    monotone = bool(np.all(sign * np.diff([field.value(p) for p in points_a]) > 0.0))
     return FSegment(
-        trajectory=traj,
-        direction=direction,
-        level_crossings=crossings,
-        reparametrization_residual=reparam,
-        geodesic_residual=geo_res,
-        monotone=monotone,
+        trajectory=traj, direction=direction, level_crossings=crossings,
+        reparametrization_residual=reparam, geodesic_residual=geo_res, monotone=monotone,
     )
 
 

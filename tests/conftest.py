@@ -78,6 +78,41 @@ def _hermite_crossing_time(field, target, x0, x1, dx0, dx1, h):
     return brentq(phi, 0.0, h, xtol=1e-12 * h)
 
 
+def _quintic_crossing_time(field, target, z0, z1, k0, k1, h):
+    """Reference: the locator the level march used before the shared one.
+
+    Time in [0, h] at which f = target on one march step's quintic Hermite
+    interpolant, which matches the positions, velocities and accelerations
+    at both ends of the step (the derivatives k0, k1 of the states z0, z1 =
+    (x, y, arc length)). f - target must change sign, or vanish, between the
+    endpoints.
+    """
+    n = (z0.size - 1) // 2
+    x0, x1 = z0[:n], z1[:n]
+    hv0, hv1 = h * k0[:n], h * k1[:n]
+    hha0, hha1 = h * h * k0[n : 2 * n], h * h * k1[n : 2 * n]
+
+    def phi(theta):
+        s = theta / h
+        s3 = s * s * s
+        p = (
+            (1.0 - s3 * (10.0 - 15.0 * s + 6.0 * s * s)) * x0
+            + s3 * (10.0 - 15.0 * s + 6.0 * s * s) * x1
+            + (s - s3 * (6.0 - 8.0 * s + 3.0 * s * s)) * hv0
+            - s3 * (4.0 - 7.0 * s + 3.0 * s * s) * hv1
+            + 0.5 * s * s * (1.0 - s) ** 3 * hha0
+            + 0.5 * s3 * (1.0 - s) ** 2 * hha1
+        )
+        return field.value(p) - target
+
+    return brentq(phi, 0.0, h, xtol=1e-12 * h)
+
+
+@pytest.fixture(scope="session")
+def quintic_crossing_time():
+    return _quintic_crossing_time
+
+
 def _rk4_level_march(metric, v0, field, target, step, domain=None, t_max=10.0):
     """Reference: the fixed-step RK4 level march the adaptive one replaced.
 

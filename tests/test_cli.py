@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from finsler_lab.cli import main
+from finsler_lab.cli import build_parser, main
 from finsler_lab.geodesics import integrate_geodesic
 from finsler_lab.metrics import TangentVector
 from finsler_lab.scenarios import example_texts, load_example
@@ -342,3 +342,33 @@ def test_scenario_file_has_no_level_defaults(tmp_path, capsys):
     assert run(out, "check-parallel", "--scenario", str(path), "--from", "0.04") == 2
     assert capsys.readouterr().err.count("configuration error") == 3
     assert not out.exists()
+
+
+def test_successive_calls_parse_independently(tmp_path):
+    # the parser is built once; one call's options leave nothing for the next
+    assert build_parser() is build_parser()
+    first, second, third = (tmp_path / name for name in "abc")
+    for out in (first, second, third):
+        out.mkdir()
+    assert run(
+        first, "trace-segment", "--example", "disc-radial", "--start=0.2,0",
+        "--levels", "0.09,0.16", "--t-max", "0.3",
+    ) == 0
+    assert run(
+        second, "dump-geodesic", "--example", "disc-radial", "--start=0.2,0",
+        "--velocity=0,1", "--t-end", "0.2",
+    ) == 0
+    assert run(
+        third, "trace-segment", "--example", "disc-radial", "--start=0.4,0",
+        "--stop", "0.09", "--direction", "backward",
+    ) == 0
+    a = read_report(first, "disc-radial", "trace-segment")["data"]
+    b = read_report(second, "disc-radial", "dump-geodesic")["data"]
+    c = read_report(third, "disc-radial", "trace-segment")["data"]
+    assert a["direction"] == "forward"
+    assert [ev["level"] for ev in a["crossings"]] == [0.09, 0.16]
+    assert a["arc_length"] == pytest.approx(0.3, abs=1e-12)
+    assert b["t_end"] == 0.2
+    assert c["direction"] == "backward"
+    assert c["crossings"] == []
+    assert np.hypot(*c["endpoint"]) == pytest.approx(0.3, abs=1e-12)

@@ -543,6 +543,57 @@ def test_crossing_takes_at_most_one_sub_step(
     assert len(march.times) > 2
 
 
+@pytest.mark.parametrize("fixture, chart_name, start, target", CROSSING_CASES)
+def test_crossing_matches_quintic_hermite_locator(
+    request, quintic_crossing_time, fixture, chart_name, start, target
+):
+    # the locator replaced, on the same bracketing step: the last one of the march
+    chart = request.getfixturevalue(fixture).charts[chart_name]
+    ray = _unit_gradient_ray(chart, start)
+    event = integrate_to_level(
+        chart.metric, ray, chart.field, target, step=1e-3, domain=chart.domain
+    )
+    march = event.march
+    rhs = geodesics._spray_rhs(chart.metric, ray.dim)
+    z0, z1 = (
+        np.concatenate((march.points[k], march.velocities[k], [march.arc_lengths[k]]))
+        for k in (-2, -1)
+    )
+    t0, h = march.times[-2], march.times[-1] - march.times[-2]
+    theta = quintic_crossing_time(
+        chart.field, target, z0, z1, rhs(z0, np.empty_like(z0)), rhs(z1, np.empty_like(z1)), h
+    )
+    assert abs(event.time - (t0 + theta)) <= 1e-12
+    assert abs(chart.field.value(event.point) - target) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "phi0, phi1, expected",
+    [(-1.0, 1.0, True), (1.0, -1.0, True), (0.0, 1.0, True), (0.0, -1.0, True),
+     (1.0, 0.0, True), (-1.0, 0.0, True), (1.0, 2.0, False), (-1.0, -2.0, False)],
+)
+def test_brackets(phi0, phi1, expected):
+    assert geodesics._brackets(phi0, phi1) is expected
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_start_on_the_level_crosses_at_time_zero(disc_scenario, sign):
+    # a start on the level is a crossing whichever way the ray points; a
+    # bracket test on the step's end alone misses it on the descending ray,
+    # which passes through the centre and meets the level on its way back out
+    chart = disc_scenario.chart
+    ray = _unit_gradient_ray(chart, [0.3, 0.1])
+    ray = TangentVector(ray.base, sign * ray.vector)
+    target = chart.field.value(ray.base)
+    event = integrate_to_level(
+        chart.metric, ray, chart.field, target, step=1e-3, domain=chart.domain
+    )
+    assert event.time == 0.0
+    assert event.arc_length == 0.0
+    assert np.array_equal(event.point, ray.base)
+    assert np.array_equal(event.velocity, ray.vector)
+
+
 # ---------------------------------------------------------------------------
 # reading a recorded march at another time
 

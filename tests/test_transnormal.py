@@ -289,8 +289,8 @@ def test_segment_crossings_match_bisection(
 
 def test_segment_step_costs_four_gradients(disc_scenario, monkeypatch):
     # one gradient at the start, one for the first trial step, and six per
-    # Dormand-Prince step (five stages and the derivative at its end), also
-    # per sub-step: here the one that ends the segment at t_max
+    # Dormand-Prince step (five stages and the derivative at its end); the
+    # last step ends on t_max, so no sub-step is taken
     chart = disc_scenario.chart
     calls, steps = [], []
     gradient = transnormal.finsler_gradient
@@ -305,7 +305,6 @@ def test_segment_step_costs_four_gradients(disc_scenario, monkeypatch):
         return dp5_stages(rhs, z, k1, h)
 
     monkeypatch.setattr(transnormal, "finsler_gradient", counted)
-    monkeypatch.setattr(transnormal, "_dp5_stages", counted_steps)
     monkeypatch.setattr(geodesics, "_dp5_stages", counted_steps)
     seg = trace_f_segment(
         chart.metric, chart.field, [0.2, 0.0], "forward",
@@ -313,11 +312,46 @@ def test_segment_step_costs_four_gradients(disc_scenario, monkeypatch):
     )
     accepted = len(seg.trajectory.times) - 1
     assert seg.trajectory.times[-1] == 0.1
-    # every step is accepted, the last one cut at t_max by a sub-step
-    assert len(steps) == accepted + 1
-    assert steps[-1] == pytest.approx(0.1 - seg.trajectory.times[-2], abs=1e-16)
-    assert len(calls) == 1 + 1 + 6 * len(steps)
+    # every step is accepted
+    assert len(steps) == accepted
+    assert len(calls) == 2 + 6 * len(steps)
     assert accepted <= 10
+
+
+@pytest.mark.parametrize(
+    "fixture, chart_name, start, direction, levels, stop",
+    [
+        ("disc_scenario", "main", [0.2, 0.0], "forward", (0.09, 0.16), 0.25),
+        ("disc_scenario", "main", [0.4, 0.2], "backward", (0.1, 0.05), 0.02),
+        ("sphere_scenario", "band", [1.2, 0.3], "forward", (0.5, 0.6), 0.7),
+        ("sphere_scenario", "band", [1.2, 0.3], "backward", (0.2, -0.1), -0.3),
+    ],
+)
+def test_segment_crossings_lie_on_their_level(
+    request, fixture, chart_name, start, direction, levels, stop
+):
+    # located by the level march's locator, then given the flow at the
+    # located point as their velocity, so they are F-unit to rounding
+    chart = request.getfixturevalue(fixture).charts[chart_name]
+    seg = trace_f_segment(
+        chart.metric, chart.field, start, direction, domain=chart.domain,
+        step=1e-3, record_levels=levels, f_stop=stop,
+    )
+    traj = seg.trajectory
+    assert len(seg.level_crossings) == len(levels)
+    ends = [(ev.level_value, ev.point, ev.velocity) for ev in seg.level_crossings]
+    ends.append((stop, traj.points[-1], traj.velocities[-1]))
+    for level, p, w in ends:
+        assert abs(chart.field.value(p) - level) <= 1e-14
+        assert abs(traj.metric.norm(p, w) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("t_max", [0.0, -0.1, float("nan")])
+def test_segment_rejects_a_time_budget_that_is_not_positive(disc_scenario, t_max):
+    # the last step ends on t_max, so a budget of 0 would be a step of length 0
+    chart = disc_scenario.chart
+    with pytest.raises(ValueError, match="t_max"):
+        trace_f_segment(chart.metric, chart.field, [0.2, 0.0], domain=chart.domain, t_max=t_max)
 
 
 def test_segment_times_increase_at_a_stop_on_a_state(disc_scenario):
