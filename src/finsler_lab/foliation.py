@@ -17,7 +17,7 @@ import numpy as np
 
 from .calculus import ScalarField, finsler_gradient, _legendre_inverse
 from .domains import Domain
-from .errors import LeftDomain, LevelNotFound, NeverReached
+from .errors import LeftDomain, LevelNotFound, NeverReached, ValidationError
 from .geodesics import (
     GeodesicTrajectory,
     geodesic_at_times,
@@ -268,6 +268,8 @@ def check_parallel(
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
+    if metric.dim == 1:
+        raise ValidationError("parallelism is not applicable in dimension 1: a level is a point")
     lo, hi = (c, d) if c < d else (d, c)
     source, target = (lo, hi) if direction == "forward" else (hi, lo)
     sample = extract_level_set(

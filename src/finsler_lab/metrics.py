@@ -34,10 +34,12 @@ WIND_NORM_MARGIN = 1e-6
 
 
 def as_point(coords) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(coords, dtype=float))
+    p = np.asarray(coords, dtype=float)
+    if p.ndim == 0:
+        p = p.reshape(1)
     if p.ndim != 1 or p.size < 1:
         raise DimensionMismatch(f"point must be a 1-d coordinate array, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not all(map(math.isfinite, p.tolist())):
         raise DimensionMismatch(f"point has non-finite coordinates: {p}")
     return p
 

@@ -7,12 +7,18 @@ chart variables. One file describes one chart. Built-in examples are stored
 as canonical file texts so they parse, validate and round-trip exactly like
 user scenarios; the sphere example attaches two extra polar-cap charts plus
 analytic cross-chart maps used by the overlap consistency checks.
+
+A built-in example's charts are parsed, validated and built on first use, so
+a call pays only for the charts it reads; a user scenario file is parsed and
+validated and its one chart built when it is loaded.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -79,7 +85,7 @@ class Chart:
 class Scenario:
     name: str
     description: str
-    charts: Dict[str, Chart]
+    charts: Mapping[str, Chart]
     default_chart: str
     critical_charts: Tuple[str, ...] = ()
     known_b: Optional[Callable[[float], float]] = None
@@ -401,12 +407,33 @@ def build_chart(config: ScenarioConfig, name: str = "main") -> Chart:
     )
 
 
+class _Charts(Mapping):
+    """Read-only chart name -> Chart, built from its file text on first read and kept."""
+
+    def __init__(self, texts: Dict[str, str]):
+        self._texts = texts
+        self._built: Dict[str, Chart] = {}
+
+    def __getitem__(self, name: str) -> Chart:
+        if name not in self._built:
+            self._built[name] = build_chart(parse_scenario(self._texts[name]), name)
+        return self._built[name]
+
+    def __contains__(self, name) -> bool:  # a key test builds nothing
+        return name in self._texts
+
+    def __iter__(self):
+        return iter(self._texts)
+
+    def __len__(self) -> int:
+        return len(self._texts)
+
+
 def build_scenario(config: ScenarioConfig) -> Scenario:
-    chart = build_chart(config)
     return Scenario(
         name=config.name,
         description="user scenario",
-        charts={"main": chart},
+        charts=MappingProxyType({"main": build_chart(config)}),
         default_chart="main",
     )
 
@@ -551,8 +578,6 @@ def _band_to_south_cap(p):
 
 
 def _build_euclidean_linear() -> Scenario:
-    config = parse_scenario(_EUCLIDEAN_LINEAR_TEXT)
-    chart = build_chart(config)
     spread = 3.6
 
     def level_param(c, s):
@@ -561,7 +586,7 @@ def _build_euclidean_linear() -> Scenario:
     return Scenario(
         name="euclidean-linear",
         description="Euclidean plane with a linear function; trivial reference",
-        charts={"main": chart},
+        charts=_Charts(_TEXTS["euclidean-linear"]),
         default_chart="main",
         known_b=lambda t: 1.0,
         known_b_label="1",
@@ -575,8 +600,6 @@ def minkowski_randers_distance(wind_norm: float = 0.5) -> Scenario:
     """Constant-wind Minkowski plane with its forward distance from 0."""
     if not 0.0 < wind_norm < 1.0:
         raise ValidationError("wind_norm must lie in (0, 1)")
-    config = parse_scenario(_minkowski_text(wind_norm))
-    chart = build_chart(config)
 
     def level_param(c, s):
         ang = 2.0 * math.pi * s
@@ -585,7 +608,7 @@ def minkowski_randers_distance(wind_norm: float = 0.5) -> Scenario:
     return Scenario(
         name="minkowski-randers-distance",
         description=f"Minkowski Randers norm distance from the origin, |W| = {wind_norm}",
-        charts={"main": chart},
+        charts=_Charts({"main": _minkowski_text(wind_norm)}),
         default_chart="main",
         known_b=lambda t: 1.0,
         known_b_label="1",
@@ -596,9 +619,6 @@ def minkowski_randers_distance(wind_norm: float = 0.5) -> Scenario:
 
 
 def _build_disc_radial() -> Scenario:
-    config = parse_scenario(_DISC_RADIAL_TEXT)
-    chart = build_chart(config)
-
     def known_b(t):
         return (2.0 * math.sqrt(t) + 2.0 * t) ** 2
 
@@ -610,7 +630,7 @@ def _build_disc_radial() -> Scenario:
     return Scenario(
         name="disc-radial",
         description="unit-disc Randers metric with radial wind and f = x^2 + y^2",
-        charts={"main": chart},
+        charts=_Charts(_TEXTS["disc-radial"]),
         default_chart="main",
         critical_charts=("main",),
         known_b=known_b,
@@ -622,10 +642,6 @@ def _build_disc_radial() -> Scenario:
 
 
 def _build_sphere_height() -> Scenario:
-    band = build_chart(parse_scenario(_SPHERE_BAND_TEXT), name="band")
-    north = build_chart(parse_scenario(_SPHERE_NORTH_CAP_TEXT), name="north-cap")
-    south = build_chart(parse_scenario(_SPHERE_SOUTH_CAP_TEXT), name="south-cap")
-
     def level_param(c, s):
         return np.array([math.acos(c), 2.0 * math.pi * s])
 
@@ -642,7 +658,7 @@ def _build_sphere_height() -> Scenario:
     return Scenario(
         name="randers-sphere-height",
         description="round sphere with rotational Killing wind and height function",
-        charts={"band": band, "north-cap": north, "south-cap": south},
+        charts=_Charts(_TEXTS["randers-sphere-height"]),
         default_chart="band",
         critical_charts=("north-cap", "south-cap"),
         known_b=lambda t: 1.0 - t * t,

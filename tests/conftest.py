@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from finsler_lab import geodesics
+from finsler_lab import geodesics, scenarios
 from finsler_lab.calculus import REGULAR_POINT_NORM, finsler_gradient
-from finsler_lab.errors import EmptySample, LeftDomain, NeverReached, ValidationError
+from finsler_lab.errors import (
+    DimensionMismatch,
+    EmptySample,
+    LeftDomain,
+    NeverReached,
+    ValidationError,
+)
 from finsler_lab.geodesics import (
     CrossingEvent,
     GeodesicTrajectory,
@@ -50,6 +56,20 @@ def shear_metric():
         dh=lambda x: np.zeros((2, 2, 2)),
         dwind=lambda x: np.array([[0.0, 0.0], [0.8, 0.0]]),
     )
+
+
+@pytest.fixture()
+def built_charts(monkeypatch):
+    """The names of the charts ``scenarios.build_chart`` builds, in call order."""
+    built = []
+    build = scenarios.build_chart
+
+    def counting(config, name="main"):
+        built.append(name)
+        return build(config, name)
+
+    monkeypatch.setattr(scenarios, "build_chart", counting)
+    return built
 
 
 @pytest.fixture()
@@ -357,3 +377,18 @@ def _pointwise_validate_config(config):
 @pytest.fixture(scope="session")
 def pointwise_validate_config():
     return _pointwise_validate_config
+
+
+def _numpy_as_point(coords):
+    """Reference: ``metrics.as_point`` by ``np.atleast_1d`` and ``np.isfinite``."""
+    p = np.atleast_1d(np.asarray(coords, dtype=float))
+    if p.ndim != 1 or p.size < 1:
+        raise DimensionMismatch(f"point must be a 1-d coordinate array, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise DimensionMismatch(f"point has non-finite coordinates: {p}")
+    return p
+
+
+@pytest.fixture(scope="session")
+def numpy_as_point():
+    return _numpy_as_point

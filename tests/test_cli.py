@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from finsler_lab import scenarios
 from finsler_lab.cli import build_parser, main
 from finsler_lab.geodesics import integrate_geodesic
 from finsler_lab.metrics import TangentVector
-from finsler_lab.scenarios import example_texts, load_example
-from finsler_lab.transnormal import trace_f_segment
+from finsler_lab.scenarios import example_texts, load_example, parse_scenario
+from finsler_lab.transnormal import check_morse_bott, trace_f_segment
 
 
 def run(tmp_path, *argv):
@@ -19,16 +20,50 @@ def read_report(tmp_path, scenario, verb):
     return json.loads((tmp_path / f"{scenario}-{verb}.json").read_text())
 
 
-def test_list_examples(capsys, tmp_path):
+def test_list_examples(capsys, tmp_path, built_charts):
     assert run(tmp_path, "list-examples") == 0
-    out = capsys.readouterr().out
-    for name in (
-        "minkowski-randers-distance",
-        "disc-radial",
-        "randers-sphere-height",
-        "euclidean-linear",
-    ):
-        assert name in out
+    assert capsys.readouterr().out.splitlines() == [
+        "disc-radial: unit-disc Randers metric with radial wind and f = x^2 + y^2",
+        "euclidean-linear: Euclidean plane with a linear function; trivial reference",
+        "minkowski-randers-distance: Minkowski Randers norm distance from the origin, |W| = 0.5",
+        "randers-sphere-height: round sphere with rotational Killing wind and height function",
+    ]
+    # a description needs no chart
+    assert built_charts == []
+
+
+def test_dump_geodesic_on_the_sphere_builds_the_band_only(tmp_path, built_charts):
+    code = run(
+        tmp_path, "dump-geodesic", "--example", "randers-sphere-height",
+        "--start", "1.2,0.3", "--velocity", "0.5,0.2", "--t-end", "0.1",
+    )
+    assert code == 0
+    assert built_charts == ["band"]
+
+
+def test_sphere_morse_bott_builds_every_chart_it_reads(tmp_path, built_charts):
+    assert run(tmp_path, "check-morse-bott", "--example", "randers-sphere-height") == 0
+    assert built_charts == ["band", "north-cap", "south-cap"]
+    report = read_report(tmp_path, "randers-sphere-height", "check-morse-bott")
+    # the same report as from charts built straight from their texts
+    for name in ("north-cap", "south-cap"):
+        chart = scenarios.build_chart(
+            parse_scenario(example_texts("randers-sphere-height")[name]), name
+        )
+        direct = check_morse_bott(
+            chart.metric, chart.field, chart.domain.sample_grid(4), domain=chart.domain
+        )
+        assert report["data"]["charts"][name] == json.loads(json.dumps(direct.to_dict()))
+
+
+def test_unknown_chart_exits_two_before_building(tmp_path, capsys, built_charts):
+    code = run(tmp_path, "check-morse-bott", "--example", "randers-sphere-height", "--chart", "nope")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: chart 'nope' not in scenario"
+        " (has ['band', 'north-cap', 'south-cap'])\n"
+    )
+    assert built_charts == []
 
 
 def test_check_transnormal_disc(tmp_path):
@@ -342,6 +377,37 @@ def test_scenario_file_has_no_level_defaults(tmp_path, capsys):
     assert run(out, "check-parallel", "--scenario", str(path), "--from", "0.04") == 2
     assert capsys.readouterr().err.count("configuration error") == 3
     assert not out.exists()
+
+
+ONE_DIMENSIONAL_TEXT = """\
+name = one-dim
+dimension = 1
+
+[domain]
+kind = box
+lower = -1.0
+upper = 1.0
+
+[metric]
+kind = randers
+h = 1
+wind = 0.4
+
+[field]
+f = 2*x
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check-parallel", "--from=-0.2", "--to=0.2"), ("check-partition", "--levels=-0.2,0,0.2")],
+)
+def test_one_dimensional_parallelism_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "one.scn"
+    path.write_text(ONE_DIMENSIONAL_TEXT)
+    assert run(tmp_path, argv[0], "--scenario", str(path), *argv[1:]) == 2
+    assert "parallelism is not applicable in dimension 1" in capsys.readouterr().err
+    assert not (tmp_path / f"one-dim-{argv[0]}.json").exists()
 
 
 def test_successive_calls_parse_independently(tmp_path):

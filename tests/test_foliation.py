@@ -7,7 +7,7 @@ import pytest
 from finsler_lab import calculus, foliation, scenarios
 from finsler_lab.calculus import ScalarField, _legendre_inverse, finsler_gradient
 from finsler_lab.domains import DiscDomain
-from finsler_lab.errors import LeftDomain, LevelNotFound, NeverReached
+from finsler_lab.errors import LeftDomain, LevelNotFound, NeverReached, ValidationError
 from finsler_lab.expressions import compile_expression, parse_expression
 from finsler_lab.foliation import (
     ParallelismReport,
@@ -488,6 +488,22 @@ def test_three_dimensional_partition_passes():
     assert max(r.max_defect for r in report.forward + report.backward) <= 1e-12
     assert max(report.cylinder_match_defects) <= 1e-12
     assert all(r.unreached == 0 for r in report.forward + report.backward)
+
+
+def test_one_dimensional_parallelism_is_not_applicable():
+    # a level set of f = 2x on a line is a point, with no tangent directions
+    # to be orthogonal to, so no defect can be measured
+    from finsler_lab.domains import BoxDomain
+
+    metric = RandersMetric.constant_wind([0.4])
+    field = ScalarField.from_expression(parse_expression("2*x"), 1)
+    domain = BoxDomain([-1.0], [1.0])
+    message = "not applicable in dimension 1"
+    for direction in ("forward", "backward"):
+        with pytest.raises(ValidationError, match=message):
+            check_parallel(metric, field, -0.2, 0.2, direction, 4, domain)
+    with pytest.raises(ValidationError, match=message):
+        check_finsler_partition(metric, field, [-0.2, 0.0, 0.2], 4, domain)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from finsler_lab.metrics import (
     ReverseMetric,
     RiemannianMetric,
     TangentVector,
+    as_point,
     cartan_tensor,
     euclidean_metric,
     eval_metric,
@@ -135,6 +136,46 @@ def test_dimension_mismatch(halfwind):
         eval_metric(halfwind, TangentVector([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
     with pytest.raises(DimensionMismatch):
         TangentVector([0.0, 0.0], [1.0])
+
+
+_SPECIAL_COORDS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0]
+
+
+@st.composite
+def _point_inputs(draw):
+    """0-d, 1-d, 2-d and empty coordinates, as Python scalars, lists or arrays."""
+    shape = draw(st.sampled_from([(), (0,), (1,), (2,), (3,), (0, 2), (2, 0), (1, 2), (2, 2)]))
+    size = int(np.prod(shape))
+    if draw(st.booleans()):
+        element = st.integers(-(10**6), 10**6)
+    else:
+        element = st.one_of(st.floats(), st.sampled_from(_SPECIAL_COORDS))
+    values = draw(st.lists(element, min_size=size, max_size=size))
+    container = draw(st.sampled_from(["python", "array"]))
+    if container == "array":
+        return np.array(values).reshape(shape)
+    return np.array(values, dtype=object).reshape(shape).tolist()
+
+
+def _outcome(as_point, coords):
+    try:
+        return as_point(coords)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(_point_inputs())
+@settings(max_examples=400, deadline=None)
+def test_as_point_matches_numpy_reference(numpy_as_point, coords):
+    new = _outcome(as_point, coords)
+    old = _outcome(numpy_as_point, coords)
+    if isinstance(old, tuple):
+        assert new == old
+    else:
+        assert isinstance(new, np.ndarray)
+        assert (new.dtype, new.shape) == (old.dtype, old.shape)
+        assert np.array_equal(new, old)
+        assert (new is coords) == (old is coords)
 
 
 # ---------------------------------------------------------------------------

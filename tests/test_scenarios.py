@@ -251,6 +251,51 @@ def test_minkowski_wind_variants():
         minkowski_randers_distance(1.0)
 
 
+def test_sphere_charts_are_built_on_first_use(built_charts):
+    scenario = load_example("randers-sphere-height")
+    assert list(scenario.charts) == ["band", "north-cap", "south-cap"]
+    assert len(scenario.charts) == 3
+    assert "north-cap" in scenario.charts and "nope" not in scenario.charts
+    assert built_charts == []
+    band = scenario.charts["band"]
+    assert built_charts == ["band"]
+    assert scenario.charts["band"] is band and scenario.chart is band
+    assert built_charts == ["band"]
+    with pytest.raises(TypeError):
+        scenario.charts["band"] = band
+    with pytest.raises(KeyError):
+        scenario.charts["nope"]
+    assert [c.name for c in scenario.charts.values()] == ["band", "north-cap", "south-cap"]
+    assert built_charts == ["band", "north-cap", "south-cap"]
+
+
+@pytest.mark.parametrize("name", list_examples())
+def test_loads_share_no_chart(name):
+    first, second = load_example(name), load_example(name)
+    for chart_name in first.charts:
+        a, b = first.charts[chart_name], second.charts[chart_name]
+        assert a is not b
+        assert a.metric is not b.metric and a.field is not b.field
+
+
+@pytest.mark.parametrize("name", list_examples())
+def test_lazy_charts_match_charts_built_from_their_texts(name):
+    scenario = load_example(name)
+    for chart_name, text in example_texts(name).items():
+        chart = scenario.charts[chart_name]
+        assert chart.name == chart_name
+        assert render_scenario(chart.config) == render_scenario(parse_scenario(text))
+
+
+def test_user_scenario_builds_its_chart_at_load(built_charts):
+    scenario = build_scenario(parse_scenario(DISC_TEXT))
+    assert built_charts == ["main"]
+    assert list(scenario.charts) == ["main"]
+    assert scenario.chart is scenario.charts["main"]
+    with pytest.raises(TypeError):
+        scenario.charts["main"] = scenario.chart
+
+
 def test_sphere_chart_overlap_consistency(sphere_scenario):
     # the same geometric point in two charts must agree on every scalar
     # invariant: f itself and the transnormality profile value
