@@ -129,14 +129,12 @@ def legendre_inverse(metric: Metric, omega: Covector) -> TangentVector:
     return TangentVector(base=omega.base, vector=v)
 
 
-def finsler_gradient(
-    metric: Metric, field: ScalarField, p, threshold=GRADIENT_CRITICAL_NORM
-) -> GradientResult:
+def finsler_gradient(metric: Metric, field: ScalarField, p) -> GradientResult:
     """Gradient as the Legendre preimage of df at p."""
     p = np.asarray(p, dtype=float)
     df = np.asarray(field.differential(p), dtype=float)
-    if float(np.linalg.norm(df)) < threshold:
-        raise CriticalPoint(f"|df| = {np.linalg.norm(df)} below {threshold} at {p}")
+    if float(np.linalg.norm(df)) < GRADIENT_CRITICAL_NORM:
+        raise CriticalPoint(f"|df| = {np.linalg.norm(df)} below {GRADIENT_CRITICAL_NORM} at {p}")
     closed = metric.legendre_inverse(p, df)
     if closed is None:
         # _legendre_inverse is the one entry to Newton; perfbench counts iterations there
@@ -179,7 +177,7 @@ def check_randers_gradient_lemma(metric: RandersMetric, field: ScalarField, p):
     return vec_defect, scalar_defect
 
 
-def hessian_along_gradient(metric: Metric, field: ScalarField, p, step_scale=1e-3):
+def hessian_along_gradient(metric: Metric, field: ScalarField, p):
     """(1/2) directional derivative of F^2(grad f) along grad f at p.
 
     For a transnormal function this is Hess f(grad f, grad f) and equals
@@ -197,16 +195,16 @@ def hessian_along_gradient(metric: Metric, field: ScalarField, p, step_scale=1e-
         res = finsler_gradient(metric, field, q)
         return res.finsler_norm**2
 
-    step = step_scale * (1.0 + float(np.linalg.norm(p)))
+    step = 1e-3 * (1.0 + float(np.linalg.norm(p)))
     derivative = numdiff.five_point_derivative(b_along, 0.0, step)
     return 0.5 * unorm * derivative
 
 
-def coordinate_hessian_at_critical(field: ScalarField, p, threshold=REGULAR_POINT_NORM):
+def coordinate_hessian_at_critical(field: ScalarField, p):
     """Symmetric matrix of second partials, valid only where df vanishes."""
     p = np.asarray(p, dtype=float)
     df_norm = float(np.linalg.norm(field.differential(p)))
-    if df_norm > threshold:
+    if df_norm > REGULAR_POINT_NORM:
         raise NotCritical(f"|df| = {df_norm} at {p}; not a critical point")
     if field.hessian is not None:
         H = np.asarray(field.hessian(p), dtype=float)

@@ -156,13 +156,14 @@ def _load(args) -> Scenario:
 
 
 def _chart(scenario, args):
-    if args.chart:
-        if args.chart not in scenario.charts:
-            raise ValidationError(
-                f"chart '{args.chart}' not in scenario (has {sorted(scenario.charts)})"
-            )
-        return scenario.charts[args.chart]
-    return scenario.chart
+    """The chart a verb reads (--chart, or the default); its numerics fill unset options."""
+    chart = scenario.charts[args.chart or scenario.default_chart]
+    numerics = chart.numerics
+    for name, default in (("step", numerics.step), ("probes", numerics.probes),
+                          ("tol", numerics.tolerance)):
+        if hasattr(args, name) and getattr(args, name) is None:
+            setattr(args, name, default)
+    return chart
 
 
 def _coords(args, chart, option):
@@ -193,11 +194,12 @@ def _write_trajectory(emitter, traj):
 
 
 # ---------------------------------------------------------------------------
-# verbs: each takes (args, scenario, chart, emitter) and returns
-# (verdict, defects, data) for the report
+# verbs: each takes (args, scenario, emitter), builds only the charts it reads,
+# and returns (verdict, defects, data) for the report
 
 
-def _check_transnormal(args, scenario, chart, emitter):
+def _check_transnormal(args, scenario, emitter):
+    chart = _chart(scenario, args)
     points = regular_sampler(chart.domain, chart.field, args.samples)
     report = check_transnormal(chart.metric, chart.field, points, tolerance=args.tol)
     rows = [
@@ -216,7 +218,8 @@ def _check_transnormal(args, scenario, chart, emitter):
     return report.verdict, defects, data
 
 
-def _trace_segment(args, scenario, chart, emitter):
+def _trace_segment(args, scenario, emitter):
+    chart = _chart(scenario, args)
     start = _coords(args, chart, "start")
     seg = trace_f_segment(
         chart.metric, chart.field, start, args.direction,
@@ -252,7 +255,8 @@ def _trace_segment(args, scenario, chart, emitter):
     return verdict, defects, data
 
 
-def _verify_distance(args, scenario, chart, emitter):
+def _verify_distance(args, scenario, emitter):
+    chart = _chart(scenario, args)
     c, d = _level_range(args, scenario)
     if not c < d:
         raise ValidationError(f"--from must be below --to, got {c} and {d}")
@@ -265,7 +269,8 @@ def _verify_distance(args, scenario, chart, emitter):
     return verdict, {"defect": check.defect, "tolerance": args.tol}, check.to_dict()
 
 
-def _check_parallel(args, scenario, chart, emitter):
+def _check_parallel(args, scenario, emitter):
+    chart = _chart(scenario, args)
     c, d = _level_range(args, scenario)
     directions = ("forward", "backward") if args.direction == "both" else (args.direction,)
     reports = [
@@ -283,7 +288,8 @@ def _check_parallel(args, scenario, chart, emitter):
     )
 
 
-def _check_partition(args, scenario, chart, emitter):
+def _check_partition(args, scenario, emitter):
+    chart = _chart(scenario, args)
     levels = args.levels or scenario.partition_levels
     if len(levels) < 2:
         raise ValidationError("--levels needs at least two levels for this scenario")
@@ -300,14 +306,12 @@ def _check_partition(args, scenario, chart, emitter):
     return report.finsler_partition_verdict, defects, report.to_dict()
 
 
-def _check_morse_bott(args, scenario, chart, emitter):
-    charts = [chart]
-    if not args.chart and scenario.critical_charts:
-        charts = [scenario.charts[name] for name in scenario.critical_charts]
+def _check_morse_bott(args, scenario, emitter):
+    names = [args.chart] if args.chart else scenario.critical_charts or [scenario.default_chart]
     results = {}
     verdict = True
     worst = 0.0
-    for chart in charts:
+    for chart in (scenario.charts[name] for name in names):
         seeds = chart.domain.sample_grid(4)
         report = check_morse_bott(chart.metric, chart.field, seeds, domain=chart.domain)
         results[chart.name] = report.to_dict()
@@ -316,7 +320,8 @@ def _check_morse_bott(args, scenario, chart, emitter):
     return verdict, {"hess_vs_half_bprime_defect": worst}, {"charts": results}
 
 
-def _dump_geodesic(args, scenario, chart, emitter):
+def _dump_geodesic(args, scenario, emitter):
+    chart = _chart(scenario, args)
     emitter.fmt = "both"  # the CSV is the point of this verb
     start = _coords(args, chart, "start")
     velocity = _coords(args, chart, "velocity")
@@ -401,20 +406,18 @@ def build_parser():
 
 
 def _run(args):
-    """Load the scenario and chart, run the verb, write its report; the exit code."""
+    """Load the scenario, run the verb, write its report; the exit code."""
     for name in POSITIVE:
         value = getattr(args, name, None)
         if value is not None and not value > 0:
             raise ValidationError(f"--{name.replace('_', '-')} must be positive, got {value}")
     scenario = _load(args)
-    chart = _chart(scenario, args)
-    numerics = chart.numerics
-    for name, default in (("step", numerics.step), ("probes", numerics.probes),
-                          ("tol", numerics.tolerance)):
-        if hasattr(args, name) and getattr(args, name) is None:
-            setattr(args, name, default)
+    if args.chart and args.chart not in scenario.charts:
+        raise ValidationError(
+            f"chart '{args.chart}' not in scenario (has {sorted(scenario.charts)})"
+        )
     emitter = Emitter(args, scenario.name)
-    verdict, defects, data = VERBS[args.verb][0](args, scenario, chart, emitter)
+    verdict, defects, data = VERBS[args.verb][0](args, scenario, emitter)
     emitter.finish(verdict, defects, data)
     return EXIT_OK if verdict else EXIT_VERDICT_FAILED
 

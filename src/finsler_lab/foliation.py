@@ -64,8 +64,8 @@ class ParallelismReport:
     max_defect: float
     tolerance: float
     verdict: bool
-    # one recorded march per sampled probe, reached or not, up to the longest
-    # arrival; not part of the report
+    # one whole level march per sampled probe, reached or not; not part of the
+    # report
     marches: Tuple[GeodesicTrajectory, ...] = dataclass_field(default=(), repr=False)
 
     def to_dict(self):
@@ -263,8 +263,8 @@ def check_parallel(
     leaving the chart or within ``t_max``, is recorded, and only fatal if no
     probe arrives.
 
-    The report keeps every probe's march, up to its first state at or past
-    the longest arrival, for the cylinders of ``check_finsler_partition``.
+    The report keeps every probe's whole march for the cylinders of
+    ``check_finsler_partition``.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -290,11 +290,7 @@ def check_parallel(
             unreached += 1
             if first_error is None:
                 first_error = str(exc)
-            # a march is read at most at the median arc length (the cylinder
-            # radius), so an unreached probe that marched the whole time budget
-            # keeps its states up to the longest arrival so far only; a record
-            # cut short is continued with the steps the march took when read
-            marches.append(exc.march.up_to(max(lengths)) if lengths else exc.march)
+            marches.append(exc.march)
             continue
         defects.append(ev.orthogonality_defect)
         lengths.append(ev.arc_length)
@@ -304,7 +300,6 @@ def check_parallel(
             f"no probe reached level {target} from {source}: {first_error}"
         )
     max_defect = float(np.max(defects))
-    horizon = max(lengths)
     return ParallelismReport(
         direction=direction,
         source_level=float(source),
@@ -315,7 +310,7 @@ def check_parallel(
         max_defect=max_defect,
         tolerance=tolerance,
         verdict=bool(max_defect <= tolerance),
-        marches=tuple(march.up_to(horizon) for march in marches),
+        marches=tuple(marches),
     )
 
 

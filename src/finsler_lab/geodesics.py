@@ -20,9 +20,9 @@ flow on x in `transnormal.trace_f_segment`. The step's continuous extension
 a level (`integrate_to_level`) and the flow locate a level crossing with one
 routine (`_locate`): the root of f on the bracketing step's extension, one
 sub-step to it and one Newton correction in time. The level march keeps its
-accepted states with the controller's next trial step, so reading it at
-another time (`point_at_time`) costs one sub-step, or replays the very steps
-the march would have taken next.
+accepted states z as they are; reading it at another time r
+(`point_at_time`) is one more march from the last state before r that ends
+on r, which within the record is a single sub-step.
 
 `integrate_geodesic` takes classical fixed 4th-order steps on the same spray
 stage (`Metric.geodesic_stage`): it is the reference of the tests, the
@@ -42,7 +42,7 @@ from scipy.optimize import brentq
 
 from .calculus import ScalarField
 from .domains import Domain
-from .errors import FinslerError, LeftDomain, NeverReached, SingularTensor, ZeroVector
+from .errors import FinslerError, LeftDomain, NeverReached, ZeroVector
 from .metrics import Metric, TangentVector
 
 DEFAULT_STEP = 1e-3
@@ -84,33 +84,21 @@ _DP_D = np.array(
 
 @dataclass(frozen=True, eq=False)
 class GeodesicTrajectory:
-    """Time-stamped geodesic samples with cumulative metric length.
-
-    ``next_steps`` holds, for a recorded march, the step its integrator
-    would try next from each state.
-    """
+    """Time-stamped geodesic samples with cumulative metric length."""
 
     times: np.ndarray
     points: np.ndarray
     velocities: np.ndarray
     arc_lengths: np.ndarray
     metric: Metric
-    next_steps: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
 
-    def up_to(self, t: float) -> "GeodesicTrajectory":
-        """A compact copy of the samples up to the first at or past time t.
-
-        The kept samples enclose t, so a march read at any time <= t is read
-        inside the copy.
-        """
-        k = min(int(np.searchsorted(self.times, t, side="left")) + 1, len(self.times))
-        return GeodesicTrajectory(
-            times=self.times[:k].copy(),
-            points=self.points[:k].copy(),
-            velocities=self.velocities[:k].copy(),
-            arc_lengths=self.arc_lengths[:k].copy(),
-            metric=self.metric,
-            next_steps=None if self.next_steps is None else self.next_steps[:k].copy(),
+    @classmethod
+    def from_states(cls, times, states, metric: Metric) -> "GeodesicTrajectory":
+        """The trajectory of march states z = (x, y, arc length), one row per time."""
+        n = (states.shape[1] - 1) // 2
+        return cls(
+            np.asarray(times, dtype=float), states[:, :n], states[:, n : 2 * n],
+            states[:, 2 * n], metric,
         )
 
     @property
@@ -123,43 +111,6 @@ class GeodesicTrajectory:
     def speed_drift(self):
         s = self.speeds()
         return float(np.max(np.abs(s - s[0])) / s[0])
-
-
-class _StateRecord:
-    """States (t, x, y, arc length, next step) of a march, as rows of one array.
-
-    The array doubles when full, so a march of k steps holds O(k) floats and
-    no object per step.
-    """
-
-    def __init__(self, dim: int, capacity: int = 16):
-        self._dim = dim
-        self._rows = np.empty((capacity, 3 + 2 * dim))
-        self._n = 0
-
-    def append(self, t, x, y, arclen, next_step):
-        if self._n == len(self._rows):
-            self._rows = np.concatenate((self._rows, np.empty_like(self._rows)))
-        row = self._rows[self._n]
-        d = self._dim
-        row[0] = t
-        row[1 : 1 + d] = x
-        row[1 + d : 1 + 2 * d] = y
-        row[1 + 2 * d] = arclen
-        row[2 + 2 * d] = next_step
-        self._n += 1
-
-    def trajectory(self, metric: Metric) -> GeodesicTrajectory:
-        rows = self._rows[: self._n].copy()
-        d = self._dim
-        return GeodesicTrajectory(
-            times=rows[:, 0],
-            points=rows[:, 1 : 1 + d],
-            velocities=rows[:, 1 + d : 1 + 2 * d],
-            arc_lengths=rows[:, 1 + 2 * d],
-            metric=metric,
-            next_steps=rows[:, 2 + 2 * d],
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,29 +141,22 @@ def spray_coefficients(metric: Metric, v: TangentVector) -> np.ndarray:
     x, y = v.base, v.vector
     if float(y @ y) == 0.0:
         raise ZeroVector("spray undefined on the zero section")
-    try:
-        a, _ = metric.geodesic_stage(x, y)
-    except np.linalg.LinAlgError as exc:
-        raise SingularTensor(f"fundamental tensor singular at {x}: {exc}") from exc
-    return a
+    return metric.geodesic_stage(x, y)[0]
 
 
 def _rk4_step(metric, x, y, dt):
     """One classical step of (x, y, arclen); returns new (x, y, dlen)."""
     stage = metric.geodesic_stage
-    try:
-        k1y, k1l = stage(x, y)
-        y2 = y + 0.5 * dt * k1y
-        x2 = x + 0.5 * dt * y
-        k2y, k2l = stage(x2, y2)
-        y3 = y + 0.5 * dt * k2y
-        x3 = x + 0.5 * dt * y2
-        k3y, k3l = stage(x3, y3)
-        y4 = y + dt * k3y
-        x4 = x + dt * y3
-        k4y, k4l = stage(x4, y4)
-    except np.linalg.LinAlgError as exc:
-        raise SingularTensor(f"fundamental tensor singular near {x}: {exc}") from exc
+    k1y, k1l = stage(x, y)
+    y2 = y + 0.5 * dt * k1y
+    x2 = x + 0.5 * dt * y
+    k2y, k2l = stage(x2, y2)
+    y3 = y + 0.5 * dt * k2y
+    x3 = x + 0.5 * dt * y2
+    k3y, k3l = stage(x3, y3)
+    y4 = y + dt * k3y
+    x4 = x + dt * y3
+    k4y, k4l = stage(x4, y4)
     new_x = x + dt / 6.0 * (y + 2.0 * y2 + 2.0 * y3 + y4)
     new_y = y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
     dlen = dt / 6.0 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
@@ -241,22 +185,21 @@ def integrate_geodesic(
     if metric.norm(v0.base, v0.vector) <= 0.0:
         raise ZeroVector("cannot integrate a geodesic with zero initial velocity")
     dt = times[1]
-    x = v0.base.copy()
-    y = v0.vector.copy()
+    x, y, n = v0.base, v0.vector, v0.dim
     if domain is not None and not domain.contains(x):
         raise LeftDomain(f"initial point {x} outside the chart domain", point=x, time=0.0)
-    states = _StateRecord(len(x), len(times))
-    states.append(0.0, x, y, 0.0, dt)
+    states = np.empty((len(times), 2 * n + 1))
+    states[0] = np.concatenate((x, y, (0.0,)))
     arclen = 0.0
-    for t in times[1:]:
+    for i, t in enumerate(times[1:], start=1):
         x, y, dlen = _rk4_step(metric, x, y, dt)
         arclen += dlen
         if domain is not None and not domain.contains(x):
             raise LeftDomain(
                 f"geodesic left the chart domain at t = {t}", point=x, time=float(t)
             )
-        states.append(t, x, y, arclen, dt)
-    return states.trajectory(metric)
+        states[i, :n], states[i, n : 2 * n], states[i, 2 * n] = x, y, arclen
+    return GeodesicTrajectory.from_states(times, states, metric)
 
 
 def geodesic_at_times(
@@ -304,7 +247,7 @@ def geodesic_at_times(
             rows[j] = z_new
             j += 1
         z, t, k = z_new, t_new, j
-    return GeodesicTrajectory(times, rows[:, :n], rows[:, n : 2 * n], rows[:, 2 * n], metric)
+    return GeodesicTrajectory.from_states(times, rows, metric)
 
 
 def exp_map(
@@ -354,10 +297,7 @@ def _spray_rhs(metric: Metric, n: int):
     stage = metric.geodesic_stage
 
     def rhs(z, out):
-        try:
-            a, speed = stage(z[:n], z[n : 2 * n])
-        except np.linalg.LinAlgError as exc:
-            raise SingularTensor(f"fundamental tensor singular near {z[:n]}: {exc}") from exc
+        a, speed = stage(z[:n], z[n : 2 * n])
         out[:n] = z[n : 2 * n]
         out[n : 2 * n] = a
         out[2 * n] = speed
@@ -558,39 +498,41 @@ def integrate_to_level(
         raise ValueError("step must be positive")
     if metric.norm(v0.base, v0.vector) <= 0.0:
         raise ZeroVector("cannot integrate a geodesic with zero initial velocity")
-    x = v0.base.copy()
-    n = len(x)
-    states = _StateRecord(n)
+    x, n = v0.base, v0.dim
+    times, states = [], []
+
+    def march():
+        return GeodesicTrajectory.from_states(times, np.reshape(states, (-1, 2 * n + 1)), metric)
+
     if domain is not None and not domain.contains(x):
-        raise NeverReached(
-            f"start point {x} outside the chart domain", march=states.trajectory(metric)
-        )
+        raise NeverReached(f"start point {x} outside the chart domain", march=march())
     rhs, z, k1 = _march_start(metric, x, v0.vector, 0.0)
     h = _initial_step(rhs, z, k1)
-    states.append(0.0, x, v0.vector, 0.0, h)
     t, phi = 0.0, field.value(x) - target
+    times.append(t)
+    states.append(z)
     try:
-        for h, t_new, z_new, K, h_next in _accepted_steps(rhs, z, k1, t, h, step, domain, n):
-            states.append(t_new, z_new[:n], z_new[n : 2 * n], z_new[2 * n], h_next)
+        for h, t_new, z_new, K, _ in _accepted_steps(rhs, z, k1, t, h, step, domain, n):
+            times.append(t_new)
+            states.append(z_new)
             phi_new = field.value(z_new[:n]) - target
             if _brackets(phi, phi_new):
                 dense = _dense_output(z, z_new, K, h)
                 theta, y = _locate(rhs, field, target, z, K[0], dense, h, z_new, n)
                 return CrossingEvent.measure(
-                    metric, field, target, t + theta, y[:n], y[n : 2 * n], y[2 * n],
-                    states.trajectory(metric),
+                    metric, field, target, t + theta, y[:n], y[n : 2 * n], y[2 * n], march()
                 )
             if t_new >= t_max:
                 raise NeverReached(
                     f"f never reached {target} within time budget {t_max} "
                     f"(last f = {phi_new + target})",
-                    march=states.trajectory(metric),
+                    march=march(),
                 )
             z, t, phi = z_new, t_new, phi_new
     except LeftDomain as exc:
         raise NeverReached(
             f"geodesic left the chart domain at t = {exc.time} before reaching f = {target}",
-            march=states.trajectory(metric),
+            march=march(),
         ) from exc
 
 
@@ -599,13 +541,12 @@ def point_at_time(
 ) -> np.ndarray:
     """Point at time r of the geodesic whose level march is recorded.
 
-    Within the record this is one Dormand-Prince sub-step of length r - t_k
-    from the last state k at or before r. Past its end the march continues
-    from its last state with the steps it would have taken (its recorded
-    next trial step, then the same controller and the same ``step`` for a
-    chart exit), so a record cut short reads the same points as the whole
-    one. Every new state is checked against the domain, and a ``LeftDomain``
-    is raised at the first one outside (also for an empty record).
+    One march (`_accepted_steps`) from the last recorded state k at or
+    before r, first trying the step min(r - t_k, MAX_STEP) and ending on r.
+    Within the record that is one Dormand-Prince sub-step of length r - t_k;
+    past its end the march goes on under the same error control, with
+    ``step`` the resolution of a chart exit. ``LeftDomain`` is raised when
+    the geodesic has left the domain by r, and for an empty record.
     """
     if r < 0.0:
         raise ValueError("time must be nonnegative")
@@ -619,16 +560,9 @@ def point_at_time(
         march.metric, march.points[k], march.velocities[k], march.arc_lengths[k]
     )
     n = march.points.shape[1]
-    if k == len(march.times) - 1:
-        steps = _accepted_steps(rhs, z, k1, t, float(march.next_steps[k]), step, domain, n)
-        for _, t_new, z_new, K, _ in steps:
-            if t_new > r:
-                break
-            z, k1, t = z_new, K[6], t_new
-    if r > t:
-        z, _ = _dp5_stages(rhs, z, k1, r - t)
-        if domain is not None and not domain.contains(z[:n]):
-            raise LeftDomain(f"geodesic left the chart domain at t = {r}", point=z[:n], time=r)
+    steps = _accepted_steps(rhs, z, k1, t, min(r - t, MAX_STEP), step, domain, n, r)
+    for _, _, z, _, _ in steps:  # the last step ends on r
+        pass
     return z[:n]
 
 

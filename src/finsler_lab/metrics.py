@@ -26,7 +26,9 @@ from operator import mul
 import numpy as np
 
 from . import numdiff
-from .errors import DimensionMismatch, FinslerError, NonConvexWind, NoSpray, ZeroVector
+from .errors import (
+    DimensionMismatch, FinslerError, NonConvexWind, NoSpray, SingularTensor, ZeroVector,
+)
 
 # reject winds this close to unit norm; conditioning of g_v degrades as
 # 1/(1 - h(W,W)) and the Zermelo solution blows up
@@ -215,11 +217,11 @@ class RiemannianMetric(Metric):
             raise NonConvexWind("matrix field is not positive definite at this point")
         q = dH @ y  # q[k, i] = (dH[k] y)_i
         rhs = 0.5 * (q @ y) - y @ q
-        return _solve_spd(H, rhs), float(np.sqrt(f2))
+        return _solve_spd(H, rhs, x), float(np.sqrt(f2))
 
     def legendre_inverse(self, x, w):
         H = self.h_matrix(x).tolist()
-        return _zermelo_inverse(H, [0.0] * self.dim, w)
+        return _zermelo_inverse(H, [0.0] * self.dim, w, x)
 
     def reverse(self):
         return self
@@ -230,14 +232,14 @@ class RandersMetric(Metric):
 
     kind = "randers"
 
-    def __init__(self, h, wind, dim, dh=None, dwind=None, fd_step=1e-6):
+    def __init__(self, h, wind, dim, dh=None, dwind=None):
         self.dim = dim
         self._h = h
         self._wind = wind
         if dh is None:
-            dh = _fd_derivative(h, fd_step)
+            dh = _fd_derivative(h, 1e-6)
         if dwind is None:
-            dwind = _fd_derivative(wind, fd_step)
+            dwind = _fd_derivative(wind, 1e-6)
         self._dh = dh
         self._dwind = dwind
         self._memo = (None, None)
@@ -408,7 +410,7 @@ class RandersMetric(Metric):
              for mj, hij, wj, ej in zip(m, Hi, Wl, ell)]
             for mi, Hi, wi, ei in zip(m, H, Wl, ell)
         ]
-        return _solve_spd(g, rhs), F
+        return _solve_spd(g, rhs, x), F
 
     def legendre_inverse(self, x, w):
         """Closed form from the co-metric F*(w) = |w|_h* + w(W) (Bao-Robles-Shen)."""
@@ -416,7 +418,7 @@ class RandersMetric(Metric):
         H = np.asarray(self._h(x), dtype=float).tolist()
         W = np.asarray(self._wind(x), dtype=float).tolist()
         _zermelo_data(H, W, x)
-        return _zermelo_inverse(H, W, w)
+        return _zermelo_inverse(H, W, w, x)
 
     def reverse(self):
         dwind = self._dwind
@@ -577,13 +579,13 @@ def _zermelo_data(H, W, x):
     return Wl, 1.0 - s
 
 
-def _zermelo_inverse(H, W, w):
+def _zermelo_inverse(H, W, w, x):
     """(v, F*(w), h^-1 w) from lists H, W and covector w: v = F*(w) (h^-1 w / |w|_h* + W)."""
     w = np.asarray(w, dtype=float)
     if w.shape != (len(W),):
         raise DimensionMismatch(f"covector shape {w.shape} != metric dimension {len(W)}")
     w = w.tolist()
-    hw = _solve_spd(H, w)
+    hw = _solve_spd(H, w, x)
     hws = hw.tolist()
     dual2 = _dot(w, hws)
     if dual2 <= 0.0:
@@ -593,19 +595,23 @@ def _zermelo_inverse(H, W, w):
     return np.array([F * (a / dual + b) for a, b in zip(hws, W)]), F, hw
 
 
-def _solve_spd(g, rhs):
+def _solve_spd(g, rhs, x):
     """Solve g a = rhs for the small symmetric positive-definite systems here.
 
-    Takes nested lists or arrays; the 2x2 case is solved in closed form.
+    Takes nested lists or arrays; the 2x2 case is solved in closed form. A
+    singular g raises ``SingularTensor`` naming the point x.
     """
     if len(rhs) == 2:
         (g00, g01), (g10, g11) = g
         r0, r1 = rhs
         det = g00 * g11 - g01 * g10
         if det == 0.0:
-            raise np.linalg.LinAlgError("singular 2x2 system")
+            raise SingularTensor(f"tensor singular at {x}")
         return np.array([(g11 * r0 - g01 * r1) / det, (g00 * r1 - g10 * r0) / det])
-    return np.linalg.solve(np.asarray(g), np.asarray(rhs))
+    try:
+        return np.linalg.solve(np.asarray(g), np.asarray(rhs))
+    except np.linalg.LinAlgError as exc:
+        raise SingularTensor(f"tensor singular at {x}: {exc}") from exc
 
 
 def _negated_field(field):

@@ -54,6 +54,13 @@ from .metrics import Metric, RiemannianMetric, TangentVector
 B_CRITICAL_THRESHOLD = 1e-10
 NEAR_CRITICAL_B = 1e-3
 CRITICAL_GUARD = 1e-6
+# uniform levels, and points per level, of the profile's level grid
+GRID_LEVELS = 64
+GRID_PROBES_PER_LEVEL = 3
+# Hessian eigenvalues at most this are a kernel; offset of the transversal
+# profile probes, relative to 1 + |p|
+MORSE_KERNEL_THRESHOLD = 1e-6
+MORSE_PROBE_EPS = 1e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,9 +212,8 @@ class MorseBottReport:
 # sampling helpers
 
 
-def regular_sampler(domain: Domain, field: ScalarField, n_target: int = 250,
-                    threshold: float = REGULAR_POINT_NORM):
-    """Deterministic grid points of the domain with |df| above threshold."""
+def regular_sampler(domain: Domain, field: ScalarField, n_target: int = 250):
+    """Deterministic grid points of the domain with |df| >= REGULAR_POINT_NORM."""
     per_axis = max(6, int(np.ceil(np.sqrt(n_target * 1.3))))
     keep = []
     for p in domain.sample_grid(per_axis):
@@ -215,7 +221,7 @@ def regular_sampler(domain: Domain, field: ScalarField, n_target: int = 250,
             df = np.asarray(field.differential(p))
         except EvalError:  # df undefined there, as at the centre of a norm distance
             continue
-        if float(np.linalg.norm(df)) >= threshold:
+        if float(np.linalg.norm(df)) >= REGULAR_POINT_NORM:
             keep.append(p)
     if not keep:
         raise EmptySample("no regular sample points on the domain grid")
@@ -237,11 +243,10 @@ def check_transnormal(
     points,
     tolerance: float = 1e-6,
     bin_width: Optional[float] = None,
-    threshold: float = REGULAR_POINT_NORM,
 ) -> TransnormalityReport:
     """Bin F(grad f)^2 by f-value and measure the within-level spread.
 
-    A point with |df| >= ``threshold`` takes one differential and one closed-form
+    A point with |df| >= REGULAR_POINT_NORM takes one differential and one closed-form
     co-norm, b = F*(df)^2 = F(grad f)^2; custom norms take `finsler_gradient`
     (Newton). Samples sorted by (f, b) fall into bins of ``bin_width`` from the
     smallest f; a bin's level is its median f, its spread the range of its b,
@@ -250,7 +255,7 @@ def check_transnormal(
     ts, bs = [], []
     for p in np.asarray(points, dtype=float):
         df = np.asarray(field.differential(p), dtype=float)
-        if float(np.linalg.norm(df)) < threshold:
+        if float(np.linalg.norm(df)) < REGULAR_POINT_NORM:
             continue
         closed = metric.legendre_inverse(p, df)
         ts.append(field.value(p))
@@ -292,20 +297,17 @@ def level_grid_b_report(
     domain: Domain,
     c: float,
     d: float,
-    n_levels: int = 64,
-    probes_per_level: int = 3,
     parametrization=None,
-    tolerance: float = 1e-6,
 ) -> TransnormalityReport:
     """Transnormality report with b sampled on a level grid spanning [c, d].
 
-    The grid is ``n_levels`` uniform levels plus a geometric ladder of 12
+    The grid is GRID_LEVELS uniform levels plus a geometric ladder of 12
     levels toward each endpoint (at span / 4^k from it), so the fitted profile
     stays accurate where 1/sqrt(b) develops its integrable singularity. Each
-    level found gives its `level_points` (``probes_per_level``); they go to
-    `check_transnormal` with bins of span / (8 n_levels).
+    level found gives its `level_points` (GRID_PROBES_PER_LEVEL); they go to
+    `check_transnormal` with bins of span / (8 GRID_LEVELS).
     """
-    levels = set(np.linspace(c, d, n_levels))
+    levels = set(np.linspace(c, d, GRID_LEVELS))
     span = d - c
     for k in range(1, 13):
         levels.add(c + span * 0.25**k)
@@ -314,15 +316,14 @@ def level_grid_b_report(
     for lvl in sorted(levels):
         try:
             points.extend(level_points(
-                field, lvl, domain, probes_per_level, parametrization=parametrization
+                field, lvl, domain, GRID_PROBES_PER_LEVEL, parametrization=parametrization
             ))
         except LevelNotFound:
             continue
     if not points:
         raise EmptySample(f"no level-set points found in [{c}, {d}]")
     return check_transnormal(
-        metric, field, np.array(points), tolerance=tolerance,
-        bin_width=max(1e-9, span / (8.0 * n_levels)),
+        metric, field, np.array(points), bin_width=max(1e-9, span / (8.0 * GRID_LEVELS))
     )
 
 
@@ -441,31 +442,23 @@ def trace_f_segment(
 # distance formula
 
 
-def _guard_upper(fit: BFit, e: float, guard: float, near_b: float):
+def _guard(fit: BFit, e: float, guard: float, near_b: float, side: float):
+    """(e_eff, tail): the end e of [c, d] kept guard inside a near-critical level.
+
+    ``side`` is +1 at the upper end d and -1 at the lower end c. Where b(e) <
+    near_b and b falls toward the outside, its linear zero t_star past e is
+    taken as the critical level: e moves to at least guard inside it, and the
+    tail 2 sqrt(gap / |b'|) stands for the distance from e_eff to t_star.
+    """
     b_end = max(fit(e), 0.0)
     if b_end >= near_b:
         return e, 0.0
-    slope = fit.derivative(e)
-    if slope >= 0.0:
+    fall = -side * fit.derivative(e)
+    if fall <= 0.0:
         return e, 0.0
-    t_star = e + b_end / (-slope)
-    e_eff = min(e, t_star - guard)
-    gap = t_star - e_eff
-    slope_eff = abs(fit.derivative(e_eff))
-    tail = 2.0 * np.sqrt(gap / slope_eff) if slope_eff > 0 else 0.0
-    return e_eff, float(tail)
-
-
-def _guard_lower(fit: BFit, e: float, guard: float, near_b: float):
-    b_end = max(fit(e), 0.0)
-    if b_end >= near_b:
-        return e, 0.0
-    slope = fit.derivative(e)
-    if slope <= 0.0:
-        return e, 0.0
-    t_star = e - b_end / slope
-    e_eff = max(e, t_star + guard)
-    gap = e_eff - t_star
+    t_star = e + side * (b_end / fall)
+    e_eff = side * min(side * e, side * t_star - guard)
+    gap = side * (t_star - e_eff)
     slope_eff = abs(fit.derivative(e_eff))
     tail = 2.0 * np.sqrt(gap / slope_eff) if slope_eff > 0 else 0.0
     return e_eff, float(tail)
@@ -481,7 +474,6 @@ def verify_distance_formula(
     b_report: Optional[TransnormalityReport] = None,
     level_parametrization=None,
     step: float = 1e-3,
-    guard: float = CRITICAL_GUARD,
     t_max: float = 10.0,
 ) -> DistanceCheck:
     """Compare min gradient-segment arc length with the profile quadrature.
@@ -501,8 +493,8 @@ def verify_distance_formula(
         )
     fit = b_report.b_fit
 
-    d_eff, tail_upper = _guard_upper(fit, d, guard, NEAR_CRITICAL_B)
-    c_eff, tail_lower = _guard_lower(fit, c, guard, NEAR_CRITICAL_B)
+    d_eff, tail_upper = _guard(fit, d, CRITICAL_GUARD, NEAR_CRITICAL_B, 1.0)
+    c_eff, tail_lower = _guard(fit, c, CRITICAL_GUARD, NEAR_CRITICAL_B, -1.0)
     # interior critical values invalidate the formula outright; scan the fit
     # plus its own nodes (where interpolation minima live)
     margin = 0.05 * (d_eff - c_eff)
@@ -550,14 +542,14 @@ def verify_distance_formula(
 # hat-metric reduction
 
 
-def hat_metric(metric: Metric, field: ScalarField, fd_step: float = 1e-4) -> RiemannianMetric:
-    """Riemannian metric field g_{grad f}; derivatives by differencing."""
+def hat_metric(metric: Metric, field: ScalarField) -> RiemannianMetric:
+    """Riemannian metric field g_{grad f}; derivatives by differencing at step 1e-4."""
 
     def matrix_field(x):
         res = finsler_gradient(metric, field, x)
         return metric.fundamental_matrix(x, res.gradient.vector)
 
-    return RiemannianMetric(matrix_field, metric.dim, fd_step=fd_step)
+    return RiemannianMetric(matrix_field, metric.dim, fd_step=1e-4)
 
 
 def check_hat_metric_reduction(metric: Metric, field: ScalarField, p) -> HatReductionCheck:
@@ -658,9 +650,9 @@ def check_hessian_identity(
 # Morse-Bott hypotheses
 
 
-def _newton_critical_point(field: ScalarField, seed, domain=None, budget=60):
+def _newton_critical_point(field: ScalarField, seed, domain=None):
     x = np.array(seed, dtype=float)
-    for _ in range(budget):
+    for _ in range(60):
         df = np.asarray(field.differential(x), dtype=float)
         if float(np.linalg.norm(df)) <= 1e-12:
             if domain is None or domain.contains(x):
@@ -687,8 +679,6 @@ def check_morse_bott(
     field: ScalarField,
     seeds,
     domain: Optional[Domain] = None,
-    kernel_threshold: float = 1e-6,
-    probe_eps: float = 1e-5,
 ) -> MorseBottReport:
     """Locate critical points and test the Morse-Bott hypotheses.
 
@@ -738,9 +728,9 @@ def check_morse_bott(
             tangent_dim = 0
         H = coordinate_hessian_at_critical(field, p_star)
         eigvals, eigvecs = np.linalg.eigh(H)
-        kernel = np.abs(eigvals) <= kernel_threshold
+        kernel = np.abs(eigvals) <= MORSE_KERNEL_THRESHOLD
         kernel_dim = int(np.sum(kernel))
-        if np.any(~kernel) and np.min(np.abs(eigvals[~kernel])) <= kernel_threshold:
+        if np.any(~kernel) and np.min(np.abs(eigvals[~kernel])) <= MORSE_KERNEL_THRESHOLD:
             nondegenerate = False
         if kernel_dim == dim:
             nondegenerate = False
@@ -753,7 +743,7 @@ def check_morse_bott(
         for idx in np.where(~kernel)[0]:
             e = eigvecs[:, idx]
             for s in (1.0, -1.0):
-                q = p_star + s * probe_eps * scale * e
+                q = p_star + s * MORSE_PROBE_EPS * scale * e
                 try:
                     b_q = pointwise_b(metric, field, q)
                 except CriticalPoint:

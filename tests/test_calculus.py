@@ -13,12 +13,15 @@ from finsler_lab.calculus import (
     legendre,
     legendre_inverse,
 )
-from finsler_lab.errors import CriticalPoint, NoConvergence, NotCritical, ZeroVector
+from finsler_lab.errors import (
+    CriticalPoint, NoConvergence, NotCritical, SingularTensor, ZeroVector,
+)
 from finsler_lab.expressions import parse_expression
 from finsler_lab.metrics import (
     Covector,
     CustomMetric,
     RandersMetric,
+    RiemannianMetric,
     TangentVector,
     euclidean_metric,
 )
@@ -157,6 +160,19 @@ def test_gradient_defining_property(disc_scenario, paraboloid, rng):
 def test_gradient_critical_point(paraboloid):
     with pytest.raises(CriticalPoint):
         finsler_gradient(euclidean_metric(2), paraboloid, np.zeros(2))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_gradient_where_h_is_singular(dim):
+    # h = diag(1, (x - 0.5)^2, 1...) degenerates on x = 0.5: the closed-form
+    # solve (2-D) and numpy's (3-D) both raise a typed error naming the point
+    def h(x):
+        return np.diag([1.0, (x[0] - 0.5) ** 2, 1.0][:dim])
+
+    field = ScalarField.from_expression(parse_expression("y"), dim)
+    p = np.array([0.5, 0.1, 0.2][:dim])
+    with pytest.raises(SingularTensor, match=r"at \[0\.5 0\.1"):
+        finsler_gradient(RiemannianMetric(h, dim), field, p)
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,9 @@ def test_dump_geodesic_on_the_sphere_builds_the_band_only(tmp_path, built_charts
 
 
 def test_sphere_morse_bott_builds_every_chart_it_reads(tmp_path, built_charts):
+    # the critical charts only: the verb reads no numerics of the default one
     assert run(tmp_path, "check-morse-bott", "--example", "randers-sphere-height") == 0
-    assert built_charts == ["band", "north-cap", "south-cap"]
+    assert built_charts == ["north-cap", "south-cap"]
     report = read_report(tmp_path, "randers-sphere-height", "check-morse-bott")
     # the same report as from charts built straight from their texts
     for name in ("north-cap", "south-cap"):
@@ -54,6 +55,14 @@ def test_sphere_morse_bott_builds_every_chart_it_reads(tmp_path, built_charts):
             chart.metric, chart.field, chart.domain.sample_grid(4), domain=chart.domain
         )
         assert report["data"]["charts"][name] == json.loads(json.dumps(direct.to_dict()))
+
+
+def test_morse_bott_on_a_named_chart_builds_that_chart_only(tmp_path, built_charts):
+    args = ("check-morse-bott", "--example", "randers-sphere-height", "--chart", "north-cap")
+    assert run(tmp_path, *args) == 0
+    assert built_charts == ["north-cap"]
+    report = read_report(tmp_path, "randers-sphere-height", "check-morse-bott")
+    assert list(report["data"]["charts"]) == ["north-cap"]
 
 
 def test_unknown_chart_exits_two_before_building(tmp_path, capsys, built_charts):
@@ -301,6 +310,34 @@ def test_parse_error_exits_two(tmp_path):
     path = tmp_path / "broken.scn"
     path.write_text(example_texts("disc-radial")["main"].replace("f = x^2 + y^2", "f = x^2 +"))
     assert run(tmp_path, "check-transnormal", "--scenario", str(path)) == 2
+
+
+SINGULAR_H_TEXT = """\
+name = singular-h
+dimension = 2
+
+[domain]
+kind = box
+lower = 0, 0
+upper = 2, 2
+
+[metric]
+kind = riemannian
+h = 1, 0 ; 0, (x - 0.5)^2
+
+[field]
+f = y
+"""
+
+
+def test_singular_metric_exits_three(tmp_path, capsys):
+    # h degenerates on the line x = 0.5, which the sample grid meets
+    path = tmp_path / "singular.scn"
+    path.write_text(SINGULAR_H_TEXT)
+    assert run(tmp_path, "check-transnormal", "--scenario", str(path)) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: SingularTensor: tensor singular at [0.5 "
+    )
 
 
 def test_numerical_failure_exits_three(tmp_path):

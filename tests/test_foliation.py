@@ -241,12 +241,11 @@ def test_minkowski_backward_parallel_fails(minkowski_scenario):
     assert len(report.marches) == len(report.arc_lengths) + report.unreached == len(sample)
     for march, p in zip(report.marches, sample.points):
         assert march.times[0] == 0.0 and np.array_equal(march.points[0], p)
-    # an unreached probe marched the whole budget, but keeps no state past the
-    # first at or past the longest arrival, the farthest a cylinder reads
-    horizon = max(report.arc_lengths)
-    assert horizon < 3.5  # well inside the time budget of 4
-    assert max(march.times[-2] for march in report.marches) < horizon
-    assert max(march.times[-1] for march in report.marches) >= horizon
+    # an unreached probe keeps its whole march, to the time budget of 4 well
+    # past the longest arrival, in a few dozen adaptive steps
+    assert max(report.arc_lengths) < 3.5
+    assert max(march.times[-1] for march in report.marches) >= 4.0
+    assert max(len(march.times) for march in report.marches) < 100
 
 
 def test_minkowski_backward_matches_rk4_level_march(
@@ -658,5 +657,5 @@ def test_partition_spends_stages_only_on_sub_steps(disc_scenario, monkeypatch):
     assert report.finsler_partition_verdict
     cylinder_points = 4 * len(report.cylinder_match_defects)
     # every cylinder point is read inside its probe's kept march: one
-    # Dormand-Prince sub-step, 6 stages with the one at the recorded state
-    assert counts["stages"] - counts["parallel_stages"] == 6 * cylinder_points
+    # Dormand-Prince sub-step, 7 stages with the ones at both of its ends
+    assert counts["stages"] - counts["parallel_stages"] == 7 * cylinder_points

@@ -542,6 +542,41 @@ def test_sphere_pole_distance(sphere_scenario):
     assert check.quadrature_distance == pytest.approx(math.pi / 2, abs=1e-4)
 
 
+def _former_guard(fit, e, guard, near_b, upper):
+    """Reference: the separate upper and lower end guards that `_guard` merged."""
+    b_end = max(fit(e), 0.0)
+    if b_end >= near_b:
+        return e, 0.0
+    slope = fit.derivative(e)
+    if (slope >= 0.0) if upper else (slope <= 0.0):
+        return e, 0.0
+    if upper:
+        t_star = e + b_end / (-slope)
+        e_eff = min(e, t_star - guard)
+        gap = t_star - e_eff
+    else:
+        t_star = e - b_end / slope
+        e_eff = max(e, t_star + guard)
+        gap = e_eff - t_star
+    slope_eff = abs(fit.derivative(e_eff))
+    tail = 2.0 * np.sqrt(gap / slope_eff) if slope_eff > 0 else 0.0
+    return e_eff, float(tail)
+
+
+def test_end_guard_matches_the_former_upper_and_lower_guards():
+    # b = 1 - t^2 on [-1, 1] vanishes at both ends; ends near them, in the
+    # middle and past them, with guards from below to above the gap
+    nodes = np.linspace(-1.0, 1.0, 41)
+    fit = transnormal.BFit.from_table(nodes, 1.0 - nodes**2)
+    near = [-1 + 1e-6, 1 - 1e-6, -1 - 1e-3, 1 + 1e-3]
+    ends = np.concatenate((np.linspace(-1.0, 1.0, 101), near))
+    for e in ends:
+        for guard in (0.0, 1e-9, 1e-6, 1e-3):
+            for side, upper in ((1.0, True), (-1.0, False)):
+                new = transnormal._guard(fit, float(e), guard, 1e-3, side)
+                assert new == _former_guard(fit, float(e), guard, 1e-3, upper)
+
+
 def test_distance_formula_on_level_grid(
     disc_scenario, minkowski_scenario, sphere_scenario, linear_scenario
 ):
