@@ -38,7 +38,6 @@ from .geodesics import (
 )
 from .metrics import (
     CustomMetric,
-    FundamentalTensorValue,
     Metric,
     RandersMetric,
     ReverseMetric,
@@ -46,8 +45,6 @@ from .metrics import (
     TangentVector,
     cartan_tensor,
     euclidean_metric,
-    eval_metric,
-    fundamental_tensor,
     reverse_metric,
 )
 from .scenarios import (

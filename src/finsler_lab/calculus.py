@@ -38,12 +38,6 @@ class ScalarField:
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @classmethod
-    def from_callable(cls, value, differential=None, hessian=None, name="f", fd_step=1e-6):
-        if differential is None:
-            differential = lambda p: numdiff.gradient(value, p, step=fd_step)
-        return cls(value=value, differential=differential, hessian=hessian, name=name)
-
-    @classmethod
     def from_expression(cls, expr, dim, name="f"):
         """Build value/differential/hessian callables by symbolic derivation."""
         value = compile_expression(expr, dim)

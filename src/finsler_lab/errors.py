@@ -18,7 +18,7 @@ class ZeroVector(FinslerError):
 
 
 class SingularTensor(FinslerError):
-    """Fundamental tensor numerically singular; linear solve aborted."""
+    """Tensor not positive definite (singular or indefinite) where a solve needs it."""
 
 
 class NoSpray(FinslerError):

@@ -17,12 +17,13 @@ derivative in the scenario pipeline.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalError, ParseError
+from .errors import EvalError, ParseError, ZeroVector
 
 VARIABLES = ("x", "y", "z")
 FUNCTIONS = ("sqrt", "sin", "cos", "exp", "ln")
@@ -588,3 +589,90 @@ def compile_expression(node, dim):
         return val[0] if single else val
 
     return wrapped
+
+
+# ---------------------------------------------------------------------------
+# the Randers spray stage, generated straight-line per dimension
+
+
+@functools.lru_cache(maxsize=None)
+def randers_stage(n):
+    """The Randers spray stage of dimension n, generated once and cached.
+
+    ``stage(x, y, fields) -> (acceleration, F)`` takes the point x (only named
+    in errors), the vector y as n floats and the Zermelo data at x as one flat
+    tuple: h and W, then their x-derivatives dh[k][i][j] and dW[k][i], each
+    row-major. It is the closed form of ``metrics`` with every index loop
+    unrolled, so a stage is one call on plain floats; in 2-D the solve with
+    its positivity check is inline too.
+    """
+    # imported here, not at the top: metrics imports this module
+    from .metrics import WIND_NORM_MARGIN, _not_positive_definite, _solve_spd, _strong_wind
+
+    def let(name, value):
+        """Assign a value, or nested lists of them, to locals named by index path."""
+        if isinstance(value, str):
+            lines.append(f"{name} = {value}")
+            return name
+        return [let(f"{name}{'_' * name[-1].isdigit()}{i}", v) for i, v in enumerate(value)]
+
+    def dot(u, v):  # the running sum of the products, left to right
+        return "(" + " + ".join(f"{a} * {b}" for a, b in zip(u, v)) + ")"
+
+    N = range(n)
+    h, w, y = [[f"h{i}_{j}" for j in N] for i in N], [f"w{i}" for i in N], [f"y{i}" for i in N]
+    dh = [[[f"dh{k}_{i}_{j}" for j in N] for i in N] for k in N]
+    dw = [[f"dw{k}_{i}" for i in N] for k in N]
+    fields = [*sum(h, []), *w, *sum(sum(dh, []), []), *sum(dw, [])]
+    lines = [f"{', '.join(y)}, = y", f"{', '.join(fields)}, = fields"]
+    wl = let("wl", [dot(h[i], w) for i in N])
+    let("s", dot(w, wl))
+    lines += [f"if s >= {1.0 - WIND_NORM_MARGIN!r}:", "    raise _strong_wind(s, x)"]
+    let("lam", "1.0 - s")
+    let("lam2", "lam * lam")
+    hy = let("hy", [dot(h[i], y) for i in N])
+    let("wly", dot(wl, y))
+    ay = let("ay", [f"{hy[i]} / lam + {wl[i]} * wly / lam2" for i in N])
+    let("alpha2", dot(y, ay))
+    lines += ["if alpha2 <= 0.0:", "    raise _ZeroVector('spray undefined on the zero section')"]
+    let("alpha", "_sqrt(alpha2)")
+    let("F", "alpha - wly / lam")
+    # ell = A y / alpha and m = ell + b, the y-gradient of F
+    e = let("e", [f"{ay[i]} / alpha" for i in N])
+    m = let("m", [f"{e[i]} - {wl[i]} / lam" for i in N])
+    # x-derivatives of the Zermelo data, k first: dwl[k] = d(HW)/dx_k,
+    # dlam[k] = dlam/dx_k, q[k] = dA[k] y without materializing dA
+    dhw = let("dhw", [[dot(dh[k][i], w) for i in N] for k in N])
+    dwl = let("dwl", [[f"{dhw[k][i]} + {dot(dw[k], [row[i] for row in h])}" for i in N]
+                      for k in N])
+    dlam = let("dlam", [f"-({dot(w, dhw[k])} + 2.0 * {dot(dw[k], wl)})" for k in N])
+    c = let("c", [f"{dlam[k]} / lam2" for k in N])
+    dwly = let("dwly", [dot(dwl[k], y) for k in N])
+    p = let("p", [f"{dwly[k]} / lam2 - 2.0 * wly * {dlam[k]} / (lam2 * lam)" for k in N])
+    q = let("q", [[f"{wl[i]} * {p[k]} + {dwl[k][i]} * wly / lam2 - {hy[i]} * {c[k]}"
+                   f" + {dot(dh[k][i], y)} / lam" for i in N] for k in N])
+    # dF[k] = dF/dx_k; r = (1/2) dF2_dx - (1/2) (d2F2_dydx) y
+    dalpha = let("dalpha", [f"{dot(q[k], y)} / (2.0 * alpha)" for k in N])
+    dF = let("dF", [f"{dalpha[k]} - {dwly[k]} / lam + wly * {c[k]}" for k in N])
+    let("dalpha_y", f"{dot(dalpha, y)} / alpha")
+    let("yc", dot(y, c))
+    let("dFy", dot(dF, y))
+    r = let("r", [f"F * {dF[i]} - {m[i]} * dFy - F * ({dot(y, [qk[i] for qk in q])} / alpha"
+                  f" - {e[i]} * dalpha_y - {dot(y, [dwlk[i] for dwlk in dwl])} / lam"
+                  f" + {wl[i]} * yc)" for i in N])
+    let("ratio", "F / alpha")
+    g = let("g", [[f"{m[i]} * {m[j]} + ratio * ({h[i][j]} / lam + {wl[i]} * {wl[j]} / lam2"
+                   f" - {e[i]} * {e[j]})" for j in N] for i in N])
+    if n == 2:  # metrics._solve_spd's closed form and check
+        lines += ["det = g0_0 * g1_1 - g0_1 * g1_0",
+                  "if not (g0_0 > 0.0 and det > 0.0):", "    raise _not_positive_definite(x)",
+                  "return _array(((g1_1 * r0 - g0_1 * r1) / det,"
+                  " (g0_0 * r1 - g1_0 * r0) / det)), F"]
+    else:
+        rows = "".join(f"({', '.join(row)},), " for row in g)
+        lines.append(f"return _solve_spd(({rows}), ({', '.join(r)},), x), F")
+    namespace = dict(_sqrt=math.sqrt, _array=np.array, _ZeroVector=ZeroVector,
+                     _solve_spd=_solve_spd, _strong_wind=_strong_wind,
+                     _not_positive_definite=_not_positive_definite)
+    exec("def randers_stage(x, y, fields):\n" + "".join(f"    {s}\n" for s in lines), namespace)
+    return namespace["randers_stage"]

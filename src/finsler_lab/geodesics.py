@@ -7,7 +7,10 @@ M[i,k] = d^2F^2/dy^i dx^k the acceleration a satisfies
 
 a dense symmetric solve at the desk-scale dimensions used here. The running
 arc length is carried as an extra state component, so the length converges
-at the same order as the trajectory.
+at the same order as the trajectory. One spray stage (`Metric.geodesic_stage`)
+is, for a Randers metric, one call of a straight-line function generated per
+dimension (`expressions.randers_stage`), fed by one compiled call per point
+for h, W and their derivatives.
 
 Curves take adaptive Dormand-Prince 5(4) steps (Dormand & Prince 1980;
 Hairer-Norsett-Wanner, Solving ODEs I, II.4-II.6) with error control on the
@@ -564,20 +567,3 @@ def point_at_time(
     for _, _, z, _, _ in steps:  # the last step ends on r
         pass
     return z[:n]
-
-
-def polyline_length(metric: Metric, points, samples_per_segment: int = 32) -> float:
-    """Metric length of a piecewise-linear path by per-segment Simpson rule."""
-    pts = np.asarray(points, dtype=float)
-    if samples_per_segment % 2 == 1:
-        samples_per_segment += 1
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        delta = b - a
-        ss = np.linspace(0.0, 1.0, samples_per_segment + 1)
-        vals = np.array([metric.norm(a + s * delta, delta) for s in ss])
-        weights = np.ones_like(ss)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        total += float(np.sum(weights * vals)) / (3.0 * samples_per_segment)
-    return total

@@ -10,11 +10,12 @@ everything is computed through the equivalent alpha+beta representation
     lam = 1 - h(W,W),
 
 whose y-derivatives (fundamental tensor, Cartan tensor, spray right-hand
-sides) have closed forms. The Randers spray stage works on plain floats,
-from one call per field (h, W and their derivatives) per point: at chart
-dimensions the per-call cost of numpy on 2-vectors would dominate. Norms
-and tensors keep a one-slot memo of the alpha/beta data at the last
-queried point, so an instance is not safe to share between threads.
+sides) have closed forms. The Randers spray stage is one straight-line
+function per dimension on plain floats (``expressions.randers_stage``), fed
+by one call per point for h, W and their derivatives: at chart dimensions
+the per-call cost of numpy on 2-vectors would dominate. Norms and tensors
+keep a one-slot memo of the alpha/beta data at the last queried point, so
+an instance is not safe to share between threads.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from . import numdiff
 from .errors import (
     DimensionMismatch, FinslerError, NonConvexWind, NoSpray, SingularTensor, ZeroVector,
 )
+from .expressions import randers_stage
 
 # reject winds this close to unit norm; conditioning of g_v degrades as
 # 1/(1 - h(W,W)) and the Zermelo solution blows up
@@ -80,17 +83,6 @@ class Covector:
             raise DimensionMismatch(
                 f"covector dimension {self.components.size} != base dimension {self.base.size}"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class FundamentalTensorValue:
-    """The direction-dependent inner product g_v at a reference vector."""
-
-    at: TangentVector
-    matrix: np.ndarray
-
-    def inner(self, u, w):
-        return float(np.asarray(u) @ self.matrix @ np.asarray(w))
 
 
 class Metric:
@@ -193,7 +185,7 @@ class RiemannianMetric(Metric):
         H = self.h_matrix(x)
         q = float(y @ H @ y)
         if q < 0.0:
-            raise NonConvexWind("matrix field is not positive definite at this point")
+            raise _not_positive_definite(self._check_point(x))
         return float(np.sqrt(q))
 
     def fundamental_matrix(self, x, y):
@@ -214,7 +206,7 @@ class RiemannianMetric(Metric):
         hy = H @ y
         f2 = float(y @ hy)
         if f2 < 0.0:
-            raise NonConvexWind("matrix field is not positive definite at this point")
+            raise _not_positive_definite(x)
         q = dH @ y  # q[k, i] = (dH[k] y)_i
         rhs = 0.5 * (q @ y) - y @ q
         return _solve_spd(H, rhs, x), float(np.sqrt(f2))
@@ -228,20 +220,24 @@ class RiemannianMetric(Metric):
 
 
 class RandersMetric(Metric):
-    """Randers metric with Zermelo data (h, W), h(W, W) < 1."""
+    """Randers metric with Zermelo data (h, W), h(W, W) < 1.
+
+    The spray stage reads ``fields(x)``, the flat (h, W, dh, dW) of
+    ``expressions.randers_stage``; by default it is joined from the four
+    callables, with a derivative not given taken by central differences.
+    """
 
     kind = "randers"
 
-    def __init__(self, h, wind, dim, dh=None, dwind=None):
+    def __init__(self, h, wind, dim, dh=None, dwind=None, fields=None):
         self.dim = dim
         self._h = h
         self._wind = wind
-        if dh is None:
-            dh = _fd_derivative(h, 1e-6)
-        if dwind is None:
-            dwind = _fd_derivative(wind, 1e-6)
-        self._dh = dh
-        self._dwind = dwind
+        if fields is None:
+            parts = (h, wind, dh or _fd_derivative(h, 1e-6), dwind or _fd_derivative(wind, 1e-6))
+            fields = lambda x: np.concatenate([np.ravel(f(x)) for f in parts], dtype=float).tolist()
+        self._fields = fields
+        self._stage = randers_stage(dim)
         self._memo = (None, None)
 
     @classmethod
@@ -315,9 +311,7 @@ class RandersMetric(Metric):
         strong = np.flatnonzero(s >= 1.0 - WIND_NORM_MARGIN)
         if strong.size:
             i = strong[0]
-            raise NonConvexWind(
-                f"h(W,W) = {float(s[i])} at {points[i]}; wind too strong for a Randers norm"
-            )
+            raise _strong_wind(float(s[i]), points[i])
         if undefined is not None:
             raise undefined
         lam = (1.0 - s)[:, None]
@@ -356,61 +350,12 @@ class RandersMetric(Metric):
         return 2.0 * (alpha + beta) * (ell + pd.b)
 
     def geodesic_stage(self, x, y):
-        """(acceleration, F) from the Zermelo closed forms, in plain floats."""
+        """(acceleration, F) from the Zermelo closed forms, by the generated stage."""
         x = self._check_point(x)
         y = np.asarray(y, dtype=float)
         if y.size != self.dim:
             raise DimensionMismatch(f"vector dimension {y.size} != metric dimension {self.dim}")
-        H = np.asarray(self._h(x), dtype=float).tolist()
-        W = np.asarray(self._wind(x), dtype=float).tolist()
-        dH = np.asarray(self._dh(x), dtype=float).tolist()
-        dW = np.asarray(self._dwind(x), dtype=float).tolist()
-        ys = y.tolist()
-        Wl, lam = _zermelo_data(H, W, x)
-        lam2 = lam * lam
-        Hy = [_dot(row, ys) for row in H]
-        wly = _dot(Wl, ys)
-        ay = [hy / lam + wl * wly / lam2 for hy, wl in zip(Hy, Wl)]
-        alpha2 = _dot(ys, ay)
-        if alpha2 <= 0.0:
-            raise ZeroVector("spray undefined on the zero section")
-        alpha = math.sqrt(alpha2)
-        F = alpha - wly / lam
-        # ell = A y / alpha and m = ell + b, the y-gradient of F
-        ell = [a / alpha for a in ay]
-        m = [e - wl / lam for e, wl in zip(ell, Wl)]
-        # x-derivatives of the Zermelo data, k first: dWl[k] = d(HW)/dx_k,
-        # dlam[k] = dlam/dx_k, q[k] = dA[k] y without materializing dA
-        dHW = [[_dot(row, W) for row in dHk] for dHk in dH]
-        dWl = [[a + _dot(dWk, col) for a, col in zip(dHWk, zip(*H))]
-               for dHWk, dWk in zip(dHW, dW)]
-        dlam = [-(_dot(W, dHWk) + 2.0 * _dot(dWk, Wl)) for dHWk, dWk in zip(dHW, dW)]
-        c1 = [d / lam2 for d in dlam]
-        dwly = [_dot(row, ys) for row in dWl]
-        q = [
-            [wl * (dwlyk / lam2 - 2.0 * wly * dlamk / (lam2 * lam)) + dwl * wly / lam2
-             - hy * c1k + dhy / lam
-             for wl, dwl, hy, dhy in zip(Wl, dWlk, Hy, [_dot(row, ys) for row in dHk])]
-            for dwlyk, dlamk, c1k, dWlk, dHk in zip(dwly, dlam, c1, dWl, dH)
-        ]
-        # dF[k] = dF/dx_k; rhs = (1/2) dF2_dx - (1/2) (d2F2_dydx) y
-        dalpha = [_dot(qk, ys) / (2.0 * alpha) for qk in q]
-        dF = [da - dw / lam + wly * c for da, dw, c in zip(dalpha, dwly, c1)]
-        dalpha_y = _dot(dalpha, ys) / alpha
-        yc1 = _dot(ys, c1)
-        dFy = _dot(dF, ys)
-        rhs = [
-            F * dFi - mi * dFy
-            - F * (_dot(ys, qi) / alpha - ei * dalpha_y - _dot(ys, dwli) / lam + wl * yc1)
-            for dFi, mi, ei, wl, qi, dwli in zip(dF, m, ell, Wl, zip(*q), zip(*dWl))
-        ]
-        r = F / alpha
-        g = [
-            [mi * mj + r * (hij / lam + wi * wj / lam2 - ei * ej)
-             for mj, hij, wj, ej in zip(m, Hi, Wl, ell)]
-            for mi, Hi, wi, ei in zip(m, H, Wl, ell)
-        ]
-        return _solve_spd(g, rhs, x), F
+        return self._stage(x, y.tolist(), self._fields(x))
 
     def legendre_inverse(self, x, w):
         """Closed form from the co-metric F*(w) = |w|_h* + w(W) (Bao-Robles-Shen)."""
@@ -421,13 +366,14 @@ class RandersMetric(Metric):
         return _zermelo_inverse(H, W, w, x)
 
     def reverse(self):
-        dwind = self._dwind
+        n, wind, fields = self.dim, self._wind, self._fields
+        # the W and dW slices of (h, W, dh, dW) change sign; 1.0 * v is v
+        signs = [1.0] * (n * n) + [-1.0] * n + [1.0] * n**3 + [-1.0] * (n * n)
         return RandersMetric(
             self._h,
-            _negated_field(self._wind),
-            self.dim,
-            dh=self._dh,
-            dwind=(lambda x, _d=dwind: -np.asarray(_d(x), dtype=float)),
+            lambda x: -np.asarray(wind(x), dtype=float),
+            n,
+            fields=lambda x: list(map(mul, signs, fields(x))),
         )
 
 
@@ -532,10 +478,6 @@ class _RandersPointData:
     b: np.ndarray
 
 
-def _dot(u, v):
-    return sum(map(mul, u, v))
-
-
 def _row_pairs(dim, points, vectors):
     """(k, n) float arrays of points and vectors, checked against the dimension."""
     points = np.asarray(points, dtype=float)
@@ -572,11 +514,15 @@ def _rows_of(points, *fields):
 
 def _zermelo_data(H, W, x):
     """Wl = H W and lam = 1 - h(W,W) from nested lists; rejects h(W,W) near 1."""
-    Wl = [_dot(row, W) for row in H]
-    s = _dot(W, Wl)
+    Wl = [sum(map(mul, row, W)) for row in H]
+    s = sum(map(mul, W, Wl))
     if s >= 1.0 - WIND_NORM_MARGIN:
-        raise NonConvexWind(f"h(W,W) = {s} at {x}; wind too strong for a Randers norm")
+        raise _strong_wind(s, x)
     return Wl, 1.0 - s
+
+
+def _strong_wind(s, x):
+    return NonConvexWind(f"h(W,W) = {s} at {x}; wind too strong for a Randers norm")
 
 
 def _zermelo_inverse(H, W, w, x):
@@ -587,35 +533,38 @@ def _zermelo_inverse(H, W, w, x):
     w = w.tolist()
     hw = _solve_spd(H, w, x)
     hws = hw.tolist()
-    dual2 = _dot(w, hws)
+    dual2 = sum(map(mul, w, hws))
     if dual2 <= 0.0:
         raise ZeroVector("Legendre inverse undefined for the zero covector")
     dual = math.sqrt(dual2)
-    F = dual + _dot(w, W)
+    F = dual + sum(map(mul, w, W))
     return np.array([F * (a / dual + b) for a, b in zip(hws, W)]), F, hw
 
 
 def _solve_spd(g, rhs, x):
     """Solve g a = rhs for the small symmetric positive-definite systems here.
 
-    Takes nested lists or arrays; the 2x2 case is solved in closed form. A
-    singular g raises ``SingularTensor`` naming the point x.
+    Takes nested lists or arrays. The 2x2 case is solved in closed form after
+    checking g00 > 0 and det g > 0; a larger one by Cholesky factorization. A
+    g that is not positive definite raises ``SingularTensor`` naming the
+    point x.
     """
     if len(rhs) == 2:
         (g00, g01), (g10, g11) = g
         r0, r1 = rhs
         det = g00 * g11 - g01 * g10
-        if det == 0.0:
-            raise SingularTensor(f"tensor singular at {x}")
+        if not (g00 > 0.0 and det > 0.0):
+            raise _not_positive_definite(x)
         return np.array([(g11 * r0 - g01 * r1) / det, (g00 * r1 - g10 * r0) / det])
     try:
-        return np.linalg.solve(np.asarray(g), np.asarray(rhs))
-    except np.linalg.LinAlgError as exc:
-        raise SingularTensor(f"tensor singular at {x}: {exc}") from exc
+        lower = np.linalg.cholesky(np.asarray(g, dtype=float))
+    except np.linalg.LinAlgError:
+        raise _not_positive_definite(x) from None
+    return cho_solve((lower, True), np.asarray(rhs, dtype=float), check_finite=False)
 
 
-def _negated_field(field):
-    return lambda x: -np.asarray(field(x), dtype=float)
+def _not_positive_definite(x):
+    return SingularTensor(f"tensor not positive definite at {x}")
 
 
 def _fd_derivative(field, step):
@@ -629,19 +578,6 @@ def euclidean_metric(dim) -> RiemannianMetric:
 
 # ---------------------------------------------------------------------------
 # operation surface
-
-
-def eval_metric(metric: Metric, v: TangentVector) -> float:
-    """Norm F(v); positively homogeneous, 0 exactly on the zero vector."""
-    _check_compat(metric, v)
-    return metric.norm(v.base, v.vector)
-
-
-def fundamental_tensor(metric: Metric, v: TangentVector) -> FundamentalTensorValue:
-    """g_v as a symmetric positive-definite matrix; raises ZeroVector at v=0."""
-    _check_compat(metric, v)
-    matrix = metric.fundamental_matrix(v.base, v.vector)
-    return FundamentalTensorValue(at=v, matrix=matrix)
 
 
 def cartan_tensor(metric: Metric, v: TangentVector, w1, w2, w3) -> float:

@@ -367,33 +367,31 @@ def build_domain(config: ScenarioConfig) -> Domain:
     return DiscDomain(radius=radius, center=np.asarray(center, dtype=float))
 
 
-def _array_field(flat: List[Expr], shape):
-    """Compile row-major expression entries to (value, derivative) callables.
+def _flat_field(entries: List[Expr], dim):
+    """The entries' values at a point in one generated call, or once if none reads a coordinate."""
+    fn = compile_expression(entries, dim)
+    if not any(e.variables() for e in entries):
+        values = fn(np.zeros(dim))
+        return lambda x: values
+    return fn
 
-    Each is one generated call per point; the derivative puts the
-    coordinate index first, ``d[k] = d(value)/dx_k``.
-    """
-    dim = shape[0]
-    fn = compile_expression(flat, dim)
-    dshape = (dim, *shape)
-    if not any(e.variables() for e in flat):
-        value = np.array(fn(np.zeros(dim))).reshape(shape)
-        zero = np.zeros(dshape)
-        return (lambda x: value), (lambda x: zero)
-    dfn = compile_expression([e.diff(VARIABLES[k]) for k in range(dim) for e in flat], dim)
-    return (
-        lambda x: np.array(fn(x)).reshape(shape),
-        lambda x: np.array(dfn(x)).reshape(dshape),
-    )
+
+def _array_field(entries: List[Expr], shape):
+    fn = _flat_field(entries, shape[0])
+    return lambda x: np.array(fn(x)).reshape(shape)
 
 
 def build_metric(config: ScenarioConfig) -> Metric:
     n = config.dimension
-    h, dh = _array_field([e for row in config.h_entries for e in row], (n, n))
+    h = [e for row in config.h_entries for e in row]
+    w = list(config.wind_entries or ())
+    # each entry's derivative in each coordinate, the coordinate index first
+    dh, dw = ([e.diff(VARIABLES[k]) for k in range(n) for e in f] for f in (h, w))
     if config.metric_kind == "riemannian":
-        return RiemannianMetric(h, n, dh)
-    w, dw = _array_field(config.wind_entries, (n,))
-    return RandersMetric(h, w, n, dh=dh, dwind=dw)
+        return RiemannianMetric(_array_field(h, (n, n)), n, _array_field(dh, (n, n, n)))
+    # the spray stage's (h, W, dh, dW) in one generated call per point
+    fields = _flat_field(h + w + dh + dw, n)
+    return RandersMetric(_array_field(h, (n, n)), _array_field(w, (n,)), n, fields=fields)
 
 
 def build_chart(config: ScenarioConfig, name: str = "main") -> Chart:

@@ -1,3 +1,6 @@
+import math
+from operator import mul
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -10,6 +13,7 @@ from finsler_lab.errors import (
     LeftDomain,
     NeverReached,
     ValidationError,
+    ZeroVector,
 )
 from finsler_lab.geodesics import (
     CrossingEvent,
@@ -18,7 +22,7 @@ from finsler_lab.geodesics import (
     tangent_basis_from_differential,
 )
 from finsler_lab.expressions import VARIABLES, compile_expression
-from finsler_lab.metrics import RandersMetric, TangentVector
+from finsler_lab.metrics import RandersMetric, TangentVector, _solve_spd, _zermelo_data
 from finsler_lab.scenarios import (
     _VALIDATION_GRID,
     WIND_VALIDATION_LIMIT,
@@ -392,3 +396,107 @@ def _numpy_as_point(coords):
 @pytest.fixture(scope="session")
 def numpy_as_point():
     return _numpy_as_point
+
+
+def _stage_fields(metric, x):
+    """(H, W, dH, dW) arrays of a Randers metric's stage fields at x, index k first."""
+    n = metric.dim
+    flat = np.array(metric._fields(np.asarray(x, dtype=float)), dtype=float)
+    H, W, dH, dW = np.split(flat, np.cumsum([n * n, n, n**3]))
+    return H.reshape(n, n), W, dH.reshape(n, n, n), dW.reshape(n, n)
+
+
+@pytest.fixture(scope="session")
+def stage_fields():
+    return _stage_fields
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _list_randers_stage(metric, x, y, reverse=False):
+    """Reference: the Randers spray stage in n-generic list arithmetic.
+
+    The stage's body before it was generated straight-line per dimension
+    (``expressions.randers_stage``), on the same fields, checks and solve.
+    With ``reverse`` it is the stage of the reverse metric: W and dW negated.
+    """
+    x = np.asarray(x, dtype=float)
+    H, W, dH, dW = _stage_fields(metric, x)
+    if reverse:
+        W, dW = -W, -dW
+    H, W, dH, dW = H.tolist(), W.tolist(), dH.tolist(), dW.tolist()
+    ys = np.asarray(y, dtype=float).tolist()
+    Wl, lam = _zermelo_data(H, W, x)
+    lam2 = lam * lam
+    Hy = [_dot(row, ys) for row in H]
+    wly = _dot(Wl, ys)
+    ay = [hy / lam + wl * wly / lam2 for hy, wl in zip(Hy, Wl)]
+    alpha2 = _dot(ys, ay)
+    if alpha2 <= 0.0:
+        raise ZeroVector("spray undefined on the zero section")
+    alpha = math.sqrt(alpha2)
+    F = alpha - wly / lam
+    # ell = A y / alpha and m = ell + b, the y-gradient of F
+    ell = [a / alpha for a in ay]
+    m = [e - wl / lam for e, wl in zip(ell, Wl)]
+    # x-derivatives of the Zermelo data, k first: dWl[k] = d(HW)/dx_k,
+    # dlam[k] = dlam/dx_k, q[k] = dA[k] y without materializing dA
+    dHW = [[_dot(row, W) for row in dHk] for dHk in dH]
+    dWl = [[a + _dot(dWk, col) for a, col in zip(dHWk, zip(*H))]
+           for dHWk, dWk in zip(dHW, dW)]
+    dlam = [-(_dot(W, dHWk) + 2.0 * _dot(dWk, Wl)) for dHWk, dWk in zip(dHW, dW)]
+    c1 = [d / lam2 for d in dlam]
+    dwly = [_dot(row, ys) for row in dWl]
+    q = [
+        [wl * (dwlyk / lam2 - 2.0 * wly * dlamk / (lam2 * lam)) + dwl * wly / lam2
+         - hy * c1k + dhy / lam
+         for wl, dwl, hy, dhy in zip(Wl, dWlk, Hy, [_dot(row, ys) for row in dHk])]
+        for dwlyk, dlamk, c1k, dWlk, dHk in zip(dwly, dlam, c1, dWl, dH)
+    ]
+    # dF[k] = dF/dx_k; rhs = (1/2) dF2_dx - (1/2) (d2F2_dydx) y
+    dalpha = [_dot(qk, ys) / (2.0 * alpha) for qk in q]
+    dF = [da - dw / lam + wly * c for da, dw, c in zip(dalpha, dwly, c1)]
+    dalpha_y = _dot(dalpha, ys) / alpha
+    yc1 = _dot(ys, c1)
+    dFy = _dot(dF, ys)
+    rhs = [
+        F * dFi - mi * dFy
+        - F * (_dot(ys, qi) / alpha - ei * dalpha_y - _dot(ys, dwli) / lam + wl * yc1)
+        for dFi, mi, ei, wl, qi, dwli in zip(dF, m, ell, Wl, zip(*q), zip(*dWl))
+    ]
+    r = F / alpha
+    g = [
+        [mi * mj + r * (hij / lam + wi * wj / lam2 - ei * ej)
+         for mj, hij, wj, ej in zip(m, Hi, Wl, ell)]
+        for mi, Hi, wi, ei in zip(m, H, Wl, ell)
+    ]
+    return _solve_spd(g, rhs, x), F
+
+
+@pytest.fixture(scope="session")
+def list_randers_stage():
+    return _list_randers_stage
+
+
+def _polyline_length(metric, points, samples_per_segment=32):
+    """Metric length of a piecewise-linear path by per-segment Simpson rule."""
+    pts = np.asarray(points, dtype=float)
+    if samples_per_segment % 2 == 1:
+        samples_per_segment += 1
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        delta = b - a
+        ss = np.linspace(0.0, 1.0, samples_per_segment + 1)
+        vals = np.array([metric.norm(a + s * delta, delta) for s in ss])
+        weights = np.ones_like(ss)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        total += float(np.sum(weights * vals)) / (3.0 * samples_per_segment)
+    return total
+
+
+@pytest.fixture(scope="session")
+def polyline_length():
+    return _polyline_length

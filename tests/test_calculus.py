@@ -175,6 +175,27 @@ def test_gradient_where_h_is_singular(dim):
         finsler_gradient(RiemannianMetric(h, dim), field, p)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_indefinite_h_raises_where_it_is_used(dim):
+    # h(e_1, e_1) = (x - 0.5)^2 - 1e-4 < 0 near x = 0.5: the 2x2 check and the
+    # Cholesky factorization (3-D) refuse the solve, and the Riemannian norm
+    # and spray refuse h(y, y) < 0, each naming the point
+    def h(x):
+        return np.diag([1.0, (x[0] - 0.5) ** 2 - 1e-4, 1.0][:dim])
+
+    metric = RiemannianMetric(h, dim, lambda x: np.zeros((dim, dim, dim)))
+    field = ScalarField.from_expression(parse_expression("y"), dim)
+    p = np.array([0.5, 0.1, 0.2][:dim])
+    e1 = np.eye(dim)[1]
+    for call in (
+        lambda: finsler_gradient(metric, field, p),
+        lambda: metric.norm(p, e1),
+        lambda: metric.geodesic_stage(p, e1),
+    ):
+        with pytest.raises(SingularTensor, match=r"not positive definite at \[0\.5 0\.1"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Randers gradient identities
 
@@ -273,7 +294,7 @@ def test_coordinate_hessian_rejects_regular_point(paraboloid):
 
 
 def test_coordinate_hessian_fd_fallback():
-    plain = ScalarField.from_callable(
+    plain = ScalarField(
         lambda p: float(p[0] ** 2 + 3.0 * p[1] ** 2),
         lambda p: np.array([2.0 * p[0], 6.0 * p[1]]),
     )

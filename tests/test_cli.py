@@ -336,8 +336,34 @@ def test_singular_metric_exits_three(tmp_path, capsys):
     path.write_text(SINGULAR_H_TEXT)
     assert run(tmp_path, "check-transnormal", "--scenario", str(path)) == 3
     assert capsys.readouterr().err.startswith(
-        "numerical failure: SingularTensor: tensor singular at [0.5 "
+        "numerical failure: SingularTensor: tensor not positive definite at [0.5 "
     )
+
+
+def test_indefinite_metric_exits_three(tmp_path, capsys):
+    # h(e_y, e_y) = (x - 0.5)^2 - 1e-4 is negative on 0.49 < x < 0.51, which no
+    # validation sample meets; the solve that meets it names its point
+    path = tmp_path / "indefinite.scn"
+    path.write_text(SINGULAR_H_TEXT.replace("(x - 0.5)^2", "(x - 0.5)^2 - 1e-4"))
+    assert run(tmp_path, "check-transnormal", "--scenario", str(path)) == 3
+    err = capsys.readouterr().err
+    prefix = "numerical failure: SingularTensor: tensor not positive definite at ["
+    assert err.startswith(prefix)
+    x = float(err[len(prefix):].split()[0])
+    assert 0.49 < x < 0.51
+
+
+def test_non_finite_stage_field_exits_three(tmp_path, capsys):
+    # the wind 0.05 x ln x is finite at x = 1e-320, its x-derivative is not:
+    # the stage's one call for h, W and their derivatives raises EvalError
+    text = SINGULAR_H_TEXT.replace("kind = riemannian", "kind = randers")
+    text = text.replace("h = 1, 0 ; 0, (x - 0.5)^2", "h = 1, 0 ; 0, 1\nwind = 0.05 * x * ln(x), 0")
+    path = tmp_path / "log-wind.scn"
+    path.write_text(text)
+    code = run(tmp_path, "dump-geodesic", "--scenario", str(path), "--start=1e-320,0.5",
+               "--velocity=0,1", "--t-end", "0.1")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure: EvalError: non-finite value")
 
 
 def test_numerical_failure_exits_three(tmp_path):

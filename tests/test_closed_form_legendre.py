@@ -175,7 +175,7 @@ def test_newton_only_without_closed_form(halfwind_custom):
     assert iterations > 0
     exact, _ = _legendre_inverse(RandersMetric.constant_wind([0.5, 0.0]), ORIGIN, w)
     assert np.linalg.norm(v - exact) <= 1e-5
-    field = ScalarField.from_callable(lambda p: float(p @ w), lambda p: w)
+    field = ScalarField(lambda p: float(p @ w), lambda p: w)
     res = finsler_gradient(halfwind_custom, field, ORIGIN)
     assert res.newton_iterations > 0 and res.riemannian_gradient is None
 

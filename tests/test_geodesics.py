@@ -15,7 +15,6 @@ from finsler_lab.geodesics import (
     integrate_to_level,
     orthogonality_defect,
     point_at_time,
-    polyline_length,
     spray_coefficients,
     tangent_basis_from_differential,
     uniform_times,
@@ -759,7 +758,7 @@ def test_march_from_outside_the_domain_is_empty(disc_scenario):
 # local minimization
 
 
-def test_gradient_geodesic_locally_minimizes(disc_scenario, rng):
+def test_gradient_geodesic_locally_minimizes(disc_scenario, rng, polyline_length):
     chart = disc_scenario.chart
     p = np.array([0.2, 0.0])
     res = finsler_gradient(chart.metric, chart.field, p)

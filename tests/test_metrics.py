@@ -12,6 +12,7 @@ from finsler_lab.errors import (
     FinslerError,
     NonConvexWind,
     NoSpray,
+    SingularTensor,
     ZeroVector,
 )
 from finsler_lab.expressions import VARIABLES
@@ -30,8 +31,6 @@ from finsler_lab.metrics import (
     as_point,
     cartan_tensor,
     euclidean_metric,
-    eval_metric,
-    fundamental_tensor,
     reverse_metric,
 )
 from finsler_lab.scenarios import build_domain, build_metric, parse_scenario
@@ -80,12 +79,8 @@ def metric_point_pool(disc_scenario, sphere_scenario, rng, count):
 
 
 def test_zermelo_closed_form(halfwind):
-    assert eval_metric(halfwind, TangentVector(ORIGIN, [1.0, 0.0])) == pytest.approx(
-        2.0 / 3.0, abs=1e-14
-    )
-    assert eval_metric(halfwind, TangentVector(ORIGIN, [-1.0, 0.0])) == pytest.approx(
-        2.0, abs=1e-14
-    )
+    assert halfwind.norm(ORIGIN, [1.0, 0.0]) == pytest.approx(2.0 / 3.0, abs=1e-14)
+    assert halfwind.norm(ORIGIN, [-1.0, 0.0]) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_zermelo_defining_equation(halfwind, rng):
@@ -105,7 +100,7 @@ def test_zero_wind_is_euclidean(rng):
 
 
 def test_zero_vector_norm_is_zero(halfwind):
-    assert eval_metric(halfwind, TangentVector(ORIGIN, [0.0, 0.0])) == 0.0
+    assert halfwind.norm(ORIGIN, [0.0, 0.0]) == 0.0
 
 
 @given(
@@ -133,7 +128,7 @@ def test_non_convex_wind_rejected():
 
 def test_dimension_mismatch(halfwind):
     with pytest.raises(DimensionMismatch):
-        eval_metric(halfwind, TangentVector([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
+        halfwind.norm([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
     with pytest.raises(DimensionMismatch):
         TangentVector([0.0, 0.0], [1.0])
 
@@ -157,9 +152,9 @@ def _point_inputs(draw):
     return np.array(values, dtype=object).reshape(shape).tolist()
 
 
-def _outcome(as_point, coords):
+def _outcome(fn, *args):
     try:
-        return as_point(coords)
+        return fn(*args)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -262,7 +257,7 @@ def test_norms_raise_at_the_first_bad_row():
     # rows 1 and 2 are indefinite, but only row 2's vector has h(v, v) < 0
     points = np.array([[0.1, 1], [0.1, -1], [0.2, -1], [0.9, 1]])
     vectors = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    for rows, error in ((slice(None), NonConvexWind), ([0, 1, 3, 2], DimensionMismatch)):
+    for rows, error in ((slice(None), SingularTensor), ([0, 1, 3, 2], DimensionMismatch)):
         raised = _raised(lambda: riemannian.norms(points[rows], vectors[rows]))
         assert raised == _raised(lambda: _norm_rows(riemannian, points[rows], vectors[rows]))
         assert raised[0] is error
@@ -277,7 +272,7 @@ def test_riemannian_tensor_recovers_matrix(rng):
     metric = RiemannianMetric.constant(H)
     for _ in range(10):
         v = rng.normal(size=2)
-        g = fundamental_tensor(metric, TangentVector(ORIGIN, v)).matrix
+        g = metric.fundamental_matrix(ORIGIN, v)
         assert np.allclose(g, H)
 
 
@@ -329,7 +324,7 @@ def test_randers_pairing_formula(disc_scenario, rng):
 
 def test_tensor_zero_vector_raises(halfwind):
     with pytest.raises(ZeroVector):
-        fundamental_tensor(halfwind, TangentVector(ORIGIN, [0.0, 0.0]))
+        halfwind.fundamental_matrix(ORIGIN, [0.0, 0.0])
     with pytest.raises(ZeroVector):
         cartan_tensor(halfwind, TangentVector(ORIGIN, [0.0, 0.0]), [1, 0], [0, 1], [1, 1])
 
@@ -386,7 +381,7 @@ def test_cartan_matches_finite_difference(halfwind):
 def test_reverse_of_randers_flips_wind(halfwind, rng):
     rev = reverse_metric(halfwind)
     assert isinstance(rev, RandersMetric)
-    assert eval_metric(rev, TangentVector(ORIGIN, [1.0, 0.0])) == pytest.approx(2.0)
+    assert rev.norm(ORIGIN, [1.0, 0.0]) == pytest.approx(2.0)
     for _ in range(100):
         v = rng.normal(size=2)
         assert rev.norm(ORIGIN, v) == pytest.approx(halfwind.norm(ORIGIN, -v), abs=1e-15)
@@ -466,11 +461,10 @@ def test_custom_metric_has_no_spray(halfwind):
 # spray stage against the composed Euler-Lagrange reference
 
 
-def _alpha_beta_derivatives(metric, x):
+def _alpha_beta_derivatives(metric, x, stage_fields):
     """x-derivatives dA[k], db[k] of the alpha/beta data by the Zermelo chain rule."""
     pd = metric._alpha_beta(x)
-    dH = np.asarray(metric._dh(x), dtype=float)
-    dW = np.asarray(metric._dwind(x), dtype=float)
+    _, _, dH, dW = stage_fields(metric, x)
     lam, Wl, H = pd.lam, pd.Wl, pd.H
     dWl = np.einsum("kij,j->ki", dH, pd.W) + dW @ H
     dlam = -(np.einsum("kij,i,j->k", dH, pd.W, pd.W) + 2.0 * (dW @ Wl))
@@ -485,12 +479,12 @@ def _alpha_beta_derivatives(metric, x):
     return dA, db
 
 
-def reference_stage(metric, x, y):
+def reference_stage(metric, x, y, stage_fields):
     """Solve g a = (1/2) dF2_dx - (1/2) (d2F2_dydx) y, composed term by term."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     pd, alpha, beta, ell = metric._at(x, y)
-    dA, db = _alpha_beta_derivatives(metric, x)
+    dA, db = _alpha_beta_derivatives(metric, x, stage_fields)
     F = alpha + beta
     m = ell + pd.b
     dalpha = np.einsum("kij,i,j->k", dA, y, y) / (2.0 * alpha)
@@ -503,14 +497,16 @@ def reference_stage(metric, x, y):
     return np.linalg.solve(g, 0.5 * dF2_dx - 0.5 * d2F2_dydx @ y), F
 
 
-def assert_stage_matches(metric, x, y, rtol):
+def assert_stage_matches(metric, x, y, rtol, stage_fields):
     a, F = metric.geodesic_stage(x, y)
-    ref_a, ref_F = reference_stage(metric, x, y)
+    ref_a, ref_F = reference_stage(metric, x, y, stage_fields)
     assert np.linalg.norm(a - ref_a) <= rtol * np.linalg.norm(ref_a)
     assert abs(F - ref_F) <= rtol * abs(ref_F)
 
 
-def test_randers_stage_matches_reference(disc_scenario, sphere_scenario, minkowski_scenario, rng):
+def test_randers_stage_matches_reference(
+    disc_scenario, sphere_scenario, minkowski_scenario, rng, stage_fields
+):
     charts = [
         (sphere_scenario.charts["band"], lambda: [rng.uniform(0.3, 2.8), rng.uniform(-3, 3)]),
         (sphere_scenario.charts["north-cap"], lambda: rng.uniform(-0.5, 0.5, size=2)),
@@ -520,7 +516,9 @@ def test_randers_stage_matches_reference(disc_scenario, sphere_scenario, minkows
     for chart, draw in charts:
         for metric in (chart.metric, chart.metric.reverse()):
             for _ in range(100):
-                assert_stage_matches(metric, np.array(draw()), rng.normal(size=2), 1e-12)
+                assert_stage_matches(
+                    metric, np.array(draw()), rng.normal(size=2), 1e-12, stage_fields
+                )
 
 
 def riemannian_reference_stage(metric, x, y):
@@ -559,7 +557,7 @@ def test_riemannian_stage_matches_generic_composition(rng):
     wind=st.floats(0.0, 0.99),
 )
 @settings(max_examples=150, deadline=None)
-def test_stage_on_random_zermelo_data(n, seed, wind):
+def test_stage_on_random_zermelo_data(n, seed, wind, stage_fields):
     # constant SPD h and wind W at the base point, with random first derivatives
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(n, n))
@@ -579,7 +577,7 @@ def test_stage_on_random_zermelo_data(n, seed, wind):
     x = np.zeros(n)
     y = rng.normal(size=n)
     # the Zermelo terms cancel to order 1 / lam^3, lam = 1 - h(W, W)
-    assert_stage_matches(metric, x, y, 1e-12 / (1.0 - wind) ** 3)
+    assert_stage_matches(metric, x, y, 1e-12 / (1.0 - wind) ** 3, stage_fields)
     # F solves the Zermelo equation h(y/F - W, y/F - W) = 1
     _, F = metric.geodesic_stage(x, y)
     u = y / F - w
@@ -605,22 +603,22 @@ f = z
 """
 
 
-def test_three_dimensional_scenario_spray(rng):
+def test_three_dimensional_scenario_spray(rng, stage_fields):
     config = parse_scenario(SCENARIO_3D)
     metric = build_metric(config)
     for _ in range(50):
         x = rng.uniform(-0.5, 0.5, size=3)
-        # one fused call per field, k-first derivative layout
-        dH = metric._dh(x)
+        # one fused call for (h, W, dh, dW), k-first derivative layout
+        H, W, dH, dW = stage_fields(metric, x)
+        assert np.array_equal(H, metric.h_matrix(x)) and np.array_equal(W, metric.wind_at(x))
         for k, var in enumerate(VARIABLES):
             for i, row in enumerate(config.h_entries):
                 for j, entry in enumerate(row):
                     assert dH[k, i, j] == pytest.approx(entry.diff(var).evaluate(x), abs=1e-15)
-        dW = metric._dwind(x)
         for k, var in enumerate(VARIABLES):
             for i, entry in enumerate(config.wind_entries):
                 assert dW[k, i] == pytest.approx(entry.diff(var).evaluate(x), abs=1e-15)
-        assert_stage_matches(metric, x, rng.normal(size=3), 1e-12)
+        assert_stage_matches(metric, x, rng.normal(size=3), 1e-12, stage_fields)
     traj = integrate_geodesic(
         metric, TangentVector(np.zeros(3), [0.3, -0.2, 0.4]), 0.5, step=1e-2,
         domain=build_domain(config),
@@ -655,8 +653,113 @@ def test_stage_propagates_field_eval_error():
         metric.geodesic_stage(np.array([2.0, 0.0, 0.0]), np.ones(3))
 
 
+# ---------------------------------------------------------------------------
+# the generated stage against the n-generic list stage it replaced
+
+
+def _random_points(domain, rng, count):
+    """Uniform points of a chart's domain, drawn in its sample grid's bounding box."""
+    grid = domain.sample_grid(9)
+    points = []
+    while len(points) < count:
+        x = rng.uniform(grid.min(axis=0), grid.max(axis=0))
+        if domain.contains(x):
+            points.append(x)
+    return points
+
+
+def assert_same_stage(metric, x, y, list_randers_stage):
+    """The stage of metric and of its reverse against the list stage on metric's fields."""
+    for candidate, reverse in ((metric, False), (metric.reverse(), True)):
+        got = _outcome(candidate.geodesic_stage, x, y)
+        ref = _outcome(list_randers_stage, metric, x, y, reverse)
+        if isinstance(ref[0], type):  # the same error and message
+            assert got == ref
+            continue
+        (a, F), (ref_a, ref_F) = got, ref
+        assert np.linalg.norm(a - ref_a) <= 1e-14 * np.linalg.norm(ref_a)
+        assert abs(F - ref_F) <= 1e-14 * abs(ref_F)
+
+
+def test_generated_stage_matches_list_stage_on_every_chart(
+    disc_scenario, sphere_scenario, minkowski_scenario, rng, list_randers_stage
+):
+    charts = [sphere_scenario.charts[name] for name in ("band", "north-cap", "south-cap")]
+    charts += [disc_scenario.chart, minkowski_scenario.chart]
+    for chart in charts:
+        for x in _random_points(chart.domain, rng, 100):
+            assert_same_stage(chart.metric, x, rng.normal(size=2), list_randers_stage)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_generated_stage_matches_list_stage_in_dimension(n, rng, list_randers_stage):
+    metrics = []
+    for _ in range(10):
+        B = rng.normal(size=(n, n))
+        h0 = B @ B.T + 0.5 * np.eye(n)
+        D = rng.normal(size=(n, n, n))
+        w = rng.normal(size=n)
+        w *= math.sqrt(rng.uniform(0.0, 0.9) / float(w @ h0 @ w))
+        metrics.append(RandersMetric(
+            lambda x, h0=h0, D=D: h0 + np.einsum("k,kij->ij", x, D + D.transpose(0, 2, 1)),
+            lambda x, w=w, V=rng.normal(size=(n, n)): w + x @ V,
+            n,
+        ))
+    if n == 3:
+        metrics.append(build_metric(parse_scenario(SCENARIO_3D)))
+    for metric in metrics:
+        for _ in range(20):
+            x = rng.uniform(-0.1, 0.1, size=n)
+            assert_same_stage(metric, x, rng.normal(size=n), list_randers_stage)
+
+
+def test_generated_stage_beside_the_wind_margin(list_randers_stage):
+    # h(W, W) = h_00 exactly for W = e_0: 1 - 2e-6 is inside the margin, 1 - 1e-6 on it
+    for h00 in (1.0 - 2e-6, 1.0 - 1e-6):
+        metric = RandersMetric(lambda x: np.diag([h00, 1.0]), lambda x: np.array([1.0, 0.0]), 2)
+        for y in ([0.0, 1.0], [1.0, 0.3], [-1.0, 0.3]):
+            assert_same_stage(metric, ORIGIN, np.array(y), list_randers_stage)
+    with pytest.raises(NonConvexWind, match=r"h\(W,W\) = 0\.999999 at \[0\. 0\.\]"):
+        metric.geodesic_stage(ORIGIN, np.array([0.0, 1.0]))
+
+
+NON_FINITE_TEXT = """\
+name = log-wind
+dimension = 2
+
+[domain]
+kind = box
+lower = 0, 0
+upper = 1, 1
+
+[metric]
+kind = randers
+h = 1, 0 ; 0, 1
+wind = 0.05 * x * ln(x), 0
+
+[field]
+f = y
+"""
+
+
+def test_stage_raises_eval_error_through_the_combined_call():
+    # W = 0.05 x ln x is finite near x = 0, but its derivative holds 1 / x,
+    # which overflows to inf at x = 1e-320 and divides by zero at x = 0
+    metric = build_metric(parse_scenario(NON_FINITE_TEXT))
+    y = np.array([0.0, 1.0])
+    a, _ = metric.geodesic_stage(np.array([1e-3, 0.5]), y)
+    assert np.all(np.isfinite(a))
+    tiny = np.array([1e-320, 0.5])
+    assert np.isfinite(metric.norm(tiny, y))
+    for stage in (metric.geodesic_stage, metric.reverse().geodesic_stage):
+        with pytest.raises(EvalError, match="non-finite value"):
+            stage(tiny, y)
+        with pytest.raises(EvalError, match="cannot evaluate"):
+            stage(np.array([0.0, 0.5]), y)
+
+
 def test_finite_difference_fallback_matches_symbolic_derivatives(
-    disc_scenario, sphere_scenario, rng
+    disc_scenario, sphere_scenario, rng, stage_fields
 ):
     # a metric built without dh/dW differences its fields through numdiff.jacobian
     for chart in (disc_scenario.chart, sphere_scenario.charts["band"]):
@@ -664,10 +767,12 @@ def test_finite_difference_fallback_matches_symbolic_derivatives(
         fallback = RandersMetric(exact._h, exact._wind, 2)
         pts = chart.domain.sample_grid(9)
         for x in pts[rng.choice(len(pts), size=20, replace=False)]:
-            assert fallback._dh(x).shape == (2, 2, 2)
-            assert fallback._dwind(x).shape == (2, 2)
-            assert np.allclose(fallback._dh(x), exact._dh(x), rtol=0.0, atol=1e-8)
-            assert np.allclose(fallback._dwind(x), exact._dwind(x), rtol=0.0, atol=1e-8)
+            assert len(fallback._fields(x)) == 4 + 2 + 8 + 4
+            H, W, dH, dW = stage_fields(fallback, x)
+            exact_H, exact_W, exact_dH, exact_dW = stage_fields(exact, x)
+            assert np.array_equal(H, exact_H) and np.array_equal(W, exact_W)
+            assert np.allclose(dH, exact_dH, rtol=0.0, atol=1e-8)
+            assert np.allclose(dW, exact_dW, rtol=0.0, atol=1e-8)
     config = parse_scenario(SCENARIO_3D.replace("kind = randers", "kind = riemannian")
                             .replace(WIND_3D, ""))
     exact = build_metric(config)
