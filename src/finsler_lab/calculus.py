@@ -5,7 +5,9 @@ Randers and Riemannian metrics invert it in closed form through the Zermelo
 co-metric F*(w) = |w|_h* + w(W) (Bao-Robles-Shen), so their gradients cost
 no iteration. Only custom norms use the damped Newton: the Jacobian of L in
 v is exactly g_v (the Cartan correction term dies against the reference
-vector), a symmetric positive-definite system.
+vector), a symmetric positive-definite system. One core (`_gradient`) gives
+v, F and h^-1 df with every check: `finsler_gradient` wraps it in a
+`GradientResult`, and the f-segment flow reads it directly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import numdiff
 from .errors import CriticalPoint, NoConvergence, NotCritical, ZeroVector
 from .expressions import VARIABLES, compile_expression
-from .metrics import Covector, Metric, RandersMetric, TangentVector
+from .metrics import Covector, Metric, RandersMetric, TangentVector, attached
 
 # band below which a differential counts as critical for gradient solves
 GRADIENT_CRITICAL_NORM = 1e-12
@@ -123,8 +125,9 @@ def legendre_inverse(metric: Metric, omega: Covector) -> TangentVector:
     return TangentVector(base=omega.base, vector=v)
 
 
-def finsler_gradient(metric: Metric, field: ScalarField, p) -> GradientResult:
-    """Gradient as the Legendre preimage of df at p."""
+def _gradient(metric: Metric, field: ScalarField, p):
+    """(v, F(v), h^-1 df or None after Newton, Newton iterations) of the gradient at p,
+    checked as the `TangentVector`s of a `GradientResult` would check them."""
     p = np.asarray(p, dtype=float)
     df = np.asarray(field.differential(p), dtype=float)
     if float(np.linalg.norm(df)) < GRADIENT_CRITICAL_NORM:
@@ -133,16 +136,20 @@ def finsler_gradient(metric: Metric, field: ScalarField, p) -> GradientResult:
     if closed is None:
         # _legendre_inverse is the one entry to Newton; perfbench counts iterations there
         v, iterations = _legendre_inverse(metric, p, df)
-        norm, riem = metric.norm(p, v), None
+        norm, hw = metric.norm(p, v), None
     else:
         (v, norm, hw), iterations = closed, 0
-        riem = TangentVector(base=p, vector=hw)
-    return GradientResult(
-        gradient=TangentVector(base=p, vector=v),
-        finsler_norm=norm,
-        newton_iterations=iterations,
-        riemannian_gradient=riem,
-    )
+    for vec in (v,) if hw is None else (hw, v):
+        attached(p, vec)
+    return v, norm, hw, iterations
+
+
+def finsler_gradient(metric: Metric, field: ScalarField, p) -> GradientResult:
+    """Gradient as the Legendre preimage of df at p."""
+    p = np.asarray(p, dtype=float)
+    v, norm, hw, iterations = _gradient(metric, field, p)
+    riem = None if hw is None else TangentVector(base=p, vector=hw)
+    return GradientResult(TangentVector(base=p, vector=v), norm, iterations, riem)
 
 
 def check_randers_gradient_lemma(metric: RandersMetric, field: ScalarField, p):
@@ -156,13 +163,9 @@ def check_randers_gradient_lemma(metric: RandersMetric, field: ScalarField, p):
     if not isinstance(metric, RandersMetric):
         raise TypeError("gradient lemma applies to Randers metrics only")
     p = np.asarray(p, dtype=float)
-    res = finsler_gradient(metric, field, p)
+    grad, zn, riem, _ = _gradient(metric, field, p)
     df = np.asarray(field.differential(p), dtype=float)
-    H = metric.h_matrix(p)
-    W = metric.wind_at(p)
-    grad = res.gradient.vector
-    zn = res.finsler_norm
-    riem = res.riemannian_gradient.vector
+    H, W = metric.h_matrix(p), metric.wind_at(p)
     riem_norm = float(np.sqrt(riem @ H @ riem))
     lhs = (riem_norm / zn) * (grad - zn * W)
     diff = lhs - riem
@@ -179,15 +182,12 @@ def hessian_along_gradient(metric: Metric, field: ScalarField, p):
     taken in the gradient direction itself.
     """
     p = np.asarray(p, dtype=float)
-    base = finsler_gradient(metric, field, p)
-    u = base.gradient.vector
+    u = _gradient(metric, field, p)[0]
     unorm = float(np.linalg.norm(u))
     direction = u / unorm
 
     def b_along(s):
-        q = p + s * direction
-        res = finsler_gradient(metric, field, q)
-        return res.finsler_norm**2
+        return _gradient(metric, field, p + s * direction)[1] ** 2
 
     step = 1e-3 * (1.0 + float(np.linalg.norm(p)))
     derivative = numdiff.five_point_derivative(b_along, 0.0, step)

@@ -575,7 +575,6 @@ def compile_expression(node, dim):
     namespace = {f"_{name}": fn for name, fn in _MATH.items()}
     exec(source, namespace)  # noqa: S102 - generated from our own AST only
     raw = namespace["_expr_fn"]
-    text = ", ".join(map(str, nodes))
 
     def wrapped(coords):
         try:
@@ -583,12 +582,29 @@ def compile_expression(node, dim):
             # instead of raising, and are slower in the integrator loops
             val = raw(*np.asarray(coords, dtype=float).tolist())
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise EvalError(f"cannot evaluate '{text}' at {tuple(coords)}: {exc}") from exc
+            # on the error path only: each entry alone, to name those that raise
+            bad = nodes if single else [e for e in nodes if _raises(e, dim, coords)]
+            raise EvalError(f"cannot evaluate {_at(bad, coords)}: {exc}") from exc
         if not all(map(math.isfinite, val)):
-            raise EvalError(f"non-finite value for '{text}' at {tuple(coords)}")
+            bad = [e for e, v in zip(nodes, val) if not math.isfinite(v)]
+            raise EvalError(f"non-finite value for {_at(bad, coords)}")
         return val[0] if single else val
 
     return wrapped
+
+
+def _at(nodes, coords):
+    """The text 'entry, entry' at (x, y), with the point as plain floats."""
+    return f"'{', '.join(map(str, nodes))}' at {tuple(np.asarray(coords, dtype=float).tolist())}"
+
+
+def _raises(node, dim, coords):
+    """Whether the tree alone raises at coords, rather than turning non-finite."""
+    try:
+        compile_expression(node, dim)(coords)
+    except EvalError as exc:
+        return exc.__cause__ is not None
+    return False
 
 
 # ---------------------------------------------------------------------------

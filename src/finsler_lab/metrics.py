@@ -49,6 +49,14 @@ def as_point(coords) -> np.ndarray:
     return p
 
 
+def attached(base, vector, kind="vector"):
+    """``as_point`` of a base point and of a vector there, of one dimension."""
+    base, vector = as_point(base), as_point(vector)
+    if base.size != vector.size:
+        raise DimensionMismatch(f"{kind} dimension {vector.size} != base dimension {base.size}")
+    return base, vector
+
+
 @dataclass(frozen=True, eq=False)
 class TangentVector:
     """A vector attached to a chart point."""
@@ -57,12 +65,9 @@ class TangentVector:
     vector: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "base", as_point(self.base))
-        object.__setattr__(self, "vector", as_point(self.vector))
-        if self.base.size != self.vector.size:
-            raise DimensionMismatch(
-                f"vector dimension {self.vector.size} != base dimension {self.base.size}"
-            )
+        base, vector = attached(self.base, self.vector)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "vector", vector)
 
     @property
     def dim(self):
@@ -77,12 +82,9 @@ class Covector:
     components: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "base", as_point(self.base))
-        object.__setattr__(self, "components", as_point(self.components))
-        if self.base.size != self.components.size:
-            raise DimensionMismatch(
-                f"covector dimension {self.components.size} != base dimension {self.base.size}"
-            )
+        base, components = attached(self.base, self.components, "covector")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "components", components)
 
 
 class Metric:
@@ -107,6 +109,17 @@ class Metric:
         """
         points, vectors = _row_pairs(self.dim, points, vectors)
         return np.array([self.norm(x, y) for x, y in zip(points, vectors)], dtype=float)
+
+    def co_norms(self, points, covectors):
+        """F*(w) at each row pair, ``legendre_inverse(x, w)[1]``, raising what it raises at
+        the first row that fails; None without a closed form."""
+        rows = []
+        for x, w in zip(*_row_pairs(self.dim, points, covectors)):
+            closed = self.legendre_inverse(x, w)
+            if closed is None:
+                return None
+            rows.append(closed[1])
+        return np.array(rows, dtype=float)
 
     def fundamental_matrix(self, x, y) -> np.ndarray:
         """Matrix of g_y = (1/2) d^2 F^2 in the vector slot; needs y != 0."""
@@ -294,6 +307,22 @@ class RandersMetric(Metric):
             return 0.0
         return float(np.sqrt(alpha2) + pd.b @ y)
 
+    def _zermelo_rows(self, points):
+        """(H, W, Wl, s) as ``_zermelo_data`` makes them, up to the first point where a field
+        is undefined or the wind too strong, and its error (else None), for the caller to
+        raise after its checks of the rows before it."""
+        (H, W), error = _rows_of(points, (self._h, (self.dim,) * 2), (self._wind, (self.dim,)))
+        H = H[: len(W)]
+        # _zermelo_data's running sums, left to right from 0.0
+        Wl = sum((H[:, :, j] * W[:, j, None] for j in range(self.dim)), 0.0)
+        s = sum((W[:, j] * Wl[:, j] for j in range(self.dim)), 0.0)
+        strong = np.flatnonzero(s >= 1.0 - WIND_NORM_MARGIN)
+        if strong.size:
+            k = strong[0]
+            error = _strong_wind(float(s[k]), points[k])
+            H, W, Wl, s = H[:k], W[:k], Wl[:k], s[:k]
+        return H, W, Wl, s, error
+
     def norms(self, points, vectors):
         """``norm`` row by row, from stacked (k, n, n) and (k, n) arrays.
 
@@ -301,19 +330,9 @@ class RandersMetric(Metric):
         a single point, so each row is bitwise the same.
         """
         points, Y = _row_pairs(self.dim, points, vectors)
-        (H, W), undefined = _rows_of(
-            points, (self._h, (self.dim, self.dim)), (self._wind, (self.dim,))
-        )
-        H = H[: len(W)]
-        # _zermelo_data's running sums, left to right from 0.0
-        Wl = sum((H[:, :, j] * W[:, j, None] for j in range(self.dim)), 0.0)
-        s = sum((W[:, j] * Wl[:, j] for j in range(self.dim)), 0.0)
-        strong = np.flatnonzero(s >= 1.0 - WIND_NORM_MARGIN)
-        if strong.size:
-            i = strong[0]
-            raise _strong_wind(float(s[i]), points[i])
-        if undefined is not None:
-            raise undefined
+        H, _, Wl, s, error = self._zermelo_rows(points)
+        if error is not None:
+            raise error
         lam = (1.0 - s)[:, None]
         # lam**2 as the Python float power of the single-point path
         lam2 = np.array([v**2 for v in lam[:, 0].tolist()])[:, None, None]
@@ -322,6 +341,27 @@ class RandersMetric(Metric):
         alpha2 = (Y[:, None, :] @ A @ Y[:, :, None])[:, 0, 0]
         beta = (b[:, None, :] @ Y[:, :, None])[:, 0, 0]
         return np.where(alpha2 == 0.0, 0.0, np.sqrt(alpha2) + beta)
+
+    def co_norms(self, points, covectors):
+        """``legendre_inverse(x, w)[1]`` row by row; in 2-D from stacked arrays,
+        by the float operations of ``_zermelo_inverse`` and its inline solve."""
+        if self.dim != 2:
+            return super().co_norms(points, covectors)
+        points, w = _row_pairs(2, points, covectors)
+        H, W, _, _, error = self._zermelo_rows(points)
+        (g00, g01), (g10, g11), (r0, r1) = H[:, 0].T, H[:, 1].T, w[: len(W)].T
+        det = g00 * g11 - g01 * g10
+        with np.errstate(all="ignore"):  # as Python floats, which do not warn
+            dual2 = 0.0 + r0 * ((g11 * r0 - g01 * r1) / det) + r1 * ((g00 * r1 - g10 * r0) / det)
+        singular = ~((g00 > 0.0) & (det > 0.0))
+        bad = np.flatnonzero(singular | (dual2 <= 0.0))
+        if bad.size:
+            if singular[bad[0]]:
+                raise _not_positive_definite(points[bad[0]])
+            raise ZeroVector("Legendre inverse undefined for the zero covector")
+        if error is not None:
+            raise error
+        return np.sqrt(dual2) + (0.0 + w[:, 0] * W[:, 0] + w[:, 1] * W[:, 1])
 
     def fundamental_matrix(self, x, y):
         y = self._require_nonzero(y)

@@ -11,7 +11,7 @@ and the gradient-direction Hessian identity (half b' b).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,6 +21,7 @@ from scipy.interpolate import PchipInterpolator
 from .calculus import (
     REGULAR_POINT_NORM,
     ScalarField,
+    _gradient,
     coordinate_hessian_at_critical,
     finsler_gradient,
     hessian_along_gradient,
@@ -49,7 +50,7 @@ from .geodesics import (
     integrate_geodesic,
     spray_coefficients,
 )
-from .metrics import Metric, RiemannianMetric, TangentVector
+from .metrics import Metric, RiemannianMetric, TangentVector, _rows_of
 
 B_CRITICAL_THRESHOLD = 1e-10
 NEAR_CRITICAL_B = 1e-3
@@ -78,10 +79,7 @@ class BFit:
         values = np.asarray(values, dtype=float)
         if nodes.size == 1:
             # degenerate single-level table: constant profile
-            const = float(values[0])
-            interp = PchipInterpolator(
-                np.array([nodes[0] - 0.5, nodes[0] + 0.5]), np.array([const, const])
-            )
+            interp = PchipInterpolator([nodes[0] - 0.5, nodes[0] + 0.5], [values[0]] * 2)
         else:
             interp = PchipInterpolator(nodes, values, extrapolate=True)
         return cls(nodes=nodes, values=values, _interp=interp, _deriv=interp.derivative())
@@ -107,15 +105,9 @@ class TransnormalityReport:
     verdict: bool
 
     def to_dict(self):
-        return {
-            "sample_count": self.sample_count,
-            "b_table": [
-                {"level": lvl, "values": list(vals)} for lvl, vals in self.b_table
-            ],
-            "spread_per_level": self.spread_per_level,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "b_fit"}
+        data["b_table"] = [{"level": lvl, "values": list(vals)} for lvl, vals in self.b_table]
+        return data
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,18 +134,7 @@ class DistanceCheck:
     per_probe_lengths: List[float]
 
     def to_dict(self):
-        return {
-            "geodesic_distance": self.geodesic_distance,
-            "quadrature_distance": self.quadrature_distance,
-            "defect": self.defect,
-            "c_requested": self.c_requested,
-            "d_requested": self.d_requested,
-            "c_effective": self.c_effective,
-            "d_effective": self.d_effective,
-            "tail_lower": self.tail_lower,
-            "tail_upper": self.tail_upper,
-            "per_probe_lengths": list(self.per_probe_lengths),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,12 +151,7 @@ class HessianIdentityReport:
     verdict: bool
 
     def to_dict(self):
-        return {
-            "max_defect": self.max_defect,
-            "samples": self.samples,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,19 +169,8 @@ class MorseBottReport:
     verdict: bool
 
     def to_dict(self):
-        return {
-            "critical_points": [list(map(float, p)) for p in self.critical_points],
-            "critical_values": list(self.critical_values),
-            "hessians": [[list(map(float, row)) for row in h] for h in self.hessians],
-            "kernel_dims": list(self.kernel_dims),
-            "tangent_dims": list(self.tangent_dims),
-            "codimensions": list(self.codimensions),
-            "transversal_nondegenerate": self.transversal_nondegenerate,
-            "b_prime_at_end": list(self.b_prime_at_end),
-            "hess_unit_values": list(self.hess_unit_values),
-            "hess_vs_half_bprime_defect": self.hess_vs_half_bprime_defect,
-            "verdict": self.verdict,
-        }
+        # points, Hessians and lists of numbers as nested lists of Python numbers
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -246,24 +211,32 @@ def check_transnormal(
 ) -> TransnormalityReport:
     """Bin F(grad f)^2 by f-value and measure the within-level spread.
 
-    A point with |df| >= REGULAR_POINT_NORM takes one differential and one closed-form
-    co-norm, b = F*(df)^2 = F(grad f)^2; custom norms take `finsler_gradient`
-    (Newton). Samples sorted by (f, b) fall into bins of ``bin_width`` from the
-    smallest f; a bin's level is its median f, its spread the range of its b,
-    and the fit runs through the bin medians of b.
+    The points take one differential each, and those with |df| >= REGULAR_POINT_NORM
+    one closed-form co-norm call (`Metric.co_norms`), b = F*(df)^2 = F(grad f)^2;
+    custom norms take `finsler_gradient` (Newton). Samples sorted by (f, b) fall
+    into bins of ``bin_width`` from the smallest f; a bin's level is its median f,
+    its spread the range of its b, and the fit runs through the bin medians of b.
     """
-    ts, bs = [], []
-    for p in np.asarray(points, dtype=float):
-        df = np.asarray(field.differential(p), dtype=float)
-        if float(np.linalg.norm(df)) < REGULAR_POINT_NORM:
-            continue
-        closed = metric.legendre_inverse(p, df)
-        ts.append(field.value(p))
-        bs.append(pointwise_b(metric, field, p) if closed is None else closed[1] ** 2)
-    if not ts:
+    # a pass stops at its first failing point; that error waits for later passes over earlier points
+    points = np.asarray(points, dtype=float)
+    (dfs,), error = _rows_of(points, (field.differential, (metric.dim,)))
+    # |df| as np.linalg.norm takes it, the square root of the dot product
+    regular = ~(np.sqrt((dfs[:, None, :] @ dfs[:, :, None])[:, 0, 0]) < REGULAR_POINT_NORM)
+    points, dfs = points[: len(dfs)][regular], dfs[regular]
+    (ts,), value_error = _rows_of(points, (field.value, ()))
+    error = value_error or error
+    if error is None and not ts.size:
         raise EmptySample("no regular points to sample the transnormality profile")
+    rows = ts.size + (value_error is not None)  # a point's co-norm comes before its value
+    b = metric.co_norms(points[:rows], dfs[:rows])
+    # Newton per point without a closed form; Python float squares, as numpy's
+    # b ** 2 differs from them in the last bit
+    bs = ([pointwise_b(metric, field, p) for p in points[: ts.size]] if b is None
+          else [v**2 for v in b[: ts.size].tolist()])
+    if error is not None:
+        raise error
     order = np.lexsort((bs, ts))
-    ts, bs = np.array(ts)[order], np.array(bs)[order]
+    ts, bs = ts[order], np.array(bs)[order]
     t_range = float(ts[-1] - ts[0])
     if bin_width is None:
         bin_width = max(1e-3, t_range / 200.0) if t_range > 0 else 1e-3
@@ -346,7 +319,8 @@ def trace_f_segment(
 
     The flow x' = +-grad f / F(grad f) is marched on x by the adaptive
     Dormand-Prince 5(4) step loop of the level march
-    (`geodesics._accepted_steps`), at the same error control; ``step`` is
+    (`geodesics._accepted_steps`), at the same error control, reading v and F
+    from the gradient core that `finsler_gradient` wraps; ``step`` is
     the resolution of a chart exit, as there. A level crossing or the
     ``f_stop`` point is located as the level march locates its crossing
     (`geodesics._locate`), and its velocity is the flow at the located
@@ -368,8 +342,8 @@ def trace_f_segment(
     metric_eff = metric if direction == "forward" else metric.reverse()
 
     def flow(x, out):
-        res = finsler_gradient(metric, field, x)
-        out[:] = sign * res.gradient.vector / res.finsler_norm
+        v, norm, _, _ = _gradient(metric, field, x)
+        out[:] = sign * v / norm
         return out
 
     start = np.asarray(start, dtype=float)

@@ -6,6 +6,7 @@ import pytest
 from finsler_lab import numdiff
 from finsler_lab.calculus import (
     ScalarField,
+    _gradient,
     check_randers_gradient_lemma,
     coordinate_hessian_at_critical,
     finsler_gradient,
@@ -14,7 +15,8 @@ from finsler_lab.calculus import (
     legendre_inverse,
 )
 from finsler_lab.errors import (
-    CriticalPoint, NoConvergence, NotCritical, SingularTensor, ZeroVector,
+    CriticalPoint, DimensionMismatch, EvalError, NoConvergence, NotCritical, SingularTensor,
+    ZeroVector,
 )
 from finsler_lab.expressions import parse_expression
 from finsler_lab.metrics import (
@@ -160,6 +162,35 @@ def test_gradient_defining_property(disc_scenario, paraboloid, rng):
 def test_gradient_critical_point(paraboloid):
     with pytest.raises(CriticalPoint):
         finsler_gradient(euclidean_metric(2), paraboloid, np.zeros(2))
+
+
+def test_gradient_core_is_what_the_gradient_result_holds(disc_scenario, paraboloid):
+    # finsler_gradient wraps the core: the same v, F, h^-1 df and iterations,
+    # and the same error where a check of the result's vectors fails
+    chart = disc_scenario.chart
+    custom = CustomMetric(lambda x, y: chart.metric.norm(x, y), 2)
+    p = np.array([0.3, -0.2])
+    for metric in (chart.metric, chart.metric.reverse(), euclidean_metric(2), custom):
+        v, F, hw, iterations = _gradient(metric, paraboloid, p)
+        res = finsler_gradient(metric, paraboloid, p)
+        assert np.array_equal(v, res.gradient.vector) and F == res.finsler_norm
+        assert iterations == res.newton_iterations and (iterations > 0) == (metric is custom)
+        assert (hw is None) == (res.riemannian_gradient is None)
+        assert hw is None or np.array_equal(hw, res.riemannian_gradient.vector)
+    infinite = ScalarField(lambda p: 0.0, lambda p: np.array([np.inf, 0.0]))
+    planar = ScalarField(lambda p: 0.0, lambda p: np.array([1.0, 0.0]))
+    for field, point, error, text in (
+        (paraboloid, np.zeros(2), CriticalPoint, "|df| = 0.0 below 1e-12 at [0. 0.]"),
+        (infinite, p, DimensionMismatch, "[inf nan]"),  # h^-1 df, checked before v
+        (planar, np.array([0.3, 0.1, 0.0]), DimensionMismatch, "point dimension 3"),
+        (chart.field, np.array([np.nan, 0.1]), EvalError, "(nan, 0.1)"),
+    ):
+        raised = []
+        for call in (_gradient, finsler_gradient):
+            with pytest.raises(error) as err:
+                call(chart.metric, field, point)
+            raised.append(str(err.value))
+        assert raised[0] == raised[1] and text in raised[0]
 
 
 @pytest.mark.parametrize("dim", [2, 3])

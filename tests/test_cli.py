@@ -366,6 +366,22 @@ def test_non_finite_stage_field_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure: EvalError: non-finite value")
 
 
+def test_non_finite_stage_field_names_its_entry(tmp_path, capsys):
+    # of the 18 entries of the stage's one call only the wind's x-derivative
+    # is non-finite at x = 1e-320; the point reads as plain floats
+    text = SINGULAR_H_TEXT.replace("kind = riemannian", "kind = randers")
+    text = text.replace("h = 1, 0 ; 0, (x - 0.5)^2", "h = 1, 0 ; 0, 1\nwind = 0.05 * x * ln(x), 0")
+    path = tmp_path / "log-wind.scn"
+    path.write_text(text)
+    code = run(tmp_path, "dump-geodesic", "--scenario", str(path), "--start=1e-320,0.5",
+               "--velocity=0,1", "--t-end", "0.1")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: EvalError: non-finite value for "
+        "'0.05 * ln(x) + 0.05 * x * (1.0 / x)' at (1e-320, 0.5)\n"
+    )
+
+
 def test_numerical_failure_exits_three(tmp_path):
     # no critical point exists for the linear field
     assert run(tmp_path, "check-morse-bott", "--example", "euclidean-linear") == 3

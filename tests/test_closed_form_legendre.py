@@ -23,7 +23,9 @@ from finsler_lab.calculus import (
     _newton_inverse,
     finsler_gradient,
 )
-from finsler_lab.errors import DimensionMismatch, NonConvexWind, ZeroVector
+from finsler_lab.errors import (
+    DimensionMismatch, EvalError, FinslerError, NonConvexWind, SingularTensor, ZeroVector,
+)
 from finsler_lab.metrics import (
     CustomMetric,
     RandersMetric,
@@ -224,3 +226,122 @@ def test_wind_at_validation_margin():
     v, F, _ = inside.legendre_inverse(ORIGIN, np.array([0.3, 1.0]))
     assert np.all(np.isfinite(v)) and F > 0.0
     assert legendre_residual(inside, ORIGIN, v, np.array([0.3, 1.0])) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# stacked co-norms against the one-point closed form
+
+
+def _co_norm_rows(metric, points, covectors):
+    """F*(w) from one ``legendre_inverse`` per row: the reference of ``co_norms``."""
+    return np.array([metric.legendre_inverse(x, w)[1] for x, w in zip(points, covectors)])
+
+
+def _raised(call):
+    with pytest.raises(FinslerError) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+def _domain_points(domain, rng, count):
+    """Uniform points of a chart's domain, drawn in its sample grid's bounding box."""
+    grid = domain.sample_grid(9)
+    points = rng.uniform(grid.min(axis=0), grid.max(axis=0), size=(4 * count, grid.shape[1]))
+    points = points[domain.contains(points)][:count]
+    assert len(points) == count
+    return points
+
+
+def _random_randers(n, rng):
+    """A Randers metric of dimension n from random x-dependent Zermelo callables."""
+    B = rng.normal(size=(n, n))
+    h0 = B @ B.T + 0.5 * np.eye(n)
+    D = rng.normal(size=(n, n, n))
+    w = rng.normal(size=n)
+    w *= math.sqrt(rng.uniform(0.0, 0.8) / float(w @ h0 @ w))
+    return RandersMetric(
+        lambda x: h0 + np.einsum("k,kij->ij", x, D + D.transpose(0, 2, 1)),
+        lambda x, V=0.1 * rng.normal(size=(n, n)): w + x @ V,
+        n,
+    )
+
+
+def test_co_norms_match_legendre_inverse_row_by_row(
+    disc_scenario, sphere_scenario, minkowski_scenario, rng
+):
+    cases = []
+    charts = [sphere_scenario.charts[name] for name in ("band", "north-cap", "south-cap")]
+    for chart in charts + [disc_scenario.chart, minkowski_scenario.chart]:
+        points = _domain_points(chart.domain, rng, 200)
+        cases += [(m, points) for m in (chart.metric, chart.metric.reverse())]
+        cases.append((ReverseMetric(chart.metric), points))
+    for n in (1, 2, 3):
+        points = rng.uniform(-0.1, 0.1, size=(60, n))
+        H = rng.normal(size=(n, n))
+        cases += [
+            (_random_randers(n, rng), points),
+            (RandersMetric.constant_wind(rng.uniform(-0.5, 0.5, size=n) / n), points),
+            (RiemannianMetric.constant(H @ H.T + np.eye(n)), points),
+        ]
+    for metric, points in cases:
+        scales = 10.0 ** rng.uniform(-6, 3, size=(len(points), 1))
+        covectors = rng.normal(size=points.shape) * scales
+        b = metric.co_norms(points, covectors)
+        assert b.dtype == float and b.shape == (len(points),)
+        assert np.array_equal(b, _co_norm_rows(metric, points, covectors)), metric.kind
+        assert metric.co_norms(points[:0], covectors[:0]).shape == (0,)
+        with pytest.raises(DimensionMismatch):
+            metric.co_norms(points, covectors[:, :0])
+
+
+def test_co_norms_none_without_closed_form(halfwind_custom):
+    points = np.zeros((3, 2))
+    covectors = np.ones((3, 2))
+    assert halfwind_custom.co_norms(points, covectors) is None
+    assert ReverseMetric(halfwind_custom).co_norms(points, covectors) is None
+
+
+def test_co_norms_raise_at_the_first_bad_row():
+    def h(x):
+        # x[0] > 0.5: h(W, W) = 1 - 1e-6 for W = e_0, on the wind margin;
+        # x[1] < 0: h(e_1, e_1) = (x[1] + 0.5)^2 - 1e-4 < 0 near x[1] = -0.5,
+        # the indefinite h of the scenario that the grid validation misses
+        return np.diag([1.0 - (1e-6 if x[0] > 0.5 else 2e-6), (x[1] + 0.5) ** 2 - 1e-4])
+
+    def wind(x):
+        if x[0] < 0.0:
+            raise EvalError(f"wind undefined at {x}")
+        return np.array([1.0, 0.0])
+
+    randers = RandersMetric(h, wind, 2)
+    ok, strong, indefinite, undefined = [0.1, 0.2], [0.9, 0.2], [0.1, -0.5], [-0.1, 0.2]
+    covectors = np.ones((5, 2))
+    # (rows, zero covector row or None, error): the first bad row wins, whatever its kind
+    for rows, zero, error in (
+        ([ok, ok, strong, indefinite, undefined], None, NonConvexWind),
+        ([ok, indefinite, strong, ok, undefined], None, SingularTensor),
+        ([ok, ok, undefined, strong, indefinite], None, EvalError),
+        ([ok, ok, ok, indefinite, strong], 1, ZeroVector),
+        ([ok, indefinite, ok, ok, strong], 2, SingularTensor),
+        ([ok, ok, ok, ok, ok], 4, ZeroVector),
+    ):
+        points, w = np.array(rows, dtype=float), covectors.copy()
+        if zero is not None:
+            w[zero] = 0.0
+        raised = _raised(lambda: randers.co_norms(points, w))
+        assert raised == _raised(lambda: _co_norm_rows(randers, points, w))
+        assert raised[0] is error
+    # inside the margin the rows are as the one-point closed form gives them
+    points = np.array([ok, [0.3, 0.0]])
+    assert np.array_equal(randers.co_norms(points, covectors[:2]),
+                          _co_norm_rows(randers, points, covectors[:2]))
+    # in 3-D the rows are solved one by one, up to the first indefinite h
+    indefinite_3d = RandersMetric(
+        lambda x: np.diag([1.0, 1.0, np.sign(x[2])]), lambda x: np.zeros(3), 3
+    )
+    points = np.array([[0, 0, 1], [0, 0, 1], [0, 0, -1], [0, 0, 1]], dtype=float)
+    w = np.ones((4, 3))
+    w[3] = 0.0
+    raised = _raised(lambda: indefinite_3d.co_norms(points, w))
+    assert raised == _raised(lambda: _co_norm_rows(indefinite_3d, points, w))
+    assert raised[0] is SingularTensor

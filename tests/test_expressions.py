@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from finsler_lab import numdiff
@@ -148,3 +149,23 @@ def test_compiled_sequence_errors():
         overflow((10.0,))
     with pytest.raises(EvalError):
         compile_expression([parse_expression("x"), parse_expression("z")], 2)
+
+
+def test_compiled_sequence_error_names_only_the_failing_entries():
+    # a combined call names the entries that fail, not all of them, and the
+    # point as plain floats, whatever array it came in
+    trees = [parse_expression(t) for t in ("1", "ln(x)", "x * 1e308", "sqrt(y)", "1 / x")]
+    fused = compile_expression(trees, 2)
+    with pytest.raises(EvalError) as err:
+        fused(np.array([10.0, 1.0]))
+    assert str(err.value) == "non-finite value for 'x * 1e+308' at (10.0, 1.0)"
+    with pytest.raises(EvalError) as err:
+        fused(np.array([0.0, -1.0]))
+    assert str(err.value) == (
+        "cannot evaluate 'ln(x), sqrt(y), 1.0 / x' at (0.0, -1.0): math domain error"
+    )
+    assert isinstance(err.value.__cause__, ValueError)
+    single = compile_expression(trees[1], 2)
+    with pytest.raises(EvalError) as err:
+        single(np.array([-1.0, 0.5]))
+    assert str(err.value) == "cannot evaluate 'ln(x)' at (-1.0, 0.5): math domain error"

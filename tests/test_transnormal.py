@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from finsler_lab import geodesics, transnormal
-from finsler_lab.calculus import ScalarField
+from finsler_lab.calculus import REGULAR_POINT_NORM, ScalarField, finsler_gradient
 from finsler_lab.errors import (
+    CriticalPoint,
     EmptySample,
+    EvalError,
+    FinslerError,
     IntervalContainsCriticalValue,
     NoCriticalPoint,
 )
@@ -164,6 +167,52 @@ def test_tied_levels_bin_like_pointwise_reference(shear_metric, pointwise_check_
     assert report.spread_per_level == pytest.approx(1.48**2 - 0.76**2, rel=1e-12)
 
 
+def _former_sample_loop(metric, field, points):
+    """The per-point pass the stacked one replaced: df, the |df| filter, the
+    one-point co-norm, then f, point by point; returns the raised error."""
+    with pytest.raises(FinslerError) as err:
+        for p in points:
+            df = np.asarray(field.differential(p), dtype=float)
+            if float(np.linalg.norm(df)) < REGULAR_POINT_NORM:
+                continue
+            metric.legendre_inverse(p, df)
+            field.value(p)
+    return type(err.value), str(err.value)
+
+
+def test_profile_sampling_raises_at_the_first_bad_point(disc_scenario):
+    # the differential fails where x > 0.8, the value where y > 0.8 and the
+    # wind is too strong where x < -0.5; the scalar loop meets, at one point,
+    # df, then the co-norm, then f
+    from finsler_lab.metrics import RandersMetric
+
+    def guarded(fn, bad):
+        def call(p):
+            if bad(p):
+                raise EvalError(f"undefined at {p}")
+            return fn(p)
+        return call
+
+    disc = disc_scenario.chart.field
+    field = ScalarField(guarded(disc.value, lambda p: p[1] > 0.8),
+                        guarded(disc.differential, lambda p: p[0] > 0.8))
+    metric = RandersMetric(lambda x: np.eye(2),
+                           lambda x: np.array([1.0 if x[0] < -0.5 else 0.5, 0.0]), 2)
+    ok, no_df, no_f, strong, flat = [0.3, 0.2], [0.9, 0.9], [0.1, 0.9], [-0.6, 0.9], [0.0, 0.0]
+    for rows in (
+        [ok, flat, no_df, strong, no_f],
+        [ok, flat, strong, no_df, no_f],
+        [ok, no_f, strong, no_df],
+    ):
+        points = np.array(rows, dtype=float)
+        raised = _former_sample_loop(metric, field, points)
+        with pytest.raises(FinslerError) as err:
+            check_transnormal(metric, field, points)
+        assert (type(err.value), str(err.value)) == raised
+    with pytest.raises(EmptySample):
+        check_transnormal(metric, field, np.array([flat]))
+
+
 @pytest.mark.parametrize(
     "wind, expression",
     [([0.4], "2*x"), ([0.3, 0.1, 0.0], "x + 2*y - z")],
@@ -287,13 +336,64 @@ def test_segment_crossings_match_bisection(
     assert abs(chart.field.value(traj.points[-1]) - stop) <= 1e-13
 
 
+def _segment_bits(seg):
+    """Every array and number of a segment, as bytes and floats."""
+    traj = seg.trajectory
+    arrays = (traj.times, traj.points, traj.velocities, traj.arc_lengths)
+    crossings = [(c.level_value, c.time, c.arc_length, c.orthogonality_defect,
+                  c.point.tobytes(), c.velocity.tobytes()) for c in seg.level_crossings]
+    return ([a.tobytes() for a in arrays], crossings, seg.reparametrization_residual,
+            seg.geodesic_residual, seg.monotone)
+
+
+def test_segment_flow_matches_the_gradient_result_flow(disc_scenario, monkeypatch):
+    # the flow reads v and F from the gradient core; reading them from a full
+    # GradientResult, as it did, gives the same segment bit for bit, for the
+    # closed form forward and backward and for a custom norm's Newton solve
+    chart = disc_scenario.chart
+    custom = CustomMetric(lambda x, y: chart.metric.norm(x, y), 2)
+
+    def from_result(metric, field, x):
+        res = finsler_gradient(metric, field, x)
+        return res.gradient.vector, res.finsler_norm, None, res.newton_iterations
+
+    cases = [
+        (chart.metric, [0.2, 0.0], "forward", dict(record_levels=(0.09, 0.16), f_stop=0.25)),
+        (chart.metric, [0.4, 0.2], "backward", dict(record_levels=(0.1, 0.05), f_stop=0.02)),
+        (chart.metric, [0.3, -0.1], "forward", dict(t_max=0.2)),
+        (custom, [0.2, 0.1], "forward", dict(f_stop=0.09)),
+    ]
+    for metric, start, direction, options in cases:
+        args = (metric, chart.field, start, direction)
+        with monkeypatch.context() as patch:
+            if metric is custom:  # a custom norm has no spray to check the segment against
+                patch.setattr(transnormal, "spray_coefficients", lambda m, v: np.zeros(2))
+            seg = trace_f_segment(*args, domain=chart.domain, **options)
+            patch.setattr(transnormal, "_gradient", from_result)
+            reference = trace_f_segment(*args, domain=chart.domain, **options)
+        assert _segment_bits(seg) == _segment_bits(reference), (metric.kind, direction)
+
+
+def test_segment_from_a_critical_point_raises(disc_scenario, tmp_path, capsys):
+    from finsler_lab.cli import main
+
+    chart = disc_scenario.chart
+    for direction in ("forward", "backward"):
+        with pytest.raises(CriticalPoint, match=r"\|df\| = 0\.0 below 1e-12 at \[0\. 0\.\]"):
+            trace_f_segment(chart.metric, chart.field, [0.0, 0.0], direction)
+    argv = ["trace-segment", "--example", "disc-radial", "--start=0,0", "--stop", "0.16"]
+    assert main([*argv, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: CriticalPoint: |df| = 0.0")
+
+
 def test_segment_step_costs_four_gradients(disc_scenario, monkeypatch):
     # one gradient at the start, one for the first trial step, and six per
     # Dormand-Prince step (five stages and the derivative at its end); the
-    # last step ends on t_max, so no sub-step is taken
+    # last step ends on t_max, so no sub-step is taken. The flow calls the
+    # gradient core that finsler_gradient wraps
     chart = disc_scenario.chart
     calls, steps = [], []
-    gradient = transnormal.finsler_gradient
+    gradient = transnormal._gradient
     dp5_stages = geodesics._dp5_stages
 
     def counted(*args, **kwargs):
@@ -304,7 +404,7 @@ def test_segment_step_costs_four_gradients(disc_scenario, monkeypatch):
         steps.append(h)
         return dp5_stages(rhs, z, k1, h)
 
-    monkeypatch.setattr(transnormal, "finsler_gradient", counted)
+    monkeypatch.setattr(transnormal, "_gradient", counted)
     monkeypatch.setattr(geodesics, "_dp5_stages", counted_steps)
     seg = trace_f_segment(
         chart.metric, chart.field, [0.2, 0.0], "forward",
