@@ -546,7 +546,7 @@ def _rows_of(points, *fields):
     except FinslerError as exc:
         undefined = exc
     stacked = tuple(
-        np.array(column, dtype=float).reshape(-1, *shape)
+        np.array(column, dtype=float).reshape(len(column), *shape)
         for column, (_, shape) in zip(columns, fields)
     )
     return stacked, undefined

@@ -211,6 +211,11 @@ def test_profile_sampling_raises_at_the_first_bad_point(disc_scenario):
         assert (type(err.value), str(err.value)) == raised
     with pytest.raises(EmptySample):
         check_transnormal(metric, field, np.array([flat]))
+    # a differential of another dimension than the metric's is refused, not re-rowed
+    for size in (1, 3):
+        short = ScalarField(disc.value, lambda p, size=size: np.ones(size))
+        with pytest.raises(ValueError, match="cannot reshape"):
+            check_transnormal(metric, short, np.array([ok, ok]))
 
 
 @pytest.mark.parametrize(
