@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import CriticalPoint, NoConvergence, NotCritical, ZeroVector
-from .expressions import VARIABLES, compile_expression
+from .expressions import VARIABLES, compile_expression, compile_rows
 from .metrics import Covector, Metric, RandersMetric, TangentVector, attached
 
 # band below which a differential counts as critical for gradient solves
@@ -32,12 +32,14 @@ NEWTON_BUDGET = 50
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Scalar function with evaluation and derivative oracles."""
+    """Scalar function with evaluation and derivative oracles, and optional row forms."""
 
     value: Callable[[np.ndarray], float]
     differential: Callable[[np.ndarray], np.ndarray]
     name: str = "f"
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    value_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    differential_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @classmethod
     def from_expression(cls, expr, dim, name="f"):
@@ -54,7 +56,8 @@ class ScalarField:
             H = np.array(hess_fn(p)).reshape(dim, dim)
             return 0.5 * (H + H.T)
 
-        return cls(value=value, differential=differential, hessian=hessian, name=name)
+        return cls(value=value, differential=differential, hessian=hessian, name=name,
+                   value_rows=compile_rows(expr, dim), differential_rows=compile_rows(grads, dim))
 
 
 @dataclass(frozen=True, eq=False)

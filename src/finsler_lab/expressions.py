@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -387,10 +388,15 @@ def _eval(node, env):
     if isinstance(node, Div):
         return _eval(node.left, env) / _eval(node.right, env)
     if isinstance(node, Pow):
-        return _eval(node.base, env) ** _eval(node.exponent, env)
+        return _real_pow(node.exponent)(_eval(node.base, env), _eval(node.exponent, env))
     if isinstance(node, Call):
         return _MATH[node.func](_eval(node.arg, env))
     raise TypeError(f"unknown node {node!r}")
+
+
+def _real_pow(exponent):
+    """``**`` to an integral constant, else math.pow, which raises where ``**`` turns complex."""
+    return operator.pow if _is_const(exponent) and exponent.value.is_integer() else math.pow
 
 
 def _collect_vars(node, out):
@@ -473,7 +479,7 @@ def _pow(a, b):
         return Const(1.0)
     if isinstance(a, Const) and isinstance(b, Const):
         try:
-            return Const(a.value**b.value)
+            return Const(_real_pow(b)(a.value, b.value))
         except (ValueError, OverflowError, ZeroDivisionError):
             return Pow(a, b)
     return Pow(a, b)
@@ -550,7 +556,8 @@ def _codegen(node):
     if isinstance(node, Div):
         return f"({_codegen(node.left)} / {_codegen(node.right)})"
     if isinstance(node, Pow):
-        return f"({_codegen(node.base)} ** {_codegen(node.exponent)})"
+        form = "({} ** {})" if _real_pow(node.exponent) is operator.pow else "_fpow({}, {})"
+        return form.format(_codegen(node.base), _codegen(node.exponent))
     if isinstance(node, Call):
         return f"_{node.func}({_codegen(node.arg)})"
     raise TypeError(f"unknown node {node!r}")
@@ -560,21 +567,14 @@ def compile_expression(node, dim):
     """Compile a tree to a fast ``f(coords) -> float`` callable.
 
     A sequence of trees compiles to one generated function returning a tuple
-    of floats, one per tree, so a whole field costs one call per point. The
-    compiled form is used inside integrator loops; the tree-walking
-    ``evaluate`` stays available as the slow reference implementation.
+    of floats, one per tree, so a whole field costs one call per point, and
+    ``compile_rows`` gives it at a stack of points in one call. The compiled
+    form is used inside integrator loops; the tree-walking ``evaluate`` stays
+    available as the slow reference implementation.
     """
     single = isinstance(node, Expr)
     nodes = (node,) if single else tuple(node)
-    extra = set().union(*(e.variables() for e in nodes)) - set(VARIABLES[:dim])
-    if extra:
-        raise EvalError(f"expression uses {sorted(extra)} outside dimension {dim}")
-    args = ", ".join(f"_c{i}" for i in range(dim))
-    body = "".join(f"{_codegen(e)}, " for e in nodes)
-    source = f"def _expr_fn({args}):\n    return ({body})\n"
-    namespace = {f"_{name}": fn for name, fn in _MATH.items()}
-    exec(source, namespace)  # noqa: S102 - generated from our own AST only
-    raw = namespace["_expr_fn"]
+    raw = _generate(nodes, dim)
 
     def wrapped(coords):
         try:
@@ -591,6 +591,37 @@ def compile_expression(node, dim):
         return val[0] if single else val
 
     return wrapped
+
+
+def compile_rows(node, dim):
+    """The row form of ``compile_expression``: ``rows(points)`` is the (k, m) array of the
+    m trees at the k rows of points, each value bitwise the one-point value, from one list
+    comprehension generated on the first call; None where a tree is undefined or not finite
+    at some row, which only the one-point calls name."""
+    nodes = (node,) if isinstance(node, Expr) else tuple(node)
+    generated = functools.cache(lambda: _generate(nodes, dim, rows=True))
+
+    def rows(points):
+        try:
+            values = np.array(generated()(np.asarray(points, dtype=float).tolist()), dtype=float)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            return None
+        return values.reshape(len(values), len(nodes)) if np.isfinite(values).all() else None
+
+    return rows
+
+
+def _generate(nodes, dim, rows=False):
+    """The trees' values at the coordinates, or with ``rows`` at each point of a list."""
+    extra = set().union(*(e.variables() for e in nodes)) - set(VARIABLES[:dim])
+    if extra:
+        raise EvalError(f"expression uses {sorted(extra)} outside dimension {dim}")
+    args = "".join(f"_c{i}, " for i in range(dim))
+    values = "(" + "".join(f"{_codegen(e)}, " for e in nodes) + ")"
+    head, body = ("_points", f"[{values} for {args}in _points]") if rows else (args, values)
+    namespace = {f"_{name}": fn for name, fn in _MATH.items()} | {"_fpow": math.pow}
+    exec(f"def _generated({head}):\n    return {body}\n", namespace)  # noqa: S102
+    return namespace["_generated"]
 
 
 def _at(nodes, coords):

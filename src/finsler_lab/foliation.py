@@ -26,7 +26,7 @@ from .geodesics import (
     point_at_time,
     tangent_basis_from_differential,
 )
-from .metrics import Metric, TangentVector
+from .metrics import Metric, TangentVector, _rows_of
 
 LEVEL_PROJECTION_TOL = 1e-10
 NEWTON_PROJECTION_TOL = 1e-12
@@ -160,7 +160,9 @@ def level_points(
     else:
         per_axis = max(12, int(np.ceil(2.0 * np.sqrt(n))))
         grid = domain.sample_grid(per_axis)
-        values = np.array([field.value(p) for p in grid])
+        (values,), error = _rows_of(grid, (field.value, ()), rows=field.value_rows)
+        if error is not None:
+            raise error
         if np.all(values > c) or np.all(values < c):
             raise LevelNotFound(
                 f"level {c} not bracketed on the domain grid "

@@ -238,12 +238,14 @@ class RandersMetric(Metric):
     The spray stage reads ``fields(x)``, the flat (h, W, dh, dW) of
     ``expressions.randers_stage``; by default it is joined from the four
     callables, with a derivative not given taken by central differences.
+    ``rows``, if given, is the row form of h and W for ``_rows_of``.
     """
 
     kind = "randers"
 
-    def __init__(self, h, wind, dim, dh=None, dwind=None, fields=None):
+    def __init__(self, h, wind, dim, dh=None, dwind=None, fields=None, rows=None):
         self.dim = dim
+        self._rows = rows
         self._h = h
         self._wind = wind
         if fields is None:
@@ -311,7 +313,8 @@ class RandersMetric(Metric):
         """(H, W, Wl, s) as ``_zermelo_data`` makes them, up to the first point where a field
         is undefined or the wind too strong, and its error (else None), for the caller to
         raise after its checks of the rows before it."""
-        (H, W), error = _rows_of(points, (self._h, (self.dim,) * 2), (self._wind, (self.dim,)))
+        (H, W), error = _rows_of(points, (self._h, (self.dim,) * 2), (self._wind, (self.dim,)),
+                                 rows=self._rows)
         H = H[: len(W)]
         # _zermelo_data's running sums, left to right from 0.0
         Wl = sum((H[:, :, j] * W[:, j, None] for j in range(self.dim)), 0.0)
@@ -406,7 +409,7 @@ class RandersMetric(Metric):
         return _zermelo_inverse(H, W, w, x)
 
     def reverse(self):
-        n, wind, fields = self.dim, self._wind, self._fields
+        n, wind, fields, rows = self.dim, self._wind, self._fields, self._rows
         # the W and dW slices of (h, W, dh, dW) change sign; 1.0 * v is v
         signs = [1.0] * (n * n) + [-1.0] * n + [1.0] * n**3 + [-1.0] * (n * n)
         return RandersMetric(
@@ -414,6 +417,7 @@ class RandersMetric(Metric):
             lambda x: -np.asarray(wind(x), dtype=float),
             n,
             fields=lambda x: list(map(mul, signs, fields(x))),
+            rows=rows and (lambda p: None if (r := rows(p)) is None else r * signs[: n * n + n]),
         )
 
 
@@ -529,14 +533,19 @@ def _row_pairs(dim, points, vectors):
     return points, vectors
 
 
-def _rows_of(points, *fields):
+def _rows_of(points, *fields, rows=None):
     """Each (field, shape) at each point, stacked into (k, *shape) arrays.
 
-    The fields are called point by point and in order, up to the first call
-    that raises a ``FinslerError``. That error is returned with the arrays
-    (else None), for the caller to raise after the checks that come before
-    it; a field called before the failing one holds that point's value too.
+    They are split from ``rows(points)``, every field flat and in order, unless that
+    is None. Else the fields are called point by point and in order, up to the first
+    call that raises a ``FinslerError``. That error is returned with the arrays (else
+    None), for the caller to raise after the checks that come before it; a field
+    called before the failing one holds that point's value too.
     """
+    flat = None if rows is None else rows(points)
+    if flat is not None:
+        columns = np.split(flat, np.cumsum([math.prod(s) for _, s in fields])[:-1], axis=1)
+        return tuple(c.reshape(len(c), *s) for c, (_, s) in zip(columns, fields)), None
     columns = [[] for _ in fields]
     undefined = None
     try:

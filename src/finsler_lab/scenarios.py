@@ -26,7 +26,7 @@ import numpy as np
 from .calculus import ScalarField
 from .domains import BoxDomain, DiscDomain, Domain
 from .errors import ParseError, ValidationError
-from .expressions import VARIABLES, Expr, compile_expression, parse_expression
+from .expressions import VARIABLES, Expr, compile_expression, compile_rows, parse_expression
 from .metrics import Metric, RandersMetric, RiemannianMetric, _rows_of
 
 WIND_VALIDATION_LIMIT = 1.0 - 1e-6
@@ -288,14 +288,13 @@ def _validate_config(config: ScenarioConfig):
     domain = build_domain(config)
     samples = domain.sample_grid(_VALIDATION_GRID)
     n = config.dimension
-    h_fn = compile_expression([e for row in config.h_entries for e in row], n)
-    wind_fn = compile_expression(config.wind_entries, n) if config.wind_entries else None
-    # one generated call per field per sample; the checks then take every
-    # sample at once. A sample fails at its first failing check, in the
-    # order: h undefined, h asymmetric, h not positive definite, wind
-    # undefined; the first failing sample is reported.
-    fields = [(h_fn, (n, n))] + ([(wind_fn, (n,))] if wind_fn is not None else [])
-    (H, *wind), undefined = _rows_of(samples, *fields)
+    h, w = [e for row in config.h_entries for e in row], list(config.wind_entries or ())
+    # one generated call for all samples (per field and sample if one is
+    # undefined); the checks then take every sample at once. A sample fails at
+    # its first failing check, in the order: h undefined, h asymmetric, h not
+    # positive definite, wind undefined; the first failing sample is reported.
+    fields = [(compile_expression(e, n), s) for e, s in ((h, (n, n)), (w, (n,))) if e]
+    (H, *wind), undefined = _rows_of(samples, *fields, rows=compile_rows(h + w, n))
     asymmetric = np.flatnonzero((H != H.transpose(0, 2, 1)).any(axis=(1, 2)))
     symmetric = len(H) if asymmetric.size == 0 else asymmetric[0]
     eigs = np.linalg.eigvalsh(H[:symmetric])
@@ -309,7 +308,7 @@ def _validate_config(config: ScenarioConfig):
         raise ValidationError(f"h is not symmetric at {samples[asymmetric[0]]}")
     if undefined is not None:
         raise undefined
-    if wind_fn is not None:
+    if w:
         (W,) = wind
         hww = (W[:, None, :] @ H @ W[:, :, None])[:, 0, 0]
         # fmax, like a running max(), passes over nan
@@ -391,7 +390,8 @@ def build_metric(config: ScenarioConfig) -> Metric:
         return RiemannianMetric(_array_field(h, (n, n)), n, _array_field(dh, (n, n, n)))
     # the spray stage's (h, W, dh, dW) in one generated call per point
     fields = _flat_field(h + w + dh + dw, n)
-    return RandersMetric(_array_field(h, (n, n)), _array_field(w, (n,)), n, fields=fields)
+    return RandersMetric(_array_field(h, (n, n)), _array_field(w, (n,)), n, fields=fields,
+                         rows=compile_rows(h + w, n))
 
 
 def build_chart(config: ScenarioConfig, name: str = "main") -> Chart:

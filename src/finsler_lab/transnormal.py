@@ -180,15 +180,20 @@ class MorseBottReport:
 def regular_sampler(domain: Domain, field: ScalarField, n_target: int = 250):
     """Deterministic grid points of the domain with |df| >= REGULAR_POINT_NORM."""
     per_axis = max(6, int(np.ceil(np.sqrt(n_target * 1.3))))
-    keep = []
-    for p in domain.sample_grid(per_axis):
-        try:
-            df = np.asarray(field.differential(p))
-        except EvalError:  # df undefined there, as at the centre of a norm distance
-            continue
-        if float(np.linalg.norm(df)) >= REGULAR_POINT_NORM:
-            keep.append(p)
-    if not keep:
+    grid = domain.sample_grid(per_axis)
+    dfs = None if field.differential_rows is None else field.differential_rows(grid)
+    if dfs is not None:  # |df| as check_transnormal takes it
+        keep = grid[np.sqrt((dfs[:, None, :] @ dfs[:, :, None])[:, 0, 0]) >= REGULAR_POINT_NORM]
+    else:
+        keep = []
+        for p in grid:
+            try:
+                df = np.asarray(field.differential(p))
+            except EvalError:  # df undefined there, as at the centre of a norm distance
+                continue
+            if float(np.linalg.norm(df)) >= REGULAR_POINT_NORM:
+                keep.append(p)
+    if not len(keep):
         raise EmptySample("no regular sample points on the domain grid")
     return np.array(keep)
 
@@ -219,11 +224,12 @@ def check_transnormal(
     """
     # a pass stops at its first failing point; that error waits for later passes over earlier points
     points = np.asarray(points, dtype=float)
-    (dfs,), error = _rows_of(points, (field.differential, (metric.dim,)))
+    (dfs,), error = _rows_of(points, (field.differential, (metric.dim,)),
+                             rows=field.differential_rows)
     # |df| as np.linalg.norm takes it, the square root of the dot product
     regular = ~(np.sqrt((dfs[:, None, :] @ dfs[:, :, None])[:, 0, 0]) < REGULAR_POINT_NORM)
     points, dfs = points[: len(dfs)][regular], dfs[regular]
-    (ts,), value_error = _rows_of(points, (field.value, ()))
+    (ts,), value_error = _rows_of(points, (field.value, ()), rows=field.value_rows)
     error = value_error or error
     if error is None and not ts.size:
         raise EmptySample("no regular points to sample the transnormality profile")

@@ -382,6 +382,26 @@ def test_non_finite_stage_field_names_its_entry(tmp_path, capsys):
     )
 
 
+def test_fractional_power_of_a_negative_base_exits_three(tmp_path, capsys):
+    # f = (x - 1)^0.5 + y is undefined where x < 1: check-transnormal skips
+    # those grid points as it does for sqrt(x - 1), and trace-segment from one
+    # of them names the entry and the point
+    text = SINGULAR_H_TEXT.replace("lower = 0, 0", "lower = 0.1, 0.1")
+    text = text.replace("(x - 0.5)^2", "1").replace("f = y", "f = (x - 1)^0.5 + y")
+    path = tmp_path / "complex.scn"
+    path.write_text(text)
+    assert run(tmp_path, "check-transnormal", "--scenario", str(path)) == 1
+    report = read_report(tmp_path, "singular-h", "check-transnormal")
+    assert report["verdict"] is False and report["data"]["sample_count"] > 0
+    capsys.readouterr()
+    assert run(tmp_path, "trace-segment", "--scenario", str(path), "--start=0.5,0.5",
+               "--t-max", "0.1") == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: EvalError: cannot evaluate '0.5 * (x - 1.0)^-0.5'"
+        " at (0.5, 0.5): math domain error\n"
+    )
+
+
 def test_numerical_failure_exits_three(tmp_path):
     # no critical point exists for the linear field
     assert run(tmp_path, "check-morse-bott", "--example", "euclidean-linear") == 3

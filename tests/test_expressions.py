@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from finsler_lab import numdiff
+from finsler_lab import expressions, numdiff
 from finsler_lab.errors import EvalError, ParseError
 from finsler_lab.expressions import (
     Call,
@@ -13,6 +13,7 @@ from finsler_lab.expressions import (
     Pow,
     Var,
     compile_expression,
+    compile_rows,
     parse_expression,
 )
 
@@ -169,3 +170,89 @@ def test_compiled_sequence_error_names_only_the_failing_entries():
     with pytest.raises(EvalError) as err:
         single(np.array([-1.0, 0.5]))
     assert str(err.value) == "cannot evaluate 'ln(x)' at (-1.0, 0.5): math domain error"
+
+
+def test_fractional_power_of_a_negative_base_is_an_eval_error():
+    # ** turns a negative base to a fractional power complex; the compiled
+    # call and the reference both raise as for sqrt(-1), naming the entry
+    tree = parse_expression("(x - 1)^0.5 + y")
+    message = "cannot evaluate '(x - 1.0)^0.5 + y' at (0.5, 0.5): math domain error"
+    for evaluate in (compile_expression(tree, 2), tree.evaluate):
+        with pytest.raises(EvalError) as err:
+            evaluate((0.5, 0.5))
+        assert str(err.value) == message
+        assert isinstance(err.value.__cause__, ValueError)
+    fused = compile_expression([parse_expression("x^2"), parse_expression("x^-0.5"), tree], 2)
+    with pytest.raises(EvalError) as err:
+        fused((-0.5, 0.5))
+    assert str(err.value) == (
+        "cannot evaluate 'x^-0.5, (x - 1.0)^0.5 + y' at (-0.5, 0.5): math domain error"
+    )
+    # a complex intermediate no longer reaches a real function
+    with pytest.raises(EvalError, match="math domain error"):
+        compile_expression(parse_expression("sqrt(x^1.5)"), 1)((-2.0,))
+    # folding a constant power while differentiating
+    assert str(parse_expression("(-8)^0.5 + x").diff("x")) == "1.0"
+    with pytest.raises(EvalError, match="math domain error"):
+        parse_expression("(-8)^0.5 + x").evaluate((1.0,))
+
+
+def test_real_powers_keep_their_values(rng):
+    # math.pow for a fractional or variable exponent, ** for an integral one:
+    # the same float wherever ** is real
+    for _ in range(200):
+        x, y = rng.uniform(0.0, 5.0), rng.uniform(-3.0, 3.0)
+        assert compile_expression(parse_expression("x^0.5 + x^-1.25"), 1)((x,)) == (
+            x**0.5 + x**-1.25
+        )
+        assert compile_expression(parse_expression("x^y"), 2)((x, y)) == x**y
+        assert parse_expression("x^y").evaluate((x, y)) == x**y
+        assert compile_expression(parse_expression("x^3 + x^-2"), 1)((-x - 1.0,)) == (
+            (-x - 1.0) ** 3 + (-x - 1.0) ** -2
+        )
+    assert compile_expression(parse_expression("x^y"), 2)((-2.0, 3.0)) == -8.0
+
+
+def test_row_form_matches_one_point_calls(rng):
+    texts = ["x^2 + y^2", "sin(x) * cos(y)", "3.5", "sqrt(1 + x^2) / (2 - y)", "x^0.5 * y", "x^y"]
+    trees = [parse_expression(t) for t in texts]
+    points = rng.uniform(0.1, 1.5, size=(50, 2))
+    fused = compile_expression(trees, 2)
+    rows = compile_rows(trees, 2)(points)
+    assert rows.shape == (50, len(trees))
+    assert rows.tobytes() == np.array([fused(p) for p in points]).tobytes()
+    single = compile_rows(trees[3], 2)(points)
+    assert single.shape == (50, 1)
+    assert single[:, 0].tolist() == [compile_expression(trees[3], 2)(p) for p in points]
+    assert compile_rows(trees, 2)(np.empty((0, 2))).shape == (0, len(trees))
+    assert compile_rows(parse_expression("2 * x"), 1)([[1.0], [2.5]]).tolist() == [[2.0], [5.0]]
+
+
+@pytest.mark.parametrize(
+    "text, bad",
+    [("sqrt(x)", -1.0), ("1 / x", 0.0), ("exp(x)", 1000.0), ("x * 1e308", 10.0), ("x^0.5", -1.0)],
+)
+def test_row_form_is_none_where_a_row_fails(text, bad):
+    # raising, overflowing, non-finite or complex at one row: the one-point
+    # calls are what name the entry and the point
+    rows = compile_rows([parse_expression("1"), parse_expression(text)], 1)
+    assert rows([[0.5], [1.0]]) is not None
+    assert rows([[0.5], [bad], [1.0]]) is None
+
+
+def test_row_form_is_generated_on_its_first_call(monkeypatch):
+    generated = []
+    generate = expressions._generate
+
+    def counting(nodes, dim, rows=False):
+        generated.append(rows)
+        return generate(nodes, dim, rows)
+
+    monkeypatch.setattr(expressions, "_generate", counting)
+    rows = compile_rows([parse_expression("x + y"), parse_expression("x * y")], 2)
+    assert generated == []
+    assert rows([[1.0, 2.0]]).tolist() == [[3.0, 2.0]]
+    assert rows([[2.0, 2.0]]).tolist() == [[4.0, 4.0]]
+    assert generated == [True]
+    with pytest.raises(EvalError, match="outside dimension 2"):
+        compile_rows(parse_expression("x + z"), 2)([[1.0, 2.0]])

@@ -7,7 +7,9 @@ import pytest
 from finsler_lab import calculus, foliation, scenarios
 from finsler_lab.calculus import ScalarField, _legendre_inverse, finsler_gradient
 from finsler_lab.domains import DiscDomain
-from finsler_lab.errors import LeftDomain, LevelNotFound, NeverReached, ValidationError
+from finsler_lab.errors import (
+    EvalError, LeftDomain, LevelNotFound, NeverReached, ValidationError,
+)
 from finsler_lab.expressions import compile_expression, parse_expression
 from finsler_lab.foliation import (
     ParallelismReport,
@@ -85,6 +87,30 @@ def test_level_points_are_the_extracted_points():
             assert points.dtype == sample.points.dtype
             assert points.shape == sample.points.shape
             assert points.tobytes() == sample.points.tobytes(), (name, param)
+
+
+def test_grid_level_values_match_the_one_point_loop(circle_field):
+    # the grid branch reads f by the row form; its points, LevelNotFound and
+    # the error of a field undefined on part of the grid are the loop's
+    def outcome(*args):
+        try:
+            return foliation.level_points(*args).tobytes()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    cases = [(scenarios.load_example(name).chart, 0.5 * sum(scenarios.load_example(name)
+              .distance_range)) for name in scenarios.list_examples()]
+    cases = [(chart.field, level, chart.domain) for chart, level in cases]
+    cases.append((circle_field, 5.0, DiscDomain(0.9)))
+    undefined = ScalarField.from_expression(parse_expression("sqrt(x) + y"), 2)
+    cases.append((undefined, 0.3, DiscDomain(0.9)))
+    outcomes = []
+    for field, level, domain in cases:
+        fast = outcome(field, level, domain, 8)
+        assert fast == outcome(replace(field, value_rows=None), level, domain, 8)
+        outcomes.append(fast)
+    assert outcomes[-2][0] is LevelNotFound
+    assert outcomes[-1][0] is EvalError and "'sqrt(x) + y' at (-0.7615" in outcomes[-1][1]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from finsler_lab.errors import (
     SingularTensor,
     ZeroVector,
 )
-from finsler_lab.expressions import VARIABLES
+from finsler_lab.expressions import VARIABLES, compile_rows
 from finsler_lab.geodesics import (
     exp_map,
     geodesic_at_times,
@@ -30,10 +30,13 @@ from finsler_lab.metrics import (
     TangentVector,
     as_point,
     cartan_tensor,
+    _rows_of,
     euclidean_metric,
     reverse_metric,
 )
-from finsler_lab.scenarios import build_domain, build_metric, parse_scenario
+from finsler_lab.scenarios import (
+    build_domain, build_metric, list_examples, load_example, parse_scenario,
+)
 
 ORIGIN = np.zeros(2)
 
@@ -780,3 +783,171 @@ def test_finite_difference_fallback_matches_symbolic_derivatives(
     for _ in range(20):
         x = rng.uniform(-0.5, 0.5, size=3)
         assert np.allclose(fallback._dh(x), exact._dh(x), rtol=0.0, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# row forms: the whole-array field reads against the one-point calls
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _assert_rows_match_one_point_calls(chart, points):
+    """f, df, the stage fields and, for a Randers metric and its reverse, h and W: bitwise."""
+    metric, field, config, n = chart.metric, chart.field, chart.config, chart.config.dimension
+    points = np.asarray(points, dtype=float)
+    assert _bits(field.value_rows(points)) == _bits([[field.value(p)] for p in points])
+    assert _bits(field.differential_rows(points)) == _bits([field.differential(p) for p in points])
+    if not isinstance(metric, RandersMetric):
+        return
+    h = [e for row in config.h_entries for e in row]
+    w = list(config.wind_entries)
+    dh, dw = ([e.diff(VARIABLES[k]) for k in range(n) for e in f] for f in (h, w))
+    stage = compile_rows(h + w + dh + dw, n)(points)
+    assert _bits(stage) == _bits([metric._fields(p) for p in points])
+    for m in (metric, metric.reverse()):
+        hw = [np.concatenate([np.ravel(m._h(p)), m._wind(p)]) for p in points]
+        assert _bits(m._rows(points)) == _bits(hw)
+        fields = ((m._h, (n, n)), (m._wind, (n,)))
+        fast, loop = _rows_of(points, *fields, rows=m._rows), _rows_of(points, *fields)
+        assert fast[1] is None and loop[1] is None
+        assert [_bits(a) for a in fast[0]] == [_bits(a) for a in loop[0]]
+        assert [a.shape for a in fast[0]] == [(len(points), n, n), (len(points), n)]
+
+
+def test_row_forms_match_one_point_calls_on_every_chart(rng):
+    # constant fields included: h on disc-radial and minkowski, W on the band
+    for name in list_examples():
+        for chart in load_example(name).charts.values():
+            points = _random_points(chart.domain, rng, 100)
+            _assert_rows_match_one_point_calls(chart, points)
+            # an even grid misses the origin, where minkowski's df is undefined
+            _assert_rows_match_one_point_calls(chart, chart.domain.sample_grid(12))
+
+
+def _random_zermelo_text(n, rng):
+    """A scenario on [-0.5, 0.5]^n with random quadratic h, W and f, h near 2 I, |W| < 0.6."""
+    names = VARIABLES[:n]
+
+    def quadratic(scale):
+        c = rng.uniform(-scale, scale, size=2 * n + 1).tolist()
+        terms = [f"{c[1 + i]!r} * {v} + {c[1 + n + i]!r} * {v}^2" for i, v in enumerate(names)]
+        return " + ".join([repr(c[0]), *terms])
+
+    entries = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entries[i][j] = entries[j][i] = f"2 + {quadratic(0.2)}" if i == j else quadratic(0.1)
+    upper = ", ".join(["0.5"] * n)
+    return (
+        f"name = random-zermelo\ndimension = {n}\n\n[domain]\nkind = box\n"
+        f"lower = {', '.join(['-0.5'] * n)}\nupper = {upper}\n\n[metric]\nkind = randers\n"
+        f"h = {' ; '.join(', '.join(row) for row in entries)}\n"
+        f"wind = {', '.join(quadratic(0.2) for _ in names)}\n\n"
+        f"[field]\nf = sin({names[0]}) + {quadratic(1.0)}\n"
+    )
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_row_forms_match_one_point_calls_in_dimension(n, rng):
+    from finsler_lab.scenarios import build_chart
+
+    configs = [parse_scenario(_random_zermelo_text(n, rng)) for _ in range(5)]
+    if n == 3:
+        configs.append(parse_scenario(SCENARIO_3D))
+    for config in configs:
+        chart = build_chart(config)
+        _assert_rows_match_one_point_calls(chart, rng.uniform(-0.5, 0.5, size=(60, n)))
+        y = rng.normal(size=(60, n))
+        for m in (chart.metric, chart.metric.reverse()):
+            x = rng.uniform(-0.5, 0.5, size=(60, n))
+            assert _bits(m.norms(x, y)) == _bits([m.norm(p, v) for p, v in zip(x, y)])
+
+
+@pytest.mark.parametrize(
+    "wind, bad",
+    [("0.3 * sqrt(x - 0.1)", 0.0), ("0.01 / x", 0.0), ("0.1 * exp(1000 * x)", 1.0),
+     ("x * 1e308", 10.0), ("0.3 * (x - 0.1)^0.5", 0.0)],
+)
+def test_rows_fall_back_to_the_one_point_error(wind, bad):
+    # undefined, overflowing, non-finite or complex at row 2 of 4: the same
+    # error, message and partial columns as the one-point loop, whether the
+    # wind fails there or h before it
+    from finsler_lab.expressions import compile_expression, parse_expression
+
+    points = np.array([[0.5, 0.1], [0.4, 0.2], [bad, 0.3], [0.6, 0.4]])
+    w = [parse_expression(wind), parse_expression("0.1 * y")]
+    for h0, lengths in (("1 + x^2", [3, 2]), (f"1 + x^2 + 0 * ({wind})", [2, 2])):
+        h = [parse_expression(t) for t in (h0, "0", "0", "1")]
+        fields = ((compile_expression(h, 2), (2, 2)), (compile_expression(w, 2), (2,)))
+        fast = _rows_of(points, *fields, rows=compile_rows(h + w, 2))
+        loop = _rows_of(points, *fields)
+        assert [_bits(a) for a in fast[0]] == [_bits(a) for a in loop[0]]
+        assert [len(a) for a in fast[0]] == lengths
+        assert isinstance(fast[1], EvalError)
+        assert (type(fast[1]), str(fast[1])) == (type(loop[1]), str(loop[1]))
+
+
+def test_metric_reads_raise_what_the_loop_raises(rng):
+    # a chart whose wind is undefined left of its domain: norms and co_norms
+    # of the metric and of its reverse raise the one-point loop's error
+    text = SCENARIO_3D.replace(WIND_3D, "wind = 0.3 * sqrt(x + 0.5), 0, 0.1 * (y + 0.5)^0.5\n")
+    metric = build_metric(parse_scenario(text))
+    plain = RandersMetric(metric._h, metric._wind, 3, fields=metric._fields)
+    assert plain._rows is None
+    points, vectors = rng.uniform(-0.5, 0.5, size=(6, 3)), rng.normal(size=(6, 3))
+    points[3] = [-0.7, 0.0, 0.0]
+    points[4] = [0.0, -0.8, 0.0]
+    for m, ref in ((metric, plain), (metric.reverse(), plain.reverse())):
+        for read in ("norms", "co_norms"):
+            assert _outcome(getattr(m, read), points, vectors) == _outcome(
+                getattr(ref, read), points, vectors)
+            good = getattr(m, read)(points[:3], vectors[:3])
+            assert _bits(good) == _bits(getattr(ref, read)(points[:3], vectors[:3]))
+    with pytest.raises(EvalError, match=r"'0.3 \* sqrt\(x \+ 0.5\)' at \(-0.7, 0.0, 0.0\)"):
+        metric.norms(points, vectors)
+
+
+def test_callable_metric_reads_without_row_forms(rng):
+    metric = RandersMetric.constant_wind([0.3, -0.2])
+    assert metric._rows is None and metric.reverse()._rows is None
+    points, vectors = rng.normal(size=(20, 2)), rng.normal(size=(20, 2))
+    assert _bits(metric.norms(points, vectors)) == _bits(
+        [metric.norm(p, v) for p, v in zip(points, vectors)])
+    assert _bits(metric.co_norms(points, vectors)) == _bits(
+        [metric.legendre_inverse(p, v)[1] for p, v in zip(points, vectors)])
+
+
+def test_whole_array_reads_make_no_one_point_call(monkeypatch, rng):
+    # a silent fall-back to the loop would keep every other test passing
+    from finsler_lab import calculus, scenarios
+    from finsler_lab.expressions import compile_expression
+    from finsler_lab.transnormal import check_transnormal, regular_sampler
+
+    calls = [0]
+
+    def counted_compile(node, dim):
+        fn = compile_expression(node, dim)
+
+        def counted(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(scenarios, "compile_expression", counted_compile)
+    monkeypatch.setattr(calculus, "compile_expression", counted_compile)
+    for name in ("disc-radial", "randers-sphere-height"):
+        chart = scenarios.load_example(name).chart
+        calls[0] = 0
+        metric, field = chart.metric, chart.field
+        points = regular_sampler(chart.domain, field, 250)
+        check_transnormal(metric, field, points)
+        vectors = rng.normal(size=points.shape)
+        for m in (metric, metric.reverse()):
+            m.norms(points, vectors)
+            m.co_norms(points, vectors)
+        assert calls[0] == 0
+        field.value(points[0])  # the one-point calls are the counted ones
+        assert calls[0] == 1

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,6 +138,24 @@ def test_sampled_profiles_match_pointwise_reference(pointwise_check_transnormal)
         report = check_transnormal(chart.metric, chart.field, points)
         reference = pointwise_check_transnormal(chart.metric, chart.field, points)
         assert _bits(report) == _bits(reference), name
+
+
+def test_sampler_rows_match_the_one_point_loop():
+    # every built-in chart (minkowski's df is undefined at the grid's centre)
+    # and a field whose df is undefined, by a negative base to a fractional
+    # power, on part of the box: the row form, or the loop where a row fails
+    from finsler_lab.domains import BoxDomain
+
+    cases = [(chart.domain, chart.field) for name in list_examples()
+             for chart in load_example(name).charts.values()]
+    cases.append((BoxDomain([0.1, 0.1], [2.0, 2.0]),
+                  ScalarField.from_expression(parse_expression("(x - 1)^0.5 + y"), 2)))
+    for domain, field in cases:
+        for n_target in (60, 250):
+            fast = regular_sampler(domain, field, n_target)
+            loop = regular_sampler(domain, replace(field, differential_rows=None), n_target)
+            assert fast.tobytes() == loop.tobytes()
+    assert fast[:, 0].min() > 1.0 and len(fast) < len(domain.sample_grid(19))
 
 
 def test_custom_and_reverse_profiles_match_pointwise_reference(
