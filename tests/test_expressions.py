@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsler_lab import expressions, numdiff
 from finsler_lab.errors import EvalError, ParseError
@@ -256,3 +258,40 @@ def test_row_form_is_generated_on_its_first_call(monkeypatch):
     assert generated == [True]
     with pytest.raises(EvalError, match="outside dimension 2"):
         compile_rows(parse_expression("x + z"), 2)([[1.0, 2.0]])
+
+
+_LEAVES = st.sampled_from(["x", "y", "0.5", "2", "-1.5", "1e-300", "1e308"])
+
+
+def _combine(children):
+    binary = st.tuples(children, st.sampled_from(["+", "-", "*", "/"]), children).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})")
+    power = st.tuples(children, st.sampled_from(["2", "3", "-1", "0.5", "-0.5", "1.5", "y"])).map(
+        lambda t: f"({t[0]})^{t[1]}")
+    call = st.tuples(st.sampled_from(["sqrt", "sin", "cos", "exp", "ln"]), children).map(
+        lambda t: f"{t[0]}({t[1]})")
+    return binary | power | call
+
+
+@given(
+    st.lists(st.recursive(_LEAVES, _combine, max_leaves=8), min_size=1, max_size=3),
+    st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_row_form_is_the_one_point_calls_or_none(texts, points):
+    # bitwise the one-point values where every one-point call succeeds, None
+    # exactly where one of them raises its EvalError
+    trees = [parse_expression(t) for t in texts]
+    one_point = compile_expression(trees, 2)
+    values = []
+    for p in points:
+        try:
+            values.append(one_point(p))
+        except EvalError:
+            values = None
+            break
+    rows = compile_rows(trees, 2)(np.array(points))
+    if values is None:
+        assert rows is None
+    else:
+        assert rows is not None and rows.tobytes() == np.array(values).tobytes()
