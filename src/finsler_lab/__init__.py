@@ -22,7 +22,6 @@ from .foliation import (
     build_cylinder,
     check_finsler_partition,
     check_parallel,
-    end_point_map,
     extract_level_set,
     orthogonal_cone,
 )

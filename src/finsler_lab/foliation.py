@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .calculus import ScalarField, finsler_gradient, _legendre_inverse
+from .calculus import ScalarField, _gradient, _legendre_inverse
 from .domains import Domain
 from .errors import LeftDomain, LevelNotFound, NeverReached, ValidationError
 from .geodesics import (
@@ -80,14 +80,6 @@ class ParallelismReport:
             "tolerance": self.tolerance,
             "verdict": self.verdict,
         }
-
-
-@dataclass(frozen=True, eq=False)
-class EndPointMapResult:
-    images: np.ndarray
-    f_spread: float
-    min_pairwise_distance: float
-    failures: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,20 +201,30 @@ def _spread_selection(candidates, n):
 # cones and parallelism
 
 
-def orthogonal_cone(metric: Metric, field: ScalarField, p) -> OrthogonalCone:
-    """F-unit forward/backward rays of the two-ray orthogonal cone at p."""
-    p = np.asarray(p, dtype=float)
-    res = finsler_gradient(metric, field, p)
-    forward = res.gradient.vector / res.finsler_norm
+def _cone_rays(metric: Metric, field: ScalarField, p):
+    """(df, forward, backward) at p: the F-unit rays along the gradient and against it.
+
+    The forward ray is the gradient over its norm. With a closed-form
+    Legendre inverse, the F-unit rays along df and -df are W + h^-1 df / |df|_h*
+    and W - h^-1 df / |df|_h*, so the backward ray needs no second solve and
+    no norm; otherwise it is the Newton preimage of -df over its norm.
+    """
+    v, norm, hw, _ = _gradient(metric, field, p)
+    forward = v / norm
     df = np.asarray(field.differential(p), dtype=float)
-    if res.riemannian_gradient is None:
+    if hw is None:
         w, _ = _legendre_inverse(metric, p, -df)
         backward = w / metric.norm(p, w)
     else:
-        # closed form: the F-unit rays along df and -df are W + h^-1 df / |df|_h*
-        # and W - h^-1 df / |df|_h*, so no second solve and no norm are needed
-        hw = res.riemannian_gradient.vector
         backward = forward - 2.0 * hw / math.sqrt(float(df @ hw))
+    return df, forward, backward
+
+
+def orthogonal_cone(metric: Metric, field: ScalarField, p) -> OrthogonalCone:
+    """F-unit forward/backward rays of the two-ray orthogonal cone at p, with their
+    defects against the tangent basis of ker df; the rays are `_cone_rays`'."""
+    p = np.asarray(p, dtype=float)
+    df, forward, backward = _cone_rays(metric, field, p)
     basis = tangent_basis_from_differential(df)
     fwd_vec = TangentVector(base=p, vector=forward)
     bwd_vec = TangentVector(base=p, vector=backward)
@@ -235,11 +237,13 @@ def orthogonal_cone(metric: Metric, field: ScalarField, p) -> OrthogonalCone:
     )
 
 
-def _probe_rays(metric, field, sample: LevelSetSample, direction: str):
+def _probe_rays(metric, field, points, direction: str):
+    """The forward or backward `_cone_rays` ray at each point, with no tangent basis
+    and no defect: a probe's defect is measured at its arrival only."""
     rays = []
-    for p in sample.points:
-        cone = orthogonal_cone(metric, field, p)
-        rays.append(cone.forward_ray if direction == "forward" else cone.backward_ray)
+    for p in np.asarray(points, dtype=float):
+        _, forward, backward = _cone_rays(metric, field, p)
+        rays.append(TangentVector(base=p, vector=forward if direction == "forward" else backward))
     return rays
 
 
@@ -259,7 +263,10 @@ def check_parallel(
     """Launch orthogonal geodesics between two levels, record arrival defects.
 
     Forward runs ascend from the lower level along forward rays; backward
-    runs descend from the upper level along backward rays. Each probe is an
+    runs descend from the upper level along backward rays. The probes start
+    at the ``level_points`` of the source level, and their rays come from the
+    gradient alone (`_probe_rays`): no tangent basis and no defect is taken
+    at the source, only one of each at every arrival. Each probe is an
     adaptive level march (``integrate_to_level``), in which ``step`` is the
     resolution of a chart exit. A probe that never attains the target, by
     leaving the chart or within ``t_max``, is recorded, and only fatal if no
@@ -272,12 +279,12 @@ def check_parallel(
         raise ValueError("direction must be 'forward' or 'backward'")
     if metric.dim == 1:
         raise ValidationError("parallelism is not applicable in dimension 1: a level is a point")
+    if c == d:
+        raise ValidationError(f"parallelism needs two distinct levels, got {c} twice")
     lo, hi = (c, d) if c < d else (d, c)
     source, target = (lo, hi) if direction == "forward" else (hi, lo)
-    sample = extract_level_set(
-        field, source, domain, probes, parametrization=level_parametrization
-    )
-    rays = _probe_rays(metric, field, sample, direction)
+    points = level_points(field, source, domain, probes, level_parametrization)
+    rays = _probe_rays(metric, field, points, direction)
     defects: List[float] = []
     lengths: List[float] = []
     marches: List[GeodesicTrajectory] = []
@@ -334,7 +341,7 @@ def build_cylinder(
         raise ValueError("cylinder radius must be nonnegative")
     if r == 0.0:
         return np.array(source.points, copy=True), 0
-    rays = _probe_rays(metric, field, source, direction)
+    rays = _probe_rays(metric, field, source.points, direction)
     images = []
     failures = 0
     for ray in rays:
@@ -347,32 +354,6 @@ def build_cylinder(
     if not images:
         raise LeftDomain(f"all {len(rays)} cylinder probes left the domain")
     return np.array(images), failures
-
-
-def end_point_map(
-    metric: Metric,
-    field: ScalarField,
-    source: LevelSetSample,
-    t: float,
-    step: float = 1e-3,
-    domain: Optional[Domain] = None,
-) -> EndPointMapResult:
-    """Flow the source level a fixed distance along unit gradient rays.
-
-    Reports the f-spread of the images (leaf-synchronization check) and the
-    minimum pairwise image distance as the injectivity proxy.
-    """
-    images, failures = build_cylinder(
-        metric, field, source, t, direction="forward", step=step, domain=domain
-    )
-    fvals = np.array([field.value(p) for p in images])
-    gaps = np.linalg.norm(images[:, None] - images[None], axis=-1)
-    dists = gaps[np.triu_indices(len(images), 1)]
-    return EndPointMapResult(
-        images=images, f_spread=float(fvals.max() - fvals.min()),
-        min_pairwise_distance=float(dists.min()) if dists.size else float("nan"),
-        failures=failures,
-    )
 
 
 def check_finsler_partition(
@@ -401,6 +382,9 @@ def check_finsler_partition(
     levels = sorted(float(v) for v in levels)
     if len(levels) < 2:
         raise ValueError("need at least two levels")
+    for lo, hi in zip(levels[:-1], levels[1:]):
+        if lo == hi:
+            raise ValidationError(f"level {lo} is repeated: adjacent levels must differ")
     forward_reports: List[ParallelismReport] = []
     backward_reports: List[ParallelismReport] = []
     cylinder_defects: List[float] = []

@@ -361,6 +361,8 @@ def trace_f_segment(
     pending = sorted(set(float(lvl) for lvl in record_levels))
     crossings: List[CrossingEvent] = []
     f_prev = field.value(x)
+    # f at every recorded point, as the march computed it
+    values = [f_prev]
 
     h = _initial_step(flow, x, v)
     for h, t_new, x_new, K, _ in _accepted_steps(flow, x, v, t, h, step, domain, n, t_max):
@@ -376,14 +378,15 @@ def trace_f_segment(
                     metric_eff, field, lvl, t + theta, y, flow(y, np.empty(n)), t + theta
                 ))
                 pending.remove(lvl)
-        theta, x_end, v_end = h, x_new, K[6]
+        theta, x_end, v_end, f_end = h, x_new, K[6], f_new
         stop = f_stop is not None and _brackets(f_prev - f_stop, f_new - f_stop)
         if stop:
             theta, x_end = _locate(flow, field, f_stop, x, v, dense, h, x_new, n)
-            v_end = flow(x_end, np.empty(n))
+            v_end, f_end = flow(x_end, np.empty(n)), field.value(x_end)
         if theta > 0.0:
             times.append(t + theta)
             points.append(x_end)
+            values.append(f_end)
             velocities.append(v_end)
             accelerations.append(_dense_second_derivative(dense, theta / h, h))
         if stop:
@@ -411,7 +414,7 @@ def trace_f_segment(
         for p, w, a in zip(points_a, velocities_a, accelerations)
     ]))
     # f rises along a forward segment and falls along a backward one
-    monotone = bool(np.all(sign * np.diff([field.value(p) for p in points_a]) > 0.0))
+    monotone = bool(np.all(sign * np.diff(values) > 0.0))
     return FSegment(
         trajectory=traj, direction=direction, level_crossings=crossings,
         reparametrization_residual=reparam, geodesic_residual=geo_res, monotone=monotone,

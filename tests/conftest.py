@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
@@ -22,6 +23,7 @@ from finsler_lab.geodesics import (
     tangent_basis_from_differential,
 )
 from finsler_lab.expressions import VARIABLES, compile_expression
+from finsler_lab.foliation import build_cylinder
 from finsler_lab.metrics import RandersMetric, TangentVector, _solve_spd, _zermelo_data
 from finsler_lab.scenarios import (
     _VALIDATION_GRID,
@@ -500,3 +502,35 @@ def _polyline_length(metric, points, samples_per_segment=32):
 @pytest.fixture(scope="session")
 def polyline_length():
     return _polyline_length
+
+
+@dataclass(frozen=True, eq=False)
+class EndPointMapResult:
+    images: np.ndarray
+    f_spread: float
+    min_pairwise_distance: float
+    failures: int
+
+
+def _end_point_map(metric, field, source, t, step=1e-3, domain=None):
+    """Flow the source level a fixed distance along unit gradient rays.
+
+    Reports the f-spread of the images (leaf-synchronization check) and the
+    minimum pairwise image distance as the injectivity proxy.
+    """
+    images, failures = build_cylinder(
+        metric, field, source, t, direction="forward", step=step, domain=domain
+    )
+    fvals = np.array([field.value(p) for p in images])
+    gaps = np.linalg.norm(images[:, None] - images[None], axis=-1)
+    dists = gaps[np.triu_indices(len(images), 1)]
+    return EndPointMapResult(
+        images=images, f_spread=float(fvals.max() - fvals.min()),
+        min_pairwise_distance=float(dists.min()) if dists.size else float("nan"),
+        failures=failures,
+    )
+
+
+@pytest.fixture(scope="session")
+def end_point_map():
+    return _end_point_map

@@ -439,6 +439,9 @@ def test_seed_option_removed(tmp_path):
         ("verify-distance", "--example", "disc-radial", "--tol", "nan"),
         # --wind sets the wind of minkowski-randers-distance only
         ("check-transnormal", "--example", "disc-radial", "--wind", "0.3"),
+        # a repeated level, which would pass with every arc length 0
+        ("check-partition", "--example", "disc-radial", "--levels=0.09,0.09,0.16"),
+        ("check-parallel", "--example", "disc-radial", "--from", "0.09", "--to", "0.09"),
     ],
 )
 def test_usage_errors_exit_two(tmp_path, capsys, argv):

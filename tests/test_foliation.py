@@ -1,10 +1,12 @@
 import math
+import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from finsler_lab import calculus, foliation, scenarios
+from finsler_lab import calculus, foliation, geodesics, scenarios
 from finsler_lab.calculus import ScalarField, _legendre_inverse, finsler_gradient
 from finsler_lab.domains import DiscDomain
 from finsler_lab.errors import (
@@ -16,7 +18,6 @@ from finsler_lab.foliation import (
     build_cylinder,
     check_finsler_partition,
     check_parallel,
-    end_point_map,
     extract_level_set,
     orthogonal_cone,
 )
@@ -34,6 +35,9 @@ from finsler_lab.metrics import (
     TangentVector,
     euclidean_metric,
 )
+from finsler_lab.scenarios import build_chart, parse_scenario
+
+from test_metrics import SCENARIO_3D
 
 LN125 = math.log(1.25)
 
@@ -202,6 +206,77 @@ def test_cone_on_custom_norm_keeps_newton(circle_field):
     assert custom.norm(p, cone.backward_ray.vector) == pytest.approx(1.0, abs=1e-12)
 
 
+def _gradient_result_rays(metric, field, p):
+    """(forward, backward) rays by the arithmetic of the cone on a `GradientResult`."""
+    res = finsler_gradient(metric, field, p)
+    forward = res.gradient.vector / res.finsler_norm
+    df = np.asarray(field.differential(p), dtype=float)
+    if res.riemannian_gradient is None:
+        w, _ = _legendre_inverse(metric, p, -df)
+        return forward, w / metric.norm(p, w)
+    hw = res.riemannian_gradient.vector
+    return forward, forward - 2.0 * hw / math.sqrt(float(df @ hw))
+
+
+def test_probe_rays_are_the_cone_rays_bitwise(circle_field, rng):
+    # every chart of every example, the 3-D twisted box and a custom norm,
+    # which alone takes the Newton backward ray; each metric with its two reverses
+    charts = [build_chart(parse_scenario(SCENARIO_3D), "twisted-box")]
+    for name in scenarios.list_examples():
+        charts += scenarios.load_example(name).charts.values()
+    cases = [(chart.metric, chart.field, chart.domain) for chart in charts]
+    custom = CustomMetric(RandersMetric.constant_wind([0.5, 0.0]).norm, 2)
+    cases.append((custom, circle_field, DiscDomain(0.9)))
+    newton = 0
+    for metric, field, domain in cases:
+        values = [field.value(p) for p in domain.sample_grid(12)]
+        level = rng.uniform(*np.quantile(values, [0.25, 0.75]))
+        points = foliation.level_points(field, level, domain, 4)
+        for m in (metric, metric.reverse(), ReverseMetric(metric)):
+            for direction, k in (("forward", 0), ("backward", 1)):
+                rays = foliation._probe_rays(m, field, points, direction)
+                assert len(rays) == len(points)
+                for p, ray in zip(points, rays):
+                    cone = orthogonal_cone(m, field, p)
+                    expected = (cone.forward_ray, cone.backward_ray)[k].vector
+                    reference = _gradient_result_rays(m, field, p)[k]
+                    assert ray.base.tobytes() == p.tobytes()
+                    assert ray.vector.tobytes() == expected.tobytes() == reference.tobytes()
+            newton += m.legendre_inverse(points[0], field.differential(points[0])) is None
+    # the custom norm and its two reverses
+    assert newton == 3
+
+
+def test_partition_takes_one_basis_and_defect_per_arrival(sphere_scenario, monkeypatch):
+    band = sphere_scenario.charts["band"]
+    counts = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("orthogonal_cone", "extract_level_set"):
+        count(foliation, name)
+    for name in ("tangent_basis_from_differential", "orthogonality_defect"):
+        count(geodesics, name)
+        count(foliation, name)
+    report = check_finsler_partition(
+        band.metric, band.field, [-0.5, -0.45], 3, band.domain,
+        level_parametrization=sphere_scenario.level_parametrization("band"), cylinder_probes=3,
+    )
+    assert report.finsler_partition_verdict
+    arrived = sum(len(r.arc_lengths) for r in report.forward + report.backward)
+    assert arrived == 6
+    # the probes take no cone and no level-set basis; each arrival one basis
+    # and one defect
+    assert counts == {"tangent_basis_from_differential": arrived, "orthogonality_defect": arrived}
+
+
 def _counting_disc_chart(monkeypatch):
     """A fresh disc-radial chart whose compiled expressions count their calls."""
     calls = [0]
@@ -360,7 +435,7 @@ def test_cylinder_matches_rk4_endpoints(request, fixture, chart_name, level, rad
         images, failures = build_cylinder(
             chart.metric, chart.field, source, radius, direction, step=1e-3, domain=chart.domain
         )
-        rays = foliation._probe_rays(chart.metric, chart.field, source, direction)
+        rays = foliation._probe_rays(chart.metric, chart.field, source.points, direction)
         reference = [
             integrate_geodesic(chart.metric, ray, radius, step=1e-3).points[-1] for ray in rays
         ]
@@ -379,7 +454,7 @@ def test_cylinder_zero_radius_is_identity(minkowski_scenario):
     assert np.allclose(images, source.points)
 
 
-def test_end_point_map_disc(disc_scenario):
+def test_end_point_map_disc(disc_scenario, end_point_map):
     chart = disc_scenario.chart
     source = extract_level_set(
         chart.field, 0.04, chart.domain, 12,
@@ -392,7 +467,7 @@ def test_end_point_map_disc(disc_scenario):
     assert result.min_pairwise_distance > 0.0
 
 
-def test_end_point_map_identity_at_zero(disc_scenario):
+def test_end_point_map_identity_at_zero(disc_scenario, end_point_map):
     chart = disc_scenario.chart
     source = extract_level_set(
         chart.field, 0.04, chart.domain, 8,
@@ -403,7 +478,7 @@ def test_end_point_map_identity_at_zero(disc_scenario):
     assert result.f_spread <= 1e-12
 
 
-def test_end_point_map_degenerates_at_pole(sphere_scenario):
+def test_end_point_map_degenerates_at_pole(sphere_scenario, end_point_map):
     # in the polar cap chart the flow lines converge on the pole, so the
     # injectivity proxy collapses as the images approach the critical level
     north = sphere_scenario.charts["north-cap"]
@@ -515,6 +590,18 @@ def test_three_dimensional_partition_passes():
     assert all(r.unreached == 0 for r in report.forward + report.backward)
 
 
+def test_equal_levels_are_refused(disc_scenario):
+    # two equal levels would pass with every arc length 0
+    chart = disc_scenario.chart
+    args = (chart.metric, chart.field)
+    kwargs = dict(level_parametrization=disc_scenario.level_parametrization())
+    for direction in ("forward", "backward"):
+        with pytest.raises(ValidationError, match=re.escape("0.09")):
+            check_parallel(*args, 0.09, 0.09, direction, 3, chart.domain, **kwargs)
+    with pytest.raises(ValidationError, match=re.escape("level 0.09 is repeated")):
+        check_finsler_partition(*args, [0.16, 0.09, 0.09], 3, chart.domain, **kwargs)
+
+
 def test_one_dimensional_parallelism_is_not_applicable():
     # a level set of f = 2x on a line is a point, with no tangent directions
     # to be orthogonal to, so no defect can be measured
@@ -550,7 +637,9 @@ def _remarched_cylinder_defects(chart, parametrization, report, n_cyl, step=1e-3
             )
             radius = float(np.median(r.arc_lengths))
             mismatches = []
-            for ray in foliation._probe_rays(chart.metric, chart.field, source, r.direction):
+            for ray in foliation._probe_rays(
+                chart.metric, chart.field, source.points, r.direction
+            ):
                 try:
                     traj = integrate_geodesic(
                         chart.metric, ray, radius, step=step, domain=chart.domain
