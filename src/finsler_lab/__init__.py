@@ -28,7 +28,6 @@ from .foliation import (
 from .geodesics import (
     CrossingEvent,
     GeodesicTrajectory,
-    exp_map,
     geodesic_at_times,
     integrate_geodesic,
     integrate_to_level,

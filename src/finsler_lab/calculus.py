@@ -6,12 +6,13 @@ co-metric F*(w) = |w|_h* + w(W) (Bao-Robles-Shen), so their gradients cost
 no iteration. Only custom norms use the damped Newton: the Jacobian of L in
 v is exactly g_v (the Cartan correction term dies against the reference
 vector), a symmetric positive-definite system. One core (`_gradient`) gives
-v, F and h^-1 df with every check: `finsler_gradient` wraps it in a
-`GradientResult`, and the f-segment flow reads it directly.
+v, F, h^-1 df and df with every check, on plain floats for a closed form:
+`finsler_gradient` wraps it, and the f-segment flow and probe rays read it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -129,28 +130,32 @@ def legendre_inverse(metric: Metric, omega: Covector) -> TangentVector:
 
 
 def _gradient(metric: Metric, field: ScalarField, p):
-    """(v, F(v), h^-1 df or None after Newton, Newton iterations) of the gradient at p,
+    """(v, F(v), h^-1 df or None after Newton, Newton iterations, df) of the gradient at p,
     checked as the `TangentVector`s of a `GradientResult` would check them."""
     p = np.asarray(p, dtype=float)
     df = np.asarray(field.differential(p), dtype=float)
-    if float(np.linalg.norm(df)) < GRADIENT_CRITICAL_NORM:
+    # hypot is within an ulp of |df|, numpy's norm a few: numpy's decides near the band
+    if (math.hypot(*df.ravel().tolist()) < 2.0 * GRADIENT_CRITICAL_NORM
+            and float(np.linalg.norm(df)) < GRADIENT_CRITICAL_NORM):
         raise CriticalPoint(f"|df| = {np.linalg.norm(df)} below {GRADIENT_CRITICAL_NORM} at {p}")
     closed = metric.legendre_inverse(p, df)
     if closed is None:
         # _legendre_inverse is the one entry to Newton; perfbench counts iterations there
         v, iterations = _legendre_inverse(metric, p, df)
-        norm, hw = metric.norm(p, v), None
-    else:
-        (v, norm, hw), iterations = closed, 0
-    for vec in (v,) if hw is None else (hw, v):
-        attached(p, vec)
-    return v, norm, hw, iterations
+        attached(p, v)
+        return v, metric.norm(p, v), None, iterations, df
+    v, norm, hw = closed
+    # what `attached` checks of (p, hw) and (p, v), on plain floats; it runs only to raise
+    if not (p.shape == v.shape == hw.shape == (metric.dim,)
+            and all(map(math.isfinite, p.tolist() + hw.tolist() + v.tolist()))):
+        attached(p, hw), attached(p, v)
+    return v, norm, hw, 0, df
 
 
 def finsler_gradient(metric: Metric, field: ScalarField, p) -> GradientResult:
     """Gradient as the Legendre preimage of df at p."""
     p = np.asarray(p, dtype=float)
-    v, norm, hw, iterations = _gradient(metric, field, p)
+    v, norm, hw, iterations, _ = _gradient(metric, field, p)
     riem = None if hw is None else TangentVector(base=p, vector=hw)
     return GradientResult(TangentVector(base=p, vector=v), norm, iterations, riem)
 
@@ -166,8 +171,7 @@ def check_randers_gradient_lemma(metric: RandersMetric, field: ScalarField, p):
     if not isinstance(metric, RandersMetric):
         raise TypeError("gradient lemma applies to Randers metrics only")
     p = np.asarray(p, dtype=float)
-    grad, zn, riem, _ = _gradient(metric, field, p)
-    df = np.asarray(field.differential(p), dtype=float)
+    grad, zn, riem, _, df = _gradient(metric, field, p)
     H, W = metric.h_matrix(p), metric.wind_at(p)
     riem_norm = float(np.sqrt(riem @ H @ riem))
     lhs = (riem_norm / zn) * (grad - zn * W)

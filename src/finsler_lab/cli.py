@@ -407,10 +407,13 @@ def build_parser():
 
 def _run(args):
     """Load the scenario, run the verb, write its report; the exit code."""
-    for name in POSITIVE:
+    for flag, keywords in OPTIONS.items():
+        name = keywords.get("dest", flag[2:].replace("-", "_"))
         value = getattr(args, name, None)
-        if value is not None and not value > 0:
-            raise ValidationError(f"--{name.replace('_', '-')} must be positive, got {value}")
+        if name in POSITIVE and value is not None and not value > 0:
+            raise ValidationError(f"{flag} must be positive, got {value}")
+        if keywords.get("type") in (float, _float_list) and not np.isfinite(value or 0.0).all():
+            raise ValidationError(f"{flag} must be finite, got {value}")
     scenario = _load(args)
     if args.chart and args.chart not in scenario.charts:
         raise ValidationError(

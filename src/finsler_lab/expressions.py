@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalError, ParseError, ZeroVector
+from .errors import DimensionMismatch, EvalError, ParseError, ZeroVector
 
 VARIABLES = ("x", "y", "z")
 FUNCTIONS = ("sqrt", "sin", "cos", "exp", "ln")
@@ -49,17 +49,6 @@ class Expr:
 
     def diff(self, var):
         return _diff(self, var)
-
-    def evaluate(self, coords):
-        """Evaluate at a coordinate sequence (x, y, z order)."""
-        env = {name: float(c) for name, c in zip(VARIABLES, coords)}
-        try:
-            val = _eval(self, env)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise EvalError(f"cannot evaluate '{self}' at {tuple(coords)}: {exc}") from exc
-        if not math.isfinite(val):
-            raise EvalError(f"non-finite value for '{self}' at {tuple(coords)}")
-        return val
 
     def variables(self):
         out = set()
@@ -370,30 +359,6 @@ def _print(node):
 # evaluation
 
 
-def _eval(node, env):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        if node.name not in env:
-            raise EvalError(f"variable '{node.name}' undefined in this chart")
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -_eval(node.arg, env)
-    if isinstance(node, Add):
-        return _eval(node.left, env) + _eval(node.right, env)
-    if isinstance(node, Sub):
-        return _eval(node.left, env) - _eval(node.right, env)
-    if isinstance(node, Mul):
-        return _eval(node.left, env) * _eval(node.right, env)
-    if isinstance(node, Div):
-        return _eval(node.left, env) / _eval(node.right, env)
-    if isinstance(node, Pow):
-        return _real_pow(node.exponent)(_eval(node.base, env), _eval(node.exponent, env))
-    if isinstance(node, Call):
-        return _MATH[node.func](_eval(node.arg, env))
-    raise TypeError(f"unknown node {node!r}")
-
-
 def _real_pow(exponent):
     """``**`` to an integral constant, else math.pow, which raises where ``**`` turns complex."""
     return operator.pow if _is_const(exponent) and exponent.value.is_integer() else math.pow
@@ -568,9 +533,7 @@ def compile_expression(node, dim):
 
     A sequence of trees compiles to one generated function returning a tuple
     of floats, one per tree, so a whole field costs one call per point, and
-    ``compile_rows`` gives it at a stack of points in one call. The compiled
-    form is used inside integrator loops; the tree-walking ``evaluate`` stays
-    available as the slow reference implementation.
+    ``compile_rows`` gives it at a stack of points in one call.
     """
     single = isinstance(node, Expr)
     nodes = (node,) if single else tuple(node)
@@ -639,7 +602,25 @@ def _raises(node, dim, coords):
 
 
 # ---------------------------------------------------------------------------
-# the Randers spray stage, generated straight-line per dimension
+# the Randers spray stage and Legendre inverse, generated straight-line per dimension
+
+
+def _dot(u, v, start=""):
+    """The running sum of the products, left to right, after ``start`` ("0.0 + ", as ``sum``)."""
+    return "(" + start + " + ".join(f"{a} * {b}" for a, b in zip(u, v)) + ")"
+
+
+def _solve(g, r):
+    """Lines that set ``a`` to the solution of g a = r as ``metrics._solve_spd`` solves it:
+    a call, or in 2-D its closed form and check inline, with the entries a0, a1."""
+    if len(r) != 2:
+        rows = "".join(f"({', '.join(row)},), " for row in g)
+        return [f"a = _solve_spd(({rows}), ({', '.join(r)},), x)"]
+    (g00, g01), (g10, g11) = g
+    return [f"det = {g00} * {g11} - {g01} * {g10}",
+            f"if not ({g00} > 0.0 and det > 0.0):", "    raise _not_positive_definite(x)",
+            f"a0 = ({g11} * {r[0]} - {g01} * {r[1]}) / det",
+            f"a1 = ({g00} * {r[1]} - {g10} * {r[0]}) / det", "a = _array((a0, a1))"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -663,24 +644,21 @@ def randers_stage(n):
             return name
         return [let(f"{name}{'_' * name[-1].isdigit()}{i}", v) for i, v in enumerate(value)]
 
-    def dot(u, v):  # the running sum of the products, left to right
-        return "(" + " + ".join(f"{a} * {b}" for a, b in zip(u, v)) + ")"
-
     N = range(n)
     h, w, y = [[f"h{i}_{j}" for j in N] for i in N], [f"w{i}" for i in N], [f"y{i}" for i in N]
     dh = [[[f"dh{k}_{i}_{j}" for j in N] for i in N] for k in N]
     dw = [[f"dw{k}_{i}" for i in N] for k in N]
     fields = [*sum(h, []), *w, *sum(sum(dh, []), []), *sum(dw, [])]
     lines = [f"{', '.join(y)}, = y", f"{', '.join(fields)}, = fields"]
-    wl = let("wl", [dot(h[i], w) for i in N])
-    let("s", dot(w, wl))
+    wl = let("wl", [_dot(h[i], w) for i in N])
+    let("s", _dot(w, wl))
     lines += [f"if s >= {1.0 - WIND_NORM_MARGIN!r}:", "    raise _strong_wind(s, x)"]
     let("lam", "1.0 - s")
     let("lam2", "lam * lam")
-    hy = let("hy", [dot(h[i], y) for i in N])
-    let("wly", dot(wl, y))
+    hy = let("hy", [_dot(h[i], y) for i in N])
+    let("wly", _dot(wl, y))
     ay = let("ay", [f"{hy[i]} / lam + {wl[i]} * wly / lam2" for i in N])
-    let("alpha2", dot(y, ay))
+    let("alpha2", _dot(y, ay))
     lines += ["if alpha2 <= 0.0:", "    raise _ZeroVector('spray undefined on the zero section')"]
     let("alpha", "_sqrt(alpha2)")
     let("F", "alpha - wly / lam")
@@ -689,37 +667,64 @@ def randers_stage(n):
     m = let("m", [f"{e[i]} - {wl[i]} / lam" for i in N])
     # x-derivatives of the Zermelo data, k first: dwl[k] = d(HW)/dx_k,
     # dlam[k] = dlam/dx_k, q[k] = dA[k] y without materializing dA
-    dhw = let("dhw", [[dot(dh[k][i], w) for i in N] for k in N])
-    dwl = let("dwl", [[f"{dhw[k][i]} + {dot(dw[k], [row[i] for row in h])}" for i in N]
+    dhw = let("dhw", [[_dot(dh[k][i], w) for i in N] for k in N])
+    dwl = let("dwl", [[f"{dhw[k][i]} + {_dot(dw[k], [row[i] for row in h])}" for i in N]
                       for k in N])
-    dlam = let("dlam", [f"-({dot(w, dhw[k])} + 2.0 * {dot(dw[k], wl)})" for k in N])
+    dlam = let("dlam", [f"-({_dot(w, dhw[k])} + 2.0 * {_dot(dw[k], wl)})" for k in N])
     c = let("c", [f"{dlam[k]} / lam2" for k in N])
-    dwly = let("dwly", [dot(dwl[k], y) for k in N])
+    dwly = let("dwly", [_dot(dwl[k], y) for k in N])
     p = let("p", [f"{dwly[k]} / lam2 - 2.0 * wly * {dlam[k]} / (lam2 * lam)" for k in N])
     q = let("q", [[f"{wl[i]} * {p[k]} + {dwl[k][i]} * wly / lam2 - {hy[i]} * {c[k]}"
-                   f" + {dot(dh[k][i], y)} / lam" for i in N] for k in N])
+                   f" + {_dot(dh[k][i], y)} / lam" for i in N] for k in N])
     # dF[k] = dF/dx_k; r = (1/2) dF2_dx - (1/2) (d2F2_dydx) y
-    dalpha = let("dalpha", [f"{dot(q[k], y)} / (2.0 * alpha)" for k in N])
+    dalpha = let("dalpha", [f"{_dot(q[k], y)} / (2.0 * alpha)" for k in N])
     dF = let("dF", [f"{dalpha[k]} - {dwly[k]} / lam + wly * {c[k]}" for k in N])
-    let("dalpha_y", f"{dot(dalpha, y)} / alpha")
-    let("yc", dot(y, c))
-    let("dFy", dot(dF, y))
-    r = let("r", [f"F * {dF[i]} - {m[i]} * dFy - F * ({dot(y, [qk[i] for qk in q])} / alpha"
-                  f" - {e[i]} * dalpha_y - {dot(y, [dwlk[i] for dwlk in dwl])} / lam"
+    let("dalpha_y", f"{_dot(dalpha, y)} / alpha")
+    let("yc", _dot(y, c))
+    let("dFy", _dot(dF, y))
+    r = let("r", [f"F * {dF[i]} - {m[i]} * dFy - F * ({_dot(y, [qk[i] for qk in q])} / alpha"
+                  f" - {e[i]} * dalpha_y - {_dot(y, [dwlk[i] for dwlk in dwl])} / lam"
                   f" + {wl[i]} * yc)" for i in N])
     let("ratio", "F / alpha")
     g = let("g", [[f"{m[i]} * {m[j]} + ratio * ({h[i][j]} / lam + {wl[i]} * {wl[j]} / lam2"
                    f" - {e[i]} * {e[j]})" for j in N] for i in N])
-    if n == 2:  # metrics._solve_spd's closed form and check
-        lines += ["det = g0_0 * g1_1 - g0_1 * g1_0",
-                  "if not (g0_0 > 0.0 and det > 0.0):", "    raise _not_positive_definite(x)",
-                  "return _array(((g1_1 * r0 - g0_1 * r1) / det,"
-                  " (g0_0 * r1 - g1_0 * r0) / det)), F"]
-    else:
-        rows = "".join(f"({', '.join(row)},), " for row in g)
-        lines.append(f"return _solve_spd(({rows}), ({', '.join(r)},), x), F")
+    lines += [*_solve(g, r), "return a, F"]
     namespace = dict(_sqrt=math.sqrt, _array=np.array, _ZeroVector=ZeroVector,
                      _solve_spd=_solve_spd, _strong_wind=_strong_wind,
                      _not_positive_definite=_not_positive_definite)
     exec("def randers_stage(x, y, fields):\n" + "".join(f"    {s}\n" for s in lines), namespace)
     return namespace["randers_stage"]
+
+
+@functools.lru_cache(maxsize=None)
+def zermelo_inverse(n):
+    """The closed-form Legendre inverse of dimension n, generated once and cached.
+
+    ``inverse(x, w, zermelo) -> (v, F*(w), h^-1 w)`` takes the point x (named in errors), the
+    covector w and the flat (h, W) at x, h row-major; v = F*(w) (h^-1 w / |w|_h* + W). It refuses
+    a strong wind, a w of another shape, an h not positive definite and w = 0, in this order.
+    """
+    from .metrics import WIND_NORM_MARGIN, _not_positive_definite, _solve_spd, _strong_wind
+
+    N = range(n)
+    h = [[f"h{i}_{j}" for j in N] for i in N]
+    W, r, a = ([f"{c}{i}" for i in N] for c in "Wra")
+    total = functools.partial(_dot, start="0.0 + ")
+    v = "".join(f"F * ({a[i]} / dual + {W[i]}), " for i in N)
+    lines = [f"{', '.join([*sum(h, []), *W])}, = zermelo",
+             # h(W, W) as metrics._zermelo_data sums it, through the entries of h W
+             f"s = {total(W, [total(row, W) for row in h])}",
+             f"if s >= {1.0 - WIND_NORM_MARGIN!r}:", "    raise _strong_wind(s, x)",
+             "w = _asarray(w, dtype=float)", f"if w.shape != ({n},):",
+             f"    raise _DimensionMismatch(f'covector shape {{w.shape}} != metric dimension {n}')",
+             f"{', '.join(r)}, = w.tolist()", *_solve(h, r),
+             *[f"{', '.join(a)}, = a.tolist()"] * (n != 2),
+             f"dual2 = {total(r, a)}", "if dual2 <= 0.0:",
+             "    raise _ZeroVector('Legendre inverse undefined for the zero covector')",
+             "dual = _sqrt(dual2)", f"F = dual + {total(r, W)}", f"return _array(({v})), F, a"]
+    namespace = dict(_sqrt=math.sqrt, _array=np.array, _asarray=np.asarray,
+                     _ZeroVector=ZeroVector, _DimensionMismatch=DimensionMismatch,
+                     _solve_spd=_solve_spd, _strong_wind=_strong_wind,
+                     _not_positive_definite=_not_positive_definite)
+    exec("def zermelo_inverse(x, w, zermelo):\n" + "".join(f"    {s}\n" for s in lines), namespace)
+    return namespace["zermelo_inverse"]

@@ -209,9 +209,8 @@ def _cone_rays(metric: Metric, field: ScalarField, p):
     and W - h^-1 df / |df|_h*, so the backward ray needs no second solve and
     no norm; otherwise it is the Newton preimage of -df over its norm.
     """
-    v, norm, hw, _ = _gradient(metric, field, p)
+    v, norm, hw, _, df = _gradient(metric, field, p)
     forward = v / norm
-    df = np.asarray(field.differential(p), dtype=float)
     if hw is None:
         w, _ = _legendre_inverse(metric, p, -df)
         backward = w / metric.norm(p, w)

@@ -1,4 +1,4 @@
-"""Geodesic spray, integration, exponential map, level crossings.
+"""Geodesic spray, integration, level crossings.
 
 Geodesics solve the Euler-Lagrange system of the energy (1/2)F^2: with
 M[i,k] = d^2F^2/dy^i dx^k the acceleration a satisfies
@@ -18,7 +18,7 @@ state, from one step loop (`_accepted_steps`) with a right-hand side
 ``rhs(z, out)``: the spray on (x, y, arc length) here, and the unit gradient
 flow on x in `transnormal.trace_f_segment`. The step's continuous extension
 (`_dense_output`) gives `geodesic_at_times` its states between step ends
-(the uniform rows of `dump-geodesic`, the end points of `exp_map` and
+(the uniform rows of `dump-geodesic` and the end points of
 `build_cylinder`) and the flow its measured acceleration. Both the march to
 a level (`integrate_to_level`) and the flow locate a level crossing with one
 routine (`_locate`): the root of f on the bracketing step's extension, one
@@ -251,18 +251,6 @@ def geodesic_at_times(
             j += 1
         z, t, k = z_new, t_new, j
     return GeodesicTrajectory.from_states(times, rows, metric)
-
-
-def exp_map(
-    metric: Metric,
-    v: TangentVector,
-    step: float = DEFAULT_STEP,
-    domain: Optional[Domain] = None,
-) -> np.ndarray:
-    """Endpoint of the unit-time geodesic with initial vector v (`geodesic_at_times`)."""
-    if float(v.vector @ v.vector) == 0.0:
-        return v.base.copy()
-    return geodesic_at_times(metric, v, [1.0], step=step, domain=domain).points[-1]
 
 
 def tangent_basis_from_differential(df) -> np.ndarray:

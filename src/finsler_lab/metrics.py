@@ -10,10 +10,12 @@ everything is computed through the equivalent alpha+beta representation
     lam = 1 - h(W,W),
 
 whose y-derivatives (fundamental tensor, Cartan tensor, spray right-hand
-sides) have closed forms. The Randers spray stage is one straight-line
-function per dimension on plain floats (``expressions.randers_stage``), fed
-by one call per point for h, W and their derivatives: at chart dimensions
-the per-call cost of numpy on 2-vectors would dominate. Norms and tensors
+sides) have closed forms. The Randers spray stage and the Legendre inverse
+(with W = 0 the Riemannian one) are each one straight-line function per
+dimension on plain floats (``expressions.randers_stage`` and
+``zermelo_inverse``), fed by one call per point for h, W and, for the
+stage, their derivatives: at chart dimensions the per-call cost of numpy on
+2-vectors would dominate. Norms and tensors
 keep a one-slot memo of the alpha/beta data at the last queried point, so
 an instance is not safe to share between threads.
 """
@@ -31,7 +33,7 @@ from . import numdiff
 from .errors import (
     DimensionMismatch, FinslerError, NonConvexWind, NoSpray, SingularTensor, ZeroVector,
 )
-from .expressions import randers_stage
+from .expressions import randers_stage, zermelo_inverse
 
 # reject winds this close to unit norm; conditioning of g_v degrades as
 # 1/(1 - h(W,W)) and the Zermelo solution blows up
@@ -225,8 +227,8 @@ class RiemannianMetric(Metric):
         return _solve_spd(H, rhs, x), float(np.sqrt(f2))
 
     def legendre_inverse(self, x, w):
-        H = self.h_matrix(x).tolist()
-        return _zermelo_inverse(H, [0.0] * self.dim, w, x)
+        zermelo = self.h_matrix(x).ravel().tolist() + [0.0] * self.dim
+        return zermelo_inverse(self.dim)(x, w, zermelo)
 
     def reverse(self):
         return self
@@ -236,14 +238,16 @@ class RandersMetric(Metric):
     """Randers metric with Zermelo data (h, W), h(W, W) < 1.
 
     The spray stage reads ``fields(x)``, the flat (h, W, dh, dW) of
-    ``expressions.randers_stage``; by default it is joined from the four
+    ``expressions.randers_stage``, and the Legendre inverse and the
+    alpha/beta data read ``zermelo(x)``, the flat (h, W) of
+    ``expressions.zermelo_inverse``; by default each is joined from the
     callables, with a derivative not given taken by central differences.
-    ``rows``, if given, is the row form of h and W for ``_rows_of``.
+    ``rows``, if given, is the row form of ``zermelo`` for ``_rows_of``.
     """
 
     kind = "randers"
 
-    def __init__(self, h, wind, dim, dh=None, dwind=None, fields=None, rows=None):
+    def __init__(self, h, wind, dim, dh=None, dwind=None, fields=None, zermelo=None, rows=None):
         self.dim = dim
         self._rows = rows
         self._h = h
@@ -251,8 +255,13 @@ class RandersMetric(Metric):
         if fields is None:
             parts = (h, wind, dh or _fd_derivative(h, 1e-6), dwind or _fd_derivative(wind, 1e-6))
             fields = lambda x: np.concatenate([np.ravel(f(x)) for f in parts], dtype=float).tolist()
+        if zermelo is None:
+            zermelo = lambda x: np.concatenate([np.ravel(h(x)), np.ravel(wind(x))],
+                                               dtype=float).tolist()
         self._fields = fields
+        self._zermelo = zermelo
         self._stage = randers_stage(dim)
+        self._inverse = zermelo_inverse(dim)
         self._memo = (None, None)
 
     @classmethod
@@ -273,13 +282,21 @@ class RandersMetric(Metric):
     def wind_at(self, x):
         return self._alpha_beta(x).W
 
+    def _zermelo_at(self, x):
+        """The flat (h, W) at x in one call; where it fails, the error of h, then W, alone."""
+        try:
+            return self._zermelo(x)
+        except FinslerError:
+            self._h(x), self._wind(x)
+            raise
+
     def _alpha_beta(self, x):
         x = self._check_point(x)
         key = x.tobytes()
         if key == self._memo[0]:
             return self._memo[1]
-        H = np.asarray(self._h(x), dtype=float)
-        W = np.asarray(self._wind(x), dtype=float)
+        z, n = self._zermelo_at(x), self.dim
+        H, W = np.array(z[: n * n], dtype=float).reshape(n, n), np.array(z[n * n :], dtype=float)
         Wl, lam = _zermelo_data(H.tolist(), W.tolist(), x)
         Wl = np.array(Wl)
         A = H / lam + np.outer(Wl, Wl) / lam**2
@@ -347,7 +364,7 @@ class RandersMetric(Metric):
 
     def co_norms(self, points, covectors):
         """``legendre_inverse(x, w)[1]`` row by row; in 2-D from stacked arrays,
-        by the float operations of ``_zermelo_inverse`` and its inline solve."""
+        by the float operations of ``expressions.zermelo_inverse``."""
         if self.dim != 2:
             return super().co_norms(points, covectors)
         points, w = _row_pairs(2, points, covectors)
@@ -403,21 +420,20 @@ class RandersMetric(Metric):
     def legendre_inverse(self, x, w):
         """Closed form from the co-metric F*(w) = |w|_h* + w(W) (Bao-Robles-Shen)."""
         x = self._check_point(x)
-        H = np.asarray(self._h(x), dtype=float).tolist()
-        W = np.asarray(self._wind(x), dtype=float).tolist()
-        _zermelo_data(H, W, x)
-        return _zermelo_inverse(H, W, w, x)
+        return self._inverse(x, w, self._zermelo_at(x))
 
     def reverse(self):
-        n, wind, fields, rows = self.dim, self._wind, self._fields, self._rows
+        n, wind, fields, z, rows = self.dim, self._wind, self._fields, self._zermelo, self._rows
         # the W and dW slices of (h, W, dh, dW) change sign; 1.0 * v is v
         signs = [1.0] * (n * n) + [-1.0] * n + [1.0] * n**3 + [-1.0] * (n * n)
+        head = signs[: n * n + n]
         return RandersMetric(
             self._h,
             lambda x: -np.asarray(wind(x), dtype=float),
             n,
             fields=lambda x: list(map(mul, signs, fields(x))),
-            rows=rows and (lambda p: None if (r := rows(p)) is None else r * signs[: n * n + n]),
+            zermelo=lambda x: list(map(mul, head, z(x))),
+            rows=rows and (lambda p: None if (r := rows(p)) is None else r * head),
         )
 
 
@@ -572,22 +588,6 @@ def _zermelo_data(H, W, x):
 
 def _strong_wind(s, x):
     return NonConvexWind(f"h(W,W) = {s} at {x}; wind too strong for a Randers norm")
-
-
-def _zermelo_inverse(H, W, w, x):
-    """(v, F*(w), h^-1 w) from lists H, W and covector w: v = F*(w) (h^-1 w / |w|_h* + W)."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (len(W),):
-        raise DimensionMismatch(f"covector shape {w.shape} != metric dimension {len(W)}")
-    w = w.tolist()
-    hw = _solve_spd(H, w, x)
-    hws = hw.tolist()
-    dual2 = sum(map(mul, w, hws))
-    if dual2 <= 0.0:
-        raise ZeroVector("Legendre inverse undefined for the zero covector")
-    dual = math.sqrt(dual2)
-    F = dual + sum(map(mul, w, W))
-    return np.array([F * (a / dual + b) for a, b in zip(hws, W)]), F, hw
 
 
 def _solve_spd(g, rhs, x):

@@ -388,10 +388,11 @@ def build_metric(config: ScenarioConfig) -> Metric:
     dh, dw = ([e.diff(VARIABLES[k]) for k in range(n) for e in f] for f in (h, w))
     if config.metric_kind == "riemannian":
         return RiemannianMetric(_array_field(h, (n, n)), n, _array_field(dh, (n, n, n)))
-    # the spray stage's (h, W, dh, dW) in one generated call per point
+    # the spray stage's (h, W, dh, dW) and the Legendre inverse's (h, W), each in one
+    # generated call per point; the latter at a stack of points too
     fields = _flat_field(h + w + dh + dw, n)
     return RandersMetric(_array_field(h, (n, n)), _array_field(w, (n,)), n, fields=fields,
-                         rows=compile_rows(h + w, n))
+                         zermelo=_flat_field(h + w, n), rows=compile_rows(h + w, n))
 
 
 def build_chart(config: ScenarioConfig, name: str = "main") -> Chart:

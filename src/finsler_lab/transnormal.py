@@ -348,7 +348,7 @@ def trace_f_segment(
     metric_eff = metric if direction == "forward" else metric.reverse()
 
     def flow(x, out):
-        v, norm, _, _ = _gradient(metric, field, x)
+        v, norm = _gradient(metric, field, x)[:2]
         out[:] = sign * v / norm
         return out
 

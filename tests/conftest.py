@@ -11,18 +11,23 @@ from finsler_lab.calculus import REGULAR_POINT_NORM, finsler_gradient
 from finsler_lab.errors import (
     DimensionMismatch,
     EmptySample,
+    EvalError,
     LeftDomain,
     NeverReached,
     ValidationError,
     ZeroVector,
 )
 from finsler_lab.geodesics import (
+    DEFAULT_STEP,
     CrossingEvent,
     GeodesicTrajectory,
+    geodesic_at_times,
     orthogonality_defect,
     tangent_basis_from_differential,
 )
-from finsler_lab.expressions import VARIABLES, compile_expression
+from finsler_lab.expressions import (
+    _MATH, VARIABLES, Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var, _real_pow, compile_expression,
+)
 from finsler_lab.foliation import build_cylinder
 from finsler_lab.metrics import RandersMetric, TangentVector, _solve_spd, _zermelo_data
 from finsler_lab.scenarios import (
@@ -480,6 +485,87 @@ def _list_randers_stage(metric, x, y, reverse=False):
 @pytest.fixture(scope="session")
 def list_randers_stage():
     return _list_randers_stage
+
+
+def _walk(node, env):
+    """The value of a tree at the variables of env, node by node."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        if node.name not in env:
+            raise EvalError(f"variable '{node.name}' undefined in this chart")
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -_walk(node.arg, env)
+    if isinstance(node, Add):
+        return _walk(node.left, env) + _walk(node.right, env)
+    if isinstance(node, Sub):
+        return _walk(node.left, env) - _walk(node.right, env)
+    if isinstance(node, Mul):
+        return _walk(node.left, env) * _walk(node.right, env)
+    if isinstance(node, Div):
+        return _walk(node.left, env) / _walk(node.right, env)
+    if isinstance(node, Pow):
+        return _real_pow(node.exponent)(_walk(node.base, env), _walk(node.exponent, env))
+    if isinstance(node, Call):
+        return _MATH[node.func](_walk(node.arg, env))
+    raise TypeError(f"unknown node {node!r}")
+
+
+def _evaluate(node, coords):
+    """Reference: a tree's value at a coordinate sequence (x, y, z order), walked node by
+    node; the slow path that ``compile_expression`` is checked against."""
+    env = {name: float(c) for name, c in zip(VARIABLES, coords)}
+    try:
+        val = _walk(node, env)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise EvalError(f"cannot evaluate '{node}' at {tuple(coords)}: {exc}") from exc
+    if not math.isfinite(val):
+        raise EvalError(f"non-finite value for '{node}' at {tuple(coords)}")
+    return val
+
+
+@pytest.fixture(scope="session")
+def evaluate():
+    return _evaluate
+
+
+def _zermelo_inverse(H, W, w, x):
+    """Reference: the list-based closed-form Legendre inverse that
+    ``expressions.zermelo_inverse`` replaced, after ``_zermelo_data``'s wind check.
+
+    (v, F*(w), h^-1 w) from lists H, W and covector w: v = F*(w) (h^-1 w / |w|_h* + W).
+    """
+    w = np.asarray(w, dtype=float)
+    if w.shape != (len(W),):
+        raise DimensionMismatch(f"covector shape {w.shape} != metric dimension {len(W)}")
+    w = w.tolist()
+    hw = _solve_spd(H, w, x)
+    hws = hw.tolist()
+    dual2 = sum(map(mul, w, hws))
+    if dual2 <= 0.0:
+        raise ZeroVector("Legendre inverse undefined for the zero covector")
+    dual = math.sqrt(dual2)
+    F = dual + sum(map(mul, w, W))
+    return np.array([F * (a / dual + b) for a, b in zip(hws, W)]), F, hw
+
+
+@pytest.fixture(scope="session")
+def zermelo_inverse():
+    return _zermelo_inverse
+
+
+def _exp_map(metric, v, step=DEFAULT_STEP, domain=None):
+    """Reference: the end point of the unit-time geodesic with initial vector v
+    (`geodesic_at_times`); the base point for v = 0."""
+    if float(v.vector @ v.vector) == 0.0:
+        return v.base.copy()
+    return geodesic_at_times(metric, v, [1.0], step=step, domain=domain).points[-1]
+
+
+@pytest.fixture(scope="session")
+def exp_map():
+    return _exp_map
 
 
 def _polyline_length(metric, points, samples_per_segment=32):

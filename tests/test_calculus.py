@@ -166,12 +166,14 @@ def test_gradient_critical_point(paraboloid):
 
 def test_gradient_core_is_what_the_gradient_result_holds(disc_scenario, paraboloid):
     # finsler_gradient wraps the core: the same v, F, h^-1 df and iterations,
-    # and the same error where a check of the result's vectors fails
+    # and the same error where a check of the result's vectors fails; the
+    # core hands back the df it took
     chart = disc_scenario.chart
     custom = CustomMetric(lambda x, y: chart.metric.norm(x, y), 2)
     p = np.array([0.3, -0.2])
     for metric in (chart.metric, chart.metric.reverse(), euclidean_metric(2), custom):
-        v, F, hw, iterations = _gradient(metric, paraboloid, p)
+        v, F, hw, iterations, df = _gradient(metric, paraboloid, p)
+        assert df.tobytes() == paraboloid.differential(p).tobytes()
         res = finsler_gradient(metric, paraboloid, p)
         assert np.array_equal(v, res.gradient.vector) and F == res.finsler_norm
         assert iterations == res.newton_iterations and (iterations > 0) == (metric is custom)

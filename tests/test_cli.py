@@ -451,6 +451,36 @@ def test_usage_errors_exit_two(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("dump-geodesic", "--start", "0.3,0", "--velocity", "1,0", "--t-end=inf"), "--t-end"),
+        (("trace-segment", "--start", "0.3,0", "--levels=nan"), "--levels"),
+        (("trace-segment", "--start", "0.3,0", "--levels=inf"), "--levels"),
+        (("trace-segment", "--start", "0.3,0", "--stop=nan"), "--stop"),
+        (("check-partition", "--levels=0.09,nan"), "--levels"),
+        (("check-parallel", "--to", "nan"), "--to"),
+        (("verify-distance", "--to", "inf"), "--to"),
+        (("verify-distance", "--from=-inf"), "--from"),
+        (("trace-segment", "--start", "0.3,0", "--t-max", "inf"), "--t-max"),
+        (("trace-segment", "--start", "0.3,0", "--step", "inf"), "--step"),
+        (("check-transnormal", "--tol", "inf"), "--tol"),
+    ],
+)
+def test_non_finite_option_exits_two(tmp_path, capsys, argv, option):
+    # refused before any chart is built, naming the option
+    verb, *rest = argv
+    assert run(tmp_path, verb, "--example", "disc-radial", *rest) == 2
+    assert f"configuration error: {option} must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_non_finite_wind_exits_two(tmp_path, capsys):
+    argv = ("check-transnormal", "--example", "minkowski-randers-distance", "--wind", "nan")
+    assert run(tmp_path, *argv) == 2
+    assert "--wind must be finite, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("check-morse-bott", "--example", "disc-radial", "--tol", "1e-3"),

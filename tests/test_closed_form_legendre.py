@@ -18,21 +18,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsler_lab.calculus import (
+    GRADIENT_CRITICAL_NORM,
     ScalarField,
+    _gradient,
     _legendre_inverse,
     _newton_inverse,
     finsler_gradient,
 )
 from finsler_lab.errors import (
-    DimensionMismatch, EvalError, FinslerError, NonConvexWind, SingularTensor, ZeroVector,
+    CriticalPoint, DimensionMismatch, EvalError, FinslerError, NonConvexWind, SingularTensor,
+    ZeroVector,
 )
 from finsler_lab.metrics import (
     CustomMetric,
     RandersMetric,
     ReverseMetric,
     RiemannianMetric,
+    _zermelo_data,
+    attached,
     euclidean_metric,
 )
+from finsler_lab.scenarios import build_chart, list_examples, load_example, parse_scenario
+
+from test_metrics import SCENARIO_3D
 
 ORIGIN = np.zeros(2)
 
@@ -345,3 +353,142 @@ def test_co_norms_raise_at_the_first_bad_row():
     raised = _raised(lambda: indefinite_3d.co_norms(points, w))
     assert raised == _raised(lambda: _co_norm_rows(indefinite_3d, points, w))
     assert raised[0] is SingularTensor
+
+
+# ---------------------------------------------------------------------------
+# the generated kernel against the list arithmetic it replaced
+
+
+def _reference_inverse(metric, x, w, zermelo_inverse):
+    """``legendre_inverse`` as the list-based path took it: h and W read apart,
+    ``_zermelo_data``'s wind check, then the conftest's list inverse; W = 0 and no
+    wind check for a Riemannian metric, sign flips around the inner for a ReverseMetric."""
+    if isinstance(metric, ReverseMetric):
+        v, F, hw = _reference_inverse(metric.inner, x, -np.asarray(w, dtype=float),
+                                      zermelo_inverse)
+        return -v, F, -hw
+    if isinstance(metric, RiemannianMetric):
+        return zermelo_inverse(metric.h_matrix(x).tolist(), [0.0] * metric.dim, w, x)
+    x = metric._check_point(x)
+    H = np.asarray(metric._h(x), dtype=float).tolist()
+    W = np.asarray(metric._wind(x), dtype=float).tolist()
+    _zermelo_data(H, W, x)
+    return zermelo_inverse(H, W, w, x)
+
+
+def _outcome(call):
+    """The floats of (v, F, h^-1 w) as bytes, or the type and message of the error."""
+    try:
+        v, F, hw = call()
+    except FinslerError as exc:
+        return type(exc), str(exc)
+    return v.tobytes(), np.float64(F).tobytes(), hw.tobytes()
+
+
+@given(
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    wind=st.floats(0.0, 1.0 - 1e-6),
+    case=st.sampled_from(["covector", "at margin", "indefinite", "zero", "wrong size"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_kernel_is_the_list_inverse_bitwise(n, seed, wind, case, zermelo_inverse):
+    # random SPD h and a wind with h(W, W) drawn up to the margin, where the
+    # rounded sum falls on either side of it; at the margin exactly,
+    # h_00 = 1 - 1e-6 with W = e_0; an indefinite h; w = 0; a w of n + 1
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, n))
+    h0 = B @ B.T + 0.5 * np.eye(n)
+    h0 = 0.5 * (h0 + h0.T)
+    W = rng.normal(size=n)
+    W *= math.sqrt(wind / float(W @ h0 @ W))
+    w = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 3)
+    if case == "at margin":
+        h0[0, 0], W = 1.0 - 1e-6, np.eye(n)[0]
+    elif case == "indefinite":
+        h0[-1, -1] = -h0[-1, -1]
+    elif case == "zero":
+        w = np.zeros(n)
+    elif case == "wrong size":
+        w = np.ones(n + 1)
+    x = rng.normal(size=n)
+    randers = RandersMetric(lambda x: h0, lambda x: W, n)
+    metrics = [randers, randers.reverse(), ReverseMetric(randers)]
+    if case != "at margin":
+        metrics.append(RiemannianMetric(lambda x: h0, n))
+    for metric in metrics:
+        got = _outcome(lambda: metric.legendre_inverse(x, w))
+        assert got == _outcome(lambda: _reference_inverse(metric, x, w, zermelo_inverse))
+        if case != "covector":
+            # a wind over the margin is refused first
+            error = {"at margin": NonConvexWind, "indefinite": SingularTensor,
+                     "zero": ZeroVector, "wrong size": DimensionMismatch}[case]
+            assert got[0] is error or (got[0] is NonConvexWind and metric.kind != "riemannian")
+
+
+def test_fused_read_raises_what_h_then_w_raise(zermelo_inverse):
+    # at x = 2 the first h entry, the wind, or both are undefined: the error
+    # is the one h, then W, read apart raise, for the inverse and the tensors
+    h_entry, wind = "1 + x^2, 0.1 * y", "wind = 0.2 * y, -0.2 * x, 0.1 * z * x\n"
+    for h_text, wind_text in (("sqrt(2 - x^2), 0.1 * y", wind),
+                              (h_entry, "wind = 0.3 * sqrt(1 - x^2), 0, 0\n"),
+                              ("sqrt(2 - x^2), 0.1 * y", "wind = 0.3 * sqrt(1 - x^2), 0, 0\n")):
+        text = SCENARIO_3D.replace(h_entry, h_text).replace(wind, wind_text)
+        metric = build_chart(parse_scenario(text)).metric
+        x, w = np.array([2.0, 0.0, 0.0]), np.ones(3)
+        for m in (metric, metric.reverse(), ReverseMetric(metric)):
+            raised = _outcome(lambda: m.legendre_inverse(x, w))
+            assert raised == _outcome(lambda: _reference_inverse(m, x, w, zermelo_inverse))
+            assert raised[0] is EvalError and ("sqrt(2" in raised[1]) == (h_text != h_entry)
+            with pytest.raises(EvalError) as err:
+                m.norm(x, w)
+            assert str(err.value) == raised[1]
+
+
+def _reference_gradient(metric, field, p, zermelo_inverse):
+    """(v, F, h^-1 df) of the gradient core before the generated kernel: numpy's norm of
+    df, the list inverse and one `attached` check per vector."""
+    p = np.asarray(p, dtype=float)
+    df = np.asarray(field.differential(p), dtype=float)
+    if float(np.linalg.norm(df)) < GRADIENT_CRITICAL_NORM:
+        raise CriticalPoint(f"|df| = {np.linalg.norm(df)} below {GRADIENT_CRITICAL_NORM} at {p}")
+    v, F, hw = _reference_inverse(metric, p, df, zermelo_inverse)
+    for vec in (hw, v):
+        attached(p, vec)
+    return v, F, hw
+
+
+def test_gradient_on_charts_is_the_old_core_bitwise(rng, zermelo_inverse):
+    # every chart of every example and the 3-D twisted box, each metric with its
+    # two reverses, at random points of the chart
+    charts = [build_chart(parse_scenario(SCENARIO_3D), "twisted-box")]
+    for name in list_examples():
+        charts += load_example(name).charts.values()
+    for chart in charts:
+        for metric in (chart.metric, chart.metric.reverse(), ReverseMetric(chart.metric)):
+            for p in _domain_points(chart.domain, rng, 30):
+                got = _outcome(lambda: _gradient(metric, chart.field, p)[:3])
+                assert got == _outcome(
+                    lambda: _reference_gradient(metric, chart.field, p, zermelo_inverse)
+                )
+                assert isinstance(got[0], bytes)
+
+
+@given(
+    df=st.one_of(
+        st.lists(st.floats(-3e-12, 3e-12), min_size=2, max_size=2),
+        st.tuples(st.floats(0.999e-12, 1.001e-12), st.floats(0.0, 2.0 * math.pi)).map(
+            lambda ra: [ra[0] * math.cos(ra[1]), ra[0] * math.sin(ra[1])]
+        ),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_critical_point_decision_is_numpys(df):
+    df = np.array(df)
+    field = ScalarField(lambda p: 0.0, lambda p: df)
+    try:
+        _gradient(euclidean_metric(2), field, ORIGIN)
+        critical = False
+    except CriticalPoint:
+        critical = True
+    assert critical == (float(np.linalg.norm(df)) < GRADIENT_CRITICAL_NORM)

@@ -22,7 +22,6 @@ from finsler_lab.foliation import (
     orthogonal_cone,
 )
 from finsler_lab.geodesics import (
-    exp_map,
     integrate_geodesic,
     integrate_to_level,
     orthogonality_defect,
@@ -146,7 +145,7 @@ def test_cone_minkowski_rays_not_antiparallel(minkowski_scenario):
     assert float(df @ fwd) > 0.0 > float(df @ bwd)
 
 
-def test_cone_rays_parallel_defect_shrinks_with_radius(minkowski_scenario):
+def test_cone_rays_parallel_defect_shrinks_with_radius(minkowski_scenario, exp_map):
     # at vanishing travel distance the odd ray is trivially "parallel";
     # the arrival defect must decrease as the radius shrinks
     chart = minkowski_scenario.chart
@@ -277,37 +276,51 @@ def test_partition_takes_one_basis_and_defect_per_arrival(sphere_scenario, monke
     assert counts == {"tangent_basis_from_differential": arrived, "orthogonality_defect": arrived}
 
 
-def _counting_disc_chart(monkeypatch):
-    """A fresh disc-radial chart whose compiled expressions count their calls."""
-    calls = [0]
+def _counting_chart(monkeypatch, example="disc-radial", name="main"):
+    """A freshly built chart whose compiled expressions record their trees at each call
+    after the build."""
+    calls = []
 
     def counted_compile(node, dim):
         fn = compile_expression(node, dim)
 
         def counted(*args):
-            calls[0] += 1
+            calls.append(node)
             return fn(*args)
 
         return counted
 
     monkeypatch.setattr(scenarios, "compile_expression", counted_compile)
     monkeypatch.setattr(calculus, "compile_expression", counted_compile)
-    return scenarios.load_example("disc-radial").chart, calls
+    chart = scenarios.load_example(example).charts[name]
+    calls.clear()
+    return chart, calls
 
 
 def test_cone_evaluates_fewer_expressions(monkeypatch):
     p = np.array([0.3, -0.2])
-    chart, calls = _counting_disc_chart(monkeypatch)
-    calls[0] = 0
+    chart, calls = _counting_chart(monkeypatch)
     _reference_cone(chart.metric, chart.field, p)
-    before = calls[0]
-    chart, calls = _counting_disc_chart(monkeypatch)
-    calls[0] = 0
+    before = len(calls)
+    chart, calls = _counting_chart(monkeypatch)
     orthogonal_cone(chart.metric, chart.field, p)
-    # disc-radial has a constant h: df twice, the wind for the gradient and
-    # once more for the defects' tensors; the second solve and the norm
-    # evaluated the wind once each on top
-    assert (before, calls[0]) == (5, 4)
+    # one (h, W) read each for the gradient and the defects' tensors, and df
+    # once, from the gradient core; the reference takes df again, and its
+    # second solve and norm read (h, W) once each on top
+    assert (before, len(calls)) == (5, 3)
+
+
+def test_gradient_reads_h_and_w_in_one_call(monkeypatch):
+    # h varies on the sphere band: a gradient is one df call and one fused
+    # (h, W) call, for the metric and its two reverses
+    band, calls = _counting_chart(monkeypatch, "randers-sphere-height", "band")
+    config = band.config
+    h_and_w = [e for row in config.h_entries for e in row] + list(config.wind_entries)
+    df = [config.field_expr.diff(v) for v in ("x", "y")]
+    for metric in (band.metric, band.metric.reverse(), ReverseMetric(band.metric)):
+        calls.clear()
+        calculus._gradient(metric, band.field, np.array([1.2, 0.4]))
+        assert calls == [df, h_and_w]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from finsler_lab.domains import DiscDomain
 from finsler_lab.errors import LeftDomain, NeverReached, NonConvexWind, ZeroVector
 from finsler_lab.expressions import parse_expression
 from finsler_lab.geodesics import (
-    exp_map,
     geodesic_at_times,
     integrate_geodesic,
     integrate_to_level,
@@ -151,12 +150,12 @@ def test_reverse_metric_time_reversal(disc_scenario):
 # exponential map
 
 
-def test_exp_zero_vector_is_base():
+def test_exp_zero_vector_is_base(exp_map):
     metric = RandersMetric.constant_wind([0.5, 0.0])
     assert np.allclose(exp_map(metric, TangentVector([0.2, 0.3], [0.0, 0.0])), [0.2, 0.3])
 
 
-def test_exp_translates_in_minkowski():
+def test_exp_translates_in_minkowski(exp_map):
     metric = RandersMetric.constant_wind([0.5, 0.0])
     assert np.allclose(
         exp_map(metric, TangentVector([0.2, 0.3], [0.5, -0.1])), [0.7, 0.2], atol=1e-12
@@ -193,7 +192,9 @@ ROW_CASES = [
 
 
 @pytest.mark.parametrize("fixture, chart_name, lows, highs", ROW_CASES)
-def test_rows_match_the_rk4_path(request, rng, fixture, chart_name, lows, highs):
+def test_rows_match_the_rk4_path(
+    request, rng, exp_map, fixture, chart_name, lows, highs
+):
     chart = request.getfixturevalue(fixture).charts[chart_name]
     for ray in _random_unit_rays(chart, rng, lows, highs, 3):
         t_end = rng.uniform(0.1, 0.5)
@@ -236,7 +237,7 @@ def test_rows_read_off_the_steps(disc_scenario, monkeypatch):
             geodesic_at_times(chart.metric, ray, bad)
 
 
-def test_geodesic_ending_at_the_chart_edge_is_returned(disc_scenario):
+def test_geodesic_ending_at_the_chart_edge_is_returned(disc_scenario, exp_map):
     # the unit radial ray of disc-radial runs at dr/dt = 1 + r, so
     # r(t) = (1 + r0) e^t - 1; it ends 5e-5 inside the chart's radius 0.9,
     # and a trial step past the end would leave the chart
