@@ -61,8 +61,8 @@ OPTIONS = {
     "--tol": dict(type=float),
     "--t-max": dict(type=float, default=10.0),
     "--samples": dict(type=int, default=250),
-    "--start": dict(required=True, help="comma-separated start coordinates"),
-    "--velocity": dict(required=True, help="comma-separated velocity components"),
+    "--start": dict(type=_float_list, required=True, help="comma-separated start coordinates"),
+    "--velocity": dict(type=_float_list, required=True, help="comma-separated velocity components"),
     "--t-end": dict(type=float, default=1.0),
     "--stop": dict(type=float, help="stop at this f level"),
     "--levels": dict(type=_float_list, default=(), help="comma-separated f levels"),
@@ -168,11 +168,9 @@ def _chart(scenario, args):
 
 def _coords(args, chart, option):
     """A comma-list option such as --start, checked against the chart's dimension."""
-    values = _float_list(getattr(args, option))
+    values = getattr(args, option)
     if len(values) != chart.metric.dim:
-        raise ValidationError(
-            f"--{option} needs {chart.metric.dim} coordinates, got {len(values)}"
-        )
+        raise ValidationError(f"--{option} needs {chart.metric.dim} coordinates, got {len(values)}")
     return values
 
 

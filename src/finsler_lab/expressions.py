@@ -582,9 +582,21 @@ def _generate(nodes, dim, rows=False):
     args = "".join(f"_c{i}, " for i in range(dim))
     values = "(" + "".join(f"{_codegen(e)}, " for e in nodes) + ")"
     head, body = ("_points", f"[{values} for {args}in _points]") if rows else (args, values)
-    namespace = {f"_{name}": fn for name, fn in _MATH.items()} | {"_fpow": math.pow}
-    exec(f"def _generated({head}):\n    return {body}\n", namespace)  # noqa: S102
-    return namespace["_generated"]
+    return _kernel("_generated", head, [f"return {body}"])
+
+
+def _kernel(name, params, lines, **names):
+    """The function ``name(params)`` with the body lines, over the math, numpy and error names."""
+    # imported here, not at the top: metrics imports this module
+    from .metrics import _not_positive_definite, _solve_spd, _strong_wind
+
+    namespace = {f"_{key}": fn for key, fn in _MATH.items()} | dict(
+        _fpow=math.pow, _array=np.array, _asarray=np.asarray, _ZeroVector=ZeroVector,
+        _DimensionMismatch=DimensionMismatch, _solve_spd=_solve_spd, _strong_wind=_strong_wind,
+        _not_positive_definite=_not_positive_definite) | names
+    body = "".join(f"    {s}\n" for s in lines)
+    exec(f"def {name}({params}):\n{body}", namespace)  # noqa: S102
+    return namespace[name]
 
 
 def _at(nodes, coords):
@@ -610,17 +622,30 @@ def _dot(u, v, start=""):
     return "(" + start + " + ".join(f"{a} * {b}" for a, b in zip(u, v)) + ")"
 
 
-def _solve(g, r):
-    """Lines that set ``a`` to the solution of g a = r as ``metrics._solve_spd`` solves it:
-    a call, or in 2-D its closed form and check inline, with the entries a0, a1."""
+def _refuse(error, bad="", unless=(), columns=False):
+    """A check's lines: raise the error where the comparison ``bad`` holds or not all of
+    ``unless`` hold; on columns, return None where that is so at some row. NaN passes ``bad``
+    and fails ``unless``, in both forms."""
+    both = " & ".join(f"({t})" for t in unless) if columns else " and ".join(unless)
+    test = bad or f"{'~' if columns else 'not '}({both})"
+    if columns:
+        return [f"if ({test}).any():", "    return None"]
+    return [f"if {test}:", f"    raise {error}"]
+
+
+def _solve(g, r, columns=False):
+    """Lines that set ``a`` to the solution of g a = r as ``metrics._solve_spd`` solves it: a
+    call, or in 2-D its closed form and check inline, setting a0, a1 (and ``a`` but on columns)."""
     if len(r) != 2:
         rows = "".join(f"({', '.join(row)},), " for row in g)
         return [f"a = _solve_spd(({rows}), ({', '.join(r)},), x)"]
     (g00, g01), (g10, g11) = g
     return [f"det = {g00} * {g11} - {g01} * {g10}",
-            f"if not ({g00} > 0.0 and det > 0.0):", "    raise _not_positive_definite(x)",
+            *_refuse("_not_positive_definite(x)", unless=(f"{g00} > 0.0", "det > 0.0"),
+                     columns=columns),
             f"a0 = ({g11} * {r[0]} - {g01} * {r[1]}) / det",
-            f"a1 = ({g00} * {r[1]} - {g10} * {r[0]}) / det", "a = _array((a0, a1))"]
+            f"a1 = ({g00} * {r[1]} - {g10} * {r[0]}) / det",
+            *["a = _array((a0, a1))"] * (not columns)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -634,8 +659,7 @@ def randers_stage(n):
     unrolled, so a stage is one call on plain floats; in 2-D the solve with
     its positivity check is inline too.
     """
-    # imported here, not at the top: metrics imports this module
-    from .metrics import WIND_NORM_MARGIN, _not_positive_definite, _solve_spd, _strong_wind
+    from .metrics import WIND_NORM_MARGIN
 
     def let(name, value):
         """Assign a value, or nested lists of them, to locals named by index path."""
@@ -652,14 +676,14 @@ def randers_stage(n):
     lines = [f"{', '.join(y)}, = y", f"{', '.join(fields)}, = fields"]
     wl = let("wl", [_dot(h[i], w) for i in N])
     let("s", _dot(w, wl))
-    lines += [f"if s >= {1.0 - WIND_NORM_MARGIN!r}:", "    raise _strong_wind(s, x)"]
+    lines += _refuse("_strong_wind(s, x)", bad=f"s >= {1.0 - WIND_NORM_MARGIN!r}")
     let("lam", "1.0 - s")
     let("lam2", "lam * lam")
     hy = let("hy", [_dot(h[i], y) for i in N])
     let("wly", _dot(wl, y))
     ay = let("ay", [f"{hy[i]} / lam + {wl[i]} * wly / lam2" for i in N])
     let("alpha2", _dot(y, ay))
-    lines += ["if alpha2 <= 0.0:", "    raise _ZeroVector('spray undefined on the zero section')"]
+    lines += _refuse("_ZeroVector('spray undefined on the zero section')", bad="alpha2 <= 0.0")
     let("alpha", "_sqrt(alpha2)")
     let("F", "alpha - wly / lam")
     # ell = A y / alpha and m = ell + b, the y-gradient of F
@@ -689,42 +713,40 @@ def randers_stage(n):
     g = let("g", [[f"{m[i]} * {m[j]} + ratio * ({h[i][j]} / lam + {wl[i]} * {wl[j]} / lam2"
                    f" - {e[i]} * {e[j]})" for j in N] for i in N])
     lines += [*_solve(g, r), "return a, F"]
-    namespace = dict(_sqrt=math.sqrt, _array=np.array, _ZeroVector=ZeroVector,
-                     _solve_spd=_solve_spd, _strong_wind=_strong_wind,
-                     _not_positive_definite=_not_positive_definite)
-    exec("def randers_stage(x, y, fields):\n" + "".join(f"    {s}\n" for s in lines), namespace)
-    return namespace["randers_stage"]
+    return _kernel("randers_stage", "x, y, fields", lines)
 
 
 @functools.lru_cache(maxsize=None)
-def zermelo_inverse(n):
+def zermelo_inverse(n, columns=False):
     """The closed-form Legendre inverse of dimension n, generated once and cached.
 
     ``inverse(x, w, zermelo) -> (v, F*(w), h^-1 w)`` takes the point x (named in errors), the
     covector w and the flat (h, W) at x, h row-major; v = F*(w) (h^-1 w / |w|_h* + W). It refuses
     a strong wind, a w of another shape, an h not positive definite and w = 0, in this order.
+    With ``columns`` (2-D only), ``co_norms(w, zermelo)`` runs the same lines on the columns of
+    (k, 2) covectors and (k, 6) flat (h, W) rows: F*(w) at each row, or None if one is refused.
     """
-    from .metrics import WIND_NORM_MARGIN, _not_positive_definite, _solve_spd, _strong_wind
+    from .metrics import WIND_NORM_MARGIN
 
     N = range(n)
     h = [[f"h{i}_{j}" for j in N] for i in N]
     W, r, a = ([f"{c}{i}" for i in N] for c in "Wra")
     total = functools.partial(_dot, start="0.0 + ")
     v = "".join(f"F * ({a[i]} / dual + {W[i]}), " for i in N)
-    lines = [f"{', '.join([*sum(h, []), *W])}, = zermelo",
+    covector = [f"{', '.join(r)}, = w.T"] if columns else [
+        "w = _asarray(w, dtype=float)", f"if w.shape != ({n},):",
+        f"    raise _DimensionMismatch(f'covector shape {{w.shape}} != metric dimension {n}')",
+        f"{', '.join(r)}, = w.tolist()"]
+    lines = [f"{', '.join([*sum(h, []), *W])}, = zermelo{'.T' * columns}",
              # h(W, W) as metrics._zermelo_data sums it, through the entries of h W
              f"s = {total(W, [total(row, W) for row in h])}",
-             f"if s >= {1.0 - WIND_NORM_MARGIN!r}:", "    raise _strong_wind(s, x)",
-             "w = _asarray(w, dtype=float)", f"if w.shape != ({n},):",
-             f"    raise _DimensionMismatch(f'covector shape {{w.shape}} != metric dimension {n}')",
-             f"{', '.join(r)}, = w.tolist()", *_solve(h, r),
-             *[f"{', '.join(a)}, = a.tolist()"] * (n != 2),
-             f"dual2 = {total(r, a)}", "if dual2 <= 0.0:",
-             "    raise _ZeroVector('Legendre inverse undefined for the zero covector')",
-             "dual = _sqrt(dual2)", f"F = dual + {total(r, W)}", f"return _array(({v})), F, a"]
-    namespace = dict(_sqrt=math.sqrt, _array=np.array, _asarray=np.asarray,
-                     _ZeroVector=ZeroVector, _DimensionMismatch=DimensionMismatch,
-                     _solve_spd=_solve_spd, _strong_wind=_strong_wind,
-                     _not_positive_definite=_not_positive_definite)
-    exec("def zermelo_inverse(x, w, zermelo):\n" + "".join(f"    {s}\n" for s in lines), namespace)
-    return namespace["zermelo_inverse"]
+             *_refuse("_strong_wind(s, x)", bad=f"s >= {1.0 - WIND_NORM_MARGIN!r}",
+                      columns=columns),
+             *covector, *_solve(h, r, columns), *[f"{', '.join(a)}, = a.tolist()"] * (n != 2),
+             f"dual2 = {total(r, a)}",
+             *_refuse("_ZeroVector('Legendre inverse undefined for the zero covector')",
+                      bad="dual2 <= 0.0", columns=columns),
+             "dual = _sqrt(dual2)", f"F = dual + {total(r, W)}",
+             "return F" if columns else f"return _array(({v})), F, a"]
+    name, params = ("co_norms", "w, zermelo") if columns else ("zermelo_inverse", "x, w, zermelo")
+    return _kernel(name, params, lines, _sqrt=np.sqrt if columns else math.sqrt)

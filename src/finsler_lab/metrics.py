@@ -12,12 +12,12 @@ everything is computed through the equivalent alpha+beta representation
 whose y-derivatives (fundamental tensor, Cartan tensor, spray right-hand
 sides) have closed forms. The Randers spray stage and the Legendre inverse
 (with W = 0 the Riemannian one) are each one straight-line function per
-dimension on plain floats (``expressions.randers_stage`` and
-``zermelo_inverse``), fed by one call per point for h, W and, for the
-stage, their derivatives: at chart dimensions the per-call cost of numpy on
-2-vectors would dominate. Norms and tensors
-keep a one-slot memo of the alpha/beta data at the last queried point, so
-an instance is not safe to share between threads.
+dimension on plain floats (``expressions.randers_stage``, ``zermelo_inverse``)
+fed by one call per point for h, W and, for the stage, their derivatives: on
+2-vectors the per-call cost of numpy would dominate. In 2-D, ``co_norms`` runs
+the inverse's own lines on numpy columns. Norms and tensors keep a one-slot
+memo of the alpha/beta data at the last queried point, so an instance is not
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -326,33 +326,21 @@ class RandersMetric(Metric):
             return 0.0
         return float(np.sqrt(alpha2) + pd.b @ y)
 
-    def _zermelo_rows(self, points):
-        """(H, W, Wl, s) as ``_zermelo_data`` makes them, up to the first point where a field
-        is undefined or the wind too strong, and its error (else None), for the caller to
-        raise after its checks of the rows before it."""
-        (H, W), error = _rows_of(points, (self._h, (self.dim,) * 2), (self._wind, (self.dim,)),
-                                 rows=self._rows)
-        H = H[: len(W)]
-        # _zermelo_data's running sums, left to right from 0.0
-        Wl = sum((H[:, :, j] * W[:, j, None] for j in range(self.dim)), 0.0)
-        s = sum((W[:, j] * Wl[:, j] for j in range(self.dim)), 0.0)
-        strong = np.flatnonzero(s >= 1.0 - WIND_NORM_MARGIN)
-        if strong.size:
-            k = strong[0]
-            error = _strong_wind(float(s[k]), points[k])
-            H, W, Wl, s = H[:k], W[:k], Wl[:k], s[:k]
-        return H, W, Wl, s, error
-
     def norms(self, points, vectors):
         """``norm`` row by row, from stacked (k, n, n) and (k, n) arrays.
 
-        Every float operation is the one ``_alpha_beta`` and ``norm`` make at
-        a single point, so each row is bitwise the same.
+        Every float operation is the one ``_alpha_beta`` and ``norm`` make at a single
+        point, so each row is bitwise the same; the loop raises a failing row's error.
         """
         points, Y = _row_pairs(self.dim, points, vectors)
-        H, _, Wl, s, error = self._zermelo_rows(points)
-        if error is not None:
-            raise error
+        n = self.dim
+        (H, W), error = _rows_of(points, (self._h, (n, n)), (self._wind, (n,)), rows=self._rows)
+        H = H[: len(W)]
+        # _zermelo_data's running sums, left to right from 0.0
+        Wl = sum((H[:, :, j] * W[:, j, None] for j in range(n)), 0.0)
+        s = sum((W[:, j] * Wl[:, j] for j in range(n)), 0.0)
+        if error is not None or (s >= 1.0 - WIND_NORM_MARGIN).any():
+            return super().norms(points, vectors)
         lam = (1.0 - s)[:, None]
         # lam**2 as the Python float power of the single-point path
         lam2 = np.array([v**2 for v in lam[:, 0].tolist()])[:, None, None]
@@ -363,25 +351,17 @@ class RandersMetric(Metric):
         return np.where(alpha2 == 0.0, 0.0, np.sqrt(alpha2) + beta)
 
     def co_norms(self, points, covectors):
-        """``legendre_inverse(x, w)[1]`` row by row; in 2-D from stacked arrays,
-        by the float operations of ``expressions.zermelo_inverse``."""
-        if self.dim != 2:
-            return super().co_norms(points, covectors)
-        points, w = _row_pairs(2, points, covectors)
-        H, W, _, _, error = self._zermelo_rows(points)
-        (g00, g01), (g10, g11), (r0, r1) = H[:, 0].T, H[:, 1].T, w[: len(W)].T
-        det = g00 * g11 - g01 * g10
-        with np.errstate(all="ignore"):  # as Python floats, which do not warn
-            dual2 = 0.0 + r0 * ((g11 * r0 - g01 * r1) / det) + r1 * ((g00 * r1 - g10 * r0) / det)
-        singular = ~((g00 > 0.0) & (det > 0.0))
-        bad = np.flatnonzero(singular | (dual2 <= 0.0))
-        if bad.size:
-            if singular[bad[0]]:
-                raise _not_positive_definite(points[bad[0]])
-            raise ZeroVector("Legendre inverse undefined for the zero covector")
-        if error is not None:
-            raise error
-        return np.sqrt(dual2) + (0.0 + w[:, 0] * W[:, 0] + w[:, 1] * W[:, 1])
+        """``legendre_inverse(x, w)[1]`` row by row; in 2-D by the column form of its kernel,
+        with the one-point calls only where a field or a row fails, to name the first."""
+        if self.dim == 2:
+            points, w = _row_pairs(2, points, covectors)
+            (H, W), error = _rows_of(points, (self._h, (2, 2)), (self._wind, (2,)), rows=self._rows)
+            if error is None:
+                with np.errstate(all="ignore"):  # as Python floats, which do not warn
+                    b = zermelo_inverse(2, columns=True)(w, np.hstack([H.reshape(-1, 4), W]))
+                if b is not None:
+                    return b
+        return super().co_norms(points, covectors)
 
     def fundamental_matrix(self, x, y):
         y = self._require_nonzero(y)

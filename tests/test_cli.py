@@ -464,6 +464,8 @@ def test_usage_errors_exit_two(tmp_path, capsys, argv):
         (("trace-segment", "--start", "0.3,0", "--t-max", "inf"), "--t-max"),
         (("trace-segment", "--start", "0.3,0", "--step", "inf"), "--step"),
         (("check-transnormal", "--tol", "inf"), "--tol"),
+        (("trace-segment", "--start=nan,0"), "--start"),
+        (("dump-geodesic", "--start=0.1,0", "--velocity=inf,0"), "--velocity"),
     ],
 )
 def test_non_finite_option_exits_two(tmp_path, capsys, argv, option):
@@ -471,6 +473,13 @@ def test_non_finite_option_exits_two(tmp_path, capsys, argv, option):
     verb, *rest = argv
     assert run(tmp_path, verb, "--example", "disc-radial", *rest) == 2
     assert f"configuration error: {option} must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_malformed_coordinate_exits_two(tmp_path, capsys):
+    argv = ("dump-geodesic", "--example", "disc-radial", "--start=0.1,abc", "--velocity=1,0")
+    assert run(tmp_path, *argv) == 2
+    assert "argument --start: invalid" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

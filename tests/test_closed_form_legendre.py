@@ -10,6 +10,7 @@ map (`_newton_inverse`, which custom norms still use), and the residual
 (1/2) dF2_dy(v) - w computed through the alpha/beta representation.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -293,13 +294,33 @@ def test_co_norms_match_legendre_inverse_row_by_row(
         ]
     for metric, points in cases:
         scales = 10.0 ** rng.uniform(-6, 3, size=(len(points), 1))
-        covectors = rng.normal(size=points.shape) * scales
-        b = metric.co_norms(points, covectors)
-        assert b.dtype == float and b.shape == (len(points),)
-        assert np.array_equal(b, _co_norm_rows(metric, points, covectors)), metric.kind
-        assert metric.co_norms(points[:0], covectors[:0]).shape == (0,)
-        with pytest.raises(DimensionMismatch):
-            metric.co_norms(points, covectors[:, :0])
+        # random covectors, and covectors of size 1e200, whose F* overflows to inf
+        huge = np.zeros_like(points)
+        huge[:, 0] = 1e200
+        for covectors in (rng.normal(size=points.shape) * scales, huge):
+            b = metric.co_norms(points, covectors)
+            assert b.dtype == float and b.shape == (len(points),)
+            assert np.array_equal(b, _co_norm_rows(metric, points, covectors)), metric.kind
+            assert metric.co_norms(points[:0], covectors[:0]).shape == (0,)
+            with pytest.raises(DimensionMismatch):
+                metric.co_norms(points, covectors[:, :0])
+        assert np.isposinf(b).all()
+
+
+def _one_point_inverse_called(self, x, w):
+    raise AssertionError("one-point Legendre inverse called")
+
+
+def test_co_norms_of_a_2d_chart_take_the_column_form(disc_scenario, monkeypatch, rng):
+    # a silent fall-back to the one-point loop would keep every other test passing
+    chart = disc_scenario.chart
+    points = _domain_points(chart.domain, rng, 200)
+    covectors = rng.normal(size=points.shape)
+    for metric in (chart.metric, chart.metric.reverse()):
+        expected = _co_norm_rows(metric, points, covectors)
+        with monkeypatch.context() as patch:
+            patch.setattr(RandersMetric, "legendre_inverse", _one_point_inverse_called)
+            assert metric.co_norms(points, covectors).tobytes() == expected.tobytes()
 
 
 def test_co_norms_none_without_closed_form(halfwind_custom):
@@ -325,17 +346,17 @@ def test_co_norms_raise_at_the_first_bad_row():
     ok, strong, indefinite, undefined = [0.1, 0.2], [0.9, 0.2], [0.1, -0.5], [-0.1, 0.2]
     covectors = np.ones((5, 2))
     # (rows, zero covector row or None, error): the first bad row wins, whatever its kind
-    for rows, zero, error in (
+    for (rows, zero, error), null in itertools.product((
         ([ok, ok, strong, indefinite, undefined], None, NonConvexWind),
         ([ok, indefinite, strong, ok, undefined], None, SingularTensor),
         ([ok, ok, undefined, strong, indefinite], None, EvalError),
         ([ok, ok, ok, indefinite, strong], 1, ZeroVector),
         ([ok, indefinite, ok, ok, strong], 2, SingularTensor),
         ([ok, ok, ok, ok, ok], 4, ZeroVector),
-    ):
+    ), ([0.0, 0.0], [1e-170, 1e-170], [1e-200, 0.0])):  # |w|_h*^2 of the last two underflows
         points, w = np.array(rows, dtype=float), covectors.copy()
         if zero is not None:
-            w[zero] = 0.0
+            w[zero] = null
         raised = _raised(lambda: randers.co_norms(points, w))
         assert raised == _raised(lambda: _co_norm_rows(randers, points, w))
         assert raised[0] is error
