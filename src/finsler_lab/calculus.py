@@ -1,11 +1,11 @@
 """Legendre transform, Finsler gradients and gradient-direction Hessians.
 
 The Legendre map L(v) = g_v(v, .) equals half the vertical gradient of F^2.
-Randers and Riemannian metrics invert it in closed form through the Zermelo
-co-metric F*(w) = |w|_h* + w(W) (Bao-Robles-Shen), so their gradients cost
-no iteration. Only custom norms use the damped Newton: the Jacobian of L in
-v is exactly g_v (the Cartan correction term dies against the reference
-vector), a symmetric positive-definite system. One core (`_gradient`) gives
+Randers metrics, Riemannian ones (W = 0) among them, invert it in closed
+form through the Zermelo co-metric F*(w) = |w|_h* + w(W) (Bao-Robles-Shen),
+so their gradients cost no iteration. Only custom norms use the damped
+Newton: the Jacobian of L in v is exactly g_v (the Cartan correction term
+dies against the reference vector), a symmetric positive-definite system. One core (`_gradient`) gives
 v, F, h^-1 df and df with every check, on plain floats for a closed form:
 `finsler_gradient` wraps it, and the f-segment flow and probe rays read it.
 """

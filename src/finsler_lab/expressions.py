@@ -683,6 +683,7 @@ def randers_stage(n):
     let("wly", _dot(wl, y))
     ay = let("ay", [f"{hy[i]} / lam + {wl[i]} * wly / lam2" for i in N])
     let("alpha2", _dot(y, ay))
+    lines += _refuse("_not_positive_definite(x)", bad="alpha2 < 0.0")
     lines += _refuse("_ZeroVector('spray undefined on the zero section')", bad="alpha2 <= 0.0")
     let("alpha", "_sqrt(alpha2)")
     let("F", "alpha - wly / lam")

@@ -1,7 +1,8 @@
 """Finsler metric structures on a coordinate chart.
 
-Supported metrics: Riemannian (matrix field h), Randers built from Zermelo
-data (h, W) with h(W,W) < 1, the reverse of any metric, and a
+Supported metrics: Randers built from Zermelo data (h, W) with h(W,W) < 1,
+Riemannian as the Randers metric with W = 0 (its norm, tensors, spray and
+Legendre inverse are the Randers ones), the reverse of any metric, and a
 finite-difference fallback for custom norms, without a geodesic spray. The
 Randers norm is the solution Z of h(v/Z - W, v/Z - W) = 1; internally
 everything is computed through the equivalent alpha+beta representation
@@ -10,14 +11,14 @@ everything is computed through the equivalent alpha+beta representation
     lam = 1 - h(W,W),
 
 whose y-derivatives (fundamental tensor, Cartan tensor, spray right-hand
-sides) have closed forms. The Randers spray stage and the Legendre inverse
-(with W = 0 the Riemannian one) are each one straight-line function per
-dimension on plain floats (``expressions.randers_stage``, ``zermelo_inverse``)
-fed by one call per point for h, W and, for the stage, their derivatives: on
-2-vectors the per-call cost of numpy would dominate. In 2-D, ``co_norms`` runs
-the inverse's own lines on numpy columns. Norms and tensors keep a one-slot
-memo of the alpha/beta data at the last queried point, so an instance is not
-safe to share between threads.
+sides) have closed forms. The spray stage and the Legendre inverse are each
+one straight-line function per dimension on plain floats
+(``expressions.randers_stage``, ``zermelo_inverse``) fed by one call per point
+for h, W and, for the stage, their derivatives: on 2-vectors the per-call cost
+of numpy would dominate. In 2-D, ``co_norms`` runs the inverse's own lines on
+numpy columns. Norms and tensors keep a one-slot memo of the alpha/beta data
+at the last queried point, so an instance is not safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -163,77 +164,6 @@ class Metric:
         return x
 
 
-class RiemannianMetric(Metric):
-    """Riemannian structure from a symmetric positive-definite matrix field."""
-
-    kind = "riemannian"
-
-    def __init__(self, matrix_field, dim, d_matrix_field=None, fd_step=1e-6):
-        self.dim = dim
-        self._h = matrix_field
-        if d_matrix_field is None:
-            d_matrix_field = _fd_derivative(matrix_field, fd_step)
-        self._dh = d_matrix_field
-        self._memo_key = None
-        self._memo = None
-
-    @classmethod
-    def constant(cls, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        dim = matrix.shape[0]
-        zero = np.zeros((dim, dim, dim))
-        return cls(lambda x: matrix, dim, lambda x: zero)
-
-    def h_matrix(self, x):
-        x = self._check_point(x)
-        key = x.tobytes()
-        if key != self._memo_key:
-            H = np.asarray(self._h(x), dtype=float)
-            if not np.allclose(H, H.T, atol=0.0):
-                raise DimensionMismatch("metric matrix field is not symmetric")
-            self._memo = H
-            self._memo_key = key
-        return self._memo
-
-    def norm(self, x, y):
-        y = np.asarray(y, dtype=float)
-        H = self.h_matrix(x)
-        q = float(y @ H @ y)
-        if q < 0.0:
-            raise _not_positive_definite(self._check_point(x))
-        return float(np.sqrt(q))
-
-    def fundamental_matrix(self, x, y):
-        self._require_nonzero(y)
-        return self.h_matrix(x).copy()
-
-    def cartan(self, x, y, w1, w2, w3):
-        self._require_nonzero(y)
-        return 0.0
-
-    def dF2_dy(self, x, y):
-        y = np.asarray(y, dtype=float)
-        return 2.0 * self.h_matrix(x) @ y
-
-    def geodesic_stage(self, x, y):
-        H = self.h_matrix(x)
-        dH = np.asarray(self._dh(x), dtype=float)
-        hy = H @ y
-        f2 = float(y @ hy)
-        if f2 < 0.0:
-            raise _not_positive_definite(x)
-        q = dH @ y  # q[k, i] = (dH[k] y)_i
-        rhs = 0.5 * (q @ y) - y @ q
-        return _solve_spd(H, rhs, x), float(np.sqrt(f2))
-
-    def legendre_inverse(self, x, w):
-        zermelo = self.h_matrix(x).ravel().tolist() + [0.0] * self.dim
-        return zermelo_inverse(self.dim)(x, w, zermelo)
-
-    def reverse(self):
-        return self
-
-
 class RandersMetric(Metric):
     """Randers metric with Zermelo data (h, W), h(W, W) < 1.
 
@@ -264,15 +194,15 @@ class RandersMetric(Metric):
         self._inverse = zermelo_inverse(dim)
         self._memo = (None, None)
 
-    @classmethod
-    def constant_wind(cls, wind):
+    @staticmethod
+    def constant_wind(wind):
         """Minkowski Randers space: Euclidean h and a constant wind."""
         wind = np.asarray(wind, dtype=float)
         dim = wind.size
         eye = np.eye(dim)
         zero3 = np.zeros((dim, dim, dim))
         zero2 = np.zeros((dim, dim))
-        return cls(
+        return RandersMetric(
             lambda x: eye, lambda x: wind, dim, dh=lambda x: zero3, dwind=lambda x: zero2
         )
 
@@ -311,7 +241,9 @@ class RandersMetric(Metric):
         y = np.asarray(y, dtype=float)
         ay = pd.A @ y
         alpha2 = float(y @ ay)
-        if alpha2 <= 0.0:
+        if alpha2 < 0.0:
+            raise _not_positive_definite(self._check_point(x))
+        if alpha2 == 0.0:
             raise ZeroVector("tensor undefined on the zero section")
         alpha = np.sqrt(alpha2)
         beta = float(pd.b @ y)
@@ -322,6 +254,8 @@ class RandersMetric(Metric):
         pd = self._alpha_beta(x)
         y = np.asarray(y, dtype=float)
         alpha2 = float(y @ pd.A @ y)
+        if alpha2 < 0.0:
+            raise _not_positive_definite(self._check_point(x))
         if alpha2 == 0.0:
             return 0.0
         return float(np.sqrt(alpha2) + pd.b @ y)
@@ -347,6 +281,8 @@ class RandersMetric(Metric):
         A = H / lam[:, :, None] + (Wl[:, :, None] * Wl[:, None, :]) / lam2
         b = -Wl / lam
         alpha2 = (Y[:, None, :] @ A @ Y[:, :, None])[:, 0, 0]
+        if (alpha2 < 0.0).any():
+            return super().norms(points, vectors)
         beta = (b[:, None, :] @ Y[:, :, None])[:, 0, 0]
         return np.where(alpha2 == 0.0, 0.0, np.sqrt(alpha2) + beta)
 
@@ -415,6 +351,33 @@ class RandersMetric(Metric):
             zermelo=lambda x: list(map(mul, head, z(x))),
             rows=rows and (lambda p: None if (r := rows(p)) is None else r * head),
         )
+
+
+class RiemannianMetric(RandersMetric):
+    """Riemannian structure from a symmetric positive-definite matrix field h: Randers, W = 0."""
+
+    kind = "riemannian"
+
+    def __init__(self, matrix_field, dim, d_matrix_field=None, fd_step=1e-6):
+        def h(x):
+            H = np.asarray(matrix_field(x), dtype=float)
+            if not np.allclose(H, H.T, atol=0.0):
+                raise DimensionMismatch("metric matrix field is not symmetric")
+            return H
+
+        dh = d_matrix_field or _fd_derivative(matrix_field, fd_step)
+        zero, zero2 = np.zeros(dim), np.zeros((dim, dim))
+        super().__init__(h, lambda x: zero, dim, dh=dh, dwind=lambda x: zero2)
+
+    @classmethod
+    def constant(cls, matrix):
+        matrix = np.asarray(matrix, dtype=float)
+        dim = matrix.shape[0]
+        zero = np.zeros((dim, dim, dim))
+        return cls(lambda x: matrix, dim, lambda x: zero)
+
+    def reverse(self):
+        return self
 
 
 class ReverseMetric(Metric):

@@ -174,6 +174,19 @@ def _take_line(sections, section, key):
     return entry[1] if entry is not None else None
 
 
+def _numbers(text, key, kind=float, size=None):
+    """The comma list of a key's value as finite numbers of the kind (``size`` of them, if
+    given); else a ``ValidationError`` naming the key."""
+    try:
+        values = tuple(map(kind, text.split(",")))
+    except ValueError:
+        values = ()
+    if not values or not all(map(math.isfinite, values)) or size not in (None, len(values)):
+        what = "an integer" if kind is int else "a finite number" if size == 1 else "finite numbers"
+        raise ValidationError(f"'{key}' must be {what}, got '{text}'")
+    return values
+
+
 def _parse_expr_at(text, file_line=None):
     try:
         return parse_expression(text)
@@ -207,14 +220,13 @@ def _config_from_sections(sections) -> ScenarioConfig:
     if domain_kind == "box":
         lower = _take(sections, "domain", "lower", required=True)
         upper = _take(sections, "domain", "upper", required=True)
-        params["lower"] = tuple(float(v) for v in lower.split(","))
-        params["upper"] = tuple(float(v) for v in upper.split(","))
+        params["lower"], params["upper"] = _numbers(lower, "lower"), _numbers(upper, "upper")
         if len(params["lower"]) != dimension or len(params["upper"]) != dimension:
             raise ValidationError("box bounds must match the dimension")
         if any(lo >= hi for lo, hi in zip(params["lower"], params["upper"])):
             raise ValidationError("box lower bounds must be below upper bounds")
     else:
-        radius = float(_take(sections, "domain", "radius", required=True))
+        [radius] = _numbers(_take(sections, "domain", "radius", required=True), "radius", size=1)
         if radius <= 0:
             raise ValidationError("domain radius must be positive")
         if domain_kind == "sphere-chart" and radius >= 1.0:
@@ -222,7 +234,7 @@ def _config_from_sections(sections) -> ScenarioConfig:
         params["radius"] = (radius,)
         center = _take(sections, "domain", "center")
         if center is not None:
-            cc = tuple(float(v) for v in center.split(","))
+            cc = _numbers(center, "center")
             if len(cc) != dimension:
                 raise ValidationError("domain center must match the dimension")
             params["center"] = cc
@@ -249,13 +261,12 @@ def _config_from_sections(sections) -> ScenarioConfig:
     field_text = _take(sections, "field", "f", required=True)
     field_expr = _parse_expr_at(field_text, _take_line(sections, "field", "f"))
 
-    numerics = Numerics(
-        step=float(_take(sections, "numerics", "step", default="1e-3")),
-        probes=int(_take(sections, "numerics", "probes", default="32")),
-        tolerance=float(_take(sections, "numerics", "tolerance", default="1e-6")),
-    )
-    # `not value > 0` also rejects nan
-    if not numerics.step > 0 or numerics.probes < 1 or not numerics.tolerance > 0:
+    def number(key, default, kind=float):
+        return _numbers(_take(sections, "numerics", key, default=default), key, kind, size=1)[0]
+
+    numerics = Numerics(step=number("step", "1e-3"), probes=number("probes", "32", int),
+                        tolerance=number("tolerance", "1e-6"))
+    if numerics.step <= 0 or numerics.probes < 1 or numerics.tolerance <= 0:
         raise ValidationError("numerics values must be positive")
 
     config = ScenarioConfig(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from finsler_lab import geodesics, scenarios
+from finsler_lab import expressions, geodesics, scenarios
 from finsler_lab.calculus import REGULAR_POINT_NORM, finsler_gradient
 from finsler_lab.errors import (
     DimensionMismatch,
@@ -29,7 +29,9 @@ from finsler_lab.expressions import (
     _MATH, VARIABLES, Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var, _real_pow, compile_expression,
 )
 from finsler_lab.foliation import build_cylinder
-from finsler_lab.metrics import RandersMetric, TangentVector, _solve_spd, _zermelo_data
+from finsler_lab.metrics import (
+    RandersMetric, TangentVector, _not_positive_definite, _solve_spd, _zermelo_data,
+)
 from finsler_lab.scenarios import (
     _VALIDATION_GRID,
     WIND_VALIDATION_LIMIT,
@@ -416,6 +418,48 @@ def _stage_fields(metric, x):
 @pytest.fixture(scope="session")
 def stage_fields():
     return _stage_fields
+
+
+def _numpy_riemannian_norm(metric, x, y):
+    """Reference: the Riemannian norm sqrt(h(y, y)) in numpy, from the stage's h.
+
+    The norm of the Riemannian class before it became the Randers metric with W = 0.
+    """
+    H = _stage_fields(metric, x)[0]
+    y = np.asarray(y, dtype=float)
+    q = float(y @ H @ y)
+    if q < 0.0:
+        raise _not_positive_definite(np.asarray(x, dtype=float))
+    return float(np.sqrt(q))
+
+
+def _riemannian_co_norm(metric, x, w):
+    """Reference: F*(w) as the Riemannian class read it, one point at a time: the
+    Legendre inverse kernel on h and a zero wind."""
+    zermelo = _stage_fields(metric, x)[0].ravel().tolist() + [0.0] * metric.dim
+    return expressions.zermelo_inverse(metric.dim)(x, w, zermelo)[1]
+
+
+def _numpy_riemannian_stage(metric, x, y):
+    """Reference: the Riemannian spray stage (acceleration, F) in numpy, from h and dh.
+
+    The stage of the Riemannian class before it became the Randers metric with W = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    H, _, dH, _ = _stage_fields(metric, x)
+    y = np.asarray(y, dtype=float)
+    hy = H @ y
+    f2 = float(y @ hy)
+    if f2 < 0.0:
+        raise _not_positive_definite(x)
+    q = dH @ y  # q[k, i] = (dH[k] y)_i
+    rhs = 0.5 * (q @ y) - y @ q
+    return _solve_spd(H, rhs, x), float(np.sqrt(f2))
+
+
+@pytest.fixture(scope="session")
+def numpy_riemannian():
+    return _numpy_riemannian_norm, _riemannian_co_norm, _numpy_riemannian_stage
 
 
 def _dot(u, v):

@@ -211,22 +211,29 @@ def test_gradient_where_h_is_singular(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_indefinite_h_raises_where_it_is_used(dim):
     # h(e_1, e_1) = (x - 0.5)^2 - 1e-4 < 0 near x = 0.5: the 2x2 check and the
-    # Cholesky factorization (3-D) refuse the solve, and the Riemannian norm
-    # and spray refuse h(y, y) < 0, each naming the point
+    # Cholesky factorization (3-D) refuse the solve, and the norm and spray
+    # refuse h(y, y) < 0, each naming the point; on a Riemannian metric and
+    # on Randers ones with the wind 0 and 0.1 e_0
     def h(x):
         return np.diag([1.0, (x[0] - 0.5) ** 2 - 1e-4, 1.0][:dim])
 
-    metric = RiemannianMetric(h, dim, lambda x: np.zeros((dim, dim, dim)))
+    dh = lambda x: np.zeros((dim, dim, dim))  # noqa: E731
+    metrics = [RiemannianMetric(h, dim, dh)] + [
+        RandersMetric(h, lambda x, W=wind * np.eye(dim)[0]: W, dim, dh=dh,
+                      dwind=lambda x: np.zeros((dim, dim)))
+        for wind in (0.0, 0.1)
+    ]
     field = ScalarField.from_expression(parse_expression("y"), dim)
     p = np.array([0.5, 0.1, 0.2][:dim])
     e1 = np.eye(dim)[1]
-    for call in (
-        lambda: finsler_gradient(metric, field, p),
-        lambda: metric.norm(p, e1),
-        lambda: metric.geodesic_stage(p, e1),
-    ):
-        with pytest.raises(SingularTensor, match=r"not positive definite at \[0\.5 0\.1"):
-            call()
+    for metric in metrics:
+        for call in (
+            lambda: finsler_gradient(metric, field, p),
+            lambda: metric.norm(p, e1),
+            lambda: metric.geodesic_stage(p, e1),
+        ):
+            with pytest.raises(SingularTensor, match=r"not positive definite at \[0\.5 0\.1"):
+                call()
 
 
 # ---------------------------------------------------------------------------

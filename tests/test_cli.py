@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -351,6 +352,26 @@ def test_indefinite_metric_exits_three(tmp_path, capsys):
     assert err.startswith(prefix)
     x = float(err[len(prefix):].split()[0])
     assert 0.49 < x < 0.51
+
+
+@pytest.mark.parametrize("kind", ["riemannian", "randers"])
+def test_indefinite_metric_geodesic_exits_three(tmp_path, capsys, kind):
+    # the same h, met by a geodesic that starts on x = 0.5: its spray stage
+    # refuses h(y, y) < 0 there, for the Riemannian file and its Randers twin
+    text = SINGULAR_H_TEXT.replace("(x - 0.5)^2", "(x - 0.5)^2 - 1e-4")
+    if kind == "randers":
+        text = text.replace("kind = riemannian", "kind = randers").replace(
+            "h = 1, 0 ; 0, (x - 0.5)^2 - 1e-4", "h = 1, 0 ; 0, (x - 0.5)^2 - 1e-4\nwind = 0, 0")
+    path = tmp_path / "indefinite.scn"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(tmp_path, "dump-geodesic", "--scenario", str(path), "--start=0.5,1",
+                   "--velocity=0,1", "--t-end", "0.1")
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: SingularTensor: tensor not positive definite at [0.5 1. ]"
+    )
 
 
 def test_non_finite_stage_field_exits_three(tmp_path, capsys):

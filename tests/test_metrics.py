@@ -523,34 +523,71 @@ def test_randers_stage_matches_reference(
                 )
 
 
-def riemannian_reference_stage(metric, x, y):
+def riemannian_reference_stage(metric, x, y, stage_fields):
     """The generic composition with the Riemannian pair from dh, term by term.
 
     dF2_dx[k] = y^T dh[k] y and d2F2_dydx[i, k] = 2 (dh[k] y)_i.
     """
-    dH = np.asarray(metric._dh(x), dtype=float)
+    dH = stage_fields(metric, x)[2]
     dF2_dx = np.einsum("kij,i,j->k", dH, y, y)
     d2F2_dydx = 2.0 * np.einsum("kij,j->ik", dH, y)
     g = metric.fundamental_matrix(x, y)
     return np.linalg.solve(g, 0.5 * dF2_dx - 0.5 * d2F2_dydx @ y), metric.norm(x, y)
 
 
-def test_riemannian_stage_matches_generic_composition(rng):
-    config = parse_scenario(SCENARIO_3D.replace("kind = randers", "kind = riemannian")
-                            .replace(WIND_3D, ""))
+def _riemannian_3d():
+    """The x-dependent 3-D scenario metric with its wind removed."""
+    return build_metric(parse_scenario(
+        SCENARIO_3D.replace("kind = randers", "kind = riemannian").replace(WIND_3D, "")))
+
+
+def _riemannian_1d():
+    """h = 1 + x^2 on the line, with its exact derivative."""
+    return RiemannianMetric(lambda x: np.array([[1.0 + x[0] ** 2]]), 1,
+                            lambda x: np.array([[[2.0 * x[0]]]]))
+
+
+def test_riemannian_stage_matches_generic_composition(rng, stage_fields):
     metrics = [
+        (_riemannian_1d(), 1),
         (euclidean_metric(2), 2),
         (RiemannianMetric.constant([[2.0, 0.3], [0.3, 1.0]]), 2),
-        (build_metric(config), 3),
+        (_riemannian_3d(), 3),
     ]
     for metric, n in metrics:
         for _ in range(50):
             x = rng.uniform(-0.5, 0.5, size=n)
             y = rng.normal(size=n)
             a, F = metric.geodesic_stage(x, y)
-            ref_a, ref_F = riemannian_reference_stage(metric, x, y)
+            ref_a, ref_F = riemannian_reference_stage(metric, x, y, stage_fields)
             assert np.linalg.norm(a - ref_a) <= 1e-12 * (1.0 + np.linalg.norm(ref_a))
             assert F == pytest.approx(ref_F, rel=1e-14)
+
+
+def test_riemannian_metric_matches_its_numpy_reference(rng, numpy_riemannian):
+    # the W = 0 Randers path against the numpy norm and spray it replaced:
+    # norms and co-norms bitwise, the stage to 1e-12; constant h in n = 1-3
+    # (a zero spray) and x-dependent h in n = 1, 2 (the sphere band's) and 3
+    ref_norm, ref_co_norm, ref_stage = numpy_riemannian
+    metrics = []
+    for n in (1, 2, 3):
+        root = rng.normal(size=(n, n))
+        metrics.append(RiemannianMetric.constant(root @ root.T + 0.5 * np.eye(n)))
+    band = lambda x: np.diag([1.0, np.sin(x[0] + 1.0) ** 2])  # noqa: E731
+    metrics += [_riemannian_1d(), RiemannianMetric(band, 2), _riemannian_3d()]
+    for metric in metrics:
+        n = metric.dim
+        points, vectors = rng.uniform(-0.5, 0.5, size=(40, n)), rng.normal(size=(40, n))
+        norms = [ref_norm(metric, x, y) for x, y in zip(points, vectors)]
+        assert _bits([metric.norm(x, y) for x, y in zip(points, vectors)]) == _bits(norms)
+        assert _bits(metric.norms(points, vectors)) == _bits(norms)
+        co_norms = [ref_co_norm(metric, x, w) for x, w in zip(points, vectors)]
+        assert _bits(metric.co_norms(points, vectors)) == _bits(co_norms)
+        for x, y in zip(points, vectors):
+            a, F = metric.geodesic_stage(x, y)
+            ref_a, ref_F = ref_stage(metric, x, y)
+            assert np.linalg.norm(a - ref_a) <= 1e-12 * np.linalg.norm(ref_a)
+            assert abs(F - ref_F) <= 1e-12 * ref_F
 
 
 @given(
@@ -776,13 +813,12 @@ def test_finite_difference_fallback_matches_symbolic_derivatives(
             assert np.array_equal(H, exact_H) and np.array_equal(W, exact_W)
             assert np.allclose(dH, exact_dH, rtol=0.0, atol=1e-8)
             assert np.allclose(dW, exact_dW, rtol=0.0, atol=1e-8)
-    config = parse_scenario(SCENARIO_3D.replace("kind = randers", "kind = riemannian")
-                            .replace(WIND_3D, ""))
-    exact = build_metric(config)
+    exact = _riemannian_3d()
     fallback = RiemannianMetric(exact._h, 3)
     for _ in range(20):
         x = rng.uniform(-0.5, 0.5, size=3)
-        assert np.allclose(fallback._dh(x), exact._dh(x), rtol=0.0, atol=1e-8)
+        dh, exact_dh = stage_fields(fallback, x)[2], stage_fields(exact, x)[2]
+        assert np.allclose(dh, exact_dh, rtol=0.0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +835,7 @@ def _assert_rows_match_one_point_calls(chart, points):
     points = np.asarray(points, dtype=float)
     assert _bits(field.value_rows(points)) == _bits([[field.value(p)] for p in points])
     assert _bits(field.differential_rows(points)) == _bits([field.differential(p) for p in points])
-    if not isinstance(metric, RandersMetric):
+    if metric.kind != "randers":
         return
     h = [e for row in config.h_entries for e in row]
     w = list(config.wind_entries)

@@ -80,6 +80,14 @@ CONFIG_MUTATIONS = [
     (("[metric]", "[metrics]"), ParseError),
     (("step = 1e-3", "step = nan"), ValidationError),
     (("tolerance = 1e-6", "tolerance = nan"), ValidationError),
+    # malformed or non-finite numbers are refused at load, naming the key
+    (("probes = 32", "probes = 1.5"), ValidationError),
+    (("probes = 32", "probes = 1e3"), ValidationError),
+    (("step = 1e-3", "step = abc"), ValidationError),
+    (("step = 1e-3", "step = 1e-3, 2e-3"), ValidationError),
+    (("radius = 0.9", "radius = nan"), ValidationError),
+    (("radius = 0.9", "radius = 0.9\ncenter = 0, abc"), ValidationError),
+    (("tolerance = 1e-6", "tolerance = inf"), ValidationError),
 ]
 
 
@@ -188,6 +196,13 @@ VALIDATION_CASES = {
         LINEAR_TEXT.replace("h = 1, 0 ; 0, 1", _ASYMMETRIC_FROM_3.format(c=-1.2)),
         (EvalError, "cannot evaluate"),
     ),
+    **{
+        f"box-{key}-{value}": (LINEAR_TEXT.replace(f"{key} = {bound}, {bound}",
+                                                   f"{key} = {bound}, {value}"),
+                               (ValidationError, f"'{key}' must be finite numbers"))
+        for key, bound, value in (("lower", "-2.0", "abc"), ("lower", "-2.0", "nan"),
+                                  ("upper", "2.0", "inf"))
+    },
     # at the first sample h is indefinite and the wind undefined
     "indefinite-before-undefined-wind": (
         LINEAR_TEXT.replace("kind = riemannian\nh = 1, 0 ; 0, 1",

@@ -8,11 +8,14 @@ Two subcommands:
 
 ``run`` calls ``finsler-lab`` (``python -m finsler_lab.cli``) from the source
 tree SRC (default: this checkout's ``src``), once per verb with default
-arguments on every built-in example, plus a fixed set of ``trace-segment``
-and ``dump-geodesic`` calls, which need a start point. Each call writes into
-its own subdirectory of OUT, run with ``--out .`` from there so that the
-command recorded in the report is the same whatever OUT is. The exit codes
-go to ``OUT/exit_codes.json``.
+arguments on every built-in example, plus a fixed set of calls with more
+arguments: ``trace-segment`` and ``dump-geodesic`` need a start point, and
+four calls run a curved Riemannian chart, the sphere band with its wind
+removed, from the scenario file ``OUT/riemannian-band.scn``. Each call writes
+into its own subdirectory of OUT, run with ``--out .`` from there (and given
+the scenario file by a relative path) so that the command recorded in the
+report is the same whatever OUT is. The exit codes go to
+``OUT/exit_codes.json``.
 
 ``compare`` walks both directories, leaving out the ``*-manifest.json``
 sidecars (they hold wall times). It compares JSON reports and CSV files
@@ -47,6 +50,26 @@ DEFAULT_VERBS = (
     "check-partition",
     "check-morse-bott",
 )
+# a curved Riemannian chart: the randers-sphere-height band with W = 0. No built-in
+# example has one (euclidean-linear has dh = 0, so its spray is 0 everywhere)
+RIEMANNIAN_BAND = "riemannian-band.scn"
+RIEMANNIAN_BAND_TEXT = """\
+name = riemannian-band
+dimension = 2
+
+[domain]
+kind = box
+lower = 1e-4, -10.0
+upper = 3.1414926535897932, 10.0
+
+[metric]
+kind = riemannian
+h = 1, 0 ; 0, sin(x)^2
+
+[field]
+f = cos(x)
+"""
+_BAND = ["--scenario", f"../{RIEMANNIAN_BAND}"]
 # (label, arguments) of the calls that need more than an example
 EXTRA_CALLS = (
     ("trace-segment-disc-stop", ["trace-segment", "--example", "disc-radial",
@@ -62,8 +85,8 @@ EXTRA_CALLS = (
     # t_end not a multiple of --step: the last row's time is n (t_end / n), not t_end
     ("dump-geodesic-disc-offgrid", ["dump-geodesic", "--example", "disc-radial",
                                     "--start=0.2,0", "--velocity=0,1", "--t-end", "0.2505"]),
-    # the speeds of a Riemannian trajectory (row loop) and of a constant-wind
-    # Randers one (stacked)
+    # the speeds of a flat Riemannian trajectory (the W = 0 Randers norms, h read
+    # point by point) and of a constant-wind Randers one (h and W rows in one call)
     ("dump-geodesic-linear", ["dump-geodesic", "--example", "euclidean-linear",
                               "--start=0.1,-0.2", "--velocity=1,0.5"]),
     ("dump-geodesic-minkowski-wind", ["dump-geodesic", "--example",
@@ -83,6 +106,12 @@ EXTRA_CALLS = (
                                      "--from", "0", "--to", "0.04"]),
     ("check-transnormal-disc-csv", ["check-transnormal", "--example", "disc-radial",
                                     "--format", "both"]),
+    ("dump-geodesic-riemannian-band", ["dump-geodesic", *_BAND, "--start=1.2,0.3",
+                                       "--velocity=0.1,1"]),
+    ("check-partition-riemannian-band", ["check-partition", *_BAND, "--levels=-0.5,0,0.5",
+                                         "--probes", "8"]),
+    ("verify-distance-riemannian-band", ["verify-distance", *_BAND, "--from", "0", "--to", "0.5"]),
+    ("check-transnormal-riemannian-band", ["check-transnormal", *_BAND]),
 )
 
 
@@ -103,6 +132,8 @@ def run_all(out: Path, src: Path) -> dict:
         for example in examples
         for verb in DEFAULT_VERBS
     ] + list(EXTRA_CALLS)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / RIEMANNIAN_BAND).write_text(RIEMANNIAN_BAND_TEXT)
     codes = {}
     for label, args in calls:
         cwd = out / label
