@@ -21,8 +21,9 @@ flow on x in `transnormal.trace_f_segment`. The step's continuous extension
 (the uniform rows of `dump-geodesic` and the end points of
 `build_cylinder`) and the flow its measured acceleration. Both the march to
 a level (`integrate_to_level`) and the flow locate a level crossing with one
-routine (`_locate`): the root of f on the bracketing step's extension, one
-sub-step to it and one Newton correction in time. The level march keeps its
+routine (`_locate`): the root of f on the bracketing step's extension (by
+Brent's method, `_brentq`), one sub-step to it and one Newton correction in
+time. The level march keeps its
 accepted states z as they are; reading it at another time r
 (`point_at_time`) is one more march from the last state before r that ends
 on r, which within the record is a single sub-step.
@@ -41,7 +42,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .calculus import ScalarField
 from .domains import Domain
@@ -423,6 +423,72 @@ def _brackets(phi0: float, phi1: float) -> bool:
     return phi0 == 0.0 or phi1 == 0.0 or (phi1 > 0.0) != (phi0 > 0.0)
 
 
+# Brent's relative tolerance and iteration budget, as scipy.optimize.brentq takes them
+_BRENT_RTOL = 4 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """The root of f in [xa, xb] by Brent's method, as ``scipy.optimize.brentq`` finds it.
+
+    A line-by-line port of scipy's C loop (``brentq.c``, after Brent 1973,
+    ch. 4): the bracket swap, the secant or inverse quadratic step, the
+    bisection fallback and the stopping test ``|sbis| < delta`` with
+    ``delta = (xtol + rtol |x|) / 2``, rtol = 4 eps. An end where f is 0 is
+    returned as it is; f of one sign at both ends and a nan value of f raise
+    ``ValueError`` and a loop that has not converged after 100 iterations
+    ``RuntimeError``, as there.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C's division gives an infinite or nan step there, which the test below refuses
+                stry = math.inf
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+
+
 def _locate(rhs, field: ScalarField, target: float, z, k1, dense, h: float, z_new, n: int):
     """Time theta in [0, h] and state of one accepted step at which f = target.
 
@@ -437,7 +503,7 @@ def _locate(rhs, field: ScalarField, target: float, z, k1, dense, h: float, z_ne
     def phi(theta):
         return field.value(_dense_state(dense, theta / h)[:n]) - target
 
-    theta = brentq(phi, 0.0, h, xtol=1e-12 * h)
+    theta = _brentq(phi, 0.0, h, xtol=1e-12 * h)
     y = z_new if theta == h else _dp5_stages(rhs, z, k1, theta)[0]
     zdot = _dense_derivative(dense, theta / h, h)
     slope = float(field.differential(y[:n]) @ zdot[:n])

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import numdiff
 from .errors import (
@@ -354,11 +353,16 @@ class RandersMetric(Metric):
 
 
 class RiemannianMetric(RandersMetric):
-    """Riemannian structure from a symmetric positive-definite matrix field h: Randers, W = 0."""
+    """Riemannian structure from a symmetric positive-definite matrix field h: Randers, W = 0.
+
+    ``fields``, ``zermelo`` and ``rows``, if given, are those of the Randers
+    metric with zero wind entries.
+    """
 
     kind = "riemannian"
 
-    def __init__(self, matrix_field, dim, d_matrix_field=None, fd_step=1e-6):
+    def __init__(self, matrix_field, dim, d_matrix_field=None, fd_step=1e-6, fields=None,
+                 zermelo=None, rows=None):
         def h(x):
             H = np.asarray(matrix_field(x), dtype=float)
             if not np.allclose(H, H.T, atol=0.0):
@@ -367,7 +371,8 @@ class RiemannianMetric(RandersMetric):
 
         dh = d_matrix_field or _fd_derivative(matrix_field, fd_step)
         zero, zero2 = np.zeros(dim), np.zeros((dim, dim))
-        super().__init__(h, lambda x: zero, dim, dh=dh, dwind=lambda x: zero2)
+        super().__init__(h, lambda x: zero, dim, dh=dh, dwind=lambda x: zero2, fields=fields,
+                         zermelo=zermelo, rows=rows)
 
     @classmethod
     def constant(cls, matrix):
@@ -537,9 +542,9 @@ def _solve_spd(g, rhs, x):
     """Solve g a = rhs for the small symmetric positive-definite systems here.
 
     Takes nested lists or arrays. The 2x2 case is solved in closed form after
-    checking g00 > 0 and det g > 0; a larger one by Cholesky factorization. A
-    g that is not positive definite raises ``SingularTensor`` naming the
-    point x.
+    checking g00 > 0 and det g > 0; another size by the Cholesky factor L of g
+    and one forward and one back substitution, L c = rhs and L^T a = c. A g
+    that is not positive definite raises ``SingularTensor`` naming the point x.
     """
     if len(rhs) == 2:
         (g00, g01), (g10, g11) = g
@@ -549,10 +554,17 @@ def _solve_spd(g, rhs, x):
             raise _not_positive_definite(x)
         return np.array([(g11 * r0 - g01 * r1) / det, (g00 * r1 - g10 * r0) / det])
     try:
-        lower = np.linalg.cholesky(np.asarray(g, dtype=float))
+        lower = np.linalg.cholesky(np.asarray(g, dtype=float)).tolist()
     except np.linalg.LinAlgError:
         raise _not_positive_definite(x) from None
-    return cho_solve((lower, True), np.asarray(rhs, dtype=float), check_finite=False)
+    # each step times the reciprocal of the diagonal entry, as LAPACK's dpotrs
+    # under OpenBLAS takes it: bitwise scipy's cho_solve in 1-D, ulps apart in 3-D
+    n, c = len(lower), [float(r) for r in rhs]
+    for i in range(n):
+        c[i] = (c[i] - sum(map(mul, lower[i][:i], c[:i]))) * (1.0 / lower[i][i])
+    for i in reversed(range(n)):
+        c[i] = (c[i] - sum(lower[j][i] * c[j] for j in range(i + 1, n))) * (1.0 / lower[i][i])
+    return np.array(c)
 
 
 def _not_positive_definite(x):

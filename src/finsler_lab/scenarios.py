@@ -26,7 +26,7 @@ import numpy as np
 from .calculus import ScalarField
 from .domains import BoxDomain, DiscDomain, Domain
 from .errors import ParseError, ValidationError
-from .expressions import VARIABLES, Expr, compile_expression, compile_rows, parse_expression
+from .expressions import VARIABLES, Const, Expr, compile_expression, compile_rows, parse_expression
 from .metrics import Metric, RandersMetric, RiemannianMetric, _rows_of
 
 WIND_VALIDATION_LIMIT = 1.0 - 1e-6
@@ -394,16 +394,18 @@ def _array_field(entries: List[Expr], shape):
 def build_metric(config: ScenarioConfig) -> Metric:
     n = config.dimension
     h = [e for row in config.h_entries for e in row]
-    w = list(config.wind_entries or ())
+    riemannian = config.metric_kind == "riemannian"
+    # a Riemannian chart is the Randers chart of zero wind
+    w = [Const(0.0)] * n if riemannian else list(config.wind_entries)
     # each entry's derivative in each coordinate, the coordinate index first
     dh, dw = ([e.diff(VARIABLES[k]) for k in range(n) for e in f] for f in (h, w))
-    if config.metric_kind == "riemannian":
-        return RiemannianMetric(_array_field(h, (n, n)), n, _array_field(dh, (n, n, n)))
     # the spray stage's (h, W, dh, dW) and the Legendre inverse's (h, W), each in one
     # generated call per point; the latter at a stack of points too
-    fields = _flat_field(h + w + dh + dw, n)
-    return RandersMetric(_array_field(h, (n, n)), _array_field(w, (n,)), n, fields=fields,
-                         zermelo=_flat_field(h + w, n), rows=compile_rows(h + w, n))
+    fast = dict(fields=_flat_field(h + w + dh + dw, n), zermelo=_flat_field(h + w, n),
+                rows=compile_rows(h + w, n))
+    if riemannian:
+        return RiemannianMetric(_array_field(h, (n, n)), n, _array_field(dh, (n, n, n)), **fast)
+    return RandersMetric(_array_field(h, (n, n)), _array_field(w, (n,)), n, **fast)
 
 
 def build_chart(config: ScenarioConfig, name: str = "main") -> Chart:

@@ -3,20 +3,19 @@
 A function f is transnormal when F(grad f)^2 depends on position only
 through f; the checker bins samples of F(grad f)^2 by f-value, measures the
 within-level spread, and fits the one-variable profile b by monotone
-piecewise-cubic interpolation of the bin medians. The fitted profile closes
-the loop for the distance formula (integral of 1/sqrt(b) between levels)
-and the gradient-direction Hessian identity (half b' b).
+piecewise-cubic (PCHIP) interpolation of the bin medians (`BFit`). The
+fitted profile closes the loop for the distance formula (integral of
+1/sqrt(b) between levels, by a fixed Gauss-Legendre rule over the fit's
+pieces, `quad`) and the gradient-direction Hessian identity (half b' b).
 """
 
 from __future__ import annotations
 
-import warnings
+import functools
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import PchipInterpolator
 
 from .calculus import (
     REGULAR_POINT_NORM,
@@ -66,33 +65,120 @@ MORSE_PROBE_EPS = 1e-5
 
 @dataclass(frozen=True, eq=False)
 class BFit:
-    """Monotone piecewise-cubic interpolant of the transnormality profile."""
+    """Monotone piecewise-cubic (PCHIP) interpolant of the transnormality profile.
+
+    The cubic Hermite interpolant of the table with the derivatives of
+    Fritsch and Carlson's monotone scheme (`_pchip_slopes`), held as power
+    coefficients per piece and extended by the end pieces beyond the nodes:
+    ``scipy.interpolate.PchipInterpolator`` with ``extrapolate=True``, value
+    for value and derivative for derivative. A one-node table is the constant
+    on a unit piece around its node.
+    """
 
     nodes: np.ndarray
     values: np.ndarray
-    _interp: PchipInterpolator
-    _deriv: Callable
+    # ends of the pieces, and per piece the coefficients of s^3, s^2, s, 1 in
+    # the offset s from its left end
+    _breaks: np.ndarray
+    _coeffs: np.ndarray
 
     @classmethod
     def from_table(cls, nodes, values):
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
+        if not (np.isfinite(nodes).all() and np.isfinite(values).all()):  # F(grad f)^2 overflowed
+            raise EvalError("profile table holds a non-finite level or value of b = F(grad f)^2")
         if nodes.size == 1:
             # degenerate single-level table: constant profile
-            interp = PchipInterpolator([nodes[0] - 0.5, nodes[0] + 0.5], [values[0]] * 2)
+            breaks, ys = np.array([nodes[0] - 0.5, nodes[0] + 0.5]), np.repeat(values, 2)
         else:
-            interp = PchipInterpolator(nodes, values, extrapolate=True)
-        return cls(nodes=nodes, values=values, _interp=interp, _deriv=interp.derivative())
+            breaks, ys = nodes, values
+        coeffs = _hermite_coefficients(breaks, ys, _pchip_slopes(breaks, ys))
+        return cls(nodes=nodes, values=values, _breaks=breaks, _coeffs=coeffs)
 
     def __call__(self, t):
-        return float(self._interp(t))
+        return float(self.at(t))
 
     def at(self, ts):
         """Fit values on an array of levels, in one call."""
-        return self._interp(np.asarray(ts, dtype=float))
+        return _power_sum(self._breaks, self._coeffs, ts)
 
     def derivative(self, t):
-        return float(self._deriv(t))
+        return float(self.slopes(t))
+
+    def slopes(self, ts):
+        """Fit derivatives on an array of levels, in one call."""
+        return _power_sum(self._breaks, self._coeffs[:3] * _DERIVATIVE_FACTORS, ts)
+
+
+# d/ds of the s^3, s^2, s terms
+_DERIVATIVE_FACTORS = np.array([3.0, 2.0, 1.0])[:, None]
+
+
+def _pchip_slopes(x, y):
+    """Fritsch-Carlson derivatives at the nodes, as scipy's PCHIP takes them.
+
+    Inside, 0 where the adjacent secants differ in sign or one is 0, else
+    their weighted harmonic mean; at each end the one-sided three-point
+    estimate, set to 0 where its sign is not the end secant's and to 3 times
+    that secant where the first two secants differ in sign and it is
+    larger. Two nodes take their secant at both.
+    """
+    hk = x[1:] - x[:-1]
+    mk = (y[1:] - y[:-1]) / hk
+    if y.size == 2:
+        return np.array([mk[0], mk[0]])
+    smk = np.sign(mk)
+    condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2 * hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2 * hk[:-1]
+    # a secant of 0 divides by zero only where the condition sets 0; a tiny one
+    # overflows to an infinite mean, whose reciprocal 0 is scipy's value too
+    with np.errstate(all="ignore"):
+        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+        inner = np.where(condition, 0.0, 1.0 / whmean)
+    ends = [_pchip_end(hk[0], hk[1], mk[0], mk[1]), _pchip_end(hk[-1], hk[-2], mk[-1], mk[-2])]
+    return np.concatenate(([ends[0]], inner, [ends[1]]))
+
+
+def _pchip_end(h0, h1, m0, m1):
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _hermite_coefficients(x, y, dydx):
+    """(4, pieces) power coefficients of the cubic Hermite interpolant, as
+    ``scipy.interpolate.CubicHermiteSpline`` forms them."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+
+
+def _power_sum(breaks, coeffs, ts):
+    """The piecewise polynomial at ts, the end pieces extended beyond the breaks.
+
+    A piece's terms are summed from the constant up, each power of the offset
+    s a running product, as ``scipy.interpolate.PPoly`` evaluates them (not
+    by Horner's rule, which rounds differently). The last break belongs to
+    the last piece.
+    """
+    ts = np.asarray(ts, dtype=float)
+    # the piece: how many inner breaks lie at or below t
+    i = np.searchsorted(breaks[1:-1], ts, side="right")
+    s = ts - breaks[i]
+    c = coeffs[:, i]
+    res, z = 0.0 + c[-1], s
+    with np.errstate(all="ignore"):  # far out, as scipy's loop, to inf or nan without a warning
+        for k in range(coeffs.shape[0] - 2, -1, -1):
+            res = res + c[k] * z
+            if k:
+                z = z * s
+    return res
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,6 +533,72 @@ def _guard(fit: BFit, e: float, guard: float, near_b: float, side: float):
     return e_eff, float(tail)
 
 
+# Gauss-Legendre points per quadrature cell, and the ratio of the geometric
+# cells toward a near-critical end, and their count
+QUAD_POINTS = 24
+QUAD_GRADING = 0.25
+QUAD_GRADED_CELLS = 20
+
+
+@functools.cache
+def _gauss_legendre():
+    """QUAD_POINTS Gauss-Legendre nodes and weights on [0, 1]."""
+    u, w = np.polynomial.legendre.leggauss(QUAD_POINTS)
+    return (u + 1.0) / 2.0, w / 2.0
+
+
+def quad(fit: BFit, c: float, d: float) -> float:
+    """The integral of 1/sqrt(b) over [c, d], b the profile fit floored at B_CRITICAL_THRESHOLD.
+
+    One fixed rule over the pieces of the fit that [c, d] meets. A piece
+    [a, e] is split at its midpoint m, and each half takes QUAD_POINTS
+    Gauss-Legendre points in u with t = a + (m - a) u^2 (and its mirror from
+    e), which clusters them at the piece's ends. Where the linear zero of b
+    lies less than one piece length outside a piece's end, as at a guarded
+    near-critical end of [c, d] and on the pieces before it, 1/sqrt(b) is
+    close to its square-root singularity there: that piece is cut into cells
+    that shrink geometrically toward the end (`_geometric_cells`), each short
+    against its distance to the singularity.
+    """
+    u, w = _gauss_legendre()
+    breaks = np.concatenate(([c], fit.nodes[(fit.nodes > c) & (fit.nodes < d)], [d]))
+    b, slope = fit.at(breaks), fit.slopes(breaks)
+    span = np.diff(breaks)
+    # b falls toward the outside of the piece and its linear zero is within a span
+    graded_lo = (slope[:-1] > 0.0) & (b[:-1] < slope[:-1] * span)
+    graded_hi = (slope[1:] < 0.0) & (b[1:] < -slope[1:] * span)
+    cells = []
+    for piece in zip(breaks[:-1].tolist(), breaks[1:].tolist(), graded_lo, graded_hi):
+        cells += _piece_cells(*piece)
+    origin, length, squared = (np.array(v)[:, None] for v in zip(*cells))
+    # t = origin + length u (or u^2), and |dt/du|
+    t = origin + length * np.where(squared, u * u, u)
+    jacobian = np.abs(length) * np.where(squared, 2.0 * u, 1.0)
+    values = 1.0 / np.sqrt(np.maximum(fit.at(t), B_CRITICAL_THRESHOLD))
+    return float(np.sum(w * jacobian * values))
+
+
+def _piece_cells(lo, hi, graded_lo, graded_hi):
+    """(origin, signed length, squared?) of the quadrature cells of the piece [lo, hi]."""
+    m = lo + (hi - lo) / 2
+    if graded_lo and graded_hi:
+        return _geometric_cells(lo, m - lo) + _geometric_cells(hi, m - hi)
+    if graded_lo:
+        return _geometric_cells(lo, hi - lo)
+    if graded_hi:
+        return _geometric_cells(hi, lo - hi)
+    return [(lo, m - lo, True), (hi, m - hi, True)]
+
+
+def _geometric_cells(end, span):
+    """Cells from end + span toward end, each QUAD_GRADING times the one before,
+    QUAD_GRADED_CELLS of them and then the rest up to the end."""
+    q = (QUAD_GRADING ** np.arange(QUAD_GRADED_CELLS + 1)).tolist()
+    cells = [(end + span * q[k + 1], span * (q[k] - q[k + 1]), False)
+             for k in range(QUAD_GRADED_CELLS)]
+    return cells + [(end, span * q[-1], False)]
+
+
 def verify_distance_formula(
     metric: Metric,
     field: ScalarField,
@@ -499,13 +651,7 @@ def verify_distance_formula(
         lengths.append(float(seg.trajectory.arc_lengths[-1]))
     geo = float(np.min(lengths)) + tail_lower + tail_upper
 
-    integrand = lambda s: 1.0 / np.sqrt(max(fit(s), B_CRITICAL_THRESHOLD))
-    with warnings.catch_warnings():
-        # near-critical endpoints push the integrand toward its integrable
-        # singularity; quad flags roundoff long before the 1e-4 budget cares
-        warnings.simplefilter("ignore", IntegrationWarning)
-        quad_val, _ = quad(integrand, c_eff, d_eff, limit=500, epsabs=1e-10, epsrel=1e-10)
-    quadrature = float(quad_val) + tail_lower + tail_upper
+    quadrature = quad(fit, c_eff, d_eff) + tail_lower + tail_upper
 
     return DistanceCheck(
         geodesic_distance=geo,

@@ -600,3 +600,39 @@ def test_successive_calls_parse_independently(tmp_path):
     assert c["direction"] == "backward"
     assert c["crossings"] == []
     assert np.hypot(*c["endpoint"]) == pytest.approx(0.3, abs=1e-12)
+
+
+# a Killing wind on the solid tube: b(t) = 4t for f = x^2 + y^2, so the distance from
+# level c to level d is sqrt(d) - sqrt(c); h(W, W) <= 0.22 on the box
+TUBE_TEXT = """\
+name = tube
+dimension = 3
+
+[domain]
+kind = box
+lower = -1, -1, -1
+upper = 1, 1, 1
+
+[metric]
+kind = randers
+h = 1, 0, 0 ; 0, 1, 0 ; 0, 0, 1
+wind = -0.3 * y, 0.3 * x, 0.2
+
+[field]
+f = x^2 + y^2
+"""
+
+
+def test_three_dimensional_tube_verdicts(tmp_path):
+    # every co-norm and stage of a 3-D chart takes the Cholesky solve
+    path = tmp_path / "tube.scn"
+    path.write_text(TUBE_TEXT)
+    assert run(tmp_path, "check-transnormal", "--scenario", str(path)) == 0
+    report = read_report(tmp_path, "tube", "check-transnormal")
+    assert report["verdict"] is True
+    assert run(tmp_path, "verify-distance", "--scenario", str(path),
+               "--from", "0.09", "--to", "0.25") == 0
+    data = read_report(tmp_path, "tube", "verify-distance")["data"]
+    assert data["geodesic_distance"] == pytest.approx(0.2, abs=1e-4)
+    assert data["quadrature_distance"] == pytest.approx(0.2, abs=1e-4)
+

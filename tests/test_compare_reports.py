@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +94,35 @@ def test_changed_structure_is_reported(tmp_path):
     b = _write(tmp_path / "b", _report(cylinder=(1e-15,)))
     result = compare_reports.compare_dirs(a, b)
     assert ("run/x-check-partition.json/data/cylinder_match_defects/len", 2, 1) in result["changes"]
+
+
+def test_timings_are_left_out(tmp_path):
+    a = _write(tmp_path / "a", _report())
+    b = _write(tmp_path / "b", _report())
+    (a / compare_reports.TIMINGS).write_text(json.dumps({"run": {"wall_s": 0.9}}))
+    (b / compare_reports.TIMINGS).write_text(json.dumps({"run": {"wall_s": 0.3}, "x": {}}))
+    result = compare_reports.compare_dirs(a, b)
+    assert compare_reports.failures(result) == [] and result["numbers"] == []
+
+
+TIMED_CALLS = """\
+import json, sys
+import importlib.util
+spec = importlib.util.spec_from_file_location("compare_reports", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+big = "b = bytearray(100 * 2**20); b[::4096] = b'x' * len(b[::4096])"
+small = "import sys; print('ok'); sys.exit(3)"
+print(json.dumps([tool._timed_call([sys.executable, "-c", c], None, None) for c in (big, small)]))
+"""
+
+
+def test_timed_call_reports_its_own_process():
+    # the exit code, stdout, and the peak RSS of that process, not of the largest child so
+    # far; from a small launcher, as a child's peak starts at its launcher's
+    done = subprocess.run([sys.executable, "-c", TIMED_CALLS, str(_TOOL)], capture_output=True,
+                          text=True, timeout=60)
+    (code, out, wall, rss), (code2, out2, wall2, rss2) = json.loads(done.stdout)
+    assert (code, out, code2, out2) == (0, "", 3, "ok\n")
+    assert wall > 0 and wall2 > 0
+    assert rss > 100 and 0 < rss2 < 50

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from finsler_lab.errors import (
     SingularTensor,
     ZeroVector,
 )
-from finsler_lab.expressions import VARIABLES, compile_rows
+from finsler_lab.expressions import VARIABLES, Const, compile_rows
 from finsler_lab.geodesics import (
     geodesic_at_times,
     integrate_geodesic,
@@ -830,15 +831,14 @@ def _bits(values):
 
 
 def _assert_rows_match_one_point_calls(chart, points):
-    """f, df, the stage fields and, for a Randers metric and its reverse, h and W: bitwise."""
+    """f, df, the stage fields and, for the metric (a Riemannian one as W = 0) and its
+    reverse, h and W: bitwise."""
     metric, field, config, n = chart.metric, chart.field, chart.config, chart.config.dimension
     points = np.asarray(points, dtype=float)
     assert _bits(field.value_rows(points)) == _bits([[field.value(p)] for p in points])
     assert _bits(field.differential_rows(points)) == _bits([field.differential(p) for p in points])
-    if metric.kind != "randers":
-        return
     h = [e for row in config.h_entries for e in row]
-    w = list(config.wind_entries)
+    w = list(config.wind_entries or [Const(0.0)] * n)
     dh, dw = ([e.diff(VARIABLES[k]) for k in range(n) for e in f] for f in (h, w))
     stage = compile_rows(h + w + dh + dw, n)(points)
     assert _bits(stage) == _bits([metric._fields(p) for p in points])
@@ -889,9 +889,13 @@ def _random_zermelo_text(n, rng):
 def test_row_forms_match_one_point_calls_in_dimension(n, rng):
     from finsler_lab.scenarios import build_chart
 
-    configs = [parse_scenario(_random_zermelo_text(n, rng)) for _ in range(5)]
+    texts = [_random_zermelo_text(n, rng) for _ in range(5)]
     if n == 3:
-        configs.append(parse_scenario(SCENARIO_3D))
+        texts.append(SCENARIO_3D)
+    # and each as a Riemannian chart, the Randers chart of zero wind
+    texts += [re.sub(r"wind = .*\n", "", t).replace("kind = randers", "kind = riemannian")
+              for t in texts]
+    configs = [parse_scenario(t) for t in texts]
     for config in configs:
         chart = build_chart(config)
         _assert_rows_match_one_point_calls(chart, rng.uniform(-0.5, 0.5, size=(60, n)))

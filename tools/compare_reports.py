@@ -15,10 +15,14 @@ removed, from the scenario file ``OUT/riemannian-band.scn``. Each call writes
 into its own subdirectory of OUT, run with ``--out .`` from there (and given
 the scenario file by a relative path) so that the command recorded in the
 report is the same whatever OUT is. The exit codes go to
-``OUT/exit_codes.json``.
+``OUT/exit_codes.json``, and each call's wall time in its fresh process and
+that process's peak resident set (``os.wait4``'s ``ru_maxrss``) to
+``OUT/timings.json``, ``list-examples`` included. Linux starts a child's
+peak at its launcher's, so this tool's own (it imports no numpy) is the
+floor of those figures.
 
-``compare`` walks both directories, leaving out the ``*-manifest.json``
-sidecars (they hold wall times). It compares JSON reports and CSV files
+``compare`` walks both directories, leaving out ``timings.json`` and the
+``*-manifest.json`` sidecars (they hold wall times). It compares JSON reports and CSV files
 number by number: two numbers agree when |a - b| <= atol + rtol max(|a|, |b|),
 and two integers (counts, exit codes) only when equal.
 It prints the count of numbers out of tolerance and the worst of them
@@ -36,6 +40,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -115,18 +120,36 @@ EXTRA_CALLS = (
 )
 
 
+TIMINGS = "timings.json"
+
+
 # ---------------------------------------------------------------------------
 # run
+
+
+def _timed_call(cmd, cwd, env):
+    """(exit code, stdout, wall time in s, peak RSS in MB) of cmd in a fresh process."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL, text=True)
+    stdout = proc.stdout.read()
+    proc.stdout.close()
+    # wait4, not RUSAGE_CHILDREN: the latter's ru_maxrss is the largest child's so far
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, stdout, wall, usage.ru_maxrss / 1024.0
 
 
 def run_all(out: Path, src: Path) -> dict:
     """Every call into its own subdirectory of out; returns {label: exit code}."""
     env = dict(os.environ, PYTHONPATH=str(src))
     cli = [sys.executable, "-m", "finsler_lab.cli"]
-    listing = subprocess.run(
-        [*cli, "list-examples"], env=env, capture_output=True, text=True, check=True
-    )
-    examples = [line.split(":", 1)[0] for line in listing.stdout.splitlines() if ":" in line]
+    code, listing, wall, rss = _timed_call([*cli, "list-examples"], None, env)
+    if code != 0:
+        raise SystemExit(f"list-examples exited {code}")
+    timings = {"list-examples": {"wall_s": wall, "peak_rss_mb": rss}}
+    examples = [line.split(":", 1)[0] for line in listing.splitlines() if ":" in line]
     calls = [
         (f"{verb}-{example}", [verb, "--example", example])
         for example in examples
@@ -138,12 +161,11 @@ def run_all(out: Path, src: Path) -> dict:
     for label, args in calls:
         cwd = out / label
         cwd.mkdir(parents=True, exist_ok=True)
-        done = subprocess.run(
-            [*cli, *args, "--out", "."], cwd=cwd, env=env, capture_output=True, text=True
-        )
-        codes[label] = done.returncode
-        print(f"{label}: exit {done.returncode}", flush=True)
+        codes[label], _, wall, rss = _timed_call([*cli, *args, "--out", "."], cwd, env)
+        timings[label] = {"wall_s": wall, "peak_rss_mb": rss}
+        print(f"{label}: exit {codes[label]}  {wall:.3f} s  {rss:.1f} MB", flush=True)
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    (out / TIMINGS).write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
     return codes
 
 
@@ -196,7 +218,8 @@ def _report_files(root: Path):
     return {
         str(p.relative_to(root))
         for p in root.rglob("*")
-        if p.is_file() and p.suffix in (".json", ".csv") and not p.name.endswith("-manifest.json")
+        if p.is_file() and p.suffix in (".json", ".csv")
+        and not p.name.endswith("-manifest.json") and p != root / TIMINGS
     }
 
 
