@@ -10,6 +10,7 @@ normalized g_v pairings measured at located level crossings.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import List, Optional, Tuple
 
@@ -124,30 +125,51 @@ def _newton_project(field: ScalarField, p, c, domain=None):
 
 def level_points(
     field: ScalarField,
-    c: float,
+    c,
     domain: Domain,
     n: int,
     parametrization=None,
 ) -> np.ndarray:
     """Up to n points of the domain with |f - c| <= 1e-10, as an (m, dim) array.
 
-    Built-in scenarios supply an analytic parametrization, sampled at s = i/n;
-    otherwise seeds come from a domain grid and a farthest-point subset of n
-    is kept. Seeds off the level are Newton-projected onto it.
+    ``c`` is a level, or a sequence of levels read in order, where a level without
+    points is skipped (alone, it raises ``LevelNotFound``). Built-in scenarios
+    supply an analytic parametrization, sampled at s = i/n on all levels at once:
+    f and the domain test take one row call each, and only the Newton projections
+    of points off their level run one by one, in order, so the error raised is a
+    point loop's first. Otherwise grid seeds are projected per level, and a
+    farthest-point subset of n is kept.
     """
+    many = np.ndim(c) > 0
     points: List[np.ndarray] = []
-    if parametrization is not None:
-        for i in range(n):
-            s = i / n
-            p = np.asarray(parametrization(c, s), dtype=float)
-            if abs(field.value(p) - c) > LEVEL_PROJECTION_TOL:
-                proj = _newton_project(field, p, c, domain)
-                if proj is None:
-                    continue
-                p = proj
-            if domain.contains(p):
-                points.append(p)
-        if not points:
+    if parametrization is None and many:  # grid seeds are per level
+        for level in c:
+            with suppress(LevelNotFound):
+                points.extend(level_points(field, level, domain, n))
+    elif parametrization is not None:
+        cs, failure = [], None
+        try:
+            for level in c if many else [c]:
+                for i in range(n):
+                    points.append(np.asarray(parametrization(level, i / n), dtype=float))
+                    cs.append(level)
+        except Exception as exc:  # noqa: BLE001 - raised below, after the points before it
+            failure = exc
+        (values,), undefined = _rows_of(points, (field.value, ()), rows=field.value_rows)
+        dropped = []
+        for k in (np.abs(values - cs[: len(values)]) > LEVEL_PROJECTION_TOL).nonzero()[0]:
+            proj = _newton_project(field, points[k], cs[k], domain)
+            if proj is None:
+                dropped.append(k)
+            else:
+                points[k] = proj
+        if undefined is not None or failure is not None:
+            raise undefined or failure
+        points = np.array(points)
+        keep = domain.contains(points) if len(points) else np.zeros(0, dtype=bool)
+        keep[dropped] = False
+        points = points[keep]
+        if not (len(points) or many):
             raise LevelNotFound(f"parametrized level {c} lies outside the domain")
     else:
         per_axis = max(12, int(np.ceil(2.0 * np.sqrt(n))))

@@ -508,8 +508,9 @@ def _rows_of(points, *fields, rows=None):
     """
     flat = None if rows is None else rows(points)
     if flat is not None:
-        columns = np.split(flat, np.cumsum([math.prod(s) for _, s in fields])[:-1], axis=1)
-        return tuple(c.reshape(len(c), *s) for c, (_, s) in zip(columns, fields)), None
+        ends = np.cumsum([math.prod(s) for _, s in fields]).tolist()
+        return tuple(flat[:, e - math.prod(s):e].reshape(len(flat), *s)
+                     for e, (_, s) in zip(ends, fields)), None
     columns = [[] for _ in fields]
     undefined = None
     try:

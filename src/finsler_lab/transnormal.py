@@ -32,7 +32,6 @@ from .errors import (
     EvalError,
     IntervalContainsCriticalValue,
     LeftDomain,
-    LevelNotFound,
     NeverReached,
     NoCriticalPoint,
 )
@@ -268,20 +267,26 @@ def regular_sampler(domain: Domain, field: ScalarField, n_target: int = 250):
     per_axis = max(6, int(np.ceil(np.sqrt(n_target * 1.3))))
     grid = domain.sample_grid(per_axis)
     dfs = None if field.differential_rows is None else field.differential_rows(grid)
-    if dfs is not None:  # |df| as check_transnormal takes it
-        keep = grid[np.sqrt((dfs[:, None, :] @ dfs[:, :, None])[:, 0, 0]) >= REGULAR_POINT_NORM]
+    if dfs is not None:
+        keep = grid[_df_norms(dfs) >= REGULAR_POINT_NORM]
     else:
         keep = []
         for p in grid:
             try:
-                df = np.asarray(field.differential(p))
+                df = np.asarray(field.differential(p), dtype=float)
             except EvalError:  # df undefined there, as at the centre of a norm distance
                 continue
-            if float(np.linalg.norm(df)) >= REGULAR_POINT_NORM:
+            if _df_norms(df[None])[0] >= REGULAR_POINT_NORM:
                 keep.append(p)
     if not len(keep):
         raise EmptySample("no regular sample points on the domain grid")
     return np.array(keep)
+
+
+def _df_norms(dfs):
+    """|df| per row as np.linalg.norm takes it, sqrt(df @ df); inf, not a warning, on overflow."""
+    with np.errstate(over="ignore"):
+        return np.sqrt((dfs[:, None, :] @ dfs[:, :, None])[:, 0, 0])
 
 
 def pointwise_b(metric: Metric, field: ScalarField, p) -> float:
@@ -312,8 +317,7 @@ def check_transnormal(
     points = np.asarray(points, dtype=float)
     (dfs,), error = _rows_of(points, (field.differential, (metric.dim,)),
                              rows=field.differential_rows)
-    # |df| as np.linalg.norm takes it, the square root of the dot product
-    regular = ~(np.sqrt((dfs[:, None, :] @ dfs[:, :, None])[:, 0, 0]) < REGULAR_POINT_NORM)
+    regular = ~(_df_norms(dfs) < REGULAR_POINT_NORM)
     points, dfs = points[: len(dfs)][regular], dfs[regular]
     (ts,), value_error = _rows_of(points, (field.value, ()), rows=field.value_rows)
     error = value_error or error
@@ -341,7 +345,8 @@ def check_transnormal(
     lo, hi = (starts + ends - 1) // 2, (starts + ends) // 2
     levels = (ts[lo] + ts[hi]) / 2
     medians = (b_sorted[lo] + b_sorted[hi]) / 2
-    max_spread = float(np.max(b_sorted[ends - 1] - b_sorted[starts]))
+    with np.errstate(invalid="ignore"):  # inf - inf where b overflowed; the fit refuses it
+        max_spread = float(np.max(b_sorted[ends - 1] - b_sorted[starts]))
     table = list(zip(levels.tolist(), (v.tolist() for v in np.split(bs, starts[1:]))))
     # defensive dedupe: PCHIP needs strictly increasing nodes
     keep = np.concatenate(([True], np.diff(levels) > 1e-12))
@@ -368,28 +373,20 @@ def level_grid_b_report(
 
     The grid is GRID_LEVELS uniform levels plus a geometric ladder of 12
     levels toward each endpoint (at span / 4^k from it), so the fitted profile
-    stays accurate where 1/sqrt(b) develops its integrable singularity. Each
-    level found gives its `level_points` (GRID_PROBES_PER_LEVEL); they go to
-    `check_transnormal` with bins of span / (8 GRID_LEVELS).
+    stays accurate where 1/sqrt(b) develops its integrable singularity. One
+    `level_points` call takes GRID_PROBES_PER_LEVEL points on each level found;
+    they go to `check_transnormal` with bins of span / (8 GRID_LEVELS).
     """
     levels = set(np.linspace(c, d, GRID_LEVELS))
     span = d - c
     for k in range(1, 13):
         levels.add(c + span * 0.25**k)
         levels.add(d - span * 0.25**k)
-    points = []
-    for lvl in sorted(levels):
-        try:
-            points.extend(level_points(
-                field, lvl, domain, GRID_PROBES_PER_LEVEL, parametrization=parametrization
-            ))
-        except LevelNotFound:
-            continue
-    if not points:
+    points = level_points(field, sorted(levels), domain, GRID_PROBES_PER_LEVEL,
+                          parametrization=parametrization)
+    if not len(points):
         raise EmptySample(f"no level-set points found in [{c}, {d}]")
-    return check_transnormal(
-        metric, field, np.array(points), bin_width=max(1e-9, span / (8.0 * GRID_LEVELS))
-    )
+    return check_transnormal(metric, field, points, bin_width=max(1e-9, span / (8.0 * GRID_LEVELS)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from finsler_lab.errors import (
     EmptySample,
     EvalError,
     LeftDomain,
+    LevelNotFound,
     NeverReached,
     ValidationError,
     ZeroVector,
@@ -28,7 +29,7 @@ from finsler_lab.geodesics import (
 from finsler_lab.expressions import (
     _MATH, VARIABLES, Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var, _real_pow, compile_expression,
 )
-from finsler_lab.foliation import build_cylinder
+from finsler_lab.foliation import LEVEL_PROJECTION_TOL, _newton_project, build_cylinder
 from finsler_lab.metrics import (
     RandersMetric, TangentVector, _not_positive_definite, _solve_spd, _zermelo_data,
 )
@@ -349,6 +350,43 @@ def _pointwise_check_transnormal(
 @pytest.fixture(scope="session")
 def pointwise_check_transnormal():
     return _pointwise_check_transnormal
+
+
+def _one_point_level_points(field, c, domain, n, parametrization):
+    """Reference: the one-point loop the parametrized `level_points` replaced.
+
+    Per level and point s = i/n, one read of f, a Newton projection when the
+    point is off its level (dropped where it fails), and one domain test. A
+    sequence of levels is read level by level, as the profile grid took it,
+    a level without points skipped.
+    """
+    if np.ndim(c):
+        points = []
+        for level in c:
+            try:
+                points.extend(_one_point_level_points(field, level, domain, n, parametrization))
+            except LevelNotFound:
+                continue
+        return np.array(points)
+    points = []
+    for i in range(n):
+        s = i / n
+        p = np.asarray(parametrization(c, s), dtype=float)
+        if abs(field.value(p) - c) > LEVEL_PROJECTION_TOL:
+            proj = _newton_project(field, p, c, domain)
+            if proj is None:
+                continue
+            p = proj
+        if domain.contains(p):
+            points.append(p)
+    if not points:
+        raise LevelNotFound(f"parametrized level {c} lies outside the domain")
+    return np.array(points)
+
+
+@pytest.fixture(scope="session")
+def one_point_level_points():
+    return _one_point_level_points
 
 
 def _pointwise_validate_config(config):

@@ -354,6 +354,20 @@ def test_indefinite_metric_exits_three(tmp_path, capsys):
     assert 0.49 < x < 0.51
 
 
+def test_overflowing_gradient_exits_three_without_warnings(tmp_path, capsys):
+    # |df| = 1e200 on the Euclidean box: its square overflows in the |df| tests
+    # and b in the bin spread, which warn nowhere; the fit names the failure
+    path = tmp_path / "steep.scn"
+    path.write_text(SINGULAR_H_TEXT.replace("(x - 0.5)^2", "1").replace("f = y", "f = 1e200 * x"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(tmp_path, "check-transnormal", "--scenario", str(path)) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: EvalError: profile table holds a non-finite level or value"
+        " of b = F(grad f)^2\n"
+    )
+
+
 @pytest.mark.parametrize("kind", ["riemannian", "randers"])
 def test_indefinite_metric_geodesic_exits_three(tmp_path, capsys, kind):
     # the same h, met by a geodesic that starts on x = 0.5: its spray stage

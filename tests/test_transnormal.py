@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -13,12 +14,13 @@ from finsler_lab.errors import (
     EvalError,
     FinslerError,
     IntervalContainsCriticalValue,
+    LevelNotFound,
     NoCriticalPoint,
 )
 from finsler_lab.expressions import parse_expression
-from finsler_lab.foliation import extract_level_set
+from finsler_lab.foliation import extract_level_set, level_points
 from finsler_lab.metrics import CustomMetric, ReverseMetric, euclidean_metric
-from finsler_lab.scenarios import list_examples, load_example
+from finsler_lab.scenarios import build_chart, list_examples, load_example, parse_scenario
 from finsler_lab.transnormal import (
     check_hat_metric_reduction,
     check_hessian_identity,
@@ -31,6 +33,8 @@ from finsler_lab.transnormal import (
     trace_f_segment,
     verify_distance_formula,
 )
+
+from test_cli import TUBE_TEXT
 
 LN125 = math.log(1.25)
 
@@ -156,6 +160,22 @@ def test_sampler_rows_match_the_one_point_loop():
             loop = regular_sampler(domain, replace(field, differential_rows=None), n_target)
             assert fast.tobytes() == loop.tobytes()
     assert fast[:, 0].min() > 1.0 and len(fast) < len(domain.sample_grid(19))
+
+
+def test_overflowing_df_is_regular_without_warnings():
+    # |df| = 1e200 squares to inf: every grid point is regular, by rows and by
+    # the one-point loop, and the profile of b = inf fails in the fit alone
+    from finsler_lab.domains import BoxDomain
+
+    field = ScalarField.from_expression(parse_expression("1e200 * x"), 2)
+    domain = BoxDomain([-1.0, -1.0], [1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fast = regular_sampler(domain, field, 60)
+        loop = regular_sampler(domain, replace(field, differential_rows=None), 60)
+        with pytest.raises(EvalError, match="non-finite level or value of b"):
+            check_transnormal(euclidean_metric(2), field, fast)
+    assert fast.tobytes() == loop.tobytes() == domain.sample_grid(9).tobytes()
 
 
 def test_custom_and_reverse_profiles_match_pointwise_reference(
@@ -737,6 +757,204 @@ def test_level_grid_propagates_parametrization_errors(disc_scenario):
             chart.metric, chart.field, chart.domain, 0.04, 0.25,
             parametrization=lambda t, s: 1 / 0,
         )
+
+
+# ---------------------------------------------------------------------------
+# the parametrized level grid, read in one row call
+
+
+def _outcome(fn, *args, **kwargs):
+    """A call's array (dtype, shape, bytes) or report bits, else its error's type and message."""
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.shape, result.tobytes()
+    return _bits(result)
+
+
+def _grid_levels(c, d):
+    """The levels of `level_grid_b_report`'s grid over [c, d], in its order."""
+    span = d - c
+    ladder = [c + span * 0.25**k for k in range(1, 13)] + [d - span * 0.25**k for k in range(1, 13)]
+    return sorted(set(np.linspace(c, d, transnormal.GRID_LEVELS)) | set(ladder))
+
+
+def _same_as_the_loop(reference, monkeypatch, metric, field, domain, c, d, param):
+    """Asserts the grid's points, some single levels and the report are the loop's;
+    returns the report's outcome."""
+    n = transnormal.GRID_PROBES_PER_LEVEL
+    levels = _grid_levels(c, d)
+    for lvls in [levels] + levels[::7] + [levels[-1]]:
+        fast = _outcome(level_points, field, lvls, domain, n, param)
+        assert fast == _outcome(reference, field, lvls, domain, n, param), lvls
+    report = _outcome(level_grid_b_report, metric, field, domain, c, d, parametrization=param)
+    with monkeypatch.context() as patch:
+        patch.setattr(transnormal, "level_points", reference)
+        expected = _outcome(level_grid_b_report, metric, field, domain, c, d, parametrization=param)
+    assert report == expected
+    return report
+
+
+def test_parametrized_level_grids_match_the_one_point_loop(one_point_level_points, monkeypatch):
+    # every chart with a parametrization over its example's distance range
+    # (the caps' level 0 is the equator, past their rim, where f is undefined)
+    # and the disc from its critical centre
+    cases = []
+    for name in list_examples():
+        scenario = load_example(name)
+        for chart_name, chart in scenario.charts.items():
+            param = scenario.level_parametrization(chart_name)
+            cases.append((chart, param, scenario.distance_range))
+    assert len(cases) == 6
+    disc = load_example("disc-radial")
+    disc_param = disc.level_parametrization()
+    cases.append((disc.chart, disc_param, (0.0, 0.04)))
+    # circles 1e-7 too wide, each point Newton-projected back onto its level
+    cases.append((disc.chart, lambda c, s: (1.0 + 1e-7) * disc_param(c, s), (0.04, 0.25)))
+    # each cap on the levels of both hemispheres: on its own it keeps them, on
+    # the other's the Newton projections leave the chart, where f is undefined
+    sphere = load_example("randers-sphere-height")
+    for cap in ("north-cap", "south-cap"):
+        for c, d in ((0.1, 0.9), (-0.9, -0.1)):
+            cases.append((sphere.charts[cap], sphere.level_parametrization(cap), (c, d)))
+    for chart, param, (c, d) in cases:
+        _same_as_the_loop(one_point_level_points, monkeypatch,
+                          chart.metric, chart.field, chart.domain, c, d, param)
+
+
+def test_parametrized_level_errors_are_the_loops(disc_scenario, one_point_level_points,
+                                                 monkeypatch):
+    chart = disc_scenario.chart
+    disc_param = disc_scenario.level_parametrization()
+
+    def failing_above(top):
+        def param(c, s):
+            if c > top:
+                raise ValueError(f"no circle at level {c}")
+            return disc_param(c, s)
+        return param
+
+    # f is undefined where y < -0.4: on part of each level above about 0.213,
+    # after the projections the 1e-3 sqrt term asks for on the rows before
+    undefined = ScalarField.from_expression(parse_expression("x^2 + y^2 + 1e-3 * sqrt(y + 0.4)"), 2)
+    cases = [
+        (undefined, disc_param, (0.04, 0.25), EvalError),
+        (undefined, failing_above(0.23), (0.04, 0.25), EvalError),
+        (undefined, failing_above(0.1), (0.04, 0.25), ValueError),
+        (chart.field, lambda t, s: 1 / 0, (0.04, 0.25), ZeroDivisionError),
+    ]
+    for field, param, (c, d), error in cases:
+        report = _same_as_the_loop(one_point_level_points, monkeypatch,
+                                   chart.metric, field, chart.domain, c, d, param)
+        assert report[0] is error, report
+    # on the north cap the projections of the southern levels raise first,
+    # before the parametrization fails on a later level
+    sphere = load_example("randers-sphere-height")
+    cap, cap_param = sphere.charts["north-cap"], sphere.level_parametrization("north-cap")
+
+    def failing_cap_param(c, s):
+        if c > -0.5:
+            raise ValueError(f"no circle at level {c}")
+        return cap_param(c, s)
+
+    report = _same_as_the_loop(one_point_level_points, monkeypatch, cap.metric, cap.field,
+                               cap.domain, -0.9, -0.1, failing_cap_param)
+    assert report[0] is EvalError, report
+    # the levels past the disc's radius 0.9 are skipped, and alone not found
+    n = transnormal.GRID_PROBES_PER_LEVEL
+    levels = _grid_levels(0.5, 1.0)
+    points = level_points(chart.field, levels, chart.domain, n, disc_param)
+    assert len(points) == n * sum(lvl <= 0.81 for lvl in levels)
+    assert _outcome(level_points, chart.field, 0.9, chart.domain, n, disc_param) == (
+        LevelNotFound, "parametrized level 0.9 lies outside the domain")
+    _same_as_the_loop(one_point_level_points, monkeypatch,
+                      chart.metric, chart.field, chart.domain, 0.5, 1.0, disc_param)
+
+
+def _one_point_read(x):
+    raise AssertionError("one-point read of f")
+
+
+def test_level_grid_reads_f_by_rows(disc_scenario, one_point_level_points, monkeypatch):
+    # a silent fall-back to the one-point loop would keep every other test passing
+    chart = disc_scenario.chart
+    param = disc_scenario.level_parametrization()
+    args = (chart.domain, *disc_scenario.distance_range)
+    with monkeypatch.context() as patch:
+        patch.setattr(transnormal, "level_points", one_point_level_points)
+        expected = level_grid_b_report(chart.metric, chart.field, *args, parametrization=param)
+    rows_only = replace(chart.field, value=_one_point_read)
+    report = level_grid_b_report(chart.metric, rows_only, *args, parametrization=param)
+    assert _bits(report) == _bits(expected)
+
+
+def test_level_grid_makes_no_one_point_reads(disc_scenario, monkeypatch):
+    chart = disc_scenario.chart
+    calls = Counter()
+
+    def value(x):
+        calls["value"] += 1
+        return chart.field.value(x)
+
+    contains = type(chart.domain).contains
+
+    def counted_contains(self, x):
+        calls["contains"] += np.ndim(x) == 1
+        return contains(self, x)
+
+    monkeypatch.setattr(type(chart.domain), "contains", counted_contains)
+    level_grid_b_report(chart.metric, replace(chart.field, value=value), chart.domain,
+                        0.04, 0.0841, parametrization=disc_scenario.level_parametrization())
+    assert calls == Counter({"contains": 0, "value": 0})
+
+
+LINE_TEXT = """\
+name = line
+dimension = 1
+
+[domain]
+kind = box
+lower = -1.0
+upper = 1.0
+
+[metric]
+kind = randers
+h = 1 + x^2
+wind = 0.3
+
+[field]
+f = x^2
+"""
+
+
+def _line_param(c, s):
+    # the level's two points, +sqrt(c) at s = 0 and 1/3, -sqrt(c) at s = 2/3
+    return np.array([math.sqrt(c) if s < 0.5 else -math.sqrt(c)])
+
+
+def _tube_param(c, s):
+    # circles of radius sqrt(c) at heights -1, -1/3 and 1/3 for s = i/3
+    ang = 2.0 * math.pi * s
+    return np.array([math.sqrt(c) * math.cos(ang), math.sqrt(c) * math.sin(ang), 2.0 * s - 1.0])
+
+
+def test_level_grids_in_dimensions_one_and_three(one_point_level_points, monkeypatch):
+    # the 1-D grid from the critical point 0, and past the box at level 1
+    line = build_chart(parse_scenario(LINE_TEXT))
+    for c, d in ((0.0, 0.25), (0.04, 0.64), (0.5, 1.44)):
+        report = _same_as_the_loop(one_point_level_points, monkeypatch, line.metric,
+                                   line.field, line.domain, c, d, _line_param)
+        assert isinstance(report[0], int) and report[0] > 0, report
+    tube = build_chart(parse_scenario(TUBE_TEXT))
+    for c, d in ((0.09, 0.25), (0.0, 0.04)):
+        _same_as_the_loop(one_point_level_points, monkeypatch, tube.metric,
+                          tube.field, tube.domain, c, d, _tube_param)
+    check = verify_distance_formula(tube.metric, tube.field, 0.09, 0.25, domain=tube.domain,
+                                    level_parametrization=_tube_param)
+    assert check.geodesic_distance == pytest.approx(0.2, abs=1e-4)
+    assert check.quadrature_distance == pytest.approx(0.2, abs=1e-4)
 
 
 def _cubic_refused_on_uniform_scan(shift):
