@@ -43,7 +43,6 @@ from .metrics import (
     TangentVector,
     cartan_tensor,
     euclidean_metric,
-    reverse_metric,
 )
 from .scenarios import (
     Chart,

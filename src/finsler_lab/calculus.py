@@ -37,13 +37,12 @@ class ScalarField:
 
     value: Callable[[np.ndarray], float]
     differential: Callable[[np.ndarray], np.ndarray]
-    name: str = "f"
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     value_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     differential_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @classmethod
-    def from_expression(cls, expr, dim, name="f"):
+    def from_expression(cls, expr, dim):
         """Build value/differential/hessian callables by symbolic derivation."""
         value = compile_expression(expr, dim)
         grads = [expr.diff(VARIABLES[i]) for i in range(dim)]
@@ -57,7 +56,7 @@ class ScalarField:
             H = np.array(hess_fn(p)).reshape(dim, dim)
             return 0.5 * (H + H.T)
 
-        return cls(value=value, differential=differential, hessian=hessian, name=name,
+        return cls(value=value, differential=differential, hessian=hessian,
                    value_rows=compile_rows(expr, dim), differential_rows=compile_rows(grads, dim))
 
 

@@ -8,8 +8,6 @@ import numpy as np
 
 
 class Domain:
-    kind = "abstract"
-
     def contains(self, x):
         """Whether the point x lies in the domain; a boolean per row of a (k, n) array."""
         raise NotImplementedError
@@ -23,7 +21,6 @@ class Domain:
 class BoxDomain(Domain):
     lower: np.ndarray
     upper: np.ndarray
-    kind = "box"
 
     def __post_init__(self):
         object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
@@ -54,7 +51,6 @@ class DiscDomain(Domain):
     radius: float
     center: np.ndarray = field(default=None)
     dim: int = 2
-    kind = "disc"
 
     def __post_init__(self):
         center = self.center

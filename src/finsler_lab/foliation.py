@@ -108,13 +108,15 @@ class PartitionReport:
 
 
 def _newton_project(field: ScalarField, p, c, domain=None):
+    """p moved onto level c by Newton steps along df; None where an iterate leaves the
+    domain (f is not read there), where df vanishes or after the budget."""
     x = np.array(p, dtype=float)
     for _ in range(NEWTON_PROJECTION_BUDGET):
+        if domain is not None and not domain.contains(x):
+            return None
         r = field.value(x) - c
         if abs(r) <= NEWTON_PROJECTION_TOL:
-            if domain is None or domain.contains(x):
-                return x
-            return None
+            return x
         df = np.asarray(field.differential(x), dtype=float)
         dd = float(df @ df)
         if dd < 1e-18:
@@ -135,10 +137,10 @@ def level_points(
     ``c`` is a level, or a sequence of levels read in order, where a level without
     points is skipped (alone, it raises ``LevelNotFound``). Built-in scenarios
     supply an analytic parametrization, sampled at s = i/n on all levels at once:
-    f and the domain test take one row call each, and only the Newton projections
-    of points off their level run one by one, in order, so the error raised is a
-    point loop's first. Otherwise grid seeds are projected per level, and a
-    farthest-point subset of n is kept.
+    the domain test and then f, read at the points inside only, take one row call
+    each, and only the Newton projections of points off their level run one by
+    one, in order, so the error raised is a point loop's first. Otherwise grid
+    seeds are projected per level, and a farthest-point subset of n is kept.
     """
     many = np.ndim(c) > 0
     points: List[np.ndarray] = []
@@ -155,19 +157,19 @@ def level_points(
                     cs.append(level)
         except Exception as exc:  # noqa: BLE001 - raised below, after the points before it
             failure = exc
+        points, cs = np.array(points), np.array(cs)
+        if len(points):
+            inside = domain.contains(points)
+            points, cs = points[inside], cs[inside]
         (values,), undefined = _rows_of(points, (field.value, ()), rows=field.value_rows)
-        dropped = []
+        keep = np.ones(len(points), dtype=bool)
         for k in (np.abs(values - cs[: len(values)]) > LEVEL_PROJECTION_TOL).nonzero()[0]:
             proj = _newton_project(field, points[k], cs[k], domain)
-            if proj is None:
-                dropped.append(k)
-            else:
+            keep[k] = proj is not None
+            if keep[k]:
                 points[k] = proj
         if undefined is not None or failure is not None:
             raise undefined or failure
-        points = np.array(points)
-        keep = domain.contains(points) if len(points) else np.zeros(0, dtype=bool)
-        keep[dropped] = False
         points = points[keep]
         if not (len(points) or many):
             raise LevelNotFound(f"parametrized level {c} lies outside the domain")

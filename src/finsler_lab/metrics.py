@@ -2,10 +2,12 @@
 
 Supported metrics: Randers built from Zermelo data (h, W) with h(W,W) < 1,
 Riemannian as the Randers metric with W = 0 (its norm, tensors, spray and
-Legendre inverse are the Randers ones), the reverse of any metric, and a
-finite-difference fallback for custom norms, without a geodesic spray. The
-Randers norm is the solution Z of h(v/Z - W, v/Z - W) = 1; internally
-everything is computed through the equivalent alpha+beta representation
+Legendre inverse are the Randers ones), the reverse F^-(v) = F(-v) of any
+metric, which calls the metric's own operations at -y (a Riemannian metric is
+its own reverse), and a finite-difference fallback for custom norms, without a
+geodesic spray. The Randers norm is the solution Z of h(v/Z - W, v/Z - W) = 1;
+internally everything is computed through the equivalent alpha+beta
+representation
 
     a_ij = h_ij / lam + (HW)_i (HW)_j / lam^2,   b_i = -(HW)_i / lam,
     lam = 1 - h(W,W),
@@ -337,20 +339,6 @@ class RandersMetric(Metric):
         x = self._check_point(x)
         return self._inverse(x, w, self._zermelo_at(x))
 
-    def reverse(self):
-        n, wind, fields, z, rows = self.dim, self._wind, self._fields, self._zermelo, self._rows
-        # the W and dW slices of (h, W, dh, dW) change sign; 1.0 * v is v
-        signs = [1.0] * (n * n) + [-1.0] * n + [1.0] * n**3 + [-1.0] * (n * n)
-        head = signs[: n * n + n]
-        return RandersMetric(
-            self._h,
-            lambda x: -np.asarray(wind(x), dtype=float),
-            n,
-            fields=lambda x: list(map(mul, signs, fields(x))),
-            zermelo=lambda x: list(map(mul, head, z(x))),
-            rows=rows and (lambda p: None if (r := rows(p)) is None else r * head),
-        )
-
 
 class RiemannianMetric(RandersMetric):
     """Riemannian structure from a symmetric positive-definite matrix field h: Randers, W = 0.
@@ -396,6 +384,13 @@ class ReverseMetric(Metric):
 
     def norm(self, x, y):
         return self.inner.norm(x, -np.asarray(y, dtype=float))
+
+    def norms(self, points, vectors):
+        return self.inner.norms(points, -np.asarray(vectors, dtype=float))
+
+    def co_norms(self, points, covectors):
+        # F^-*(w) = F*(-w), as legendre_inverse below
+        return self.inner.co_norms(points, -np.asarray(covectors, dtype=float))
 
     def fundamental_matrix(self, x, y):
         y = self._require_nonzero(y)
@@ -592,11 +587,6 @@ def cartan_tensor(metric: Metric, v: TangentVector, w1, w2, w3) -> float:
         if np.asarray(w).size != metric.dim:
             raise DimensionMismatch("Cartan argument dimension mismatch")
     return metric.cartan(v.base, v.vector, w1, w2, w3)
-
-
-def reverse_metric(metric: Metric) -> Metric:
-    """The metric v -> F(-v); an involution."""
-    return metric.reverse()
 
 
 def _check_compat(metric, v):

@@ -412,7 +412,7 @@ def build_chart(config: ScenarioConfig, name: str = "main") -> Chart:
     return Chart(
         name=name,
         metric=build_metric(config),
-        field=ScalarField.from_expression(config.field_expr, config.dimension, name="f"),
+        field=ScalarField.from_expression(config.field_expr, config.dimension),
         domain=build_domain(config),
         numerics=config.numerics,
         config=config,

@@ -355,10 +355,10 @@ def pointwise_check_transnormal():
 def _one_point_level_points(field, c, domain, n, parametrization):
     """Reference: the one-point loop the parametrized `level_points` replaced.
 
-    Per level and point s = i/n, one read of f, a Newton projection when the
-    point is off its level (dropped where it fails), and one domain test. A
-    sequence of levels is read level by level, as the profile grid took it,
-    a level without points skipped.
+    Per level and point s = i/n, one domain test, then, at a point inside it, one
+    read of f and a Newton projection when the point is off its level (dropped
+    where it fails). A sequence of levels is read level by level, as the profile
+    grid took it, a level without points skipped, into an (m, dim) array.
     """
     if np.ndim(c):
         points = []
@@ -367,18 +367,18 @@ def _one_point_level_points(field, c, domain, n, parametrization):
                 points.extend(_one_point_level_points(field, level, domain, n, parametrization))
             except LevelNotFound:
                 continue
-        return np.array(points)
+        return np.reshape(points, (-1, domain.dim))
     points = []
     for i in range(n):
         s = i / n
         p = np.asarray(parametrization(c, s), dtype=float)
+        if not domain.contains(p):
+            continue
         if abs(field.value(p) - c) > LEVEL_PROJECTION_TOL:
-            proj = _newton_project(field, p, c, domain)
-            if proj is None:
+            p = _newton_project(field, p, c, domain)
+            if p is None:
                 continue
-            p = proj
-        if domain.contains(p):
-            points.append(p)
+        points.append(p)
     if not points:
         raise LevelNotFound(f"parametrized level {c} lies outside the domain")
     return np.array(points)
@@ -498,6 +498,33 @@ def _numpy_riemannian_stage(metric, x, y):
 @pytest.fixture(scope="session")
 def numpy_riemannian():
     return _numpy_riemannian_norm, _riemannian_co_norm, _numpy_riemannian_stage
+
+
+def _randers_reverse(metric):
+    """Reference: the reverse of a Randers metric as the Randers metric of (h, -W).
+
+    The override ``RandersMetric.reverse`` that ``ReverseMetric`` replaced: the W
+    and dW slices of the fused (h, W, dh, dW), the W slice of (h, W) and of its
+    row form, multiplied by -1.0, the other entries by 1.0 (which leaves them as
+    they are).
+    """
+    n, wind, fields, z, rows = (
+        metric.dim, metric._wind, metric._fields, metric._zermelo, metric._rows)
+    signs = [1.0] * (n * n) + [-1.0] * n + [1.0] * n**3 + [-1.0] * (n * n)
+    head = signs[: n * n + n]
+    return RandersMetric(
+        metric._h,
+        lambda x: -np.asarray(wind(x), dtype=float),
+        n,
+        fields=lambda x: list(map(mul, signs, fields(x))),
+        zermelo=lambda x: list(map(mul, head, z(x))),
+        rows=rows and (lambda p: None if (r := rows(p)) is None else r * head),
+    )
+
+
+@pytest.fixture(scope="session")
+def randers_reverse():
+    return _randers_reverse
 
 
 def _dot(u, v):

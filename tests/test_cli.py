@@ -368,6 +368,18 @@ def test_overflowing_gradient_exits_three_without_warnings(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("cap, error", [
+    ("north-cap", "LevelNotFound: parametrized level 0.0 lies outside the domain"),
+    ("south-cap", "EmptySample: no level-set points found in [0.0, 0.999999]"),
+])
+def test_cap_distance_reads_f_inside_the_chart_only(tmp_path, capsys, cap, error):
+    # the caps' default range starts at the equator, past their rim, where f is
+    # undefined: its points and the Newton iterates that leave the cap are dropped
+    assert run(tmp_path, "verify-distance", "--example", "randers-sphere-height",
+               "--chart", cap) == 3
+    assert capsys.readouterr().err == f"numerical failure: {error}\n"
+
+
 @pytest.mark.parametrize("kind", ["riemannian", "randers"])
 def test_indefinite_metric_geodesic_exits_three(tmp_path, capsys, kind):
     # the same h, met by a geodesic that starts on x = 0.5: its spray stage

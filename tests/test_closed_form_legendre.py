@@ -47,7 +47,8 @@ ORIGIN = np.zeros(2)
 
 
 def chart_cases(disc_scenario, sphere_scenario, minkowski_scenario, rng):
-    """(metric, point draw) on four charts, each with its two reverses."""
+    """(metric, point draw) on four charts, each with its reverse, from ``reverse()`` and
+    as the wrapper built directly."""
     charts = [
         (sphere_scenario.charts["band"], lambda: [rng.uniform(0.3, 2.8), rng.uniform(-3, 3)]),
         (sphere_scenario.charts["north-cap"], lambda: rng.uniform(-0.5, 0.5, size=2)),
@@ -55,8 +56,6 @@ def chart_cases(disc_scenario, sphere_scenario, minkowski_scenario, rng):
         (minkowski_scenario.chart, lambda: rng.uniform(-2.0, 2.0, size=2)),
     ]
     for chart, draw in charts:
-        # a RandersMetric reverses to a RandersMetric with the wind negated;
-        # ReverseMetric is the generic wrapper with sign flips
         for metric in (chart.metric, chart.metric.reverse(), ReverseMetric(chart.metric)):
             yield metric, draw
 
@@ -203,8 +202,10 @@ def test_legendre_inverse_reports_zero_iterations(disc_scenario):
 
 
 def closed_form_metrics():
+    # the reverse of halfwind as the Randers metric of -W, and as the reverse wrapper
     halfwind = RandersMetric.constant_wind([0.5, 0.0])
-    return [halfwind, halfwind.reverse(), ReverseMetric(halfwind), euclidean_metric(2)]
+    return [halfwind, RandersMetric.constant_wind([-0.5, 0.0]), halfwind.reverse(),
+            euclidean_metric(2)]
 
 
 @pytest.mark.parametrize("metric", closed_form_metrics(), ids=lambda m: m.kind)
@@ -481,7 +482,7 @@ def _reference_gradient(metric, field, p, zermelo_inverse):
 
 def test_gradient_on_charts_is_the_old_core_bitwise(rng, zermelo_inverse):
     # every chart of every example and the 3-D twisted box, each metric with its
-    # two reverses, at random points of the chart
+    # reverse, from reverse() and as the wrapper, at random points of the chart
     charts = [build_chart(parse_scenario(SCENARIO_3D), "twisted-box")]
     for name in list_examples():
         charts += load_example(name).charts.values()

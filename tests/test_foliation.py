@@ -219,7 +219,8 @@ def _gradient_result_rays(metric, field, p):
 
 def test_probe_rays_are_the_cone_rays_bitwise(circle_field, rng):
     # every chart of every example, the 3-D twisted box and a custom norm,
-    # which alone takes the Newton backward ray; each metric with its two reverses
+    # which alone takes the Newton backward ray; each metric with its reverse,
+    # from reverse() and as the wrapper
     charts = [build_chart(parse_scenario(SCENARIO_3D), "twisted-box")]
     for name in scenarios.list_examples():
         charts += scenarios.load_example(name).charts.values()
@@ -242,7 +243,7 @@ def test_probe_rays_are_the_cone_rays_bitwise(circle_field, rng):
                     assert ray.base.tobytes() == p.tobytes()
                     assert ray.vector.tobytes() == expected.tobytes() == reference.tobytes()
             newton += m.legendre_inverse(points[0], field.differential(points[0])) is None
-    # the custom norm and its two reverses
+    # the custom norm and its reverse, twice
     assert newton == 3
 
 
@@ -312,7 +313,7 @@ def test_cone_evaluates_fewer_expressions(monkeypatch):
 
 def test_gradient_reads_h_and_w_in_one_call(monkeypatch):
     # h varies on the sphere band: a gradient is one df call and one fused
-    # (h, W) call, for the metric and its two reverses
+    # (h, W) call, for the metric and its reverse, from reverse() and as the wrapper
     band, calls = _counting_chart(monkeypatch, "randers-sphere-height", "band")
     config = band.config
     h_and_w = [e for row in config.h_entries for e in row] + list(config.wind_entries)

@@ -22,7 +22,6 @@ from finsler_lab.metrics import (
     RandersMetric,
     TangentVector,
     euclidean_metric,
-    reverse_metric,
 )
 
 ORIGIN = np.zeros(2)
@@ -141,7 +140,7 @@ def test_reverse_metric_time_reversal(disc_scenario):
     traj = integrate_geodesic(metric, start, 1.0, step=1e-3)
     end = traj.endpoint
     back = integrate_geodesic(
-        reverse_metric(metric), TangentVector(end.base, -end.vector), 1.0, step=1e-3
+        metric.reverse(), TangentVector(end.base, -end.vector), 1.0, step=1e-3
     )
     assert np.linalg.norm(back.points[-1] - start.base) <= 1e-6
 

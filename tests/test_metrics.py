@@ -32,11 +32,11 @@ from finsler_lab.metrics import (
     cartan_tensor,
     _rows_of,
     euclidean_metric,
-    reverse_metric,
 )
 from finsler_lab.scenarios import (
-    build_domain, build_metric, list_examples, load_example, parse_scenario,
+    build_chart, build_domain, build_metric, list_examples, load_example, parse_scenario,
 )
+from test_cli import TUBE_TEXT
 
 ORIGIN = np.zeros(2)
 
@@ -382,8 +382,8 @@ def test_cartan_matches_finite_difference(halfwind):
 
 
 def test_reverse_of_randers_flips_wind(halfwind, rng):
-    rev = reverse_metric(halfwind)
-    assert isinstance(rev, RandersMetric)
+    rev = halfwind.reverse()
+    assert type(rev) is ReverseMetric and rev.reverse() is halfwind
     assert rev.norm(ORIGIN, [1.0, 0.0]) == pytest.approx(2.0)
     for _ in range(100):
         v = rng.normal(size=2)
@@ -392,12 +392,12 @@ def test_reverse_of_randers_flips_wind(halfwind, rng):
 
 def test_riemannian_reverse_is_identity(rng):
     metric = euclidean_metric(2)
-    assert reverse_metric(metric) is metric
+    assert metric.reverse() is metric
 
 
 def test_double_reverse_restores_values(disc_scenario, rng):
     metric = disc_scenario.chart.metric
-    double = reverse_metric(reverse_metric(metric))
+    double = metric.reverse().reverse()
     x = np.array([0.3, 0.2])
     for _ in range(100):
         v = rng.normal(size=2)
@@ -418,6 +418,72 @@ def test_reverse_wrapper_tensors(halfwind, rng):
         assert wrapped.cartan(ORIGIN, v, w1, w2, w3) == pytest.approx(
             -halfwind.cartan(ORIGIN, -v, w1, w2, w3), abs=1e-14
         )
+
+
+# a curved Riemannian chart: the randers-sphere-height band with W = 0
+RIEMANNIAN_BAND_TEXT = """\
+name = riemannian-band
+dimension = 2
+
+[domain]
+kind = box
+lower = 0.3, -3.0
+upper = 2.8, 3.0
+
+[metric]
+kind = riemannian
+h = 1, 0 ; 0, sin(x)^2
+
+[field]
+f = cos(x)
+"""
+
+
+def _outcome_bits(value):
+    """An outcome of ``_outcome`` as bytes: each array or number by its bits, an error
+    as its (type, message)."""
+    if isinstance(value, tuple) and isinstance(value[0], type):
+        return value
+    if isinstance(value, tuple):
+        return tuple(map(_outcome_bits, value))
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def test_reverse_matches_the_randers_override(rng, randers_reverse):
+    # the reverse of every built-in chart, a Riemannian band, a 1-D and a 3-D chart
+    # against the Randers metric of (h, -W): bitwise, errors with their messages;
+    # the Cartan tensor by value, as a 1-D one is 0 with either sign
+    charts = [chart for name in list_examples() for chart in load_example(name).charts.values()]
+    charts += [build_chart(parse_scenario(text))
+               for text in (RIEMANNIAN_BAND_TEXT, _random_zermelo_text(1, rng), TUBE_TEXT)]
+    for chart in charts:
+        metric, n = chart.metric, chart.config.dimension
+        reverse, reference = metric.reverse(), randers_reverse(metric)
+        if metric.kind == "riemannian":
+            assert reverse is metric
+        else:
+            assert type(reverse) is ReverseMetric and reverse.reverse() is metric
+        grid = chart.domain.sample_grid(9)
+        lo, hi = grid.min(axis=0), grid.max(axis=0)
+        # points of the domain, then around it, where a field or the wind may fail
+        points = np.concatenate([_random_points(chart.domain, rng, 40),
+                                 rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(20, n))])
+        vectors = rng.normal(size=points.shape)
+        vectors[::7] = 0.0
+        ws = rng.normal(size=(3, n))
+        for x, y in zip(points, vectors):
+            for op in ("geodesic_stage", "norm", "legendre_inverse", "fundamental_matrix",
+                       "dF2_dy"):
+                got = _outcome(getattr(reverse, op), x, y)
+                ref = _outcome(getattr(reference, op), x, y)
+                assert _outcome_bits(got) == _outcome_bits(ref), (chart.config.name, op, x, y)
+            assert _outcome(reverse.cartan, x, y, *ws) == _outcome(reference.cartan, x, y, *ws)
+        for op in ("norms", "co_norms"):
+            # the nonzero rows inside the domain, then every row
+            for rows in ((np.arange(len(points)) < 40) & vectors.any(axis=1), slice(None)):
+                got = _outcome(getattr(reverse, op), points[rows], vectors[rows])
+                ref = _outcome(getattr(reference, op), points[rows], vectors[rows])
+                assert _outcome_bits(got) == _outcome_bits(ref), (chart.config.name, op)
 
 
 # ---------------------------------------------------------------------------
@@ -500,15 +566,17 @@ def reference_stage(metric, x, y, stage_fields):
     return np.linalg.solve(g, 0.5 * dF2_dx - 0.5 * d2F2_dydx @ y), F
 
 
-def assert_stage_matches(metric, x, y, rtol, stage_fields):
+def assert_stage_matches(metric, x, y, rtol, stage_fields, randers=None):
+    """The stage of metric against the reference composed on ``randers``, by default
+    metric itself: the Randers form of a reversed metric."""
     a, F = metric.geodesic_stage(x, y)
-    ref_a, ref_F = reference_stage(metric, x, y, stage_fields)
+    ref_a, ref_F = reference_stage(randers or metric, x, y, stage_fields)
     assert np.linalg.norm(a - ref_a) <= rtol * np.linalg.norm(ref_a)
     assert abs(F - ref_F) <= rtol * abs(ref_F)
 
 
 def test_randers_stage_matches_reference(
-    disc_scenario, sphere_scenario, minkowski_scenario, rng, stage_fields
+    disc_scenario, sphere_scenario, minkowski_scenario, rng, stage_fields, randers_reverse
 ):
     charts = [
         (sphere_scenario.charts["band"], lambda: [rng.uniform(0.3, 2.8), rng.uniform(-3, 3)]),
@@ -517,10 +585,11 @@ def test_randers_stage_matches_reference(
         (minkowski_scenario.chart, lambda: rng.uniform(-2.0, 2.0, size=2)),
     ]
     for chart, draw in charts:
-        for metric in (chart.metric, chart.metric.reverse()):
+        reverse = (chart.metric.reverse(), randers_reverse(chart.metric))
+        for metric, randers in ((chart.metric, chart.metric), reverse):
             for _ in range(100):
                 assert_stage_matches(
-                    metric, np.array(draw()), rng.normal(size=2), 1e-12, stage_fields
+                    metric, np.array(draw()), rng.normal(size=2), 1e-12, stage_fields, randers
                 )
 
 
@@ -831,8 +900,8 @@ def _bits(values):
 
 
 def _assert_rows_match_one_point_calls(chart, points):
-    """f, df, the stage fields and, for the metric (a Riemannian one as W = 0) and its
-    reverse, h and W: bitwise."""
+    """f, df, the stage fields, h and W of the metric (a Riemannian one as W = 0), and
+    the norms and co-norms of its reverse against its one-point calls: bitwise."""
     metric, field, config, n = chart.metric, chart.field, chart.config, chart.config.dimension
     points = np.asarray(points, dtype=float)
     assert _bits(field.value_rows(points)) == _bits([[field.value(p)] for p in points])
@@ -842,14 +911,18 @@ def _assert_rows_match_one_point_calls(chart, points):
     dh, dw = ([e.diff(VARIABLES[k]) for k in range(n) for e in f] for f in (h, w))
     stage = compile_rows(h + w + dh + dw, n)(points)
     assert _bits(stage) == _bits([metric._fields(p) for p in points])
-    for m in (metric, metric.reverse()):
-        hw = [np.concatenate([np.ravel(m._h(p)), m._wind(p)]) for p in points]
-        assert _bits(m._rows(points)) == _bits(hw)
-        fields = ((m._h, (n, n)), (m._wind, (n,)))
-        fast, loop = _rows_of(points, *fields, rows=m._rows), _rows_of(points, *fields)
-        assert fast[1] is None and loop[1] is None
-        assert [_bits(a) for a in fast[0]] == [_bits(a) for a in loop[0]]
-        assert [a.shape for a in fast[0]] == [(len(points), n, n), (len(points), n)]
+    hw = [np.concatenate([np.ravel(metric._h(p)), metric._wind(p)]) for p in points]
+    assert _bits(metric._rows(points)) == _bits(hw)
+    fields = ((metric._h, (n, n)), (metric._wind, (n,)))
+    fast, loop = _rows_of(points, *fields, rows=metric._rows), _rows_of(points, *fields)
+    assert fast[1] is None and loop[1] is None
+    assert [_bits(a) for a in fast[0]] == [_bits(a) for a in loop[0]]
+    assert [a.shape for a in fast[0]] == [(len(points), n, n), (len(points), n)]
+    reverse, vectors = metric.reverse(), np.cos(np.arange(points.size)).reshape(points.shape)
+    assert _bits(reverse.norms(points, vectors)) == _bits(
+        [reverse.norm(p, v) for p, v in zip(points, vectors)])
+    assert _bits(reverse.co_norms(points, vectors)) == _bits(
+        [reverse.legendre_inverse(p, v)[1] for p, v in zip(points, vectors)])
 
 
 def test_row_forms_match_one_point_calls_on_every_chart(rng):
@@ -951,12 +1024,13 @@ def test_metric_reads_raise_what_the_loop_raises(rng):
 
 def test_callable_metric_reads_without_row_forms(rng):
     metric = RandersMetric.constant_wind([0.3, -0.2])
-    assert metric._rows is None and metric.reverse()._rows is None
+    assert metric._rows is None
     points, vectors = rng.normal(size=(20, 2)), rng.normal(size=(20, 2))
-    assert _bits(metric.norms(points, vectors)) == _bits(
-        [metric.norm(p, v) for p, v in zip(points, vectors)])
-    assert _bits(metric.co_norms(points, vectors)) == _bits(
-        [metric.legendre_inverse(p, v)[1] for p, v in zip(points, vectors)])
+    for m in (metric, metric.reverse()):
+        assert _bits(m.norms(points, vectors)) == _bits(
+            [m.norm(p, v) for p, v in zip(points, vectors)])
+        assert _bits(m.co_norms(points, vectors)) == _bits(
+            [m.legendre_inverse(p, v)[1] for p, v in zip(points, vectors)])
 
 
 def test_whole_array_reads_make_no_one_point_call(monkeypatch, rng):

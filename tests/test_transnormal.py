@@ -418,6 +418,25 @@ def test_segment_flow_matches_the_gradient_result_flow(disc_scenario, monkeypatc
         assert _segment_bits(seg) == _segment_bits(reference), (metric.kind, direction)
 
 
+def test_backward_segment_matches_the_randers_override(
+    disc_scenario, sphere_scenario, monkeypatch, randers_reverse
+):
+    # the reverse metric measures the crossings and checks the spray of a backward
+    # segment: the same segment bit for bit with the Randers metric of (h, -W)
+    cases = [
+        (disc_scenario.chart, [0.4, 0.2], dict(record_levels=(0.1, 0.05), f_stop=0.02)),
+        (sphere_scenario.charts["band"], [1.2, 0.3], dict(record_levels=(0.0,), f_stop=-0.5)),
+    ]
+    for chart, start, options in cases:
+        args = (chart.metric, chart.field, start, "backward")
+        seg = trace_f_segment(*args, domain=chart.domain, **options)
+        with monkeypatch.context() as patch:
+            patch.setattr(chart.metric, "reverse", lambda m=chart.metric: randers_reverse(m))
+            reference = trace_f_segment(*args, domain=chart.domain, **options)
+        assert seg.level_crossings
+        assert _segment_bits(seg) == _segment_bits(reference), chart.name
+
+
 def test_segment_from_a_critical_point_raises(disc_scenario, tmp_path, capsys):
     from finsler_lab.cli import main
 
@@ -799,7 +818,7 @@ def _same_as_the_loop(reference, monkeypatch, metric, field, domain, c, d, param
 
 def test_parametrized_level_grids_match_the_one_point_loop(one_point_level_points, monkeypatch):
     # every chart with a parametrization over its example's distance range
-    # (the caps' level 0 is the equator, past their rim, where f is undefined)
+    # (the caps' level 0 is the equator, past their rim, so it has no point)
     # and the disc from its critical centre
     cases = []
     for name in list_examples():
@@ -814,7 +833,7 @@ def test_parametrized_level_grids_match_the_one_point_loop(one_point_level_point
     # circles 1e-7 too wide, each point Newton-projected back onto its level
     cases.append((disc.chart, lambda c, s: (1.0 + 1e-7) * disc_param(c, s), (0.04, 0.25)))
     # each cap on the levels of both hemispheres: on its own it keeps them, on
-    # the other's the Newton projections leave the chart, where f is undefined
+    # the other's the Newton projections leave the chart and are dropped
     sphere = load_example("randers-sphere-height")
     for cap in ("north-cap", "south-cap"):
         for c, d in ((0.1, 0.9), (-0.9, -0.1)):
@@ -849,8 +868,18 @@ def test_parametrized_level_errors_are_the_loops(disc_scenario, one_point_level_
         report = _same_as_the_loop(one_point_level_points, monkeypatch,
                                    chart.metric, field, chart.domain, c, d, param)
         assert report[0] is error, report
-    # on the north cap the projections of the southern levels raise first,
-    # before the parametrization fails on a later level
+    # a projection that raises comes first too: f is undefined just inside level
+    # 0.05, where the projections of its circles 1e-7 too wide land, before the
+    # parametrization fails on a later level
+    shell = ScalarField.from_expression(
+        parse_expression("x^2 + y^2 + 0 * sqrt(x^2 + y^2 - 0.050000005)"), 2)
+    wide = failing_above(0.1)
+    report = _same_as_the_loop(one_point_level_points, monkeypatch, chart.metric, shell,
+                               chart.domain, 0.05, 0.25,
+                               lambda c, s: (1.0 + 1e-7) * wide(c, s))
+    assert report[0] is EvalError, report
+    # on the north cap the projections of the southern levels leave the chart and
+    # are dropped without reading f there, so the later failing level raises
     sphere = load_example("randers-sphere-height")
     cap, cap_param = sphere.charts["north-cap"], sphere.level_parametrization("north-cap")
 
@@ -861,7 +890,7 @@ def test_parametrized_level_errors_are_the_loops(disc_scenario, one_point_level_
 
     report = _same_as_the_loop(one_point_level_points, monkeypatch, cap.metric, cap.field,
                                cap.domain, -0.9, -0.1, failing_cap_param)
-    assert report[0] is EvalError, report
+    assert report[0] is ValueError, report
     # the levels past the disc's radius 0.9 are skipped, and alone not found
     n = transnormal.GRID_PROBES_PER_LEVEL
     levels = _grid_levels(0.5, 1.0)

@@ -81,6 +81,13 @@ EXTRA_CALLS = (
                                  "--start=0.3,0", "--stop", "0.16"]),
     ("trace-segment-disc-levels", ["trace-segment", "--example", "disc-radial",
                                    "--start=0.2,0.1", "--levels", "0.1,0.2", "--t-max", "0.35"]),
+    # backward segments: crossings measured and the spray checked in the reverse metric
+    ("trace-segment-disc-backward", ["trace-segment", "--example", "disc-radial",
+                                     "--start=0.4,0.2", "--stop", "0.02", "--levels",
+                                     "0.1,0.05", "--direction", "backward"]),
+    ("trace-segment-sphere-backward", ["trace-segment", "--example", "randers-sphere-height",
+                                       "--start=1.2,0.3", "--stop", "-0.5", "--levels",
+                                       "0.2,0", "--direction", "backward"]),
     ("check-transnormal-sphere-csv", ["check-transnormal", "--example",
                                       "randers-sphere-height", "--format", "both"]),
     ("dump-geodesic-disc", ["dump-geodesic", "--example", "disc-radial",
