@@ -83,9 +83,9 @@ def _json_bytes(obj) -> bytes:
 
 
 def _csv_bytes(header, rows) -> bytes:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    """The CSV of a header and rows of numbers, each number the repr of its float."""
+    lines = [",".join(header), *(",".join(map(repr, row))
+                                 for row in np.asarray(rows, dtype=float).tolist())]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -187,8 +187,8 @@ def _write_trajectory(emitter, traj):
     """The trajectory CSV: time, coordinates, velocity components, arc length."""
     dim = traj.points.shape[1]
     header = ["t", *(f"x{i}" for i in range(dim)), *(f"v{i}" for i in range(dim)), "arc_length"]
-    samples = zip(traj.times, traj.points, traj.velocities, traj.arc_lengths)
-    emitter.write_csv("trajectory", header, [(t, *p, *v, s) for t, p, v, s in samples])
+    columns = (traj.times, traj.points, traj.velocities, traj.arc_lengths)
+    emitter.write_csv("trajectory", header, np.column_stack(columns))
 
 
 # ---------------------------------------------------------------------------

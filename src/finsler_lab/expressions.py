@@ -540,6 +540,7 @@ def compile_expression(node, dim):
     raw = _generate(nodes, dim)
 
     def wrapped(coords):
+        """The values at coords, checked: an entry that raises or is not finite is named."""
         try:
             # plain floats: numpy scalars turn 0/0 into nan-plus-warning
             # instead of raising, and are slower in the integrator loops
@@ -553,6 +554,9 @@ def compile_expression(node, dim):
             raise EvalError(f"non-finite value for {_at(bad, coords)}")
         return val[0] if single else val
 
+    # unchecked, on the coordinates as plain floats: for callers that take the
+    # checked call only where this raises or is not finite
+    wrapped.generated = raw
     return wrapped
 
 
@@ -634,8 +638,8 @@ def _refuse(error, bad="", unless=(), columns=False):
 
 
 def _solve(g, r, columns=False):
-    """Lines that set ``a`` to the solution of g a = r as ``metrics._solve_spd`` solves it: a
-    call, or in 2-D its closed form and check inline, setting a0, a1 (and ``a`` but on columns)."""
+    """Lines that solve g a = r as ``metrics._solve_spd`` solves it: a call setting the array
+    ``a``, or in 2-D its closed form and check inline, setting the floats a0, a1."""
     if len(r) != 2:
         rows = "".join(f"({', '.join(row)},), " for row in g)
         return [f"a = _solve_spd(({rows}), ({', '.join(r)},), x)"]
@@ -644,8 +648,7 @@ def _solve(g, r, columns=False):
             *_refuse("_not_positive_definite(x)", unless=(f"{g00} > 0.0", "det > 0.0"),
                      columns=columns),
             f"a0 = ({g11} * {r[0]} - {g01} * {r[1]}) / det",
-            f"a1 = ({g00} * {r[1]} - {g10} * {r[0]}) / det",
-            *["a = _array((a0, a1))"] * (not columns)]
+            f"a1 = ({g00} * {r[1]} - {g10} * {r[0]}) / det"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -655,9 +658,9 @@ def randers_stage(n):
     ``stage(x, y, fields) -> (acceleration, F)`` takes the point x (only named
     in errors), the vector y as n floats and the Zermelo data at x as one flat
     tuple: h and W, then their x-derivatives dh[k][i][j] and dW[k][i], each
-    row-major. It is the closed form of ``metrics`` with every index loop
-    unrolled, so a stage is one call on plain floats; in 2-D the solve with
-    its positivity check is inline too.
+    row-major; the acceleration is a tuple of n floats. It is the closed form
+    of ``metrics`` with every index loop unrolled, so a stage is one call on
+    plain floats; in 2-D the solve with its positivity check is inline too.
     """
     from .metrics import WIND_NORM_MARGIN
 
@@ -713,7 +716,7 @@ def randers_stage(n):
     let("ratio", "F / alpha")
     g = let("g", [[f"{m[i]} * {m[j]} + ratio * ({h[i][j]} / lam + {wl[i]} * {wl[j]} / lam2"
                    f" - {e[i]} * {e[j]})" for j in N] for i in N])
-    lines += [*_solve(g, r), "return a, F"]
+    lines += [*_solve(g, r), f"return {'(a0, a1)' if n == 2 else 'tuple(a.tolist())'}, F"]
     return _kernel("randers_stage", "x, y, fields", lines)
 
 
@@ -744,6 +747,7 @@ def zermelo_inverse(n, columns=False):
              *_refuse("_strong_wind(s, x)", bad=f"s >= {1.0 - WIND_NORM_MARGIN!r}",
                       columns=columns),
              *covector, *_solve(h, r, columns), *[f"{', '.join(a)}, = a.tolist()"] * (n != 2),
+             *["a = _array((a0, a1))"] * (n == 2 and not columns),
              f"dual2 = {total(r, a)}",
              *_refuse("_ZeroVector('Legendre inverse undefined for the zero covector')",
                       bad="dual2 <= 0.0", columns=columns),

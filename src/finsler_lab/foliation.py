@@ -142,14 +142,22 @@ def level_points(
     one, in order, so the error raised is a point loop's first. Otherwise grid
     seeds are projected per level, and a farthest-point subset of n is kept.
     """
+    return _level_rows(field, c, domain, n, parametrization)[0]
+
+
+def _level_rows(field, c, domain, n, parametrization):
+    """`level_points` with the level of each point: (points, levels), one row each."""
     many = np.ndim(c) > 0
     points: List[np.ndarray] = []
+    cs: List[float] = []
     if parametrization is None and many:  # grid seeds are per level
         for level in c:
             with suppress(LevelNotFound):
-                points.extend(level_points(field, level, domain, n))
+                found = level_points(field, level, domain, n)
+                points.extend(found)
+                cs.extend([level] * len(found))
     elif parametrization is not None:
-        cs, failure = [], None
+        failure = None
         try:
             for level in c if many else [c]:
                 for i in range(n):
@@ -170,7 +178,7 @@ def level_points(
                 points[k] = proj
         if undefined is not None or failure is not None:
             raise undefined or failure
-        points = points[keep]
+        points, cs = points[keep], cs[keep]
         if not (len(points) or many):
             raise LevelNotFound(f"parametrized level {c} lies outside the domain")
     else:
@@ -193,7 +201,8 @@ def level_points(
         if not candidates:
             raise LevelNotFound(f"Newton projection found no points on level {c}")
         points = _spread_selection(candidates, n)
-    return np.array(points)
+        cs = [c] * len(points)
+    return np.array(points), np.array(cs, dtype=float)
 
 
 def extract_level_set(field: ScalarField, c: float, domain: Domain, n: int,
@@ -300,13 +309,25 @@ def check_parallel(
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
-    if metric.dim == 1:
-        raise ValidationError("parallelism is not applicable in dimension 1: a level is a point")
+    _check_dimension(metric)
     if c == d:
         raise ValidationError(f"parallelism needs two distinct levels, got {c} twice")
     lo, hi = (c, d) if c < d else (d, c)
+    points = level_points(field, lo if direction == "forward" else hi, domain, probes,
+                          level_parametrization)
+    return _probe_report(metric, field, points, c, d, direction, domain, step, tolerance, t_max)
+
+
+def _check_dimension(metric: Metric):
+    """Refuse a metric of dimension 1, where a level is a point."""
+    if metric.dim == 1:
+        raise ValidationError("parallelism is not applicable in dimension 1: a level is a point")
+
+
+def _probe_report(metric, field, points, c, d, direction, domain, step, tolerance, t_max):
+    """The `check_parallel` report of probes from ``points``, the source level's points."""
+    lo, hi = (c, d) if c < d else (d, c)
     source, target = (lo, hi) if direction == "forward" else (hi, lo)
-    points = level_points(field, source, domain, probes, level_parametrization)
     rays = _probe_rays(metric, field, points, direction)
     defects: List[float] = []
     lengths: List[float] = []
@@ -393,6 +414,11 @@ def check_finsler_partition(
 ) -> PartitionReport:
     """Both-direction parallelism over adjacent level pairs plus cylinders.
 
+    The probes of every pair start at the levels' points, all read in one
+    sequence-form call of the core of `level_points` (`_level_rows`); each
+    direction of a pair is the probe loop of `check_parallel`
+    (`_probe_report`).
+
     The cylinder check flows a subsample of each lower (resp. upper) leaf by
     the median probe arc length r and measures how far the images scatter
     from the adjacent level. The images come from the probe marches of the
@@ -408,15 +434,24 @@ def check_finsler_partition(
     for lo, hi in zip(levels[:-1], levels[1:]):
         if lo == hi:
             raise ValidationError(f"level {lo} is repeated: adjacent levels must differ")
+    _check_dimension(metric)
+    # the source points of every level in one read; a level without any raises
+    # as its own read does, when a probe loop first needs it
+    points, at = _level_rows(field, levels, domain, probes, level_parametrization)
+
+    def source_points(level):
+        rows = points[at == level]
+        return rows if len(rows) else level_points(field, level, domain, probes,
+                                                    level_parametrization)
+
     forward_reports: List[ParallelismReport] = []
     backward_reports: List[ParallelismReport] = []
     cylinder_defects: List[float] = []
     for lo, hi in zip(levels[:-1], levels[1:]):
         for direction, reports in (("forward", forward_reports), ("backward", backward_reports)):
-            report = check_parallel(
-                metric, field, lo, hi, direction, probes, domain,
-                level_parametrization=level_parametrization, step=step,
-                tolerance=tolerance, t_max=t_max,
+            report = _probe_report(
+                metric, field, source_points(lo if direction == "forward" else hi), lo, hi,
+                direction, domain, step, tolerance, t_max,
             )
             cylinder_defects.append(
                 _cylinder_defect(field, report, cylinder_probes, step, domain)

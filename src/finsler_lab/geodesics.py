@@ -14,12 +14,15 @@ for h, W and their derivatives.
 
 Curves take adaptive Dormand-Prince 5(4) steps (Dormand & Prince 1980;
 Hairer-Norsett-Wanner, Solving ODEs I, II.4-II.6) with error control on the
-state, from one step loop (`_accepted_steps`) with a right-hand side
-``rhs(z, out)``: the spray on (x, y, arc length) here, and the unit gradient
-flow on x in `transnormal.trace_f_segment`. The step's continuous extension
-(`_dense_output`) gives `geodesic_at_times` its states between step ends
-(the uniform rows of `dump-geodesic` and the end points of
-`build_cylinder`) and the flow its measured acceleration. Both the march to
+state, from one step loop (`_accepted_steps`) on plain floats: the state is
+a tuple, the right-hand side ``rhs(z)`` returns one (the spray on (x, y, arc
+length) here, the unit gradient flow on x in `transnormal.trace_f_segment`),
+and a step, its stage combinations and its error norm are straight-line code
+generated once per state size (`_dp5_kernel`). The step's continuous
+extension (`_dense_output`, on numpy arrays) is built only where it is read:
+it gives `geodesic_at_times` its states between step ends (the uniform rows
+of `dump-geodesic` and the end points of `build_cylinder`), the flow its
+measured acceleration, and a march its crossing. Both the march to
 a level (`integrate_to_level`) and the flow locate a level crossing with one
 routine (`_locate`): the root of f on the bracketing step's extension (by
 Brent's method, `_brentq`), one sub-step to it and one Newton correction in
@@ -37,6 +40,7 @@ by central differences, is integrated with it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
@@ -46,6 +50,7 @@ import numpy as np
 from .calculus import ScalarField
 from .domains import Domain
 from .errors import FinslerError, LeftDomain, NeverReached, ZeroVector
+from .expressions import _kernel
 from .metrics import Metric, TangentVector
 
 DEFAULT_STEP = 1e-3
@@ -144,12 +149,15 @@ def spray_coefficients(metric: Metric, v: TangentVector) -> np.ndarray:
     x, y = v.base, v.vector
     if float(y @ y) == 0.0:
         raise ZeroVector("spray undefined on the zero section")
-    return metric.geodesic_stage(x, y)[0]
+    return np.array(metric.geodesic_stage(x, y)[0])
 
 
 def _rk4_step(metric, x, y, dt):
     """One classical step of (x, y, arclen); returns new (x, y, dlen)."""
-    stage = metric.geodesic_stage
+    def stage(x, y):
+        a, speed = metric.geodesic_stage(x, y)
+        return np.array(a), speed
+
     k1y, k1l = stage(x, y)
     y2 = y + 0.5 * dt * k1y
     x2 = x + 0.5 * dt * y
@@ -228,7 +236,7 @@ def geodesic_at_times(
     if domain is not None and not domain.contains(x):
         raise LeftDomain(f"initial point {x} outside the chart domain", point=x, time=0.0)
     rhs, z, k1 = _march_start(metric, x, v0.vector, 0.0)
-    rows = np.empty((times.size, z.size))
+    rows = np.empty((times.size, len(z)))
     k = int(times[0] == 0.0)
     rows[:k] = z
     t, h = 0.0, _initial_step(rhs, z, k1)
@@ -281,33 +289,56 @@ def orthogonality_defect(metric: Metric, gamma_dot: TangentVector, tangent_basis
 
 
 def _spray_rhs(metric: Metric, n: int):
-    """Right-hand side ``rhs(z, out)`` of the spray on the march state z = (x, y, arc length).
+    """Right-hand side ``rhs(z)`` of the spray on the march state z = (x, y, arc length).
 
-    Writes the derivative (y, a, F) into out and returns it.
+    Takes and returns the state and its derivative (y, a, F) as tuples of floats.
     """
     stage = metric.geodesic_stage
 
-    def rhs(z, out):
-        a, speed = stage(z[:n], z[n : 2 * n])
-        out[:n] = z[n : 2 * n]
-        out[n : 2 * n] = a
-        out[2 * n] = speed
-        return out
+    def rhs(z):
+        y = z[n : 2 * n]
+        a, speed = stage(z[:n], y)
+        return (*y, *a, speed)
 
     return rhs
 
 
-def _dp5_stages(rhs, z, k1, h):
-    """One Dormand-Prince step of length h from z, whose derivative is k1.
+@functools.cache
+def _dp5_kernel(m):
+    """One Dormand-Prince step on a state of m floats, generated once per m.
 
-    Returns the 5th-order state at t + h and the stage derivatives as rows of
-    a 7-row array; the last row is left for the derivative at the new state.
+    ``step(rhs, z, dz, h) -> (z_new, K)``: the 5th-order state at t + h from z,
+    whose derivative is dz, and the six stage derivatives (K[0] = dz), each a
+    tuple of floats. ``ratio(h, z, z_new, K) -> float``: the step's error
+    estimate h E.K against the tolerance ``MARCH_ATOL + MARCH_RTOL max(|z|,
+    |z_new|)``, root-mean-square over the components, where K holds the
+    seventh derivative, at z_new, too. Straight-line code on plain floats:
+    on a handful of components the per-call cost of numpy would dominate.
     """
-    K = np.empty((7, z.size))
-    K[0] = k1
-    for i, a in enumerate(_DP_A, start=1):
-        rhs(z + h * (a @ K[:i]), K[i])
-    return z + h * (_DP_B @ K[:6]), K
+    M = range(m)
+
+    def dot(weights, j):
+        """The weights times the stage derivatives' component j, zero weights left out."""
+        return "(" + " + ".join(f"{w!r} * k{i}_{j}" for i, w in enumerate(weights) if w) + ")"
+
+    def advanced(weights):
+        """The state z + h (weights . K) as a tuple."""
+        return "(" + "".join(f"z{j} + h * {dot(weights, j)}, " for j in M) + ")"
+
+    def unpack(i):
+        return f"{''.join(f'k{i}_{j}, ' for j in M)}= k{i}"
+
+    z = "".join(f"z{j}, " for j in M)
+    step = [f"{z}= z", "k0 = dz", unpack(0)]
+    for i, weights in enumerate(_DP_A, start=1):
+        step += [f"k{i} = rhs({advanced(weights.tolist())})", unpack(i)]
+    step.append(f"return {advanced(_DP_B.tolist())}, (k0, k1, k2, k3, k4, k5)")
+    ratio = [f"{z}= z", f"{''.join(f'n{j}, ' for j in M)}= z_new",
+             "k0, k1, k2, k3, k4, k5, k6 = K", *map(unpack, range(7))]
+    ratio += [f"e{j} = h * {dot(_DP_E.tolist(), j)}"
+              f" / ({MARCH_ATOL!r} + {MARCH_RTOL!r} * max(abs(z{j}), abs(n{j})))" for j in M]
+    ratio.append(f"return _sqrt(({' + '.join(f'e{j} * e{j}' for j in M)}) / {m})")
+    return _kernel("dp5_step", "rhs, z, dz, h", step), _kernel("dp5_ratio", "h, z, z_new, K", ratio)
 
 
 def _dense_output(z0, z1, K, h):
@@ -317,8 +348,10 @@ def _dense_output(z0, z1, K, h):
     a polynomial of degree 4 in s that matches the step's end states z0, z1
     and their derivatives K[0], K[6] (Hairer-Norsett-Wanner II.6, the dense
     output of DOPRI5). It costs no right-hand side beyond the step's seven,
-    and it reads the end states back exactly.
+    and it reads the end states back exactly. Takes the states and the seven
+    stage derivatives as sequences of floats and returns arrays.
     """
+    z0, z1, K = np.asarray(z0), np.asarray(z1), np.asarray(K)
     dz = z1 - z0
     r2 = h * K[0] - dz
     return z0, z1, r2, dz - h * K[6] - r2, h * (_DP_D @ K)
@@ -343,8 +376,9 @@ def _dense_second_derivative(dense, s, h):
     return (-2.0 * r2 + (2.0 - 6.0 * s) * r3 + (2.0 - 12.0 * s * (1.0 - s)) * r4) / (h * h)
 
 
-def _rms(v) -> float:
-    return math.sqrt(float(v @ v) / v.size)
+def _rms(v, scale) -> float:
+    """Root-mean-square of v over the scale, componentwise."""
+    return math.sqrt(sum((a / b) ** 2 for a, b in zip(v, scale)) / len(v))
 
 
 def _initial_step(rhs, z, k1) -> float:
@@ -355,24 +389,27 @@ def _initial_step(rhs, z, k1) -> float:
     defined), the Euler step length itself is returned and the march
     shortens it as it does any failing step.
     """
-    scale = MARCH_ATOL + MARCH_RTOL * np.abs(z)
-    d0, d1 = _rms(z / scale), _rms(k1 / scale)
+    scale = [MARCH_ATOL + MARCH_RTOL * abs(v) for v in z]
+    d0, d1 = _rms(z, scale), _rms(k1, scale)
     # a flow may start at the origin, where d0 = 0
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else min(0.01 * d0 / d1, MAX_STEP)
     try:
-        k2 = rhs(z + h0 * k1, np.empty_like(z))
+        k2 = rhs(tuple(v + h0 * k for v, k in zip(z, k1)))
     except FinslerError:
         return h0
-    d2 = _rms((k2 - k1) / scale) / h0
+    d2 = _rms([b - a for a, b in zip(k1, k2)], scale) / h0
     return min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.2, MAX_STEP)
 
 
 def _accepted_steps(rhs, z, k1, t, h, step, domain, n, t_stop=math.inf):
     """Accepted Dormand-Prince steps from the state z at time t, first trying h.
 
-    The first n components of z are the position, which must stay in the
-    domain. Yields (h, t_new, z_new, K, h_next) per accepted step: the step
-    taken, the new time and state, the stage derivatives (K[0] at z, K[6] at
+    The state is a tuple of floats, and ``rhs(z)`` its derivative k1 there,
+    another; a step is one call of the step that `_dp5_kernel` generates and
+    one of its error ratio. The first n components of z are the position,
+    which must stay in the domain.
+    Yields (h, t_new, z_new, K, h_next) per accepted step: the step taken,
+    the new time and state, the seven stage derivatives (K[0] at z, K[6] at
     z_new) and the step to try next. A step is rejected and shortened when
     its error estimate exceeds the tolerance (MARCH_RTOL, MARCH_ATOL). A step
     whose end leaves the domain, or one of whose stages raises a
@@ -381,16 +418,17 @@ def _accepted_steps(rhs, z, k1, t, h, step, domain, n, t_stop=math.inf):
     ``t_stop`` is cut to end exactly on it, and the steps end there. Given
     the same (t, z, h), the steps are the same.
     """
+    dp5_step, dp5_ratio = _dp5_kernel(len(z))
     rejected = False
     while True:
         t_new = t + h
         if t_new >= t_stop:
             h, t_new = t_stop - t, t_stop
         try:
-            z_new, K = _dp5_stages(rhs, z, k1, h)
+            z_new, K = dp5_step(rhs, z, k1, h)
             outside = domain is not None and not domain.contains(z_new[:n])
             if not outside:
-                rhs(z_new, K[6])
+                K += (rhs(z_new),)
         except FinslerError:
             if h <= step:
                 raise
@@ -399,12 +437,11 @@ def _accepted_steps(rhs, z, k1, t, h, step, domain, n, t_stop=math.inf):
         if outside:
             if h <= step:
                 raise LeftDomain(
-                    f"left the chart domain at t = {t_new}", point=z_new[:n], time=t_new
+                    f"left the chart domain at t = {t_new}", point=np.array(z_new[:n]), time=t_new
                 )
             h, rejected = 0.5 * h, True
             continue
-        scale = MARCH_ATOL + MARCH_RTOL * np.maximum(np.abs(z), np.abs(z_new))
-        ratio = _rms(h * (_DP_E @ K) / scale)
+        ratio = dp5_ratio(h, z, z_new, K)
         if not ratio <= 1.0:
             h, rejected = h * max(_MIN_FACTOR, _SAFETY * ratio ** -0.2), True
             continue
@@ -498,28 +535,29 @@ def _locate(rhs, field: ScalarField, target: float, z, k1, dense, h: float, z_ne
     of f on the extension is reached by one Dormand-Prince sub-step from z,
     then corrected by one Newton step in time along the extension's time
     derivative there, which costs no right-hand side. A corrected time
-    outside the step is clamped to the step's end states.
+    outside the step is clamped to the step's end states. The state is
+    returned as an array.
     """
     def phi(theta):
         return field.value(_dense_state(dense, theta / h)[:n]) - target
 
     theta = _brentq(phi, 0.0, h, xtol=1e-12 * h)
-    y = z_new if theta == h else _dp5_stages(rhs, z, k1, theta)[0]
+    y = np.array(z_new if theta == h else _dp5_kernel(len(z))[0](rhs, z, k1, theta)[0])
     zdot = _dense_derivative(dense, theta / h, h)
     slope = float(field.differential(y[:n]) @ zdot[:n])
     d_theta = -(field.value(y[:n]) - target) / slope if slope else 0.0
     if theta + d_theta <= 0.0:
-        return 0.0, z
+        return 0.0, np.array(z)
     if theta + d_theta >= h:
-        return h, z_new
+        return h, np.array(z_new)
     return theta + d_theta, y + d_theta * zdot
 
 
 def _march_start(metric: Metric, x, y, arclen):
-    """Right-hand side, state vector and its derivative for a march from (x, y)."""
+    """Right-hand side, state and its derivative, as float tuples, for a march from (x, y)."""
     rhs = _spray_rhs(metric, len(x))
-    z = np.concatenate((x, y, (arclen,)))
-    return rhs, z, rhs(z, np.empty_like(z))
+    z = (*np.asarray(x, dtype=float).tolist(), *np.asarray(y, dtype=float).tolist(), float(arclen))
+    return rhs, z, rhs(z)
 
 
 def integrate_to_level(
@@ -620,4 +658,4 @@ def point_at_time(
     steps = _accepted_steps(rhs, z, k1, t, min(r - t, MAX_STEP), step, domain, n, r)
     for _, _, z, _, _ in steps:  # the last step ends on r
         pass
-    return z[:n]
+    return np.array(z[:n])

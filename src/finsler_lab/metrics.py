@@ -190,6 +190,8 @@ class RandersMetric(Metric):
             zermelo = lambda x: np.concatenate([np.ravel(h(x)), np.ravel(wind(x))],
                                                dtype=float).tolist()
         self._fields = fields
+        # the fields' generated function, if they have one (a scenario chart's)
+        self._generated = getattr(fields, "generated", None)
         self._zermelo = zermelo
         self._stage = randers_stage(dim)
         self._inverse = zermelo_inverse(dim)
@@ -327,12 +329,30 @@ class RandersMetric(Metric):
         return 2.0 * (alpha + beta) * (ell + pd.b)
 
     def geodesic_stage(self, x, y):
-        """(acceleration, F) from the Zermelo closed forms, by the generated stage."""
-        x = self._check_point(x)
-        y = np.asarray(y, dtype=float)
-        if y.size != self.dim:
-            raise DimensionMismatch(f"vector dimension {y.size} != metric dimension {self.dim}")
-        return self._stage(x, y.tolist(), self._fields(x))
+        """(acceleration, F) from the Zermelo closed forms, by the generated stage.
+
+        x and y are arrays or tuples of n floats; the acceleration is a tuple.
+        """
+        x, y = _floats(x), _floats(y)
+        if len(x) != self.dim:
+            raise DimensionMismatch(f"point dimension {len(x)} != metric dimension {self.dim}")
+        if len(y) != self.dim:
+            raise DimensionMismatch(f"vector dimension {len(y)} != metric dimension {self.dim}")
+        return self._stage(x, y, self._fields_at(x))
+
+    def _fields_at(self, x):
+        """The flat (h, W, dh, dW) at the point x, n floats: the generated function's values
+        where it has one and they are finite, else the checked call's, which names a failure."""
+        if self._generated is not None:
+            try:
+                values = self._generated(*x)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                pass
+            else:
+                # a sum is finite only if every term is: one call tests them all
+                if math.isfinite(sum(values)):
+                    return values
+        return self._fields(np.array(x))
 
     def legendre_inverse(self, x, w):
         """Closed form from the co-metric F*(w) = |w|_h* + w(W) (Bao-Robles-Shen)."""
@@ -407,7 +427,7 @@ class ReverseMetric(Metric):
     def geodesic_stage(self, x, y):
         # reverse geodesics are time-reversed originals: same acceleration
         # field evaluated at the flipped velocity
-        return self.inner.geodesic_stage(x, -np.asarray(y, dtype=float))
+        return self.inner.geodesic_stage(x, tuple(-v for v in _floats(y)))
 
     def legendre_inverse(self, x, w):
         # L^-(v) = -L(-v), so v = -L^-1(-w) with F^-(v) = F(-v)
@@ -530,7 +550,13 @@ def _zermelo_data(H, W, x):
     return Wl, 1.0 - s
 
 
+def _floats(v):
+    """The coordinates of v as a tuple of floats; a tuple is taken as it is."""
+    return v if type(v) is tuple else tuple(np.asarray(v, dtype=float).ravel().tolist())
+
+
 def _strong_wind(s, x):
+    x = np.asarray(x, dtype=float)
     return NonConvexWind(f"h(W,W) = {s} at {x}; wind too strong for a Randers norm")
 
 
@@ -564,7 +590,7 @@ def _solve_spd(g, rhs, x):
 
 
 def _not_positive_definite(x):
-    return SingularTensor(f"tensor not positive definite at {x}")
+    return SingularTensor(f"tensor not positive definite at {np.asarray(x, dtype=float)}")
 
 
 def _fd_derivative(field, step):

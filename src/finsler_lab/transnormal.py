@@ -430,16 +430,15 @@ def trace_f_segment(
     sign = 1.0 if direction == "forward" else -1.0
     metric_eff = metric if direction == "forward" else metric.reverse()
 
-    def flow(x, out):
+    def flow(x):
         v, norm = _gradient(metric, field, x)[:2]
-        out[:] = sign * v / norm
-        return out
+        return tuple((sign * v / norm).tolist())
 
     start = np.asarray(start, dtype=float)
     if domain is not None and not domain.contains(start):
         raise LeftDomain(f"start point {start} outside the domain", point=start)
     n = start.size
-    x, v, t = start, flow(start, np.empty(n)), 0.0
+    x, v, t = tuple(start.tolist()), flow(start), 0.0
     times, points, velocities, accelerations = [t], [x], [v], []
     pending = sorted(set(float(lvl) for lvl in record_levels))
     crossings: List[CrossingEvent] = []
@@ -458,14 +457,14 @@ def trace_f_segment(
                 theta, y = _locate(flow, field, lvl, x, v, dense, h, x_new, n)
                 # unit speed: arc length equals time
                 crossings.append(CrossingEvent.measure(
-                    metric_eff, field, lvl, t + theta, y, flow(y, np.empty(n)), t + theta
+                    metric_eff, field, lvl, t + theta, y, np.array(flow(y)), t + theta
                 ))
                 pending.remove(lvl)
         theta, x_end, v_end, f_end = h, x_new, K[6], f_new
         stop = f_stop is not None and _brackets(f_prev - f_stop, f_new - f_stop)
         if stop:
             theta, x_end = _locate(flow, field, f_stop, x, v, dense, h, x_new, n)
-            v_end, f_end = flow(x_end, np.empty(n)), field.value(x_end)
+            v_end, f_end = flow(x_end), field.value(x_end)
         if theta > 0.0:
             times.append(t + theta)
             points.append(x_end)

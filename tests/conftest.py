@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from finsler_lab import expressions, geodesics, scenarios
+from finsler_lab import expressions, geodesics, scenarios, transnormal
 from finsler_lab.calculus import REGULAR_POINT_NORM, finsler_gradient
 from finsler_lab.errors import (
     DimensionMismatch,
     EmptySample,
     EvalError,
+    FinslerError,
     LeftDomain,
     LevelNotFound,
     NeverReached,
@@ -145,6 +146,224 @@ def _quintic_crossing_time(field, target, z0, z1, k0, k1, h):
 @pytest.fixture(scope="session")
 def quintic_crossing_time():
     return _quintic_crossing_time
+
+
+# ---------------------------------------------------------------------------
+# the Dormand-Prince march on numpy arrays, which the float march replaced
+
+
+def _numpy_dp5_stages(rhs, z, k1, h):
+    """One Dormand-Prince step of length h from z, whose derivative is k1.
+
+    Returns the 5th-order state at t + h and the stage derivatives as rows of
+    a 7-row array; the last row is left for the derivative at the new state.
+    """
+    K = np.empty((7, z.size))
+    K[0] = k1
+    for i, a in enumerate(geodesics._DP_A, start=1):
+        rhs(z + h * (a @ K[:i]), K[i])
+    return z + h * (geodesics._DP_B @ K[:6]), K
+
+
+def _numpy_rms(v) -> float:
+    return math.sqrt(float(v @ v) / v.size)
+
+
+def _numpy_initial_step(rhs, z, k1) -> float:
+    """First trial step of a march from z (Hairer-Norsett-Wanner II.4), on ``rhs(z, out)``."""
+    scale = geodesics.MARCH_ATOL + geodesics.MARCH_RTOL * np.abs(z)
+    d0, d1 = _numpy_rms(z / scale), _numpy_rms(k1 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else min(0.01 * d0 / d1, geodesics.MAX_STEP)
+    try:
+        k2 = rhs(z + h0 * k1, np.empty_like(z))
+    except FinslerError:
+        return h0
+    d2 = _numpy_rms((k2 - k1) / scale) / h0
+    return min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.2, geodesics.MAX_STEP)
+
+
+def _numpy_accepted_steps(rhs, z, k1, t, h, step, domain, n, t_stop=math.inf):
+    """Accepted Dormand-Prince steps on arrays and ``rhs(z, out)``, controlled as
+    `geodesics._accepted_steps` controls them."""
+    rejected = False
+    while True:
+        t_new = t + h
+        if t_new >= t_stop:
+            h, t_new = t_stop - t, t_stop
+        try:
+            z_new, K = _numpy_dp5_stages(rhs, z, k1, h)
+            outside = domain is not None and not domain.contains(z_new[:n])
+            if not outside:
+                rhs(z_new, K[6])
+        except FinslerError:
+            if h <= step:
+                raise
+            h, rejected = 0.5 * h, True
+            continue
+        if outside:
+            if h <= step:
+                raise LeftDomain(
+                    f"left the chart domain at t = {t_new}", point=z_new[:n], time=t_new
+                )
+            h, rejected = 0.5 * h, True
+            continue
+        scale = geodesics.MARCH_ATOL + geodesics.MARCH_RTOL * np.maximum(np.abs(z), np.abs(z_new))
+        ratio = _numpy_rms(h * (geodesics._DP_E @ K) / scale)
+        if not ratio <= 1.0:
+            h, rejected = h * max(geodesics._MIN_FACTOR, geodesics._SAFETY * ratio ** -0.2), True
+            continue
+        factor = (geodesics._MAX_FACTOR if ratio == 0.0
+                  else min(geodesics._MAX_FACTOR, geodesics._SAFETY * ratio ** -0.2))
+        if rejected:
+            factor = min(factor, 1.0)
+        h_next = min(h * factor, geodesics.MAX_STEP)
+        yield h, t_new, z_new, K, h_next
+        if t_new == t_stop:
+            return
+        z, k1, t, h, rejected = z_new, K[6], t_new, h_next, False
+
+
+def _out_form(rhs):
+    """The float right-hand side ``rhs(z)`` as ``rhs(z, out)`` on arrays."""
+    def rhs_out(z, out):
+        out[:] = rhs(tuple(z.tolist()))
+        return out
+
+    return rhs_out
+
+
+def _numpy_march_steps(rhs, z, k1, t, h, step, domain, n, t_stop=math.inf):
+    """`_numpy_accepted_steps` called and yielding as `geodesics._accepted_steps`."""
+    steps = _numpy_accepted_steps(_out_form(rhs), np.array(z), np.array(k1), t, h, step,
+                                  domain, n, t_stop)
+    for h, t_new, z_new, K, h_next in steps:
+        yield h, t_new, tuple(z_new.tolist()), tuple(map(tuple, K.tolist())), h_next
+
+
+def _numpy_march_kernel(m):
+    """`geodesics._dp5_kernel` on the numpy step, for the crossing locator's sub-step."""
+    def step(rhs, z, dz, h):
+        z_new, K = _numpy_dp5_stages(_out_form(rhs), np.array(z), np.array(dz), h)
+        return tuple(z_new.tolist()), tuple(map(tuple, K[:6].tolist()))
+
+    return step, None
+
+
+def _close(got, ref):
+    """Within 1e-12 relative or 1e-13 absolute, entry by entry."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return got.shape == ref.shape and bool(
+        np.all(np.abs(got - ref) <= np.maximum(1e-12 * np.abs(ref), 1e-13)))
+
+
+def _checked_kernel(kernel, checked):
+    """``kernel``, the float `geodesics._dp5_kernel`, with each step and error ratio checked
+    against the numpy step on the same inputs; ``checked`` counts the checks."""
+    def checked_kernel(m):
+        dp5_step, dp5_ratio = kernel(m)
+
+        def step(rhs, z, dz, h):
+            z_new, K = dp5_step(rhs, z, dz, h)
+            ref_z, ref_K = _numpy_dp5_stages(_out_form(rhs), np.array(z), np.array(dz), h)
+            assert _close(z_new, ref_z) and _close(K, ref_K[:6])
+            checked.append("step")
+            return z_new, K
+
+        def ratio(h, z, z_new, K):
+            got = dp5_ratio(h, z, z_new, K)
+            K = np.array(K)
+            scale = geodesics.MARCH_ATOL + geodesics.MARCH_RTOL * np.maximum(
+                np.abs(z), np.abs(z_new))
+            ref = _numpy_rms(h * (geodesics._DP_E @ K) / scale)
+            # h E.K cancels: each sum of 7 terms rounds to 7 eps of its terms' size
+            terms = _numpy_rms(h * (np.abs(geodesics._DP_E) @ np.abs(K)) / scale)
+            eps = np.finfo(float).eps
+            assert abs(got - ref) <= 8 * eps * (7 * terms + ref)
+            checked.append("ratio")
+            return got
+
+        return step, ratio
+
+    return checked_kernel
+
+
+@dataclass
+class MarchRun:
+    """What a call returned, or the ``FinslerError`` it raised, and the accepted
+    (t, z) of each march it made."""
+
+    outcome: object
+    marches: list
+
+
+def _march_pair(monkeypatch, call):
+    """``call()`` on the float march and on the numpy march it replaced: two `MarchRun`s.
+
+    The float run checks every first trial step, step and error ratio against
+    the numpy ones on the same inputs. The reference run patches the step loop, the first trial
+    step and the locator's sub-step of `geodesics` and `transnormal` with
+    their numpy forms.
+    """
+    runs, checked = [], []
+    initial_step = geodesics._initial_step
+
+    def numpy_initial_step(rhs, z, k1):
+        return _numpy_initial_step(_out_form(rhs), np.array(z), np.array(k1))
+
+    def checked_initial_step(rhs, z, k1):
+        h = initial_step(rhs, z, k1)
+        assert _close(h, numpy_initial_step(rhs, z, k1))
+        checked.append("initial step")
+        return h
+
+    for reference in (False, True):
+        marches = []
+        accepted = _numpy_march_steps if reference else geodesics._accepted_steps
+
+        def recorded(*args, accepted=accepted, marches=marches):
+            record = []
+            marches.append(record)
+            for out in accepted(*args):
+                record.append((out[1], out[2]))
+                yield out
+
+        with monkeypatch.context() as patch:
+            for module in (geodesics, transnormal):
+                patch.setattr(module, "_accepted_steps", recorded)
+                patch.setattr(module, "_initial_step",
+                              numpy_initial_step if reference else checked_initial_step)
+            patch.setattr(geodesics, "_dp5_kernel", _numpy_march_kernel if reference
+                          else _checked_kernel(geodesics._dp5_kernel, checked))
+            try:
+                outcome = call()
+            except FinslerError as exc:
+                outcome = exc
+        runs.append(MarchRun(outcome, marches))
+    assert "step" in checked and "ratio" in checked
+    return runs
+
+
+@pytest.fixture()
+def march_pair(monkeypatch):
+    return lambda call: _march_pair(monkeypatch, call)
+
+
+@pytest.fixture(scope="session")
+def close():
+    return _close
+
+
+def _float_by_float_csv_bytes(header, rows) -> bytes:
+    """Reference: the CSV writer that took ``float`` of each number before its repr."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.fixture(scope="session")
+def float_by_float_csv_bytes():
+    return _float_by_float_csv_bytes
 
 
 def _rk4_level_march(metric, v0, field, target, step, domain=None, t_max=10.0):

@@ -243,6 +243,27 @@ def test_dump_geodesic(tmp_path):
     assert float(last[1]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_csv_bytes_match_the_float_by_float_writer(rng, float_by_float_csv_bytes):
+    # one tolist of the stacked columns, each float by its repr: the same bytes
+    from finsler_lab.cli import _csv_bytes
+    from finsler_lab.geodesics import GeodesicTrajectory
+
+    special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3, 1.0, -3.0, 2.0**53, 1e300,
+               0.1, 1 / 3]
+    points = np.array([[v, -v] for v in special])
+    traj = GeodesicTrajectory(np.arange(len(special), dtype=float), points,
+                              rng.normal(size=points.shape), np.array(special[::-1]), None)
+    header = ["t", "x0", "x1", "v0", "v1", "arc_length"]
+    stacked = np.column_stack((traj.times, traj.points, traj.velocities, traj.arc_lengths))
+    rows = [(t, *p, *v, s) for t, p, v, s in
+            zip(traj.times, traj.points, traj.velocities, traj.arc_lengths)]
+    assert _csv_bytes(header, stacked) == float_by_float_csv_bytes(header, rows)
+    # rows of Python numbers, integers among them, as the b-table writes them
+    table = [(0.5, 1, -0.0), (2, 5e-324, 3.0)]
+    assert _csv_bytes(["a", "b", "c"], table) == float_by_float_csv_bytes(["a", "b", "c"], table)
+    assert _csv_bytes(["a"], []) == float_by_float_csv_bytes(["a"], [])
+
+
 def _read_trajectory(tmp_path, scenario):
     text = (tmp_path / f"{scenario}-dump-geodesic-trajectory.csv").read_text()
     return [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]

@@ -701,13 +701,13 @@ def test_cylinder_subset_when_probes_exceed_cylinder_probes(disc_scenario, monke
 
     monkeypatch.setattr(foliation, "point_at_time", recording)
     parallel_reports = []
-    check = foliation.check_parallel
+    check = foliation._probe_report
 
     def keeping(*args, **kwargs):
         parallel_reports.append(check(*args, **kwargs))
         return parallel_reports[-1]
 
-    monkeypatch.setattr(foliation, "check_parallel", keeping)
+    monkeypatch.setattr(foliation, "_probe_report", keeping)
     report = check_finsler_partition(
         chart.metric, chart.field, [0.04, 0.16], 32, chart.domain,
         level_parametrization=disc_scenario.level_parametrization(), t_max=4.0,
@@ -715,7 +715,7 @@ def test_cylinder_subset_when_probes_exceed_cylinder_probes(disc_scenario, monke
     )
     assert report.finsler_partition_verdict
     expected = [0, 2, 5, 8, 10, 13, 16, 18, 21, 24, 26, 29]  # (j * 32) // 12
-    assert len(used) == 24
+    assert len(used) == 24 and len(parallel_reports) == 2
     for i, parallel in enumerate(parallel_reports):
         assert len(parallel.marches) == 32
         index = {id(m): k for k, m in enumerate(parallel.marches)}
@@ -764,7 +764,7 @@ def test_partition_spends_stages_only_on_sub_steps(disc_scenario, monkeypatch):
         counts["parallel_stages"] += in_parallel[0]
         return stage(x, y)
 
-    check = foliation.check_parallel
+    check = foliation._probe_report
 
     def parallel(*args, **kwargs):
         in_parallel[0] = True
@@ -777,7 +777,7 @@ def test_partition_spends_stages_only_on_sub_steps(disc_scenario, monkeypatch):
         raise AssertionError("build_cylinder called")
 
     monkeypatch.setattr(metric, "geodesic_stage", counted_stage)
-    monkeypatch.setattr(foliation, "check_parallel", parallel)
+    monkeypatch.setattr(foliation, "_probe_report", parallel)
     monkeypatch.setattr(foliation, "build_cylinder", no_cylinder)
     report = check_finsler_partition(
         metric, chart.field, [0.04, 0.16, 0.36], 4, chart.domain,
@@ -788,3 +788,54 @@ def test_partition_spends_stages_only_on_sub_steps(disc_scenario, monkeypatch):
     # every cylinder point is read inside its probe's kept march: one
     # Dormand-Prince sub-step, 7 stages with the ones at both of its ends
     assert counts["stages"] - counts["parallel_stages"] == 7 * cylinder_points
+
+
+# ---------------------------------------------------------------------------
+# the partition's one read of its levels
+
+
+def test_partition_reads_all_levels_in_one_call(sphere_scenario, disc_scenario, monkeypatch):
+    # each probe loop gets the points its level's own read gives, bitwise, from
+    # one read of all the levels; with and without a parametrization
+    cases = [(sphere_scenario, "band", [-0.3, 0.2, 0.5], True),
+             (disc_scenario, "main", [0.04, 0.16, 0.36], True),
+             (disc_scenario, "main", [0.09, 0.25], False)]
+    probe_report, level_rows = foliation._probe_report, foliation._level_rows
+    for scenario, name, levels, parametrized in cases:
+        chart = scenario.charts[name]
+        par = scenario.level_parametrization(name) if parametrized else None
+        handed, reads = [], []
+
+        def recording(metric, field, points, c, d, direction, *rest):
+            handed.append((c if direction == "forward" else d, points.copy()))
+            return probe_report(metric, field, points, c, d, direction, *rest)
+
+        def counted(*args):
+            reads.append(args[1])
+            return level_rows(*args)
+
+        monkeypatch.setattr(foliation, "_probe_report", recording)
+        monkeypatch.setattr(foliation, "_level_rows", counted)
+        check_finsler_partition(chart.metric, chart.field, levels, 3, chart.domain,
+                                level_parametrization=par, cylinder_probes=3, t_max=4.0)
+        # one read of all the levels, which takes grid seeds level by level
+        assert reads == ([levels] if parametrized else [levels, *levels])
+        assert [level for level, _ in handed] == [
+            level for pair in zip(levels[:-1], levels[1:]) for level in pair]
+        for level, points in handed:
+            alone = foliation.level_points(chart.field, level, chart.domain, 3, par)
+            assert points.tobytes() == alone.tobytes() and len(points) == len(alone) > 0
+
+
+def test_partition_level_without_points_raises_as_its_own_read(disc_scenario):
+    # the disc's radius is 0.9: levels from 0.82 lie outside it, and the grid brackets
+    # no level above 0.81; the first source level is the lower one
+    chart = disc_scenario.chart
+    par = disc_scenario.level_parametrization()
+    for levels, parametrization in (([0.82, 0.9], par), ([2.0, 3.0], None)):
+        with pytest.raises(LevelNotFound) as alone:
+            foliation.level_points(chart.field, levels[0], chart.domain, 3, parametrization)
+        with pytest.raises(LevelNotFound) as err:
+            check_finsler_partition(chart.metric, chart.field, levels, 3, chart.domain,
+                                    level_parametrization=parametrization, t_max=4.0)
+        assert str(err.value) == str(alone.value)

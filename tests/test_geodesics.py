@@ -6,9 +6,11 @@ import pytest
 from finsler_lab import geodesics, numdiff
 from finsler_lab.calculus import ScalarField, finsler_gradient
 from finsler_lab.domains import DiscDomain
-from finsler_lab.errors import LeftDomain, NeverReached, NonConvexWind, ZeroVector
+from finsler_lab.errors import EvalError, LeftDomain, NeverReached, NonConvexWind, ZeroVector
 from finsler_lab.expressions import parse_expression
 from finsler_lab.geodesics import (
+    CrossingEvent,
+    GeodesicTrajectory,
     geodesic_at_times,
     integrate_geodesic,
     integrate_to_level,
@@ -23,6 +25,10 @@ from finsler_lab.metrics import (
     TangentVector,
     euclidean_metric,
 )
+from finsler_lab.scenarios import build_chart, list_examples, load_example, parse_scenario
+from finsler_lab.transnormal import FSegment, trace_f_segment
+from test_cli import TUBE_TEXT
+from test_metrics import _random_zermelo_text
 
 ORIGIN = np.zeros(2)
 
@@ -559,9 +565,8 @@ def test_crossing_matches_quintic_hermite_locator(
         for k in (-2, -1)
     )
     t0, h = march.times[-2], march.times[-1] - march.times[-2]
-    theta = quintic_crossing_time(
-        chart.field, target, z0, z1, rhs(z0, np.empty_like(z0)), rhs(z1, np.empty_like(z1)), h
-    )
+    k0, k1 = (np.array(rhs(tuple(z.tolist()))) for z in (z0, z1))
+    theta = quintic_crossing_time(chart.field, target, z0, z1, k0, k1, h)
     assert abs(event.time - (t0 + theta)) <= 1e-12
     assert abs(chart.field.value(event.point) - target) <= 1e-14
 
@@ -803,3 +808,118 @@ def test_level_march_in_dimensions_1_and_3(wind, expression, start, target):
     assert abs(field.value(event.point) - target) <= 1e-12
     assert event.orthogonality_defect <= 1e-12
     assert event.point.shape == (dim,)
+
+
+# ---------------------------------------------------------------------------
+# the float march against the numpy march it replaced
+
+
+def _results(value):
+    """What a march result holds that does not depend on where its steps fell, as a list:
+    an error by its type and the steps of the march it carries; a crossing, a point, rows
+    at given times, and a segment's ends and crossings, with its number of states."""
+    if isinstance(value, Exception):
+        march = getattr(value, "march", None)
+        return [type(value)] + ([] if march is None else [len(march.times)])
+    if isinstance(value, CrossingEvent):
+        return [value.time, value.arc_length, value.point, value.velocity,
+                len(value.march.times) if value.march else 0]
+    if isinstance(value, FSegment):
+        ends = [a[[0, -1]] for a in _results(value.trajectory)]
+        return [len(value.trajectory.times), *ends,
+                *(n for event in value.level_crossings for n in _results(event))]
+    if isinstance(value, GeodesicTrajectory):
+        return [value.times, value.points, value.velocities, value.arc_lengths]
+    return [np.asarray(value)]
+
+
+def assert_same_march(runs, close):
+    """The float run and the numpy run of `march_pair`: the same marches, each with the
+    same number of accepted steps, and the same results (`_results`) within 1e-12
+    relative or 1e-13 absolute.
+
+    The times the steps fall on are not compared: at a tolerance of 1e-12 the error
+    estimate h E.K is a few digits above its own rounding, so its step-size control
+    moves them by up to about 1e-4 relative from one summation order to another.
+    """
+    got, ref = runs
+    assert got.marches, "no march was made"
+    assert [len(m) for m in got.marches] == [len(m) for m in ref.marches]
+    got_results, ref_results = _results(got.outcome), _results(ref.outcome)
+    assert len(got_results) == len(ref_results)
+    for a, b in zip(got_results, ref_results):
+        assert a == b if isinstance(b, (type, int)) else close(a, b)
+
+
+def _march_charts(rng):
+    """Every built-in chart, a random 1-D chart and the 3-D tube."""
+    charts = [chart for name in list_examples() for chart in load_example(name).charts.values()]
+    return charts + [build_chart(parse_scenario(text))
+                     for text in (_random_zermelo_text(1, rng), TUBE_TEXT)]
+
+
+def test_float_march_matches_numpy_march_on_every_chart(rng, march_pair, close):
+    # the spray (level march, rows at times, a march read at a time) and the
+    # f-flow (segments both ways, with a recorded level and a stop)
+    for chart in _march_charts(rng):
+        metric, field, domain = chart.metric, chart.field, chart.domain
+        grid = domain.sample_grid(5)
+        p = grid[len(grid) // 3]
+        ray = _unit_gradient_ray(chart, p)
+        rows = geodesic_at_times(metric, ray, [0.02, 0.06, 0.12], step=1e-3, domain=domain)
+        target = field.value(rows.points[1])
+        runs = march_pair(lambda: geodesic_at_times(
+            metric, ray, [0.02, 0.06, 0.12], step=1e-3, domain=domain))
+        assert_same_march(runs, close)
+        runs = march_pair(lambda: integrate_to_level(
+            metric, ray, field, target, step=1e-3, domain=domain))
+        assert_same_march(runs, close)
+        march = runs[0].outcome.march
+        for r in (0.5 * march.times[-1], 1.5 * march.times[-1]):
+            # the last step is cut to end on r, the t_stop of the march
+            runs = march_pair(lambda: point_at_time(march, r, 1e-3, domain))
+            assert_same_march(runs, close)
+            assert all(m[-1][0] == r for run in runs for m in run.marches)
+        f0 = field.value(p)
+        for direction, stop in (("forward", None), ("backward", f0 - 0.5 * (target - f0))):
+            runs = march_pair(lambda: trace_f_segment(
+                metric, field, p, direction, domain=domain, record_levels=[target, stop or f0],
+                f_stop=stop, t_max=0.12))
+            assert_same_march(runs, close)
+
+
+def test_float_march_leaves_the_domain_as_numpy_march(disc_scenario, march_pair, close):
+    # halved steps at the rim, then the same LeftDomain, and a NeverReached
+    # carrying the same march prefix
+    chart = disc_scenario.chart
+    ray = TangentVector(np.array([0.7, 0.1]), np.array([1.0, 0.2]))
+    runs = march_pair(lambda: integrate_to_level(
+        chart.metric, ray, chart.field, 2.0, step=1e-3, domain=chart.domain))
+    assert all(isinstance(run.outcome, NeverReached) for run in runs)
+    assert len(runs[0].outcome.march.times) > 2
+    assert_same_march(runs, close)
+    runs = march_pair(lambda: geodesic_at_times(
+        chart.metric, ray, [0.1, 1.0], step=1e-3, domain=chart.domain))
+    assert all(isinstance(run.outcome, LeftDomain) for run in runs)
+    assert_same_march(runs, close)
+
+
+def test_float_march_halves_at_a_raising_stage_as_numpy_march(march_pair, close):
+    # h is undefined past x = 0.5: the steps into it are halved, down to `step`,
+    # and the stage's own error is final
+    def h(x):
+        if x[0] > 0.5:
+            raise EvalError(f"h undefined at {x}")
+        return np.diag([1.0 + x[0] ** 2, 1.0])
+
+    metric = RandersMetric(
+        h, lambda x: np.array([0.2 * x[1], 0.1]), 2,
+        dh=lambda x: np.array([np.diag([2.0 * x[0], 0.0]), np.zeros((2, 2))]),
+        dwind=lambda x: np.array([[0.0, 0.0], [0.2, 0.0]]),
+    )
+    field = ScalarField.from_expression(parse_expression("x"), 2)
+    ray = TangentVector(np.array([0.1, 0.0]), np.array([1.0, 0.0]))
+    runs = march_pair(lambda: integrate_to_level(metric, ray, field, 0.9, step=1e-3))
+    assert all(isinstance(run.outcome, EvalError) for run in runs)
+    assert len(runs[0].marches[0]) > 2
+    assert_same_march(runs, close)

@@ -457,18 +457,23 @@ def test_segment_step_costs_four_gradients(disc_scenario, monkeypatch):
     chart = disc_scenario.chart
     calls, steps = [], []
     gradient = transnormal._gradient
-    dp5_stages = geodesics._dp5_stages
+    dp5_kernel = geodesics._dp5_kernel
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return gradient(*args, **kwargs)
 
-    def counted_steps(rhs, z, k1, h):
-        steps.append(h)
-        return dp5_stages(rhs, z, k1, h)
+    def counted_kernel(m):
+        dp5_step, dp5_ratio = dp5_kernel(m)
+
+        def counted_step(rhs, z, dz, h):
+            steps.append(h)
+            return dp5_step(rhs, z, dz, h)
+
+        return counted_step, dp5_ratio
 
     monkeypatch.setattr(transnormal, "_gradient", counted)
-    monkeypatch.setattr(geodesics, "_dp5_stages", counted_steps)
+    monkeypatch.setattr(geodesics, "_dp5_kernel", counted_kernel)
     seg = trace_f_segment(
         chart.metric, chart.field, [0.2, 0.0], "forward",
         domain=chart.domain, step=1e-3, t_max=0.1,

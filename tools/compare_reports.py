@@ -10,8 +10,9 @@ Two subcommands:
 tree SRC (default: this checkout's ``src``), once per verb with default
 arguments on every built-in example, plus a fixed set of calls with more
 arguments: ``trace-segment`` and ``dump-geodesic`` need a start point, and
-four calls run a curved Riemannian chart, the sphere band with its wind
-removed, from the scenario file ``OUT/riemannian-band.scn``. Each call writes
+some calls run a chart no example has, from a scenario file written into OUT
+(``SCENARIO_FILES``): a curved Riemannian chart (the sphere band with its wind
+removed), a 1-D chart and a 3-D tube. Each call writes
 into its own subdirectory of OUT, run with ``--out .`` from there (and given
 the scenario file by a relative path) so that the command recorded in the
 report is the same whatever OUT is. The exit codes go to
@@ -74,7 +75,47 @@ h = 1, 0 ; 0, sin(x)^2
 [field]
 f = cos(x)
 """
-_BAND = ["--scenario", f"../{RIEMANNIAN_BAND}"]
+# a 1-D chart and a 3-D one: the march and its locator in every dimension but 2
+LINE = "line.scn"
+LINE_TEXT = """\
+name = line
+dimension = 1
+
+[domain]
+kind = box
+lower = -1
+upper = 1
+
+[metric]
+kind = randers
+h = 1 + 0.5*x^2
+wind = 0.3*x
+
+[field]
+f = x
+"""
+# a Killing wind on the solid tube: its levels are parallel
+TUBE = "tube.scn"
+TUBE_TEXT = """\
+name = tube
+dimension = 3
+
+[domain]
+kind = box
+lower = -1, -1, -1
+upper = 1, 1, 1
+
+[metric]
+kind = randers
+h = 1, 0, 0 ; 0, 1, 0 ; 0, 0, 1
+wind = -0.3 * y, 0.3 * x, 0.2
+
+[field]
+f = x^2 + y^2
+"""
+# the scenario files run writes into OUT, by name
+SCENARIO_FILES = {RIEMANNIAN_BAND: RIEMANNIAN_BAND_TEXT, LINE: LINE_TEXT, TUBE: TUBE_TEXT}
+_BAND, _LINE, _TUBE = (["--scenario", f"../{name}"] for name in (RIEMANNIAN_BAND, LINE, TUBE))
 # (label, arguments) of the calls that need more than an example
 EXTRA_CALLS = (
     ("trace-segment-disc-stop", ["trace-segment", "--example", "disc-radial",
@@ -124,6 +165,14 @@ EXTRA_CALLS = (
                                          "--probes", "8"]),
     ("verify-distance-riemannian-band", ["verify-distance", *_BAND, "--from", "0", "--to", "0.5"]),
     ("check-transnormal-riemannian-band", ["check-transnormal", *_BAND]),
+    ("dump-geodesic-line", ["dump-geodesic", *_LINE, "--start=0.1", "--velocity=-0.5"]),
+    ("trace-segment-line", ["trace-segment", *_LINE, "--start=0.1", "--levels", "0.3",
+                            "--stop", "0.5"]),
+    ("dump-geodesic-tube", ["dump-geodesic", *_TUBE, "--start=0.3,0.1,-0.2",
+                            "--velocity=0.2,-0.4,0.3"]),
+    ("trace-segment-tube", ["trace-segment", *_TUBE, "--start=0.3,0.1,-0.2", "--levels", "0.2",
+                            "--stop", "0.25"]),
+    ("check-partition-tube", ["check-partition", *_TUBE, "--levels=0.09,0.25"]),
 )
 
 
@@ -163,7 +212,8 @@ def run_all(out: Path, src: Path) -> dict:
         for verb in DEFAULT_VERBS
     ] + list(EXTRA_CALLS)
     out.mkdir(parents=True, exist_ok=True)
-    (out / RIEMANNIAN_BAND).write_text(RIEMANNIAN_BAND_TEXT)
+    for name, text in SCENARIO_FILES.items():
+        (out / name).write_text(text)
     codes = {}
     for label, args in calls:
         cwd = out / label
