@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +26,19 @@ class BoxDomain(Domain):
     def __post_init__(self):
         object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
+        # the bounds per axis as floats, for the one-point test
+        object.__setattr__(self, "_bounds", tuple(zip(self.lower.tolist(), self.upper.tolist())))
 
     @property
     def dim(self):
         return self.lower.size
 
     def contains(self, x):
+        if isinstance(x, tuple) or isinstance(x, np.ndarray) and x.ndim == 1:
+            # one point: its floats against the bounds, as exact as numpy's comparisons
+            # (a nan lies outside); a tuple is the march's state
+            point = x.tolist() if isinstance(x, np.ndarray) else x
+            return all(lo <= v <= hi for v, (lo, hi) in zip(point, self._bounds))
         x = np.asarray(x, dtype=float)
         inside = (x >= self.lower) & (x <= self.upper)
         return bool(inside.all()) if x.ndim == 1 else inside.all(axis=-1)
@@ -63,7 +71,8 @@ class DiscDomain(Domain):
     def contains(self, x):
         d = np.asarray(x, dtype=float) - self.center
         if d.ndim == 1:
-            return bool(np.linalg.norm(d) <= self.radius)
+            # the square root of d . d, which is np.linalg.norm of a vector
+            return math.sqrt(d @ d) <= self.radius
         # per row the same dot product and square root as np.linalg.norm
         # of a vector, so the booleans match the one-point test bitwise
         return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) <= self.radius

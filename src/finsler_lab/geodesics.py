@@ -21,12 +21,15 @@ and a step, its stage combinations and its error norm are straight-line code
 generated once per state size (`_dp5_kernel`). The step's continuous
 extension (`_dense_output`, on numpy arrays) is built only where it is read:
 it gives `geodesic_at_times` its states between step ends (the uniform rows
-of `dump-geodesic` and the end points of `build_cylinder`), the flow its
-measured acceleration, and a march its crossing. Both the march to
-a level (`integrate_to_level`) and the flow locate a level crossing with one
-routine (`_locate`): the root of f on the bracketing step's extension (by
-Brent's method, `_brentq`), one sub-step to it and one Newton correction in
-time. The level march keeps its
+of `dump-geodesic` and the end points of `build_cylinder`) and the flow its
+measured acceleration. Both the march to a level (`integrate_to_level`) and
+the flow locate a level crossing with one routine (`_locate`): the root of f
+on the bracketing step's extension (by Brent's method, `_brentq`), one
+sub-step to it and one Newton correction in time. It reads the extension on
+plain floats, in the operations of the numpy one, so its results are the
+same bit for bit. A crossing's orthogonality defect is taken against a basis
+of ker df from a Householder QR on plain floats
+(`tangent_basis_from_differential`). The level march keeps its
 accepted states z as they are; reading it at another time r
 (`point_at_time`) is one more march from the last state before r that ends
 on r, which within the record is a single sub-step.
@@ -88,6 +91,9 @@ _DP_D = np.array(
         -1453857185 / 822651844, 69997945 / 29380423,
     ]
 )
+# LAPACK's safe minimum over its epsilon, 2^-1022 / 2^-53: below it, ``dlarfg`` scales its
+# column up before forming a reflector (`_householder`)
+_SAFMIN = 2.0**-969
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,12 +268,78 @@ def geodesic_at_times(
 
 
 def tangent_basis_from_differential(df) -> np.ndarray:
-    """Orthonormal basis of ker(df), rows are basis vectors."""
-    df = np.asarray(df, dtype=float)
-    n = df.size
-    q, _ = np.linalg.qr(np.column_stack([df] + [e for e in np.eye(n)]))
-    # first column spans df; remaining n-1 columns span the kernel
-    return q[:, 1:n].T.copy()
+    """Orthonormal basis of ker(df), rows are basis vectors.
+
+    The columns 1..n-1 of Q in the Householder QR of the n x (n + 1) matrix
+    [df | I] (the first column of Q spans df, the others its orthogonal
+    complement), formed on plain floats as LAPACK forms them (``dgeqr2``
+    and ``dorg2r``, Golub-Van Loan 5.2): reflector j is I - tau v v^T with
+    v[0] = 1 on the rows j.. of column j, and none where that column is zero
+    below the diagonal, which is where zero entries of df make the columns
+    dependent. The rows equal those of LAPACK's own QR up to rounding: the
+    BLAS under LAPACK may fuse a product and a sum that are rounded apart here.
+    """
+    df = np.asarray(df, dtype=float).ravel().tolist()
+    n = len(df)
+    # the columns of [df | I] that carry a reflector: df, e_0, ..., e_{n-3}
+    columns = [df] + [_unit(n, j) for j in range(n - 2)]
+    reflectors = []
+    for j, column in enumerate(columns):
+        reflectors.append((j, *_householder(column[j:])))
+        for later in columns[j + 1 :]:
+            _reflect(later, *reflectors[-1])
+    basis = []
+    for k in range(1, n):
+        q = _unit(n, k)
+        for reflector in reversed(reflectors[: k + 1]):
+            _reflect(q, *reflector)
+        basis.append(q)
+    return np.array(basis, dtype=float).reshape(n - 1, n)
+
+
+def _unit(n, k):
+    """The unit vector e_k of length n, as a list."""
+    e = [0.0] * n
+    e[k] = 1.0
+    return e
+
+
+def _householder(x):
+    """LAPACK's ``dlarfg`` on the floats x: (v, tau) with (I - tau v v^T) x = (beta, 0, ...).
+
+    v[0] = 1 and beta = -sign(x[0]) |x|; tau = 0 (no reflection) where x[1:] is zero.
+    Where |beta| is below ``_SAFMIN``, x is scaled up first, so that v stays finite.
+    """
+    alpha, rest = x[0], x[1:]
+    norm = math.hypot(*rest)
+    if norm == 0.0:
+        return None, 0.0
+    beta = -math.copysign(_lapy2(alpha, norm), alpha)
+    if abs(beta) < _SAFMIN:
+        for _ in range(20):
+            rest, alpha, beta = [r / _SAFMIN for r in rest], alpha / _SAFMIN, beta / _SAFMIN
+            if abs(beta) >= _SAFMIN:
+                break
+        beta = -math.copysign(_lapy2(alpha, math.hypot(*rest)), alpha)
+    scale = 1.0 / (alpha - beta)
+    return [1.0] + [scale * r for r in rest], (beta - alpha) / beta
+
+
+def _lapy2(a, b):
+    """sqrt(a^2 + b^2) as LAPACK's ``dlapy2`` takes it, free of overflow."""
+    big, small = max(abs(a), abs(b)), min(abs(a), abs(b))
+    return big if small == 0.0 else big * math.sqrt(1.0 + (small / big) ** 2)
+
+
+def _reflect(column, j, v, tau):
+    """Apply the reflector I - tau v v^T, acting on the rows j.., to the list ``column``."""
+    if tau:
+        tail = column[j:]
+        w = 0.0
+        for a, b in zip(v, tail):
+            w += a * b
+        w *= -tau
+        column[j:] = [b + a * w for a, b in zip(v, tail)]
 
 
 def orthogonality_defect(metric: Metric, gamma_dot: TangentVector, tangent_basis) -> float:
@@ -361,13 +433,6 @@ def _dense_state(dense, s):
     """The continuous extension ``dense`` at the step fraction s."""
     z0, z1, r2, r3, r4 = dense
     return (1.0 - s) * z0 + s * z1 + s * (1.0 - s) * (r2 + s * (r3 + (1.0 - s) * r4))
-
-
-def _dense_derivative(dense, s, h):
-    """Time derivative of the continuous extension at the step fraction s."""
-    z0, z1, r2, r3, r4 = dense
-    return (z1 - z0 + (1.0 - 2.0 * s) * r2 + s * (2.0 - 3.0 * s) * r3
-            + 2.0 * s * (1.0 - s) * (1.0 - 2.0 * s) * r4) / h
 
 
 def _dense_second_derivative(dense, s, h):
@@ -526,31 +591,47 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
-def _locate(rhs, field: ScalarField, target: float, z, k1, dense, h: float, z_new, n: int):
+def _locate(rhs, field: ScalarField, target: float, z, K, h: float, z_new, n: int):
     """Time theta in [0, h] and state of one accepted step at which f = target.
 
-    The step goes from z (derivative k1) to z_new in time h, ``dense`` is its
-    continuous extension, and the first n components of the state are the
-    position; f - target must bracket 0 on the step (`_brackets`). The root
-    of f on the extension is reached by one Dormand-Prince sub-step from z,
+    The step goes from z to z_new in time h with the stage derivatives K
+    (K[0] at z, K[6] at z_new), the first n components of the state are the
+    position, and f - target must bracket 0 on the step (`_brackets`). The
+    root of f on the step's continuous extension (`_dense_output`, by Brent's
+    method on the position) is reached by one Dormand-Prince sub-step from z,
     then corrected by one Newton step in time along the extension's time
     derivative there, which costs no right-hand side. A corrected time
-    outside the step is clamped to the step's end states. The state is
-    returned as an array.
+    outside the step is clamped to the step's end states. The extension is
+    read on plain floats, component by component, in the operation order of
+    `_dense_state` and its time derivative; numpy takes only the sums whose
+    order it fixes, the 4th-degree term h (D . K) and the slope df . zdot.
+    The state is returned as a tuple.
     """
+    ext = []  # (z0, z1, r2, r3, r4) of `_dense_output`, per component
+    for z0, z1, k0, k6, r4 in zip(z, z_new, K[0], K[6], (h * (_DP_D @ np.array(K))).tolist()):
+        dz = z1 - z0
+        r2 = h * k0 - dz
+        ext.append((z0, z1, r2, dz - h * k6 - r2, r4))
+    position = ext[:n]
+
     def phi(theta):
-        return field.value(_dense_state(dense, theta / h)[:n]) - target
+        s = theta / h
+        a, b = 1.0 - s, s * (1.0 - s)
+        x = [a * z0 + s * z1 + b * (r2 + s * (r3 + a * r4)) for z0, z1, r2, r3, r4 in position]
+        return field.value(x) - target
 
     theta = _brentq(phi, 0.0, h, xtol=1e-12 * h)
-    y = np.array(z_new if theta == h else _dp5_kernel(len(z))[0](rhs, z, k1, theta)[0])
-    zdot = _dense_derivative(dense, theta / h, h)
-    slope = float(field.differential(y[:n]) @ zdot[:n])
+    y = z_new if theta == h else _dp5_kernel(len(z))[0](rhs, z, K[0], theta)[0]
+    s = theta / h
+    c2, c3, c4 = 1.0 - 2.0 * s, s * (2.0 - 3.0 * s), 2.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
+    zdot = [(z1 - z0 + c2 * r2 + c3 * r3 + c4 * r4) / h for z0, z1, r2, r3, r4 in ext]
+    slope = float(field.differential(np.array(y[:n])) @ np.array(zdot[:n]))
     d_theta = -(field.value(y[:n]) - target) / slope if slope else 0.0
     if theta + d_theta <= 0.0:
-        return 0.0, np.array(z)
+        return 0.0, z
     if theta + d_theta >= h:
-        return h, np.array(z_new)
-    return theta + d_theta, y + d_theta * zdot
+        return h, z_new
+    return theta + d_theta, tuple(v + d_theta * w for v, w in zip(y, zdot))
 
 
 def _march_start(metric: Metric, x, y, arclen):
@@ -612,10 +693,10 @@ def integrate_to_level(
             states.append(z_new)
             phi_new = field.value(z_new[:n]) - target
             if _brackets(phi, phi_new):
-                dense = _dense_output(z, z_new, K, h)
-                theta, y = _locate(rhs, field, target, z, K[0], dense, h, z_new, n)
+                theta, y = _locate(rhs, field, target, z, K, h, z_new, n)
                 return CrossingEvent.measure(
-                    metric, field, target, t + theta, y[:n], y[n : 2 * n], y[2 * n], march()
+                    metric, field, target, t + theta, np.array(y[:n]), np.array(y[n : 2 * n]),
+                    y[2 * n], march(),
                 )
             if t_new >= t_max:
                 raise NeverReached(

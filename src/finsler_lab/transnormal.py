@@ -454,16 +454,16 @@ def trace_f_segment(
         f_new = field.value(x_new)
         for lvl in list(pending):
             if _brackets(f_prev - lvl, f_new - lvl):
-                theta, y = _locate(flow, field, lvl, x, v, dense, h, x_new, n)
+                theta, y = _locate(flow, field, lvl, x, K, h, x_new, n)
                 # unit speed: arc length equals time
                 crossings.append(CrossingEvent.measure(
-                    metric_eff, field, lvl, t + theta, y, np.array(flow(y)), t + theta
+                    metric_eff, field, lvl, t + theta, np.array(y), np.array(flow(y)), t + theta
                 ))
                 pending.remove(lvl)
         theta, x_end, v_end, f_end = h, x_new, K[6], f_new
         stop = f_stop is not None and _brackets(f_prev - f_stop, f_new - f_stop)
         if stop:
-            theta, x_end = _locate(flow, field, f_stop, x, v, dense, h, x_new, n)
+            theta, x_end = _locate(flow, field, f_stop, x, K, h, x_new, n)
             v_end, f_end = flow(x_end), field.value(x_end)
         if theta > 0.0:
             times.append(t + theta)

@@ -249,6 +249,53 @@ def _numpy_march_kernel(m):
     return step, None
 
 
+def _numpy_dense_derivative(dense, s, h):
+    """Time derivative of the continuous extension ``dense`` at the step fraction s."""
+    z0, z1, r2, r3, r4 = dense
+    return (z1 - z0 + (1.0 - 2.0 * s) * r2 + s * (2.0 - 3.0 * s) * r3
+            + 2.0 * s * (1.0 - s) * (1.0 - 2.0 * s) * r4) / h
+
+
+def _numpy_locate(rhs, field, target, z, K, h, z_new, n):
+    """Reference: `geodesics._locate` on the numpy continuous extension, which the float
+    locator replaced; the state is returned as an array."""
+    dense = geodesics._dense_output(z, z_new, K, h)
+
+    def phi(theta):
+        return field.value(geodesics._dense_state(dense, theta / h)[:n]) - target
+
+    theta = geodesics._brentq(phi, 0.0, h, xtol=1e-12 * h)
+    y = np.array(z_new if theta == h else geodesics._dp5_kernel(len(z))[0](rhs, z, K[0], theta)[0])
+    zdot = _numpy_dense_derivative(dense, theta / h, h)
+    slope = float(field.differential(y[:n]) @ zdot[:n])
+    d_theta = -(field.value(y[:n]) - target) / slope if slope else 0.0
+    if theta + d_theta <= 0.0:
+        return 0.0, np.array(z)
+    if theta + d_theta >= h:
+        return h, np.array(z_new)
+    return theta + d_theta, y + d_theta * zdot
+
+
+@pytest.fixture(scope="session")
+def numpy_locate():
+    return _numpy_locate
+
+
+def _lapack_tangent_basis(df):
+    """Reference: the kernel basis from ``np.linalg.qr`` of [df | I], which the float
+    Householder QR of `geodesics.tangent_basis_from_differential` replaced."""
+    df = np.asarray(df, dtype=float)
+    n = df.size
+    q, _ = np.linalg.qr(np.column_stack([df] + [e for e in np.eye(n)]))
+    # first column spans df; remaining n-1 columns span the kernel
+    return q[:, 1:n].T.copy()
+
+
+@pytest.fixture(scope="session")
+def lapack_tangent_basis():
+    return _lapack_tangent_basis
+
+
 def _close(got, ref):
     """Within 1e-12 relative or 1e-13 absolute, entry by entry."""
     got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from finsler_lab import geodesics, numdiff
+from finsler_lab import geodesics, numdiff, transnormal
 from finsler_lab.calculus import ScalarField, finsler_gradient
 from finsler_lab.domains import DiscDomain
 from finsler_lab.errors import EvalError, LeftDomain, NeverReached, NonConvexWind, ZeroVector
@@ -28,6 +30,7 @@ from finsler_lab.metrics import (
 from finsler_lab.scenarios import build_chart, list_examples, load_example, parse_scenario
 from finsler_lab.transnormal import FSegment, trace_f_segment
 from test_cli import TUBE_TEXT
+from test_compare_reports import compare_reports
 from test_metrics import _random_zermelo_text
 
 ORIGIN = np.zeros(2)
@@ -314,26 +317,44 @@ def test_left_domain_names_the_first_outside_row(sphere_scenario):
 
 
 def test_contains_tests_rows_as_points(rng):
-    # a (k, n) array gives each row's boolean of the one-point test, on and
-    # one float off the boundary too
+    # a (k, n) array gives each row's boolean of the one-point test, which takes a
+    # tuple (the march's state) as it takes an array and gives the numpy test it
+    # replaced: on each box face and the rim, one float either side, at random and at nan
     from finsler_lab.domains import BoxDomain
 
     box = BoxDomain([-1.0, 0.5], [2.0, 3.0])
     corners = np.array([[-1.0, 1.0], [2.0, 3.0], [0.0, 0.5], [2.0, 2.0]])
+    cube = BoxDomain([-1.0, 0.5, -0.25], [2.0, 3.0, 0.75])
+    inner = rng.uniform(cube.lower, cube.upper, size=(20, 3))
+    faces = []
+    for axis in range(3):
+        for bound in (cube.lower, cube.upper):
+            face = inner.copy()
+            face[:, axis] = bound[axis]
+            faces.append(face)
     disc = DiscDomain(radius=0.9, center=np.array([0.1, -0.2]))
     angles = rng.uniform(0.0, 2.0 * math.pi, size=200)
     ring = disc.center + 0.9 * np.column_stack((np.cos(angles), np.sin(angles)))
     ball = DiscDomain(radius=0.7, center=np.zeros(3))
     sphere = rng.normal(size=(200, 3))
     sphere *= 0.7 / np.linalg.norm(sphere, axis=1)[:, None]
-    for domain, edge in ((box, corners), (disc, ring), (ball, sphere)):
+
+    def numpy_test(domain, x):
+        if isinstance(domain, BoxDomain):
+            return bool(((x >= domain.lower) & (x <= domain.upper)).all())
+        return bool(np.linalg.norm(x - domain.center) <= domain.radius)
+
+    edges = ((box, corners), (cube, np.concatenate(faces)), (disc, ring), (ball, sphere))
+    for domain, edge in edges:
         points = np.concatenate(
             (edge, np.nextafter(edge, math.inf), np.nextafter(edge, -math.inf),
-             rng.uniform(-2.0, 4.0, size=(50, edge.shape[1])))
+             rng.uniform(-2.0, 4.0, size=(50, edge.shape[1])), np.full((1, edge.shape[1]), np.nan))
         )
         inside = domain.contains(points)
         assert inside.dtype == bool
-        assert np.array_equal(inside, [domain.contains(p) for p in points])
+        for x, row in zip(points, inside):
+            assert domain.contains(tuple(x.tolist())) is domain.contains(x) is bool(row)
+            assert row == numpy_test(domain, x)
         assert 0 < inside.sum() < len(points)
     assert any(np.linalg.norm(p - disc.center) == 0.9 for p in ring)
 
@@ -382,6 +403,34 @@ def test_minkowski_reversal_breaks_orthogonality(minkowski_scenario):
     )
     assert fwd <= 1e-8
     assert rev >= 0.05
+
+
+# entries of a differential: zero (the tube's df = (2x, 2y, 0) makes the columns of
+# [df | I] dependent), or of either sign with a magnitude from 1e-300 to 1e300
+_MAGNITUDES = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0, exclude_max=True),
+                        st.integers(-300, 299))
+_ENTRIES = st.one_of(st.just(0.0), _MAGNITUDES, _MAGNITUDES.map(lambda m: -m))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(_ENTRIES, min_size=n, max_size=n)))
+@example([0.0]).via("df = 0")
+@example([0.0, 0.0, 0.0, 0.0]).via("df = 0")
+@example([0.6, 0.2, 0.0]).via("the tube")
+@example([1e300, -1e-300]).via("the widest magnitudes")
+@example([1e130, 0.0, 1e-179]).via("a column below LAPACK's safe minimum")
+@settings(max_examples=400, deadline=None)
+def test_householder_basis_matches_lapack(lapack_tangent_basis, df):
+    # each row the reference row up to sign, orthonormal rows, and df . row = 0
+    n = len(df)
+    tol = 8 * n * np.finfo(float).eps
+    basis, ref = tangent_basis_from_differential(df), lapack_tangent_basis(df)
+    assert basis.shape == ref.shape == (n - 1, n)
+    for u, r in zip(basis, ref):
+        assert min(np.max(np.abs(u - r)), np.max(np.abs(u + r))) <= tol
+    assert np.max(np.abs(basis @ basis.T - np.eye(n - 1)), initial=0.0) <= tol
+    # df scaled to its largest entry, so that the products stay finite
+    scale = max(abs(v) for v in df) or 1.0
+    assert np.max(np.abs(basis @ (np.array(df) / scale)), initial=0.0) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -923,3 +972,72 @@ def test_float_march_halves_at_a_raising_stage_as_numpy_march(march_pair, close)
     assert all(isinstance(run.outcome, EvalError) for run in runs)
     assert len(runs[0].marches[0]) > 2
     assert_same_march(runs, close)
+
+
+# ---------------------------------------------------------------------------
+# the float crossing locator against the numpy locator it replaced
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.fixture()
+def checked_locate(monkeypatch, numpy_locate):
+    """`_locate` of geodesics and transnormal, checked call by call against the numpy
+    locator on the same step: theta and the state bitwise equal. Returns the list of
+    (theta, arguments) of its calls."""
+    calls = []
+    locate = geodesics._locate
+
+    def checked(*args):
+        theta, y = locate(*args)
+        ref_theta, ref_y = numpy_locate(*args)
+        assert _bits(theta) == _bits(ref_theta) and _bits(y) == _bits(ref_y)
+        calls.append((theta, args))
+        return theta, y
+
+    for module in (geodesics, transnormal):
+        monkeypatch.setattr(module, "_locate", checked)
+    return calls
+
+
+def _locator_charts():
+    """Every built-in chart and the 1-D line and 3-D tube of tools/compare_reports.py."""
+    charts = [chart for name in list_examples() for chart in load_example(name).charts.values()]
+    return charts + [build_chart(parse_scenario(text))
+                     for text in (compare_reports.LINE_TEXT, compare_reports.TUBE_TEXT)]
+
+
+def test_float_locator_matches_numpy_locator(checked_locate):
+    # the level marches both ways and from a start on the level, the f-flow's recorded
+    # levels and stops both ways, then each located step again at the f of its ends (a
+    # crossing at theta = 0 and at h, both clamped), a step from them and inside it
+    for chart in _locator_charts():
+        metric, field, domain = chart.metric, chart.field, chart.domain
+        grid = domain.sample_grid(5)
+        p = grid[len(grid) // 3]
+        ray = _unit_gradient_ray(chart, p)
+        f0 = field.value(p)
+        ahead = field.value(geodesic_at_times(metric, ray, [0.06], domain=domain).points[-1])
+        back = TangentVector(ray.base, -ray.vector)
+        behind = field.value(geodesic_at_times(metric, back, [0.06], domain=domain).points[-1])
+        for v, target in ((ray, ahead), (back, behind), (ray, f0), (back, f0)):
+            integrate_to_level(metric, v, field, target, step=1e-3, domain=domain)
+        for direction, stop in (("forward", ahead), ("backward", behind)):
+            trace_f_segment(metric, field, p, direction, domain=domain,
+                            record_levels=[0.5 * (f0 + stop)], f_stop=stop, t_max=1.0)
+    assert any(theta == 0.0 for theta, _ in checked_locate)
+    steps = [args for _, args in checked_locate]
+    checked_locate.clear()
+    for rhs, field, _, z, K, h, z_new, n in steps:
+        f0, f1 = field.value(z[:n]), field.value(z_new[:n])
+        targets = [f0, f1, math.nextafter(f0, f1), math.nextafter(f1, f0),
+                   *(f0 + s * (f1 - f0) for s in (1e-9, *np.linspace(0.05, 0.95, 19), 1.0 - 1e-9))]
+        for target in targets:
+            if geodesics._brackets(f0 - target, f1 - target):
+                geodesics._locate(rhs, field, target, z, K, h, z_new, n)
+    thetas = [(theta, args[5]) for theta, args in checked_locate]
+    assert any(theta == 0.0 for theta, _ in thetas)
+    assert any(theta == h for theta, h in thetas)
+    assert any(0.0 < theta < h for theta, h in thetas)
