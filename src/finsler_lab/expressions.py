@@ -191,10 +191,9 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, tokens, text):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.text = text
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -301,7 +300,7 @@ def parse_expression(text):
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression", 1, 1)
-    return _Parser(tokens, text).parse()
+    return _Parser(tokens).parse()
 
 
 # ---------------------------------------------------------------------------

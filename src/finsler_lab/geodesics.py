@@ -18,16 +18,15 @@ state, from one step loop (`_accepted_steps`) on plain floats: the state is
 a tuple, the right-hand side ``rhs(z)`` returns one (the spray on (x, y, arc
 length) here, the unit gradient flow on x in `transnormal.trace_f_segment`),
 and a step, its stage combinations and its error norm are straight-line code
-generated once per state size (`_dp5_kernel`). The step's continuous
-extension (`_dense_output`, on numpy arrays) is built only where it is read:
-it gives `geodesic_at_times` its states between step ends (the uniform rows
-of `dump-geodesic` and the end points of `build_cylinder`) and the flow its
-measured acceleration. Both the march to a level (`integrate_to_level`) and
-the flow locate a level crossing with one routine (`_locate`): the root of f
-on the bracketing step's extension (by Brent's method, `_brentq`), one
-sub-step to it and one Newton correction in time. It reads the extension on
-plain floats, in the operations of the numpy one, so its results are the
-same bit for bit. A crossing's orthogonality defect is taken against a basis
+generated once per state size (`_dp5_kernel`). One builder gives a step's
+continuous extension on plain floats (`_extension`), once per step that reads
+it: the step that brackets a level, each step of the flow (whose measured
+acceleration it also gives), and each step of `geodesic_at_times` with times
+inside it, whose states there (the rows of `dump-geodesic`) numpy evaluates.
+Both the march to a level (`integrate_to_level`) and the flow locate a level
+crossing with one routine (`_locate`): the root of f on the bracketing step's
+extension (by Brent's method, `_brentq`), one sub-step to it and one Newton
+correction in time. A crossing's orthogonality defect is taken against a basis
 of ker df from a Householder QR on plain floats
 (`tangent_basis_from_differential`). The level march keeps its
 accepted states z as they are; reading it at another time r
@@ -83,7 +82,7 @@ _DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _DP_E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
-# weights of the 4th-degree term of the continuous extension (`_dense_output`)
+# weights of the 4th-degree term of the continuous extension (`_extension`)
 _DP_D = np.array(
     [
         -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
@@ -249,8 +248,9 @@ def geodesic_at_times(
     for h, t_new, z_new, K, _ in _accepted_steps(rhs, z, k1, t, h, step, domain, n, times[-1]):
         j = int(np.searchsorted(times, t_new))
         if j > k:
-            s = (times[k:j] - t) / h
-            rows[k:j] = _dense_state(_dense_output(z, z_new, K, h), s[:, None])
+            s = ((times[k:j] - t) / h)[:, None]
+            z0, z1, r2, r3, r4 = np.array(_extension(z, z_new, K, h)).T
+            rows[k:j] = (1.0 - s) * z0 + s * z1 + s * (1.0 - s) * (r2 + s * (r3 + (1.0 - s) * r4))
             if domain is not None:
                 outside = np.flatnonzero(~domain.contains(rows[k:j, :n]))
                 if outside.size:
@@ -413,32 +413,23 @@ def _dp5_kernel(m):
     return _kernel("dp5_step", "rhs, z, dz, h", step), _kernel("dp5_ratio", "h, z, z_new, K", ratio)
 
 
-def _dense_output(z0, z1, K, h):
-    """One Dormand-Prince step's continuous extension, as (z0, z1, r2, r3, r4).
+def _extension(z, z_new, K, h):
+    """One Dormand-Prince step's continuous extension, as (z0, z1, r2, r3, r4) per component.
 
     The state at t + s h is (1 - s) z0 + s z1 + s (1 - s) (r2 + s (r3 + (1 - s) r4)),
-    a polynomial of degree 4 in s that matches the step's end states z0, z1
-    and their derivatives K[0], K[6] (Hairer-Norsett-Wanner II.6, the dense
-    output of DOPRI5). It costs no right-hand side beyond the step's seven,
-    and it reads the end states back exactly. Takes the states and the seven
-    stage derivatives as sequences of floats and returns arrays.
+    a polynomial of degree 4 in s that matches the step's end states z0 = z,
+    z1 = z_new and their derivatives K[0], K[6] (Hairer-Norsett-Wanner II.6, the
+    dense output of DOPRI5). It costs no right-hand side beyond the step's
+    seven, and it reads the end states back exactly. The coefficients are
+    plain floats; numpy takes only h (D . K), whose summation order it fixes.
+    Readers evaluate it in the order written above, on floats or on arrays.
     """
-    z0, z1, K = np.asarray(z0), np.asarray(z1), np.asarray(K)
-    dz = z1 - z0
-    r2 = h * K[0] - dz
-    return z0, z1, r2, dz - h * K[6] - r2, h * (_DP_D @ K)
-
-
-def _dense_state(dense, s):
-    """The continuous extension ``dense`` at the step fraction s."""
-    z0, z1, r2, r3, r4 = dense
-    return (1.0 - s) * z0 + s * z1 + s * (1.0 - s) * (r2 + s * (r3 + (1.0 - s) * r4))
-
-
-def _dense_second_derivative(dense, s, h):
-    """Second time derivative of the continuous extension at the step fraction s."""
-    _, _, r2, r3, r4 = dense
-    return (-2.0 * r2 + (2.0 - 6.0 * s) * r3 + (2.0 - 12.0 * s * (1.0 - s)) * r4) / (h * h)
+    ext = []
+    for z0, z1, k0, k6, r4 in zip(z, z_new, K[0], K[6], (h * (_DP_D @ np.array(K))).tolist()):
+        dz = z1 - z0
+        r2 = h * k0 - dz
+        ext.append((z0, z1, r2, dz - h * k6 - r2, r4))
+    return ext
 
 
 def _rms(v, scale) -> float:
@@ -591,27 +582,21 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
-def _locate(rhs, field: ScalarField, target: float, z, K, h: float, z_new, n: int):
+def _locate(rhs, field: ScalarField, target: float, z, K, h: float, ext, n: int):
     """Time theta in [0, h] and state of one accepted step at which f = target.
 
-    The step goes from z to z_new in time h with the stage derivatives K
-    (K[0] at z, K[6] at z_new), the first n components of the state are the
-    position, and f - target must bracket 0 on the step (`_brackets`). The
-    root of f on the step's continuous extension (`_dense_output`, by Brent's
-    method on the position) is reached by one Dormand-Prince sub-step from z,
-    then corrected by one Newton step in time along the extension's time
-    derivative there, which costs no right-hand side. A corrected time
-    outside the step is clamped to the step's end states. The extension is
-    read on plain floats, component by component, in the operation order of
-    `_dense_state` and its time derivative; numpy takes only the sums whose
-    order it fixes, the 4th-degree term h (D . K) and the slope df . zdot.
-    The state is returned as a tuple.
+    The step goes from z in time h with the stage derivatives K (K[0] at z,
+    K[6] at its end), ``ext`` is its continuous extension (`_extension`), the
+    first n components of the state are the position, and f - target must
+    bracket 0 on the step (`_brackets`). The root of f on the extension (by
+    Brent's method on the position) is reached by one Dormand-Prince sub-step
+    from z, then corrected by one Newton step in time along the extension's
+    time derivative there, which costs no right-hand side. A corrected time
+    outside the step is clamped to the step's end states. numpy takes only
+    the slope df . zdot, whose summation order it fixes. The state is
+    returned as a tuple.
     """
-    ext = []  # (z0, z1, r2, r3, r4) of `_dense_output`, per component
-    for z0, z1, k0, k6, r4 in zip(z, z_new, K[0], K[6], (h * (_DP_D @ np.array(K))).tolist()):
-        dz = z1 - z0
-        r2 = h * k0 - dz
-        ext.append((z0, z1, r2, dz - h * k6 - r2, r4))
+    z_new = tuple(c[1] for c in ext)
     position = ext[:n]
 
     def phi(theta):
@@ -693,7 +678,7 @@ def integrate_to_level(
             states.append(z_new)
             phi_new = field.value(z_new[:n]) - target
             if _brackets(phi, phi_new):
-                theta, y = _locate(rhs, field, target, z, K, h, z_new, n)
+                theta, y = _locate(rhs, field, target, z, K, h, _extension(z, z_new, K, h), n)
                 return CrossingEvent.measure(
                     metric, field, target, t + theta, np.array(y[:n]), np.array(y[n : 2 * n]),
                     y[2 * n], march(),

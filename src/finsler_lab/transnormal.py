@@ -34,6 +34,7 @@ from .errors import (
     LeftDomain,
     NeverReached,
     NoCriticalPoint,
+    ValidationError,
 )
 from .foliation import level_points
 from .geodesics import (
@@ -41,8 +42,7 @@ from .geodesics import (
     GeodesicTrajectory,
     _accepted_steps,
     _brackets,
-    _dense_output,
-    _dense_second_derivative,
+    _extension,
     _initial_step,
     _locate,
     integrate_geodesic,
@@ -393,6 +393,12 @@ def level_grid_b_report(
 # f-segments
 
 
+def _acceleration(ext, s, h):
+    """Second time derivative of the continuous extension ``ext`` at the step fraction s."""
+    c3, c4, hh = 2.0 - 6.0 * s, 2.0 - 12.0 * s * (1.0 - s), h * h
+    return tuple((-2.0 * r2 + c3 * r3 + c4 * r4) / hh for _, _, r2, r3, r4 in ext)
+
+
 def trace_f_segment(
     metric: Metric,
     field: ScalarField,
@@ -413,15 +419,17 @@ def trace_f_segment(
     the resolution of a chart exit, as there. A level crossing or the
     ``f_stop`` point is located as the level march locates its crossing
     (`geodesics._locate`), and its velocity is the flow at the located
-    point. Without ``f_stop`` the last step ends on ``t_max``. The
-    trajectory holds the accepted states and the ``f_stop`` point, at
-    strictly increasing times.
+    point. Without ``f_stop`` the last step ends on ``t_max``; an ``f_stop``
+    behind the start (below f there going forward, above it going backward)
+    is never reached and raises ``ValidationError``. The trajectory holds the
+    accepted states and the ``f_stop`` point, at strictly increasing times.
 
     The backward segment is the time reversal of the forward one (the
     descending ray is unit for the reverse metric). The traced curve is
     checked a posteriori against the spray of that metric: at every recorded
     state, the acceleration is the second derivative of its step's
-    continuous extension, compared with `spray_coefficients`.
+    continuous extension (`_acceleration`, on the one extension per step that
+    the locator reads too), compared with `spray_coefficients`.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -443,18 +451,21 @@ def trace_f_segment(
     pending = sorted(set(float(lvl) for lvl in record_levels))
     crossings: List[CrossingEvent] = []
     f_prev = field.value(x)
+    if f_stop is not None and sign * f_stop < sign * f_prev:
+        raise ValidationError(f"a {direction} segment never reaches f_stop = {f_stop}: "
+                              f"f {'rises' if sign > 0 else 'falls'} from f(start) = {f_prev}")
     # f at every recorded point, as the march computed it
     values = [f_prev]
 
     h = _initial_step(flow, x, v)
     for h, t_new, x_new, K, _ in _accepted_steps(flow, x, v, t, h, step, domain, n, t_max):
-        dense = _dense_output(x, x_new, K, h)
+        ext = _extension(x, x_new, K, h)
         if not accelerations:
-            accelerations.append(_dense_second_derivative(dense, 0.0, h))
+            accelerations.append(_acceleration(ext, 0.0, h))
         f_new = field.value(x_new)
         for lvl in list(pending):
             if _brackets(f_prev - lvl, f_new - lvl):
-                theta, y = _locate(flow, field, lvl, x, K, h, x_new, n)
+                theta, y = _locate(flow, field, lvl, x, K, h, ext, n)
                 # unit speed: arc length equals time
                 crossings.append(CrossingEvent.measure(
                     metric_eff, field, lvl, t + theta, np.array(y), np.array(flow(y)), t + theta
@@ -463,14 +474,14 @@ def trace_f_segment(
         theta, x_end, v_end, f_end = h, x_new, K[6], f_new
         stop = f_stop is not None and _brackets(f_prev - f_stop, f_new - f_stop)
         if stop:
-            theta, x_end = _locate(flow, field, f_stop, x, K, h, x_new, n)
+            theta, x_end = _locate(flow, field, f_stop, x, K, h, ext, n)
             v_end, f_end = flow(x_end), field.value(x_end)
         if theta > 0.0:
             times.append(t + theta)
             points.append(x_end)
             values.append(f_end)
             velocities.append(v_end)
-            accelerations.append(_dense_second_derivative(dense, theta / h, h))
+            accelerations.append(_acceleration(ext, theta / h, h))
         if stop:
             break
         x, v, t, f_prev = x_new, K[6], t_new, f_new

@@ -249,6 +249,21 @@ def _numpy_march_kernel(m):
     return step, None
 
 
+def _numpy_dense_output(z0, z1, K, h):
+    """Reference: one Dormand-Prince step's continuous extension as numpy arrays
+    (z0, z1, r2, r3, r4), which `geodesics._extension` replaced on floats."""
+    z0, z1, K = np.asarray(z0), np.asarray(z1), np.asarray(K)
+    dz = z1 - z0
+    r2 = h * K[0] - dz
+    return z0, z1, r2, dz - h * K[6] - r2, h * (geodesics._DP_D @ K)
+
+
+def _numpy_dense_state(dense, s):
+    """The continuous extension ``dense`` at the step fraction s."""
+    z0, z1, r2, r3, r4 = dense
+    return (1.0 - s) * z0 + s * z1 + s * (1.0 - s) * (r2 + s * (r3 + (1.0 - s) * r4))
+
+
 def _numpy_dense_derivative(dense, s, h):
     """Time derivative of the continuous extension ``dense`` at the step fraction s."""
     z0, z1, r2, r3, r4 = dense
@@ -256,13 +271,21 @@ def _numpy_dense_derivative(dense, s, h):
             + 2.0 * s * (1.0 - s) * (1.0 - 2.0 * s) * r4) / h
 
 
-def _numpy_locate(rhs, field, target, z, K, h, z_new, n):
+def _numpy_dense_second_derivative(dense, s, h):
+    """Second time derivative of the continuous extension ``dense`` at the step fraction s."""
+    _, _, r2, r3, r4 = dense
+    return (-2.0 * r2 + (2.0 - 6.0 * s) * r3 + (2.0 - 12.0 * s * (1.0 - s)) * r4) / (h * h)
+
+
+def _numpy_locate(rhs, field, target, z, K, h, ext, n):
     """Reference: `geodesics._locate` on the numpy continuous extension, which the float
-    locator replaced; the state is returned as an array."""
-    dense = geodesics._dense_output(z, z_new, K, h)
+    locator replaced; it reads only the step's end state from ``ext`` and returns the
+    state as an array."""
+    z_new = [c[1] for c in ext]
+    dense = _numpy_dense_output(z, z_new, K, h)
 
     def phi(theta):
-        return field.value(geodesics._dense_state(dense, theta / h)[:n]) - target
+        return field.value(_numpy_dense_state(dense, theta / h)[:n]) - target
 
     theta = geodesics._brentq(phi, 0.0, h, xtol=1e-12 * h)
     y = np.array(z_new if theta == h else geodesics._dp5_kernel(len(z))[0](rhs, z, K[0], theta)[0])
@@ -279,6 +302,12 @@ def _numpy_locate(rhs, field, target, z, K, h, z_new, n):
 @pytest.fixture(scope="session")
 def numpy_locate():
     return _numpy_locate
+
+
+@pytest.fixture(scope="session")
+def numpy_extension():
+    """The numpy continuous extension and its readers: (output, state, second derivative)."""
+    return _numpy_dense_output, _numpy_dense_state, _numpy_dense_second_derivative
 
 
 def _lapack_tangent_basis(df):

@@ -544,6 +544,20 @@ def test_non_finite_option_exits_two(tmp_path, capsys, argv, option):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("stop, direction, verb", [("0.01", "forward", "rises"),
+                                                    ("0.2", "backward", "falls")])
+def test_segment_stop_behind_the_start_exits_two(tmp_path, capsys, stop, direction, verb):
+    # the flow is monotone in f: a stop it can never reach is a usage error, not a march
+    # that runs out of the chart (forward) or into the critical centre (backward)
+    argv = ("trace-segment", "--example", "disc-radial", "--start=0.3,0", "--stop", stop,
+            "--direction", direction)
+    assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: a {direction} segment never reaches f_stop = {stop}: "
+        f"f {verb} from f(start) = 0.09\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_malformed_coordinate_exits_two(tmp_path, capsys):
     argv = ("dump-geodesic", "--example", "disc-radial", "--start=0.1,abc", "--velocity=1,0")
     assert run(tmp_path, *argv) == 2

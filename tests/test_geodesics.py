@@ -1030,14 +1030,65 @@ def test_float_locator_matches_numpy_locator(checked_locate):
     assert any(theta == 0.0 for theta, _ in checked_locate)
     steps = [args for _, args in checked_locate]
     checked_locate.clear()
-    for rhs, field, _, z, K, h, z_new, n in steps:
-        f0, f1 = field.value(z[:n]), field.value(z_new[:n])
+    for rhs, field, _, z, K, h, ext, n in steps:
+        f0, f1 = field.value(z[:n]), field.value([c[1] for c in ext[:n]])
         targets = [f0, f1, math.nextafter(f0, f1), math.nextafter(f1, f0),
                    *(f0 + s * (f1 - f0) for s in (1e-9, *np.linspace(0.05, 0.95, 19), 1.0 - 1e-9))]
         for target in targets:
             if geodesics._brackets(f0 - target, f1 - target):
-                geodesics._locate(rhs, field, target, z, K, h, z_new, n)
+                geodesics._locate(rhs, field, target, z, K, h, ext, n)
     thetas = [(theta, args[5]) for theta, args in checked_locate]
     assert any(theta == 0.0 for theta, _ in thetas)
     assert any(theta == h for theta, h in thetas)
     assert any(0.0 < theta < h for theta, h in thetas)
+
+
+def test_float_extension_matches_numpy_extension(monkeypatch, numpy_extension):
+    # every accepted step of the rows at times and of the f-flow both ways: the float
+    # extension, the rows read off it and the flow's accelerations, bitwise the numpy ones
+    dense_output, dense_state, second_derivative = numpy_extension
+    accepted = geodesics._accepted_steps
+
+    def recorder(record):
+        def recorded(rhs, z, k1, t, *args):
+            for out in accepted(rhs, z, k1, t, *args):
+                record.append((t, z, out))
+                t, z = out[1], out[2]
+                yield out
+
+        return recorded
+
+    def extension_pair(z, z_new, K, h):
+        ext, dense = geodesics._extension(z, z_new, K, h), dense_output(z, z_new, K, h)
+        assert _bits(np.array(ext).T) == _bits(np.array(dense))
+        return ext, dense
+
+    march_steps, flow_steps = [], []
+    monkeypatch.setattr(geodesics, "_accepted_steps", recorder(march_steps))
+    monkeypatch.setattr(transnormal, "_accepted_steps", recorder(flow_steps))
+    for chart in _locator_charts():
+        metric, field, domain = chart.metric, chart.field, chart.domain
+        grid = domain.sample_grid(5)
+        p = grid[len(grid) // 3]
+        times = np.linspace(0.0, 0.12, 17)
+        traj = geodesic_at_times(metric, _unit_gradient_ray(chart, p), times, domain=domain)
+        rows = np.column_stack((traj.points, traj.velocities, traj.arc_lengths))
+        for direction in ("forward", "backward"):
+            trace_f_segment(metric, field, p, direction, domain=domain, t_max=0.12)
+        assert len(march_steps) > 1 and len(flow_steps) > 2
+        read = 0
+        for t, z, (h, t_new, z_new, K, _) in march_steps:
+            _, dense = extension_pair(z, z_new, K, h)
+            inside = (t < times) & (times < t_new)
+            ref = dense_state(dense, ((times[inside] - t) / h)[:, None])
+            assert _bits(rows[inside]) == _bits(ref)
+            read += int(inside.sum())
+        # every row but those on a step's end is read off an extension
+        assert read >= len(times) - len(march_steps) - 1
+        for _, z, (h, _, z_new, K, _) in flow_steps:
+            ext, dense = extension_pair(z, z_new, K, h)
+            for s in (0.0, 0.3, 1.0):
+                ref = second_derivative(dense, s, h)
+                assert _bits(transnormal._acceleration(ext, s, h)) == _bits(ref)
+        march_steps.clear()
+        flow_steps.clear()

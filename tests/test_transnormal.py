@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -16,6 +17,7 @@ from finsler_lab.errors import (
     IntervalContainsCriticalValue,
     LevelNotFound,
     NoCriticalPoint,
+    ValidationError,
 )
 from finsler_lab.expressions import parse_expression
 from finsler_lab.foliation import extract_level_set, level_points
@@ -562,19 +564,80 @@ def test_segment_residual_propagates_non_finite(disc_scenario, monkeypatch, tmp_
     from finsler_lab.cli import main
 
     chart = disc_scenario.chart
-    second = transnormal._dense_second_derivative
+    second = transnormal._acceleration
 
-    def poisoned(dense, s, h):
-        a = second(dense, s, h)
-        return a * np.nan if s == 1.0 else a
+    def poisoned(ext, s, h):
+        a = second(ext, s, h)
+        return np.array(a) * np.nan if s == 1.0 else a
 
-    monkeypatch.setattr(transnormal, "_dense_second_derivative", poisoned)
+    monkeypatch.setattr(transnormal, "_acceleration", poisoned)
     seg = trace_f_segment(
         chart.metric, chart.field, [0.3, 0.0], "forward", domain=chart.domain, f_stop=0.16,
     )
     assert math.isnan(seg.geodesic_residual)
     argv = ["trace-segment", "--example", "disc-radial", "--start=0.3,0", "--stop", "0.16"]
     assert main([*argv, "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("direction, stop", [("forward", 0.01), ("backward", 0.2)])
+def test_segment_refuses_a_stop_behind_the_start(disc_scenario, monkeypatch, direction, stop):
+    # f rises along a forward segment and falls along a backward one, so a stop
+    # behind the start is never reached: it is refused before the first step
+    chart = disc_scenario.chart
+    start = [0.3, 0.0]
+    with monkeypatch.context() as patch:
+        def no_step(*args):
+            raise AssertionError("a step was taken")
+
+        patch.setattr(transnormal, "_initial_step", no_step)
+        patch.setattr(transnormal, "_accepted_steps", no_step)
+        verb = "rises" if direction == "forward" else "falls"
+        message = f"a {direction} segment never reaches f_stop = {stop}: f {verb} from f(start)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            trace_f_segment(chart.metric, chart.field, start, direction,
+                            domain=chart.domain, f_stop=stop)
+    # a stop on f(start) is met at time 0
+    seg = trace_f_segment(chart.metric, chart.field, start, direction, domain=chart.domain,
+                          f_stop=chart.field.value(start))
+    assert seg.trajectory.times.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("levels, stop", [((0.16,), 0.16), ((0.09,), 0.16)])
+def test_segment_builds_one_extension_per_step(disc_scenario, monkeypatch, levels, stop):
+    # every locate on a step and the step's recorded accelerations read its one
+    # continuous extension: a level on the stop is two locates on the last step,
+    # a start on a level a crossing at time 0
+    chart = disc_scenario.chart
+    built, steps, built_by_locate = [], [], []
+    extension, accepted = geodesics._extension, transnormal._accepted_steps
+    locate = transnormal._locate
+
+    def counted_extension(*args):
+        built.append(args)
+        return extension(*args)
+
+    def counted_steps(*args):
+        for out in accepted(*args):
+            steps.append(out)
+            yield out
+
+    def counted_locate(*args):
+        before = len(built)
+        out = locate(*args)
+        built_by_locate.append(len(built) - before)
+        return out
+
+    for module in (geodesics, transnormal):
+        monkeypatch.setattr(module, "_extension", counted_extension)
+    monkeypatch.setattr(transnormal, "_accepted_steps", counted_steps)
+    monkeypatch.setattr(transnormal, "_locate", counted_locate)
+    seg = trace_f_segment(chart.metric, chart.field, [0.3, 0.0], domain=chart.domain,
+                          record_levels=levels, f_stop=stop)
+    assert len(built) == len(steps) > 1
+    assert built_by_locate == [0, 0]
+    (crossing,) = seg.level_crossings
+    assert crossing.level_value == levels[0]
+    assert crossing.time == (0.0 if levels[0] == 0.09 else seg.trajectory.times[-1])
 
 
 # the seed-1 level pairs of the distance-disc benchmark workload

@@ -120,6 +120,12 @@ _BAND, _LINE, _TUBE = (["--scenario", f"../{name}"] for name in (RIEMANNIAN_BAND
 EXTRA_CALLS = (
     ("trace-segment-disc-stop", ["trace-segment", "--example", "disc-radial",
                                  "--start=0.3,0", "--stop", "0.16"]),
+    # a recorded level on the stop (two crossings on one step), and a start on a recorded
+    # level (a crossing at time 0): both read the one continuous extension of their step
+    ("trace-segment-disc-level-at-stop", ["trace-segment", "--example", "disc-radial",
+                                          "--start=0.3,0", "--levels=0.16", "--stop", "0.16"]),
+    ("trace-segment-disc-level-at-start", ["trace-segment", "--example", "disc-radial",
+                                           "--start=0.3,0", "--levels=0.09", "--stop", "0.16"]),
     ("trace-segment-disc-levels", ["trace-segment", "--example", "disc-radial",
                                    "--start=0.2,0.1", "--levels", "0.1,0.2", "--t-max", "0.35"]),
     # backward segments: crossings measured and the spray checked in the reverse metric
