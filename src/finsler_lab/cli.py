@@ -24,6 +24,7 @@ from .foliation import check_finsler_partition, check_parallel
 from .geodesics import geodesic_at_times, uniform_times
 from .metrics import TangentVector
 from .scenarios import (
+    MAX_COUNT,
     Scenario,
     build_scenario,
     list_examples,
@@ -72,6 +73,8 @@ OPTIONS = {
 }
 # options that must be positive; a `not value > 0` test also rejects nan
 POSITIVE = ("probes", "step", "tol", "t_max", "t_end", "samples")
+# counts that must be at most scenarios.MAX_COUNT
+COUNTS = ("probes", "samples")
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +413,8 @@ def _run(args):
         value = getattr(args, name, None)
         if name in POSITIVE and value is not None and not value > 0:
             raise ValidationError(f"{flag} must be positive, got {value}")
+        if name in COUNTS and value is not None and value > MAX_COUNT:
+            raise ValidationError(f"{flag} must be at most {MAX_COUNT}, got {value}")
         if keywords.get("type") in (float, _float_list) and not np.isfinite(value or 0.0).all():
             raise ValidationError(f"{flag} must be finite, got {value}")
     scenario = _load(args)

@@ -528,34 +528,36 @@ def _codegen(node):
 
 
 def compile_expression(node, dim):
-    """Compile a tree to a fast ``f(coords) -> float`` callable.
+    """Compile a tree to a checked ``f(coords) -> float`` callable.
 
     A sequence of trees compiles to one generated function returning a tuple
     of floats, one per tree, so a whole field costs one call per point, and
-    ``compile_rows`` gives it at a stack of points in one call.
+    ``compile_rows`` gives it at a stack of points in one call. The function is
+    generated on the first call; a variable outside the dimension is refused here.
+    A tuple of coordinates is taken as it is, anything else as a float array.
     """
     single = isinstance(node, Expr)
-    nodes = (node,) if single else tuple(node)
-    raw = _generate(nodes, dim)
+    nodes = _within(node, dim)
+    generated = functools.cache(lambda: _generate(nodes, dim))
 
     def wrapped(coords):
         """The values at coords, checked: an entry that raises or is not finite is named."""
         try:
             # plain floats: numpy scalars turn 0/0 into nan-plus-warning
             # instead of raising, and are slower in the integrator loops
-            val = raw(*np.asarray(coords, dtype=float).tolist())
+            val = generated()(*(coords if type(coords) is tuple
+                                else np.asarray(coords, dtype=float).tolist()))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             # on the error path only: each entry alone, to name those that raise
             bad = nodes if single else [e for e in nodes if _raises(e, dim, coords)]
             raise EvalError(f"cannot evaluate {_at(bad, coords)}: {exc}") from exc
-        if not all(map(math.isfinite, val)):
+        # a sum is finite if every term is (and may overflow when all are): one test for all
+        if not math.isfinite(sum(val)):
             bad = [e for e, v in zip(nodes, val) if not math.isfinite(v)]
-            raise EvalError(f"non-finite value for {_at(bad, coords)}")
+            if bad:
+                raise EvalError(f"non-finite value for {_at(bad, coords)}")
         return val[0] if single else val
 
-    # unchecked, on the coordinates as plain floats: for callers that take the
-    # checked call only where this raises or is not finite
-    wrapped.generated = raw
     return wrapped
 
 
@@ -564,7 +566,7 @@ def compile_rows(node, dim):
     m trees at the k rows of points, each value bitwise the one-point value, from one list
     comprehension generated on the first call; None where a tree is undefined or not finite
     at some row, which only the one-point calls name."""
-    nodes = (node,) if isinstance(node, Expr) else tuple(node)
+    nodes = _within(node, dim)
     generated = functools.cache(lambda: _generate(nodes, dim, rows=True))
 
     def rows(points):
@@ -577,11 +579,17 @@ def compile_rows(node, dim):
     return rows
 
 
-def _generate(nodes, dim, rows=False):
-    """The trees' values at the coordinates, or with ``rows`` at each point of a list."""
+def _within(node, dim):
+    """The tree, or the sequence of trees, as a tuple; refused if one reads beyond dim."""
+    nodes = (node,) if isinstance(node, Expr) else tuple(node)
     extra = set().union(*(e.variables() for e in nodes)) - set(VARIABLES[:dim])
     if extra:
         raise EvalError(f"expression uses {sorted(extra)} outside dimension {dim}")
+    return nodes
+
+
+def _generate(nodes, dim, rows=False):
+    """The trees' values at the coordinates, or with ``rows`` at each point of a list."""
     args = "".join(f"_c{i}, " for i in range(dim))
     values = "(" + "".join(f"{_codegen(e)}, " for e in nodes) + ")"
     head, body = ("_points", f"[{values} for {args}in _points]") if rows else (args, values)

@@ -245,7 +245,7 @@ def geodesic_at_times(
     k = int(times[0] == 0.0)
     rows[:k] = z
     t, h = 0.0, _initial_step(rhs, z, k1)
-    for h, t_new, z_new, K, _ in _accepted_steps(rhs, z, k1, t, h, step, domain, n, times[-1]):
+    for h, t_new, z_new, K in _accepted_steps(rhs, z, k1, t, h, step, domain, n, times[-1]):
         j = int(np.searchsorted(times, t_new))
         if j > k:
             s = ((times[k:j] - t) / h)[:, None]
@@ -464,9 +464,9 @@ def _accepted_steps(rhs, z, k1, t, h, step, domain, n, t_stop=math.inf):
     another; a step is one call of the step that `_dp5_kernel` generates and
     one of its error ratio. The first n components of z are the position,
     which must stay in the domain.
-    Yields (h, t_new, z_new, K, h_next) per accepted step: the step taken,
-    the new time and state, the seven stage derivatives (K[0] at z, K[6] at
-    z_new) and the step to try next. A step is rejected and shortened when
+    Yields (h, t_new, z_new, K) per accepted step: the step taken, the new
+    time and state, and the seven stage derivatives (K[0] at z, K[6] at
+    z_new). A step is rejected and shortened when
     its error estimate exceeds the tolerance (MARCH_RTOL, MARCH_ATOL). A step
     whose end leaves the domain, or one of whose stages raises a
     ``FinslerError``, is halved; once such a step is no longer than ``step``,
@@ -504,11 +504,10 @@ def _accepted_steps(rhs, z, k1, t, h, step, domain, n, t_stop=math.inf):
         factor = _MAX_FACTOR if ratio == 0.0 else min(_MAX_FACTOR, _SAFETY * ratio ** -0.2)
         if rejected:
             factor = min(factor, 1.0)
-        h_next = min(h * factor, MAX_STEP)
-        yield h, t_new, z_new, K, h_next
+        yield h, t_new, z_new, K
         if t_new == t_stop:
             return
-        z, k1, t, h, rejected = z_new, K[6], t_new, h_next, False
+        z, k1, t, h, rejected = z_new, K[6], t_new, min(h * factor, MAX_STEP), False
 
 
 def _brackets(phi0: float, phi1: float) -> bool:
@@ -673,7 +672,7 @@ def integrate_to_level(
     times.append(t)
     states.append(z)
     try:
-        for h, t_new, z_new, K, _ in _accepted_steps(rhs, z, k1, t, h, step, domain, n):
+        for h, t_new, z_new, K in _accepted_steps(rhs, z, k1, t, h, step, domain, n):
             times.append(t_new)
             states.append(z_new)
             phi_new = field.value(z_new[:n]) - target
@@ -722,6 +721,6 @@ def point_at_time(
     )
     n = march.points.shape[1]
     steps = _accepted_steps(rhs, z, k1, t, min(r - t, MAX_STEP), step, domain, n, r)
-    for _, _, z, _, _ in steps:  # the last step ends on r
+    for _, _, z, _ in steps:  # the last step ends on r
         pass
     return np.array(z[:n])

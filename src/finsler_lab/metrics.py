@@ -15,12 +15,14 @@ representation
 whose y-derivatives (fundamental tensor, Cartan tensor, spray right-hand
 sides) have closed forms. The spray stage and the Legendre inverse are each
 one straight-line function per dimension on plain floats
-(``expressions.randers_stage``, ``zermelo_inverse``) fed by one call per point
-for h, W and, for the stage, their derivatives: on 2-vectors the per-call cost
-of numpy would dominate. In 2-D, ``co_norms`` runs the inverse's own lines on
-numpy columns. Norms and tensors keep a one-slot memo of the alpha/beta data
-at the last queried point, so an instance is not safe to share between
-threads.
+(``expressions.randers_stage``, ``zermelo_inverse``): on 2-vectors the
+per-call cost of numpy would dominate. A metric is built from flat readers:
+one call per point of the joint (h, W), which every norm, tensor and inverse
+reads, and one of (h, W, dh, dW) for the stage; a scenario chart passes its
+compiled readers, ``RiemannianMetric.from_matrix`` a matrix field. In 2-D,
+``co_norms`` runs the inverse's own lines on numpy columns. Norms and tensors
+keep a one-slot memo of the alpha/beta data at the last queried point, so an
+instance is not safe to share between threads.
 """
 
 from __future__ import annotations
@@ -168,31 +170,22 @@ class Metric:
 class RandersMetric(Metric):
     """Randers metric with Zermelo data (h, W), h(W, W) < 1.
 
-    The spray stage reads ``fields(x)``, the flat (h, W, dh, dW) of
-    ``expressions.randers_stage``, and the Legendre inverse and the
-    alpha/beta data read ``zermelo(x)``, the flat (h, W) of
-    ``expressions.zermelo_inverse``; by default each is joined from the
-    callables, with a derivative not given taken by central differences.
-    ``rows``, if given, is the row form of ``zermelo`` for ``_rows_of``.
+    Its one reader of (h, W) is ``zermelo(x)``, the flat (h, W) at the point x
+    (h row-major), read by the alpha/beta data and the Legendre inverse
+    (``expressions.zermelo_inverse``); ``rows``, if given, is its row form for
+    ``_rows_of``. The spray stage (``expressions.randers_stage``) reads
+    ``fields(x)``, the flat (h, W, dh, dW) with the derivative index first, at
+    a tuple of floats. A reader raises the ``FinslerError`` that names what
+    fails at x.
     """
 
     kind = "randers"
 
-    def __init__(self, h, wind, dim, dh=None, dwind=None, fields=None, zermelo=None, rows=None):
+    def __init__(self, zermelo, dim, fields, rows=None):
         self.dim = dim
-        self._rows = rows
-        self._h = h
-        self._wind = wind
-        if fields is None:
-            parts = (h, wind, dh or _fd_derivative(h, 1e-6), dwind or _fd_derivative(wind, 1e-6))
-            fields = lambda x: np.concatenate([np.ravel(f(x)) for f in parts], dtype=float).tolist()
-        if zermelo is None:
-            zermelo = lambda x: np.concatenate([np.ravel(h(x)), np.ravel(wind(x))],
-                                               dtype=float).tolist()
-        self._fields = fields
-        # the fields' generated function, if they have one (a scenario chart's)
-        self._generated = getattr(fields, "generated", None)
         self._zermelo = zermelo
+        self._fields = fields
+        self._rows = rows
         self._stage = randers_stage(dim)
         self._inverse = zermelo_inverse(dim)
         self._memo = (None, None)
@@ -202,12 +195,9 @@ class RandersMetric(Metric):
         """Minkowski Randers space: Euclidean h and a constant wind."""
         wind = np.asarray(wind, dtype=float)
         dim = wind.size
-        eye = np.eye(dim)
-        zero3 = np.zeros((dim, dim, dim))
-        zero2 = np.zeros((dim, dim))
-        return RandersMetric(
-            lambda x: eye, lambda x: wind, dim, dh=lambda x: zero3, dwind=lambda x: zero2
-        )
+        zermelo = (*np.eye(dim).ravel().tolist(), *wind.tolist())
+        fields = zermelo + (0.0,) * (dim**3 + dim**2)
+        return RandersMetric(lambda x: zermelo, dim, lambda x: fields)
 
     def h_matrix(self, x):
         return self._alpha_beta(x).H
@@ -215,20 +205,12 @@ class RandersMetric(Metric):
     def wind_at(self, x):
         return self._alpha_beta(x).W
 
-    def _zermelo_at(self, x):
-        """The flat (h, W) at x in one call; where it fails, the error of h, then W, alone."""
-        try:
-            return self._zermelo(x)
-        except FinslerError:
-            self._h(x), self._wind(x)
-            raise
-
     def _alpha_beta(self, x):
         x = self._check_point(x)
         key = x.tobytes()
         if key == self._memo[0]:
             return self._memo[1]
-        z, n = self._zermelo_at(x), self.dim
+        z, n = self._zermelo(x), self.dim
         H, W = np.array(z[: n * n], dtype=float).reshape(n, n), np.array(z[n * n :], dtype=float)
         Wl, lam = _zermelo_data(H.tolist(), W.tolist(), x)
         Wl = np.array(Wl)
@@ -271,8 +253,8 @@ class RandersMetric(Metric):
         """
         points, Y = _row_pairs(self.dim, points, vectors)
         n = self.dim
-        (H, W), error = _rows_of(points, (self._h, (n, n)), (self._wind, (n,)), rows=self._rows)
-        H = H[: len(W)]
+        (Z,), error = _rows_of(points, (self._zermelo, (n * n + n,)), rows=self._rows)
+        H, W = Z[:, : n * n].reshape(-1, n, n), Z[:, n * n :]
         # _zermelo_data's running sums, left to right from 0.0
         Wl = sum((H[:, :, j] * W[:, j, None] for j in range(n)), 0.0)
         s = sum((W[:, j] * Wl[:, j] for j in range(n)), 0.0)
@@ -294,10 +276,10 @@ class RandersMetric(Metric):
         with the one-point calls only where a field or a row fails, to name the first."""
         if self.dim == 2:
             points, w = _row_pairs(2, points, covectors)
-            (H, W), error = _rows_of(points, (self._h, (2, 2)), (self._wind, (2,)), rows=self._rows)
+            (Z,), error = _rows_of(points, (self._zermelo, (6,)), rows=self._rows)
             if error is None:
                 with np.errstate(all="ignore"):  # as Python floats, which do not warn
-                    b = zermelo_inverse(2, columns=True)(w, np.hstack([H.reshape(-1, 4), W]))
+                    b = zermelo_inverse(2, columns=True)(w, Z)
                 if b is not None:
                     return b
         return super().co_norms(points, covectors)
@@ -338,56 +320,47 @@ class RandersMetric(Metric):
             raise DimensionMismatch(f"point dimension {len(x)} != metric dimension {self.dim}")
         if len(y) != self.dim:
             raise DimensionMismatch(f"vector dimension {len(y)} != metric dimension {self.dim}")
-        return self._stage(x, y, self._fields_at(x))
-
-    def _fields_at(self, x):
-        """The flat (h, W, dh, dW) at the point x, n floats: the generated function's values
-        where it has one and they are finite, else the checked call's, which names a failure."""
-        if self._generated is not None:
-            try:
-                values = self._generated(*x)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                pass
-            else:
-                # a sum is finite only if every term is: one call tests them all
-                if math.isfinite(sum(values)):
-                    return values
-        return self._fields(np.array(x))
+        return self._stage(x, y, self._fields(x))
 
     def legendre_inverse(self, x, w):
         """Closed form from the co-metric F*(w) = |w|_h* + w(W) (Bao-Robles-Shen)."""
         x = self._check_point(x)
-        return self._inverse(x, w, self._zermelo_at(x))
+        return self._inverse(x, w, self._zermelo(x))
 
 
 class RiemannianMetric(RandersMetric):
-    """Riemannian structure from a symmetric positive-definite matrix field h: Randers, W = 0.
+    """Riemannian structure from a symmetric positive-definite h: the Randers metric of W = 0.
 
-    ``fields``, ``zermelo`` and ``rows``, if given, are those of the Randers
-    metric with zero wind entries.
+    It takes the Randers readers, with zero wind entries.
     """
 
     kind = "riemannian"
 
-    def __init__(self, matrix_field, dim, d_matrix_field=None, fd_step=1e-6, fields=None,
-                 zermelo=None, rows=None):
-        def h(x):
-            H = np.asarray(matrix_field(x), dtype=float)
+    @classmethod
+    def from_matrix(cls, matrix_field, dim, d_matrix_field=None, fd_step=1e-6):
+        """The metric of the matrix field h(x), refused where it is not symmetric, and of its
+        derivative dh(x)[k][i][j], by central differences at fd_step if not given. Both
+        callables take the point as an array."""
+
+        def zermelo(x):
+            H = np.asarray(matrix_field(np.asarray(x, dtype=float)), dtype=float)
             if not np.allclose(H, H.T, atol=0.0):
                 raise DimensionMismatch("metric matrix field is not symmetric")
-            return H
+            return [*H.ravel().tolist(), *zero]
+
+        def fields(x):
+            return [*zermelo(x), *np.ravel(dh(np.asarray(x, dtype=float))).tolist(), *zero2]
 
         dh = d_matrix_field or _fd_derivative(matrix_field, fd_step)
-        zero, zero2 = np.zeros(dim), np.zeros((dim, dim))
-        super().__init__(h, lambda x: zero, dim, dh=dh, dwind=lambda x: zero2, fields=fields,
-                         zermelo=zermelo, rows=rows)
+        zero, zero2 = [0.0] * dim, [0.0] * dim**2
+        return cls(zermelo, dim, fields)
 
     @classmethod
     def constant(cls, matrix):
         matrix = np.asarray(matrix, dtype=float)
         dim = matrix.shape[0]
         zero = np.zeros((dim, dim, dim))
-        return cls(lambda x: matrix, dim, lambda x: zero)
+        return cls.from_matrix(lambda x: matrix, dim, lambda x: zero)
 
     def reverse(self):
         return self

@@ -31,6 +31,9 @@ from .metrics import Metric, RandersMetric, RiemannianMetric, _rows_of
 
 WIND_VALIDATION_LIMIT = 1.0 - 1e-6
 _VALIDATION_GRID = 13
+# the largest probe or sample count a run may ask for: a larger one builds points
+# (or an array of them) that no run finishes
+MAX_COUNT = 10**6
 # the [domain] keys each domain kind takes
 _DOMAIN_KIND_KEYS = {
     "box": ("kind", "lower", "upper"),
@@ -268,6 +271,9 @@ def _config_from_sections(sections) -> ScenarioConfig:
                         tolerance=number("tolerance", "1e-6"))
     if numerics.step <= 0 or numerics.probes < 1 or numerics.tolerance <= 0:
         raise ValidationError("numerics values must be positive")
+    if numerics.probes > MAX_COUNT:
+        raise ValidationError(
+            f"numerics probes must be at most {MAX_COUNT}, got {numerics.probes}")
 
     config = ScenarioConfig(
         name=name,
@@ -386,11 +392,6 @@ def _flat_field(entries: List[Expr], dim):
     return fn
 
 
-def _array_field(entries: List[Expr], shape):
-    fn = _flat_field(entries, shape[0])
-    return lambda x: np.array(fn(x)).reshape(shape)
-
-
 def build_metric(config: ScenarioConfig) -> Metric:
     n = config.dimension
     h = [e for row in config.h_entries for e in row]
@@ -399,13 +400,10 @@ def build_metric(config: ScenarioConfig) -> Metric:
     w = [Const(0.0)] * n if riemannian else list(config.wind_entries)
     # each entry's derivative in each coordinate, the coordinate index first
     dh, dw = ([e.diff(VARIABLES[k]) for k in range(n) for e in f] for f in (h, w))
-    # the spray stage's (h, W, dh, dW) and the Legendre inverse's (h, W), each in one
-    # generated call per point; the latter at a stack of points too
-    fast = dict(fields=_flat_field(h + w + dh + dw, n), zermelo=_flat_field(h + w, n),
-                rows=compile_rows(h + w, n))
-    if riemannian:
-        return RiemannianMetric(_array_field(h, (n, n)), n, _array_field(dh, (n, n, n)), **fast)
-    return RandersMetric(_array_field(h, (n, n)), _array_field(w, (n,)), n, **fast)
+    # the Legendre inverse's (h, W) and the spray stage's (h, W, dh, dW), each in one
+    # generated call per point; the former at a stack of points too
+    return (RiemannianMetric if riemannian else RandersMetric)(
+        _flat_field(h + w, n), n, _flat_field(h + w + dh + dw, n), rows=compile_rows(h + w, n))
 
 
 def build_chart(config: ScenarioConfig, name: str = "main") -> Chart:

@@ -12,6 +12,7 @@ pieces, `quad`) and the gradient-direction Hessian identity (half b' b).
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -394,9 +395,15 @@ def level_grid_b_report(
 
 
 def _acceleration(ext, s, h):
-    """Second time derivative of the continuous extension ``ext`` at the step fraction s."""
+    """Second time derivative of the continuous extension ``ext`` at the step fraction s.
+
+    It divides by h * h, or by h twice where that square is not a normal float (a step
+    below about 1.5e-154), since it loses digits there and is 0 below about 1.5e-162.
+    """
     c3, c4, hh = 2.0 - 6.0 * s, 2.0 - 12.0 * s * (1.0 - s), h * h
-    return tuple((-2.0 * r2 + c3 * r3 + c4 * r4) / hh for _, _, r2, r3, r4 in ext)
+    # dividing by 1.0 is exact, so a normal square divides as it always did
+    a, b = (hh, 1.0) if hh >= sys.float_info.min else (h, h)
+    return tuple((-2.0 * r2 + c3 * r3 + c4 * r4) / a / b for _, _, r2, r3, r4 in ext)
 
 
 def trace_f_segment(
@@ -458,7 +465,7 @@ def trace_f_segment(
     values = [f_prev]
 
     h = _initial_step(flow, x, v)
-    for h, t_new, x_new, K, _ in _accepted_steps(flow, x, v, t, h, step, domain, n, t_max):
+    for h, t_new, x_new, K in _accepted_steps(flow, x, v, t, h, step, domain, n, t_max):
         ext = _extension(x, x_new, K, h)
         if not accelerations:
             accelerations.append(_acceleration(ext, 0.0, h))
@@ -685,7 +692,7 @@ def hat_metric(metric: Metric, field: ScalarField) -> RiemannianMetric:
         res = finsler_gradient(metric, field, x)
         return metric.fundamental_matrix(x, res.gradient.vector)
 
-    return RiemannianMetric(matrix_field, metric.dim, fd_step=1e-4)
+    return RiemannianMetric.from_matrix(matrix_field, metric.dim, fd_step=1e-4)
 
 
 def check_hat_metric_reduction(metric: Metric, field: ScalarField, p) -> HatReductionCheck:

@@ -32,7 +32,8 @@ from finsler_lab.expressions import (
 )
 from finsler_lab.foliation import LEVEL_PROJECTION_TOL, _newton_project, build_cylinder
 from finsler_lab.metrics import (
-    RandersMetric, TangentVector, _not_positive_definite, _solve_spd, _zermelo_data,
+    RandersMetric, TangentVector, _fd_derivative, _not_positive_definite, _solve_spd,
+    _zermelo_data,
 )
 from finsler_lab.scenarios import (
     _VALIDATION_GRID,
@@ -66,11 +67,30 @@ def linear_scenario():
 @pytest.fixture(scope="session")
 def shear_metric():
     """Euclidean h with the shear wind W = (0.8 y, 0): f = x is not transnormal."""
-    return RandersMetric(
+    return _randers_from_callables(
         lambda x: np.eye(2), lambda x: np.array([0.8 * x[1], 0.0]), 2,
         dh=lambda x: np.zeros((2, 2, 2)),
         dwind=lambda x: np.array([[0.0, 0.0], [0.8, 0.0]]),
     )
+
+
+def _randers_from_callables(h, wind, dim, dh=None, dwind=None):
+    """A Randers metric from the callables h(x) and W(x), each taking the point as an array,
+    and their x-derivatives dh[k][i][j] and dW[k][i], by central differences at 1e-6 where
+    not given: its flat readers call h, then W, then the derivatives, so h's error comes
+    first. The callable form the metric constructors took before they took flat readers."""
+    parts = (h, wind, dh or _fd_derivative(h, 1e-6), dwind or _fd_derivative(wind, 1e-6))
+
+    def flat(fns):
+        return lambda x: np.concatenate(
+            [np.ravel(f(np.asarray(x, dtype=float))) for f in fns], dtype=float).tolist()
+
+    return RandersMetric(flat(parts[:2]), dim, flat(parts))
+
+
+@pytest.fixture(scope="session")
+def randers_from_callables():
+    return _randers_from_callables
 
 
 @pytest.fixture()
@@ -216,11 +236,10 @@ def _numpy_accepted_steps(rhs, z, k1, t, h, step, domain, n, t_stop=math.inf):
                   else min(geodesics._MAX_FACTOR, geodesics._SAFETY * ratio ** -0.2))
         if rejected:
             factor = min(factor, 1.0)
-        h_next = min(h * factor, geodesics.MAX_STEP)
-        yield h, t_new, z_new, K, h_next
+        yield h, t_new, z_new, K
         if t_new == t_stop:
             return
-        z, k1, t, h, rejected = z_new, K[6], t_new, h_next, False
+        z, k1, t, h, rejected = z_new, K[6], t_new, min(h * factor, geodesics.MAX_STEP), False
 
 
 def _out_form(rhs):
@@ -236,8 +255,8 @@ def _numpy_march_steps(rhs, z, k1, t, h, step, domain, n, t_stop=math.inf):
     """`_numpy_accepted_steps` called and yielding as `geodesics._accepted_steps`."""
     steps = _numpy_accepted_steps(_out_form(rhs), np.array(z), np.array(k1), t, h, step,
                                   domain, n, t_stop)
-    for h, t_new, z_new, K, h_next in steps:
-        yield h, t_new, tuple(z_new.tolist()), tuple(map(tuple, K.tolist())), h_next
+    for h, t_new, z_new, K in steps:
+        yield h, t_new, tuple(z_new.tolist()), tuple(map(tuple, K.tolist()))
 
 
 def _numpy_march_kernel(m):
@@ -803,16 +822,13 @@ def _randers_reverse(metric):
     row form, multiplied by -1.0, the other entries by 1.0 (which leaves them as
     they are).
     """
-    n, wind, fields, z, rows = (
-        metric.dim, metric._wind, metric._fields, metric._zermelo, metric._rows)
+    n, fields, z, rows = metric.dim, metric._fields, metric._zermelo, metric._rows
     signs = [1.0] * (n * n) + [-1.0] * n + [1.0] * n**3 + [-1.0] * (n * n)
     head = signs[: n * n + n]
     return RandersMetric(
-        metric._h,
-        lambda x: -np.asarray(wind(x), dtype=float),
+        lambda x: list(map(mul, head, z(x))),
         n,
-        fields=lambda x: list(map(mul, signs, fields(x))),
-        zermelo=lambda x: list(map(mul, head, z(x))),
+        lambda x: list(map(mul, signs, fields(x))),
         rows=rows and (lambda p: None if (r := rows(p)) is None else r * head),
     )
 

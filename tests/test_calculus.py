@@ -93,8 +93,8 @@ def test_legendre_roundtrip(disc_scenario, rng):
         assert np.linalg.norm(back.vector - v) <= 1e-10 * (1.0 + np.linalg.norm(v))
 
 
-def test_legendre_inverse_example2_norm():
-    disc = RandersMetric(
+def test_legendre_inverse_example2_norm(randers_from_callables):
+    disc = randers_from_callables(
         lambda x: np.eye(2), lambda x: x.copy(), 2,
         dh=lambda x: np.zeros((2, 2, 2)), dwind=lambda x: np.eye(2),
     )
@@ -205,11 +205,11 @@ def test_gradient_where_h_is_singular(dim):
     field = ScalarField.from_expression(parse_expression("y"), dim)
     p = np.array([0.5, 0.1, 0.2][:dim])
     with pytest.raises(SingularTensor, match=r"at \[0\.5 0\.1"):
-        finsler_gradient(RiemannianMetric(h, dim), field, p)
+        finsler_gradient(RiemannianMetric.from_matrix(h, dim), field, p)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_indefinite_h_raises_where_it_is_used(dim):
+def test_indefinite_h_raises_where_it_is_used(dim, randers_from_callables):
     # h(e_1, e_1) = (x - 0.5)^2 - 1e-4 < 0 near x = 0.5: the 2x2 check and the
     # Cholesky factorization (3-D) refuse the solve, and the norm and spray
     # refuse h(y, y) < 0, each naming the point; on a Riemannian metric and
@@ -218,9 +218,9 @@ def test_indefinite_h_raises_where_it_is_used(dim):
         return np.diag([1.0, (x[0] - 0.5) ** 2 - 1e-4, 1.0][:dim])
 
     dh = lambda x: np.zeros((dim, dim, dim))  # noqa: E731
-    metrics = [RiemannianMetric(h, dim, dh)] + [
-        RandersMetric(h, lambda x, W=wind * np.eye(dim)[0]: W, dim, dh=dh,
-                      dwind=lambda x: np.zeros((dim, dim)))
+    metrics = [RiemannianMetric.from_matrix(h, dim, dh)] + [
+        randers_from_callables(h, lambda x, W=wind * np.eye(dim)[0]: W, dim, dh=dh,
+                               dwind=lambda x: np.zeros((dim, dim)))
         for wind in (0.0, 0.1)
     ]
     field = ScalarField.from_expression(parse_expression("y"), dim)

@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from finsler_lab import scenarios
+from finsler_lab import expressions, scenarios
 from finsler_lab.cli import build_parser, main
 from finsler_lab.geodesics import integrate_geodesic
 from finsler_lab.metrics import TangentVector
-from finsler_lab.scenarios import example_texts, load_example, parse_scenario
+from finsler_lab.scenarios import MAX_COUNT, example_texts, load_example, parse_scenario
 from finsler_lab.transnormal import check_morse_bott, trace_f_segment
 
 
@@ -542,6 +542,81 @@ def test_non_finite_option_exits_two(tmp_path, capsys, argv, option):
     assert run(tmp_path, verb, "--example", "disc-radial", *rest) == 2
     assert f"configuration error: {option} must be finite" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_segment_at_a_tiny_time_budget_exits_one(tmp_path, capsys):
+    # one step of 1e-200, whose square underflows to 0: the report is written, and the
+    # verdict fails on the residual of the accelerations (h^-2 times the extension's
+    # second differences, about 1e200)
+    argv = ("trace-segment", "--example", "disc-radial", "--start=0.3,0", "--t-max", "1e-200")
+    assert run(tmp_path, *argv) == 1
+    assert capsys.readouterr().err == ""
+    report = read_report(tmp_path, "disc-radial", "trace-segment")
+    assert report["verdict"] is False
+    assert 1e199 < report["defects"]["geodesic_residual"] < math.inf
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("check-transnormal", "--samples", "99999999999999999999"), "--samples"),
+        (("check-transnormal", "--samples", "1000001"), "--samples"),
+        (("check-partition", "--probes", "99999999999999999999"), "--probes"),
+        (("check-parallel", "--probes", "1000001"), "--probes"),
+        (("verify-distance", "--probes", "1000001"), "--probes"),
+    ],
+)
+def test_count_no_run_can_finish_exits_two(tmp_path, capsys, built_charts, argv, option):
+    # refused beside the positivity checks, naming the option, before a chart is built
+    verb, *rest = argv
+    assert run(tmp_path, verb, "--example", "disc-radial", *rest) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {option} must be at most {MAX_COUNT}, got {rest[-1]}\n")
+    assert built_charts == []
+    assert not list(tmp_path.iterdir())
+
+
+def test_scenario_probe_count_no_run_can_finish_exits_two(tmp_path, capsys):
+    text = example_texts("disc-radial")["main"].replace("probes = 32", "probes = 10000000")
+    (tmp_path / "many.scn").write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["check-partition", "--scenario", str(tmp_path / "many.scn"), "--out", str(out),
+                 "--levels=0.09,0.16"]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: numerics probes must be at most {MAX_COUNT}, got 10000000\n")
+    assert not list(out.iterdir())
+
+
+@pytest.fixture()
+def generated(monkeypatch):
+    """The names of the functions ``expressions._kernel`` generates, in call order."""
+    names = []
+    kernel = expressions._kernel
+
+    def counted(name, *args, **kwargs):
+        names.append(name)
+        return kernel(name, *args, **kwargs)
+
+    monkeypatch.setattr(expressions, "_kernel", counted)
+    return names
+
+
+@pytest.mark.parametrize(
+    "argv, count, before",
+    [
+        (("dump-geodesic", "--example", "randers-sphere-height", "--start=1.2,0.3",
+          "--velocity=0.1,1"), 4, 11),
+        (("trace-segment", "--example", "disc-radial", "--start=0.3,0", "--stop", "0.16"), 6, 11),
+        (("check-partition", "--example", "randers-sphere-height"), 6, 11),
+        (("verify-distance", "--example", "disc-radial"), 8, 13),
+    ],
+)
+def test_verbs_generate_only_the_fields_they_read(tmp_path, generated, argv, count, before):
+    # a compiled field is generated on its first call: `before` is the count when every
+    # field of a chart was generated at its build, and the h, W twins compiled apart
+    assert run(tmp_path, *argv) == 0
+    assert generated.count("_generated") == count < before
 
 
 @pytest.mark.parametrize("stop, direction, verb", [("0.01", "forward", "rises"),

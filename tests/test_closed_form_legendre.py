@@ -39,6 +39,7 @@ from finsler_lab.metrics import (
     attached,
     euclidean_metric,
 )
+from finsler_lab.expressions import compile_expression
 from finsler_lab.scenarios import build_chart, list_examples, load_example, parse_scenario
 
 from test_metrics import SCENARIO_3D
@@ -111,13 +112,13 @@ def test_riemannian_closed_form(rng):
     wind=st.floats(0.0, 0.99),
 )
 @settings(max_examples=150, deadline=None)
-def test_closed_form_on_random_zermelo_data(n, seed, wind):
+def test_closed_form_on_random_zermelo_data(n, seed, wind, randers_from_callables):
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(n, n))
     h0 = B @ B.T + 0.5 * np.eye(n)
     W = rng.normal(size=n)
     W *= math.sqrt(wind / float(W @ h0 @ W))
-    metric = RandersMetric(
+    metric = randers_from_callables(
         lambda x: h0, lambda x: W, n,
         dh=lambda x: np.zeros((n, n, n)), dwind=lambda x: np.zeros((n, n)),
     )
@@ -139,14 +140,14 @@ def test_closed_form_on_random_zermelo_data(n, seed, wind):
     wind=st.floats(0.0, 0.99),
 )
 @settings(max_examples=150, deadline=None)
-def test_closed_form_inverts_legendre_map(n, seed, wind):
+def test_closed_form_inverts_legendre_map(n, seed, wind, randers_from_callables):
     # L^-1(L(v)) = v, with L(v) = (1/2) dF2_dy(v) through the alpha/beta path
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(n, n))
     h0 = B @ B.T + 0.5 * np.eye(n)
     W = rng.normal(size=n)
     W *= math.sqrt(wind / float(W @ h0 @ W))
-    metric = RandersMetric(
+    metric = randers_from_callables(
         lambda x: h0, lambda x: W, n,
         dh=lambda x: np.zeros((n, n, n)), dwind=lambda x: np.zeros((n, n)),
     )
@@ -226,13 +227,14 @@ def test_wrong_length_point_or_covector(metric):
         metric.legendre_inverse(ORIGIN, np.ones((2, 1)))
 
 
-def test_wind_at_validation_margin():
+def test_wind_at_validation_margin(randers_from_callables):
     # h(W, W) = h_00 exactly for W = e_0
-    edge = RandersMetric(lambda x: np.diag([1.0 - 1e-6, 1.0]), lambda x: np.array([1.0, 0.0]), 2)
+    edge = randers_from_callables(lambda x: np.diag([1.0 - 1e-6, 1.0]), lambda x: np.array([1.0, 0.0]), 2)
     for metric in (edge, edge.reverse(), ReverseMetric(edge)):
         with pytest.raises(NonConvexWind):
             metric.legendre_inverse(ORIGIN, np.array([0.0, 1.0]))
-    inside = RandersMetric(lambda x: np.diag([1.0 - 2e-6, 1.0]), lambda x: np.array([1.0, 0.0]), 2)
+    inside = randers_from_callables(lambda x: np.diag([1.0 - 2e-6, 1.0]),
+                                    lambda x: np.array([1.0, 0.0]), 2)
     v, F, _ = inside.legendre_inverse(ORIGIN, np.array([0.3, 1.0]))
     assert np.all(np.isfinite(v)) and F > 0.0
     assert legendre_residual(inside, ORIGIN, v, np.array([0.3, 1.0])) <= 1e-9
@@ -262,14 +264,14 @@ def _domain_points(domain, rng, count):
     return points
 
 
-def _random_randers(n, rng):
+def _random_randers(n, rng, randers_from_callables):
     """A Randers metric of dimension n from random x-dependent Zermelo callables."""
     B = rng.normal(size=(n, n))
     h0 = B @ B.T + 0.5 * np.eye(n)
     D = rng.normal(size=(n, n, n))
     w = rng.normal(size=n)
     w *= math.sqrt(rng.uniform(0.0, 0.8) / float(w @ h0 @ w))
-    return RandersMetric(
+    return randers_from_callables(
         lambda x: h0 + np.einsum("k,kij->ij", x, D + D.transpose(0, 2, 1)),
         lambda x, V=0.1 * rng.normal(size=(n, n)): w + x @ V,
         n,
@@ -277,7 +279,7 @@ def _random_randers(n, rng):
 
 
 def test_co_norms_match_legendre_inverse_row_by_row(
-    disc_scenario, sphere_scenario, minkowski_scenario, rng
+    disc_scenario, sphere_scenario, minkowski_scenario, rng, randers_from_callables
 ):
     cases = []
     charts = [sphere_scenario.charts[name] for name in ("band", "north-cap", "south-cap")]
@@ -289,7 +291,7 @@ def test_co_norms_match_legendre_inverse_row_by_row(
         points = rng.uniform(-0.1, 0.1, size=(60, n))
         H = rng.normal(size=(n, n))
         cases += [
-            (_random_randers(n, rng), points),
+            (_random_randers(n, rng, randers_from_callables), points),
             (RandersMetric.constant_wind(rng.uniform(-0.5, 0.5, size=n) / n), points),
             (RiemannianMetric.constant(H @ H.T + np.eye(n)), points),
         ]
@@ -331,7 +333,7 @@ def test_co_norms_none_without_closed_form(halfwind_custom):
     assert ReverseMetric(halfwind_custom).co_norms(points, covectors) is None
 
 
-def test_co_norms_raise_at_the_first_bad_row():
+def test_co_norms_raise_at_the_first_bad_row(randers_from_callables):
     def h(x):
         # x[0] > 0.5: h(W, W) = 1 - 1e-6 for W = e_0, on the wind margin;
         # x[1] < 0: h(e_1, e_1) = (x[1] + 0.5)^2 - 1e-4 < 0 near x[1] = -0.5,
@@ -343,7 +345,7 @@ def test_co_norms_raise_at_the_first_bad_row():
             raise EvalError(f"wind undefined at {x}")
         return np.array([1.0, 0.0])
 
-    randers = RandersMetric(h, wind, 2)
+    randers = randers_from_callables(h, wind, 2)
     ok, strong, indefinite, undefined = [0.1, 0.2], [0.9, 0.2], [0.1, -0.5], [-0.1, 0.2]
     covectors = np.ones((5, 2))
     # (rows, zero covector row or None, error): the first bad row wins, whatever its kind
@@ -366,7 +368,7 @@ def test_co_norms_raise_at_the_first_bad_row():
     assert np.array_equal(randers.co_norms(points, covectors[:2]),
                           _co_norm_rows(randers, points, covectors[:2]))
     # in 3-D the rows are solved one by one, up to the first indefinite h
-    indefinite_3d = RandersMetric(
+    indefinite_3d = randers_from_callables(
         lambda x: np.diag([1.0, 1.0, np.sign(x[2])]), lambda x: np.zeros(3), 3
     )
     points = np.array([[0, 0, 1], [0, 0, 1], [0, 0, -1], [0, 0, 1]], dtype=float)
@@ -382,7 +384,7 @@ def test_co_norms_raise_at_the_first_bad_row():
 
 
 def _reference_inverse(metric, x, w, zermelo_inverse):
-    """``legendre_inverse`` as the list-based path took it: h and W read apart,
+    """``legendre_inverse`` as the list-based path took it: h and W as lists,
     ``_zermelo_data``'s wind check, then the conftest's list inverse; W = 0 and no
     wind check for a Riemannian metric, sign flips around the inner for a ReverseMetric."""
     if isinstance(metric, ReverseMetric):
@@ -391,9 +393,9 @@ def _reference_inverse(metric, x, w, zermelo_inverse):
         return -v, F, -hw
     if isinstance(metric, RiemannianMetric):
         return zermelo_inverse(metric.h_matrix(x).tolist(), [0.0] * metric.dim, w, x)
-    x = metric._check_point(x)
-    H = np.asarray(metric._h(x), dtype=float).tolist()
-    W = np.asarray(metric._wind(x), dtype=float).tolist()
+    x, n = metric._check_point(x), metric.dim
+    z = np.asarray(metric._zermelo(x), dtype=float)
+    H, W = z[: n * n].reshape(n, n).tolist(), z[n * n :].tolist()
     _zermelo_data(H, W, x)
     return zermelo_inverse(H, W, w, x)
 
@@ -414,7 +416,8 @@ def _outcome(call):
     case=st.sampled_from(["covector", "at margin", "indefinite", "zero", "wrong size"]),
 )
 @settings(max_examples=300, deadline=None)
-def test_kernel_is_the_list_inverse_bitwise(n, seed, wind, case, zermelo_inverse):
+def test_kernel_is_the_list_inverse_bitwise(n, seed, wind, case, zermelo_inverse,
+                                            randers_from_callables):
     # random SPD h and a wind with h(W, W) drawn up to the margin, where the
     # rounded sum falls on either side of it; at the margin exactly,
     # h_00 = 1 - 1e-6 with W = e_0; an indefinite h; w = 0; a w of n + 1
@@ -434,10 +437,10 @@ def test_kernel_is_the_list_inverse_bitwise(n, seed, wind, case, zermelo_inverse
     elif case == "wrong size":
         w = np.ones(n + 1)
     x = rng.normal(size=n)
-    randers = RandersMetric(lambda x: h0, lambda x: W, n)
+    randers = randers_from_callables(lambda x: h0, lambda x: W, n)
     metrics = [randers, randers.reverse(), ReverseMetric(randers)]
     if case != "at margin":
-        metrics.append(RiemannianMetric(lambda x: h0, n))
+        metrics.append(RiemannianMetric.from_matrix(lambda x: h0, n))
     for metric in metrics:
         got = _outcome(lambda: metric.legendre_inverse(x, w))
         assert got == _outcome(lambda: _reference_inverse(metric, x, w, zermelo_inverse))
@@ -448,23 +451,50 @@ def test_kernel_is_the_list_inverse_bitwise(n, seed, wind, case, zermelo_inverse
             assert got[0] is error or (got[0] is NonConvexWind and metric.kind != "riemannian")
 
 
-def test_fused_read_raises_what_h_then_w_raise(zermelo_inverse):
-    # at x = 2 the first h entry, the wind, or both are undefined: the error
-    # is the one h, then W, read apart raise, for the inverse and the tensors
+def test_fused_read_names_every_failing_entry(zermelo_inverse):
+    # at x = 2 the first h entry, the wind, or both are undefined: the error is the
+    # one the joint compiled (h, W) raises, naming every failing entry, for the
+    # inverse, the tensors and the row reads
     h_entry, wind = "1 + x^2, 0.1 * y", "wind = 0.2 * y, -0.2 * x, 0.1 * z * x\n"
-    for h_text, wind_text in (("sqrt(2 - x^2), 0.1 * y", wind),
-                              (h_entry, "wind = 0.3 * sqrt(1 - x^2), 0, 0\n"),
-                              ("sqrt(2 - x^2), 0.1 * y", "wind = 0.3 * sqrt(1 - x^2), 0, 0\n")):
-        text = SCENARIO_3D.replace(h_entry, h_text).replace(wind, wind_text)
-        metric = build_chart(parse_scenario(text)).metric
+    for h_text, wind_text, named in (
+        ("sqrt(2 - x^2), 0.1 * y", wind, ["sqrt(2.0 - x^2.0)"]),
+        (h_entry, "wind = 0.3 * sqrt(1 - x^2), 0, 0\n", ["0.3 * sqrt(1.0 - x^2.0)"]),
+        ("sqrt(2 - x^2), 0.1 * y", "wind = 0.3 * sqrt(1 - x^2), 0, 0\n",
+         ["sqrt(2.0 - x^2.0)", "0.3 * sqrt(1.0 - x^2.0)"]),
+    ):
+        config = parse_scenario(SCENARIO_3D.replace(h_entry, h_text).replace(wind, wind_text))
+        metric = build_chart(config).metric
         x, w = np.array([2.0, 0.0, 0.0]), np.ones(3)
+        h_w = [e for row in config.h_entries for e in row] + list(config.wind_entries)
+        expected = _raised(lambda: compile_expression(h_w, 3)(x))
+        assert expected[0] is EvalError
+        assert expected[1].startswith(f"cannot evaluate '{', '.join(named)}' at (2.0, 0.0, 0.0)")
         for m in (metric, metric.reverse(), ReverseMetric(metric)):
             raised = _outcome(lambda: m.legendre_inverse(x, w))
+            assert raised == expected
             assert raised == _outcome(lambda: _reference_inverse(m, x, w, zermelo_inverse))
-            assert raised[0] is EvalError and ("sqrt(2" in raised[1]) == (h_text != h_entry)
-            with pytest.raises(EvalError) as err:
-                m.norm(x, w)
-            assert str(err.value) == raised[1]
+            for call in (lambda: m.norm(x, w), lambda: m.norms(x[None], w[None]),
+                         lambda: m.co_norms(x[None], w[None])):
+                assert _raised(call) == expected
+
+
+def test_callable_readers_raise_what_h_then_w_raise():
+    # a metric from callables reads h before W: from_matrix refuses an asymmetric
+    # h before it is used, and the constant wind's readers never fail
+    def h(x):
+        if x[0] > 1.0:
+            raise EvalError(f"h undefined at {x}")
+        return np.array([[1.0, x[1]], [0.0, 1.0]])
+
+    riemannian = RiemannianMetric.from_matrix(h, 2)
+    for x, error in (([2.0, 0.0], EvalError), ([0.0, 0.5], DimensionMismatch)):
+        for call in (lambda: riemannian.norm(x, [1.0, 0.0]),
+                     lambda: riemannian.geodesic_stage(x, [1.0, 0.0])):
+            assert _raised(call)[0] is error
+    assert riemannian.norm([0.0, 0.0], [3.0, 4.0]) == 5.0
+    calm = RandersMetric.constant_wind([0.3, 0.0])
+    assert calm._zermelo(None) == (1.0, 0.0, 0.0, 1.0, 0.3, 0.0)
+    assert calm._fields(None)[6:] == (0.0,) * 12
 
 
 def _reference_gradient(metric, field, p, zermelo_inverse):

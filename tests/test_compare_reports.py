@@ -105,6 +105,17 @@ def test_timings_are_left_out(tmp_path):
     assert compare_reports.failures(result) == [] and result["numbers"] == []
 
 
+def test_differing_stderr_is_one_other_change(tmp_path):
+    a = _write(tmp_path / "a", _report())
+    b = _write(tmp_path / "b", _report())
+    for root, text in ((a, "numerical failure: EvalError: 'h'\n"), (b, "")):
+        (root / "run" / compare_reports.STDERR).write_text(text)
+    assert compare_reports.failures(compare_reports.compare_dirs(a, a)) == []
+    result = compare_reports.compare_dirs(a, b)
+    assert result["changes"] == [("run/stderr.txt", "numerical failure: EvalError: 'h'\n", "")]
+    assert result["numbers"] == [] and result["missing"] == []
+
+
 TIMED_CALLS = """\
 import json, sys
 import importlib.util

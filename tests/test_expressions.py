@@ -260,6 +260,30 @@ def test_row_form_is_generated_on_its_first_call(monkeypatch):
         compile_rows(parse_expression("x + z"), 2)([[1.0, 2.0]])
 
 
+def test_one_point_form_is_generated_on_its_first_call(monkeypatch):
+    generated = []
+    generate = expressions._generate
+
+    def counting(nodes, dim, rows=False):
+        generated.append(rows)
+        return generate(nodes, dim, rows)
+
+    monkeypatch.setattr(expressions, "_generate", counting)
+    fused = compile_expression([parse_expression("x + y"), parse_expression("x * 1e308")], 2)
+    assert generated == []
+    # a tuple is taken as it is, an array as its floats
+    assert fused((1.0, 2.0)) == fused(np.array([1.0, 2.0])) == (3.0, 1e308)
+    assert generated == [False]
+    # finite entries whose sum overflows are not refused
+    pair = compile_expression([parse_expression("x"), parse_expression("y")], 2)
+    assert pair((1e308, 1e308)) == (1e308, 1e308)
+    assert generated == [False, False]
+    # a variable outside the dimension is refused before anything is generated
+    with pytest.raises(EvalError, match="outside dimension 2"):
+        compile_expression(parse_expression("x + z"), 2)
+    assert generated == [False, False]
+
+
 _LEAVES = st.sampled_from(["x", "y", "0.5", "2", "-1.5", "1e-300", "1e308"])
 
 

@@ -52,7 +52,7 @@ def test_riemannian_spray_is_christoffel_contraction(sphere_scenario, rng):
     from finsler_lab.metrics import RiemannianMetric
 
     band = sphere_scenario.charts["band"]
-    metric = RiemannianMetric(band.metric.h_matrix, 2)
+    metric = RiemannianMetric.from_matrix(band.metric.h_matrix, 2)
     for _ in range(5):
         x = np.array([rng.uniform(0.5, 2.5), rng.uniform(-1.0, 1.0)])
         v = rng.normal(size=2)
@@ -108,7 +108,7 @@ def test_sphere_equator_half_turn(sphere_scenario):
     # the Riemannian round sphere: drop the wind, keep h
     from finsler_lab.metrics import RiemannianMetric
 
-    metric = RiemannianMetric(band.metric.h_matrix, 2)
+    metric = RiemannianMetric.from_matrix(band.metric.h_matrix, 2)
     start = TangentVector(np.array([math.pi / 2, 0.0]), np.array([0.0, 1.0]))
     traj = integrate_geodesic(metric, start, math.pi, step=1e-3)
     assert traj.arc_lengths[-1] == pytest.approx(math.pi, abs=1e-5)
@@ -283,7 +283,7 @@ def test_excursion_between_step_ends_left_domain(sphere_scenario):
     from finsler_lab.metrics import RiemannianMetric
 
     band = sphere_scenario.charts["band"]
-    metric = RiemannianMetric(band.metric.h_matrix, 2)
+    metric = RiemannianMetric.from_matrix(band.metric.h_matrix, 2)
     ray = TangentVector([1.0, 0.0], [-0.05, 1.0 / math.sin(1.0)])
     theta_min = math.asin(math.sin(1.0) / math.sqrt(1.0025))
     box = BoxDomain([theta_min + 1e-7, -1.0], [3.0, 1.0])
@@ -303,7 +303,7 @@ def test_left_domain_names_the_first_outside_row(sphere_scenario):
     from finsler_lab.domains import BoxDomain
     from finsler_lab.metrics import RiemannianMetric
 
-    metric = RiemannianMetric(sphere_scenario.charts["band"].metric.h_matrix, 2)
+    metric = RiemannianMetric.from_matrix(sphere_scenario.charts["band"].metric.h_matrix, 2)
     ray = TangentVector([1.0, 0.0], [-0.05, 1.0 / math.sin(1.0)])
     theta_min = math.asin(math.sin(1.0) / math.sqrt(1.0025))
     box = BoxDomain([theta_min + 1e-7, -1.0], [3.0, 1.0])
@@ -953,7 +953,8 @@ def test_float_march_leaves_the_domain_as_numpy_march(disc_scenario, march_pair,
     assert_same_march(runs, close)
 
 
-def test_float_march_halves_at_a_raising_stage_as_numpy_march(march_pair, close):
+def test_float_march_halves_at_a_raising_stage_as_numpy_march(march_pair, close,
+                                                              randers_from_callables):
     # h is undefined past x = 0.5: the steps into it are halved, down to `step`,
     # and the stage's own error is final
     def h(x):
@@ -961,7 +962,7 @@ def test_float_march_halves_at_a_raising_stage_as_numpy_march(march_pair, close)
             raise EvalError(f"h undefined at {x}")
         return np.diag([1.0 + x[0] ** 2, 1.0])
 
-    metric = RandersMetric(
+    metric = randers_from_callables(
         h, lambda x: np.array([0.2 * x[1], 0.1]), 2,
         dh=lambda x: np.array([np.diag([2.0 * x[0], 0.0]), np.zeros((2, 2))]),
         dwind=lambda x: np.array([[0.0, 0.0], [0.2, 0.0]]),
@@ -1077,7 +1078,7 @@ def test_float_extension_matches_numpy_extension(monkeypatch, numpy_extension):
             trace_f_segment(metric, field, p, direction, domain=domain, t_max=0.12)
         assert len(march_steps) > 1 and len(flow_steps) > 2
         read = 0
-        for t, z, (h, t_new, z_new, K, _) in march_steps:
+        for t, z, (h, t_new, z_new, K) in march_steps:
             _, dense = extension_pair(z, z_new, K, h)
             inside = (t < times) & (times < t_new)
             ref = dense_state(dense, ((times[inside] - t) / h)[:, None])
@@ -1085,7 +1086,7 @@ def test_float_extension_matches_numpy_extension(monkeypatch, numpy_extension):
             read += int(inside.sum())
         # every row but those on a step's end is read off an extension
         assert read >= len(times) - len(march_steps) - 1
-        for _, z, (h, _, z_new, K, _) in flow_steps:
+        for _, z, (h, _, z_new, K) in flow_steps:
             ext, dense = extension_pair(z, z_new, K, h)
             for s in (0.0, 0.3, 1.0):
                 ref = second_derivative(dense, s, h)

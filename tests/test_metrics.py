@@ -231,13 +231,13 @@ def test_norms_match_norm_row_by_row(
     assert np.array_equal(metric.norms(points, vectors), _norm_rows(metric, points, vectors))
 
 
-def test_norms_raise_at_the_first_bad_row():
+def test_norms_raise_at_the_first_bad_row(randers_from_callables):
     def wind(x):
         if x[1] > 0.5:
             raise EvalError(f"wind undefined at {x}")
         return np.array([x[0], 0.0])
 
-    randers = RandersMetric(lambda x: np.eye(2), wind, 2)
+    randers = randers_from_callables(lambda x: np.eye(2), wind, 2)
     strong_x = 1.0 - 1e-7  # h(W, W) past the margin
     vectors = np.ones((6, 2))
     # (points, error, its row): a strong wind at row 3 wins over an undefined
@@ -256,7 +256,7 @@ def test_norms_raise_at_the_first_bad_row():
             return np.array([[1.0, 0.1], [0.0, 1.0]])  # asymmetric
         return np.diag([1.0, np.sign(x[1])])  # indefinite where x[1] < 0
 
-    riemannian = RiemannianMetric(h, 2, lambda x: np.zeros((2, 2, 2)))
+    riemannian = RiemannianMetric.from_matrix(h, 2, lambda x: np.zeros((2, 2, 2)))
     # rows 1 and 2 are indefinite, but only row 2's vector has h(v, v) < 0
     points = np.array([[0.1, 1], [0.1, -1], [0.2, -1], [0.9, 1]])
     vectors = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -613,8 +613,8 @@ def _riemannian_3d():
 
 def _riemannian_1d():
     """h = 1 + x^2 on the line, with its exact derivative."""
-    return RiemannianMetric(lambda x: np.array([[1.0 + x[0] ** 2]]), 1,
-                            lambda x: np.array([[[2.0 * x[0]]]]))
+    return RiemannianMetric.from_matrix(lambda x: np.array([[1.0 + x[0] ** 2]]), 1,
+                                        lambda x: np.array([[[2.0 * x[0]]]]))
 
 
 def test_riemannian_stage_matches_generic_composition(rng, stage_fields):
@@ -644,7 +644,7 @@ def test_riemannian_metric_matches_its_numpy_reference(rng, numpy_riemannian):
         root = rng.normal(size=(n, n))
         metrics.append(RiemannianMetric.constant(root @ root.T + 0.5 * np.eye(n)))
     band = lambda x: np.diag([1.0, np.sin(x[0] + 1.0) ** 2])  # noqa: E731
-    metrics += [_riemannian_1d(), RiemannianMetric(band, 2), _riemannian_3d()]
+    metrics += [_riemannian_1d(), RiemannianMetric.from_matrix(band, 2), _riemannian_3d()]
     for metric in metrics:
         n = metric.dim
         points, vectors = rng.uniform(-0.5, 0.5, size=(40, n)), rng.normal(size=(40, n))
@@ -678,7 +678,7 @@ def _derivatives_of(stage_fields, k):
 # the two terms of a cancel to 3e-4 of their size there (in 1-D W' sqrt(h) and h' / (2 h))
 @example(n=1, seed=10398, wind=0.0)
 @settings(max_examples=150, deadline=None)
-def test_stage_on_random_zermelo_data(n, seed, wind, stage_fields):
+def test_stage_on_random_zermelo_data(n, seed, wind, stage_fields, randers_from_callables):
     # constant SPD h and wind W at the base point, with random first derivatives
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(n, n))
@@ -688,7 +688,7 @@ def test_stage_on_random_zermelo_data(n, seed, wind, stage_fields):
     w = rng.normal(size=n)
     w *= math.sqrt(wind / float(w @ h0 @ w))
     V = rng.normal(size=(n, n))
-    metric = RandersMetric(
+    metric = randers_from_callables(
         lambda x: h0 + np.einsum("k,kij->ij", x, D),
         lambda x: w + x @ V,
         n,
@@ -757,12 +757,14 @@ def test_three_dimensional_scenario_spray(rng, stage_fields, evaluate):
     assert traj.speed_drift() <= 1e-8
 
 
-def test_stage_rejects_wind_at_validation_margin():
+def test_stage_rejects_wind_at_validation_margin(randers_from_callables):
     # h(W, W) = h_00 exactly for W = e_0
-    edge = RandersMetric(lambda x: np.diag([1.0 - 1e-6, 1.0]), lambda x: np.array([1.0, 0.0]), 2)
+    edge = randers_from_callables(lambda x: np.diag([1.0 - 1e-6, 1.0]),
+                                  lambda x: np.array([1.0, 0.0]), 2)
     with pytest.raises(NonConvexWind):
         edge.geodesic_stage(ORIGIN, np.array([0.0, 1.0]))
-    inside = RandersMetric(lambda x: np.diag([1.0 - 2e-6, 1.0]), lambda x: np.array([1.0, 0.0]), 2)
+    inside = randers_from_callables(lambda x: np.diag([1.0 - 2e-6, 1.0]),
+                                    lambda x: np.array([1.0, 0.0]), 2)
     a, F = inside.geodesic_stage(ORIGIN, np.array([0.0, 1.0]))
     assert np.all(np.isfinite(a)) and F > 0.0
 
@@ -823,7 +825,8 @@ def test_generated_stage_matches_list_stage_on_every_chart(
 
 
 @pytest.mark.parametrize("n", [1, 3])
-def test_generated_stage_matches_list_stage_in_dimension(n, rng, list_randers_stage):
+def test_generated_stage_matches_list_stage_in_dimension(n, rng, list_randers_stage,
+                                                         randers_from_callables):
     metrics = []
     for _ in range(10):
         B = rng.normal(size=(n, n))
@@ -831,7 +834,7 @@ def test_generated_stage_matches_list_stage_in_dimension(n, rng, list_randers_st
         D = rng.normal(size=(n, n, n))
         w = rng.normal(size=n)
         w *= math.sqrt(rng.uniform(0.0, 0.9) / float(w @ h0 @ w))
-        metrics.append(RandersMetric(
+        metrics.append(randers_from_callables(
             lambda x, h0=h0, D=D: h0 + np.einsum("k,kij->ij", x, D + D.transpose(0, 2, 1)),
             lambda x, w=w, V=rng.normal(size=(n, n)): w + x @ V,
             n,
@@ -844,10 +847,11 @@ def test_generated_stage_matches_list_stage_in_dimension(n, rng, list_randers_st
             assert_same_stage(metric, x, rng.normal(size=n), list_randers_stage)
 
 
-def test_generated_stage_beside_the_wind_margin(list_randers_stage):
+def test_generated_stage_beside_the_wind_margin(list_randers_stage, randers_from_callables):
     # h(W, W) = h_00 exactly for W = e_0: 1 - 2e-6 is inside the margin, 1 - 1e-6 on it
     for h00 in (1.0 - 2e-6, 1.0 - 1e-6):
-        metric = RandersMetric(lambda x: np.diag([h00, 1.0]), lambda x: np.array([1.0, 0.0]), 2)
+        metric = randers_from_callables(lambda x: np.diag([h00, 1.0]),
+                                        lambda x: np.array([1.0, 0.0]), 2)
         for y in ([0.0, 1.0], [1.0, 0.3], [-1.0, 0.3]):
             assert_same_stage(metric, ORIGIN, np.array(y), list_randers_stage)
     with pytest.raises(NonConvexWind, match=r"h\(W,W\) = 0\.999999 at \[0\. 0\.\]"):
@@ -896,8 +900,8 @@ SINGULAR_WIND_TEXT = NON_FINITE_TEXT.replace(
 
 
 def test_stage_field_errors_are_the_checked_reads():
-    # where the generated (h, W, dh, dW) raises or is not finite, the stage takes the
-    # checked read: its error, type and message, for each way a field can fail
+    # the stage reads (h, W, dh, dW) by the checked call alone: where it raises or is
+    # not finite, its error, type and message, for each way a field can fail
     metric = build_metric(parse_scenario(SINGULAR_WIND_TEXT))
     y = np.array([0.3, 1.0])
     assert np.all(np.isfinite(metric.geodesic_stage(np.array([0.7, 0.7]), y)[0]))
@@ -910,12 +914,12 @@ def test_stage_field_errors_are_the_checked_reads():
 
 
 def test_finite_difference_fallback_matches_symbolic_derivatives(
-    disc_scenario, sphere_scenario, rng, stage_fields
+    disc_scenario, sphere_scenario, rng, stage_fields, randers_from_callables
 ):
     # a metric built without dh/dW differences its fields through numdiff.jacobian
     for chart in (disc_scenario.chart, sphere_scenario.charts["band"]):
         exact = chart.metric
-        fallback = RandersMetric(exact._h, exact._wind, 2)
+        fallback = randers_from_callables(exact.h_matrix, exact.wind_at, 2)
         pts = chart.domain.sample_grid(9)
         for x in pts[rng.choice(len(pts), size=20, replace=False)]:
             assert len(fallback._fields(x)) == 4 + 2 + 8 + 4
@@ -925,7 +929,7 @@ def test_finite_difference_fallback_matches_symbolic_derivatives(
             assert np.allclose(dH, exact_dH, rtol=0.0, atol=1e-8)
             assert np.allclose(dW, exact_dW, rtol=0.0, atol=1e-8)
     exact = _riemannian_3d()
-    fallback = RiemannianMetric(exact._h, 3)
+    fallback = RiemannianMetric.from_matrix(exact.h_matrix, 3)
     for _ in range(20):
         x = rng.uniform(-0.5, 0.5, size=3)
         dh, exact_dh = stage_fields(fallback, x)[2], stage_fields(exact, x)[2]
@@ -952,13 +956,13 @@ def _assert_rows_match_one_point_calls(chart, points):
     dh, dw = ([e.diff(VARIABLES[k]) for k in range(n) for e in f] for f in (h, w))
     stage = compile_rows(h + w + dh + dw, n)(points)
     assert _bits(stage) == _bits([metric._fields(p) for p in points])
-    hw = [np.concatenate([np.ravel(metric._h(p)), metric._wind(p)]) for p in points]
+    hw = [metric._zermelo(p) for p in points]
     assert _bits(metric._rows(points)) == _bits(hw)
-    fields = ((metric._h, (n, n)), (metric._wind, (n,)))
+    fields = ((metric._zermelo, (n * n + n,)),)
     fast, loop = _rows_of(points, *fields, rows=metric._rows), _rows_of(points, *fields)
     assert fast[1] is None and loop[1] is None
     assert [_bits(a) for a in fast[0]] == [_bits(a) for a in loop[0]]
-    assert [a.shape for a in fast[0]] == [(len(points), n, n), (len(points), n)]
+    assert [a.shape for a in fast[0]] == [(len(points), n * n + n)]
     reverse, vectors = metric.reverse(), np.cos(np.arange(points.size)).reshape(points.shape)
     assert _bits(reverse.norms(points, vectors)) == _bits(
         [reverse.norm(p, v) for p, v in zip(points, vectors)])
@@ -1048,7 +1052,7 @@ def test_metric_reads_raise_what_the_loop_raises(rng):
     # of the metric and of its reverse raise the one-point loop's error
     text = SCENARIO_3D.replace(WIND_3D, "wind = 0.3 * sqrt(x + 0.5), 0, 0.1 * (y + 0.5)^0.5\n")
     metric = build_metric(parse_scenario(text))
-    plain = RandersMetric(metric._h, metric._wind, 3, fields=metric._fields)
+    plain = RandersMetric(metric._zermelo, 3, metric._fields)
     assert plain._rows is None
     points, vectors = rng.uniform(-0.5, 0.5, size=(6, 3)), rng.normal(size=(6, 3))
     points[3] = [-0.7, 0.0, 0.0]

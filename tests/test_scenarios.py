@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from finsler_lab import numdiff, scenarios
+from finsler_lab import expressions, numdiff, scenarios
 from finsler_lab.calculus import finsler_gradient
 from finsler_lab.domains import BoxDomain
 from finsler_lab.errors import EvalError, FinslerError, ParseError, ValidationError
 from finsler_lab.scenarios import (
+    MAX_COUNT,
     WIND_VALIDATION_LIMIT,
+    build_chart,
     build_scenario,
     example_texts,
     list_examples,
@@ -96,6 +98,37 @@ def test_config_validation_errors(mutation, exc):
     old, new = mutation
     with pytest.raises(exc):
         parse_scenario(DISC_TEXT.replace(old, new))
+
+
+def test_probe_count_no_run_can_finish_rejected_naming_the_key():
+    # refused at load, before a chart or a point is built
+    for probes in (MAX_COUNT + 1, 99999999999999999999):
+        with pytest.raises(ValidationError,
+                           match=f"numerics probes must be at most {MAX_COUNT}, got {probes}"):
+            parse_scenario(DISC_TEXT.replace("probes = 32", f"probes = {probes}"))
+    config = parse_scenario(DISC_TEXT.replace("probes = 32", f"probes = {MAX_COUNT}"))
+    assert config.numerics.probes == MAX_COUNT
+
+
+def test_chart_build_generates_only_its_constant_fields(monkeypatch):
+    # a field is generated on its first call; a constant one is read once at build
+    names = []
+    kernel = expressions._kernel
+
+    def counted(name, *args, **kwargs):
+        names.append(name)
+        return kernel(name, *args, **kwargs)
+
+    monkeypatch.setattr(expressions, "_kernel", counted)
+    for name in list_examples():
+        for chart, text in example_texts(name).items():
+            config = parse_scenario(text)
+            entries = [e for row in config.h_entries for e in row] + list(config.wind_entries or ())
+            constant = not any(e.variables() for e in entries)
+            names.clear()
+            build_chart(config, chart)
+            # (h, W) and (h, W, dh, dW) of a constant metric, nothing else
+            assert names == ["_generated"] * (2 if constant else 0), (name, chart)
 
 
 @pytest.mark.parametrize(

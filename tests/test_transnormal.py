@@ -221,12 +221,10 @@ def _former_sample_loop(metric, field, points):
     return type(err.value), str(err.value)
 
 
-def test_profile_sampling_raises_at_the_first_bad_point(disc_scenario):
+def test_profile_sampling_raises_at_the_first_bad_point(disc_scenario, randers_from_callables):
     # the differential fails where x > 0.8, the value where y > 0.8 and the
     # wind is too strong where x < -0.5; the scalar loop meets, at one point,
     # df, then the co-norm, then f
-    from finsler_lab.metrics import RandersMetric
-
     def guarded(fn, bad):
         def call(p):
             if bad(p):
@@ -237,8 +235,8 @@ def test_profile_sampling_raises_at_the_first_bad_point(disc_scenario):
     disc = disc_scenario.chart.field
     field = ScalarField(guarded(disc.value, lambda p: p[1] > 0.8),
                         guarded(disc.differential, lambda p: p[0] > 0.8))
-    metric = RandersMetric(lambda x: np.eye(2),
-                           lambda x: np.array([1.0 if x[0] < -0.5 else 0.5, 0.0]), 2)
+    metric = randers_from_callables(lambda x: np.eye(2),
+                                    lambda x: np.array([1.0 if x[0] < -0.5 else 0.5, 0.0]), 2)
     ok, no_df, no_f, strong, flat = [0.3, 0.2], [0.9, 0.9], [0.1, 0.9], [-0.6, 0.9], [0.0, 0.0]
     for rows in (
         [ok, flat, no_df, strong, no_f],
@@ -577,6 +575,17 @@ def test_segment_residual_propagates_non_finite(disc_scenario, monkeypatch, tmp_
     assert math.isnan(seg.geodesic_residual)
     argv = ["trace-segment", "--example", "disc-radial", "--start=0.3,0", "--stop", "0.16"]
     assert main([*argv, "--out", str(tmp_path)]) == 1
+
+
+def test_segment_at_a_tiny_time_budget(disc_scenario):
+    # h * h underflows to 0 for h = 1e-200: the accelerations divide by h twice
+    assert transnormal._acceleration([(0.0, 0.0, -0.5e-300, 0.0, 0.0)], 0.5, 1e-200) == (
+        pytest.approx(1e100, rel=1e-15),)
+    chart = disc_scenario.chart
+    segment = trace_f_segment(chart.metric, chart.field, [0.3, 0.0], domain=chart.domain,
+                              t_max=1e-200)
+    assert segment.trajectory.times.tolist() == [0.0, 1e-200]
+    assert 1e199 < segment.geodesic_residual < math.inf
 
 
 @pytest.mark.parametrize("direction, stop", [("forward", 0.01), ("backward", 0.2)])

@@ -12,10 +12,12 @@ arguments on every built-in example, plus a fixed set of calls with more
 arguments: ``trace-segment`` and ``dump-geodesic`` need a start point, and
 some calls run a chart no example has, from a scenario file written into OUT
 (``SCENARIO_FILES``): a curved Riemannian chart (the sphere band with its wind
-removed), a 1-D chart and a 3-D tube. Each call writes
+removed), a 1-D chart, a 3-D tube and a chart whose h and W are both undefined
+off its validation grid. Each call writes
 into its own subdirectory of OUT, run with ``--out .`` from there (and given
 the scenario file by a relative path) so that the command recorded in the
-report is the same whatever OUT is. The exit codes go to
+report is the same whatever OUT is; its standard error goes to ``stderr.txt``
+there. The exit codes go to
 ``OUT/exit_codes.json``, and each call's wall time in its fresh process and
 that process's peak resident set (``os.wait4``'s ``ru_maxrss``) to
 ``OUT/timings.json``, ``list-examples`` included. Linux starts a child's
@@ -25,7 +27,8 @@ floor of those figures.
 ``compare`` walks both directories, leaving out ``timings.json`` and the
 ``*-manifest.json`` sidecars (they hold wall times). It compares JSON reports and CSV files
 number by number: two numbers agree when |a - b| <= atol + rtol max(|a|, |b|),
-and two integers (counts, exit codes) only when equal.
+and two integers (counts, exit codes) only when equal. Two ``stderr.txt`` that
+differ are one other change.
 It prints the count of numbers out of tolerance and the worst of them
 (``WORST_SHOWN``), every change of a non-number (verdicts included), missing
 files and changed exit codes, and exits 1 if any of these is found. Numbers
@@ -113,9 +116,31 @@ wind = -0.3 * y, 0.3 * x, 0.2
 [field]
 f = x^2 + y^2
 """
+# h and W both undefined on the line x = 0.05, which the validation grid misses: a
+# read there names each failing entry
+POLE = "pole.scn"
+POLE_TEXT = """\
+name = pole
+dimension = 2
+
+[domain]
+kind = box
+lower = -1, -1
+upper = 1, 1
+
+[metric]
+kind = randers
+h = 1 + 0.001 * (x - 0.05)^-1, 0 ; 0, 1
+wind = 0.01 * (x - 0.05)^-1, 0
+
+[field]
+f = x
+"""
 # the scenario files run writes into OUT, by name
-SCENARIO_FILES = {RIEMANNIAN_BAND: RIEMANNIAN_BAND_TEXT, LINE: LINE_TEXT, TUBE: TUBE_TEXT}
-_BAND, _LINE, _TUBE = (["--scenario", f"../{name}"] for name in (RIEMANNIAN_BAND, LINE, TUBE))
+SCENARIO_FILES = {RIEMANNIAN_BAND: RIEMANNIAN_BAND_TEXT, LINE: LINE_TEXT, TUBE: TUBE_TEXT,
+                  POLE: POLE_TEXT}
+_BAND, _LINE, _TUBE, _POLE = (["--scenario", f"../{name}"]
+                              for name in (RIEMANNIAN_BAND, LINE, TUBE, POLE))
 # (label, arguments) of the calls that need more than an example
 EXTRA_CALLS = (
     ("trace-segment-disc-stop", ["trace-segment", "--example", "disc-radial",
@@ -179,21 +204,27 @@ EXTRA_CALLS = (
     ("trace-segment-tube", ["trace-segment", *_TUBE, "--start=0.3,0.1,-0.2", "--levels", "0.2",
                             "--stop", "0.25"]),
     ("check-partition-tube", ["check-partition", *_TUBE, "--levels=0.09,0.25"]),
+    # exit 3 at the start, naming the failing entries of (h, W) there
+    ("dump-geodesic-pole", ["dump-geodesic", *_POLE, "--start=0.05,0", "--velocity=0,1"]),
+    # a time budget whose square underflows to 0
+    ("trace-segment-disc-tiny-budget", ["trace-segment", "--example", "disc-radial",
+                                        "--start=0.3,0", "--t-max", "1e-200"]),
 )
 
 
 TIMINGS = "timings.json"
+STDERR = "stderr.txt"
 
 
 # ---------------------------------------------------------------------------
 # run
 
 
-def _timed_call(cmd, cwd, env):
+def _timed_call(cmd, cwd, env, stderr=subprocess.DEVNULL):
     """(exit code, stdout, wall time in s, peak RSS in MB) of cmd in a fresh process."""
     start = time.perf_counter()
     proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.DEVNULL, text=True)
+                            stderr=stderr, text=True)
     stdout = proc.stdout.read()
     proc.stdout.close()
     # wait4, not RUSAGE_CHILDREN: the latter's ru_maxrss is the largest child's so far
@@ -224,7 +255,8 @@ def run_all(out: Path, src: Path) -> dict:
     for label, args in calls:
         cwd = out / label
         cwd.mkdir(parents=True, exist_ok=True)
-        codes[label], _, wall, rss = _timed_call([*cli, *args, "--out", "."], cwd, env)
+        with open(cwd / STDERR, "w") as stderr:
+            codes[label], _, wall, rss = _timed_call([*cli, *args, "--out", "."], cwd, env, stderr)
         timings[label] = {"wall_s": wall, "peak_rss_mb": rss}
         print(f"{label}: exit {codes[label]}  {wall:.3f} s  {rss:.1f} MB", flush=True)
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
@@ -281,7 +313,7 @@ def _report_files(root: Path):
     return {
         str(p.relative_to(root))
         for p in root.rglob("*")
-        if p.is_file() and p.suffix in (".json", ".csv")
+        if p.is_file() and (p.suffix in (".json", ".csv") or p.name == STDERR)
         and not p.name.endswith("-manifest.json") and p != root / TIMINGS
     }
 
@@ -292,13 +324,19 @@ def compare_dirs(dir_a, dir_b, rtol=1e-12, atol=0.0, ignore=()):
     Returns a dict with ``numbers`` (path, a, b, absolute and relative
     difference, ignored?) for every pair of numbers out of tolerance, sorted
     worst first by relative difference; ``changes`` (path, a, b) for every
-    other differing leaf, verdicts and exit codes included; and ``missing``,
+    other differing leaf, verdicts and exit codes included, and every differing
+    standard error; and ``missing``,
     the files found on one side only.
     """
     dir_a, dir_b = Path(dir_a), Path(dir_b)
     files_a, files_b = _report_files(dir_a), _report_files(dir_b)
     numbers, changes = [], []
     for name in sorted(files_a & files_b):
+        if Path(name).name == STDERR:
+            a, b = (d.joinpath(name).read_text() for d in (dir_a, dir_b))
+            if a != b:
+                changes.append((name, a, b))
+            continue
         leaves = []
         _walk(_load(dir_a / name), _load(dir_b / name), name, (), leaves)
         for path, keys, a, b in leaves:
@@ -335,7 +373,7 @@ def _print(result):
     for path, a, b, diff, rel, ignored in numbers[:WORST_SHOWN]:
         tag = " (ignored)" if ignored else ""
         print(f"  {path}: {a!r} -> {b!r}  abs {diff:.3g}  rel {rel:.3g}{tag}")
-    print(f"{len(result['changes'])} other changes (verdicts, exit codes, strings)")
+    print(f"{len(result['changes'])} other changes (verdicts, exit codes, strings, stderr)")
     for path, a, b in result["changes"]:
         print(f"  {path}: {a!r} -> {b!r}")
     print(f"{len(result['missing'])} files on one side only")
