@@ -5,23 +5,27 @@ Randers metrics, Riemannian ones (W = 0) among them, invert it in closed
 form through the Zermelo co-metric F*(w) = |w|_h* + w(W) (Bao-Robles-Shen),
 so their gradients cost no iteration. Only custom norms use the damped
 Newton: the Jacobian of L in v is exactly g_v (the Cartan correction term
-dies against the reference vector), a symmetric positive-definite system. One core (`_gradient`) gives
-v, F, h^-1 df and df with every check, on plain floats for a closed form:
-`finsler_gradient` wraps it, and the f-segment flow and probe rays read it.
+dies against the reference vector), a symmetric positive-definite system.
+One core (`_gradient`) gives v, F, h^-1 df and df with every check. For a
+closed form it runs on plain floats: it takes the point as a tuple or an
+array, reads df as the tuple an expression's differential returns, and hands
+v, h^-1 df and df back as tuples. In 2-D the f-segment flow so makes no numpy
+call; other dimensions solve h by numpy's Cholesky factor, as the spray stage
+does. `finsler_gradient` wraps the core in vectors, and the probe rays read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import numdiff
 from .errors import CriticalPoint, NoConvergence, NotCritical, ZeroVector
 from .expressions import VARIABLES, compile_expression, compile_rows
-from .metrics import Covector, Metric, RandersMetric, TangentVector, attached
+from .metrics import Covector, Metric, RandersMetric, TangentVector, _floats, attached
 
 # band below which a differential counts as critical for gradient solves
 GRADIENT_CRITICAL_NORM = 1e-12
@@ -33,10 +37,15 @@ NEWTON_BUDGET = 50
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Scalar function with evaluation and derivative oracles, and optional row forms."""
+    """Scalar function with evaluation and derivative oracles, and optional row forms.
+
+    ``value`` and ``differential`` take a point as an array or a tuple of floats; the
+    differential is a sequence of floats, the tuple of the generated function for a field
+    built from an expression.
+    """
 
     value: Callable[[np.ndarray], float]
-    differential: Callable[[np.ndarray], np.ndarray]
+    differential: Callable[[np.ndarray], Sequence[float]]
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     value_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     differential_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -49,14 +58,11 @@ class ScalarField:
         grad_fn = compile_expression(grads, dim)
         hess_fn = compile_expression([g.diff(VARIABLES[j]) for g in grads for j in range(dim)], dim)
 
-        def differential(p):
-            return np.array(grad_fn(p))
-
         def hessian(p):
             H = np.array(hess_fn(p)).reshape(dim, dim)
             return 0.5 * (H + H.T)
 
-        return cls(value=value, differential=differential, hessian=hessian,
+        return cls(value=value, differential=grad_fn, hessian=hessian,
                    value_rows=compile_rows(expr, dim), differential_rows=compile_rows(grads, dim))
 
 
@@ -78,7 +84,7 @@ def _legendre_inverse(metric, x, w):
     """L(v) = w; returns (v, iterations), 0 iterations for a closed form."""
     closed = metric.legendre_inverse(x, w)
     if closed is not None:
-        return closed[0], 0
+        return np.array(closed[0]), 0
     return _newton_inverse(metric, x, w)
 
 
@@ -130,23 +136,28 @@ def legendre_inverse(metric: Metric, omega: Covector) -> TangentVector:
 
 def _gradient(metric: Metric, field: ScalarField, p):
     """(v, F(v), h^-1 df or None after Newton, Newton iterations, df) of the gradient at p,
-    checked as the `TangentVector`s of a `GradientResult` would check them."""
-    p = np.asarray(p, dtype=float)
-    df = np.asarray(field.differential(p), dtype=float)
+    checked as the `TangentVector`s of a `GradientResult` would check them.
+
+    p is an array or a tuple of floats, handed to ``field.differential`` as it is given;
+    v, h^-1 df and df are tuples of floats.
+    """
+    df = _floats(field.differential(p))
+    x = _floats(p)
     # hypot is within an ulp of |df|, numpy's norm a few: numpy's decides near the band
-    if (math.hypot(*df.ravel().tolist()) < 2.0 * GRADIENT_CRITICAL_NORM
+    if (math.hypot(*df) < 2.0 * GRADIENT_CRITICAL_NORM
             and float(np.linalg.norm(df)) < GRADIENT_CRITICAL_NORM):
-        raise CriticalPoint(f"|df| = {np.linalg.norm(df)} below {GRADIENT_CRITICAL_NORM} at {p}")
-    closed = metric.legendre_inverse(p, df)
+        raise CriticalPoint(f"|df| = {np.linalg.norm(df)} below {GRADIENT_CRITICAL_NORM} "
+                            f"at {np.asarray(p, dtype=float)}")
+    closed = metric.legendre_inverse(x, df)
     if closed is None:
         # _legendre_inverse is the one entry to Newton; perfbench counts iterations there
-        v, iterations = _legendre_inverse(metric, p, df)
-        attached(p, v)
-        return v, metric.norm(p, v), None, iterations, df
+        x = np.array(x)
+        v, iterations = _legendre_inverse(metric, x, np.array(df))
+        attached(x, v)
+        return tuple(v.tolist()), metric.norm(x, v), None, iterations, df
     v, norm, hw = closed
     # what `attached` checks of (p, hw) and (p, v), on plain floats; it runs only to raise
-    if not (p.shape == v.shape == hw.shape == (metric.dim,)
-            and all(map(math.isfinite, p.tolist() + hw.tolist() + v.tolist()))):
+    if not (len(x) == len(v) == len(hw) == metric.dim and all(map(math.isfinite, (*x, *hw, *v)))):
         attached(p, hw), attached(p, v)
     return v, norm, hw, 0, df
 
@@ -171,6 +182,7 @@ def check_randers_gradient_lemma(metric: RandersMetric, field: ScalarField, p):
         raise TypeError("gradient lemma applies to Randers metrics only")
     p = np.asarray(p, dtype=float)
     grad, zn, riem, _, df = _gradient(metric, field, p)
+    grad, riem, df = np.array(grad), np.array(riem), np.array(df)
     H, W = metric.h_matrix(p), metric.wind_at(p)
     riem_norm = float(np.sqrt(riem @ H @ riem))
     lhs = (riem_norm / zn) * (grad - zn * W)
@@ -188,7 +200,7 @@ def hessian_along_gradient(metric: Metric, field: ScalarField, p):
     taken in the gradient direction itself.
     """
     p = np.asarray(p, dtype=float)
-    u = _gradient(metric, field, p)[0]
+    u = np.array(_gradient(metric, field, p)[0])
     unorm = float(np.linalg.norm(u))
     direction = u / unorm
 

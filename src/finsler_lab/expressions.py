@@ -597,12 +597,13 @@ def _generate(nodes, dim, rows=False):
 
 
 def _kernel(name, params, lines, **names):
-    """The function ``name(params)`` with the body lines, over the math, numpy and error names."""
+    """The function ``name(params)`` with the body lines, over the math and error names and
+    ``names``."""
     # imported here, not at the top: metrics imports this module
     from .metrics import _not_positive_definite, _solve_spd, _strong_wind
 
     namespace = {f"_{key}": fn for key, fn in _MATH.items()} | dict(
-        _fpow=math.pow, _array=np.array, _asarray=np.asarray, _ZeroVector=ZeroVector,
+        _fpow=math.pow, _ZeroVector=ZeroVector,
         _DimensionMismatch=DimensionMismatch, _solve_spd=_solve_spd, _strong_wind=_strong_wind,
         _not_positive_definite=_not_positive_definite) | names
     body = "".join(f"    {s}\n" for s in lines)
@@ -732,8 +733,9 @@ def zermelo_inverse(n, columns=False):
     """The closed-form Legendre inverse of dimension n, generated once and cached.
 
     ``inverse(x, w, zermelo) -> (v, F*(w), h^-1 w)`` takes the point x (named in errors), the
-    covector w and the flat (h, W) at x, h row-major; v = F*(w) (h^-1 w / |w|_h* + W). It refuses
-    a strong wind, a w of another shape, an h not positive definite and w = 0, in this order.
+    covector w as a sequence of floats and the flat (h, W) at x, h row-major, and returns v and
+    h^-1 w as tuples of floats; v = F*(w) (h^-1 w / |w|_h* + W). It refuses a strong wind, a w
+    of another length, an h not positive definite and w = 0, in this order.
     With ``columns`` (2-D only), ``co_norms(w, zermelo)`` runs the same lines on the columns of
     (k, 2) covectors and (k, 6) flat (h, W) rows: F*(w) at each row, or None if one is refused.
     """
@@ -745,20 +747,19 @@ def zermelo_inverse(n, columns=False):
     total = functools.partial(_dot, start="0.0 + ")
     v = "".join(f"F * ({a[i]} / dual + {W[i]}), " for i in N)
     covector = [f"{', '.join(r)}, = w.T"] if columns else [
-        "w = _asarray(w, dtype=float)", f"if w.shape != ({n},):",
-        f"    raise _DimensionMismatch(f'covector shape {{w.shape}} != metric dimension {n}')",
-        f"{', '.join(r)}, = w.tolist()"]
+        f"if len(w) != {n}:",
+        f"    raise _DimensionMismatch(f'covector shape ({{len(w)}},) != metric dimension {n}')",
+        f"{', '.join(r)}, = w"]
     lines = [f"{', '.join([*sum(h, []), *W])}, = zermelo{'.T' * columns}",
              # h(W, W) as metrics._zermelo_data sums it, through the entries of h W
              f"s = {total(W, [total(row, W) for row in h])}",
              *_refuse("_strong_wind(s, x)", bad=f"s >= {1.0 - WIND_NORM_MARGIN!r}",
                       columns=columns),
              *covector, *_solve(h, r, columns), *[f"{', '.join(a)}, = a.tolist()"] * (n != 2),
-             *["a = _array((a0, a1))"] * (n == 2 and not columns),
              f"dual2 = {total(r, a)}",
              *_refuse("_ZeroVector('Legendre inverse undefined for the zero covector')",
                       bad="dual2 <= 0.0", columns=columns),
              "dual = _sqrt(dual2)", f"F = dual + {total(r, W)}",
-             "return F" if columns else f"return _array(({v})), F, a"]
+             "return F" if columns else f"return ({v}), F, ({', '.join(a)},)"]
     name, params = ("co_norms", "w, zermelo") if columns else ("zermelo_inverse", "x, w, zermelo")
     return _kernel(name, params, lines, _sqrt=np.sqrt if columns else math.sqrt)

@@ -243,11 +243,13 @@ def _cone_rays(metric: Metric, field: ScalarField, p):
     no norm; otherwise it is the Newton preimage of -df over its norm.
     """
     v, norm, hw, _, df = _gradient(metric, field, p)
-    forward = v / norm
+    df = np.array(df)
+    forward = np.array(v) / norm
     if hw is None:
         w, _ = _legendre_inverse(metric, p, -df)
         backward = w / metric.norm(p, w)
     else:
+        hw = np.array(hw)
         backward = forward - 2.0 * hw / math.sqrt(float(df @ hw))
     return df, forward, backward
 

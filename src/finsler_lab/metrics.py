@@ -140,7 +140,8 @@ class Metric:
         raise NotImplementedError
 
     def legendre_inverse(self, x, w):
-        """(v, F(v), h^-1 w) with L(v) = w in closed form; None without one."""
+        """(v, F(v), h^-1 w) with L(v) = w in closed form, v and h^-1 w as tuples of floats;
+        None without one."""
         return None
 
     def reverse(self) -> "Metric":
@@ -323,9 +324,14 @@ class RandersMetric(Metric):
         return self._stage(x, y, self._fields(x))
 
     def legendre_inverse(self, x, w):
-        """Closed form from the co-metric F*(w) = |w|_h* + w(W) (Bao-Robles-Shen)."""
-        x = self._check_point(x)
-        return self._inverse(x, w, self._zermelo(x))
+        """Closed form from the co-metric F*(w) = |w|_h* + w(W) (Bao-Robles-Shen).
+
+        x and w are arrays or tuples of n floats; v and h^-1 w are tuples.
+        """
+        x = _floats(x)
+        if len(x) != self.dim:
+            raise DimensionMismatch(f"point dimension {len(x)} != metric dimension {self.dim}")
+        return self._inverse(x, _covector(w, self.dim), self._zermelo(x))
 
 
 class RiemannianMetric(RandersMetric):
@@ -404,8 +410,11 @@ class ReverseMetric(Metric):
 
     def legendre_inverse(self, x, w):
         # L^-(v) = -L(-v), so v = -L^-1(-w) with F^-(v) = F(-v)
-        closed = self.inner.legendre_inverse(x, -np.asarray(w, dtype=float))
-        return None if closed is None else (-closed[0], closed[1], -closed[2])
+        closed = self.inner.legendre_inverse(x, tuple(-c for c in _covector(w, self.dim)))
+        if closed is None:
+            return None
+        v, F, hw = closed
+        return tuple(-c for c in v), F, tuple(-c for c in hw)
 
     def reverse(self):
         return self.inner
@@ -526,6 +535,17 @@ def _zermelo_data(H, W, x):
 def _floats(v):
     """The coordinates of v as a tuple of floats; a tuple is taken as it is."""
     return v if type(v) is tuple else tuple(np.asarray(v, dtype=float).ravel().tolist())
+
+
+def _covector(w, n):
+    """The covector w as a tuple of floats. A tuple is taken as it is; an array must have one
+    axis, else it is refused with the message of the Legendre kernel for another length."""
+    if type(w) is tuple:
+        return w
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1:
+        raise DimensionMismatch(f"covector shape {w.shape} != metric dimension {n}")
+    return tuple(w.tolist())
 
 
 def _strong_wind(s, x):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .calculus import ScalarField
 from .domains import BoxDomain, DiscDomain, Domain
-from .errors import ParseError, ValidationError
+from .errors import LevelNotFound, ParseError, ValidationError
 from .expressions import VARIABLES, Const, Expr, compile_expression, compile_rows, parse_expression
 from .metrics import Metric, RandersMetric, RiemannianMetric, _rows_of
 
@@ -633,6 +633,8 @@ def _build_disc_radial() -> Scenario:
         return (2.0 * math.sqrt(t) + 2.0 * t) ** 2
 
     def level_param(c, s):
+        if c < 0.0:
+            raise LevelNotFound(f"level {c} lies outside [0, inf), the range of f = x^2 + y^2")
         ang = 2.0 * math.pi * s
         r = math.sqrt(c)
         return r * np.array([math.cos(ang), math.sin(ang)])
@@ -653,6 +655,8 @@ def _build_disc_radial() -> Scenario:
 
 def _build_sphere_height() -> Scenario:
     def level_param(c, s):
+        if not -1.0 <= c <= 1.0:
+            raise LevelNotFound(f"level {c} lies outside [-1, 1], the range of f = cos(x)")
         return np.array([math.acos(c), 2.0 * math.pi * s])
 
     def cap_level_param_north(c, s):

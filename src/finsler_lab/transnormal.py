@@ -12,6 +12,7 @@ pieces, `quad`) and the gradient-direction Hessian identity (half b' b).
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -47,7 +48,6 @@ from .geodesics import (
     _initial_step,
     _locate,
     integrate_geodesic,
-    spray_coefficients,
 )
 from .metrics import Metric, RiemannianMetric, TangentVector, _rows_of
 
@@ -422,7 +422,7 @@ def trace_f_segment(
     The flow x' = +-grad f / F(grad f) is marched on x by the adaptive
     Dormand-Prince 5(4) step loop of the level march
     (`geodesics._accepted_steps`), at the same error control, reading v and F
-    from the gradient core that `finsler_gradient` wraps; ``step`` is
+    as plain floats from the gradient core that `finsler_gradient` wraps; ``step`` is
     the resolution of a chart exit, as there. A level crossing or the
     ``f_stop`` point is located as the level march locates its crossing
     (`geodesics._locate`), and its velocity is the flow at the located
@@ -436,7 +436,9 @@ def trace_f_segment(
     checked a posteriori against the spray of that metric: at every recorded
     state, the acceleration is the second derivative of its step's
     continuous extension (`_acceleration`, on the one extension per step that
-    the locator reads too), compared with `spray_coefficients`.
+    the locator reads too), compared on floats with the acceleration of that
+    metric's spray stage (`Metric.geodesic_stage`). The residual is the
+    largest difference, NaN if any is not a number.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -447,7 +449,7 @@ def trace_f_segment(
 
     def flow(x):
         v, norm = _gradient(metric, field, x)[:2]
-        return tuple((sign * v / norm).tolist())
+        return tuple(sign * c / norm for c in v)
 
     start = np.asarray(start, dtype=float)
     if domain is not None and not domain.contains(start):
@@ -508,11 +510,11 @@ def trace_f_segment(
     )
     reparam = float(np.max(np.abs(speeds - 1.0)))
     # spray residual at every recorded state: the measured acceleration vs.
-    # the geodesic spray of the effective metric; a non-finite one stays so
-    geo_res = float(np.max([
-        np.max(np.abs(a - spray_coefficients(metric_eff, TangentVector(p, w))))
-        for p, w, a in zip(points_a, velocities_a, accelerations)
-    ]))
+    # the geodesic spray of the effective metric; a non-finite one stays so,
+    # which max alone would not keep (it passes over a NaN after the first entry)
+    gaps = [abs(c - s) for p, w, a in zip(points, velocities, accelerations)
+            for c, s in zip(a, metric_eff.geodesic_stage(p, w)[0])]
+    geo_res = math.nan if any(map(math.isnan, gaps)) else max(gaps)
     # f rises along a forward segment and falls along a backward one
     monotone = bool(np.all(sign * np.diff(values) > 0.0))
     return FSegment(

@@ -7,8 +7,11 @@ import pytest
 from scipy.optimize import brentq
 
 from finsler_lab import expressions, geodesics, scenarios, transnormal
-from finsler_lab.calculus import REGULAR_POINT_NORM, finsler_gradient
+from finsler_lab.calculus import (
+    GRADIENT_CRITICAL_NORM, REGULAR_POINT_NORM, _legendre_inverse, finsler_gradient,
+)
 from finsler_lab.errors import (
+    CriticalPoint,
     DimensionMismatch,
     EmptySample,
     EvalError,
@@ -25,6 +28,7 @@ from finsler_lab.geodesics import (
     GeodesicTrajectory,
     geodesic_at_times,
     orthogonality_defect,
+    spray_coefficients,
     tangent_basis_from_differential,
 )
 from finsler_lab.expressions import (
@@ -33,7 +37,7 @@ from finsler_lab.expressions import (
 from finsler_lab.foliation import LEVEL_PROJECTION_TOL, _newton_project, build_cylinder
 from finsler_lab.metrics import (
     RandersMetric, TangentVector, _fd_derivative, _not_positive_definite, _solve_spd,
-    _zermelo_data,
+    _zermelo_data, attached,
 )
 from finsler_lab.scenarios import (
     _VALIDATION_GRID,
@@ -973,6 +977,47 @@ def _zermelo_inverse(H, W, w, x):
 @pytest.fixture(scope="session")
 def zermelo_inverse():
     return _zermelo_inverse
+
+
+def _numpy_gradient(metric, field, p):
+    """Reference: the gradient core ``calculus._gradient`` on numpy arrays, as it ran before
+    the float core: (v, F, h^-1 df or None after Newton, Newton iterations, df), with v,
+    h^-1 df and df as arrays and the shape and finiteness checks of `attached` on them."""
+    p = np.asarray(p, dtype=float)
+    df = np.asarray(field.differential(p), dtype=float)
+    if (math.hypot(*df.ravel().tolist()) < 2.0 * GRADIENT_CRITICAL_NORM
+            and float(np.linalg.norm(df)) < GRADIENT_CRITICAL_NORM):
+        raise CriticalPoint(f"|df| = {np.linalg.norm(df)} below {GRADIENT_CRITICAL_NORM} at {p}")
+    closed = metric.legendre_inverse(p, df)
+    if closed is None:
+        v, iterations = _legendre_inverse(metric, p, df)
+        attached(p, v)
+        return v, metric.norm(p, v), None, iterations, df
+    v, norm, hw = np.array(closed[0]), closed[1], np.array(closed[2])
+    if not (p.shape == v.shape == hw.shape == (metric.dim,)
+            and all(map(math.isfinite, p.tolist() + hw.tolist() + v.tolist()))):
+        attached(p, hw), attached(p, v)
+    return v, norm, hw, 0, df
+
+
+@pytest.fixture(scope="session")
+def numpy_gradient():
+    return _numpy_gradient
+
+
+def _numpy_spray_residual(metric, points, velocities, accelerations):
+    """Reference: an f-segment's spray residual in numpy, as ``trace_f_segment`` took it: the
+    largest |a - spray| over the recorded states, by `spray_coefficients` of a
+    `TangentVector` at each, NaN if one is NaN."""
+    return float(np.max([
+        np.max(np.abs(np.asarray(a) - spray_coefficients(metric, TangentVector(p, w))))
+        for p, w, a in zip(points, velocities, accelerations)
+    ]))
+
+
+@pytest.fixture(scope="session")
+def numpy_spray_residual():
+    return _numpy_spray_residual
 
 
 def _exp_map(metric, v, step=DEFAULT_STEP, domain=None):

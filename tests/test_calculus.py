@@ -15,18 +15,22 @@ from finsler_lab.calculus import (
     legendre_inverse,
 )
 from finsler_lab.errors import (
-    CriticalPoint, DimensionMismatch, EvalError, NoConvergence, NotCritical, SingularTensor,
-    ZeroVector,
+    CriticalPoint, DimensionMismatch, EvalError, FinslerError, NoConvergence, NonConvexWind,
+    NotCritical, SingularTensor, ZeroVector,
 )
 from finsler_lab.expressions import parse_expression
 from finsler_lab.metrics import (
     Covector,
     CustomMetric,
     RandersMetric,
+    ReverseMetric,
     RiemannianMetric,
     TangentVector,
     euclidean_metric,
 )
+from finsler_lab.scenarios import build_chart, parse_scenario
+from test_compare_reports import compare_reports
+from test_geodesics import _locator_charts
 
 P03 = np.array([0.3, 0.0])
 
@@ -159,6 +163,70 @@ def test_gradient_defining_property(disc_scenario, paraboloid, rng):
             assert abs(lhs - rhs) <= 1e-8 * (1.0 + np.linalg.norm(df))
 
 
+def _core_outcome(call):
+    """The bytes of (v, h^-1 df, df, F) and the iterations of a gradient core, or the type
+    and message of its error."""
+    try:
+        v, F, hw, iterations, df = call()
+    except FinslerError as exc:
+        return type(exc), str(exc)
+    return (*(None if a is None else np.array(a).tobytes() for a in (v, hw, df)),
+            np.float64(F).tobytes(), iterations)
+
+
+def test_float_gradient_core_is_the_numpy_core_bitwise(
+    disc_scenario, paraboloid, numpy_gradient, randers_from_callables
+):
+    # the float core against its numpy form at grid points of every chart of the locator
+    # tests (the built-in charts, the 1-D line and the 3-D tube) and of the Riemannian
+    # band, for each metric, its reverse and the reverse wrapper, with the point as an
+    # array and as the flow's tuple; a custom norm's Newton solve; and the errors at the
+    # disc centre, at the wind margin, of an undefined df and of two non-finite ones
+    riemannian = build_chart(parse_scenario(compare_reports.RIEMANNIAN_BAND_TEXT))
+    assert riemannian.metric.kind == "riemannian"
+    disc = disc_scenario.chart
+    custom = CustomMetric(lambda x, y: disc.metric.norm(x, y), 2)
+    cases = [(m, chart.field, p)
+             for chart in (*_locator_charts(), riemannian)
+             for m in (chart.metric, chart.metric.reverse(), ReverseMetric(chart.metric))
+             for p in chart.domain.sample_grid(4)]
+    cases += [(m, disc.field, p) for m in (custom, custom.reverse())
+              for p in disc.domain.sample_grid(3)]
+    edge = randers_from_callables(lambda x: np.diag([1.0 - 1e-6, 1.0]),
+                                  lambda x: np.array([1.0, 0.0]), 2)
+    errors = [
+        (disc.field, np.zeros(2), CriticalPoint, "below 1e-12 at [0. 0.]"),
+        (paraboloid, P03, NonConvexWind, "wind too strong"),
+        (ScalarField.from_expression(parse_expression("sqrt(x) + y"), 2), np.array([-0.5, 0.1]),
+         EvalError, "cannot evaluate"),
+        (ScalarField.from_expression(parse_expression("1e300 * x^2 + y"), 2),
+         np.array([1e10, 0.1]), EvalError, "non-finite value"),
+        (ScalarField(lambda p: 0.0, lambda p: np.array([np.inf, 0.0])), P03,
+         DimensionMismatch, "[inf nan]"),
+    ]
+    for field, p, error, text in errors:
+        metric = edge if error is NonConvexWind else disc.metric
+        cases += [(m, field, p) for m in (metric, metric.reverse())]
+    raised, newton = set(), 0
+    for metric, field, p in cases:
+        expected = _core_outcome(lambda: numpy_gradient(metric, field, p))
+        for point in (p, tuple(p.tolist())):
+            got = _core_outcome(lambda: _gradient(metric, field, point))
+            assert got == expected, (metric.kind, p)
+        if isinstance(got[0], bytes):
+            v, _, hw, iterations, df = _gradient(metric, field, tuple(p.tolist()))
+            assert type(v) is type(df) is tuple and (iterations > 0) == (hw is None)
+            newton += iterations > 0
+        else:
+            raised.add(got[0])
+    assert raised == {error for *_, error, _ in errors}
+    for field, p, error, text in errors:
+        metric = edge if error is NonConvexWind else disc.metric
+        got = _core_outcome(lambda: _gradient(metric, field, p))
+        assert got[0] is error and text in got[1]
+    assert newton > 0
+
+
 def test_gradient_critical_point(paraboloid):
     with pytest.raises(CriticalPoint):
         finsler_gradient(euclidean_metric(2), paraboloid, np.zeros(2))
@@ -173,7 +241,7 @@ def test_gradient_core_is_what_the_gradient_result_holds(disc_scenario, parabolo
     p = np.array([0.3, -0.2])
     for metric in (chart.metric, chart.metric.reverse(), euclidean_metric(2), custom):
         v, F, hw, iterations, df = _gradient(metric, paraboloid, p)
-        assert df.tobytes() == paraboloid.differential(p).tobytes()
+        assert np.array(df).tobytes() == np.array(paraboloid.differential(p)).tobytes()
         res = finsler_gradient(metric, paraboloid, p)
         assert np.array_equal(v, res.gradient.vector) and F == res.finsler_norm
         assert iterations == res.newton_iterations and (iterations > 0) == (metric is custom)

@@ -389,6 +389,26 @@ def test_overflowing_gradient_exits_three_without_warnings(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("argv, level, where", [
+    (["verify-distance", "--from", "-1", "--to", "0.16"], "-1.0", "disc"),
+    (["verify-distance", "--from=-0.01", "--to", "0.16"], "-0.01", "disc"),
+    (["check-parallel", "--from", "-1", "--to", "0.16"], "-1.0", "disc"),
+    (["check-partition", "--levels=-1,0.16"], "-1.0", "disc"),
+    (["verify-distance", "--from", "0.2", "--to", "3"], "1.0444444444444443", "band"),
+])
+def test_level_outside_a_parametrization_exits_three(tmp_path, capsys, argv, level, where):
+    # a level where sqrt or acos of the built-in parametrization has no value is not
+    # found, where it was an untyped math domain error with exit 1; the distance grid's
+    # first level past 1 is the one named on the sphere
+    verb, *options = argv
+    example = "disc-radial" if where == "disc" else "randers-sphere-height"
+    assert run(tmp_path, verb, "--example", example, *options) == 3
+    ranges = {"disc": "[0, inf), the range of f = x^2 + y^2",
+              "band": "[-1, 1], the range of f = cos(x)"}
+    assert capsys.readouterr().err == (
+        f"numerical failure: LevelNotFound: level {level} lies outside {ranges[where]}\n")
+
+
 @pytest.mark.parametrize("cap, error", [
     ("north-cap", "LevelNotFound: parametrized level 0.0 lies outside the domain"),
     ("south-cap", "EmptySample: no level-set points found in [0.0, 0.999999]"),

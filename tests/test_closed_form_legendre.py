@@ -130,7 +130,7 @@ def test_closed_form_on_random_zermelo_data(n, seed, wind, randers_from_callable
         assert legendre_residual(m, x, v, w) <= 5e-14 / (1.0 - wind)
     # the gradient solves the Zermelo equation h(v/F - W, v/F - W) = 1
     v, F, _ = metric.legendre_inverse(x, w)
-    u = v / F - W
+    u = np.array(v) / F - W
     assert float(u @ h0 @ u) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -406,7 +406,7 @@ def _outcome(call):
         v, F, hw = call()
     except FinslerError as exc:
         return type(exc), str(exc)
-    return v.tobytes(), np.float64(F).tobytes(), hw.tobytes()
+    return np.array(v).tobytes(), np.float64(F).tobytes(), np.array(hw).tobytes()
 
 
 @given(

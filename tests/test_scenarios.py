@@ -6,7 +6,9 @@ import pytest
 from finsler_lab import expressions, numdiff, scenarios
 from finsler_lab.calculus import finsler_gradient
 from finsler_lab.domains import BoxDomain
-from finsler_lab.errors import EvalError, FinslerError, ParseError, ValidationError
+from finsler_lab.errors import EvalError, FinslerError, LevelNotFound, ParseError, ValidationError
+from finsler_lab.foliation import check_finsler_partition, check_parallel, level_points
+from finsler_lab.transnormal import verify_distance_formula
 from finsler_lab.scenarios import (
     MAX_COUNT,
     WIND_VALIDATION_LIMIT,
@@ -366,6 +368,44 @@ def test_known_profiles(disc_scenario, sphere_scenario, minkowski_scenario):
     assert disc_scenario.known_b(0.09) == pytest.approx(0.78**2)
     assert sphere_scenario.known_b(0.5) == pytest.approx(0.75)
     assert minkowski_scenario.known_b(1.7) == 1.0
+
+
+DISC_RANGE = "lies outside [0, inf), the range of f = x^2 + y^2"
+BAND_RANGE = "lies outside [-1, 1], the range of f = cos(x)"
+
+
+def test_level_outside_a_parametrization_is_not_found(disc_scenario, sphere_scenario):
+    # sqrt and acos have no value there: the built-in parametrizations refuse the level,
+    # naming it and the range, where they raised an untyped math domain error
+    disc, band = disc_scenario.chart, sphere_scenario.charts["band"]
+    disc_param = disc_scenario.level_parametrization()
+    band_param = sphere_scenario.level_parametrization("band")
+    on_disc = dict(domain=disc.domain, level_parametrization=disc_param)
+    calls = [
+        (lambda: level_points(disc.field, -1.0, disc.domain, 4, disc_param),
+         f"level -1.0 {DISC_RANGE}"),
+        (lambda: level_points(disc.field, [0.16, -0.01], disc.domain, 4, disc_param),
+         f"level -0.01 {DISC_RANGE}"),
+        (lambda: verify_distance_formula(disc.metric, disc.field, -1.0, 0.16, **on_disc),
+         f"level -1.0 {DISC_RANGE}"),
+        (lambda: verify_distance_formula(disc.metric, disc.field, -0.01, 0.16, **on_disc),
+         f"level -0.01 {DISC_RANGE}"),
+        (lambda: check_parallel(disc.metric, disc.field, -1.0, 0.16, "forward", 3, disc.domain,
+                                disc_param), f"level -1.0 {DISC_RANGE}"),
+        (lambda: check_finsler_partition(disc.metric, disc.field, [-1.0, 0.16], 3, disc.domain,
+                                         disc_param), f"level -1.0 {DISC_RANGE}"),
+        (lambda: verify_distance_formula(band.metric, band.field, 0.2, 3.0, domain=band.domain,
+                                         level_parametrization=band_param), BAND_RANGE),
+        (lambda: level_points(band.field, -3.0, band.domain, 4, band_param),
+         f"level -3.0 {BAND_RANGE}"),
+    ]
+    for call, message in calls:
+        with pytest.raises(LevelNotFound) as err:
+            call()
+        assert message in str(err.value)
+    # the ends of the ranges are levels
+    assert len(level_points(disc.field, 0.0, disc.domain, 4, disc_param)) == 4
+    assert band_param(1.0, 0.0).tolist() == [0.0, 0.0]
 
 
 def test_level_parametrizations_live_on_levels(disc_scenario, minkowski_scenario, sphere_scenario):

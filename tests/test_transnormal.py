@@ -37,6 +37,8 @@ from finsler_lab.transnormal import (
 )
 
 from test_cli import TUBE_TEXT
+from test_compare_reports import compare_reports
+from test_geodesics import _locator_charts
 
 LN125 = math.log(1.25)
 
@@ -411,11 +413,66 @@ def test_segment_flow_matches_the_gradient_result_flow(disc_scenario, monkeypatc
         args = (metric, chart.field, start, direction)
         with monkeypatch.context() as patch:
             if metric is custom:  # a custom norm has no spray to check the segment against
-                patch.setattr(transnormal, "spray_coefficients", lambda m, v: np.zeros(2))
+                patch.setattr(custom, "geodesic_stage", lambda x, y: ((0.0, 0.0), 1.0))
             seg = trace_f_segment(*args, domain=chart.domain, **options)
             patch.setattr(transnormal, "_gradient", from_result)
             reference = trace_f_segment(*args, domain=chart.domain, **options)
         assert _segment_bits(seg) == _segment_bits(reference), (metric.kind, direction)
+
+
+def test_float_flow_is_the_numpy_core_flow(
+    disc_scenario, monkeypatch, numpy_gradient, numpy_spray_residual
+):
+    # every chart of the locator tests, the Riemannian band and a custom norm's Newton
+    # solve, forward and backward, through a recorded level to a stop: the segment bit
+    # for bit with the numpy flow sign * v / F on the numpy gradient core, and its spray
+    # residual the numpy one of spray_coefficients at the accelerations it measured
+    riemannian = build_chart(parse_scenario(compare_reports.RIEMANNIAN_BAND_TEXT))
+    disc = disc_scenario.chart
+    custom = CustomMetric(lambda x, y: disc.metric.norm(x, y), 2)
+    cases = [(c.metric, c.field, c.domain) for c in (*_locator_charts(), riemannian)]
+    cases.append((custom, disc.field, disc.domain))
+    second = transnormal._acceleration
+
+    def numpy_flow(sign):
+        # the numpy flow times the sign, as a gradient of norm 1: the flow's
+        # sign * c / 1.0 hands on the numpy flow exactly
+        def core(metric, field, x):
+            v, F = numpy_gradient(metric, field, x)[:2]
+            return sign * (sign * v / F), 1.0
+        return core
+
+    for metric, field, domain in cases:
+        grid = domain.sample_grid(5)
+        start = grid[len(grid) // 3]
+        for direction in ("forward", "backward"):
+            accelerations = []
+
+            def recorded(ext, s, h):
+                accelerations.append(second(ext, s, h))
+                return accelerations[-1]
+
+            with monkeypatch.context() as patch:
+                if metric is custom:  # a custom norm has no spray to check the segment against
+                    patch.setattr(custom, "geodesic_stage", lambda x, y: ((0.0, 0.0), 1.0))
+                args = (metric, field, start, direction)
+                probe = trace_f_segment(*args, domain=domain, t_max=0.05)
+                values = [field.value(x) for x in probe.trajectory.points]
+                assert len(values) >= 3
+                options = dict(domain=domain, record_levels=[0.5 * (values[1] + values[2])],
+                               f_stop=0.5 * (values[-2] + values[-1]), t_max=0.05)
+                patch.setattr(transnormal, "_acceleration", recorded)
+                seg = trace_f_segment(*args, **options)
+                patch.setattr(transnormal, "_acceleration", second)
+                patch.setattr(transnormal, "_gradient",
+                              numpy_flow(1.0 if direction == "forward" else -1.0))
+                reference = trace_f_segment(*args, **options)
+            assert len(seg.level_crossings) == 1
+            assert _segment_bits(seg) == _segment_bits(reference), (metric.kind, direction)
+            if metric is not custom:
+                traj = seg.trajectory
+                assert seg.geodesic_residual == numpy_spray_residual(
+                    traj.metric, traj.points, traj.velocities, accelerations)
 
 
 def test_backward_segment_matches_the_randers_override(

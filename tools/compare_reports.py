@@ -209,6 +209,11 @@ EXTRA_CALLS = (
     # a time budget whose square underflows to 0
     ("trace-segment-disc-tiny-budget", ["trace-segment", "--example", "disc-radial",
                                         "--start=0.3,0", "--t-max", "1e-200"]),
+    # levels where the built-in parametrization has no point: exit 3, naming the level
+    ("verify-distance-disc-negative", ["verify-distance", "--example", "disc-radial",
+                                       "--from", "-1", "--to", "0.16"]),
+    ("verify-distance-sphere-past-pole", ["verify-distance", "--example",
+                                          "randers-sphere-height", "--from", "0.2", "--to", "3"]),
 )
 
 
