@@ -210,9 +210,7 @@ def _check_transnormal(args, scenario, emitter):
     emitter.write_csv("b-table", ("f_value", "b_median", "spread"), rows)
     data = report.to_dict()
     if scenario.known_b is not None:
-        levels = [lvl for lvl, _ in report.b_table]
-        fitted = report.b_fit.at(levels).tolist()
-        worst = max(abs(b - scenario.known_b(lvl)) for lvl, b in zip(levels, fitted))
+        worst = max(abs(b - scenario.known_b(lvl)) for lvl, b, _ in rows)
         data["known_profile"] = scenario.known_b_label
         data["max_known_profile_defect"] = worst
     defects = {"spread_per_level": report.spread_per_level, "tolerance": args.tol}

@@ -10,7 +10,6 @@ normalized g_v pairings measured at located level crossings.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import List, Optional, Tuple
 
@@ -134,8 +133,8 @@ def level_points(
 ) -> np.ndarray:
     """Up to n points of the domain with |f - c| <= 1e-10, as an (m, dim) array.
 
-    ``c`` is a level, or a sequence of levels read in order, where a level without
-    points is skipped (alone, it raises ``LevelNotFound``). Built-in scenarios
+    ``c`` is a level, or a sequence of levels read in order; the first level without
+    a point raises ``LevelNotFound``, after the errors of the read. Built-in scenarios
     supply an analytic parametrization, sampled at s = i/n on all levels at once:
     the domain test and then f, read at the points inside only, take one row call
     each, and only the Newton projections of points off their level run one by
@@ -152,10 +151,9 @@ def _level_rows(field, c, domain, n, parametrization):
     cs: List[float] = []
     if parametrization is None and many:  # grid seeds are per level
         for level in c:
-            with suppress(LevelNotFound):
-                found = level_points(field, level, domain, n)
-                points.extend(found)
-                cs.extend([level] * len(found))
+            found = level_points(field, level, domain, n)
+            points.extend(found)
+            cs.extend([level] * len(found))
     elif parametrization is not None:
         failure = None
         try:
@@ -179,8 +177,10 @@ def _level_rows(field, c, domain, n, parametrization):
         if undefined is not None or failure is not None:
             raise undefined or failure
         points, cs = points[keep], cs[keep]
-        if not (len(points) or many):
-            raise LevelNotFound(f"parametrized level {c} lies outside the domain")
+        found = set(cs.tolist())
+        for level in c if many else [c]:
+            if level not in found:
+                raise LevelNotFound(f"parametrized level {level} lies outside the domain")
     else:
         per_axis = max(12, int(np.ceil(2.0 * np.sqrt(n))))
         grid = domain.sample_grid(per_axis)
@@ -315,8 +315,9 @@ def check_parallel(
     if c == d:
         raise ValidationError(f"parallelism needs two distinct levels, got {c} twice")
     lo, hi = (c, d) if c < d else (d, c)
-    points = level_points(field, lo if direction == "forward" else hi, domain, probes,
-                          level_parametrization)
+    # both levels are read before any march, so a target with no point is refused
+    points, at = _level_rows(field, (lo, hi), domain, probes, level_parametrization)
+    points = points[at == (lo if direction == "forward" else hi)]
     return _probe_report(metric, field, points, c, d, direction, domain, step, tolerance, t_max)
 
 
@@ -437,14 +438,9 @@ def check_finsler_partition(
         if lo == hi:
             raise ValidationError(f"level {lo} is repeated: adjacent levels must differ")
     _check_dimension(metric)
-    # the source points of every level in one read; a level without any raises
-    # as its own read does, when a probe loop first needs it
+    # the source points of every level in one read, before any march; a level
+    # without any raises as its own read does
     points, at = _level_rows(field, levels, domain, probes, level_parametrization)
-
-    def source_points(level):
-        rows = points[at == level]
-        return rows if len(rows) else level_points(field, level, domain, probes,
-                                                    level_parametrization)
 
     forward_reports: List[ParallelismReport] = []
     backward_reports: List[ParallelismReport] = []
@@ -452,7 +448,7 @@ def check_finsler_partition(
     for lo, hi in zip(levels[:-1], levels[1:]):
         for direction, reports in (("forward", forward_reports), ("backward", backward_reports)):
             report = _probe_report(
-                metric, field, source_points(lo if direction == "forward" else hi), lo, hi,
+                metric, field, points[at == (lo if direction == "forward" else hi)], lo, hi,
                 direction, domain, step, tolerance, t_max,
             )
             cylinder_defects.append(

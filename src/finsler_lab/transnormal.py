@@ -1,12 +1,13 @@
 """Transnormality checks, f-segments, distance formula, Hessian identities.
 
 A function f is transnormal when F(grad f)^2 depends on position only
-through f; the checker bins samples of F(grad f)^2 by f-value, measures the
-within-level spread, and fits the one-variable profile b by monotone
-piecewise-cubic (PCHIP) interpolation of the bin medians (`BFit`). The
-fitted profile closes the loop for the distance formula (integral of
-1/sqrt(b) between levels, by a fixed Gauss-Legendre rule over the fit's
-pieces, `quad`) and the gradient-direction Hessian identity (half b' b).
+through f; the checker bins samples of F(grad f)^2 by f-value and measures
+the within-level spread. The profile b of an analytic f is analytic between
+critical values: the distance formula (integral of 1/sqrt(b) between levels)
+reads b on Chebyshev-Lobatto levels, interpolates it by Chebyshev series
+(`BFit`, `level_grid_b_report`) and integrates by one Gauss-Legendre rule
+(`quad`), in s with t = t* +- s^2 next to a simple zero t* of b. The same fit
+gives the gradient-direction Hessian identity (half b' b).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     NoCriticalPoint,
     ValidationError,
 )
-from .foliation import level_points
+from .foliation import _level_rows, level_points
 from .geodesics import (
     CrossingEvent,
     GeodesicTrajectory,
@@ -53,9 +54,10 @@ from .metrics import Metric, RiemannianMetric, TangentVector, _rows_of
 
 B_CRITICAL_THRESHOLD = 1e-10
 NEAR_CRITICAL_B = 1e-3
+# how far inside a critical level the flows of the distance formula start or stop
 CRITICAL_GUARD = 1e-6
-# uniform levels, and points per level, of the profile's level grid
-GRID_LEVELS = 64
+# Chebyshev-Lobatto levels of a piece of the profile, and points per level
+GRID_LEVELS = 25
 GRID_PROBES_PER_LEVEL = 3
 # Hessian eigenvalues at most this are a kernel; offset of the transversal
 # profile probes, relative to 1 + |p|
@@ -65,120 +67,73 @@ MORSE_PROBE_EPS = 1e-5
 
 @dataclass(frozen=True, eq=False)
 class BFit:
-    """Monotone piecewise-cubic (PCHIP) interpolant of the transnormality profile.
+    """Chebyshev interpolant of the transnormality profile b on the levels it was read on.
 
-    The cubic Hermite interpolant of the table with the derivatives of
-    Fritsch and Carlson's monotone scheme (`_pchip_slopes`), held as power
-    coefficients per piece and extended by the end pieces beyond the nodes:
-    ``scipy.interpolate.PchipInterpolator`` with ``extrapolate=True``, value
-    for value and derivative for derivative. A one-node table is the constant
-    on a unit piece around its node.
+    Each piece is a `np.polynomial.Chebyshev` series through its levels: of b in t,
+    or, next to a simple zero t* of b, of g = b / s^2 in s, t = t* + side s^2 (side
+    +1 where t* lies below the piece). Two pieces meet at ``split``, the lower one
+    taking it.
     """
 
-    nodes: np.ndarray
-    values: np.ndarray
-    # ends of the pieces, and per piece the coefficients of s^3, s^2, s, 1 in
-    # the offset s from its left end
-    _breaks: np.ndarray
-    _coeffs: np.ndarray
+    nodes: np.ndarray  # the levels read, rising
+    values: np.ndarray  # b on them
+    pieces: Tuple[Tuple[np.polynomial.Chebyshev, float, float], ...]  # (series, t*, side)
+    split: float = math.inf
 
     @classmethod
     def from_table(cls, nodes, values):
-        nodes = np.asarray(nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if not (np.isfinite(nodes).all() and np.isfinite(values).all()):  # F(grad f)^2 overflowed
-            raise EvalError("profile table holds a non-finite level or value of b = F(grad f)^2")
-        if nodes.size == 1:
-            # degenerate single-level table: constant profile
-            breaks, ys = np.array([nodes[0] - 0.5, nodes[0] + 0.5]), np.repeat(values, 2)
-        else:
-            breaks, ys = nodes, values
-        coeffs = _hermite_coefficients(breaks, ys, _pchip_slopes(breaks, ys))
-        return cls(nodes=nodes, values=values, _breaks=breaks, _coeffs=coeffs)
+        """The one-piece fit in t through b at the levels ``nodes``."""
+        nodes, values = _finite(nodes, values)
+        return cls(nodes, values, ((np.polynomial.Chebyshev.fit(nodes, values, len(nodes) - 1),
+                                    0.0, 0.0),))
 
     def __call__(self, t):
         return float(self.at(t))
 
     def at(self, ts):
         """Fit values on an array of levels, in one call."""
-        return _power_sum(self._breaks, self._coeffs, ts)
+        return self._each(ts, False)
 
     def derivative(self, t):
         return float(self.slopes(t))
 
     def slopes(self, ts):
         """Fit derivatives on an array of levels, in one call."""
-        return _power_sum(self._breaks, self._coeffs[:3] * _DERIVATIVE_FACTORS, ts)
+        return self._each(ts, True)
+
+    def _each(self, ts, slope):
+        ts = np.asarray(ts, dtype=float)
+        out = []
+        for series, t_star, side in self.pieces:
+            if not side:
+                out.append(series.deriv()(ts) if slope else series(ts))
+                continue
+            s = _s_of(ts, t_star, side)
+            # b = s^2 g(s), and db/dt = (db/ds) / (dt/ds) = side (g + s g' / 2)
+            out.append(side * (series(s) + 0.5 * s * series.deriv()(s)) if slope
+                       else s * s * series(s))
+        return np.where(ts <= self.split, out[0], out[-1])
 
 
-# d/ds of the s^3, s^2, s terms
-_DERIVATIVE_FACTORS = np.array([3.0, 2.0, 1.0])[:, None]
+def _finite(levels, values):
+    levels = np.asarray(levels, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if not (np.isfinite(levels).all() and np.isfinite(values).all()):  # F(grad f)^2 overflowed
+        raise EvalError("profile table holds a non-finite level or value of b = F(grad f)^2")
+    return levels, values
 
 
-def _pchip_slopes(x, y):
-    """Fritsch-Carlson derivatives at the nodes, as scipy's PCHIP takes them.
-
-    Inside, 0 where the adjacent secants differ in sign or one is 0, else
-    their weighted harmonic mean; at each end the one-sided three-point
-    estimate, set to 0 where its sign is not the end secant's and to 3 times
-    that secant where the first two secants differ in sign and it is
-    larger. Two nodes take their secant at both.
-    """
-    hk = x[1:] - x[:-1]
-    mk = (y[1:] - y[:-1]) / hk
-    if y.size == 2:
-        return np.array([mk[0], mk[0]])
-    smk = np.sign(mk)
-    condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-    w1 = 2 * hk[1:] + hk[:-1]
-    w2 = hk[1:] + 2 * hk[:-1]
-    # a secant of 0 divides by zero only where the condition sets 0; a tiny one
-    # overflows to an infinite mean, whose reciprocal 0 is scipy's value too
-    with np.errstate(all="ignore"):
-        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
-        inner = np.where(condition, 0.0, 1.0 / whmean)
-    ends = [_pchip_end(hk[0], hk[1], mk[0], mk[1]), _pchip_end(hk[-1], hk[-2], mk[-1], mk[-2])]
-    return np.concatenate(([ends[0]], inner, [ends[1]]))
+def _s_of(ts, t_star, side):
+    """s >= 0 with t = t_star + side s^2; 0 past t_star."""
+    return np.sqrt(np.maximum(side * (np.asarray(ts, dtype=float) - t_star), 0.0))
 
 
-def _pchip_end(h0, h1, m0, m1):
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _hermite_coefficients(x, y, dydx):
-    """(4, pieces) power coefficients of the cubic Hermite interpolant, as
-    ``scipy.interpolate.CubicHermiteSpline`` forms them."""
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    return np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
-
-
-def _power_sum(breaks, coeffs, ts):
-    """The piecewise polynomial at ts, the end pieces extended beyond the breaks.
-
-    A piece's terms are summed from the constant up, each power of the offset
-    s a running product, as ``scipy.interpolate.PPoly`` evaluates them (not
-    by Horner's rule, which rounds differently). The last break belongs to
-    the last piece.
-    """
-    ts = np.asarray(ts, dtype=float)
-    # the piece: how many inner breaks lie at or below t
-    i = np.searchsorted(breaks[1:-1], ts, side="right")
-    s = ts - breaks[i]
-    c = coeffs[:, i]
-    res, z = 0.0 + c[-1], s
-    with np.errstate(all="ignore"):  # far out, as scipy's loop, to inf or nan without a warning
-        for k in range(coeffs.shape[0] - 2, -1, -1):
-            res = res + c[k] * z
-            if k:
-                z = z * s
-    return res
+def _lobatto(lo, hi, n=GRID_LEVELS):
+    """n Chebyshev-Lobatto points of [lo, hi], rising, with the ends and the middle exact."""
+    x = np.sin(np.pi * np.arange(1 - n, n, 2) / (2 * (n - 1)))
+    u = (lo + hi) / 2 + (hi - lo) / 2 * x
+    u[0], u[-1] = lo, hi
+    return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,12 +141,11 @@ class TransnormalityReport:
     sample_count: int
     b_table: List[Tuple[float, List[float]]]
     spread_per_level: float
-    b_fit: BFit
     tolerance: float
     verdict: bool
 
     def to_dict(self):
-        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "b_fit"}
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["b_table"] = [{"level": lvl, "values": list(vals)} for lvl, vals in self.b_table]
         return data
 
@@ -304,17 +258,47 @@ def check_transnormal(
     field: ScalarField,
     points,
     tolerance: float = 1e-6,
-    bin_width: Optional[float] = None,
 ) -> TransnormalityReport:
     """Bin F(grad f)^2 by f-value and measure the within-level spread.
 
-    The points take one differential each, and those with |df| >= REGULAR_POINT_NORM
-    one closed-form co-norm call (`Metric.co_norms`), b = F*(df)^2 = F(grad f)^2;
-    custom norms take `finsler_gradient` (Newton). Samples sorted by (f, b) fall
-    into bins of ``bin_width`` from the smallest f; a bin's level is its median f,
-    its spread the range of its b, and the fit runs through the bin medians of b.
+    Samples sorted by (f, b) (`_sampled_b`) fall into bins of width
+    max(1e-3, range of f / 200) from the smallest f; a bin's level is its
+    median f, its spread the range of its b.
     """
-    # a pass stops at its first failing point; that error waits for later passes over earlier points
+    _, ts, bs = _sampled_b(metric, field, points)
+    order = np.lexsort((bs, ts))
+    ts, bs = ts[order], bs[order]
+    t_range = float(ts[-1] - ts[0])
+    bin_width = max(1e-3, t_range / 200.0) if t_range > 0 else 1e-3
+    indices = np.floor((ts - ts[0]) / bin_width).astype(int)
+    # bins are contiguous runs of the sorted samples; sort b within each run. A
+    # run's median level is the mean of its two middle levels, one twice when odd
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(indices)) + 1))
+    ends = np.append(starts[1:], ts.size)
+    b_sorted = bs[np.lexsort((bs, indices))]
+    lo, hi = (starts + ends - 1) // 2, (starts + ends) // 2
+    levels = (ts[lo] + ts[hi]) / 2
+    _finite(levels, (b_sorted[lo] + b_sorted[hi]) / 2)  # the bin medians of b
+    with np.errstate(invalid="ignore"):  # inf - inf where b overflowed
+        max_spread = float(np.max(b_sorted[ends - 1] - b_sorted[starts]))
+    table = list(zip(levels.tolist(), (v.tolist() for v in np.split(bs, starts[1:]))))
+    return TransnormalityReport(
+        sample_count=ts.size,
+        b_table=table,
+        spread_per_level=max_spread,
+        tolerance=tolerance,
+        verdict=bool(max_spread <= tolerance),
+    )
+
+
+def _sampled_b(metric: Metric, field: ScalarField, points):
+    """(regular, ts, bs): which points have |df| >= REGULAR_POINT_NORM, and f and
+    b = F(grad f)^2 at those.
+
+    One differential per point, and one closed-form co-norm call for the regular
+    ones (`Metric.co_norms`), b = F*(df)^2, or `finsler_gradient` (Newton) for custom
+    norms. A failing read raises as a loop over the points would.
+    """
     points = np.asarray(points, dtype=float)
     (dfs,), error = _rows_of(points, (field.differential, (metric.dim,)),
                              rows=field.differential_rows)
@@ -332,34 +316,7 @@ def check_transnormal(
           else [v**2 for v in b[: ts.size].tolist()])
     if error is not None:
         raise error
-    order = np.lexsort((bs, ts))
-    ts, bs = ts[order], np.array(bs)[order]
-    t_range = float(ts[-1] - ts[0])
-    if bin_width is None:
-        bin_width = max(1e-3, t_range / 200.0) if t_range > 0 else 1e-3
-    indices = np.floor((ts - ts[0]) / bin_width).astype(int)
-    # bins are contiguous runs of the sorted samples; sort b within each run. A
-    # run's median is the mean of its two middle elements, one twice when odd
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(indices)) + 1))
-    ends = np.append(starts[1:], ts.size)
-    b_sorted = bs[np.lexsort((bs, indices))]
-    lo, hi = (starts + ends - 1) // 2, (starts + ends) // 2
-    levels = (ts[lo] + ts[hi]) / 2
-    medians = (b_sorted[lo] + b_sorted[hi]) / 2
-    with np.errstate(invalid="ignore"):  # inf - inf where b overflowed; the fit refuses it
-        max_spread = float(np.max(b_sorted[ends - 1] - b_sorted[starts]))
-    table = list(zip(levels.tolist(), (v.tolist() for v in np.split(bs, starts[1:]))))
-    # defensive dedupe: PCHIP needs strictly increasing nodes
-    keep = np.concatenate(([True], np.diff(levels) > 1e-12))
-    fit = BFit.from_table(levels[keep], medians[keep])
-    return TransnormalityReport(
-        sample_count=ts.size,
-        b_table=table,
-        spread_per_level=max_spread,
-        b_fit=fit,
-        tolerance=tolerance,
-        verdict=bool(max_spread <= tolerance),
-    )
+    return regular, ts, np.array(bs)
 
 
 def level_grid_b_report(
@@ -369,25 +326,86 @@ def level_grid_b_report(
     c: float,
     d: float,
     parametrization=None,
-) -> TransnormalityReport:
-    """Transnormality report with b sampled on a level grid spanning [c, d].
+) -> BFit:
+    """The profile b between levels c < d, read on Chebyshev-Lobatto levels.
 
-    The grid is GRID_LEVELS uniform levels plus a geometric ladder of 12
-    levels toward each endpoint (at span / 4^k from it), so the fitted profile
-    stays accurate where 1/sqrt(b) develops its integrable singularity. One
-    `level_points` call takes GRID_PROBES_PER_LEVEL points on each level found;
-    they go to `check_transnormal` with bins of span / (8 GRID_LEVELS).
+    b is read on GRID_LEVELS Lobatto levels of [c, d], ends included (`_level_b`).
+    An end is critical where b is at most B_CRITICAL_THRESHOLD (t* is the end), and
+    near-critical where b is below NEAR_CRITICAL_B and the fit falls outward (t* is
+    the linear zero of b there). The piece next to such an end, all of [c, d] or the
+    half up to the midpoint, is read again on the Lobatto levels of s, t = t* +- s^2
+    (`_end_piece`): the fit's first and last nodes are the flows' ends. An inner
+    level read, or a point of the fit more than 5% of the span inside (of 511 uniform
+    ones), where b is at most B_CRITICAL_THRESHOLD raises ``IntervalContainsCriticalValue``.
     """
-    levels = set(np.linspace(c, d, GRID_LEVELS))
-    span = d - c
-    for k in range(1, 13):
-        levels.add(c + span * 0.25**k)
-        levels.add(d - span * 0.25**k)
-    points = level_points(field, sorted(levels), domain, GRID_PROBES_PER_LEVEL,
-                          parametrization=parametrization)
-    if not len(points):
-        raise EmptySample(f"no level-set points found in [{c}, {d}]")
-    return check_transnormal(metric, field, points, bin_width=max(1e-9, span / (8.0 * GRID_LEVELS)))
+    if not c < d:
+        raise ValueError("need c < d")
+    read = (metric, field, domain, parametrization)
+    levels = _lobatto(c, d)
+    b = _level_b(*read, levels)
+    _refuse_critical(levels[1:-1], b[1:-1], c, d)
+    fit = BFit.from_table(levels, b)
+    lower, upper = _zero(fit, c, b[0], -1.0), _zero(fit, d, b[-1], 1.0)
+    if lower is not None or upper is not None:
+        both = lower is not None and upper is not None
+        mid = c + (d - c) / 2
+        ends = [(lower, 1.0, c, mid if both else d), (upper, -1.0, d, mid if both else c)]
+        pieces = [_end_piece(*read, *end, c, d) for end in ends if end[0] is not None]
+        nodes, values, series = zip(*pieces)
+        fit = BFit(np.concatenate(nodes), np.concatenate(values), series,
+                   mid if both else math.inf)
+    # the fit more than 5% of the span inside; at its nodes it is the b read
+    scan = np.linspace(fit.nodes[0], fit.nodes[-1], 513)[26:-26]
+    _refuse_critical(scan, fit.at(scan), c, d)
+    return fit
+
+
+def _level_b(metric, field, domain, parametrization, levels):
+    """b on each level: the median over its GRID_PROBES_PER_LEVEL points (`_level_rows`,
+    where a level without a point raises ``LevelNotFound``) with |df| >=
+    REGULAR_POINT_NORM, and 0 on a level with none."""
+    points, at = _level_rows(field, levels, domain, GRID_PROBES_PER_LEVEL, parametrization)
+    regular, _, bs = _sampled_b(metric, field, points)
+    per_level = {level: [] for level in levels.tolist()}
+    for level, value in zip(at[regular].tolist(), bs.tolist()):
+        per_level[level].append(value)
+    # a median is the mean of the two middle values, one twice when odd
+    return np.array([(vs[(len(vs) - 1) // 2] + vs[len(vs) // 2]) / 2 if vs else 0.0
+                     for vs in map(sorted, per_level.values())])
+
+
+def _refuse_critical(levels, b, c, d):
+    """``IntervalContainsCriticalValue`` at the first level where b (read or fitted)
+    is at most B_CRITICAL_THRESHOLD."""
+    critical = levels[b <= B_CRITICAL_THRESHOLD]
+    if critical.size:
+        raise IntervalContainsCriticalValue(
+            f"b = F(grad f)^2 vanishes at t = {critical[0]} inside ({c}, {d})")
+
+
+def _zero(fit: BFit, e: float, b_end: float, outward: float):
+    """The zero t* of b at the end e of the levels (``outward`` +1 at the upper end,
+    -1 at the lower), or None where e is neither critical nor near-critical."""
+    if b_end <= B_CRITICAL_THRESHOLD:
+        return e
+    fall = -outward * fit.derivative(e)
+    if b_end >= NEAR_CRITICAL_B or fall <= 0.0:
+        return None
+    return e + outward * (b_end / fall)
+
+
+def _end_piece(metric, field, domain, parametrization, t_star, side, e, far, c, d):
+    """(levels rising, b, (series, t_star, side)) of the fit in s, t = t_star + side s^2,
+    from the end e of [c, d], or CRITICAL_GUARD inside t_star where e lies closer, to far."""
+    near = e if side * (e - t_star) >= CRITICAL_GUARD else t_star + side * CRITICAL_GUARD
+    s = _lobatto(math.sqrt(side * (near - t_star)), math.sqrt(side * (far - t_star)))
+    levels = t_star + side * s * s
+    levels[0], levels[-1] = near, far
+    levels, b = _finite(levels, _level_b(metric, field, domain, parametrization, levels))
+    _refuse_critical(levels[1:], b[1:], c, d)
+    s = _s_of(levels, t_star, side)  # of the levels as read
+    series = np.polynomial.Chebyshev.fit(s, b / (s * s), len(s) - 1)
+    return levels[::int(side)], b[::int(side)], (series, t_star, side)
 
 
 # ---------------------------------------------------------------------------
@@ -527,33 +545,8 @@ def trace_f_segment(
 # distance formula
 
 
-def _guard(fit: BFit, e: float, guard: float, near_b: float, side: float):
-    """(e_eff, tail): the end e of [c, d] kept guard inside a near-critical level.
-
-    ``side`` is +1 at the upper end d and -1 at the lower end c. Where b(e) <
-    near_b and b falls toward the outside, its linear zero t_star past e is
-    taken as the critical level: e moves to at least guard inside it, and the
-    tail 2 sqrt(gap / |b'|) stands for the distance from e_eff to t_star.
-    """
-    b_end = max(fit(e), 0.0)
-    if b_end >= near_b:
-        return e, 0.0
-    fall = -side * fit.derivative(e)
-    if fall <= 0.0:
-        return e, 0.0
-    t_star = e + side * (b_end / fall)
-    e_eff = side * min(side * e, side * t_star - guard)
-    gap = side * (t_star - e_eff)
-    slope_eff = abs(fit.derivative(e_eff))
-    tail = 2.0 * np.sqrt(gap / slope_eff) if slope_eff > 0 else 0.0
-    return e_eff, float(tail)
-
-
-# Gauss-Legendre points per quadrature cell, and the ratio of the geometric
-# cells toward a near-critical end, and their count
-QUAD_POINTS = 24
-QUAD_GRADING = 0.25
-QUAD_GRADED_CELLS = 20
+# Gauss-Legendre points of the profile quadrature
+QUAD_POINTS = 64
 
 
 @functools.cache
@@ -564,55 +557,22 @@ def _gauss_legendre():
 
 
 def quad(fit: BFit, c: float, d: float) -> float:
-    """The integral of 1/sqrt(b) over [c, d], b the profile fit floored at B_CRITICAL_THRESHOLD.
+    """The integral of 1/sqrt(b) over [c, d], b the profile fit.
 
-    One fixed rule over the pieces of the fit that [c, d] meets. A piece
-    [a, e] is split at its midpoint m, and each half takes QUAD_POINTS
-    Gauss-Legendre points in u with t = a + (m - a) u^2 (and its mirror from
-    e), which clusters them at the piece's ends. Where the linear zero of b
-    lies less than one piece length outside a piece's end, as at a guarded
-    near-critical end of [c, d] and on the pieces before it, 1/sqrt(b) is
-    close to its square-root singularity there: that piece is cut into cells
-    that shrink geometrically toward the end (`_geometric_cells`), each short
-    against its distance to the singularity.
+    QUAD_POINTS Gauss-Legendre points on each piece [c, d] meets, in its variable:
+    dt / sqrt(b) in t, and 2 ds / sqrt(g) in s (dt = 2 s ds, b = s^2 g), smooth up
+    to a simple zero of b. The series is floored at B_CRITICAL_THRESHOLD.
     """
-    u, w = _gauss_legendre()
-    breaks = np.concatenate(([c], fit.nodes[(fit.nodes > c) & (fit.nodes < d)], [d]))
-    b, slope = fit.at(breaks), fit.slopes(breaks)
-    span = np.diff(breaks)
-    # b falls toward the outside of the piece and its linear zero is within a span
-    graded_lo = (slope[:-1] > 0.0) & (b[:-1] < slope[:-1] * span)
-    graded_hi = (slope[1:] < 0.0) & (b[1:] < -slope[1:] * span)
-    cells = []
-    for piece in zip(breaks[:-1].tolist(), breaks[1:].tolist(), graded_lo, graded_hi):
-        cells += _piece_cells(*piece)
-    origin, length, squared = (np.array(v)[:, None] for v in zip(*cells))
-    # t = origin + length u (or u^2), and |dt/du|
-    t = origin + length * np.where(squared, u * u, u)
-    jacobian = np.abs(length) * np.where(squared, 2.0 * u, 1.0)
-    values = 1.0 / np.sqrt(np.maximum(fit.at(t), B_CRITICAL_THRESHOLD))
-    return float(np.sum(w * jacobian * values))
-
-
-def _piece_cells(lo, hi, graded_lo, graded_hi):
-    """(origin, signed length, squared?) of the quadrature cells of the piece [lo, hi]."""
-    m = lo + (hi - lo) / 2
-    if graded_lo and graded_hi:
-        return _geometric_cells(lo, m - lo) + _geometric_cells(hi, m - hi)
-    if graded_lo:
-        return _geometric_cells(lo, hi - lo)
-    if graded_hi:
-        return _geometric_cells(hi, lo - hi)
-    return [(lo, m - lo, True), (hi, m - hi, True)]
-
-
-def _geometric_cells(end, span):
-    """Cells from end + span toward end, each QUAD_GRADING times the one before,
-    QUAD_GRADED_CELLS of them and then the rest up to the end."""
-    q = (QUAD_GRADING ** np.arange(QUAD_GRADED_CELLS + 1)).tolist()
-    cells = [(end + span * q[k + 1], span * (q[k] - q[k + 1]), False)
-             for k in range(QUAD_GRADED_CELLS)]
-    return cells + [(end, span * q[-1], False)]
+    x, w = _gauss_legendre()
+    total = 0.0
+    for (series, t_star, side), lo, hi in zip(fit.pieces, (c, max(c, fit.split)),
+                                              (min(d, fit.split), d)):
+        if not lo < hi:
+            continue
+        u_lo, u_hi = _s_of([lo, hi], t_star, side).tolist() if side else (lo, hi)
+        values = np.maximum(series(u_lo + (u_hi - u_lo) * x), B_CRITICAL_THRESHOLD)
+        total += (2.0 if side else 1.0) * abs(u_hi - u_lo) * float(np.sum(w / np.sqrt(values)))
+    return total
 
 
 def verify_distance_formula(
@@ -622,42 +582,32 @@ def verify_distance_formula(
     d: float,
     probes: int = 8,
     domain: Optional[Domain] = None,
-    b_report: Optional[TransnormalityReport] = None,
     level_parametrization=None,
     step: float = 1e-3,
     t_max: float = 10.0,
 ) -> DistanceCheck:
     """Compare min gradient-segment arc length with the profile quadrature.
 
-    Both sides receive the same square-root tail correction when an
-    endpoint sits inside the near-critical band, so the reported values
-    approximate the limiting distance to the critical level while the
-    defect stays a pure geodesic-vs-quadrature comparison.
+    Both levels are read first, so one with no point in the chart raises
+    ``LevelNotFound`` before any march. The flows run between the profile's
+    (`level_grid_b_report`) end nodes, c_effective and d_effective. At a critical or
+    near-critical end, the quadrature from the zero t* of b to that node is a tail
+    added to both sides: the values approximate the distance to the critical level,
+    and the defect stays a pure geodesic-vs-quadrature comparison.
     """
     if not c < d:
         raise ValueError("need c < d")
     if domain is None:
         raise ValueError("a chart domain is required")
-    if b_report is None:
-        b_report = level_grid_b_report(
-            metric, field, domain, c, d, parametrization=level_parametrization
-        )
-    fit = b_report.b_fit
+    ends, at = _level_rows(field, (c, d), domain, probes, level_parametrization)
+    fit = level_grid_b_report(metric, field, domain, c, d, parametrization=level_parametrization)
+    c_eff, d_eff = float(fit.nodes[0]), float(fit.nodes[-1])
+    (_, t_lower, side_lower), (_, t_upper, side_upper) = fit.pieces[0], fit.pieces[-1]
+    tail_lower = quad(fit, t_lower, c_eff) if side_lower > 0 else 0.0
+    tail_upper = quad(fit, d_eff, t_upper) if side_upper < 0 else 0.0
 
-    d_eff, tail_upper = _guard(fit, d, CRITICAL_GUARD, NEAR_CRITICAL_B, 1.0)
-    c_eff, tail_lower = _guard(fit, c, CRITICAL_GUARD, NEAR_CRITICAL_B, -1.0)
-    # interior critical values invalidate the formula outright; scan the fit
-    # plus its own nodes (where interpolation minima live)
-    margin = 0.05 * (d_eff - c_eff)
-    scan = np.concatenate((np.linspace(c_eff, d_eff, 513)[1:-1], fit.nodes))
-    critical = ((c_eff + margin < scan) & (scan < d_eff - margin)
-                & (fit.at(scan) <= B_CRITICAL_THRESHOLD))
-    if critical.any():
-        raise IntervalContainsCriticalValue(
-            f"fitted b vanishes near t = {scan[np.argmax(critical)]} inside ({c}, {d})"
-        )
-
-    source = level_points(field, c_eff, domain, probes, parametrization=level_parametrization)
+    source = (ends[at == c] if c_eff == c else
+              level_points(field, c_eff, domain, probes, parametrization=level_parametrization))
     lengths = []
     for p in source:
         seg = trace_f_segment(
@@ -675,8 +625,8 @@ def verify_distance_formula(
         defect=abs(geo - quadrature),
         c_requested=float(c),
         d_requested=float(d),
-        c_effective=float(c_eff),
-        d_effective=float(d_eff),
+        c_effective=c_eff,
+        d_effective=d_eff,
         tail_lower=tail_lower,
         tail_upper=tail_upper,
         per_probe_lengths=lengths,
@@ -742,22 +692,18 @@ def check_hessian_identity(
     metric: Metric,
     field: ScalarField,
     points,
-    b_report: Optional[TransnormalityReport] = None,
     domain: Optional[Domain] = None,
     tolerance: float = 1e-3,
 ) -> HessianIdentityReport:
-    """Normalized defect of Hess f(grad f, grad f) = (1/2) b'(f) b(f)."""
+    """Normalized defect of Hess f(grad f, grad f) = (1/2) b'(f) b(f), b the profile
+    between the points' smallest and largest f (`level_grid_b_report`)."""
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise EmptySample("no sample points for the Hessian identity")
-    if b_report is None:
-        ts = [field.value(p) for p in pts]
-        if domain is None:
-            raise ValueError("need a domain or a precomputed profile report")
-        b_report = level_grid_b_report(
-            metric, field, domain, float(np.min(ts)), float(np.max(ts))
-        )
-    fit = b_report.b_fit
+    if domain is None:
+        raise ValueError("need a domain to read the profile on")
+    ts = [field.value(p) for p in pts]
+    fit = level_grid_b_report(metric, field, domain, float(np.min(ts)), float(np.max(ts)))
     samples = []
     max_defect = 0.0
     for p in pts:

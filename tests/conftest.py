@@ -45,7 +45,7 @@ from finsler_lab.scenarios import (
     build_domain,
     load_example,
 )
-from finsler_lab.transnormal import BFit, TransnormalityReport, pointwise_b
+from finsler_lab.transnormal import TransnormalityReport, pointwise_b
 
 
 @pytest.fixture(scope="session")
@@ -621,9 +621,8 @@ def bisected_flow_crossing():
     return _bisected_flow_crossing
 
 
-def _pointwise_check_transnormal(
-    metric, field, points, tolerance=1e-6, bin_width=None, threshold=REGULAR_POINT_NORM
-):
+def _pointwise_check_transnormal(metric, field, points, tolerance=1e-6,
+                                 threshold=REGULAR_POINT_NORM):
     """Reference: the per-point transnormality check the array binning replaced.
 
     b from a full `finsler_gradient` per point (`pointwise_b`), samples
@@ -641,8 +640,7 @@ def _pointwise_check_transnormal(
     ts = np.array([s[0] for s in samples])
     bs = np.array([s[1] for s in samples])
     t_range = float(ts[-1] - ts[0])
-    if bin_width is None:
-        bin_width = max(1e-3, t_range / 200.0) if t_range > 0 else 1e-3
+    bin_width = max(1e-3, t_range / 200.0) if t_range > 0 else 1e-3
     indices = np.floor((ts - ts[0]) / bin_width).astype(int)
     table = []
     max_spread = 0.0
@@ -652,14 +650,10 @@ def _pointwise_check_transnormal(
         values = [float(v) for v in bs[mask]]
         table.append((level, values))
         max_spread = max(max_spread, max(values) - min(values))
-    nodes = np.array([lvl for lvl, _ in table])
-    medians = np.array([float(np.median(vals)) for _, vals in table])
-    keep = np.concatenate(([True], np.diff(nodes) > 1e-12))
     return TransnormalityReport(
         sample_count=len(samples),
         b_table=table,
         spread_per_level=float(max_spread),
-        b_fit=BFit.from_table(nodes[keep], medians[keep]),
         tolerance=tolerance,
         verdict=bool(max_spread <= tolerance),
     )
@@ -670,22 +664,28 @@ def pointwise_check_transnormal():
     return _pointwise_check_transnormal
 
 
-def _one_point_level_points(field, c, domain, n, parametrization):
-    """Reference: the one-point loop the parametrized `level_points` replaced.
+def _one_point_level_rows(field, c, domain, n, parametrization):
+    """Reference: the one-point loop the parametrized `level_points` replaced, with the
+    level of each point: (points, levels), one row each.
 
     Per level and point s = i/n, one domain test, then, at a point inside it, one
     read of f and a Newton projection when the point is off its level (dropped
-    where it fails). A sequence of levels is read level by level, as the profile
-    grid took it, a level without points skipped, into an (m, dim) array.
+    where it fails). A sequence of levels is read level by level into an (m, dim)
+    array; the first level without points raises ``LevelNotFound`` once all are read.
     """
     if np.ndim(c):
-        points = []
+        points, levels, missing = [], [], None
         for level in c:
             try:
-                points.extend(_one_point_level_points(field, level, domain, n, parametrization))
-            except LevelNotFound:
+                found, _ = _one_point_level_rows(field, level, domain, n, parametrization)
+            except LevelNotFound as exc:
+                missing = missing or exc
                 continue
-        return np.reshape(points, (-1, domain.dim))
+            points.extend(found)
+            levels.extend([level] * len(found))
+        if missing is not None:
+            raise missing
+        return np.reshape(points, (-1, domain.dim)), np.array(levels, dtype=float)
     points = []
     for i in range(n):
         s = i / n
@@ -699,12 +699,22 @@ def _one_point_level_points(field, c, domain, n, parametrization):
         points.append(p)
     if not points:
         raise LevelNotFound(f"parametrized level {c} lies outside the domain")
-    return np.array(points)
+    return np.array(points), np.full(len(points), float(c))
+
+
+def _one_point_level_points(field, c, domain, n, parametrization):
+    """The points of `_one_point_level_rows`."""
+    return _one_point_level_rows(field, c, domain, n, parametrization)[0]
 
 
 @pytest.fixture(scope="session")
 def one_point_level_points():
     return _one_point_level_points
+
+
+@pytest.fixture(scope="session")
+def one_point_level_rows():
+    return _one_point_level_rows
 
 
 def _pointwise_validate_config(config):

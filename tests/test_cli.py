@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from finsler_lab import expressions, scenarios
+from finsler_lab import expressions, foliation, scenarios, transnormal
 from finsler_lab.cli import build_parser, main
 from finsler_lab.geodesics import integrate_geodesic
 from finsler_lab.metrics import TangentVector
@@ -394,12 +394,13 @@ def test_overflowing_gradient_exits_three_without_warnings(tmp_path, capsys):
     (["verify-distance", "--from=-0.01", "--to", "0.16"], "-0.01", "disc"),
     (["check-parallel", "--from", "-1", "--to", "0.16"], "-1.0", "disc"),
     (["check-partition", "--levels=-1,0.16"], "-1.0", "disc"),
-    (["verify-distance", "--from", "0.2", "--to", "3"], "1.0444444444444443", "band"),
+    (["verify-distance", "--from", "0.2", "--to", "3"], "3.0", "band"),
+    (["check-parallel", "--from", "0.2", "--to", "1.5"], "1.5", "band"),
 ])
 def test_level_outside_a_parametrization_exits_three(tmp_path, capsys, argv, level, where):
     # a level where sqrt or acos of the built-in parametrization has no value is not
-    # found, where it was an untyped math domain error with exit 1; the distance grid's
-    # first level past 1 is the one named on the sphere
+    # found, where it was an untyped math domain error with exit 1; a requested level
+    # is read before the profile's grid, so it is the one named
     verb, *options = argv
     example = "disc-radial" if where == "disc" else "randers-sphere-height"
     assert run(tmp_path, verb, "--example", example, *options) == 3
@@ -411,14 +412,34 @@ def test_level_outside_a_parametrization_exits_three(tmp_path, capsys, argv, lev
 
 @pytest.mark.parametrize("cap, error", [
     ("north-cap", "LevelNotFound: parametrized level 0.0 lies outside the domain"),
-    ("south-cap", "EmptySample: no level-set points found in [0.0, 0.999999]"),
+    ("south-cap", "LevelNotFound: parametrized level 0.0 lies outside the domain"),
 ])
 def test_cap_distance_reads_f_inside_the_chart_only(tmp_path, capsys, cap, error):
     # the caps' default range starts at the equator, past their rim, where f is
-    # undefined: its points and the Newton iterates that leave the cap are dropped
+    # undefined: its points and the Newton iterates that leave the cap are dropped,
+    # and the requested level is not found
     assert run(tmp_path, "verify-distance", "--example", "randers-sphere-height",
                "--chart", cap) == 3
     assert capsys.readouterr().err == f"numerical failure: {error}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-parallel", "--from", "0.16", "--to", "1.5"],
+    ["check-parallel", "--from", "0.16", "--to", "1.5", "--direction", "backward"],
+    ["check-partition", "--levels=0.16,1.5"],
+    ["verify-distance", "--from", "0.04", "--to", "1.5"],
+])
+def test_level_past_the_chart_is_refused_before_any_march(tmp_path, capsys, monkeypatch, argv):
+    # level 1.5 lies in the range of f = x^2 + y^2 but past the disc's rim at 0.81
+    def march(*args, **kwargs):
+        raise AssertionError("marched toward a level with no point")
+
+    monkeypatch.setattr(foliation, "_probe_report", march)
+    monkeypatch.setattr(transnormal, "trace_f_segment", march)
+    verb, *options = argv
+    assert run(tmp_path, verb, "--example", "disc-radial", *options) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: LevelNotFound: parametrized level 1.5 lies outside the domain\n")
 
 
 @pytest.mark.parametrize("kind", ["riemannian", "randers"])

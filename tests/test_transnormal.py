@@ -54,8 +54,8 @@ def test_disc_transnormal_profile(disc_scenario):
     report = check_transnormal(chart.metric, chart.field, points)
     assert report.verdict
     assert report.spread_per_level <= 1e-6
-    for level, _values in report.b_table:
-        assert abs(report.b_fit(level) - disc_scenario.known_b(level)) <= 1e-6
+    for level, values in report.b_table:
+        assert abs(np.median(values) - disc_scenario.known_b(level)) <= 1e-6
 
 
 def test_disc_fd_fallback_profile(disc_scenario):
@@ -111,18 +111,34 @@ def test_non_transnormal_detected(linear_scenario, shear_metric):
 
 def _bits(report):
     """Everything the array binning must reproduce, as exact bit patterns."""
-    fit = report.b_fit
     return (
         report.sample_count,
         [(float.hex(lvl), [float.hex(v) for v in vals]) for lvl, vals in report.b_table],
         float.hex(report.spread_per_level),
         report.verdict,
-        fit.nodes.dtype, fit.nodes.tobytes(),
-        fit.values.dtype, fit.values.tobytes(),
     )
 
 
-def test_level_grid_profiles_match_pointwise_reference(pointwise_check_transnormal, monkeypatch):
+def _fit_bits(fit):
+    """A profile's levels, b on them, its series and their variables, as exact bit patterns."""
+    pieces = [(series.coef.tobytes(), float.hex(t_star), side) for series, t_star, side in fit.pieces]
+    return fit.nodes.tobytes(), fit.values.tobytes(), float.hex(fit.split), pieces
+
+
+def _pointwise_level_b(metric, field, domain, parametrization, levels):
+    """Reference: b on each level, the median of `pointwise_b` over the level's regular
+    points, read level by level, and 0 on a level with none."""
+    out = []
+    for level in levels:
+        points = level_points(field, level, domain, transnormal.GRID_PROBES_PER_LEVEL,
+                              parametrization)
+        bs = [pointwise_b(metric, field, p) for p in points
+              if np.linalg.norm(field.differential(p)) >= REGULAR_POINT_NORM]
+        out.append(float(np.median(bs)) if bs else 0.0)
+    return np.array(out)
+
+
+def test_level_grid_profiles_match_pointwise_reference(monkeypatch):
     # every built-in example's level grid over its distance range, and the
     # disc's from its critical centre, whose level-0 point has df = 0
     cases = [(name, load_example(name).distance_range) for name in list_examples()]
@@ -131,11 +147,11 @@ def test_level_grid_profiles_match_pointwise_reference(pointwise_check_transnorm
         chart = scenario.chart
         args = (chart.metric, chart.field, chart.domain, c, d)
         param = scenario.level_parametrization()
-        report = level_grid_b_report(*args, parametrization=param)
+        fit = level_grid_b_report(*args, parametrization=param)
         with monkeypatch.context() as patch:
-            patch.setattr(transnormal, "check_transnormal", pointwise_check_transnormal)
+            patch.setattr(transnormal, "_level_b", _pointwise_level_b)
             reference = level_grid_b_report(*args, parametrization=param)
-        assert _bits(report) == _bits(reference), name
+        assert _fit_bits(fit) == _fit_bits(reference), name
 
 
 def test_sampled_profiles_match_pointwise_reference(pointwise_check_transnormal):
@@ -277,9 +293,8 @@ def test_profile_in_dimensions_1_and_3(wind, expression):
     a = np.asarray(field.differential(np.zeros(dim)), dtype=float)
     co_norm = np.linalg.norm(a) + a @ np.array(wind)
     c, d = -0.2, 0.2
-    report = level_grid_b_report(metric, field, domain, c, d)
-    assert report.spread_per_level == 0.0
-    assert all(abs(v - co_norm**2) <= 1e-12 for _, vals in report.b_table for v in vals)
+    fit = level_grid_b_report(metric, field, domain, c, d)
+    assert np.max(np.abs(fit.values - co_norm**2)) <= 1e-12
     check = verify_distance_formula(metric, field, c, d, probes=4, domain=domain)
     assert abs(check.geodesic_distance - (d - c) / co_norm) <= 1e-10
     assert abs(check.quadrature_distance - (d - c) / co_norm) <= 1e-10
@@ -829,49 +844,58 @@ def test_minkowski_distance_formula(minkowski_scenario):
 
 
 def test_sphere_pole_distance(sphere_scenario):
+    # b = 1 - t^2 has its simple zero at the pole t = 1, 1e-6 past d: the tail from d
+    # to it is added to both sides, which then approximate the distance pi / 2
     band = sphere_scenario.charts["band"]
     check = verify_distance_formula(
         band.metric, band.field, 0.0, 1.0 - 1e-6, probes=4, domain=band.domain,
         level_parametrization=sphere_scenario.level_parametrization("band"),
     )
-    assert check.tail_upper > 0.0
-    assert check.geodesic_distance == pytest.approx(math.pi / 2, abs=1e-4)
-    assert check.quadrature_distance == pytest.approx(math.pi / 2, abs=1e-4)
+    assert check.tail_upper > 0.0 and check.tail_lower == 0.0
+    assert check.d_effective == 1.0 - 1e-6
+    assert check.geodesic_distance == pytest.approx(math.pi / 2, abs=1e-8)
+    assert check.quadrature_distance == pytest.approx(math.pi / 2, abs=1e-8)
+    assert check.defect <= 1e-7
 
 
-def _former_guard(fit, e, guard, near_b, upper):
-    """Reference: the separate upper and lower end guards that `_guard` merged."""
-    b_end = max(fit(e), 0.0)
-    if b_end >= near_b:
-        return e, 0.0
-    slope = fit.derivative(e)
-    if (slope >= 0.0) if upper else (slope <= 0.0):
-        return e, 0.0
-    if upper:
-        t_star = e + b_end / (-slope)
-        e_eff = min(e, t_star - guard)
-        gap = t_star - e_eff
-    else:
-        t_star = e - b_end / slope
-        e_eff = max(e, t_star + guard)
-        gap = e_eff - t_star
-    slope_eff = abs(fit.derivative(e_eff))
-    tail = 2.0 * np.sqrt(gap / slope_eff) if slope_eff > 0 else 0.0
-    return e_eff, float(tail)
+def _disc_distance(c, d):
+    """The closed form ln((1 + sqrt(d)) / (1 + sqrt(c))) of the disc's level distance."""
+    return math.log((1.0 + math.sqrt(d)) / (1.0 + math.sqrt(c)))
 
 
-def test_end_guard_matches_the_former_upper_and_lower_guards():
-    # b = 1 - t^2 on [-1, 1] vanishes at both ends; ends near them, in the
-    # middle and past them, with guards from below to above the gap
-    nodes = np.linspace(-1.0, 1.0, 41)
-    fit = transnormal.BFit.from_table(nodes, 1.0 - nodes**2)
-    near = [-1 + 1e-6, 1 - 1e-6, -1 - 1e-3, 1 + 1e-3]
-    ends = np.concatenate((np.linspace(-1.0, 1.0, 101), near))
-    for e in ends:
-        for guard in (0.0, 1e-9, 1e-6, 1e-3):
-            for side, upper in ((1.0, True), (-1.0, False)):
-                new = transnormal._guard(fit, float(e), guard, 1e-3, side)
-                assert new == _former_guard(fit, float(e), guard, 1e-3, upper)
+@pytest.mark.parametrize("c, d, bound", [
+    (0.04, 0.25, 1e-10),  # regular ends
+    (0.0, 0.04, 1e-9),  # the critical centre: flows from CRITICAL_GUARD out, plus the tail
+])
+def test_disc_distance_matches_the_closed_form(disc_scenario, c, d, bound):
+    chart = disc_scenario.chart
+    check = verify_distance_formula(
+        chart.metric, chart.field, c, d, probes=8, domain=chart.domain,
+        level_parametrization=disc_scenario.level_parametrization(),
+    )
+    assert check.defect <= bound
+    assert abs(check.geodesic_distance - _disc_distance(c, d)) <= 1e-8
+    assert abs(check.quadrature_distance - _disc_distance(c, d)) <= 1e-8
+    assert (check.tail_lower > 0.0) == (c == 0.0)
+
+
+@pytest.mark.parametrize("c, d, former_defect", [
+    (0.01, 0.64, 1.99e-5),
+    (1e-6, 0.25, 2.1e-4),
+    (1e-5, 0.04, 1.1e-5),
+    (1e-4, 0.04, 1.9e-6),
+])
+def test_disc_distance_near_the_centre_beats_the_piecewise_fit(disc_scenario, c, d,
+                                                               former_defect):
+    # b = 4 t (1 + sqrt(t))^2 is not analytic at the centre, which the fits in t
+    # and in s with t = t* + s^2 both see; still, each defect is a hundredth of the
+    # former piecewise-cubic fit's with its graded quadrature, at most
+    chart = disc_scenario.chart
+    check = verify_distance_formula(
+        chart.metric, chart.field, c, d, probes=8, domain=chart.domain,
+        level_parametrization=disc_scenario.level_parametrization(),
+    )
+    assert check.defect < former_defect / 100
 
 
 def test_distance_formula_on_level_grid(
@@ -887,16 +911,11 @@ def test_distance_formula_on_level_grid(
     for scenario, grid in cases:
         chart = scenario.chart
         param = scenario.level_parametrization()
-        report = level_grid_b_report(
-            chart.metric, chart.field, chart.domain,
-            float(grid[0]), float(grid[-1]), parametrization=param,
-        )
         for i, c in enumerate(grid):
             for d in grid[i + 1:]:
                 check = verify_distance_formula(
                     chart.metric, chart.field, float(c), float(d), probes=3,
-                    domain=chart.domain, b_report=report,
-                    level_parametrization=param, step=2e-3,
+                    domain=chart.domain, level_parametrization=param, step=2e-3,
                 )
                 assert check.defect <= 1e-4, (scenario.name, c, d, check.defect)
 
@@ -924,35 +943,33 @@ def _outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
     if isinstance(result, np.ndarray):
         return result.dtype, result.shape, result.tobytes()
-    return _bits(result)
+    return _fit_bits(result)
 
 
 def _grid_levels(c, d):
-    """The levels of `level_grid_b_report`'s grid over [c, d], in its order."""
-    span = d - c
-    ladder = [c + span * 0.25**k for k in range(1, 13)] + [d - span * 0.25**k for k in range(1, 13)]
-    return sorted(set(np.linspace(c, d, transnormal.GRID_LEVELS)) | set(ladder))
+    """The Lobatto levels of `level_grid_b_report`'s grid over [c, d], rising."""
+    return transnormal._lobatto(c, d).tolist()
 
 
 def _same_as_the_loop(reference, monkeypatch, metric, field, domain, c, d, param):
-    """Asserts the grid's points, some single levels and the report are the loop's;
-    returns the report's outcome."""
+    """Asserts the grid's points, some single levels and the profile are the loop's
+    (``reference``, of `_level_rows`); returns the profile's outcome."""
     n = transnormal.GRID_PROBES_PER_LEVEL
     levels = _grid_levels(c, d)
     for lvls in [levels] + levels[::7] + [levels[-1]]:
         fast = _outcome(level_points, field, lvls, domain, n, param)
-        assert fast == _outcome(reference, field, lvls, domain, n, param), lvls
+        assert fast == _outcome(lambda *a: reference(*a)[0], field, lvls, domain, n, param), lvls
     report = _outcome(level_grid_b_report, metric, field, domain, c, d, parametrization=param)
     with monkeypatch.context() as patch:
-        patch.setattr(transnormal, "level_points", reference)
+        patch.setattr(transnormal, "_level_rows", reference)
         expected = _outcome(level_grid_b_report, metric, field, domain, c, d, parametrization=param)
     assert report == expected
     return report
 
 
-def test_parametrized_level_grids_match_the_one_point_loop(one_point_level_points, monkeypatch):
+def test_parametrized_level_grids_match_the_one_point_loop(one_point_level_rows, monkeypatch):
     # every chart with a parametrization over its example's distance range
-    # (the caps' level 0 is the equator, past their rim, so it has no point)
+    # (the caps' level 0 is the equator, past their rim, so it is not found)
     # and the disc from its critical centre
     cases = []
     for name in list_examples():
@@ -967,17 +984,17 @@ def test_parametrized_level_grids_match_the_one_point_loop(one_point_level_point
     # circles 1e-7 too wide, each point Newton-projected back onto its level
     cases.append((disc.chart, lambda c, s: (1.0 + 1e-7) * disc_param(c, s), (0.04, 0.25)))
     # each cap on the levels of both hemispheres: on its own it keeps them, on
-    # the other's the Newton projections leave the chart and are dropped
+    # the other's the Newton projections leave the chart, and a level is not found
     sphere = load_example("randers-sphere-height")
     for cap in ("north-cap", "south-cap"):
         for c, d in ((0.1, 0.9), (-0.9, -0.1)):
             cases.append((sphere.charts[cap], sphere.level_parametrization(cap), (c, d)))
     for chart, param, (c, d) in cases:
-        _same_as_the_loop(one_point_level_points, monkeypatch,
+        _same_as_the_loop(one_point_level_rows, monkeypatch,
                           chart.metric, chart.field, chart.domain, c, d, param)
 
 
-def test_parametrized_level_errors_are_the_loops(disc_scenario, one_point_level_points,
+def test_parametrized_level_errors_are_the_loops(disc_scenario, one_point_level_rows,
                                                  monkeypatch):
     chart = disc_scenario.chart
     disc_param = disc_scenario.level_parametrization()
@@ -999,7 +1016,7 @@ def test_parametrized_level_errors_are_the_loops(disc_scenario, one_point_level_
         (chart.field, lambda t, s: 1 / 0, (0.04, 0.25), ZeroDivisionError),
     ]
     for field, param, (c, d), error in cases:
-        report = _same_as_the_loop(one_point_level_points, monkeypatch,
+        report = _same_as_the_loop(one_point_level_rows, monkeypatch,
                                    chart.metric, field, chart.domain, c, d, param)
         assert report[0] is error, report
     # a projection that raises comes first too: f is undefined just inside level
@@ -1008,7 +1025,7 @@ def test_parametrized_level_errors_are_the_loops(disc_scenario, one_point_level_
     shell = ScalarField.from_expression(
         parse_expression("x^2 + y^2 + 0 * sqrt(x^2 + y^2 - 0.050000005)"), 2)
     wide = failing_above(0.1)
-    report = _same_as_the_loop(one_point_level_points, monkeypatch, chart.metric, shell,
+    report = _same_as_the_loop(one_point_level_rows, monkeypatch, chart.metric, shell,
                                chart.domain, 0.05, 0.25,
                                lambda c, s: (1.0 + 1e-7) * wide(c, s))
     assert report[0] is EvalError, report
@@ -1022,17 +1039,19 @@ def test_parametrized_level_errors_are_the_loops(disc_scenario, one_point_level_
             raise ValueError(f"no circle at level {c}")
         return cap_param(c, s)
 
-    report = _same_as_the_loop(one_point_level_points, monkeypatch, cap.metric, cap.field,
+    report = _same_as_the_loop(one_point_level_rows, monkeypatch, cap.metric, cap.field,
                                cap.domain, -0.9, -0.1, failing_cap_param)
     assert report[0] is ValueError, report
-    # the levels past the disc's radius 0.9 are skipped, and alone not found
+    # a level past the disc's radius 0.9 is not found, alone or among others, where
+    # the first one is named
     n = transnormal.GRID_PROBES_PER_LEVEL
     levels = _grid_levels(0.5, 1.0)
-    points = level_points(chart.field, levels, chart.domain, n, disc_param)
-    assert len(points) == n * sum(lvl <= 0.81 for lvl in levels)
+    first = next(lvl for lvl in levels if lvl > 0.81)
+    assert _outcome(level_points, chart.field, levels, chart.domain, n, disc_param) == (
+        LevelNotFound, f"parametrized level {first} lies outside the domain")
     assert _outcome(level_points, chart.field, 0.9, chart.domain, n, disc_param) == (
         LevelNotFound, "parametrized level 0.9 lies outside the domain")
-    _same_as_the_loop(one_point_level_points, monkeypatch,
+    _same_as_the_loop(one_point_level_rows, monkeypatch,
                       chart.metric, chart.field, chart.domain, 0.5, 1.0, disc_param)
 
 
@@ -1040,17 +1059,17 @@ def _one_point_read(x):
     raise AssertionError("one-point read of f")
 
 
-def test_level_grid_reads_f_by_rows(disc_scenario, one_point_level_points, monkeypatch):
+def test_level_grid_reads_f_by_rows(disc_scenario, one_point_level_rows, monkeypatch):
     # a silent fall-back to the one-point loop would keep every other test passing
     chart = disc_scenario.chart
     param = disc_scenario.level_parametrization()
     args = (chart.domain, *disc_scenario.distance_range)
     with monkeypatch.context() as patch:
-        patch.setattr(transnormal, "level_points", one_point_level_points)
+        patch.setattr(transnormal, "_level_rows", one_point_level_rows)
         expected = level_grid_b_report(chart.metric, chart.field, *args, parametrization=param)
     rows_only = replace(chart.field, value=_one_point_read)
-    report = level_grid_b_report(chart.metric, rows_only, *args, parametrization=param)
-    assert _bits(report) == _bits(expected)
+    fit = level_grid_b_report(chart.metric, rows_only, *args, parametrization=param)
+    assert _fit_bits(fit) == _fit_bits(expected)
 
 
 def test_level_grid_makes_no_one_point_reads(disc_scenario, monkeypatch):
@@ -1103,16 +1122,16 @@ def _tube_param(c, s):
     return np.array([math.sqrt(c) * math.cos(ang), math.sqrt(c) * math.sin(ang), 2.0 * s - 1.0])
 
 
-def test_level_grids_in_dimensions_one_and_three(one_point_level_points, monkeypatch):
+def test_level_grids_in_dimensions_one_and_three(one_point_level_rows, monkeypatch):
     # the 1-D grid from the critical point 0, and past the box at level 1
     line = build_chart(parse_scenario(LINE_TEXT))
     for c, d in ((0.0, 0.25), (0.04, 0.64), (0.5, 1.44)):
-        report = _same_as_the_loop(one_point_level_points, monkeypatch, line.metric,
+        report = _same_as_the_loop(one_point_level_rows, monkeypatch, line.metric,
                                    line.field, line.domain, c, d, _line_param)
-        assert isinstance(report[0], int) and report[0] > 0, report
+        assert (report[0] is LevelNotFound) == (d > 1.0), report
     tube = build_chart(parse_scenario(TUBE_TEXT))
     for c, d in ((0.09, 0.25), (0.0, 0.04)):
-        _same_as_the_loop(one_point_level_points, monkeypatch, tube.metric,
+        _same_as_the_loop(one_point_level_rows, monkeypatch, tube.metric,
                           tube.field, tube.domain, c, d, _tube_param)
     check = verify_distance_formula(tube.metric, tube.field, 0.09, 0.25, domain=tube.domain,
                                     level_parametrization=_tube_param)
@@ -1120,43 +1139,38 @@ def test_level_grids_in_dimensions_one_and_three(one_point_level_points, monkeyp
     assert check.quadrature_distance == pytest.approx(0.2, abs=1e-4)
 
 
-def _cubic_refused_on_uniform_scan(shift):
-    """Whether the refusal of (-0.5, 0.5) for f = x^3 + shift names a uniform scan point.
+GRID_MIDDLE = transnormal.GRID_LEVELS // 2
 
-    f has an interior critical value at shift: the profile 9 (t - shift)^(4/3)
-    vanishes inside the interval, and the check must refuse it.
+
+def _cubic_refusal(shift):
+    """The refusal of (-0.5, 0.5) for f = x^3 + shift, whose critical value is shift.
+
+    The profile 9 (t - shift)^(4/3) vanishes inside the interval: on level shift
+    every point has df = 0 or, projected onto it by Newton, b at most
+    B_CRITICAL_THRESHOLD.
     """
     from finsler_lab.domains import BoxDomain
 
     cubic = ScalarField.from_expression(parse_expression(f"x^3 + {shift}"), 2)
-    metric = euclidean_metric(2)
     domain = BoxDomain([-1.0, -1.0], [1.0, 1.0])
-    xs = np.concatenate([np.linspace(-0.9, 0.9, 41), [-1e-3, 1e-3]])
-    points = np.column_stack([xs, np.zeros_like(xs)])
-    report = check_transnormal(metric, cubic, points, tolerance=1e-6, bin_width=1e-10)
     with pytest.raises(IntervalContainsCriticalValue) as raised:
-        verify_distance_formula(
-            metric, cubic, -0.5, 0.5, probes=2, domain=domain, b_report=report
-        )
-    # the array scan stops where the scalar scan it replaced did: the first
-    # interior uniform point, then fit node, with b at the threshold
-    fit = report.b_fit
-    uniform = list(np.linspace(-0.5, 0.5, 513)[1:-1])
-    scan = uniform + [t for t in fit.nodes if -0.5 < t < 0.5]
-    assert fit.at(scan).tobytes() == np.array([fit(t) for t in scan]).tobytes()
-    flagged = [t for t in scan if -0.45 < t < 0.45 and fit(t) <= transnormal.B_CRITICAL_THRESHOLD]
-    assert f"near t = {flagged[0]} inside" in str(raised.value)
-    return flagged[0] in uniform
+        verify_distance_formula(euclidean_metric(2), cubic, -0.5, 0.5, probes=2, domain=domain)
+    return str(raised.value)
 
 
 def test_interval_containing_critical_value_rejected():
-    assert _cubic_refused_on_uniform_scan(0.0)
+    # the critical value 0 is the middle Lobatto level of (-0.5, 0.5)
+    assert _grid_levels(-0.5, 0.5)[GRID_MIDDLE] == 0.0
+    assert _cubic_refusal(0.0) == "b = F(grad f)^2 vanishes at t = 0.0 inside (-0.5, 0.5)"
 
 
 def test_critical_value_between_scan_points_rejected():
-    # the dip at 1e-3 falls between two points of the uniform scan, so only
-    # the fit's own nodes see it
-    assert not _cubic_refused_on_uniform_scan(1e-3)
+    # a critical value on the next grid level, off the 511 uniform points the
+    # fit is scanned at
+    shift = _grid_levels(-0.5, 0.5)[GRID_MIDDLE + 1]
+    assert not np.isin(shift, np.linspace(-0.5, 0.5, 513))
+    assert _cubic_refusal(shift) == (
+        f"b = F(grad f)^2 vanishes at t = {shift} inside (-0.5, 0.5)")
 
 
 # ---------------------------------------------------------------------------

@@ -185,9 +185,17 @@ EXTRA_CALLS = (
     ("check-partition-minkowski-wind", ["check-partition", "--example",
                                         "minkowski-randers-distance", "--wind", "0.3",
                                         "--t-max", "4", "--probes", "8"]),
-    # lower guard at the critical centre, where a grid level's |df| = 0 is filtered out
+    # critical lower end at the centre, where the end level's |df| = 0 is filtered out
     ("verify-distance-disc-centre", ["verify-distance", "--example", "disc-radial",
                                      "--from", "0", "--to", "0.04"]),
+    # a near-critical lower end, a wide regular range, and near-critical ends at both poles
+    ("verify-distance-disc-near-centre", ["verify-distance", "--example", "disc-radial",
+                                          "--from", "0.0001", "--to", "0.04"]),
+    ("verify-distance-disc-wide", ["verify-distance", "--example", "disc-radial",
+                                   "--from", "0.01", "--to", "0.64"]),
+    ("verify-distance-sphere-both-poles", ["verify-distance", "--example",
+                                           "randers-sphere-height", "--from", "-0.999999",
+                                           "--to", "0.999999"]),
     ("check-transnormal-disc-csv", ["check-transnormal", "--example", "disc-radial",
                                     "--format", "both"]),
     ("dump-geodesic-riemannian-band", ["dump-geodesic", *_BAND, "--start=1.2,0.3",
@@ -214,6 +222,13 @@ EXTRA_CALLS = (
                                        "--from", "-1", "--to", "0.16"]),
     ("verify-distance-sphere-past-pole", ["verify-distance", "--example",
                                           "randers-sphere-height", "--from", "0.2", "--to", "3"]),
+    # a target level with no point in the chart: refused before anything is marched
+    ("check-parallel-sphere-past-pole", ["check-parallel", "--example", "randers-sphere-height",
+                                         "--from", "0.2", "--to", "1.5"]),
+    ("check-partition-disc-past-rim", ["check-partition", "--example", "disc-radial",
+                                       "--levels=0.16,1.5"]),
+    ("verify-distance-disc-past-rim", ["verify-distance", "--example", "disc-radial",
+                                       "--from", "0.04", "--to", "1.5"]),
 )
 
 
