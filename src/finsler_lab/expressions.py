@@ -55,6 +55,34 @@ class Expr:
         _collect_vars(self, out)
         return out
 
+    # arithmetic on trees and floats builds trees by the folding constructors of ``diff``
+    def __add__(self, other):
+        return _add(self, _tree(other))
+
+    def __radd__(self, other):
+        return _add(_tree(other), self)
+
+    def __sub__(self, other):
+        return _sub(self, _tree(other))
+
+    def __rsub__(self, other):
+        return _sub(_tree(other), self)
+
+    def __mul__(self, other):
+        return _mul(self, _tree(other))
+
+    def __rmul__(self, other):
+        return _mul(_tree(other), self)
+
+    def __truediv__(self, other):
+        return _div(self, _tree(other))
+
+    def __rtruediv__(self, other):
+        return _div(_tree(other), self)
+
+    def __neg__(self):
+        return _neg(self)
+
 
 @dataclass(frozen=True)
 class Const(Expr):
@@ -382,6 +410,10 @@ def _collect_vars(node, out):
 # smart constructors used by diff (light constant folding only)
 
 
+def _tree(value):
+    return value if isinstance(value, Expr) else Const(value)
+
+
 def _is_const(node, value=None):
     return isinstance(node, Const) and (value is None or node.value == value)
 
@@ -509,6 +541,8 @@ def _codegen(node):
         return f"({node.value!r})"
     if isinstance(node, Var):
         return f"_c{VARIABLES.index(node.name)}"
+    if isinstance(node, _Local):
+        return node.name
     if isinstance(node, Neg):
         return f"(-{_codegen(node.arg)})"
     if isinstance(node, Add):
@@ -596,19 +630,27 @@ def _generate(nodes, dim, rows=False):
     return _kernel("_generated", head, [f"return {body}"])
 
 
+# every generated function by its source text and extra names: a chart built again, as each
+# CLI call builds its charts, generates the same texts and runs no exec
+_KERNELS = {}
+
+
 def _kernel(name, params, lines, **names):
     """The function ``name(params)`` with the body lines, over the math and error names and
-    ``names``."""
-    # imported here, not at the top: metrics imports this module
-    from .metrics import _not_positive_definite, _solve_spd, _strong_wind
+    ``names``; generated once per process for each text."""
+    source = f"def {name}({params}):\n" + "".join(f"    {s}\n" for s in lines)
+    key = (source, *sorted(names.items()))
+    if key not in _KERNELS:
+        # imported here, not at the top: metrics imports this module
+        from .metrics import _not_positive_definite, _solve_spd, _strong_wind
 
-    namespace = {f"_{key}": fn for key, fn in _MATH.items()} | dict(
-        _fpow=math.pow, _ZeroVector=ZeroVector,
-        _DimensionMismatch=DimensionMismatch, _solve_spd=_solve_spd, _strong_wind=_strong_wind,
-        _not_positive_definite=_not_positive_definite) | names
-    body = "".join(f"    {s}\n" for s in lines)
-    exec(f"def {name}({params}):\n{body}", namespace)  # noqa: S102
-    return namespace[name]
+        namespace = {f"_{k}": fn for k, fn in _MATH.items()} | dict(
+            _fpow=math.pow, _isfinite=math.isfinite, _ZeroVector=ZeroVector,
+            _DimensionMismatch=DimensionMismatch, _solve_spd=_solve_spd,
+            _strong_wind=_strong_wind, _not_positive_definite=_not_positive_definite) | names
+        exec(source, namespace)  # noqa: S102
+        _KERNELS[key] = namespace[name]
+    return _KERNELS[key]
 
 
 def _at(nodes, coords):
@@ -626,12 +668,65 @@ def _raises(node, dim, coords):
 
 
 # ---------------------------------------------------------------------------
-# the Randers spray stage and Legendre inverse, generated straight-line per dimension
+# the Randers spray stage and Legendre inverse, generated straight-line per chart
 
 
-def _dot(u, v, start=""):
-    """The running sum of the products, left to right, after ``start`` ("0.0 + ", as ``sum``)."""
-    return "(" + start + " + ".join(f"{a} * {b}" for a, b in zip(u, v)) + ")"
+@dataclass(frozen=True)
+class _Local(Expr):
+    """A local variable of a generated kernel."""
+
+    name: str
+
+
+class _Lines(list):
+    """The body lines of a generated kernel."""
+
+    def let(self, name, value):
+        """Assign a tree, or nested lists of them, to locals named by index path and return
+        the locals; a constant or a local is returned as it is, unassigned."""
+        if not isinstance(value, Expr):
+            return [self.let(f"{name}{'_' * name[-1].isdigit()}{i}", v)
+                    for i, v in enumerate(value)]
+        if isinstance(value, (Const, _Local)):
+            return value
+        self.append(f"{name} = {_codegen(value)}")
+        return _Local(name)
+
+
+def _entries(lines, names, trees, read, dim):
+    """The kernel's input entries as trees, named by ``names``.
+
+    Without ``trees`` they are the locals that ``read``, a reader call or columns, unpacks
+    into. With the entries' trees, a finite constant is itself, and every other entry is a
+    local evaluated inline at the coordinates of x, by the text the checked reader evaluates;
+    where one raises or is not finite, ``read`` runs, to raise the reader's error.
+    """
+    if trees is None:
+        lines.append(f"{', '.join(names)}, = {read}")
+        return [_Local(name) for name in names]
+    inline = {name: _codegen(t) for name, t in zip(names, trees)
+              if not (isinstance(t, Const) and math.isfinite(t.value))}
+    if inline:
+        lines += [f"{''.join(f'_c{i}, ' for i in range(dim))}= x", "try:",
+                  *(f"    {name} = {text}" for name, text in inline.items()),
+                  "except (ValueError, ZeroDivisionError, OverflowError):", f"    {read}",
+                  "    raise", f"if not _isfinite({' + '.join(inline)}):", f"    {read}"]
+    return [_Local(name) if name in inline else t for name, t in zip(names, trees)]
+
+
+def _dot(u, v):
+    """The sum of the products, left to right."""
+    total = None
+    for a, b in zip(u, v):
+        total = a * b if total is None else total + a * b
+    return total
+
+
+def _root(node):
+    """The square root of a tree; of a constant, taken now (where it is refused if negative)."""
+    if isinstance(node, Const) and node.value >= 0.0:
+        return Const(math.sqrt(node.value))
+    return Call("sqrt", node)
 
 
 def _refuse(error, bad="", unless=(), columns=False):
@@ -645,121 +740,164 @@ def _refuse(error, bad="", unless=(), columns=False):
     return [f"if {test}:", f"    raise {error}"]
 
 
-def _solve(g, r, columns=False):
-    """Lines that solve g a = r as ``metrics._solve_spd`` solves it: a call setting the array
-    ``a``, or in 2-D its closed form and check inline, setting the floats a0, a1."""
-    if len(r) != 2:
-        rows = "".join(f"({', '.join(row)},), " for row in g)
-        return [f"a = _solve_spd(({rows}), ({', '.join(r)},), x)"]
-    (g00, g01), (g10, g11) = g
-    return [f"det = {g00} * {g11} - {g01} * {g10}",
-            *_refuse("_not_positive_definite(x)", unless=(f"{g00} > 0.0", "det > 0.0"),
-                     columns=columns),
-            f"a0 = ({g11} * {r[0]} - {g01} * {r[1]}) / det",
-            f"a1 = ({g00} * {r[1]} - {g10} * {r[0]}) / det"]
+def _solve(lines, g, r, columns=False):
+    """Lines that solve g a = r as ``metrics._solve_spd`` solves it, returning a as trees: in
+    2-D its closed form, in 1-D its Cholesky factor L = sqrt(g00) and its two substitutions,
+    each with its positivity check inline; in 3-D a call."""
+    text = _codegen
+    if len(r) == 2:
+        (g00, g01), (g10, g11) = g
+        det = lines.let("det", g00 * g11 - g01 * g10)
+        lines += _refuse("_not_positive_definite(x)", unless=(f"{text(g00)} > 0.0",
+                                                              f"{text(det)} > 0.0"),
+                         columns=columns)
+        return lines.let("a", [(g11 * r[0] - g01 * r[1]) / det, (g00 * r[1] - g10 * r[0]) / det])
+    if len(r) == 1:
+        lines += _refuse("_not_positive_definite(x)", unless=(f"{text(g[0][0])} > 0.0",))
+        L = lines.let("L", _root(g[0][0]))
+        # each substitution times the reciprocal of L, as _solve_spd takes it
+        return lines.let("a", [r[0] * (1.0 / L) * (1.0 / L)])
+    rows = "".join(f"({''.join(f'{text(v)}, ' for v in row)}), " for row in g)
+    lines += [f"a = _solve_spd(({rows}), ({''.join(f'{text(v)}, ' for v in r)}), x)",
+              f"{''.join(f'a{i}, ' for i in range(len(r)))}= a.tolist()"]
+    return [_Local(f"a{i}") for i in range(len(r))]
 
 
-@functools.lru_cache(maxsize=None)
-def randers_stage(n):
-    """The Randers spray stage of dimension n, generated once and cached.
+# the stages and inverses by dimension and the texts of their entries' trees
+_GENERATED = {}
 
-    ``stage(x, y, fields) -> (acceleration, F)`` takes the point x (only named
-    in errors), the vector y as n floats and the Zermelo data at x as one flat
-    tuple: h and W, then their x-derivatives dh[k][i][j] and dW[k][i], each
-    row-major; the acceleration is a tuple of n floats. It is the closed form
-    of ``metrics`` with every index loop unrolled, so a stage is one call on
-    plain floats; in 2-D the solve with its positivity check is inline too.
+
+def _kept(generator):
+    """``generator(n, trees, **options)``, kept by the dimension, the options and the texts
+    of the trees, which tell a constant 0.0 from -0.0 where the trees' == does not: a chart
+    built again, as each CLI call builds its charts, gets its kernels without building
+    their texts."""
+
+    @functools.wraps(generator)
+    def kept(n, trees=None, **options):
+        key = (generator.__name__, n, trees and tuple(map(_codegen, trees)), *options.items())
+        if key not in _GENERATED:
+            _GENERATED[key] = generator(n, trees, **options)
+        return _GENERATED[key]
+
+    return kept
+
+
+@_kept
+def randers_stage(n, trees=None):
+    """The Randers spray stage of dimension n, straight-line on plain floats.
+
+    ``stage(x, y, fields) -> (acceleration, F)`` takes the point x and the vector y as tuples
+    of n floats and ``fields``, the checked reader of the Zermelo data at x as one flat
+    tuple: h and W, then their x-derivatives dh[k][i][j] and dW[k][i], each row-major; the
+    acceleration is a tuple of n floats. It is the closed form of ``metrics`` with every
+    index loop unrolled, and in 1-D and 2-D the solve with its positivity check inline.
+
+    Without ``trees`` the stage reads every entry through ``fields(x)``. Given a chart's
+    trees of these entries, in this order, it is the chart's own: the entries are inline
+    (``_entries``), and the arithmetic folds their constants, by the constructors of
+    ``diff``: a term with a constant factor 0 is dropped, a factor or divisor 1 too, and an
+    operation on two constants is taken now. Every other operation is kept, in its order,
+    so a finite result is the generic stage's up to the sign of an exact zero. The text is
+    built on each call and its function generated once (``_kernel``).
     """
     from .metrics import WIND_NORM_MARGIN
 
-    def let(name, value):
-        """Assign a value, or nested lists of them, to locals named by index path."""
-        if isinstance(value, str):
-            lines.append(f"{name} = {value}")
-            return name
-        return [let(f"{name}{'_' * name[-1].isdigit()}{i}", v) for i, v in enumerate(value)]
-
     N = range(n)
-    h, w, y = [[f"h{i}_{j}" for j in N] for i in N], [f"w{i}" for i in N], [f"y{i}" for i in N]
-    dh = [[[f"dh{k}_{i}_{j}" for j in N] for i in N] for k in N]
-    dw = [[f"dw{k}_{i}" for i in N] for k in N]
-    fields = [*sum(h, []), *w, *sum(sum(dh, []), []), *sum(dw, [])]
-    lines = [f"{', '.join(y)}, = y", f"{', '.join(fields)}, = fields"]
+    lines = _Lines([f"{''.join(f'y{i}, ' for i in N)}= y"])
+    y = [_Local(f"y{i}") for i in N]
+    names = [*(f"h{i}_{j}" for i in N for j in N), *(f"w{i}" for i in N),
+             *(f"dh{k}_{i}_{j}" for k in N for i in N for j in N),
+             *(f"dw{k}_{i}" for k in N for i in N)]
+    entries = iter(_entries(lines, names, trees, "fields(x)", n))
+    h, w = [[next(entries) for _ in N] for _ in N], [next(entries) for _ in N]
+    dh = [[[next(entries) for _ in N] for _ in N] for _ in N]
+    dw = [[next(entries) for _ in N] for _ in N]
+    let, text = lines.let, _codegen
     wl = let("wl", [_dot(h[i], w) for i in N])
-    let("s", _dot(w, wl))
-    lines += _refuse("_strong_wind(s, x)", bad=f"s >= {1.0 - WIND_NORM_MARGIN!r}")
-    let("lam", "1.0 - s")
-    let("lam2", "lam * lam")
+    s = let("s", _dot(w, wl))
+    lines += _refuse(f"_strong_wind({text(s)}, x)", bad=f"{text(s)} >= {1.0 - WIND_NORM_MARGIN!r}")
+    lam = let("lam", 1.0 - s)
+    lam2 = let("lam2", lam * lam)
     hy = let("hy", [_dot(h[i], y) for i in N])
-    let("wly", _dot(wl, y))
-    ay = let("ay", [f"{hy[i]} / lam + {wl[i]} * wly / lam2" for i in N])
-    let("alpha2", _dot(y, ay))
-    lines += _refuse("_not_positive_definite(x)", bad="alpha2 < 0.0")
-    lines += _refuse("_ZeroVector('spray undefined on the zero section')", bad="alpha2 <= 0.0")
-    let("alpha", "_sqrt(alpha2)")
-    let("F", "alpha - wly / lam")
+    wly = let("wly", _dot(wl, y))
+    ay = let("ay", [hy[i] / lam + wl[i] * wly / lam2 for i in N])
+    alpha2 = let("alpha2", _dot(y, ay))
+    lines += _refuse("_not_positive_definite(x)", bad=f"{text(alpha2)} < 0.0")
+    lines += _refuse("_ZeroVector('spray undefined on the zero section')",
+                     bad=f"{text(alpha2)} <= 0.0")
+    alpha = let("alpha", _root(alpha2))
+    F = let("F", alpha - wly / lam)
     # ell = A y / alpha and m = ell + b, the y-gradient of F
-    e = let("e", [f"{ay[i]} / alpha" for i in N])
-    m = let("m", [f"{e[i]} - {wl[i]} / lam" for i in N])
+    e = let("e", [ay[i] / alpha for i in N])
+    m = let("m", [e[i] - wl[i] / lam for i in N])
     # x-derivatives of the Zermelo data, k first: dwl[k] = d(HW)/dx_k,
     # dlam[k] = dlam/dx_k, q[k] = dA[k] y without materializing dA
     dhw = let("dhw", [[_dot(dh[k][i], w) for i in N] for k in N])
-    dwl = let("dwl", [[f"{dhw[k][i]} + {_dot(dw[k], [row[i] for row in h])}" for i in N]
-                      for k in N])
-    dlam = let("dlam", [f"-({_dot(w, dhw[k])} + 2.0 * {_dot(dw[k], wl)})" for k in N])
-    c = let("c", [f"{dlam[k]} / lam2" for k in N])
+    dwl = let("dwl", [[dhw[k][i] + _dot(dw[k], [row[i] for row in h]) for i in N] for k in N])
+    dlam = let("dlam", [-(_dot(w, dhw[k]) + 2.0 * _dot(dw[k], wl)) for k in N])
+    c = let("c", [dlam[k] / lam2 for k in N])
     dwly = let("dwly", [_dot(dwl[k], y) for k in N])
-    p = let("p", [f"{dwly[k]} / lam2 - 2.0 * wly * {dlam[k]} / (lam2 * lam)" for k in N])
-    q = let("q", [[f"{wl[i]} * {p[k]} + {dwl[k][i]} * wly / lam2 - {hy[i]} * {c[k]}"
-                   f" + {_dot(dh[k][i], y)} / lam" for i in N] for k in N])
+    p = let("p", [dwly[k] / lam2 - 2.0 * wly * dlam[k] / (lam2 * lam) for k in N])
+    q = let("q", [[wl[i] * p[k] + dwl[k][i] * wly / lam2 - hy[i] * c[k]
+                   + _dot(dh[k][i], y) / lam for i in N] for k in N])
     # dF[k] = dF/dx_k; r = (1/2) dF2_dx - (1/2) (d2F2_dydx) y
-    dalpha = let("dalpha", [f"{_dot(q[k], y)} / (2.0 * alpha)" for k in N])
-    dF = let("dF", [f"{dalpha[k]} - {dwly[k]} / lam + wly * {c[k]}" for k in N])
-    let("dalpha_y", f"{_dot(dalpha, y)} / alpha")
-    let("yc", _dot(y, c))
-    let("dFy", _dot(dF, y))
-    r = let("r", [f"F * {dF[i]} - {m[i]} * dFy - F * ({_dot(y, [qk[i] for qk in q])} / alpha"
-                  f" - {e[i]} * dalpha_y - {_dot(y, [dwlk[i] for dwlk in dwl])} / lam"
-                  f" + {wl[i]} * yc)" for i in N])
-    let("ratio", "F / alpha")
-    g = let("g", [[f"{m[i]} * {m[j]} + ratio * ({h[i][j]} / lam + {wl[i]} * {wl[j]} / lam2"
-                   f" - {e[i]} * {e[j]})" for j in N] for i in N])
-    lines += [*_solve(g, r), f"return {'(a0, a1)' if n == 2 else 'tuple(a.tolist())'}, F"]
+    dalpha = let("dalpha", [_dot(q[k], y) / (2.0 * alpha) for k in N])
+    dF = let("dF", [dalpha[k] - dwly[k] / lam + wly * c[k] for k in N])
+    dalpha_y = let("dalpha_y", _dot(dalpha, y) / alpha)
+    yc = let("yc", _dot(y, c))
+    dFy = let("dFy", _dot(dF, y))
+    r = let("r", [F * dF[i] - m[i] * dFy - F * (_dot(y, [qk[i] for qk in q]) / alpha
+                                                - e[i] * dalpha_y
+                                                - _dot(y, [dwlk[i] for dwlk in dwl]) / lam
+                                                + wl[i] * yc) for i in N])
+    ratio = let("ratio", F / alpha)
+    g = let("g", [[m[i] * m[j] + ratio * (h[i][j] / lam + wl[i] * wl[j] / lam2 - e[i] * e[j])
+                   for j in N] for i in N])
+    a = _solve(lines, g, r)
+    lines.append(f"return ({''.join(f'{text(v)}, ' for v in a)}), {text(F)}")
     return _kernel("randers_stage", "x, y, fields", lines)
 
 
-@functools.lru_cache(maxsize=None)
-def zermelo_inverse(n, columns=False):
-    """The closed-form Legendre inverse of dimension n, generated once and cached.
+@_kept
+def zermelo_inverse(n, trees=None, columns=False):
+    """The closed-form Legendre inverse of dimension n, straight-line on plain floats.
 
-    ``inverse(x, w, zermelo) -> (v, F*(w), h^-1 w)`` takes the point x (named in errors), the
-    covector w as a sequence of floats and the flat (h, W) at x, h row-major, and returns v and
-    h^-1 w as tuples of floats; v = F*(w) (h^-1 w / |w|_h* + W). It refuses a strong wind, a w
-    of another length, an h not positive definite and w = 0, in this order.
-    With ``columns`` (2-D only), ``co_norms(w, zermelo)`` runs the same lines on the columns of
-    (k, 2) covectors and (k, 6) flat (h, W) rows: F*(w) at each row, or None if one is refused.
+    ``inverse(x, w, zermelo) -> (v, F*(w), h^-1 w)`` takes the point x as a tuple of n
+    floats, the covector w as a sequence of floats and ``zermelo``, the checked reader of
+    the flat (h, W) at x, h row-major, and returns v and h^-1 w as tuples of floats;
+    v = F*(w) (h^-1 w / |w|_h* + W). It refuses a strong wind, a w of another length, an h
+    not positive definite and w = 0, in this order. Without ``trees`` it reads every entry
+    through ``zermelo(x)``; given a chart's trees of (h, W) it is the chart's own, inline
+    and folded as ``randers_stage``. With ``columns`` (2-D, without trees),
+    ``co_norms(w, zermelo)`` runs the same lines on the columns of (k, 2) covectors and
+    (k, 6) flat (h, W) rows: F*(w) at each row, or None if one is refused.
     """
     from .metrics import WIND_NORM_MARGIN
 
     N = range(n)
-    h = [[f"h{i}_{j}" for j in N] for i in N]
-    W, r, a = ([f"{c}{i}" for i in N] for c in "Wra")
-    total = functools.partial(_dot, start="0.0 + ")
-    v = "".join(f"F * ({a[i]} / dual + {W[i]}), " for i in N)
-    covector = [f"{', '.join(r)}, = w.T"] if columns else [
+    lines, text = _Lines(), _codegen
+    names = [*(f"h{i}_{j}" for i in N for j in N), *(f"W{i}" for i in N)]
+    entries = _entries(lines, names, trees, "zermelo.T" if columns else "zermelo(x)", n)
+    h, W = [entries[i * n:(i + 1) * n] for i in N], entries[n * n:]
+    # h(W, W) as metrics._zermelo_data sums it, through the entries of h W
+    s = lines.let("s", _dot(W, [_dot(row, W) for row in h]))
+    lines += _refuse(f"_strong_wind({text(s)}, x)",
+                     bad=f"{text(s)} >= {1.0 - WIND_NORM_MARGIN!r}", columns=columns)
+    r = [_Local(f"r{i}") for i in N]
+    unpack = f"{''.join(f'r{i}, ' for i in N)}= w"
+    lines += [f"{unpack}.T"] if columns else [
         f"if len(w) != {n}:",
         f"    raise _DimensionMismatch(f'covector shape ({{len(w)}},) != metric dimension {n}')",
-        f"{', '.join(r)}, = w"]
-    lines = [f"{', '.join([*sum(h, []), *W])}, = zermelo{'.T' * columns}",
-             # h(W, W) as metrics._zermelo_data sums it, through the entries of h W
-             f"s = {total(W, [total(row, W) for row in h])}",
-             *_refuse("_strong_wind(s, x)", bad=f"s >= {1.0 - WIND_NORM_MARGIN!r}",
-                      columns=columns),
-             *covector, *_solve(h, r, columns), *[f"{', '.join(a)}, = a.tolist()"] * (n != 2),
-             f"dual2 = {total(r, a)}",
-             *_refuse("_ZeroVector('Legendre inverse undefined for the zero covector')",
-                      bad="dual2 <= 0.0", columns=columns),
-             "dual = _sqrt(dual2)", f"F = dual + {total(r, W)}",
-             "return F" if columns else f"return ({v}), F, ({', '.join(a)},)"]
+        unpack]
+    a = _solve(lines, h, r, columns)
+    dual2 = lines.let("dual2", _dot(r, a))
+    lines += _refuse("_ZeroVector('Legendre inverse undefined for the zero covector')",
+                     bad=f"{text(dual2)} <= 0.0", columns=columns)
+    dual = lines.let("dual", _root(dual2))
+    F = lines.let("F", dual + _dot(r, W))
+    v = "".join(f"{text(F * (a[i] / dual + W[i]))}, " for i in N)
+    lines.append(f"return {text(F)}" if columns
+                 else f"return ({v}), {text(F)}, ({''.join(f'{text(c)}, ' for c in a)})")
     name, params = ("co_norms", "w, zermelo") if columns else ("zermelo_inverse", "x, w, zermelo")
     return _kernel(name, params, lines, _sqrt=np.sqrt if columns else math.sqrt)

@@ -8,9 +8,9 @@ M[i,k] = d^2F^2/dy^i dx^k the acceleration a satisfies
 a dense symmetric solve at the desk-scale dimensions used here. The running
 arc length is carried as an extra state component, so the length converges
 at the same order as the trajectory. One spray stage (`Metric.geodesic_stage`)
-is, for a Randers metric, one call of a straight-line function generated per
-dimension (`expressions.randers_stage`), fed by one compiled call per point
-for h, W and their derivatives.
+is, for a Randers metric, one call of a straight-line function
+(`expressions.randers_stage`); a scenario chart's is generated from its own
+trees of h, W and their derivatives, which it evaluates inline.
 
 Curves take adaptive Dormand-Prince 5(4) steps (Dormand & Prince 1980;
 Hairer-Norsett-Wanner, Solving ODEs I, II.4-II.6) with error control on the

@@ -14,19 +14,24 @@ representation
 
 whose y-derivatives (fundamental tensor, Cartan tensor, spray right-hand
 sides) have closed forms. The spray stage and the Legendre inverse are each
-one straight-line function per dimension on plain floats
-(``expressions.randers_stage``, ``zermelo_inverse``): on 2-vectors the
-per-call cost of numpy would dominate. A metric is built from flat readers:
-one call per point of the joint (h, W), which every norm, tensor and inverse
-reads, and one of (h, W, dh, dW) for the stage; a scenario chart passes its
-compiled readers, ``RiemannianMetric.from_matrix`` a matrix field. In 2-D,
-``co_norms`` runs the inverse's own lines on numpy columns. Norms and tensors
+one straight-line function on plain floats (``expressions.randers_stage``,
+``zermelo_inverse``): on 2-vectors the per-call cost of numpy would dominate.
+A metric is built from flat checked readers, one call per point: of the joint
+(h, W), which every norm and tensor reads, and of (h, W, dh, dW). A scenario
+chart passes its compiled readers and the trees of these entries, and its
+stage and inverse are its own, generated from the trees on their first call:
+the entries inline, their constant terms folded, a reader called only where
+an entry fails, to raise its error. Without trees (``constant_wind``,
+``RiemannianMetric.from_matrix`` of a matrix field) the kernels of the
+dimension read every entry through the readers. In 2-D, ``co_norms`` runs the
+generic inverse's lines on numpy columns. Norms and tensors
 keep a one-slot memo of the alpha/beta data at the last queried point, so an
 instance is not safe to share between threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -177,19 +182,29 @@ class RandersMetric(Metric):
     ``_rows_of``. The spray stage (``expressions.randers_stage``) reads
     ``fields(x)``, the flat (h, W, dh, dW) with the derivative index first, at
     a tuple of floats. A reader raises the ``FinslerError`` that names what
-    fails at x.
+    fails at x. Given ``trees``, the expression trees of (h, W, dh, dW) in that
+    order, the stage and the inverse are generated from them and call the
+    readers only where an entry fails.
     """
 
     kind = "randers"
 
-    def __init__(self, zermelo, dim, fields, rows=None):
+    def __init__(self, zermelo, dim, fields, rows=None, trees=None):
         self.dim = dim
         self._zermelo = zermelo
         self._fields = fields
         self._rows = rows
-        self._stage = randers_stage(dim)
-        self._inverse = zermelo_inverse(dim)
+        self._trees = trees
         self._memo = (None, None)
+
+    @functools.cached_property
+    def _stage(self):
+        return randers_stage(self.dim, self._trees)
+
+    @functools.cached_property
+    def _inverse(self):
+        trees = self._trees
+        return zermelo_inverse(self.dim, trees and trees[: self.dim * (self.dim + 1)])
 
     @staticmethod
     def constant_wind(wind):
@@ -321,7 +336,7 @@ class RandersMetric(Metric):
             raise DimensionMismatch(f"point dimension {len(x)} != metric dimension {self.dim}")
         if len(y) != self.dim:
             raise DimensionMismatch(f"vector dimension {len(y)} != metric dimension {self.dim}")
-        return self._stage(x, y, self._fields(x))
+        return self._stage(x, y, self._fields)
 
     def legendre_inverse(self, x, w):
         """Closed form from the co-metric F*(w) = |w|_h* + w(W) (Bao-Robles-Shen).
@@ -331,7 +346,7 @@ class RandersMetric(Metric):
         x = _floats(x)
         if len(x) != self.dim:
             raise DimensionMismatch(f"point dimension {len(x)} != metric dimension {self.dim}")
-        return self._inverse(x, _covector(w, self.dim), self._zermelo(x))
+        return self._inverse(x, _covector(w, self.dim), self._zermelo)
 
 
 class RiemannianMetric(RandersMetric):

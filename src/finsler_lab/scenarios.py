@@ -400,10 +400,13 @@ def build_metric(config: ScenarioConfig) -> Metric:
     w = [Const(0.0)] * n if riemannian else list(config.wind_entries)
     # each entry's derivative in each coordinate, the coordinate index first
     dh, dw = ([e.diff(VARIABLES[k]) for k in range(n) for e in f] for f in (h, w))
-    # the Legendre inverse's (h, W) and the spray stage's (h, W, dh, dW), each in one
-    # generated call per point; the former at a stack of points too
+    # (h, W) in one generated call per point, and at a stack of points; the stage and the
+    # inverse are generated from the trees, and read the checked (h, W, dh, dW) or (h, W)
+    # call only where an entry fails
+    trees = (*h, *w, *dh, *dw)
     return (RiemannianMetric if riemannian else RandersMetric)(
-        _flat_field(h + w, n), n, _flat_field(h + w + dh + dw, n), rows=compile_rows(h + w, n))
+        _flat_field(h + w, n), n, compile_expression(trees, n), rows=compile_rows(h + w, n),
+        trees=trees)
 
 
 def build_chart(config: ScenarioConfig, name: str = "main") -> Chart:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import mul
 
 import numpy as np
@@ -43,7 +43,10 @@ from finsler_lab.scenarios import (
     _VALIDATION_GRID,
     WIND_VALIDATION_LIMIT,
     build_domain,
+    example_texts,
     load_example,
+    parse_scenario,
+    render_scenario,
 )
 from finsler_lab.transnormal import TransnormalityReport, pointwise_b
 
@@ -95,6 +98,74 @@ def _randers_from_callables(h, wind, dim, dh=None, dwind=None):
 @pytest.fixture(scope="session")
 def randers_from_callables():
     return _randers_from_callables
+
+
+def _substitute(node, phi):
+    """The tree with each variable replaced by its tree in phi."""
+    if isinstance(node, Var):
+        return phi[VARIABLES.index(node.name)]
+    if isinstance(node, (Neg, Call)):
+        return replace(node, arg=_substitute(node.arg, phi))
+    if isinstance(node, Pow):
+        return Pow(_substitute(node.base, phi), _substitute(node.exponent, phi))
+    if isinstance(node, Const):
+        return node
+    return type(node)(_substitute(node.left, phi), _substitute(node.right, phi))
+
+
+def _pullback(text, phi, name, **domain):
+    """The 2-D scenario text pulled back by the polynomial diffeomorphism phi, one tree per
+    coordinate, onto the domain given: with J = dphi, h -> J^T (h o phi) J, W -> J^-1 (W o phi)
+    and f -> f o phi, by the folding arithmetic of the trees."""
+    config = parse_scenario(text)
+    J = [[p.diff(v) for v in VARIABLES[:2]] for p in phi]
+    det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
+    inverse = [[J[1][1] / det, -J[0][1] / det], [-J[1][0] / det, J[0][0] / det]]
+    h = [[_substitute(e, phi) for e in row] for row in config.h_entries]
+    w = [_substitute(e, phi) for e in config.wind_entries]
+    pulled = replace(
+        config, name=name, domain_params=domain,
+        h_entries=[[sum((J[k][i] * h[k][l] * J[l][j] for k in range(2) for l in range(2)),
+                        Const(0.0)) for j in range(2)] for i in range(2)],
+        wind_entries=[inverse[i][0] * w[0] + inverse[i][1] * w[1] for i in range(2)],
+        field_expr=_substitute(config.field_expr, phi))
+    return render_scenario(pulled)
+
+
+# the disc-radial scenario in the sheared coordinates x = u + 0.3 v^2, y = v (named x, y
+# again): h_01 and both wind entries vary, so few of the stage's terms fold
+SHEARED_DISC_TEXT = _pullback(
+    example_texts("disc-radial")["main"],
+    (Add(Var("x"), Mul(Const(0.3), Pow(Var("y"), Const(2.0)))), Var("y")),
+    "sheared-disc", radius=(0.7,))
+
+
+@pytest.fixture()
+def solve_1d_by_call(monkeypatch):
+    """A call that makes the kernels generated after it solve 1-D by a call of
+    ``metrics._solve_spd``, as they did before they took its Cholesky factor inline, with
+    no kernel kept from before it."""
+    solve = expressions._solve
+
+    def by_call(lines, g, r, columns=False):
+        if len(r) != 1:
+            return solve(lines, g, r, columns)
+        text = expressions._codegen
+        lines += [f"a = _solve_spd((({text(g[0][0])},),), ({text(r[0])},), x)",
+                  "a0, = a.tolist()"]
+        return [expressions._Local("a0")]
+
+    def activate():
+        monkeypatch.setattr(expressions, "_solve", by_call)
+        monkeypatch.setattr(expressions, "_GENERATED", {})
+        monkeypatch.setattr(expressions, "_KERNELS", {})
+
+    return activate
+
+
+@pytest.fixture(scope="session")
+def sheared_disc_text():
+    return SHEARED_DISC_TEXT
 
 
 @pytest.fixture()
@@ -803,7 +874,7 @@ def _riemannian_co_norm(metric, x, w):
     """Reference: F*(w) as the Riemannian class read it, one point at a time: the
     Legendre inverse kernel on h and a zero wind."""
     zermelo = _stage_fields(metric, x)[0].ravel().tolist() + [0.0] * metric.dim
-    return expressions.zermelo_inverse(metric.dim)(x, w, zermelo)[1]
+    return expressions.zermelo_inverse(metric.dim)(x, w, lambda x: zermelo)[1]
 
 
 def _numpy_riemannian_stage(metric, x, y):

@@ -631,9 +631,11 @@ def test_scenario_probe_count_no_run_can_finish_exits_two(tmp_path, capsys):
 
 @pytest.fixture()
 def generated(monkeypatch):
-    """The names of the functions ``expressions._kernel`` generates, in call order."""
+    """The names of the functions ``expressions._kernel`` generates, in call order, with no
+    stage or inverse kept from an earlier call."""
     names = []
     kernel = expressions._kernel
+    monkeypatch.setattr(expressions, "_GENERATED", {})
 
     def counted(name, *args, **kwargs):
         names.append(name)
@@ -644,20 +646,48 @@ def generated(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, count, before",
+    "argv, count, kernels",
     [
         (("dump-geodesic", "--example", "randers-sphere-height", "--start=1.2,0.3",
-          "--velocity=0.1,1"), 4, 11),
-        (("trace-segment", "--example", "disc-radial", "--start=0.3,0", "--stop", "0.16"), 6, 11),
-        (("check-partition", "--example", "randers-sphere-height"), 6, 11),
-        (("verify-distance", "--example", "disc-radial"), 8, 13),
+          "--velocity=0.1,1"), 3, ("randers_stage",)),
+        (("trace-segment", "--example", "disc-radial", "--start=0.3,0", "--stop", "0.16"), 4,
+         ("randers_stage", "zermelo_inverse")),
+        (("check-partition", "--example", "randers-sphere-height"), 5,
+         ("randers_stage", "zermelo_inverse")),
+        (("verify-distance", "--example", "disc-radial"), 6,
+         ("co_norms", "randers_stage", "zermelo_inverse")),
     ],
 )
-def test_verbs_generate_only_the_fields_they_read(tmp_path, generated, argv, count, before):
-    # a compiled field is generated on its first call: `before` is the count when every
-    # field of a chart was generated at its build, and the h, W twins compiled apart
+def test_verbs_generate_only_the_fields_they_read(tmp_path, generated, argv, count, kernels):
+    # a compiled field is generated on its first call, and a chart's stage and inverse on
+    # theirs; the (h, W, dh, dW) reader only where a field fails. When every field of a
+    # chart was generated at its build, with the h, W twins compiled apart, the counts of
+    # fields were 11, 11, 11 and 13; with the stage reading (h, W, dh, dW) through its
+    # reader, 4, 6, 6 and 8
     assert run(tmp_path, *argv) == 0
-    assert generated.count("_generated") == count < before
+    assert generated.count("_generated") == count
+    assert sorted(set(generated) - {"_generated", "dp5_step", "dp5_ratio"}) == list(kernels)
+    assert all(generated.count(name) == 1 for name in kernels)
+
+
+def test_second_call_on_an_example_runs_no_exec(tmp_path, monkeypatch):
+    # each call builds its charts again, and generates the same texts: the first call
+    # in a process runs exec for them, a second on the same example runs none
+    execs = []
+
+    def counted(source, namespace):
+        execs.append(source.split("(", 1)[0])
+        return exec(source, namespace)
+
+    argv = ("trace-segment", "--example", "disc-radial", "--start=0.3,0", "--stop", "0.16")
+    monkeypatch.setattr(expressions, "_KERNELS", {})
+    monkeypatch.setattr(expressions, "_GENERATED", {})
+    monkeypatch.setattr(expressions, "exec", counted, raising=False)
+    assert run(tmp_path / "first", *argv) == 0
+    assert {"def randers_stage", "def zermelo_inverse", "def _generated"} <= set(execs)
+    execs.clear()
+    assert run(tmp_path / "second", *argv) == 0
+    assert execs == []
 
 
 @pytest.mark.parametrize("stop, direction, verb", [("0.01", "forward", "rises"),

@@ -510,19 +510,26 @@ def _reference_gradient(metric, field, p, zermelo_inverse):
     return v, F, hw
 
 
+def _unsigned_zeros(call):
+    """``call`` with each float of its (v, F, h^-1 w) plus 0.0: an exact zero as +0.0, every
+    other float as it is. A chart's own inverse drops the terms of its constant zero
+    entries, so it may differ from the list arithmetic in the sign of an exact zero."""
+    return lambda: tuple(np.add(c, 0.0) for c in call())
+
+
 def test_gradient_on_charts_is_the_old_core_bitwise(rng, zermelo_inverse):
     # every chart of every example and the 3-D twisted box, each metric with its
-    # reverse, from reverse() and as the wrapper, at random points of the chart
+    # reverse, from reverse() and as the wrapper, at random points of the chart: bitwise,
+    # but for the sign of an exact zero
     charts = [build_chart(parse_scenario(SCENARIO_3D), "twisted-box")]
     for name in list_examples():
         charts += load_example(name).charts.values()
     for chart in charts:
         for metric in (chart.metric, chart.metric.reverse(), ReverseMetric(chart.metric)):
             for p in _domain_points(chart.domain, rng, 30):
-                got = _outcome(lambda: _gradient(metric, chart.field, p)[:3])
-                assert got == _outcome(
-                    lambda: _reference_gradient(metric, chart.field, p, zermelo_inverse)
-                )
+                got = _outcome(_unsigned_zeros(lambda: _gradient(metric, chart.field, p)[:3]))
+                assert got == _outcome(_unsigned_zeros(
+                    lambda: _reference_gradient(metric, chart.field, p, zermelo_inverse)))
                 assert isinstance(got[0], bytes)
 
 

@@ -137,3 +137,8 @@ def test_timed_call_reports_its_own_process():
     assert (code, out, code2, out2) == (0, "", 3, "ok\n")
     assert wall > 0 and wall2 > 0
     assert rss > 100 and 0 < rss2 < 50
+
+
+def test_sheared_disc_is_the_pulled_back_disc(sheared_disc_text):
+    # the file run writes is disc-radial pulled back by the shear in tests/conftest.py
+    assert compare_reports.SHEARED_DISC_TEXT == sheared_disc_text

@@ -305,23 +305,22 @@ def test_cone_evaluates_fewer_expressions(monkeypatch):
     before = len(calls)
     chart, calls = _counting_chart(monkeypatch)
     orthogonal_cone(chart.metric, chart.field, p)
-    # one (h, W) read each for the gradient and the defects' tensors, and df
-    # once, from the gradient core; the reference takes df again, and its
-    # second solve and norm read (h, W) once each on top
-    assert (before, len(calls)) == (5, 3)
+    # one (h, W) read for the defects' tensors, and df once, from the gradient
+    # core, whose inverse evaluates (h, W) inline; the reference takes df again
+    assert (before, len(calls)) == (3, 2)
 
 
 def test_gradient_reads_h_and_w_in_one_call(monkeypatch):
-    # h varies on the sphere band: a gradient is one df call and one fused
-    # (h, W) call, for the metric and its reverse, from reverse() and as the wrapper
+    # h varies on the sphere band: a gradient is one df call and one call of the
+    # chart's inverse, which evaluates (h, W) inline, not through their compiled
+    # reader, for the metric and its reverse, from reverse() and as the wrapper
     band, calls = _counting_chart(monkeypatch, "randers-sphere-height", "band")
     config = band.config
-    h_and_w = [e for row in config.h_entries for e in row] + list(config.wind_entries)
     df = [config.field_expr.diff(v) for v in ("x", "y")]
     for metric in (band.metric, band.metric.reverse(), ReverseMetric(band.metric)):
         calls.clear()
         calculus._gradient(metric, band.field, np.array([1.2, 0.4]))
-        assert calls == [df, h_and_w]
+        assert calls == [df]
 
 
 # ---------------------------------------------------------------------------

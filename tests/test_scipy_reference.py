@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 from test_cli import TUBE_TEXT
 
 import finsler_lab
-from finsler_lab import cli, expressions, transnormal
+from finsler_lab import cli, expressions, metrics, transnormal
 from finsler_lab.errors import EvalError, SingularTensor
 from finsler_lab.geodesics import _brentq
 from finsler_lab.metrics import _solve_spd
@@ -364,7 +364,8 @@ f = x
     [(LINE_TEXT, "0.1", "-0.5"), (TUBE_TEXT, "0.3,0.1,-0.2", "0.2,-0.4,0.3")],
     ids=["line", "tube"],
 )
-def test_dump_geodesic_matches_the_cho_solve_path(tmp_path, monkeypatch, text, start, velocity):
+def test_dump_geodesic_matches_the_cho_solve_path(tmp_path, monkeypatch, solve_1d_by_call, text,
+                                                 start, velocity):
     path = tmp_path / "chart.scn"
     path.write_text(text)
     name = text.split("\n", 1)[0].split(" = ")[1]
@@ -378,9 +379,10 @@ def test_dump_geodesic_matches_the_cho_solve_path(tmp_path, monkeypatch, text, s
         return np.array([[float(v) for v in line.split(",")] for line in lines])
 
     ours = trajectory(tmp_path / "numpy")
-    # the generated kernels of this dimension call the solve through their own namespace
-    for kernel in (expressions.randers_stage(dim), expressions.zermelo_inverse(dim)):
-        monkeypatch.setitem(kernel.__globals__, "_solve_spd", _cho_solve_spd)
+    # the chart's kernels generated again, each solve a call of cho_solve: in 3-D the
+    # kernels call _solve_spd, and in 1-D, where they solve inline, they call it as before
+    solve_1d_by_call()
+    monkeypatch.setattr(metrics, "_solve_spd", _cho_solve_spd)
     theirs = trajectory(tmp_path / "scipy")
     assert ours.shape == theirs.shape and len(ours) > 100
     assert np.allclose(ours, theirs, rtol=1e-12, atol=0.0)

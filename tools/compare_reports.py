@@ -12,8 +12,8 @@ arguments on every built-in example, plus a fixed set of calls with more
 arguments: ``trace-segment`` and ``dump-geodesic`` need a start point, and
 some calls run a chart no example has, from a scenario file written into OUT
 (``SCENARIO_FILES``): a curved Riemannian chart (the sphere band with its wind
-removed), a 1-D chart, a 3-D tube and a chart whose h and W are both undefined
-off its validation grid. Each call writes
+removed), a 1-D chart, a 3-D tube, a chart whose h and W are both undefined
+off its validation grid, and disc-radial in sheared coordinates. Each call writes
 into its own subdirectory of OUT, run with ``--out .`` from there (and given
 the scenario file by a relative path) so that the command recorded in the
 report is the same whatever OUT is; its standard error goes to ``stderr.txt``
@@ -136,11 +136,36 @@ wind = 0.01 * (x - 0.05)^-1, 0
 [field]
 f = x
 """
+# disc-radial in the sheared coordinates x = u + 0.3 v^2, y = v (named x, y again), h and
+# W pulled back: h_01 and both wind entries vary, so few terms of its spray stage fold
+SHEARED_DISC = "sheared-disc.scn"
+SHEARED_DISC_TEXT = """\
+name = sheared-disc
+dimension = 2
+
+[domain]
+kind = disc
+radius = 0.7
+
+[metric]
+kind = randers
+h = 1.0, 0.3 * (2.0 * y) ; 0.3 * (2.0 * y), 0.3 * (2.0 * y) * (0.3 * (2.0 * y)) + 1.0
+wind = x + 0.3 * y^2.0 + -(0.3 * (2.0 * y)) * y, y
+
+[field]
+f = (x + 0.3 * y^2.0)^2.0 + y^2.0
+
+[numerics]
+step = 0.001
+probes = 32
+tolerance = 1e-06
+"""
 # the scenario files run writes into OUT, by name
 SCENARIO_FILES = {RIEMANNIAN_BAND: RIEMANNIAN_BAND_TEXT, LINE: LINE_TEXT, TUBE: TUBE_TEXT,
-                  POLE: POLE_TEXT}
-_BAND, _LINE, _TUBE, _POLE = (["--scenario", f"../{name}"]
-                              for name in (RIEMANNIAN_BAND, LINE, TUBE, POLE))
+                  POLE: POLE_TEXT, SHEARED_DISC: SHEARED_DISC_TEXT}
+_BAND, _LINE, _TUBE, _POLE, _SHEARED = (["--scenario", f"../{name}"]
+                                        for name in (RIEMANNIAN_BAND, LINE, TUBE, POLE,
+                                                     SHEARED_DISC))
 # (label, arguments) of the calls that need more than an example
 EXTRA_CALLS = (
     ("trace-segment-disc-stop", ["trace-segment", "--example", "disc-radial",
@@ -212,6 +237,14 @@ EXTRA_CALLS = (
     ("trace-segment-tube", ["trace-segment", *_TUBE, "--start=0.3,0.1,-0.2", "--levels", "0.2",
                             "--stop", "0.25"]),
     ("check-partition-tube", ["check-partition", *_TUBE, "--levels=0.09,0.25"]),
+    ("check-partition-sheared-disc", ["check-partition", *_SHEARED, "--levels=0.04,0.16"]),
+    ("verify-distance-sheared-disc", ["verify-distance", *_SHEARED, "--from", "0.04",
+                                      "--to", "0.16"]),
+    # exits 1, a false negative: f is transnormal here, but its bins of f mix levels
+    ("check-transnormal-sheared-disc", ["check-transnormal", *_SHEARED]),
+    # along a meridian at the start: the sign of an exact zero acceleration entry may vary
+    ("dump-geodesic-sphere-meridian", ["dump-geodesic", "--example", "randers-sphere-height",
+                                       "--start=1.2,0.3", "--velocity=0.3,0"]),
     # exit 3 at the start, naming the failing entries of (h, W) there
     ("dump-geodesic-pole", ["dump-geodesic", *_POLE, "--start=0.05,0", "--velocity=0,1"]),
     # a time budget whose square underflows to 0
