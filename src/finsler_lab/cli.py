@@ -324,6 +324,10 @@ def _dump_geodesic(args, scenario, emitter):
     emitter.fmt = "both"  # the CSV is the point of this verb
     start = _coords(args, chart, "start")
     velocity = _coords(args, chart, "velocity")
+    # ceil(t_end / step) rows, refused before they are allocated
+    if args.t_end / args.step > MAX_COUNT:
+        raise ValidationError(f"--t-end / --step must be at most {MAX_COUNT} steps, "
+                              f"got {args.t_end} / {args.step}")
     traj = geodesic_at_times(
         chart.metric, TangentVector(start, velocity), uniform_times(args.t_end, args.step),
         step=args.step, domain=chart.domain,

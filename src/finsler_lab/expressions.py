@@ -186,9 +186,11 @@ def _tokenize(text):
                         i += 1
             tok = text[start:i]
             try:
-                float(tok)
+                value = float(tok)
             except ValueError:
                 raise ParseError(f"malformed number '{tok}'", line, col) from None
+            if math.isinf(value):
+                raise ParseError(f"number '{tok}' overflows a float", line, col)
             tokens.append(_Token("number", tok, line, col))
             col += i - start
             continue
@@ -630,27 +632,26 @@ def _generate(nodes, dim, rows=False):
     return _kernel("_generated", head, [f"return {body}"])
 
 
-# every generated function by its source text and extra names: a chart built again, as each
-# CLI call builds its charts, generates the same texts and runs no exec
+# every generated function by its source text: a chart built again, as each CLI call builds
+# its charts, generates the same texts and runs no exec
 _KERNELS = {}
 
 
-def _kernel(name, params, lines, **names):
-    """The function ``name(params)`` with the body lines, over the math and error names and
-    ``names``; generated once per process for each text."""
+def _kernel(name, params, lines):
+    """The function ``name(params)`` with the body lines, over the math and error names;
+    generated once per process for each text."""
     source = f"def {name}({params}):\n" + "".join(f"    {s}\n" for s in lines)
-    key = (source, *sorted(names.items()))
-    if key not in _KERNELS:
+    if source not in _KERNELS:
         # imported here, not at the top: metrics imports this module
         from .metrics import _not_positive_definite, _solve_spd, _strong_wind
 
         namespace = {f"_{k}": fn for k, fn in _MATH.items()} | dict(
             _fpow=math.pow, _isfinite=math.isfinite, _ZeroVector=ZeroVector,
             _DimensionMismatch=DimensionMismatch, _solve_spd=_solve_spd,
-            _strong_wind=_strong_wind, _not_positive_definite=_not_positive_definite) | names
+            _strong_wind=_strong_wind, _not_positive_definite=_not_positive_definite)
         exec(source, namespace)  # noqa: S102
-        _KERNELS[key] = namespace[name]
-    return _KERNELS[key]
+        _KERNELS[source] = namespace[name]
+    return _KERNELS[source]
 
 
 def _at(nodes, coords):
@@ -696,10 +697,10 @@ class _Lines(list):
 def _entries(lines, names, trees, read, dim):
     """The kernel's input entries as trees, named by ``names``.
 
-    Without ``trees`` they are the locals that ``read``, a reader call or columns, unpacks
-    into. With the entries' trees, a finite constant is itself, and every other entry is a
-    local evaluated inline at the coordinates of x, by the text the checked reader evaluates;
-    where one raises or is not finite, ``read`` runs, to raise the reader's error.
+    Without ``trees`` they are the locals that the reader call ``read`` unpacks into. With
+    the entries' trees, a finite constant is itself, and every other entry is a local
+    evaluated inline at the coordinates of x, by the text the checked reader evaluates; where
+    one raises or is not finite, ``read`` runs, to raise the reader's error.
     """
     if trees is None:
         lines.append(f"{', '.join(names)}, = {read}")
@@ -729,18 +730,13 @@ def _root(node):
     return Call("sqrt", node)
 
 
-def _refuse(error, bad="", unless=(), columns=False):
+def _refuse(error, bad="", unless=()):
     """A check's lines: raise the error where the comparison ``bad`` holds or not all of
-    ``unless`` hold; on columns, return None where that is so at some row. NaN passes ``bad``
-    and fails ``unless``, in both forms."""
-    both = " & ".join(f"({t})" for t in unless) if columns else " and ".join(unless)
-    test = bad or f"{'~' if columns else 'not '}({both})"
-    if columns:
-        return [f"if ({test}).any():", "    return None"]
-    return [f"if {test}:", f"    raise {error}"]
+    ``unless`` hold. NaN passes ``bad`` and fails ``unless``."""
+    return [f"if {bad or 'not (' + ' and '.join(unless) + ')'}:", f"    raise {error}"]
 
 
-def _solve(lines, g, r, columns=False):
+def _solve(lines, g, r):
     """Lines that solve g a = r as ``metrics._solve_spd`` solves it, returning a as trees: in
     2-D its closed form, in 1-D its Cholesky factor L = sqrt(g00) and its two substitutions,
     each with its positivity check inline; in 3-D a call."""
@@ -749,8 +745,7 @@ def _solve(lines, g, r, columns=False):
         (g00, g01), (g10, g11) = g
         det = lines.let("det", g00 * g11 - g01 * g10)
         lines += _refuse("_not_positive_definite(x)", unless=(f"{text(g00)} > 0.0",
-                                                              f"{text(det)} > 0.0"),
-                         columns=columns)
+                                                              f"{text(det)} > 0.0"))
         return lines.let("a", [(g11 * r[0] - g01 * r[1]) / det, (g00 * r[1] - g10 * r[0]) / det])
     if len(r) == 1:
         lines += _refuse("_not_positive_definite(x)", unless=(f"{text(g[0][0])} > 0.0",))
@@ -768,16 +763,15 @@ _GENERATED = {}
 
 
 def _kept(generator):
-    """``generator(n, trees, **options)``, kept by the dimension, the options and the texts
-    of the trees, which tell a constant 0.0 from -0.0 where the trees' == does not: a chart
-    built again, as each CLI call builds its charts, gets its kernels without building
-    their texts."""
+    """``generator(n, trees)``, kept by the dimension and the texts of the trees, which tell
+    a constant 0.0 from -0.0 where the trees' == does not: a chart built again, as each CLI
+    call builds its charts, gets its kernels without building their texts."""
 
     @functools.wraps(generator)
-    def kept(n, trees=None, **options):
-        key = (generator.__name__, n, trees and tuple(map(_codegen, trees)), *options.items())
+    def kept(n, trees=None):
+        key = (generator.__name__, n, trees and tuple(map(_codegen, trees)))
         if key not in _GENERATED:
-            _GENERATED[key] = generator(n, trees, **options)
+            _GENERATED[key] = generator(n, trees)
         return _GENERATED[key]
 
     return kept
@@ -860,7 +854,7 @@ def randers_stage(n, trees=None):
 
 
 @_kept
-def zermelo_inverse(n, trees=None, columns=False):
+def zermelo_inverse(n, trees=None):
     """The closed-form Legendre inverse of dimension n, straight-line on plain floats.
 
     ``inverse(x, w, zermelo) -> (v, F*(w), h^-1 w)`` takes the point x as a tuple of n
@@ -869,35 +863,29 @@ def zermelo_inverse(n, trees=None, columns=False):
     v = F*(w) (h^-1 w / |w|_h* + W). It refuses a strong wind, a w of another length, an h
     not positive definite and w = 0, in this order. Without ``trees`` it reads every entry
     through ``zermelo(x)``; given a chart's trees of (h, W) it is the chart's own, inline
-    and folded as ``randers_stage``. With ``columns`` (2-D, without trees),
-    ``co_norms(w, zermelo)`` runs the same lines on the columns of (k, 2) covectors and
-    (k, 6) flat (h, W) rows: F*(w) at each row, or None if one is refused.
+    and folded as ``randers_stage``. It is the one Legendre inverse of a metric: the
+    co-norms of stacked rows (``Metric.co_norms``) call it once per row.
     """
     from .metrics import WIND_NORM_MARGIN
 
     N = range(n)
     lines, text = _Lines(), _codegen
     names = [*(f"h{i}_{j}" for i in N for j in N), *(f"W{i}" for i in N)]
-    entries = _entries(lines, names, trees, "zermelo.T" if columns else "zermelo(x)", n)
+    entries = _entries(lines, names, trees, "zermelo(x)", n)
     h, W = [entries[i * n:(i + 1) * n] for i in N], entries[n * n:]
     # h(W, W) as metrics._zermelo_data sums it, through the entries of h W
     s = lines.let("s", _dot(W, [_dot(row, W) for row in h]))
-    lines += _refuse(f"_strong_wind({text(s)}, x)",
-                     bad=f"{text(s)} >= {1.0 - WIND_NORM_MARGIN!r}", columns=columns)
+    lines += _refuse(f"_strong_wind({text(s)}, x)", bad=f"{text(s)} >= {1.0 - WIND_NORM_MARGIN!r}")
     r = [_Local(f"r{i}") for i in N]
-    unpack = f"{''.join(f'r{i}, ' for i in N)}= w"
-    lines += [f"{unpack}.T"] if columns else [
-        f"if len(w) != {n}:",
-        f"    raise _DimensionMismatch(f'covector shape ({{len(w)}},) != metric dimension {n}')",
-        unpack]
-    a = _solve(lines, h, r, columns)
+    shape = f"covector shape ({{len(w)}},) != metric dimension {n}"
+    lines += [f"if len(w) != {n}:", f"    raise _DimensionMismatch(f'{shape}')",
+              f"{''.join(f'r{i}, ' for i in N)}= w"]
+    a = _solve(lines, h, r)
     dual2 = lines.let("dual2", _dot(r, a))
     lines += _refuse("_ZeroVector('Legendre inverse undefined for the zero covector')",
-                     bad=f"{text(dual2)} <= 0.0", columns=columns)
+                     bad=f"{text(dual2)} <= 0.0")
     dual = lines.let("dual", _root(dual2))
     F = lines.let("F", dual + _dot(r, W))
     v = "".join(f"{text(F * (a[i] / dual + W[i]))}, " for i in N)
-    lines.append(f"return {text(F)}" if columns
-                 else f"return ({v}), {text(F)}, ({''.join(f'{text(c)}, ' for c in a)})")
-    name, params = ("co_norms", "w, zermelo") if columns else ("zermelo_inverse", "x, w, zermelo")
-    return _kernel(name, params, lines, _sqrt=np.sqrt if columns else math.sqrt)
+    lines.append(f"return ({v}), {text(F)}, ({''.join(f'{text(c)}, ' for c in a)})")
+    return _kernel("zermelo_inverse", "x, w, zermelo", lines)

@@ -23,8 +23,8 @@ stage and inverse are its own, generated from the trees on their first call:
 the entries inline, their constant terms folded, a reader called only where
 an entry fails, to raise its error. Without trees (``constant_wind``,
 ``RiemannianMetric.from_matrix`` of a matrix field) the kernels of the
-dimension read every entry through the readers. In 2-D, ``co_norms`` runs the
-generic inverse's lines on numpy columns. Norms and tensors
+dimension read every entry through the readers. ``co_norms`` of stacked rows
+calls the metric's one Legendre inverse once per row. Norms and tensors
 keep a one-slot memo of the alpha/beta data at the last queried point, so an
 instance is not safe to share between threads.
 """
@@ -123,9 +123,11 @@ class Metric:
 
     def co_norms(self, points, covectors):
         """F*(w) at each row pair, ``legendre_inverse(x, w)[1]``, raising what it raises at
-        the first row that fails; None without a closed form."""
+        the first row that fails; None without a closed form. The rows go in as tuples of
+        floats, which the inverse takes as they are."""
+        points, covectors = _row_pairs(self.dim, points, covectors)
         rows = []
-        for x, w in zip(*_row_pairs(self.dim, points, covectors)):
+        for x, w in zip(map(tuple, points.tolist()), map(tuple, covectors.tolist())):
             closed = self.legendre_inverse(x, w)
             if closed is None:
                 return None
@@ -178,13 +180,13 @@ class RandersMetric(Metric):
 
     Its one reader of (h, W) is ``zermelo(x)``, the flat (h, W) at the point x
     (h row-major), read by the alpha/beta data and the Legendre inverse
-    (``expressions.zermelo_inverse``); ``rows``, if given, is its row form for
-    ``_rows_of``. The spray stage (``expressions.randers_stage``) reads
-    ``fields(x)``, the flat (h, W, dh, dW) with the derivative index first, at
-    a tuple of floats. A reader raises the ``FinslerError`` that names what
-    fails at x. Given ``trees``, the expression trees of (h, W, dh, dW) in that
-    order, the stage and the inverse are generated from them and call the
-    readers only where an entry fails.
+    (``expressions.zermelo_inverse``); ``rows``, if given, is its row form, which
+    ``norms`` reads through ``_rows_of``. The spray stage
+    (``expressions.randers_stage``) reads ``fields(x)``, the flat (h, W, dh, dW)
+    with the derivative index first, at a tuple of floats. A reader raises the
+    ``FinslerError`` that names what fails at x. Given ``trees``, the expression
+    trees of (h, W, dh, dW) in that order, the stage and the inverse are
+    generated from them and call the readers only where an entry fails.
     """
 
     kind = "randers"
@@ -270,10 +272,8 @@ class RandersMetric(Metric):
         points, Y = _row_pairs(self.dim, points, vectors)
         n = self.dim
         (Z,), error = _rows_of(points, (self._zermelo, (n * n + n,)), rows=self._rows)
-        H, W = Z[:, : n * n].reshape(-1, n, n), Z[:, n * n :]
-        # _zermelo_data's running sums, left to right from 0.0
-        Wl = sum((H[:, :, j] * W[:, j, None] for j in range(n)), 0.0)
-        s = sum((W[:, j] * Wl[:, j] for j in range(n)), 0.0)
+        H = Z[:, : n * n].reshape(-1, n, n)
+        Wl, s = _wind_rows(H, Z[:, n * n :])
         if error is not None or (s >= 1.0 - WIND_NORM_MARGIN).any():
             return super().norms(points, vectors)
         lam = (1.0 - s)[:, None]
@@ -286,19 +286,6 @@ class RandersMetric(Metric):
             return super().norms(points, vectors)
         beta = (b[:, None, :] @ Y[:, :, None])[:, 0, 0]
         return np.where(alpha2 == 0.0, 0.0, np.sqrt(alpha2) + beta)
-
-    def co_norms(self, points, covectors):
-        """``legendre_inverse(x, w)[1]`` row by row; in 2-D by the column form of its kernel,
-        with the one-point calls only where a field or a row fails, to name the first."""
-        if self.dim == 2:
-            points, w = _row_pairs(2, points, covectors)
-            (Z,), error = _rows_of(points, (self._zermelo, (6,)), rows=self._rows)
-            if error is None:
-                with np.errstate(all="ignore"):  # as Python floats, which do not warn
-                    b = zermelo_inverse(2, columns=True)(w, Z)
-                if b is not None:
-                    return b
-        return super().co_norms(points, covectors)
 
     def fundamental_matrix(self, x, y):
         y = self._require_nonzero(y)
@@ -401,10 +388,6 @@ class ReverseMetric(Metric):
 
     def norms(self, points, vectors):
         return self.inner.norms(points, -np.asarray(vectors, dtype=float))
-
-    def co_norms(self, points, covectors):
-        # F^-*(w) = F*(-w), as legendre_inverse below
-        return self.inner.co_norms(points, -np.asarray(covectors, dtype=float))
 
     def fundamental_matrix(self, x, y):
         y = self._require_nonzero(y)
@@ -545,6 +528,14 @@ def _zermelo_data(H, W, x):
     if s >= 1.0 - WIND_NORM_MARGIN:
         raise _strong_wind(s, x)
     return Wl, 1.0 - s
+
+
+def _wind_rows(H, W):
+    """H W and h(W, W) at each row of stacked (k, n, n) and (k, n) arrays, each sum taken
+    left to right from 0.0, as ``_zermelo_data`` and the generated kernels take it."""
+    n = W.shape[1]
+    Wl = sum((H[:, :, j] * W[:, j, None] for j in range(n)), 0.0)
+    return Wl, sum((W[:, j] * Wl[:, j] for j in range(n)), 0.0)
 
 
 def _floats(v):

@@ -27,9 +27,10 @@ from .calculus import ScalarField
 from .domains import BoxDomain, DiscDomain, Domain
 from .errors import LevelNotFound, ParseError, ValidationError
 from .expressions import VARIABLES, Const, Expr, compile_expression, compile_rows, parse_expression
-from .metrics import Metric, RandersMetric, RiemannianMetric, _rows_of
+from .metrics import (
+    WIND_NORM_MARGIN, Metric, RandersMetric, RiemannianMetric, _rows_of, _wind_rows,
+)
 
-WIND_VALIDATION_LIMIT = 1.0 - 1e-6
 _VALIDATION_GRID = 13
 # the largest probe or sample count a run may ask for: a larger one builds points
 # (or an array of them) that no run finishes
@@ -326,14 +327,13 @@ def _validate_config(config: ScenarioConfig):
     if undefined is not None:
         raise undefined
     if w:
-        (W,) = wind
-        hww = (W[:, None, :] @ H @ W[:, :, None])[:, 0, 0]
+        # h(W, W) summed as the kernels sum it, refused at their bound
+        _, hww = _wind_rows(H, *wind)
         # fmax, like a running max(), passes over nan
         worst_wind = float(np.fmax.reduce(hww, initial=0.0))
-        if worst_wind > WIND_VALIDATION_LIMIT:
-            raise ValidationError(
-                f"wind norm exceeds 1: max sampled h(W,W) = {worst_wind}"
-            )
+        if worst_wind >= 1.0 - WIND_NORM_MARGIN:
+            raise ValidationError(f"wind norm exceeds 1 - {WIND_NORM_MARGIN!r}: "
+                                  f"max sampled h(W,W) = {worst_wind}")
 
 
 def render_scenario(config: ScenarioConfig) -> str:

@@ -16,8 +16,8 @@ import pytest
 from test_compare_reports import compare_reports
 from test_metrics import SINGULAR_WIND_TEXT, _random_points, _random_zermelo_text
 
-from finsler_lab import expressions
-from finsler_lab.errors import FinslerError, SingularTensor
+from finsler_lab import expressions, scenarios
+from finsler_lab.errors import FinslerError, SingularTensor, ValidationError
 from finsler_lab.metrics import _solve_spd
 from finsler_lab.scenarios import build_chart, example_texts, list_examples, parse_scenario
 
@@ -98,9 +98,10 @@ def test_chart_kernels_are_the_generic_kernels(rng, sheared_disc_text):
 
 @pytest.mark.parametrize("margin", [1e-6, 2e-6])
 @pytest.mark.parametrize("h00", ["{h}", "{h} + 0 * x"], ids=["constant", "varying"])
-def test_chart_kernels_beside_the_wind_margin(rng, margin, h00):
+def test_chart_kernels_beside_the_wind_margin(rng, monkeypatch, margin, h00):
     # h(W, W) = h_00 exactly for W = e_0: on the margin every stage and inverse is
-    # refused (in the constant chart, by a test of two constants), 1e-6 inside none
+    # refused (in the constant chart, by a test of two constants), 1e-6 inside none.
+    # Validation refuses at the same bound, so the chart on the margin is built unvalidated
     text = f"""\
 name = margin
 dimension = 2
@@ -118,6 +119,10 @@ wind = 1, 0
 [field]
 f = y
 """
+    if margin == 1e-6:
+        with pytest.raises(ValidationError, match="wind norm exceeds 1 - 1e-06"):
+            parse_scenario(text)
+        monkeypatch.setattr(scenarios, "_validate_config", lambda config: None)
     chart = build_chart(parse_scenario(text))
     metric = chart.metric
     assert_chart_kernels_match(metric, _random_points(chart.domain, rng, 4),

@@ -629,6 +629,50 @@ def test_scenario_probe_count_no_run_can_finish_exits_two(tmp_path, capsys):
     assert not list(out.iterdir())
 
 
+def test_dump_geodesic_rows_no_run_can_finish_exits_two(tmp_path, capsys, monkeypatch):
+    # ceil(t_end / step) = 10^15 rows: refused before their times are allocated
+    monkeypatch.setattr("finsler_lab.cli.uniform_times", lambda *args: pytest.fail("called"))
+    assert run(tmp_path, "dump-geodesic", "--example", "disc-radial", "--start=0.1,0.1",
+               "--velocity=1,0", "--t-end", "1e12") == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: --t-end / --step must be at most {MAX_COUNT} steps, "
+        "got 1000000000000.0 / 0.001\n")
+    assert not list(tmp_path.iterdir())
+
+
+# scenario files that load at no point, as (text, verb arguments, stderr)
+_REFUSED_SCENARIOS = {
+    # a literal that overflows a float, refused at its line and column
+    "overflowing-literal": (
+        example_texts("disc-radial")["main"].replace(
+            "h = 1, 0 ; 0, 1", "h = 1 + 1e999 * 0 * x, 0 ; 0, 1"),
+        ("check-transnormal",),
+        "configuration error: in expression '1 + 1e999 * 0 * x': number '1e999' overflows a "
+        "float (line 10, column 5)\n"),
+    # h(W, W) = 0.999999, at the kernels' bound 1 - 1e-6: refused by validation
+    **{f"wind-at-bound-{verb}": (
+        example_texts("euclidean-linear")["main"].replace(
+            "kind = riemannian\nh = 1, 0 ; 0, 1",
+            "kind = randers\nh = 0.999999, 0 ; 0, 1\nwind = 1, 0"),
+        argv,
+        "configuration error: wind norm exceeds 1 - 1e-06: max sampled h(W,W) = 0.999999\n")
+        for verb, argv in (("check-transnormal", ("check-transnormal",)),
+                           ("verify-distance", ("verify-distance", "--from", "-0.5",
+                                                "--to", "0.5")))},
+}
+
+
+@pytest.mark.parametrize("case", _REFUSED_SCENARIOS)
+def test_scenario_refused_at_load_exits_two(tmp_path, capsys, case):
+    text, argv, stderr = _REFUSED_SCENARIOS[case]
+    (tmp_path / "refused.scn").write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*argv, "--scenario", str(tmp_path / "refused.scn"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == stderr
+    assert not list(out.iterdir())
+
+
 @pytest.fixture()
 def generated(monkeypatch):
     """The names of the functions ``expressions._kernel`` generates, in call order, with no
@@ -655,7 +699,7 @@ def generated(monkeypatch):
         (("check-partition", "--example", "randers-sphere-height"), 5,
          ("randers_stage", "zermelo_inverse")),
         (("verify-distance", "--example", "disc-radial"), 6,
-         ("co_norms", "randers_stage", "zermelo_inverse")),
+         ("randers_stage", "zermelo_inverse")),
     ],
 )
 def test_verbs_generate_only_the_fields_they_read(tmp_path, generated, argv, count, kernels):

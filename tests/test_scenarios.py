@@ -8,10 +8,10 @@ from finsler_lab.calculus import finsler_gradient
 from finsler_lab.domains import BoxDomain
 from finsler_lab.errors import EvalError, FinslerError, LevelNotFound, ParseError, ValidationError
 from finsler_lab.foliation import check_finsler_partition, check_parallel, level_points
+from finsler_lab.metrics import WIND_NORM_MARGIN
 from finsler_lab.transnormal import verify_distance_formula
 from finsler_lab.scenarios import (
     MAX_COUNT,
-    WIND_VALIDATION_LIMIT,
     build_chart,
     build_scenario,
     example_texts,
@@ -168,16 +168,24 @@ def test_domain_key_of_another_kind_rejected_at_its_line(name, old, new, kind):
     assert text.splitlines()[err.value.line - 1].startswith(bad_key)
 
 
-def _margin_wind_text(h_rows, direction, above):
-    """A constant wind on a box, with h(W, W) just above the limit or at most it.
+def _kernel_hww(H, W):
+    """h(W, W) as the generated kernels sum it: W . (H W), each sum left to right."""
+    HW = [sum(a * b for a, b in zip(row, W)) for row in H.tolist()]
+    return sum(a * b for a, b in zip(W.tolist(), HW))
 
-    W is the direction scaled to h(W, W) = WIND_VALIDATION_LIMIT, then moved
-    in its first component one float at a time to the requested side.
+
+def _margin_wind_text(h_rows, direction, above):
+    """A constant wind on a box, with h(W, W) at the kernels' bound 1 - WIND_NORM_MARGIN or
+    just above it, or just below it.
+
+    W is the direction scaled to h(W, W) = 1 - WIND_NORM_MARGIN, then moved in its first
+    component one float at a time to the requested side.
     """
+    bound = 1.0 - WIND_NORM_MARGIN
     H = np.array(h_rows, dtype=float)
     W = np.array(direction, dtype=float)
-    W *= math.sqrt(WIND_VALIDATION_LIMIT / float(W @ H @ W))
-    while (float(W @ H @ W) > WIND_VALIDATION_LIMIT) != above:
+    W *= math.sqrt(bound / _kernel_hww(H, W))
+    while (_kernel_hww(H, W) >= bound) != above:
         W[0] = np.nextafter(W[0], math.inf if above else -math.inf)
     dim = len(W)
     return (
@@ -265,6 +273,16 @@ def test_validation_matches_pointwise_reference(monkeypatch, pointwise_validate_
         assert stacked[0] is expected[0] and expected[1] in stacked[1]
     monkeypatch.setattr(scenarios, "_validate_config", pointwise_validate_config)
     assert _validation_outcome(text) == stacked
+
+
+@pytest.mark.parametrize("case", ["wind-under-margin-2d", "wind-under-margin-3d"])
+def test_a_wind_that_loads_is_taken_by_the_kernels(case):
+    # validation and the generated kernels refuse at one bound, summed alike: a wind just
+    # under it loads, and the chart's Legendre inverse and spray stage take it
+    metric = build_chart(parse_scenario(VALIDATION_CASES[case][0])).metric
+    x = (0.0,) * metric.dim
+    assert metric.legendre_inverse(x, (1.0,) * metric.dim)[1] > 0.0
+    assert metric.geodesic_stage(x, (1.0,) * metric.dim)[1] > 0.0
 
 
 def test_asymmetric_h_rejected():

@@ -13,7 +13,9 @@ arguments: ``trace-segment`` and ``dump-geodesic`` need a start point, and
 some calls run a chart no example has, from a scenario file written into OUT
 (``SCENARIO_FILES``): a curved Riemannian chart (the sphere band with its wind
 removed), a 1-D chart, a 3-D tube, a chart whose h and W are both undefined
-off its validation grid, and disc-radial in sheared coordinates. Each call writes
+off its validation grid, disc-radial in sheared coordinates, and two files that
+load at no point: a literal that overflows a float, and a wind at the kernels'
+bound h(W,W) = 1 - 1e-6. Each call writes
 into its own subdirectory of OUT, run with ``--out .`` from there (and given
 the scenario file by a relative path) so that the command recorded in the
 report is the same whatever OUT is; its standard error goes to ``stderr.txt``
@@ -160,12 +162,51 @@ step = 0.001
 probes = 32
 tolerance = 1e-06
 """
+# disc-radial with a literal that overflows a float: refused at parse, naming it
+OVERFLOW = "overflowing-literal.scn"
+OVERFLOW_TEXT = """\
+name = overflowing-literal
+dimension = 2
+
+[domain]
+kind = disc
+radius = 0.9
+
+[metric]
+kind = randers
+h = 1 + 1e999 * 0 * x, 0 ; 0, 1
+wind = x, y
+
+[field]
+f = x^2 + y^2
+"""
+# the euclidean-linear box with h(W, W) = 0.999999, at the kernels' bound 1 - 1e-6:
+# refused by validation, which sums h(W, W) as the kernels do
+WIND_AT_BOUND = "wind-at-bound.scn"
+WIND_AT_BOUND_TEXT = """\
+name = wind-at-bound
+dimension = 2
+
+[domain]
+kind = box
+lower = -2.0, -2.0
+upper = 2.0, 2.0
+
+[metric]
+kind = randers
+h = 0.999999, 0 ; 0, 1
+wind = 1, 0
+
+[field]
+f = x
+"""
 # the scenario files run writes into OUT, by name
 SCENARIO_FILES = {RIEMANNIAN_BAND: RIEMANNIAN_BAND_TEXT, LINE: LINE_TEXT, TUBE: TUBE_TEXT,
-                  POLE: POLE_TEXT, SHEARED_DISC: SHEARED_DISC_TEXT}
-_BAND, _LINE, _TUBE, _POLE, _SHEARED = (["--scenario", f"../{name}"]
-                                        for name in (RIEMANNIAN_BAND, LINE, TUBE, POLE,
-                                                     SHEARED_DISC))
+                  POLE: POLE_TEXT, SHEARED_DISC: SHEARED_DISC_TEXT, OVERFLOW: OVERFLOW_TEXT,
+                  WIND_AT_BOUND: WIND_AT_BOUND_TEXT}
+_BAND, _LINE, _TUBE, _POLE, _SHEARED, _OVERFLOW, _WIND_AT_BOUND = (
+    ["--scenario", f"../{name}"]
+    for name in (RIEMANNIAN_BAND, LINE, TUBE, POLE, SHEARED_DISC, OVERFLOW, WIND_AT_BOUND))
 # (label, arguments) of the calls that need more than an example
 EXTRA_CALLS = (
     ("trace-segment-disc-stop", ["trace-segment", "--example", "disc-radial",
@@ -262,6 +303,12 @@ EXTRA_CALLS = (
                                        "--levels=0.16,1.5"]),
     ("verify-distance-disc-past-rim", ["verify-distance", "--example", "disc-radial",
                                        "--from", "0.04", "--to", "1.5"]),
+    # refused before anything runs: exit 2, no report
+    ("check-transnormal-overflowing-literal", ["check-transnormal", *_OVERFLOW]),
+    ("check-transnormal-wind-at-bound", ["check-transnormal", *_WIND_AT_BOUND]),
+    ("dump-geodesic-disc-too-many-rows", ["dump-geodesic", "--example", "disc-radial",
+                                          "--start=0.1,0.1", "--velocity=1,0",
+                                          "--t-end", "1e12"]),
 )
 
 
