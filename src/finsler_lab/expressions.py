@@ -694,13 +694,15 @@ class _Lines(list):
         return _Local(name)
 
 
-def _entries(lines, names, trees, read, dim):
+def _entries(lines, names, trees, read, dim, point="x"):
     """The kernel's input entries as trees, named by ``names``.
 
     Without ``trees`` they are the locals that the reader call ``read`` unpacks into. With
     the entries' trees, a finite constant is itself, and every other entry is a local
-    evaluated inline at the coordinates of x, by the text the checked reader evaluates; where
-    one raises or is not finite, ``read`` runs, to raise the reader's error.
+    evaluated inline at the coordinates, by the text the checked reader evaluates; where
+    one raises or is not finite, ``read`` runs, to raise the reader's error. The
+    coordinates are unpacked from the local ``point``, or, where it is None, the kernel has
+    unpacked them.
     """
     if trees is None:
         lines.append(f"{', '.join(names)}, = {read}")
@@ -708,7 +710,9 @@ def _entries(lines, names, trees, read, dim):
     inline = {name: _codegen(t) for name, t in zip(names, trees)
               if not (isinstance(t, Const) and math.isfinite(t.value))}
     if inline:
-        lines += [f"{''.join(f'_c{i}, ' for i in range(dim))}= x", "try:",
+        if point is not None:
+            lines.append(f"{''.join(f'_c{i}, ' for i in range(dim))}= {point}")
+        lines += ["try:",
                   *(f"    {name} = {text}" for name, text in inline.items()),
                   "except (ValueError, ZeroDivisionError, OverflowError):", f"    {read}",
                   "    raise", f"if not _isfinite({' + '.join(inline)}):", f"    {read}"]
@@ -736,24 +740,26 @@ def _refuse(error, bad="", unless=()):
     return [f"if {bad or 'not (' + ' and '.join(unless) + ')'}:", f"    raise {error}"]
 
 
-def _solve(lines, g, r):
+def _solve(lines, g, r, point):
     """Lines that solve g a = r as ``metrics._solve_spd`` solves it, returning a as trees: in
     2-D its closed form, in 1-D its Cholesky factor L = sqrt(g00) and its two substitutions,
-    each with its positivity check inline; in 3-D a call."""
+    each with its positivity check inline; in 3-D a call. ``point`` is the text of the point
+    that a refusal names."""
     text = _codegen
     if len(r) == 2:
         (g00, g01), (g10, g11) = g
         det = lines.let("det", g00 * g11 - g01 * g10)
-        lines += _refuse("_not_positive_definite(x)", unless=(f"{text(g00)} > 0.0",
-                                                              f"{text(det)} > 0.0"))
+        lines += _refuse(f"_not_positive_definite({point})", unless=(f"{text(g00)} > 0.0",
+                                                                     f"{text(det)} > 0.0"))
         return lines.let("a", [(g11 * r[0] - g01 * r[1]) / det, (g00 * r[1] - g10 * r[0]) / det])
     if len(r) == 1:
-        lines += _refuse("_not_positive_definite(x)", unless=(f"{text(g[0][0])} > 0.0",))
+        lines += _refuse(f"_not_positive_definite({point})",
+                         unless=(f"{text(g[0][0])} > 0.0",))
         L = lines.let("L", _root(g[0][0]))
         # each substitution times the reciprocal of L, as _solve_spd takes it
         return lines.let("a", [r[0] * (1.0 / L) * (1.0 / L)])
     rows = "".join(f"({''.join(f'{text(v)}, ' for v in row)}), " for row in g)
-    lines += [f"a = _solve_spd(({rows}), ({''.join(f'{text(v)}, ' for v in r)}), x)",
+    lines += [f"a = _solve_spd(({rows}), ({''.join(f'{text(v)}, ' for v in r)}), {point})",
               f"{''.join(f'a{i}, ' for i in range(len(r)))}= a.tolist()"]
     return [_Local(f"a{i}") for i in range(len(r))]
 
@@ -779,13 +785,16 @@ def _kept(generator):
 
 @_kept
 def randers_stage(n, trees=None):
-    """The Randers spray stage of dimension n, straight-line on plain floats.
+    """The Randers spray on the march state of dimension n, straight-line on plain floats.
 
-    ``stage(x, y, fields) -> (acceleration, F)`` takes the point x and the vector y as tuples
-    of n floats and ``fields``, the checked reader of the Zermelo data at x as one flat
-    tuple: h and W, then their x-derivatives dh[k][i][j] and dW[k][i], each row-major; the
-    acceleration is a tuple of n floats. It is the closed form of ``metrics`` with every
-    index loop unrolled, and in 1-D and 2-D the solve with its positivity check inline.
+    ``stage(fields, z) -> dz`` takes the state z = (x, y, s), the point x, the vector y and
+    the arc length s, as one tuple of 2n + 1 floats and returns its derivative
+    dz = (y, a, F), the acceleration a and the speed F, as another. ``fields`` is the
+    checked reader of the Zermelo data at x as one flat tuple: h and W, then their
+    x-derivatives dh[k][i][j] and dW[k][i], each row-major. It is the closed form of
+    ``metrics`` with every index loop unrolled, and in 1-D and 2-D the solve with its
+    positivity check inline; x itself, ``z[:n]``, is taken only where the stage reads
+    ``fields`` or raises, to name the point.
 
     Without ``trees`` the stage reads every entry through ``fields(x)``. Given a chart's
     trees of these entries, in this order, it is the chart's own: the entries are inline
@@ -797,27 +806,28 @@ def randers_stage(n, trees=None):
     """
     from .metrics import WIND_NORM_MARGIN
 
-    N = range(n)
-    lines = _Lines([f"{''.join(f'y{i}, ' for i in N)}= y"])
+    N, x = range(n), f"z[:{n}]"
+    lines = _Lines([f"{''.join(f'_c{i}, ' for i in N)}{''.join(f'y{i}, ' for i in N)}_ = z"])
     y = [_Local(f"y{i}") for i in N]
     names = [*(f"h{i}_{j}" for i in N for j in N), *(f"w{i}" for i in N),
              *(f"dh{k}_{i}_{j}" for k in N for i in N for j in N),
              *(f"dw{k}_{i}" for k in N for i in N)]
-    entries = iter(_entries(lines, names, trees, "fields(x)", n))
+    entries = iter(_entries(lines, names, trees, f"fields({x})", n, point=None))
     h, w = [[next(entries) for _ in N] for _ in N], [next(entries) for _ in N]
     dh = [[[next(entries) for _ in N] for _ in N] for _ in N]
     dw = [[next(entries) for _ in N] for _ in N]
     let, text = lines.let, _codegen
     wl = let("wl", [_dot(h[i], w) for i in N])
     s = let("s", _dot(w, wl))
-    lines += _refuse(f"_strong_wind({text(s)}, x)", bad=f"{text(s)} >= {1.0 - WIND_NORM_MARGIN!r}")
+    lines += _refuse(f"_strong_wind({text(s)}, {x})",
+                     bad=f"{text(s)} >= {1.0 - WIND_NORM_MARGIN!r}")
     lam = let("lam", 1.0 - s)
     lam2 = let("lam2", lam * lam)
     hy = let("hy", [_dot(h[i], y) for i in N])
     wly = let("wly", _dot(wl, y))
     ay = let("ay", [hy[i] / lam + wl[i] * wly / lam2 for i in N])
     alpha2 = let("alpha2", _dot(y, ay))
-    lines += _refuse("_not_positive_definite(x)", bad=f"{text(alpha2)} < 0.0")
+    lines += _refuse(f"_not_positive_definite({x})", bad=f"{text(alpha2)} < 0.0")
     lines += _refuse("_ZeroVector('spray undefined on the zero section')",
                      bad=f"{text(alpha2)} <= 0.0")
     alpha = let("alpha", _root(alpha2))
@@ -848,9 +858,9 @@ def randers_stage(n, trees=None):
     ratio = let("ratio", F / alpha)
     g = let("g", [[m[i] * m[j] + ratio * (h[i][j] / lam + wl[i] * wl[j] / lam2 - e[i] * e[j])
                    for j in N] for i in N])
-    a = _solve(lines, g, r)
-    lines.append(f"return ({''.join(f'{text(v)}, ' for v in a)}), {text(F)}")
-    return _kernel("randers_stage", "x, y, fields", lines)
+    a = _solve(lines, g, r, x)
+    lines.append(f"return ({''.join(f'{text(v)}, ' for v in (*y, *a, F))})")
+    return _kernel("randers_stage", "fields, z", lines)
 
 
 @_kept
@@ -880,7 +890,7 @@ def zermelo_inverse(n, trees=None):
     shape = f"covector shape ({{len(w)}},) != metric dimension {n}"
     lines += [f"if len(w) != {n}:", f"    raise _DimensionMismatch(f'{shape}')",
               f"{''.join(f'r{i}, ' for i in N)}= w"]
-    a = _solve(lines, h, r)
+    a = _solve(lines, h, r, "x")
     dual2 = lines.let("dual2", _dot(r, a))
     lines += _refuse("_ZeroVector('Legendre inverse undefined for the zero covector')",
                      bad=f"{text(dual2)} <= 0.0")

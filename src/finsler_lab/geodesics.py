@@ -7,18 +7,21 @@ M[i,k] = d^2F^2/dy^i dx^k the acceleration a satisfies
 
 a dense symmetric solve at the desk-scale dimensions used here. The running
 arc length is carried as an extra state component, so the length converges
-at the same order as the trajectory. One spray stage (`Metric.geodesic_stage`)
-is, for a Randers metric, one call of a straight-line function
-(`expressions.randers_stage`); a scenario chart's is generated from its own
-trees of h, W and their derivatives, which it evaluates inline.
+at the same order as the trajectory. A march reads the spray as the
+right-hand side of its state (`Metric.spray_rhs`): for a Randers metric that is
+one straight-line function on the state z = (x, y, arc length), returning
+(y, a, F) (`expressions.randers_stage`), which the march calls directly; a
+scenario chart's is generated from its own trees of h, W and their
+derivatives, which it evaluates inline. One spray stage at a point and a
+vector (`Metric.geodesic_stage`) is a checked call of the same function.
 
 Curves take adaptive Dormand-Prince 5(4) steps (Dormand & Prince 1980;
 Hairer-Norsett-Wanner, Solving ODEs I, II.4-II.6) with error control on the
 state, from one step loop (`_accepted_steps`) on plain floats: the state is
-a tuple, the right-hand side ``rhs(z)`` returns one (the spray on (x, y, arc
-length) here, the unit gradient flow on x in `transnormal.trace_f_segment`),
-and a step, its stage combinations and its error norm are straight-line code
-generated once per state size (`_dp5_kernel`). One builder gives a step's
+a tuple, the right-hand side ``rhs(z)`` returns one (the metric's spray here,
+the unit gradient flow on x in `transnormal.trace_f_segment`), and a step, its
+stage combinations and its error norm are straight-line code generated once
+per state size (`_dp5_kernel`). One builder gives a step's
 continuous extension on plain floats (`_extension`), once per step that reads
 it: the step that brackets a level, each step of the flow (whose measured
 acceleration it also gives), and each step of `geodesic_at_times` with times
@@ -360,21 +363,6 @@ def orthogonality_defect(metric: Metric, gamma_dot: TangentVector, tangent_basis
     return worst
 
 
-def _spray_rhs(metric: Metric, n: int):
-    """Right-hand side ``rhs(z)`` of the spray on the march state z = (x, y, arc length).
-
-    Takes and returns the state and its derivative (y, a, F) as tuples of floats.
-    """
-    stage = metric.geodesic_stage
-
-    def rhs(z):
-        y = z[n : 2 * n]
-        a, speed = stage(z[:n], y)
-        return (*y, *a, speed)
-
-    return rhs
-
-
 @functools.cache
 def _dp5_kernel(m):
     """One Dormand-Prince step on a state of m floats, generated once per m.
@@ -461,9 +449,10 @@ def _accepted_steps(rhs, z, k1, t, h, step, domain, n, t_stop=math.inf):
     """Accepted Dormand-Prince steps from the state z at time t, first trying h.
 
     The state is a tuple of floats, and ``rhs(z)`` its derivative k1 there,
-    another; a step is one call of the step that `_dp5_kernel` generates and
-    one of its error ratio. The first n components of z are the position,
-    which must stay in the domain.
+    another; a step is one call of the step that `_dp5_kernel` generates, which
+    calls ``rhs`` on its six trial states (for a Randers spray, the chart's
+    generated stage itself), and one of its error ratio. The first n
+    components of z are the position, which must stay in the domain.
     Yields (h, t_new, z_new, K) per accepted step: the step taken, the new
     time and state, and the seven stage derivatives (K[0] at z, K[6] at
     z_new). A step is rejected and shortened when
@@ -601,7 +590,8 @@ def _locate(rhs, field: ScalarField, target: float, z, K, h: float, ext, n: int)
     def phi(theta):
         s = theta / h
         a, b = 1.0 - s, s * (1.0 - s)
-        x = [a * z0 + s * z1 + b * (r2 + s * (r3 + a * r4)) for z0, z1, r2, r3, r4 in position]
+        x = tuple([a * z0 + s * z1 + b * (r2 + s * (r3 + a * r4))
+                   for z0, z1, r2, r3, r4 in position])
         return field.value(x) - target
 
     theta = _brentq(phi, 0.0, h, xtol=1e-12 * h)
@@ -619,8 +609,13 @@ def _locate(rhs, field: ScalarField, target: float, z, K, h: float, ext, n: int)
 
 
 def _march_start(metric: Metric, x, y, arclen):
-    """Right-hand side, state and its derivative, as float tuples, for a march from (x, y)."""
-    rhs = _spray_rhs(metric, len(x))
+    """Right-hand side, state and its derivative, as float tuples, for a march from (x, y).
+
+    The right-hand side is the metric's spray on the state (`Metric.spray_rhs`), for a
+    Randers metric its generated stage, called with no check: the march builds every
+    state it reads, of 2n + 1 floats.
+    """
+    rhs = metric.spray_rhs()
     z = (*np.asarray(x, dtype=float).tolist(), *np.asarray(y, dtype=float).tolist(), float(arclen))
     return rhs, z, rhs(z)
 

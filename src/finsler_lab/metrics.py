@@ -16,6 +16,9 @@ whose y-derivatives (fundamental tensor, Cartan tensor, spray right-hand
 sides) have closed forms. The spray stage and the Legendre inverse are each
 one straight-line function on plain floats (``expressions.randers_stage``,
 ``zermelo_inverse``): on 2-vectors the per-call cost of numpy would dominate.
+The stage reads and returns the march state (``spray_rhs``), so a march calls
+it with no wrapper between; ``geodesic_stage`` checks a point and a vector and
+reads the same stage.
 A metric is built from flat checked readers, one call per point: of the joint
 (h, W), which every norm and tensor reads, and of (h, W, dh, dW). A scenario
 chart passes its compiled readers and the trees of these entries, and its
@@ -158,6 +161,19 @@ class Metric:
         """(acceleration, speed) of the geodesic spray at (x, y), from a closed form."""
         raise NoSpray(f"a {self.kind} metric has no closed-form geodesic spray")
 
+    def spray_rhs(self):
+        """The spray as the right-hand side ``rhs(z) -> dz`` of the march state: z = (x, y,
+        arc length) and dz = (y, acceleration, speed), tuples of floats. Here one
+        ``geodesic_stage`` per call."""
+        stage, n = self.geodesic_stage, self.dim
+
+        def rhs(z):
+            y = z[n : 2 * n]
+            a, speed = stage(z[:n], y)
+            return (*y, *a, speed)
+
+        return rhs
+
     # -- helpers -------------------------------------------------------------
 
     def _require_nonzero(self, y):
@@ -181,9 +197,9 @@ class RandersMetric(Metric):
     Its one reader of (h, W) is ``zermelo(x)``, the flat (h, W) at the point x
     (h row-major), read by the alpha/beta data and the Legendre inverse
     (``expressions.zermelo_inverse``); ``rows``, if given, is its row form, which
-    ``norms`` reads through ``_rows_of``. The spray stage
-    (``expressions.randers_stage``) reads ``fields(x)``, the flat (h, W, dh, dW)
-    with the derivative index first, at a tuple of floats. A reader raises the
+    ``norms`` reads through ``_rows_of``. The spray stage on the march state
+    (``expressions.randers_stage``, ``spray_rhs``) reads ``fields(x)``, the flat
+    (h, W, dh, dW) with the derivative index first, at a tuple of floats. A reader raises the
     ``FinslerError`` that names what fails at x. Given ``trees``, the expression
     trees of (h, W, dh, dW) in that order, the stage and the inverse are
     generated from them and call the readers only where an entry fails.
@@ -318,12 +334,18 @@ class RandersMetric(Metric):
 
         x and y are arrays or tuples of n floats; the acceleration is a tuple.
         """
-        x, y = _floats(x), _floats(y)
-        if len(x) != self.dim:
-            raise DimensionMismatch(f"point dimension {len(x)} != metric dimension {self.dim}")
-        if len(y) != self.dim:
-            raise DimensionMismatch(f"vector dimension {len(y)} != metric dimension {self.dim}")
-        return self._stage(x, y, self._fields)
+        x, y, n = _floats(x), _floats(y), self.dim
+        if len(x) != n:
+            raise DimensionMismatch(f"point dimension {len(x)} != metric dimension {n}")
+        if len(y) != n:
+            raise DimensionMismatch(f"vector dimension {len(y)} != metric dimension {n}")
+        dz = self._stage(self._fields, (*x, *y, 0.0))
+        return dz[n : 2 * n], dz[2 * n]
+
+    def spray_rhs(self):
+        """The generated stage itself, with the fields reader bound: unchecked, as the march
+        builds every state it reads."""
+        return functools.partial(self._stage, self._fields)
 
     def legendre_inverse(self, x, w):
         """Closed form from the co-metric F*(w) = |w|_h* + w(W) (Bao-Robles-Shen).

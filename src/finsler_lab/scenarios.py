@@ -160,7 +160,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ParseError(f"empty value for '{key}'", lineno, len(raw))
         if key in sections[current]:
             raise ParseError(f"duplicate key '{key}'", lineno, 1)
-        sections[current][key] = (value, lineno)
+        # the column of the value's first character, for errors inside it
+        column = len(raw) - len(raw[raw.index("=") + 1:].lstrip()) + 1
+        sections[current][key] = (value, (lineno, column))
     return _config_from_sections(sections)
 
 
@@ -173,9 +175,9 @@ def _take(sections, section, key, default=None, required=False):
     return entry[0]
 
 
-def _take_line(sections, section, key):
-    entry = sections.get(section, {}).get(key)
-    return entry[1] if entry is not None else None
+def _take_at(sections, section, key):
+    """The (line, column) of a key's value."""
+    return sections[section][key][1]
 
 
 def _numbers(text, key, kind=float, size=None):
@@ -191,15 +193,26 @@ def _numbers(text, key, kind=float, size=None):
     return values
 
 
-def _parse_expr_at(text, file_line=None):
+def _split_at(text, column, sep=","):
+    """``_split_top_level`` of a value, each part with the file column it starts at, given
+    the column of the value's first character."""
+    parts = []
+    for part in _split_top_level(text, sep):
+        parts.append((part, column))
+        column += len(part) + 1
+    return parts
+
+
+def _parse_expr_at(text, at):
+    """The expression text whose first character is at the file's (line, column); a
+    ``ParseError`` is reported at the file's line and column."""
     try:
         return parse_expression(text)
     except ParseError as exc:
-        if file_line is None:
-            raise
-        raise ParseError(
-            f"in expression '{text.strip()}': {exc.message}", file_line, exc.column
-        ) from None
+        line, column = at
+        if exc.column is not None:
+            column += exc.column - 1
+        raise ParseError(f"in expression '{text.strip()}': {exc.message}", line, column) from None
 
 
 def _config_from_sections(sections) -> ScenarioConfig:
@@ -215,7 +228,7 @@ def _config_from_sections(sections) -> ScenarioConfig:
     domain_kind = _take(sections, "domain", "kind", required=True).lower()
     if domain_kind not in _DOMAIN_KIND_KEYS:
         raise ValidationError(f"unknown domain kind '{domain_kind}'")
-    for key, (_, lineno) in sections["domain"].items():
+    for key, (_, (lineno, _)) in sections["domain"].items():
         if key not in _DOMAIN_KIND_KEYS[domain_kind]:
             raise ParseError(
                 f"key '{key}' does not apply to domain kind '{domain_kind}'", lineno, 1
@@ -247,23 +260,23 @@ def _config_from_sections(sections) -> ScenarioConfig:
     if metric_kind not in ("riemannian", "randers"):
         raise ValidationError(f"unknown metric kind '{metric_kind}'")
     h_text = _take(sections, "metric", "h", required=True)
-    h_line = _take_line(sections, "metric", "h")
-    rows = [r for r in _split_top_level(h_text, ";")]
-    h_entries = [[_parse_expr_at(e, h_line) for e in _split_top_level(row)] for row in rows]
+    line, column = _take_at(sections, "metric", "h")
+    h_entries = [[_parse_expr_at(e, (line, c)) for e, c in _split_at(row, start)]
+                 for row, start in _split_at(h_text, column, ";")]
     if len(h_entries) != dimension or any(len(r) != dimension for r in h_entries):
         raise ValidationError(f"h must be a {dimension}x{dimension} expression matrix")
     wind_entries = None
     if metric_kind == "randers":
         wind_text = _take(sections, "metric", "wind", required=True)
-        wind_line = _take_line(sections, "metric", "wind")
-        wind_entries = [_parse_expr_at(e, wind_line) for e in _split_top_level(wind_text)]
+        line, column = _take_at(sections, "metric", "wind")
+        wind_entries = [_parse_expr_at(e, (line, c)) for e, c in _split_at(wind_text, column)]
         if len(wind_entries) != dimension:
             raise ValidationError(f"wind must have {dimension} components")
     elif _take(sections, "metric", "wind") is not None:
         raise ValidationError("riemannian metrics take no wind")
 
     field_text = _take(sections, "field", "f", required=True)
-    field_expr = _parse_expr_at(field_text, _take_line(sections, "field", "f"))
+    field_expr = _parse_expr_at(field_text, _take_at(sections, "field", "f"))
 
     def number(key, default, kind=float):
         return _numbers(_take(sections, "numerics", key, default=default), key, kind, size=1)[0]

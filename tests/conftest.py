@@ -146,11 +146,11 @@ def solve_1d_by_call(monkeypatch):
     no kernel kept from before it."""
     solve = expressions._solve
 
-    def by_call(lines, g, r):
+    def by_call(lines, g, r, point):
         if len(r) != 1:
-            return solve(lines, g, r)
+            return solve(lines, g, r, point)
         text = expressions._codegen
-        lines += [f"a = _solve_spd((({text(g[0][0])},),), ({text(r[0])},), x)",
+        lines += [f"a = _solve_spd((({text(g[0][0])},),), ({text(r[0])},), {point})",
                   "a0, = a.tolist()"]
         return [expressions._Local("a0")]
 

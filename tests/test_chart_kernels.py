@@ -5,7 +5,9 @@ with the terms of its constant entries folded (``expressions.randers_stage`` and
 ``zermelo_inverse`` given the trees). The generic kernels, of the dimension alone, read
 every entry through the chart's checked readers. On the same fields the two agree bitwise
 wherever a result is not zero, equal (of either sign) where it is an exact zero, and
-refuse the same inputs with the same error and message.
+refuse the same inputs with the same error and message. The march calls the stage on its
+state with no check (``Metric.spray_rhs``); that read agrees with the checked
+``geodesic_stage`` in the same way.
 """
 
 import math
@@ -18,8 +20,9 @@ from test_metrics import SINGULAR_WIND_TEXT, _random_points, _random_zermelo_tex
 
 from finsler_lab import expressions, scenarios
 from finsler_lab.errors import FinslerError, SingularTensor, ValidationError
-from finsler_lab.metrics import _solve_spd
+from finsler_lab.metrics import RandersMetric, RiemannianMetric, _solve_spd
 from finsler_lab.scenarios import build_chart, example_texts, list_examples, parse_scenario
+from finsler_lab.transnormal import hat_metric
 
 
 def _outcome(call):
@@ -41,9 +44,35 @@ def assert_same(got, ref):
         assert (a == b == 0.0) or struct.pack("d", a) == struct.pack("d", b), (got, ref)
 
 
+def _read(stage, fields, x, y):
+    """A stage kernel on the state (x, y, 0), read as ``geodesic_stage`` returns it."""
+    n = len(x)
+    dz = stage(fields, (*x, *y, 0.0))
+    return dz[n : 2 * n], dz[2 * n]
+
+
+def assert_march_reads_the_stage(metric, points, vectors):
+    """The march's right-hand side of the metric and of its reverse against their
+    ``geodesic_stage``, at every pair of a point and a vector: (y, a, F), the arc length
+    unread; a Randers metric's is its own generated stage, with its fields reader bound."""
+    if isinstance(metric, RandersMetric):
+        rhs = metric.spray_rhs()
+        assert (rhs.func, rhs.args) == (metric._stage, (metric._fields,))
+    for candidate in (metric, metric.reverse()):
+        rhs = candidate.spray_rhs()
+        for x in points:
+            x = tuple(float(c) for c in x)
+            for y in vectors:
+                y = tuple(float(c) for c in y)
+                ref = _outcome(lambda: candidate.geodesic_stage(x, y))
+                assert_same(_outcome(lambda: rhs((*x, *y, 0.375))),
+                            ref if isinstance(ref, tuple) else [*y, *ref])
+
+
 def assert_chart_kernels_match(metric, points, vectors):
     """The metric's stage and inverse, and its reverse's, against the generic kernels on
-    its readers, at every pair of a point and a vector (taken as a covector too)."""
+    its readers, at every pair of a point and a vector (taken as a covector too), and the
+    march's read of the stage against ``geodesic_stage``."""
     n = metric.dim
     stage, inverse = expressions.randers_stage(n), expressions.zermelo_inverse(n)
     assert metric._stage is not stage and metric._inverse is not inverse
@@ -54,16 +83,17 @@ def assert_chart_kernels_match(metric, points, vectors):
             y = tuple(float(c) for c in y)
             minus = tuple(-c for c in y)
             assert_same(_outcome(lambda: metric.geodesic_stage(x, y)),
-                        _outcome(lambda: stage(x, y, metric._fields)))
+                        _outcome(lambda: _read(stage, metric._fields, x, y)))
             assert_same(_outcome(lambda: metric.legendre_inverse(x, y)),
                         _outcome(lambda: inverse(x, y, metric._zermelo)))
             # the reverse's stage is the stage at -y, its inverse the negated one at -w
             assert_same(_outcome(lambda: reverse.geodesic_stage(x, y)),
-                        _outcome(lambda: stage(x, minus, metric._fields)))
+                        _outcome(lambda: _read(stage, metric._fields, x, minus)))
             ref = _outcome(lambda: inverse(x, minus, metric._zermelo))
             if not isinstance(ref, tuple):
                 ref = [-c for c in ref[:n]] + [ref[n]] + [-c for c in ref[n + 1:]]
             assert_same(_outcome(lambda: reverse.legendre_inverse(x, y)), ref)
+    assert_march_reads_the_stage(metric, points, vectors)
 
 
 def _signed_zeros(n, value):
@@ -94,6 +124,34 @@ def test_chart_kernels_are_the_generic_kernels(rng, sheared_disc_text):
         # signed zeros in the point and in the vector; a point off the domain may be
         # refused, by both alike
         assert_chart_kernels_match(chart.metric, _signed_zeros(n, 0.3), _signed_zeros(n, 0.7))
+
+
+def test_march_reads_the_stage_of_charts_without_trees(rng, disc_scenario):
+    # metrics whose stage is the generic kernel of their dimension, on readers alone:
+    # a constant wind, a matrix field (not symmetric, so its reader refuses, past y = 0.3;
+    # not positive definite past x = 0.6), the hat metric and a wind past the margin
+    def matrix(x):
+        return np.array([[1.0 + x[0] ** 2, 0.1 * max(0.0, x[1] - 0.3)],
+                         [0.0, 0.36 - x[0] ** 2]])
+
+    disc = disc_scenario.chart
+    metrics = [RandersMetric.constant_wind([0.3, -0.2]),
+               RandersMetric.constant_wind([1.0 - 1e-7, 0.0]),
+               RiemannianMetric.from_matrix(matrix, 2),
+               hat_metric(disc.metric, disc.field)]
+    points = [*_random_points(disc.domain, rng, 6), (0.1, 0.5), (0.7, -0.2)]
+    vectors = [*(rng.normal(size=2) for _ in range(3)), *_signed_zeros(2, 0.7)]
+    refusals = set()
+    for metric in metrics:
+        assert metric._trees is None and metric._stage is expressions.randers_stage(2)
+        assert_march_reads_the_stage(metric, points, vectors)
+        assert_march_reads_the_stage(metric, _signed_zeros(2, 0.3), vectors[:2])
+        for x in points:
+            for y in vectors:
+                outcome = _outcome(lambda: metric.geodesic_stage(tuple(x), tuple(y)))
+                if isinstance(outcome, tuple):
+                    refusals.add(outcome[0].__name__)
+    assert refusals == {"ZeroVector", "NonConvexWind", "DimensionMismatch", "SingularTensor"}
 
 
 @pytest.mark.parametrize("margin", [1e-6, 2e-6])
@@ -173,7 +231,7 @@ def _solve_1d():
     """The 1-D solve of the generated kernels, alone: ``solve(x, g00, r0)``."""
     lines = expressions._Lines()
     g, r = expressions._Local("g00"), expressions._Local("r0")
-    (a,) = expressions._solve(lines, [[g]], [r])
+    (a,) = expressions._solve(lines, [[g]], [r], "x")
     return expressions._kernel("solve", "x, g00, r0",
                                [*lines, f"return {expressions._codegen(a)}"])
 
@@ -214,7 +272,7 @@ def test_1d_chart_kernels_are_the_solve_spd_kernels_bitwise(rng, solve_1d_by_cal
         assert by_call[0] is not stage
         for x in rng.uniform(-0.5, 0.5, size=(20, 1)).tolist():
             x, y = tuple(x), (float(rng.normal()),)
-            assert _outcome(lambda: stage(x, y, metric._fields)) == _outcome(
-                lambda: by_call[0](x, y, metric._fields))
+            assert _outcome(lambda: stage(metric._fields, (*x, *y, 0.0))) == _outcome(
+                lambda: by_call[0](metric._fields, (*x, *y, 0.0)))
             assert _outcome(lambda: inverse(x, y, metric._zermelo)) == _outcome(
                 lambda: by_call[1](x, y, metric._zermelo))

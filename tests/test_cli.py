@@ -648,7 +648,7 @@ _REFUSED_SCENARIOS = {
             "h = 1, 0 ; 0, 1", "h = 1 + 1e999 * 0 * x, 0 ; 0, 1"),
         ("check-transnormal",),
         "configuration error: in expression '1 + 1e999 * 0 * x': number '1e999' overflows a "
-        "float (line 10, column 5)\n"),
+        "float (line 10, column 9)\n"),
     # h(W, W) = 0.999999, at the kernels' bound 1 - 1e-6: refused by validation
     **{f"wind-at-bound-{verb}": (
         example_texts("euclidean-linear")["main"].replace(

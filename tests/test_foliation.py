@@ -756,12 +756,12 @@ def test_partition_spends_stages_only_on_sub_steps(disc_scenario, monkeypatch):
     metric = chart.metric
     counts = {"stages": 0, "parallel_stages": 0}
     in_parallel = [False]
-    stage = metric.geodesic_stage
+    rhs = metric.spray_rhs()
 
-    def counted_stage(x, y):
+    def counted_rhs(z):
         counts["stages"] += 1
         counts["parallel_stages"] += in_parallel[0]
-        return stage(x, y)
+        return rhs(z)
 
     check = foliation._probe_report
 
@@ -775,7 +775,7 @@ def test_partition_spends_stages_only_on_sub_steps(disc_scenario, monkeypatch):
     def no_cylinder(*args, **kwargs):
         raise AssertionError("build_cylinder called")
 
-    monkeypatch.setattr(metric, "geodesic_stage", counted_stage)
+    monkeypatch.setattr(metric, "spray_rhs", lambda: counted_rhs)
     monkeypatch.setattr(foliation, "_probe_report", parallel)
     monkeypatch.setattr(foliation, "build_cylinder", no_cylinder)
     report = check_finsler_partition(

@@ -556,15 +556,15 @@ def test_crossing_matches_rk4_level_march(
 
 
 def _counted_stages(monkeypatch, metric):
-    """Count the spray stages of metric from now on."""
+    """Count the spray stages that the marches on metric take from now on."""
     calls = []
-    stage = metric.geodesic_stage
+    rhs = metric.spray_rhs()
 
-    def counted(x, y):
+    def counted(z):
         calls.append(1)
-        return stage(x, y)
+        return rhs(z)
 
-    monkeypatch.setattr(metric, "geodesic_stage", counted)
+    monkeypatch.setattr(metric, "spray_rhs", lambda: counted)
     return calls
 
 
@@ -608,7 +608,7 @@ def test_crossing_matches_quintic_hermite_locator(
         chart.metric, ray, chart.field, target, step=1e-3, domain=chart.domain
     )
     march = event.march
-    rhs = geodesics._spray_rhs(chart.metric, ray.dim)
+    rhs = chart.metric.spray_rhs()
     z0, z1 = (
         np.concatenate((march.points[k], march.velocities[k], [march.arc_lengths[k]]))
         for k in (-2, -1)
@@ -750,16 +750,16 @@ def test_trial_stage_outside_the_metric_halves_the_step(disc_scenario, monkeypat
     chart = disc_scenario.chart
     ray = _unit_gradient_ray(chart, [0.85, 0.0])
     raised = []
-    stage = chart.metric.geodesic_stage
+    rhs = chart.metric.spray_rhs()
 
-    def recording(x, y):
+    def recording(z):
         try:
-            return stage(x, y)
+            return rhs(z)
         except NonConvexWind:
-            raised.append(np.linalg.norm(x))
+            raised.append(np.linalg.norm(z[:2]))
             raise
 
-    monkeypatch.setattr(chart.metric, "geodesic_stage", recording)
+    monkeypatch.setattr(chart.metric, "spray_rhs", lambda: recording)
     with pytest.raises(NeverReached) as err:
         integrate_to_level(
             chart.metric, ray, chart.field, 0.99, step=1e-3, domain=DiscDomain(0.99)

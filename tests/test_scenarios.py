@@ -74,6 +74,22 @@ def test_dangling_operator_parse_error():
     assert err.value.line is not None
 
 
+@pytest.mark.parametrize("old, new, line, column", [
+    ("h = 1, 0 ; 0, 1", "h = 1 + 1e999 * 0 * x, 0 ; 0, 1", 10, 9),
+    ("h = 1, 0 ; 0, 1", "h = 1, 0 ;  0,  1 + 2e999", 10, 21),
+    ("wind = x, y", "wind  =   x,y $ 1", 11, 15),
+    ("f = x^2 + y^2", "\tf = x^2 + y^2 )", 14, 16),
+])
+def test_expression_parse_error_at_its_file_column(old, new, line, column):
+    # the column within the file's line, where each entry of h and the wind starts after
+    # the ones before it
+    text = example_texts("disc-radial")["main"].replace(old, new)
+    with pytest.raises(ParseError) as err:
+        parse_scenario(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert f"(line {line}, column {column})" in str(err.value)
+
+
 # (old, new) replacements in the disc-radial text, and the error each gives
 CONFIG_MUTATIONS = [
     (("dimension = 2", "dimension = 5"), ValidationError),
